@@ -18,6 +18,10 @@ namespace {
 
 enum class Strategy { kNone, kSelective, kInstrumentAll };
 
+/// Translation-cache key of the selective predicate; bit 63 keeps it clear
+/// of the reserved keys, as in Chaser::Attach.
+constexpr std::uint64_t kSelectiveKey = 1ull << 63;
+
 apps::AppSpec MakeApp() {
   return apps::BuildKmeans({.points = 256, .dims = 4, .clusters = 4,
                             .iterations = 5});
@@ -36,7 +40,8 @@ std::uint64_t RunOnce(const apps::AppSpec& spec, Strategy strategy,
       vm.SetInstrumentPredicate(
           [classes](const guest::Instruction& in, std::uint64_t) {
             return classes.count(guest::ClassOf(in.op)) != 0;
-          });
+          },
+          kSelectiveKey);
       break;
     }
     case Strategy::kInstrumentAll:

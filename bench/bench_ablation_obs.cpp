@@ -175,10 +175,9 @@ int main(int argc, char** argv) {
   const int reps = 5;
   const int pairs = 5;  // blocks of 5 interleaved off/quiet run-pairs each
 
-  // Drift-hardened methodology (a tighter cousin of bench_ablation_dispatch,
-  // since a <2% guard needs more resolution than a speedup headline): untimed
-  // warm-ups, round-robin min-of-N ladder times, and a paired min-of-block
-  // median for the off-vs-quiet headline.
+  // Drift-hardened methodology (a <2% guard needs more resolution than a
+  // speedup headline): untimed warm-ups, round-robin min-of-N ladder times,
+  // and a paired min-of-block median for the off-vs-quiet headline.
   double times[kNumWorkloads][kConfigs] = {};
   double overhead_pct[kNumWorkloads] = {};
   double export_pct[kNumWorkloads] = {};

@@ -228,13 +228,9 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
   mpi::Cluster::Config cluster_config;
   cluster_config.num_ranks = spec_.num_ranks;
   cluster_config.quantum = config_.scheduler_quantum;
-  // Hot-path plumbing: every rank VM of every trial shares the campaign's
-  // translation cache and runs with the configured dispatch/chaining/TLB.
+  // Every rank VM of every trial shares the campaign's translation cache.
   cluster_config.vm.shared_cache = config_.shared_tb_cache;
   cluster_config.vm.max_cached_tbs = config_.tb_cache_cap;
-  cluster_config.vm.dispatch = config_.dispatch;
-  cluster_config.vm.chain_tbs = config_.chain_tbs;
-  cluster_config.vm.mem_tlb = config_.mem_tlb;
   // Every trial restarts the same image; hash it once per engine, not once
   // per StartProcess.
   if (config_.shared_tb_cache != nullptr) {
@@ -561,9 +557,7 @@ Campaign::Campaign(apps::AppSpec spec, CampaignConfig config)
                                                  : config_.inject_ranks) {
   // Resolve the shared translation cache before any engine exists: engines
   // copy the pointer into their cluster's Vm::Config at construction.
-  if (!config_.share_tb_cache) {
-    config_.shared_tb_cache = nullptr;
-  } else if (config_.shared_tb_cache == nullptr) {
+  if (config_.shared_tb_cache == nullptr) {
     owned_tb_cache_ = std::make_unique<tcg::SharedTbCache>(config_.tb_cache_cap);
     config_.shared_tb_cache = owned_tb_cache_.get();
   }
@@ -574,6 +568,7 @@ void Campaign::RunGolden() {
   if (engine_ == nullptr) {
     engine_ = std::make_unique<TrialEngine>(spec_, config_, inject_ranks_);
   }
+  const obs::ThreadAttachment attachment(config_.telemetry, "main");
   golden_ = engine_->RunGolden();
   engine_->AdoptGolden(golden_);
   golden_done_ = true;

@@ -90,7 +90,7 @@ struct RunRecord {
   std::uint64_t run_seed = 0;      // reproduce this exact trial
   std::uint64_t instructions = 0;  // total guest instructions this trial
   /// Hot-path counters summed over ranks (deterministic per run_seed and
-  /// invariant across serial/parallel, shared-cache, and dispatch configs —
+  /// invariant across serial/parallel drivers and translation caches —
   /// which is why they may live in the identity-checked record).
   std::uint64_t tb_chain_hits = 0;
   std::uint64_t tlb_hits = 0;
@@ -202,25 +202,15 @@ struct CampaignConfig {
   /// either way (telemetry only observes).
   obs::Telemetry* telemetry = nullptr;
 
-  // ---- Hot-path knobs (all bit-transparent: outputs are byte-identical
-  // ---- with any combination of these, only speed changes) -----------------
-  /// Share one cross-trial translation cache among every VM the campaign
-  /// creates (the driver owns it unless `shared_tb_cache` is set).
-  bool share_tb_cache = true;
-  /// Externally owned cache to use instead of the driver-owned one (lets
-  /// several campaigns over the same app share translations). Must outlive
-  /// the campaign.
+  // ---- Translation cache (bit-transparent: outputs are byte-identical
+  // ---- whichever cache is used and whatever its cap, only speed changes) ----
+  /// Externally owned cross-trial translation cache for every VM the
+  /// campaign creates (lets several campaigns over the same app share
+  /// translations). Must outlive the campaign. Null = the driver owns one.
   tcg::SharedTbCache* shared_tb_cache = nullptr;
   /// Per-VM local TB-index cap and shared-cache live-TB cap; overflow does a
   /// full flush (QEMU semantics), surfaced in eviction stats. 0 = unlimited.
   std::uint64_t tb_cache_cap = 0;
-  /// TCG dispatch engine for every VM (vm::Dispatch::kAuto = threaded when
-  /// compiled in, else switch).
-  vm::Dispatch dispatch = vm::Dispatch::kAuto;
-  /// goto_tb-style TB chaining in every VM.
-  bool chain_tbs = true;
-  /// Flat software TLB in front of every VM's soft-MMU.
-  bool mem_tlb = true;
 };
 
 struct CampaignResult {
@@ -386,7 +376,9 @@ class Campaign {
   Campaign(apps::AppSpec spec, CampaignConfig config);
 
   /// Execute the golden run (throws ConfigError if the clean app fails) and
-  /// profile targeted-instruction execution counts per inject rank.
+  /// profile targeted-instruction execution counts per inject rank. With
+  /// config.telemetry set, the golden phase is timed on this thread's "main"
+  /// track even when called before Run().
   void RunGolden();
 
   /// Execute one injection trial (RunGolden must have happened; Run() calls
@@ -419,8 +411,7 @@ class Campaign {
   const std::set<Rank>& inject_ranks() const { return inject_ranks_; }
   mpi::Cluster& cluster() { return engine_->cluster(); }
   core::ChaserMpi& chaser() { return engine_->chaser(); }
-  /// The shared translation cache in use (campaign-owned or external);
-  /// null when sharing is disabled.
+  /// The shared translation cache in use (campaign-owned or external).
   const tcg::SharedTbCache* shared_tb_cache() const {
     return config_.shared_tb_cache;
   }
@@ -429,9 +420,9 @@ class Campaign {
   apps::AppSpec spec_;
   CampaignConfig config_;
   std::set<Rank> inject_ranks_;
-  /// Campaign-owned shared cache (when config.share_tb_cache and no external
-  /// cache was supplied). Declared before engine_: engines must be destroyed
-  /// before the cache their VMs point into.
+  /// Campaign-owned shared cache (when no external cache was supplied).
+  /// Declared before engine_: engines must be destroyed before the cache
+  /// their VMs point into.
   std::unique_ptr<tcg::SharedTbCache> owned_tb_cache_;
   /// Owned via pointer so containment can rebuild it after a trial throws
   /// (a half-destroyed Cluster must never serve another trial).

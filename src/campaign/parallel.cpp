@@ -32,9 +32,7 @@ ParallelCampaign::ParallelCampaign(apps::AppSpec spec, CampaignConfig config,
   // the pointer, so the whole pool reads/writes one cache. Its read path is
   // lock-free and its insert path re-checks for racing winners, which is
   // what `ctest -L tsan` exercises.
-  if (!config_.share_tb_cache) {
-    config_.shared_tb_cache = nullptr;
-  } else if (config_.shared_tb_cache == nullptr) {
+  if (config_.shared_tb_cache == nullptr) {
     owned_tb_cache_ = std::make_unique<tcg::SharedTbCache>(config_.tb_cache_cap);
     config_.shared_tb_cache = owned_tb_cache_.get();
   }
@@ -50,6 +48,7 @@ ParallelCampaign::ParallelCampaign(apps::AppSpec spec, CampaignConfig config,
 
 void ParallelCampaign::RunGolden() {
   TrialEngine engine(spec_, config_, inject_ranks_);
+  const obs::ThreadAttachment attachment(config_.telemetry, "main");
   golden_ = engine.RunGolden();
   golden_done_ = true;
 }

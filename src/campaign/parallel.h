@@ -28,7 +28,8 @@ class ParallelCampaign {
   ParallelCampaign(apps::AppSpec spec, CampaignConfig config, unsigned jobs = 0);
 
   /// Execute the golden run once on a temporary engine (throws ConfigError
-  /// if the clean app fails). Run() calls it lazily.
+  /// if the clean app fails). Run() calls it lazily. With config.telemetry
+  /// set, the golden phase is timed on this thread's "main" track.
   void RunGolden();
 
   /// Full campaign: golden + config.runs trials across the worker pool.
@@ -47,8 +48,7 @@ class ParallelCampaign {
   std::uint64_t golden_targeted_execs(Rank r) const;
   const apps::AppSpec& spec() const { return spec_; }
   const std::set<Rank>& inject_ranks() const { return inject_ranks_; }
-  /// The shared translation cache in use (driver-owned or external);
-  /// null when sharing is disabled.
+  /// The shared translation cache in use (driver-owned or external).
   const tcg::SharedTbCache* shared_tb_cache() const {
     return config_.shared_tb_cache;
   }
@@ -57,9 +57,9 @@ class ParallelCampaign {
   apps::AppSpec spec_;
   CampaignConfig config_;
   std::set<Rank> inject_ranks_;
-  /// Pool-owned shared cache (when config.share_tb_cache and no external
-  /// cache was supplied). Outlives every worker's TrialEngine: workers join
-  /// before Run() returns, and nothing else holds TB pointers after that.
+  /// Pool-owned shared cache (when no external cache was supplied).
+  /// Outlives every worker's TrialEngine: workers join before Run() returns,
+  /// and nothing else holds TB pointers after that.
   std::unique_ptr<tcg::SharedTbCache> owned_tb_cache_;
   unsigned jobs_ = 1;
 

@@ -52,7 +52,7 @@ void Chaser::Attach() {
     // The predicate is a pure function of the target-class set, so key it
     // for the shared translation cache: every trial targeting the same
     // classes shares one set of instrumented TBs. Bit 63 keeps user keys
-    // disjoint from the reserved clean/unshareable keys (1/0).
+    // disjoint from the reserved keys (0, and 1 for the clean variant).
     std::uint64_t key = 1469598103934665603ull;
     for (const guest::InstrClass c : classes) {  // std::set: sorted, stable
       key ^= static_cast<std::uint64_t>(c);
@@ -69,7 +69,7 @@ void Chaser::Attach() {
   } else {
     trigger_.reset();
     injector_active_ = false;
-    vm_.SetInstrumentPredicate(nullptr);
+    vm_.SetInstrumentPredicate(nullptr, vm::Vm::kCleanPredicateKey);
     vm_.set_injector_hook(nullptr);
   }
   vm_.FlushTbCache();
@@ -121,7 +121,7 @@ void Chaser::Detach() {
   attached_ = false;
   injector_active_ = false;
   trigger_.reset();
-  vm_.SetInstrumentPredicate(nullptr);
+  vm_.SetInstrumentPredicate(nullptr, vm::Vm::kCleanPredicateKey);
   vm_.set_injector_hook(nullptr);
   vm_.RequestTbFlush();
 }
@@ -135,7 +135,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
       // fi_clean_cb: stop screening and flush the instrumentation out of the
       // translation cache; tracing (taint) stays on.
       injector_active_ = false;
-      vm_.SetInstrumentPredicate(nullptr);
+      vm_.SetInstrumentPredicate(nullptr, vm::Vm::kCleanPredicateKey);
       vm_.set_injector_hook(nullptr);
       vm_.RequestTbFlush();
     }
@@ -161,7 +161,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
 
   if (trigger_->Expired()) {
     injector_active_ = false;
-    vm_.SetInstrumentPredicate(nullptr);
+    vm_.SetInstrumentPredicate(nullptr, vm::Vm::kCleanPredicateKey);
     vm_.set_injector_hook(nullptr);
     vm_.RequestTbFlush();
   }

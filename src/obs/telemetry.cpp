@@ -95,8 +95,15 @@ void Telemetry::SetEstimatesSource(std::function<EstimateSnapshot()> source) {
 
 void Telemetry::AttachThread(const std::string& name) {
   if (ThreadProfiler() != nullptr) return;  // already armed (ours by contract)
-  const std::uint32_t tid =
-      trace_ != nullptr ? trace_->RegisterThread(name) : 0;
+  std::uint32_t tid = 0;
+  if (trace_ != nullptr) {
+    // One track per name: a thread that detaches and re-attaches (a driver's
+    // RunGolden() before its Run()) keeps writing to the same track.
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, fresh] = trace_tids_.try_emplace(name, 0);
+    if (fresh) it->second = trace_->RegisterThread(name);
+    tid = it->second;
+  }
   auto profiler = std::make_unique<PhaseProfiler>(&Registry::Global(),
                                                   trace_.get(), tid);
   SetThreadProfiler(profiler.get());
@@ -111,6 +118,16 @@ void Telemetry::DetachThread() {
   SetThreadProfiler(nullptr);
   // The profiler object stays in profilers_ (its tid and histograms remain
   // valid); only the thread-local arming is dropped.
+}
+
+ThreadAttachment::ThreadAttachment(Telemetry* telemetry, const std::string& name) {
+  if (telemetry == nullptr || ThreadProfiler() != nullptr) return;
+  telemetry->AttachThread(name);
+  attached_ = telemetry;
+}
+
+ThreadAttachment::~ThreadAttachment() {
+  if (attached_ != nullptr) attached_->DetachThread();
 }
 
 void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,

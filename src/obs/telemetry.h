@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -101,8 +102,9 @@ class Telemetry {
   void SetEstimatesSource(std::function<EstimateSnapshot()> source);
 
   /// Arm instrumentation on the calling thread: builds a PhaseProfiler,
-  /// registers a trace tid named `name`, and publishes it thread-locally.
-  /// No-op if this Telemetry is already attached to the thread.
+  /// registers a trace tid named `name` (reused when a thread attaches
+  /// under that name again), and publishes it thread-locally. No-op if this
+  /// Telemetry is already attached to the thread.
   void AttachThread(const std::string& name);
   /// Flush and drop the calling thread's profiler (no-op when detached).
   void DetachThread();
@@ -147,9 +149,26 @@ class Telemetry {
   std::function<EstimateSnapshot()> estimates_;
   std::string app_;
 
-  std::mutex mutex_;  // guards profilers_, finish, and status_ creation
+  // Guards profilers_, trace_tids_, finish, and status_ creation.
+  std::mutex mutex_;
   std::vector<std::unique_ptr<PhaseProfiler>> profilers_;
+  std::map<std::string, std::uint32_t> trace_tids_;  // thread name -> tid
   bool finished_ = false;
+};
+
+/// AttachThread for one scope, DetachThread on every exit path. A no-op for
+/// a null telemetry and for a thread that is already attached: that
+/// attachment belongs to an enclosing owner, which detaches it.
+class ThreadAttachment {
+ public:
+  ThreadAttachment(Telemetry* telemetry, const std::string& name);
+  ~ThreadAttachment();
+
+  ThreadAttachment(const ThreadAttachment&) = delete;
+  ThreadAttachment& operator=(const ThreadAttachment&) = delete;
+
+ private:
+  Telemetry* attached_ = nullptr;  // set when this scope did the attaching
 };
 
 }  // namespace chaser::obs

@@ -71,48 +71,33 @@ void TaintEngine::ClearVals() {
 
 TaintEngine::ShadowPage* TaintEngine::FindPage(PhysAddr paddr) {
   const std::uint64_t page = paddr >> kShadowPageBits;
-  if (page_cache_enabled_) {
-    PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
-    if (e.page == page) return e.shadow;
-    const auto it = pages_.find(page);
-    if (it == pages_.end()) return nullptr;
-    e = PageCacheEntry{page, &it->second};
-    return &it->second;
-  }
+  PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
+  if (e.page == page) return e.shadow;
   const auto it = pages_.find(page);
   if (it == pages_.end()) return nullptr;
+  e = PageCacheEntry{page, &it->second};
   return &it->second;
 }
 
 const TaintEngine::ShadowPage* TaintEngine::FindPage(PhysAddr paddr) const {
   const std::uint64_t page = paddr >> kShadowPageBits;
-  if (page_cache_enabled_) {
-    PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
-    if (e.page == page) return e.shadow;
-    const auto it = pages_.find(page);
-    if (it == pages_.end()) return nullptr;
-    // Safe to cache from const context: shadow pages are node-stable in the
-    // pages_ hash and the cache is pure memoisation.
-    e = PageCacheEntry{page, const_cast<ShadowPage*>(&it->second)};
-    return &it->second;
-  }
+  PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
+  if (e.page == page) return e.shadow;
   const auto it = pages_.find(page);
   if (it == pages_.end()) return nullptr;
+  // Safe to cache from const context: shadow pages are node-stable in the
+  // pages_ hash and the cache is pure memoisation.
+  e = PageCacheEntry{page, const_cast<ShadowPage*>(&it->second)};
   return &it->second;
 }
 
 TaintEngine::ShadowPage& TaintEngine::EnsurePage(PhysAddr paddr) {
   const std::uint64_t page = paddr >> kShadowPageBits;
-  if (page_cache_enabled_) {
-    PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
-    if (e.page == page) return *e.shadow;
-    ShadowPage& shadow = pages_[page];
-    if (shadow.empty()) shadow.resize(kShadowPageSize, 0);
-    e = PageCacheEntry{page, &shadow};
-    return shadow;
-  }
+  PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
+  if (e.page == page) return *e.shadow;
   ShadowPage& shadow = pages_[page];
   if (shadow.empty()) shadow.resize(kShadowPageSize, 0);
+  e = PageCacheEntry{page, &shadow};
   return shadow;
 }
 

@@ -199,24 +199,12 @@ class TaintEngine {
   ShadowPage& EnsurePage(PhysAddr paddr);
   void FlushPageCache() { page_cache_.fill(PageCacheEntry{}); }
 
- public:
-  /// Enable/disable the shadow-page cache. Toggled together with the memory
-  /// TLB (it is the taint half of the same ablation knob); disabling flushes
-  /// so re-enabling never sees stale pointers.
-  void set_page_cache_enabled(bool enabled) {
-    page_cache_enabled_ = enabled;
-    FlushPageCache();
-  }
-
- private:
-
   bool enabled_ = false;
   std::vector<std::uint64_t> val_taint_;  // env slots + temps
   std::uint64_t val_nonzero_ = 0;         // slots with non-zero taint
   std::uint64_t temp_nonzero_ = 0;        // subset of val_nonzero_ >= kTempBase
   std::unordered_map<std::uint64_t, ShadowPage> pages_;  // page index -> masks
   mutable std::array<PageCacheEntry, kPageCacheEntries> page_cache_{};
-  bool page_cache_enabled_ = true;
   std::uint64_t tainted_bytes_ = 0;
   TaintStats stats_;
   MemAccessCallback on_read_;

@@ -74,12 +74,6 @@ enum class TcgOpc : std::uint8_t {
   kExitTb,      // dynamic successor: next pc index = value of src1
 };
 
-/// Number of TcgOpc values — sizes the threaded-dispatch jump table, which
-/// must list one label per opcode in exact enum order.
-inline constexpr std::size_t kNumTcgOpcs =
-    static_cast<std::size_t>(TcgOpc::kExitTb) + 1;
-static_assert(kNumTcgOpcs == 37, "update dispatch tables when adding opcodes");
-
 /// Host helpers reachable from IR.
 enum class HelperId : std::uint8_t {
   kSyscall = 1,

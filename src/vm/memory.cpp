@@ -1,6 +1,7 @@
 #include "vm/memory.h"
 
 #include <cstring>
+#include <new>
 
 namespace chaser::vm {
 
@@ -23,9 +24,14 @@ void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
     fresh += FrameIndex(vp) == kNoFrame ? 1 : 0;
   }
   if (fresh > 0) {
-    // One zero-initialised slab for every new page in the region; per-page
-    // heap allocation here used to be a top entry in campaign profiles.
-    auto slab = std::make_unique<std::uint8_t[]>(fresh * kPageSize);
+    // One zeroed slab for every new page in the region; per-page heap
+    // allocation here used to be a top entry in campaign profiles. calloc,
+    // not new[]: a large slab arrives as untouched zero pages from the
+    // kernel, so a fault-corrupted brk of hundreds of MiB costs the pages
+    // the guest touches, not a host-side zero fill of the whole region.
+    std::unique_ptr<std::uint8_t[], FreeSlab> slab(
+        static_cast<std::uint8_t*>(std::calloc(fresh, kPageSize)));
+    if (slab == nullptr) throw std::bad_alloc();
     std::uint8_t* next = slab.get();
     slabs_.push_back(std::move(slab));
     frames_.reserve(frames_.size() + static_cast<std::size_t>(fresh));
@@ -50,16 +56,14 @@ bool GuestMemory::IsMapped(GuestAddr vaddr) const {
 
 std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
                                                    std::uint64_t vpage) const {
-  if (tlb_enabled_) ++tlb_misses_;
+  ++tlb_misses_;
   // Wild vpages (injected pointer corruption makes arbitrary 64-bit
   // addresses) fall out of the directory bounds check inside FrameIndex and
   // read as unmapped, exactly like a hash miss did.
   const std::uint32_t frame = FrameIndex(vpage);
   if (frame == kNoFrame) return std::nullopt;
   const PhysAddr frame_base = static_cast<PhysAddr>(frame) * kPageSize;
-  if (tlb_enabled_) {
-    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
-  }
+  tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
   return frame_base + (vaddr & kPageMask);
 }
 

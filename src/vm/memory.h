@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -44,15 +45,13 @@ class GuestMemory {
   /// Hot path: a small direct-mapped software TLB (QEMU's victim-TLB shape,
   /// minus the victim) sits in front of the radix page table. A hit costs
   /// one compare; misses fill the slot. The TLB caches only positive
-  /// entries, so fault behaviour is identical with it on or off.
+  /// entries, so fault behaviour is exactly the page table's.
   std::optional<PhysAddr> Translate(GuestAddr vaddr) const {
     const std::uint64_t vpage = vaddr >> kPageBits;
-    if (tlb_enabled_) {
-      const TlbEntry& e = tlb_[vpage & (kTlbEntries - 1)];
-      if (e.vpage == vpage) {
-        ++tlb_hits_;
-        return e.frame_base + (vaddr & kPageMask);
-      }
+    const TlbEntry& e = tlb_[vpage & (kTlbEntries - 1)];
+    if (e.vpage == vpage) {
+      ++tlb_hits_;
+      return e.frame_base + (vaddr & kPageMask);
     }
     return TranslateSlow(vaddr, vpage);
   }
@@ -81,17 +80,6 @@ class GuestMemory {
   bool WriteBytes(GuestAddr vaddr, const void* src, std::uint64_t n);
 
   std::uint64_t mapped_pages() const { return frames_.size(); }
-
-  /// Enable/disable the flat TLB (ablation + determinism checks). Disabling
-  /// also flushes, so re-enabling never sees stale entries.
-  void set_tlb_enabled(bool enabled) {
-    tlb_enabled_ = enabled;
-    FlushTlb();
-  }
-  bool tlb_enabled() const { return tlb_enabled_; }
-
-  /// Drop every cached translation (called on any mapping change).
-  void FlushTlb() { tlb_.fill(TlbEntry{}); }
 
   std::uint64_t tlb_hits() const { return tlb_hits_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
@@ -133,14 +121,18 @@ class GuestMemory {
     return dir_[d]->frames[vpage & (kLeafPages - 1)];
   }
 
+  /// Slabs come from std::calloc (see MapRegion), so they go back to free().
+  struct FreeSlab {
+    void operator()(std::uint8_t* slab) const { std::free(slab); }
+  };
+
   std::vector<std::unique_ptr<Leaf>> dir_;
   std::vector<std::uint8_t*> frames_;
-  std::vector<std::unique_ptr<std::uint8_t[]>> slabs_;
+  std::vector<std::unique_ptr<std::uint8_t[], FreeSlab>> slabs_;
 
   // Direct-mapped translation cache. `mutable` because Translate is
   // semantically const; the TLB is pure memoisation.
   mutable std::array<TlbEntry, kTlbEntries> tlb_{};
-  bool tlb_enabled_ = true;
   mutable std::uint64_t tlb_hits_ = 0;
   mutable std::uint64_t tlb_misses_ = 0;
 };

@@ -45,16 +45,19 @@ Vm::Vm(Config config) : config_(config) {
   tcg::Translator::Options opts;
   opts.max_tb_insns = config_.max_tb_insns;
   translator_.set_options(std::move(opts));
-}
-
-void Vm::SetInstrumentPredicate(InstrumentPredicate pred) {
-  // Unkeyed: a null predicate is the canonical "clean" variant; a live one
-  // is opaque and therefore unshareable (key 0).
-  const std::uint64_t key = pred ? 0 : kCleanPredicateKey;
-  SetInstrumentPredicate(std::move(pred), key);
+  if (config_.shared_cache == nullptr) {
+    private_cache_ = std::make_unique<tcg::SharedTbCache>();
+  }
 }
 
 void Vm::SetInstrumentPredicate(InstrumentPredicate pred, std::uint64_t key) {
+  if (!pred) {
+    key = kCleanPredicateKey;
+  } else if (key == 0 || key == kCleanPredicateKey) {
+    throw ConfigError(
+        "SetInstrumentPredicate: a live predicate needs its own translation-"
+        "cache key (not 0, not kCleanPredicateKey)");
+  }
   auto opts = translator_.options();
   opts.instrument = std::move(pred);
   translator_.set_options(std::move(opts));
@@ -68,11 +71,14 @@ void Vm::SetInstrumentAll(bool all) {
 }
 
 void Vm::FlushTbCache() {
-  // Shared-cache mode: the TBs live in (and are owned by) the shared cache;
-  // dropping the local pc index is the whole flush. A subsequent predicate
-  // change switches the variant key, so stale translations can never be
-  // looked up again — no epoch bump needed here.
+  // A shared cache keeps its TBs: dropping the local pc index is the whole
+  // flush, and a subsequent predicate change switches the variant key, so
+  // stale translations can never be looked up again. A private cache has no
+  // other reader, so its TBs are freed and the next execution retranslates.
   tb_cache_.clear();
+  if (private_cache_ != nullptr) {
+    private_cache_ = std::make_unique<tcg::SharedTbCache>();
+  }
   ++flush_count_;  // invalidates every outstanding CachedTb* / chain pointer
   if (epoch_cur_.translations != 0 || epoch_cur_.shared_reuses != 0) {
     closed_epochs_.push_back(epoch_cur_);
@@ -95,8 +101,7 @@ void Vm::ResetTranslationStats() {
   epoch_cur_ = TranslationEpochStats{};
 }
 
-std::uint64_t Vm::SharedVariantKey() const {
-  if (config_.shared_cache == nullptr || predicate_key_ == 0) return 0;
+std::uint64_t Vm::VariantKey() const {
   // Mix every knob that changes translation output. FNV-style so distinct
   // (predicate, optimize, max_tb_insns, instrument_all) tuples get distinct
   // variants.
@@ -144,16 +149,14 @@ Pid Vm::StartLoadedProcess() {
   const guest::Program& program = *program_;
   process_name_ = program.name;
   pid_ = next_pid_++;
-  program_hash_ = config_.shared_cache == nullptr ? 0
+  // A private cache is emptied on every start (FlushTbCache below), so only
+  // a shared one needs the image in its keys.
+  program_hash_ = private_cache_ != nullptr ? 0
                   : config_.program_hash != 0
                       ? config_.program_hash
                       : tcg::SharedTbCache::HashProgram(program);
 
   memory_ = GuestMemory();
-  memory_.set_tlb_enabled(config_.mem_tlb);
-  // The taint shadow-page cache is the other half of the same knob: both
-  // memoise page lookups, so the ablation toggles them together.
-  taint_.set_page_cache_enabled(config_.mem_tlb);
   if (!program.data.empty()) {
     memory_.MapRegion(guest::kDataBase, program.data.size());
     memory_.WriteBytes(guest::kDataBase, program.data.data(), program.data.size());

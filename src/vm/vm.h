@@ -32,23 +32,11 @@
 #include "taint/taint.h"
 #include "tcg/ir.h"
 #include "tcg/optimizer.h"
+#include "tcg/shared_cache.h"
 #include "tcg/translator.h"
 #include "vm/memory.h"
 
-namespace chaser::tcg {
-class SharedTbCache;
-}  // namespace chaser::tcg
-
 namespace chaser::vm {
-
-/// How ExecuteTb dispatches TCG ops.
-///  * kAuto: threaded if compiled in (CHASER_THREADED_DISPATCH + a compiler
-///    with computed goto), else the portable switch.
-///  * kSwitch / kThreaded force one engine (ablation benches, identity
-///    tests). kThreaded silently falls back to switch when unavailable —
-///    both engines are bit-identical by construction, so forcing is only
-///    about *measuring*, never about semantics.
-enum class Dispatch : std::uint8_t { kAuto, kSwitch, kThreaded };
 
 /// Guest-visible signals (the "OS exception" termination causes of Table III).
 enum class GuestSignal : std::uint8_t {
@@ -120,20 +108,13 @@ class Vm {
     std::uint32_t max_tb_insns = 64;
     /// Run the TCG optimizer over each freshly translated TB.
     bool optimize_tbs = true;
-    /// TCG-op dispatch engine (see Dispatch).
-    Dispatch dispatch = Dispatch::kAuto;
-    /// Patch direct TB successor pointers (QEMU's goto_tb chaining) so
-    /// straight-line and loop execution skips the TB-cache hash lookup.
-    bool chain_tbs = true;
-    /// Flat software TLB in front of GuestMemory::Translate.
-    bool mem_tlb = true;
     /// Cap on locally indexed TBs; exceeding it triggers a full flush
     /// (QEMU semantics) counted in tb_evictions(). 0 = unlimited.
     std::uint64_t max_cached_tbs = 0;
-    /// Optional process-wide shared translation cache. When set (and the
-    /// current instrument predicate is shareable), translations are
-    /// published to / reused from it instead of being per-VM. Not owned;
-    /// must outlive the Vm.
+    /// Process-wide translation cache to publish TBs to and reuse them from
+    /// (campaign engines share one across every trial). Not owned; must
+    /// outlive the Vm. Null = the Vm owns a private cache, emptied by every
+    /// FlushTbCache().
     tcg::SharedTbCache* shared_cache = nullptr;
     /// Precomputed SharedTbCache::HashProgram of the image this Vm will run,
     /// for callers (campaign engines) that restart one program thousands of
@@ -166,21 +147,17 @@ class Vm {
   /// Install the predicate choosing which instructions get the injector call.
   /// Takes effect for TBs translated after the next FlushTbCache().
   ///
-  /// A predicate is opaque to the shared translation cache, so installing one
-  /// through this overload makes translations *unshareable* (each VM owns
-  /// its TBs) — correct but slow. Callers whose predicate is a pure function
-  /// of some stable identity (e.g. "instruction class in {kFadd}") should use
-  /// the keyed overload below.
-  void SetInstrumentPredicate(InstrumentPredicate pred);
-
-  /// Keyed variant: `key` names the predicate's behaviour for shared-cache
-  /// purposes — two VMs passing the same key MUST have predicates that
-  /// accept exactly the same (instruction, pc) pairs. key 0 means
-  /// unshareable. A null predicate always maps to kCleanPredicateKey.
+  /// `key` names the predicate's behaviour in the translation cache: two VMs
+  /// passing the same key MUST have predicates that accept exactly the same
+  /// (instruction, pc) pairs (e.g. a hash of "instruction class in
+  /// {kFadd}"). A null predicate is the clean variant, kCleanPredicateKey,
+  /// whatever `key` says; a live one needs a key that is neither 0 nor
+  /// kCleanPredicateKey (ConfigError otherwise).
   void SetInstrumentPredicate(InstrumentPredicate pred, std::uint64_t key);
 
-  /// Reserved shared-cache key for "no instrumentation" (null predicate).
-  /// User keys should set bit 63 (see Chaser::Attach) to stay disjoint.
+  /// Reserved translation-cache key for "no instrumentation" (null
+  /// predicate). User keys should set bit 63 (see Chaser::Attach) to stay
+  /// disjoint.
   static constexpr std::uint64_t kCleanPredicateKey = 1;
   /// Ablation: instrument every instruction (F-SEFI style).
   void SetInstrumentAll(bool all);
@@ -340,37 +317,28 @@ class Vm {
   /// TBs dropped by cap-overflow flushes of the local index.
   std::uint64_t tb_evictions() const { return tb_evictions_; }
 
-  /// True when the binary was built with computed-goto threaded dispatch.
-  static bool ThreadedDispatchAvailable();
-
  private:
-  /// One slot of the local pc -> TB index. `tb` points either at `owned` or
-  /// at a shared-cache node; `chain` holds the patched direct successors
-  /// (slot 0 = kGotoTb / taken kBrCond, slot 1 = fallthrough kBrCond).
-  /// Values live in node-stable unordered_map storage, so CachedTb* chain
-  /// pointers survive rehash; FlushTbCache() invalidates them wholesale.
+  /// One slot of the local pc -> TB index. `tb` points at a translation-
+  /// cache node; `chain` holds the patched direct successors (slot 0 =
+  /// kGotoTb / taken kBrCond, slot 1 = fallthrough kBrCond). Values live in
+  /// node-stable unordered_map storage, so CachedTb* chain pointers survive
+  /// rehash; FlushTbCache() invalidates them wholesale.
   struct CachedTb {
     const tcg::TranslationBlock* tb = nullptr;
-    std::unique_ptr<tcg::TranslationBlock> owned;
     CachedTb* chain[2] = {nullptr, nullptr};
   };
 
   CachedTb& LookupTb(std::uint64_t pc);
   /// Execute `tb`; `*exit_slot` receives the chain slot of the exit taken
   /// (0/1 for static successors, -1 for dynamic/none — see CachedTb::chain).
-  void ExecuteTb(const tcg::TranslationBlock& tb, std::uint64_t* budget,
-                 int* exit_slot);
-  // __restrict: budget/exit_slot never alias VM state, which lets the
-  // compiler keep them in registers across the per-op member stores.
-  void ExecuteTbSwitch(const tcg::TranslationBlock& tb,
-                       std::uint64_t* __restrict budget,
-                       int* __restrict exit_slot);
-  void ExecuteTbThreaded(const tcg::TranslationBlock& tb,
-                         std::uint64_t* __restrict budget,
-                         int* __restrict exit_slot);
-  /// Shared-cache key of the current translation configuration, or 0 when
-  /// translations are not shareable (no cache / opaque predicate).
-  std::uint64_t SharedVariantKey() const;
+  /// __restrict: budget/exit_slot never alias VM state, which lets the
+  /// compiler keep them in registers across the per-op member stores.
+  void ExecuteTb(const tcg::TranslationBlock& tb,
+                 std::uint64_t* __restrict budget,
+                 int* __restrict exit_slot);
+  /// Translation-cache variant key of the current translation configuration
+  /// (instrument predicate + translator/optimizer options).
+  std::uint64_t VariantKey() const;
   /// Common tail of both StartProcess overloads; `program_` is already set.
   Pid StartLoadedProcess();
   void HandleSyscallHelper(std::uint64_t pc);
@@ -394,6 +362,9 @@ class Vm {
 
   Config config_;
   tcg::Translator translator_;
+  /// The translation cache when config_.shared_cache is null. It has no
+  /// other user, so FlushTbCache() frees its TBs instead of retiring them.
+  std::unique_ptr<tcg::SharedTbCache> private_cache_;
   std::unordered_map<std::uint64_t, CachedTb> tb_cache_;
 
   guest::Program program_storage_;   // owned copy of the loaded image
@@ -442,7 +413,7 @@ class Vm {
   std::vector<StuckFault> stuck_faults_;
   tcg::OptimizerStats optimizer_stats_;
 
-  // Translation identity for the shared cache (fixed per StartProcess).
+  // Translation identity in the cache (fixed per StartProcess).
   std::uint64_t program_hash_ = 0;
   std::uint64_t predicate_key_ = kCleanPredicateKey;
 

@@ -314,9 +314,7 @@ guest::Program RewriteLoopProgram() {
 TEST(StuckAt, PinPersistsAcrossTbChainBoundary) {
   // Chained TBs re-enter the loop body without returning to the dispatch
   // loop; the pin must reassert at every instruction boundary regardless.
-  vm::Vm::Config config;
-  config.chain_tbs = true;
-  vm::Vm vm(config);
+  vm::Vm vm;
   const guest::Program p = RewriteLoopProgram();
   vm.StartProcess(p);
   vm.AddStuckFault(tcg::EnvInt(2), 0x3, 0x0);  // pin low two bits to 0

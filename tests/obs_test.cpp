@@ -649,6 +649,51 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   fs::remove_all(dir);
 }
 
+/// Thread tracks called `name` in a Chrome trace document.
+int TracksNamed(const std::string& trace, const std::string& name) {
+  const std::string needle = "\"args\":{\"name\":\"" + name + "\"}";
+  int n = 0;
+  for (std::size_t at = trace.find(needle); at != std::string::npos;
+       at = trace.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// chaser_run calls RunGolden() before Run(): the golden phase must still be
+/// timed, exactly once, with no profiler left armed on the thread between
+/// the calls and a single "main" track shared with the trials.
+template <typename Driver, typename... Jobs>
+void ExpectGoldenTimedOnceBeforeRun(const std::string& name, Jobs... jobs) {
+  Registry::Global().Reset();
+  const std::string dir = TempDir(name);
+  Telemetry telemetry({.trace_path = dir + "/t.json"});
+  CampaignConfig config;
+  config.runs = 4;
+  config.seed = 5;
+  config.telemetry = &telemetry;
+  Driver driver(AccumulatorApp(), config, jobs...);
+  driver.RunGolden();
+  EXPECT_EQ(ThreadProfiler(), nullptr) << "RunGolden left a profiler armed";
+  driver.Run();
+  telemetry.Finish();
+  EXPECT_EQ(Registry::Global()
+                .GetHistogram("phase_golden_ns", LatencyBoundsNs())
+                .Count(),
+            1u);
+  EXPECT_EQ(TracksNamed(Slurp(dir + "/t.json"), "main"), 1);
+  fs::remove_all(dir);
+  Registry::Global().Reset();
+}
+
+TEST(Telemetry, SerialGoldenRunIsTimedWhenCalledBeforeRun) {
+  ExpectGoldenTimedOnceBeforeRun<Campaign>("golden_serial");
+}
+
+TEST(Telemetry, ParallelGoldenRunIsTimedWhenCalledBeforeRun) {
+  ExpectGoldenTimedOnceBeforeRun<ParallelCampaign>("golden_parallel", 2u);
+}
+
 TEST(Telemetry, TrialCountersLandInTheGlobalRegistry) {
   Registry::Global().Reset();
   Telemetry telemetry({});

@@ -1,8 +1,8 @@
 // Perf-subsystem tests (label "perf"): the shared cross-trial translation
 // cache, the flat software TLB, per-epoch translation stats, the TB cap, and
-// the full identity matrix — campaigns must produce byte-identical reports
-// and records across {serial, parallel} x {shared cache on, off} x
-// {switch, threaded} because every hot-path knob is bit-transparent.
+// the identity matrix — serial, parallel, and back-to-back campaigns sharing
+// one external translation cache must produce byte-identical reports and
+// records.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -216,24 +216,6 @@ TEST(MemoryTlb, AliasedSlotsEvictEachOtherCorrectly) {
   }
 }
 
-TEST(MemoryTlb, DisabledMatchesEnabledResults) {
-  auto probe = [](bool enabled) -> std::uint64_t {
-    vm::GuestMemory mem;
-    mem.set_tlb_enabled(enabled);
-    mem.MapRegion(0x2000, 4 * vm::kPageSize);
-    std::uint64_t sum = 0;
-    for (int i = 0; i < 64; ++i) {
-      PhysAddr paddr = 0;
-      if (!mem.Store(0x2000 + i * 8, 8, i * 31, &paddr)) return ~0ull;
-      const auto loaded = mem.Load(0x2000 + i * 8, 8, &paddr);
-      if (!loaded) return ~0ull;
-      sum += *loaded;
-    }
-    return sum;
-  };
-  EXPECT_EQ(probe(true), probe(false));
-}
-
 // ---- Per-epoch translation stats (satellite: breakdown + reset) -----------
 
 guest::Program LoopProgram() {
@@ -338,47 +320,40 @@ std::string Fingerprint(const CampaignResult& result) {
   return result.Render("matrix") + "\n" + csv.str();
 }
 
-CampaignConfig MatrixConfig(bool shared, vm::Dispatch dispatch) {
+CampaignConfig MatrixConfig() {
   CampaignConfig config;
   config.runs = 12;
   config.seed = 99;
-  config.share_tb_cache = shared;
-  config.dispatch = dispatch;
   config.retry_backoff_ms = 0;
   return config;
 }
 
-// Every cell of {serial, parallel} x {shared cache on, off} x
-// {switch, threaded} must be byte-identical: the hot-path knobs are
-// transparent and the parallel driver replays the serial seed sequence.
-// (Without threaded dispatch compiled in, kThreaded falls back to switch and
-// the matrix degenerates — still a valid identity check.)
+// Every cell must match the serial baseline byte for byte: the parallel
+// driver replays the serial seed sequence, and a translation cache that
+// already holds another campaign's TBs hands back exactly the TBs this one
+// would have translated.
 TEST(IdentityMatrix, AllCellsByteIdentical) {
   const apps::AppSpec spec = AccumulatorApp();
 
-  Campaign baseline(spec, MatrixConfig(true, vm::Dispatch::kAuto));
+  Campaign baseline(spec, MatrixConfig());
   const std::string want = Fingerprint(baseline.Run());
   EXPECT_NE(want.find("matrix"), std::string::npos);
 
-  for (const bool parallel : {false, true}) {
-    for (const bool shared : {false, true}) {
-      for (const vm::Dispatch dispatch :
-           {vm::Dispatch::kSwitch, vm::Dispatch::kThreaded}) {
-        const CampaignConfig config = MatrixConfig(shared, dispatch);
-        CampaignResult result;
-        if (parallel) {
-          ParallelCampaign c(spec, config, /*jobs=*/3);
-          result = c.Run();
-        } else {
-          Campaign c(spec, config);
-          result = c.Run();
-        }
-        EXPECT_EQ(Fingerprint(result), want)
-            << "parallel=" << parallel << " shared=" << shared
-            << " dispatch=" << static_cast<int>(dispatch);
-      }
-    }
+  ParallelCampaign parallel(spec, MatrixConfig(), /*jobs=*/3);
+  EXPECT_EQ(Fingerprint(parallel.Run()), want) << "parallel, 3 workers";
+
+  SharedTbCache external;
+  CampaignConfig config = MatrixConfig();
+  config.shared_tb_cache = &external;
+  std::uint64_t translations = 0;
+  for (const int pass : {1, 2}) {
+    Campaign c(spec, config);
+    EXPECT_EQ(Fingerprint(c.Run()), want)
+        << "campaign " << pass << " on one external cache";
+    if (pass == 1) translations = external.stats().translations;
   }
+  // The second campaign ran entirely on the first one's translations.
+  EXPECT_EQ(external.stats().translations, translations);
 }
 
 // The shared cache must actually be shared: across a campaign's trials the
@@ -386,7 +361,7 @@ TEST(IdentityMatrix, AllCellsByteIdentical) {
 TEST(IdentityMatrix, SharedCacheIsActuallyReused) {
   const apps::AppSpec spec = AccumulatorApp();
   SharedTbCache cache;
-  CampaignConfig config = MatrixConfig(true, vm::Dispatch::kAuto);
+  CampaignConfig config = MatrixConfig();
   config.shared_tb_cache = &cache;
   Campaign c(spec, config);
   c.Run();

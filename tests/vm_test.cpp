@@ -1,7 +1,9 @@
 // Unit tests for src/vm: soft-MMU memory, instruction semantics, guest OS
 // services, signals, the TB cache, and VMI events.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <deque>
 
@@ -434,6 +436,46 @@ TEST(Os, BrkGrowsHeap) {
   });
   EXPECT_EQ(vm.cpu().IntReg(8), guest::kHeapBase);
   EXPECT_EQ(vm.cpu().IntReg(9), 77u);
+}
+
+/// Resident set size of this process in bytes, 0 when /proc is unavailable.
+std::uint64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long pages = 0, resident = 0;
+  const int n = std::fscanf(f, "%llu %llu", &pages, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+
+TEST(Os, LargeBrkCostsOnlyTheTouchedPages) {
+  // A fault-corrupted length can make brk map hundreds of MiB; mapping must
+  // not make the whole region resident, or a single such trial pays a
+  // host-side zero fill (and later free) of all of it.
+  if (kSanitizedAllocator) {
+    GTEST_SKIP() << "sanitizer allocators fill or shadow every allocated byte";
+  }
+  constexpr std::uint64_t kRegion = 64ull << 20;
+  const std::uint64_t before = ResidentBytes();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/statm";
+  Vm vm = RunProgram([](ProgramBuilder& b) {
+    b.MovI(R(1), static_cast<std::int64_t>(kRegion));
+    b.Sys(Sys::kBrk);
+    b.Mov(R(8), R(0));
+    b.MovI(R(2), 77);
+    b.St(R(8), 0, R(2));
+    b.Ld(R(9), R(8), 0);
+  });
+  EXPECT_EQ(vm.cpu().IntReg(9), 77u);
+  EXPECT_GE(vm.memory().mapped_pages(), kRegion / kPageSize);
+  const std::uint64_t after = ResidentBytes();
+  EXPECT_LT(after > before ? after - before : 0, kRegion / 8);
 }
 
 TEST(Os, InstretSyscallCounts) {

@@ -3,9 +3,9 @@
 # BENCH_<name>.json at the repo root, so perf claims in the tree always have
 # a checked-in, machine-readable measurement behind them.
 #
-# Usage: tools/bench_to_json.sh [bench_name] [build_dir]
-#   bench_name  bench binary under <build_dir>/bench/ (default
-#               bench_ablation_dispatch)
+# Usage: tools/bench_to_json.sh <bench_name> [build_dir]
+#   bench_name  bench binary under <build_dir>/bench/ (required), e.g.
+#               bench_ablation_obs
 #   build_dir   CMake build tree (default: build)
 #
 # The JSON is written to BENCH_<suffix>.json where <suffix> is the bench name
@@ -24,17 +24,22 @@
 #   git worktree add .bench-seed <seed-commit>
 #   cmake -S .bench-seed -B .bench-seed/build -DCMAKE_BUILD_TYPE=Release
 #   cmake --build .bench-seed/build -j --target chaser_run
-#   CHASER_SEED_BIN=.bench-seed/build/tools/chaser_run tools/bench_to_json.sh
+#   CHASER_SEED_BIN=.bench-seed/build/tools/chaser_run \
+#     tools/bench_to_json.sh bench_ablation_obs
 #
 # Seed and current campaigns are then run strictly alternated and the median
 # per-pair wall-time ratio is spliced into the JSON as "vs_seed" — pairing
 # cancels host frequency drift that poisons absolute times. This covers the
-# optimisations the in-binary ablation ladder cannot toggle (optimizer fusion
+# optimisations a bench's in-binary ladder cannot toggle (optimizer fusion
 # passes, the radix page table, elastic taint scans).
 set -eu
 
+if [ $# -lt 1 ] || [ -z "$1" ]; then
+  echo "usage: tools/bench_to_json.sh <bench_name> [build_dir]" >&2
+  exit 2
+fi
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-bench_name=${1:-bench_ablation_dispatch}
+bench_name=$1
 build_dir=${2:-"$repo_root/build"}
 
 bench_bin="$build_dir/bench/$bench_name"

@@ -103,21 +103,12 @@ void Usage() {
       "  --trial-retries N   rebuild the engine and retry a trial whose harness\n"
       "                      throws, up to N times, then quarantine it as\n"
       "                      outcome 'infra' instead of aborting (default 0)\n"
-      "  --no-shared-tb-cache\n"
-      "                      give every trial a private translation cache instead\n"
-      "                      of the campaign-wide shared one (slower; the results\n"
-      "                      are bit-identical either way)\n"
-      "  --tb-cache-cap N    cap cached translation blocks per cache at N; on\n"
-      "                      overflow the cache is flushed whole, QEMU-style\n"
-      "                      (default 0 = unbounded)\n"
-      "  --no-chain          do not chain translation blocks (every block exit\n"
-      "                      returns to the dispatch loop)\n"
-      "  --no-tlb            disable the flat software TLB in front of the\n"
-      "                      guest page table\n"
-      "  --dispatch MODE     interpreter engine: auto (default; computed-goto\n"
-      "                      when compiled in), threaded, or switch — results\n"
-      "                      are bit-identical across engines\n"
-      "  --hub-fault SPEC    degrade TaintHub; SPEC is comma-separated k=v of\n"
+      "  --tb-cache-cap N    cap cached translation blocks at N, in the\n"
+      "                      campaign-wide translation cache and in each VM's\n"
+      "                      index; on overflow the cache is flushed whole,\n"
+      "                      QEMU-style (default 0 = unbounded; the results are\n"
+      "                      bit-identical at any cap)\n"
+      "  --hub-fault SPEC   degrade TaintHub; SPEC is comma-separated k=v of\n"
       "                      drop=P (publish drop probability), delay=N (polls\n"
       "                      before a publish is visible), outage=A-B (hub down\n"
       "                      for operation clocks A..B), retries=N (receiver\n"
@@ -179,7 +170,6 @@ std::uint64_t ArgNum(int argc, char** argv, int& i, const char* flag) {
 /// Aggregate cache effectiveness across the whole campaign; printed while
 /// the owning driver is still alive (the cache dies with it).
 void PrintSharedCacheStats(const tcg::SharedTbCache* cache) {
-  if (cache == nullptr) return;
   const tcg::SharedTbCache::Stats s = cache->stats();
   std::printf(
       "shared tb cache: %llu translations, %llu reuses, %llu epoch flushes, "
@@ -257,27 +247,8 @@ int main(int argc, char** argv) {
       } else if (a == "--resume") {
         if (i + 1 >= argc) throw ConfigError("missing value for --resume");
         config.journal_path = argv[++i];
-      } else if (a == "--no-shared-tb-cache") {
-        config.share_tb_cache = false;
       } else if (a == "--tb-cache-cap") {
         config.tb_cache_cap = ArgNum(argc, argv, i, "--tb-cache-cap");
-      } else if (a == "--no-chain") {
-        config.chain_tbs = false;
-      } else if (a == "--no-tlb") {
-        config.mem_tlb = false;
-      } else if (a == "--dispatch") {
-        if (i + 1 >= argc) throw ConfigError("missing value for --dispatch");
-        const std::string mode = argv[++i];
-        if (mode == "auto") {
-          config.dispatch = vm::Dispatch::kAuto;
-        } else if (mode == "threaded") {
-          config.dispatch = vm::Dispatch::kThreaded;
-        } else if (mode == "switch") {
-          config.dispatch = vm::Dispatch::kSwitch;
-        } else {
-          throw ConfigError("bad --dispatch mode '" + mode +
-                            "' (auto|threaded|switch)");
-        }
       } else if (a == "--trial-retries") {
         config.trial_retries =
             static_cast<unsigned>(ArgNum(argc, argv, i, "--trial-retries"));
@@ -476,7 +447,7 @@ int main(int argc, char** argv) {
     // The cache-stats source and Finish() both read the campaign-owned
     // shared cache, so they live inside the driver's scope.
     const auto attach_cache_stats = [&](const tcg::SharedTbCache* cache) {
-      if (telemetry == nullptr || cache == nullptr) return;
+      if (telemetry == nullptr) return;
       telemetry->SetCacheStatsSource([cache] {
         const tcg::SharedTbCache::Stats s = cache->stats();
         return obs::CacheStatsSnapshot{.translations = s.translations,
