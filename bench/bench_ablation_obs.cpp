@@ -18,6 +18,9 @@
 // off-vs-export overheads: both median paired ratios must stay under 2%
 // (the guard DESIGN.md §5.5 and §5.10 cite), or the "near-free when
 // disabled... cheap when enabled/watched" claim is broken.
+// Campaigns are sized by time, not trial count: each workload's run count
+// grows until a telemetry-off campaign takes kTargetCampaignMs of CPU, so
+// faster trials never push the guarded ratios below the host's noise floor.
 // `--json` emits the summary for tools/bench_to_json.sh.
 #include <ctime>
 
@@ -58,12 +61,16 @@ constexpr int kConfigs = static_cast<int>(sizeof(kLadder) / sizeof(kLadder[0]));
 
 struct Workload {
   const char* app;
-  std::uint64_t runs;
+  std::uint64_t runs;  // starting point; SizeByTime scales it up
 };
 
 constexpr Workload kWorkloads[] = {{"matvec", 480}, {"lud", 120}};
 constexpr int kNumWorkloads =
     static_cast<int>(sizeof(kWorkloads) / sizeof(kWorkloads[0]));
+
+/// CPU milliseconds every telemetry-off campaign must reach: the length at
+/// which the <2% guards were first shown to hold (matvec, 480 runs).
+constexpr double kTargetCampaignMs = 120.0;
 
 apps::AppSpec BuildApp(const char* name) {
   if (std::strcmp(name, "lud") == 0) return apps::BuildLud({});
@@ -144,6 +151,23 @@ double TimeCampaignOnce(const Workload& w, ObsMode mode) {
   return CpuMs() - start;
 }
 
+/// `w` with its run count scaled until an off campaign takes at least
+/// kTargetCampaignMs, judged by the min of three like the ladder below.
+/// Iterated because the golden run does not scale with the run count.
+Workload SizeByTime(Workload w) {
+  (void)TimeCampaignOnce(w, ObsMode::kOff);  // warm-up: cold runs read long
+  for (int i = 0; i < 5; ++i) {
+    double ms = TimeCampaignOnce(w, ObsMode::kOff);
+    for (int rep = 1; rep < 3; ++rep) {
+      ms = std::min(ms, TimeCampaignOnce(w, ObsMode::kOff));
+    }
+    if (ms >= kTargetCampaignMs) break;
+    w.runs = static_cast<std::uint64_t>(
+        static_cast<double>(w.runs) * 1.1 * kTargetCampaignMs / ms) + 1;
+  }
+  return w;
+}
+
 /// Median paired overhead (%) of `mode` vs off over `pairs` blocks: each
 /// block interleaves off/mode runs and takes min-of-5 per side (noise is
 /// one-sided), so slow frequency drift cancels in the ratio.
@@ -178,15 +202,16 @@ int main(int argc, char** argv) {
   // Drift-hardened methodology (a <2% guard needs more resolution than a
   // speedup headline): untimed warm-ups, round-robin min-of-N ladder times,
   // and a paired min-of-block median for the off-vs-quiet headline.
+  Workload workloads[kNumWorkloads];
   double times[kNumWorkloads][kConfigs] = {};
   double overhead_pct[kNumWorkloads] = {};
   double export_pct[kNumWorkloads] = {};
   for (int w = 0; w < kNumWorkloads; ++w) {
-    (void)TimeCampaignOnce(kWorkloads[w], ObsMode::kOff);    // warm-up
-    (void)TimeCampaignOnce(kWorkloads[w], ObsMode::kTrace);  // warm-up
+    workloads[w] = SizeByTime(kWorkloads[w]);               // warms up off
+    (void)TimeCampaignOnce(workloads[w], ObsMode::kTrace);  // warm-up
     for (int r = 0; r < reps; ++r) {
       for (int c = 0; c < kConfigs; ++c) {
-        const double ms = TimeCampaignOnce(kWorkloads[w], kLadder[c].mode);
+        const double ms = TimeCampaignOnce(workloads[w], kLadder[c].mode);
         if (r == 0 || ms < times[w][c]) times[w][c] = ms;
       }
     }
@@ -194,8 +219,8 @@ int main(int argc, char** argv) {
     // PairedOverheadPct for the block methodology. Two guarded ratios: the
     // pure instrumentation cost (quiet) and the watched-worker cost
     // (+export, scrapes included).
-    overhead_pct[w] = PairedOverheadPct(kWorkloads[w], ObsMode::kQuiet, pairs);
-    export_pct[w] = PairedOverheadPct(kWorkloads[w], ObsMode::kExport, pairs);
+    overhead_pct[w] = PairedOverheadPct(workloads[w], ObsMode::kQuiet, pairs);
+    export_pct[w] = PairedOverheadPct(workloads[w], ObsMode::kExport, pairs);
   }
 
   double max_overhead = 0.0;
@@ -206,12 +231,13 @@ int main(int argc, char** argv) {
 
   if (json) {
     std::printf("{\n  \"bench\": \"ablation_obs\",\n");
+    std::printf("  \"campaign_target_ms\": %.1f,\n", kTargetCampaignMs);
     std::printf("  \"workloads\": [\n");
     for (int w = 0; w < kNumWorkloads; ++w) {
       std::printf("    {\"app\": \"%s\", \"runs\": %llu, \"jobs\": 1, "
                   "\"configs\": [",
-                  kWorkloads[w].app,
-                  static_cast<unsigned long long>(kWorkloads[w].runs));
+                  workloads[w].app,
+                  static_cast<unsigned long long>(workloads[w].runs));
       for (int c = 0; c < kConfigs; ++c) {
         std::printf("%s{\"name\": \"%s\", \"ms\": %.2f}", c == 0 ? "" : ", ",
                     kLadder[c].name, times[w][c]);
@@ -231,8 +257,8 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Ablation: telemetry channels (serial campaign, tracing on) ===\n\n");
   for (int w = 0; w < kNumWorkloads; ++w) {
-    std::printf("%s, %llu runs:\n", kWorkloads[w].app,
-                static_cast<unsigned long long>(kWorkloads[w].runs));
+    std::printf("%s, %llu runs:\n", workloads[w].app,
+                static_cast<unsigned long long>(workloads[w].runs));
     for (int c = 0; c < kConfigs; ++c) {
       std::printf("  %-8s %8.2f ms   %+.2f%% vs off\n", kLadder[c].name,
                   times[w][c], (times[w][c] / times[w][0] - 1.0) * 100.0);

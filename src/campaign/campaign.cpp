@@ -398,7 +398,10 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
     }
   }
   try {
-    cluster_->Start(image_);
+    {
+      const obs::ScopedPhase obs_scope(obs::Phase::kStart);
+      cluster_->Start(image_);
+    }
     const mpi::JobResult job = [&] {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);
       return cluster_->Run();

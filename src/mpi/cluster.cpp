@@ -243,8 +243,7 @@ bool Cluster::SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count
   env.count = count;
   env.datatype = datatype;
   const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
-  env.payload.resize(bytes);
-  if (!v.memory().ReadBytes(buf, env.payload.data(), bytes)) {
+  if (!v.memory().ReadBuffer(buf, bytes, &env.payload)) {
     v.RaiseSignal(vm::GuestSignal::kSegv,
                   "MPI collective: buffer " + Hex64(buf) + " not mapped");
     return false;
@@ -279,8 +278,7 @@ vm::SyscallResult Cluster::MpiSend(Rank r) {
   env.count = count;
   env.datatype = datatype;
   const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
-  env.payload.resize(bytes);
-  if (!v.memory().ReadBytes(buf, env.payload.data(), bytes)) {
+  if (!v.memory().ReadBuffer(buf, bytes, &env.payload)) {
     v.RaiseSignal(vm::GuestSignal::kSegv,
                   "MPI_Send: buffer " + Hex64(buf) + " not mapped");
     return vm::SyscallResult::Terminated();
@@ -352,8 +350,8 @@ vm::SyscallResult Cluster::MpiBcast(Rank r) {
 
   if (r == root) {
     const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
-    std::vector<std::uint8_t> payload(bytes);
-    if (!v.memory().ReadBytes(buf, payload.data(), bytes)) {
+    std::vector<std::uint8_t> payload;
+    if (!v.memory().ReadBuffer(buf, bytes, &payload)) {
       v.RaiseSignal(vm::GuestSignal::kSegv,
                     "MPI_Bcast: buffer " + Hex64(buf) + " not mapped");
       return vm::SyscallResult::Terminated();
@@ -467,8 +465,7 @@ vm::SyscallResult Cluster::MpiReduce(Rank r) {
     env.tag = kReduceTag;
     env.count = count;
     env.datatype = datatype;
-    env.payload.resize(bytes);
-    if (!v.memory().ReadBytes(sendbuf, env.payload.data(), bytes)) {
+    if (!v.memory().ReadBuffer(sendbuf, bytes, &env.payload)) {
       v.RaiseSignal(vm::GuestSignal::kSegv,
                     "MPI_Reduce: buffer " + Hex64(sendbuf) + " not mapped");
       return vm::SyscallResult::Terminated();
@@ -492,8 +489,8 @@ vm::SyscallResult Cluster::MpiReduce(Rank r) {
   }
   if (have < config_.num_ranks - 1) return vm::SyscallResult::Block();
 
-  std::vector<std::uint8_t> accum(bytes);
-  if (!v.memory().ReadBytes(sendbuf, accum.data(), bytes)) {
+  std::vector<std::uint8_t> accum;
+  if (!v.memory().ReadBuffer(sendbuf, bytes, &accum)) {
     v.RaiseSignal(vm::GuestSignal::kSegv,
                   "MPI_Reduce: buffer " + Hex64(sendbuf) + " not mapped");
     return vm::SyscallResult::Terminated();
@@ -603,8 +600,8 @@ vm::SyscallResult Cluster::MpiAllreduce(Rank r) {
   }
   if (have < config_.num_ranks - 1) return vm::SyscallResult::Block();
 
-  std::vector<std::uint8_t> accum(bytes);
-  if (!v.memory().ReadBytes(sendbuf, accum.data(), bytes)) {
+  std::vector<std::uint8_t> accum;
+  if (!v.memory().ReadBuffer(sendbuf, bytes, &accum)) {
     v.RaiseSignal(vm::GuestSignal::kSegv,
                   "MPI_Allreduce: buffer " + Hex64(sendbuf) + " not mapped");
     return vm::SyscallResult::Terminated();
@@ -686,8 +683,8 @@ vm::SyscallResult Cluster::MpiGather(Rank r) {
   if (have < config_.num_ranks - 1) return vm::SyscallResult::Block();
 
   // Root's own slice first (local copy).
-  std::vector<std::uint8_t> slice(bytes);
-  if (!v.memory().ReadBytes(sendbuf, slice.data(), bytes) ||
+  std::vector<std::uint8_t> slice;
+  if (!v.memory().ReadBuffer(sendbuf, bytes, &slice) ||
       !v.memory().WriteBytes(recvbuf + static_cast<std::uint64_t>(r) * bytes,
                              slice.data(), bytes)) {
     v.RaiseSignal(vm::GuestSignal::kSegv, "MPI_Gather: buffer not mapped");
@@ -729,8 +726,8 @@ vm::SyscallResult Cluster::MpiScatter(Rank r) {
     for (Rank dest = 0; dest < config_.num_ranks; ++dest) {
       const GuestAddr chunk = sendbuf + static_cast<std::uint64_t>(dest) * bytes;
       if (dest == r) {
-        std::vector<std::uint8_t> slice(bytes);
-        if (!v.memory().ReadBytes(chunk, slice.data(), bytes) ||
+        std::vector<std::uint8_t> slice;
+        if (!v.memory().ReadBuffer(chunk, bytes, &slice) ||
             !v.memory().WriteBytes(recvbuf, slice.data(), bytes)) {
           v.RaiseSignal(vm::GuestSignal::kSegv, "MPI_Scatter: buffer not mapped");
           return vm::SyscallResult::Terminated();

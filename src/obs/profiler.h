@@ -36,8 +36,9 @@ enum class Phase : std::uint8_t {
   kHubPublish,      // TaintHub::Publish
   kHubPoll,         // TaintHub poll (incl. retries) at receive completion
   kJournalFsync,    // crash-safe journal append (write+flush+fsync)
+  kStart,           // Cluster::Start of one trial: reset + load every rank
 };
-inline constexpr std::size_t kNumPhases = 9;
+inline constexpr std::size_t kNumPhases = 10;
 
 const char* PhaseName(Phase p);
 

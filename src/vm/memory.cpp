@@ -1,5 +1,6 @@
 #include "vm/memory.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -18,40 +19,104 @@ void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
     if (dir_[d] == nullptr) {
       dir_[d] = std::make_unique<Leaf>();
       dir_[d]->frames.fill(kNoFrame);
+      leaves_.push_back(d);
     }
   }
   for (std::uint64_t vp = first; vp <= last; ++vp) {
     fresh += FrameIndex(vp) == kNoFrame ? 1 : 0;
   }
-  if (fresh > 0) {
-    // One zeroed slab for every new page in the region; per-page heap
+  if (fresh == 0) return;
+  regions_.emplace_back(first, last);
+  const std::uint64_t need = mapped_ + fresh;
+  if (need > frames_.size()) {
+    // One zeroed slab for the pages the pool cannot cover; per-page heap
     // allocation here used to be a top entry in campaign profiles. calloc,
     // not new[]: a large slab arrives as untouched zero pages from the
     // kernel, so a fault-corrupted brk of hundreds of MiB costs the pages
     // the guest touches, not a host-side zero fill of the whole region.
-    std::unique_ptr<std::uint8_t[], FreeSlab> slab(
-        static_cast<std::uint8_t*>(std::calloc(fresh, kPageSize)));
-    if (slab == nullptr) throw std::bad_alloc();
-    std::uint8_t* next = slab.get();
+    const std::uint64_t grow = need - frames_.size();
+    Slab slab{std::unique_ptr<std::uint8_t[], FreeSlab>(
+                  static_cast<std::uint8_t*>(std::calloc(grow, kPageSize))),
+              static_cast<std::uint32_t>(frames_.size())};
+    if (slab.storage == nullptr) throw std::bad_alloc();
+    std::uint8_t* next = slab.storage.get();
     slabs_.push_back(std::move(slab));
-    frames_.reserve(frames_.size() + static_cast<std::size_t>(fresh));
-    for (std::uint64_t vp = first; vp <= last; ++vp) {
-      Leaf& leaf = *dir_[vp >> kLeafBits];
-      std::uint32_t& slot = leaf.frames[vp & (kLeafPages - 1)];
-      if (slot != kNoFrame) continue;
+    for (std::uint64_t i = 0; i < grow; ++i, next += kPageSize) {
       frames_.push_back(next);
-      next += kPageSize;
-      slot = static_cast<std::uint32_t>(frames_.size() - 1);
     }
+    touched_.resize(frames_.size(), 0);
+  }
+  for (std::uint64_t vp = first; vp <= last; ++vp) {
+    Leaf& leaf = *dir_[vp >> kLeafBits];
+    std::uint32_t& slot = leaf.frames[vp & (kLeafPages - 1)];
+    if (slot == kNoFrame) slot = mapped_++;
   }
   // No TLB flush: the TLB caches only positive entries, newly-mapped pages
   // cannot be cached yet, and frames never move (slab storage is stable), so
-  // every cached translation stays valid. The moment unmap/remap exists this
-  // must flush.
+  // every cached translation stays valid. Reset() is the only unmap, and it
+  // clears every slot a translation filled.
+}
+
+void GuestMemory::Reset() {
+  tlb_hits_ = 0;
+  tlb_misses_ = 0;
+  if (mapped_ == 0) return;  // nothing mapped, so nothing touched or cached
+  // Trim the pool to whole slabs inside the frames both this process and
+  // the previous one mapped: identical trials reuse every frame, while a
+  // one-off giant brk is freed now rather than after the next trial.
+  const std::uint32_t keep = std::min(mapped_, prev_mapped_);
+  prev_mapped_ = mapped_;
+  while (frames_.size() > keep) {
+    frames_.resize(slabs_.back().first_frame);
+    slabs_.pop_back();
+  }
+  const std::size_t pool = frames_.size();
+  touched_.resize(pool);
+  // Re-zero the kept frames this process touched and drop their TLB slots
+  // (only touched pages can occupy one).
+  for (const std::uint64_t vpage : touched_vpages_) {
+    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{};
+    const std::uint32_t frame = FrameIndex(vpage);
+    if (frame < pool) {
+      std::memset(frames_[frame], 0, kPageSize);
+      touched_[frame] = 0;
+    }
+  }
+  touched_vpages_.clear();
+  // Unmap, noting which leaves still map a kept frame; the rest are freed.
+  for (const auto& [first, last] : regions_) {
+    for (std::uint64_t vp = first; vp <= last; ++vp) {
+      Leaf& leaf = *dir_[vp >> kLeafBits];
+      std::uint32_t& slot = leaf.frames[vp & (kLeafPages - 1)];
+      if (slot < pool) leaf.keep = true;
+      slot = kNoFrame;
+    }
+  }
+  regions_.clear();
+  std::erase_if(leaves_, [this](std::uint64_t d) {
+    Leaf& leaf = *dir_[d];
+    if (leaf.keep) {
+      leaf.keep = false;
+      return false;
+    }
+    dir_[d].reset();
+    return true;
+  });
+  mapped_ = 0;
 }
 
 bool GuestMemory::IsMapped(GuestAddr vaddr) const {
   return FrameIndex(vaddr >> kPageBits) != kNoFrame;
+}
+
+bool GuestMemory::IsRangeMapped(GuestAddr vaddr, std::uint64_t n) const {
+  if (n == 0) return true;
+  const GuestAddr end = vaddr + (n - 1);
+  if (end < vaddr) return false;  // wraps the address space
+  for (std::uint64_t vp = vaddr >> kPageBits; vp <= end >> kPageBits; ++vp) {
+    if (FrameIndex(vp) == kNoFrame) return false;
+  }
+  return true;
 }
 
 std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
@@ -62,9 +127,20 @@ std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
   // read as unmapped, exactly like a hash miss did.
   const std::uint32_t frame = FrameIndex(vpage);
   if (frame == kNoFrame) return std::nullopt;
+  if (touched_[frame] == 0) {
+    touched_[frame] = 1;
+    touched_vpages_.push_back(vpage);
+  }
   const PhysAddr frame_base = static_cast<PhysAddr>(frame) * kPageSize;
   tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
   return frame_base + (vaddr & kPageMask);
+}
+
+void GuestMemory::TranslateUntilFault(GuestAddr vaddr, std::uint64_t n) const {
+  std::uint64_t done = 0;
+  while (done < n && Translate(vaddr + done)) {
+    done += std::min(kPageSize - ((vaddr + done) & kPageMask), n - done);
+  }
 }
 
 std::uint8_t* GuestMemory::FramePtr(PhysAddr paddr) {
@@ -133,10 +209,7 @@ bool GuestMemory::ReadBytes(GuestAddr vaddr, void* dst, std::uint64_t n) const {
 bool GuestMemory::WriteBytes(GuestAddr vaddr, const void* src, std::uint64_t n) {
   const auto* in = static_cast<const std::uint8_t*>(src);
   // Check the whole range first so a fault never leaves a partial write.
-  for (std::uint64_t off = 0; off < n; off += kPageSize) {
-    if (!IsMapped(vaddr + off)) return false;
-  }
-  if (n > 0 && !IsMapped(vaddr + n - 1)) return false;
+  if (!IsRangeMapped(vaddr, n)) return false;
   std::uint64_t done = 0;
   while (done < n) {
     const auto paddr = Translate(vaddr + done);

@@ -6,6 +6,12 @@
 // how injected pointer corruptions become "OS exception" terminations.
 // Physical addresses are exposed because the taint shadow and the paper's
 // propagation log are keyed by them.
+//
+// Frame storage outlives a process: Reset() unmaps everything but keeps the
+// frames, and the next process's MapRegion calls hand them out again in
+// index order. Every vaddr therefore gets the frame index (and so the paddr)
+// it would get on a freshly constructed memory, while a campaign stops
+// paying an allocation and zero fill per trial for pages it never touches.
 #pragma once
 
 #include <array>
@@ -13,6 +19,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -34,11 +41,27 @@ class GuestMemory {
   GuestMemory& operator=(GuestMemory&&) = default;
 
   /// Map all pages covering [vaddr, vaddr + bytes), zero-filled.
-  /// Already-mapped pages are left untouched.
+  /// Already-mapped pages are left untouched. Frames kept by Reset() are
+  /// handed out first, in index order; only past them is storage allocated.
   void MapRegion(GuestAddr vaddr, std::uint64_t bytes);
+
+  /// Unmap every page and keep the frame storage for the next process.
+  /// Afterwards the memory is indistinguishable from a new one: every byte a
+  /// later MapRegion exposes reads 0, the same mapping order yields the same
+  /// paddrs, and the TLB is empty with both counters at 0. The cost scales
+  /// with the pages mapped and touched since the previous reset: only
+  /// touched frames are re-zeroed and only their TLB slots cleared. The pool
+  /// keeps the frames that both this process and the previous one mapped,
+  /// so a fault-corrupted brk's surplus (and the page-table leaves it used)
+  /// is returned here rather than held for the rest of a campaign.
+  void Reset();
 
   /// True if the byte at `vaddr` is mapped.
   bool IsMapped(GuestAddr vaddr) const;
+
+  /// True if every byte of [vaddr, vaddr + n) is mapped. A page-table walk
+  /// only: it fills no TLB slot and moves no counter.
+  bool IsRangeMapped(GuestAddr vaddr, std::uint64_t n) const;
 
   /// Virtual -> physical translation; nullopt on unmapped page.
   ///
@@ -76,10 +99,26 @@ class GuestMemory {
   /// Bulk copy out of guest memory. False if any byte is unmapped.
   bool ReadBytes(GuestAddr vaddr, void* dst, std::uint64_t n) const;
 
+  /// ReadBytes into `*out` resized to `n`, but only once the whole range is
+  /// known to be mapped: a fault-corrupted length must not size (and
+  /// zero-fill) a host buffer for a copy that is going to fault. On a fault
+  /// `*out` is left alone, and the TLB sees the same translations the failed
+  /// ReadBytes would have made, so the counters a trial records match.
+  template <typename Buffer>
+  bool ReadBuffer(GuestAddr vaddr, std::uint64_t n, Buffer* out) const {
+    if (!IsRangeMapped(vaddr, n)) {
+      TranslateUntilFault(vaddr, n);
+      return false;
+    }
+    out->resize(n);
+    return ReadBytes(vaddr, out->data(), n);
+  }
+
   /// Bulk copy into guest memory. False if any byte is unmapped.
   bool WriteBytes(GuestAddr vaddr, const void* src, std::uint64_t n);
 
-  std::uint64_t mapped_pages() const { return frames_.size(); }
+  /// Pages mapped since construction or the last Reset().
+  std::uint64_t mapped_pages() const { return mapped_; }
 
   std::uint64_t tlb_hits() const { return tlb_hits_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
@@ -94,8 +133,15 @@ class GuestMemory {
   // comfortably in L2.
   static constexpr std::size_t kTlbEntries = 1024;
 
+  /// The TLB-miss path, and the one place touches are recorded. Every byte
+  /// access goes through Translate and Reset() empties the TLB, so each
+  /// process's first access to a page lands here; nothing else may reach
+  /// frame memory, or Reset() would hand out a dirty frame.
   std::optional<PhysAddr> TranslateSlow(GuestAddr vaddr,
                                         std::uint64_t vpage) const;
+  /// Translate each page of [vaddr, vaddr + n) in ReadBytes's order, up to
+  /// the first unmapped one.
+  void TranslateUntilFault(GuestAddr vaddr, std::uint64_t n) const;
 
   std::uint8_t* FramePtr(PhysAddr paddr);
   const std::uint8_t* FramePtr(PhysAddr paddr) const;
@@ -105,14 +151,15 @@ class GuestMemory {
   // indexed by a growable directory. Guest addresses top out just above
   // kStackTop (~2^19 pages), so the directory stays tiny while lookups and
   // inserts are two array indexations — the former unordered_map here was a
-  // top campaign-profile entry (trial engines rebuild guest memory
-  // thousands of times, and every TLB miss lands here).
+  // top campaign-profile entry (trial engines remap guest memory thousands
+  // of times, and every TLB miss lands here).
   // paddr = frame_index * kPageSize + offset.
   static constexpr std::uint64_t kLeafBits = 9;  // 512 pages = 2 MiB per leaf
   static constexpr std::uint64_t kLeafPages = 1ull << kLeafBits;
   static constexpr std::uint32_t kNoFrame = ~std::uint32_t{0};
   struct Leaf {
     std::array<std::uint32_t, kLeafPages> frames;
+    bool keep = false;  // Reset() scratch: maps a frame the pool keeps
   };
   /// Frame index of `vpage`, or kNoFrame when unmapped.
   std::uint32_t FrameIndex(std::uint64_t vpage) const {
@@ -126,9 +173,26 @@ class GuestMemory {
     void operator()(std::uint8_t* slab) const { std::free(slab); }
   };
 
+  struct Slab {
+    std::unique_ptr<std::uint8_t[], FreeSlab> storage;
+    std::uint32_t first_frame = 0;  // frame index of the slab's first page
+  };
+
   std::vector<std::unique_ptr<Leaf>> dir_;
+  std::vector<std::uint64_t> leaves_;  // dir_ indices holding a leaf
+  /// The frame pool: frame index -> host storage, backed by slabs_ in index
+  /// order. Frames [0, mapped_) are mapped; the rest are zero and waiting.
   std::vector<std::uint8_t*> frames_;
-  std::vector<std::unique_ptr<std::uint8_t[], FreeSlab>> slabs_;
+  std::vector<Slab> slabs_;
+  std::uint32_t mapped_ = 0;
+  /// Frames the process before the current one mapped (kNoFrame: none yet).
+  std::uint32_t prev_mapped_ = kNoFrame;
+  /// vpage ranges of the MapRegion calls since the last reset.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> regions_;
+  /// Frames accessed since the last reset (flag per frame, plus their vpages
+  /// in first-touch order). `mutable`: recorded by the const Translate.
+  mutable std::vector<std::uint8_t> touched_;
+  mutable std::vector<std::uint64_t> touched_vpages_;
 
   // Direct-mapped translation cache. `mutable` because Translate is
   // semantically const; the TLB is pure memoisation.

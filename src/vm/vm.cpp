@@ -156,7 +156,7 @@ Pid Vm::StartLoadedProcess() {
                       ? config_.program_hash
                       : tcg::SharedTbCache::HashProgram(program);
 
-  memory_ = GuestMemory();
+  memory_.Reset();
   if (!program.data.empty()) {
     memory_.MapRegion(guest::kDataBase, program.data.size());
     memory_.WriteBytes(guest::kDataBase, program.data.data(), program.data.size());
@@ -302,8 +302,8 @@ SyscallResult Vm::HandleCoreSyscall(std::uint64_t num) {
                               static_cast<unsigned long long>(len)));
         return SyscallResult::Terminated();
       }
-      std::string bytes(len, '\0');
-      if (!memory_.ReadBytes(buf, bytes.data(), len)) {
+      std::string bytes;
+      if (!memory_.ReadBuffer(buf, len, &bytes)) {
         RaiseSignal(GuestSignal::kSegv,
                     "write: buffer " + Hex64(buf) + " not mapped");
         return SyscallResult::Terminated();

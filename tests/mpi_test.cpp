@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "guest/builder.h"
 #include "mpi/cluster.h"
+#include "peak_rss.h"
 
 namespace chaser::mpi {
 namespace {
@@ -191,6 +192,34 @@ TEST(Mpi, UnmappedSendBufferIsOsException) {
   const JobResult job = cluster.Run();
   EXPECT_EQ(job.first_failure_kind, vm::TerminationKind::kSignaled);
   EXPECT_EQ(job.first_failure_signal, vm::GuestSignal::kSegv);
+}
+
+TEST(Mpi, CorruptSendCountAllocatesNothing) {
+  // The largest count MPI accepts, over an 8-byte buffer: the range check
+  // must precede sizing the payload, or this SIGSEGV costs a 32 MiB zero
+  // fill first.
+  if (testutil::kSanitizedAllocator) {
+    GTEST_SKIP() << "sanitizer allocators fill or shadow every allocated byte";
+  }
+  const guest::Program& p = Rank0Program("hugesend", [](ProgramBuilder& b) {
+    const GuestAddr buf = b.Bss("buf", 8);
+    b.MovI(R(1), static_cast<std::int64_t>(buf));
+    b.MovI(R(2), static_cast<std::int64_t>(kMaxCount));
+    b.MovI(R(3), kDouble);
+    b.MovI(R(4), 1);
+    b.MovI(R(5), 1);
+    b.Sys(Sys::kMpiSend);
+  });
+  if (!testutil::ResetPeakRss()) GTEST_SKIP() << "/proc/self/clear_refs not writable";
+  const std::uint64_t before = testutil::PeakRssBytes();
+  Cluster cluster({.num_ranks = 2});
+  cluster.Start(p);
+  const JobResult job = cluster.Run();
+  EXPECT_EQ(job.first_failure_kind, vm::TerminationKind::kSignaled);
+  EXPECT_EQ(job.first_failure_signal, vm::GuestSignal::kSegv);
+  EXPECT_NE(job.first_failure_message.find("not mapped"), std::string::npos);
+  const std::uint64_t after = testutil::PeakRssBytes();
+  EXPECT_LT(after > before ? after - before : 0, 8ull << 20);
 }
 
 TEST(Mpi, MpiCallBeforeInitIsMpiError) {

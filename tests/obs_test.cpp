@@ -638,13 +638,16 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   const std::string trace = Slurp(dir + "/t.json");
   int phases = 0;
   for (const char* name : {"golden", "trial", "translate", "execute", "inject",
-                           "taint-propagate", "hub-publish", "hub-poll"}) {
+                           "taint-propagate", "hub-publish", "hub-poll",
+                           "start"}) {
     if (trace.find("\"name\":\"" + std::string(name) + "\"") !=
         std::string::npos) {
       ++phases;
     }
   }
   EXPECT_GE(phases, 5) << "expected at least 5 distinct phases in the trace";
+  EXPECT_NE(trace.find("\"name\":\"start\""), std::string::npos)
+      << "trial starts are not timed";
   EXPECT_NE(trace.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   fs::remove_all(dir);
 }
@@ -692,6 +695,33 @@ TEST(Telemetry, SerialGoldenRunIsTimedWhenCalledBeforeRun) {
 
 TEST(Telemetry, ParallelGoldenRunIsTimedWhenCalledBeforeRun) {
   ExpectGoldenTimedOnceBeforeRun<ParallelCampaign>("golden_parallel", 2u);
+}
+
+/// Every executed trial starts its job exactly once, inside the trial and
+/// outside the golden run, whichever driver and worker runs it.
+template <typename Driver, typename... Jobs>
+void ExpectOneStartPerTrial(Jobs... jobs) {
+  Registry::Global().Reset();
+  Telemetry telemetry({});
+  CampaignConfig config;
+  config.runs = 9;
+  config.seed = 13;
+  config.telemetry = &telemetry;
+  Driver driver(AccumulatorApp(), config, jobs...);
+  driver.Run();
+  telemetry.Finish();
+  Registry& reg = Registry::Global();
+  EXPECT_EQ(reg.GetHistogram("phase_start_ns", LatencyBoundsNs()).Count(), 9u);
+  EXPECT_EQ(reg.GetHistogram("phase_trial_ns", LatencyBoundsNs()).Count(), 9u);
+  Registry::Global().Reset();
+}
+
+TEST(Telemetry, StartPhaseCountsOncePerSerialTrial) {
+  ExpectOneStartPerTrial<Campaign>();
+}
+
+TEST(Telemetry, StartPhaseCountsOncePerParallelTrial) {
+  ExpectOneStartPerTrial<ParallelCampaign>(3u);
 }
 
 TEST(Telemetry, TrialCountersLandInTheGlobalRegistry) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -354,6 +355,40 @@ TEST(IdentityMatrix, AllCellsByteIdentical) {
   }
   // The second campaign ran entirely on the first one's translations.
   EXPECT_EQ(external.stats().translations, translations);
+}
+
+/// Records CSV of the MatrixConfig trials, each run on a TrialEngine built
+/// for that trial alone (one golden profile and one translation cache, as a
+/// campaign's engines share): nothing a process leaves in an engine's VMs —
+/// guest memory, TLB, counters — can reach the next trial.
+std::string FreshEngineCsv(const apps::AppSpec& spec) {
+  SharedTbCache cache;
+  CampaignConfig config = MatrixConfig();
+  config.shared_tb_cache = &cache;
+  const std::set<Rank> ranks{0};
+  campaign::TrialEngine golden_engine(spec, config, ranks);
+  const campaign::GoldenProfile golden = golden_engine.RunGolden();
+  std::vector<campaign::RunRecord> records;
+  for (const std::uint64_t seed :
+       Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    campaign::TrialEngine engine(spec, config, ranks);
+    engine.AdoptGolden(golden);
+    records.push_back(engine.RunTrial(seed));
+  }
+  std::ostringstream csv;
+  campaign::WriteRecordsCsv(records, csv);
+  return csv.str();
+}
+
+// A reused engine restarts its VMs on recycled guest memory; its records,
+// hot-path counters included, must be the ones fresh engines produce.
+TEST(IdentityMatrix, FreshEnginePerTrialMatchesReusedEngine) {
+  for (const apps::AppSpec& spec : {AccumulatorApp(), apps::BuildMatvec({})}) {
+    Campaign reused(spec, MatrixConfig());
+    std::ostringstream want;
+    campaign::WriteRecordsCsv(reused.Run().records, want);
+    EXPECT_EQ(FreshEngineCsv(spec), want.str()) << spec.name;
+  }
 }
 
 // The shared cache must actually be shared: across a campaign's trials the

@@ -1,14 +1,15 @@
 // Unit tests for src/vm: soft-MMU memory, instruction semantics, guest OS
 // services, signals, the TB cache, and VMI events.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <deque>
+#include <memory>
 
 #include "common/error.h"
 #include "guest/builder.h"
+#include "peak_rss.h"
 #include "vm/memory.h"
 #include "vm/vm.h"
 
@@ -108,6 +109,107 @@ TEST(Memory, DistinctPagesDistinctFrames) {
   const PhysAddr p1 = *m.Translate(0x10000);
   const PhysAddr p2 = *m.Translate(0x90000);
   EXPECT_NE(p1 >> kPageBits, p2 >> kPageBits);
+}
+
+TEST(Memory, RangeMappedChecksEveryPage) {
+  GuestMemory m;
+  m.MapRegion(0x10000, 2 * kPageSize);
+  m.MapRegion(0x13000, kPageSize);  // a one-page hole at 0x12000
+  EXPECT_TRUE(m.IsRangeMapped(0x10000, 2 * kPageSize));
+  EXPECT_TRUE(m.IsRangeMapped(0x10ff0, kPageSize));
+  EXPECT_TRUE(m.IsRangeMapped(0x12000, 0));
+  EXPECT_FALSE(m.IsRangeMapped(0x11ff0, 0x20));
+  EXPECT_FALSE(m.IsRangeMapped(0x10000, 4 * kPageSize));
+  EXPECT_FALSE(m.IsRangeMapped(0x13000, ~0ull));  // wraps the address space
+  EXPECT_EQ(m.tlb_hits() + m.tlb_misses(), 0u);  // a page-table walk only
+}
+
+TEST(Memory, ReadBufferFaultsWithReadBytesTlbTraffic) {
+  // The records carry the TLB counters, so refusing a faulting copy up
+  // front must not change them: ReadBuffer replays ReadBytes's translations.
+  const auto setup = [](GuestMemory& m) {
+    m.MapRegion(0x20000, 3 * kPageSize);
+    std::uint8_t byte = 0;
+    ASSERT_TRUE(m.ReadBytes(0x21000, &byte, 1));  // warm one TLB slot
+  };
+  GuestMemory copied, buffered;
+  setup(copied);
+  setup(buffered);
+  std::vector<std::uint8_t> host(8 * kPageSize);
+  EXPECT_FALSE(copied.ReadBytes(0x20010, host.data(), host.size()));
+  std::vector<std::uint8_t> out;
+  EXPECT_FALSE(buffered.ReadBuffer(0x20010, host.size(), &out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(buffered.tlb_hits(), copied.tlb_hits());
+  EXPECT_EQ(buffered.tlb_misses(), copied.tlb_misses());
+
+  std::string text;
+  ASSERT_TRUE(buffered.ReadBuffer(0x20010, 3 * kPageSize - 0x10, &text));
+  EXPECT_EQ(text.size(), 3 * kPageSize - 0x10);
+}
+
+TEST(GuestMemory, ResetMatchesFreshMemory) {
+  // Shaped like a process image: data, a bss wider than the TLB (so slots
+  // are evicted and refilled), and a stack; plus a brk'd heap.
+  struct Region {
+    GuestAddr base;
+    std::uint64_t bytes;
+  };
+  const Region image[] = {
+      {guest::kDataBase, 3 * kPageSize + 100},
+      {guest::kBssBase, 1200 * kPageSize},
+      {guest::kStackTop - guest::kDefaultStackBytes, guest::kDefaultStackBytes},
+  };
+  const Region heap{guest::kHeapBase, 8 * kPageSize};
+  const auto map_image = [&image](GuestMemory& m) {
+    for (const Region& r : image) m.MapRegion(r.base, r.bytes);
+  };
+
+  GuestMemory m;
+  map_image(m);
+  m.MapRegion(heap.base, heap.bytes);
+  std::uint64_t dirtied = 0;
+  PhysAddr pa = 0;
+  for (const Region& r : {image[0], image[1], image[2], heap}) {
+    for (std::uint64_t off = 0; off < r.bytes; off += kPageSize, ++dirtied) {
+      ASSERT_TRUE(m.Store(r.base + off, 8, ~0ull, &pa));
+    }
+  }
+  ASSERT_GT(dirtied, 1024u);
+
+  m.Reset();
+  EXPECT_EQ(m.mapped_pages(), 0u);
+  EXPECT_EQ(m.tlb_hits(), 0u);
+  EXPECT_EQ(m.tlb_misses(), 0u);
+  map_image(m);
+  GuestMemory fresh;
+  map_image(fresh);
+  EXPECT_EQ(m.mapped_pages(), fresh.mapped_pages());
+  EXPECT_FALSE(m.IsRangeMapped(heap.base, kPageSize));
+  EXPECT_FALSE(m.IsMapped(heap.base + heap.bytes - 1));
+
+  for (const Region& r : image) {
+    for (std::uint64_t off = 0; off < r.bytes; off += kPageSize) {
+      EXPECT_EQ(m.Translate(r.base + off), fresh.Translate(r.base + off))
+          << "vaddr " << r.base + off;
+    }
+  }
+  EXPECT_EQ(m.tlb_hits(), fresh.tlb_hits());  // no stale slot survived
+  EXPECT_EQ(m.tlb_misses(), fresh.tlb_misses());
+  for (const Region& r : image) {
+    std::vector<std::uint8_t> bytes(r.bytes, 0xab);
+    ASSERT_TRUE(m.ReadBytes(r.base, bytes.data(), bytes.size()));
+    EXPECT_EQ(std::count(bytes.begin(), bytes.end(), 0),
+              static_cast<std::ptrdiff_t>(r.bytes));
+  }
+  // The pooled frames the image did not take back are clean as well.
+  m.MapRegion(heap.base, heap.bytes);
+  fresh.MapRegion(heap.base, heap.bytes);
+  EXPECT_EQ(m.Translate(heap.base), fresh.Translate(heap.base));
+  std::vector<std::uint8_t> bytes(heap.bytes, 0xab);
+  ASSERT_TRUE(m.ReadBytes(heap.base, bytes.data(), bytes.size()));
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), 0),
+            static_cast<std::ptrdiff_t>(heap.bytes));
 }
 
 // ---- Instruction semantics -------------------------------------------------------
@@ -438,21 +540,9 @@ TEST(Os, BrkGrowsHeap) {
   EXPECT_EQ(vm.cpu().IntReg(9), 77u);
 }
 
-/// Resident set size of this process in bytes, 0 when /proc is unavailable.
-std::uint64_t ResidentBytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long pages = 0, resident = 0;
-  const int n = std::fscanf(f, "%llu %llu", &pages, &resident);
-  std::fclose(f);
-  return n == 2 ? resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE)) : 0;
-}
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitizedAllocator = true;
-#else
-constexpr bool kSanitizedAllocator = false;
-#endif
+using testutil::kSanitizedAllocator;
+using testutil::ResidentBytes;
+using testutil::VirtualBytes;
 
 TEST(Os, LargeBrkCostsOnlyTheTouchedPages) {
   // A fault-corrupted length can make brk map hundreds of MiB; mapping must
@@ -476,6 +566,65 @@ TEST(Os, LargeBrkCostsOnlyTheTouchedPages) {
   EXPECT_GE(vm.memory().mapped_pages(), kRegion / kPageSize);
   const std::uint64_t after = ResidentBytes();
   EXPECT_LT(after > before ? after - before : 0, kRegion / 8);
+}
+
+TEST(Os, RestartsReturnALargeBrk) {
+  // A Vm keeps its frames across restarts; one fault-corrupted brk must not
+  // pin its region (or its page-table leaves) for every later trial.
+  constexpr std::uint64_t kRegion = 64ull << 20;
+  ProgramBuilder ob("ordinary");
+  ob.Exit(0);
+  const guest::Program ordinary = ob.Finalize();
+  ProgramBuilder bb("big_brk");
+  bb.MovI(R(1), static_cast<std::int64_t>(kRegion));
+  bb.Sys(Sys::kBrk);
+  bb.MovI(R(2), 77);
+  bb.St(R(0), 0, R(2));
+  bb.Exit(0);
+  const guest::Program big = bb.Finalize();
+
+  Vm vm;
+  vm.StartProcess(ordinary);
+  vm.RunToCompletion();
+  const std::uint64_t ordinary_pages = vm.memory().mapped_pages();
+  const std::uint64_t rss_before = ResidentBytes();
+  const std::uint64_t virt_before = VirtualBytes();
+  vm.StartProcess(big);
+  vm.RunToCompletion();
+  EXPECT_GE(vm.memory().mapped_pages(), ordinary_pages + kRegion / kPageSize);
+  vm.StartProcess(ordinary);
+  const std::uint64_t virt_restarted = VirtualBytes();
+  vm.RunToCompletion();
+  vm.StartProcess(ordinary);
+  vm.RunToCompletion();
+  EXPECT_EQ(vm.memory().mapped_pages(), ordinary_pages);
+  if (kSanitizedAllocator || rss_before == 0) return;  // RSS says nothing here
+  EXPECT_LT(virt_restarted > virt_before ? virt_restarted - virt_before : 0,
+            kRegion / 2)
+      << "the first restart after the brk kept its region";
+  const std::uint64_t rss_after = ResidentBytes();
+  EXPECT_LT(rss_after > rss_before ? rss_after - rss_before : 0, kRegion / 8);
+}
+
+TEST(Os, CorruptWriteLengthAllocatesNothing) {
+  // A length just under the write cap over a one-byte buffer: the range
+  // check must precede sizing the host copy, or this SIGSEGV costs a
+  // 60 MiB zero fill first.
+  if (kSanitizedAllocator) {
+    GTEST_SKIP() << "sanitizer allocators fill or shadow every allocated byte";
+  }
+  if (!testutil::ResetPeakRss()) GTEST_SKIP() << "/proc/self/clear_refs not writable";
+  const std::uint64_t before = testutil::PeakRssBytes();
+  Vm vm = RunProgram([](ProgramBuilder& b) {
+    const GuestAddr msg = b.DataString("m", "x");
+    b.MovI(R(4), static_cast<std::int64_t>(msg));
+    b.MovI(R(5), 60ll << 20);
+    b.Write(1, R(4), R(5));
+  });
+  EXPECT_EQ(vm.signal(), GuestSignal::kSegv);
+  EXPECT_NE(vm.termination_message().find("not mapped"), std::string::npos);
+  const std::uint64_t after = testutil::PeakRssBytes();
+  EXPECT_LT(after > before ? after - before : 0, 8ull << 20);
 }
 
 TEST(Os, InstretSyscallCounts) {
@@ -513,6 +662,61 @@ TEST(Vmi, ProcessCreateAndExitCallbacks) {
   EXPECT_NE(created_pid, kInvalidPid);
   vm.RunToCompletion();
   EXPECT_EQ(exited, "target_app");
+}
+
+/// Prints what a new process sees in its bss, a brk'd heap, the stack below
+/// sp and the data segment, then dirties all four. A second run in the same
+/// Vm prints whatever the first one left behind.
+guest::Program DirtyingProgram() {
+  ProgramBuilder b("dirty");
+  const GuestAddr data = b.DataString("d", "pristine");
+  const GuestAddr bss = b.Bss("b", 64);
+  b.MovI(R(1), 2 * static_cast<std::int64_t>(kPageSize));
+  b.Sys(Sys::kBrk);
+  b.Mov(R(8), R(0));
+  b.MovI(R(5), 64);
+  b.MovI(R(4), static_cast<std::int64_t>(bss));
+  b.Write(1, R(4), R(5));
+  b.Write(1, R(8), R(5));
+  b.SubI(R(4), R(guest::kSpReg), 64);
+  b.Write(1, R(4), R(5));
+  b.MovI(R(4), static_cast<std::int64_t>(data));
+  b.MovI(R(5), 8);
+  b.Write(1, R(4), R(5));
+  b.MovI(R(2), 0x5a5a5a5a5a5a5a5all);
+  b.MovI(R(4), static_cast<std::int64_t>(data));
+  b.St(R(4), 0, R(2));
+  b.MovI(R(4), static_cast<std::int64_t>(bss));
+  b.St(R(4), 8, R(2));
+  b.St(R(8), 16, R(2));
+  b.St(R(8), static_cast<std::int64_t>(kPageSize) + 8, R(2));
+  for (int i = 0; i < 4; ++i) b.Push(R(2));
+  for (int i = 0; i < 4; ++i) b.Pop(R(3));
+  b.MovI(R(4), static_cast<std::int64_t>(data));
+  b.Write(1, R(4), R(5));
+  b.Exit(0);
+  return b.Finalize();
+}
+
+TEST(Vm, RestartMatchesFreshVm) {
+  const auto image = std::make_shared<const guest::Program>(DirtyingProgram());
+  Vm fresh;
+  fresh.StartProcess(image);
+  fresh.RunToCompletion();
+  ASSERT_EQ(fresh.termination(), TerminationKind::kExited);
+  ASSERT_EQ(fresh.output(1), std::string(3 * 64, '\0') + "pristine" +
+                                 std::string(8, '\x5a'));
+
+  Vm reused;
+  reused.StartProcess(image);
+  reused.RunToCompletion();
+  reused.StartProcess(image);
+  reused.RunToCompletion();
+  EXPECT_EQ(reused.output(1), fresh.output(1));
+  EXPECT_EQ(reused.instret(), fresh.instret());
+  EXPECT_EQ(reused.tlb_hits(), fresh.tlb_hits());
+  EXPECT_EQ(reused.tlb_misses(), fresh.tlb_misses());
+  EXPECT_EQ(reused.memory().mapped_pages(), fresh.memory().mapped_pages());
 }
 
 TEST(Vmi, PidAdvancesPerProcess) {
