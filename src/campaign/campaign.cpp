@@ -1,5 +1,6 @@
 #include "campaign/campaign.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -253,21 +254,72 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
 GoldenProfile TrialEngine::RunGolden() {
   const obs::ScopedPhase obs_scope(obs::Phase::kGolden);
   // Profile with a never-firing trigger: instrumentation counts targeted
-  // executions without perturbing anything; tracing stays off for speed.
+  // executions without perturbing anything. Everything else is armed as in
+  // a trial — tracing included, since receivers poll the hub only while
+  // tracing — so the run's state up to any point is what a trial that has
+  // not injected yet would have there, and checkpoints of it can stand in
+  // for a trial's prefix.
   core::InjectionCommand cmd;
   cmd.target_program = spec_.program.name;
   cmd.target_classes = spec_.fault_classes;
   cmd.trigger = std::make_shared<core::NeverTrigger>();
   cmd.injector = core::ProbabilisticInjector::Create(1);
-  cmd.trace = false;
+  cmd.trace = config_.trace;
   cmd.seed = config_.seed;
   // Sampled campaigns need the per-site histogram to build their sampling
-  // frame; the uniform path skips the per-execution map update.
+  // frame (and their pc-local triggers to fast-forward over checkpoints);
+  // the uniform path skips the per-execution map update.
   cmd.profile_sites = config_.sample_policy != SamplePolicy::kUniform;
   chaser_->Arm(cmd, inject_ranks_);
 
+  GoldenProfile golden;
+  // Checkpoint schedule: targets at multiples of `spacing`; a full set
+  // keeps the ones at multiples of twice the spacing. Only an in-process
+  // hub with the campaign-wide fault model gives trials the golden hub
+  // state, so other configurations take none.
+  struct Taken {
+    std::uint64_t target;
+    std::shared_ptr<const GoldenCheckpoint> checkpoint;
+  };
+  std::vector<Taken> taken;
+  std::shared_ptr<const GoldenCheckpoint> last;
+  std::uint64_t spacing = kCheckpointSpacing;
+  std::uint64_t target = spacing;
+  if (chaser_->local_hub() != nullptr && !config_.hub_fault_trigger) {
+    cluster_->SetCheckpointHook(target, [&](std::uint64_t retired) {
+      if (taken.size() == kMaxCheckpoints) {
+        spacing *= 2;
+        std::erase_if(taken, [&](const Taken& t) { return t.target % spacing != 0; });
+      }
+      if (target % spacing == 0) {
+        auto ck = std::make_shared<GoldenCheckpoint>();
+        ck->cluster = cluster_->Capture(last != nullptr ? &last->cluster : nullptr);
+        for (Rank r = 0; r < spec_.num_ranks; ++r) {
+          ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
+        }
+        // Every hub operation bumps a stats counter, so equal stats mean
+        // an unchanged hub.
+        const hub::TaintHub& hub = *chaser_->local_hub();
+        ck->hub = last != nullptr && last->hub->stats() == hub.stats()
+                      ? last->hub
+                      : std::make_shared<const hub::TaintHub>(hub);
+        last = ck;
+        taken.push_back({target, std::move(ck)});
+      }
+      target = (retired / spacing + 1) * spacing;
+      return target;
+    });
+  }
   cluster_->Start(image_);
-  const mpi::JobResult job = cluster_->Run();
+  mpi::JobResult job;
+  try {
+    job = cluster_->Run();
+  } catch (...) {
+    cluster_->SetCheckpointHook(0, nullptr);
+    throw;
+  }
+  cluster_->SetCheckpointHook(0, nullptr);
+  for (Taken& t : taken) golden.checkpoints.push_back(std::move(t.checkpoint));
   if (!job.completed) {
     throw ConfigError(StrFormat(
         "Campaign: golden run of '%s' failed on rank %d: %s (%s)",
@@ -276,7 +328,6 @@ GoldenProfile TrialEngine::RunGolden() {
         job.first_failure_message.c_str()));
   }
 
-  GoldenProfile golden;
   golden.instructions = job.total_instructions;
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
     golden.outputs[{r, 1}] = cluster_->rank_vm(r).output(1);
@@ -315,12 +366,12 @@ void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
   // Saturate instead of wrapping: an extreme multiplier times a long golden
   // run must clamp to "unlimited", never wrap to a tiny budget that would
   // kill every healthy trial as a spurious watchdog timeout.
-  const std::uint64_t per_rank = SaturatingAddU64(
+  per_rank_budget_ = SaturatingAddU64(
       SaturatingMulU64(config_.watchdog_multiplier, golden.instructions),
       config_.watchdog_slack);
-  cluster_->SetInstructionBudgets(
-      per_rank,
-      SaturatingMulU64(per_rank, static_cast<std::uint64_t>(spec_.num_ranks)));
+  total_budget_ = SaturatingMulU64(per_rank_budget_,
+                                   static_cast<std::uint64_t>(spec_.num_ranks));
+  cluster_->SetInstructionBudgets(per_rank_budget_, total_budget_);
 }
 
 RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
@@ -358,7 +409,7 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
   core::InjectionCommand cmd;
   cmd.target_program = spec_.program.name;
   cmd.target_classes = spec_.fault_classes;
-  cmd.trigger = std::move(trigger);
+  cmd.trigger = trigger;
   // The default spec constructs the probabilistic injector directly — not
   // through the registry — so the default path is provably unchanged; any
   // other spec resolves through the registry and stamps the record (which
@@ -404,8 +455,10 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
     }
     const mpi::JobResult job = [&] {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);
+      RestoreGoldenPrefix(*trigger, rec.inject_rank);
       return cluster_->Run();
     }();
+    const obs::ScopedPhase obs_scope(obs::Phase::kClassify);
     Classify(job, &rec);
   } catch (...) {
     if (hub_trigger) chaser_->hub().SetFaultModel(config_.hub_fault);
@@ -449,6 +502,51 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
     spool->Finish();
   }
   return rec;
+}
+
+void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
+                                      Rank inject_rank) {
+  obs::ScopedPhase obs_scope(obs::Phase::kRestore);
+  const auto& checkpoints = golden_->checkpoints;
+  // The prefix must be the golden one: the in-process hub holds the golden
+  // hub state, and a per-trial hub fault model would diverge from it.
+  const bool golden_prefix =
+      chaser_->local_hub() != nullptr && !config_.hub_fault_trigger;
+  // Usable = the trigger has provably not fired and no watchdog has killed
+  // anything by the checkpoint. Both only fail later along the run, so the
+  // usable checkpoints form a prefix of the list.
+  const auto usable = [&](const std::shared_ptr<const GoldenCheckpoint>& ck) {
+    if (ck->cluster.round.retired > total_budget_) return false;
+    for (const auto& rank : ck->cluster.ranks) {
+      // instret < budget, not <=: a syscall that blocks retires its
+      // instruction, passing the watchdog's check, and then un-retires it.
+      if (rank.vm.instret >= per_rank_budget_) return false;
+    }
+    const core::Chaser::Checkpoint& c =
+        ck->chasers[static_cast<std::size_t>(inject_rank)];
+    return trigger.Clone()->FastForward(
+        c.exec_count, c.sites_profiled ? &c.site_execs : nullptr);
+  };
+  const auto end =
+      golden_prefix
+          ? std::partition_point(checkpoints.begin(), checkpoints.end(), usable)
+          : checkpoints.begin();
+  if (end == checkpoints.begin()) {
+    obs_scope.Discard();
+    return;
+  }
+  const GoldenCheckpoint& ck = **std::prev(end);
+  cluster_->Restore(ck.cluster);
+  for (Rank r = 0; r < spec_.num_ranks; ++r) {
+    chaser_->rank_chaser(r).Restore(ck.chasers[static_cast<std::size_t>(r)]);
+  }
+  *chaser_->local_hub() = *ck.hub;
+  static obs::Counter& restored =
+      obs::Registry::Global().GetCounter("campaign_trials_restored_total");
+  static obs::Counter& restored_insns =
+      obs::Registry::Global().GetCounter("guest_instructions_restored_total");
+  restored.Inc();
+  restored_insns.Inc(ck.cluster.round.retired);
 }
 
 void TrialEngine::DetachSpool() {

@@ -283,8 +283,27 @@ struct CampaignResult {
   std::string Render(const std::string& label) const;
 };
 
+/// Golden-prefix checkpoints are taken at the first TB boundary after every
+/// kCheckpointSpacing cluster-wide retired instructions of the golden run;
+/// when kMaxCheckpoints are held, every other one is dropped and the spacing
+/// doubles.
+inline constexpr std::uint64_t kCheckpointSpacing = 4096;
+inline constexpr std::size_t kMaxCheckpoints = 64;
+
+/// One golden-prefix checkpoint: the whole job at a TB boundary of the
+/// golden run, as a trial whose trigger has not fired yet would have it —
+/// the cluster (every rank VM, the MPI runtime, the round in progress), each
+/// rank's Chaser, and the in-process TaintHub.
+struct GoldenCheckpoint {
+  mpi::ClusterCheckpoint cluster;
+  std::vector<core::Chaser::Checkpoint> chasers;  // by rank
+  /// Shared with the previous checkpoint while the hub is unchanged.
+  std::shared_ptr<const hub::TaintHub> hub;
+};
+
 /// The immutable product of the one-time golden phase: reference outputs,
-/// per-rank targeted-execution counts, and the clean instruction count.
+/// per-rank targeted-execution counts, the clean instruction count, and the
+/// golden-prefix checkpoints trials start from.
 /// After RunGolden it is only ever read, so one profile can be shared by any
 /// number of worker-private TrialEngines without copies or locks.
 struct GoldenProfile {
@@ -295,6 +314,11 @@ struct GoldenProfile {
   /// path, where nothing reads it.
   GoldenSiteMap sites;
   std::uint64_t instructions = 0;
+  /// Checkpoints in run order, about every kCheckpointSpacing (doubled as
+  /// needed to keep at most kMaxCheckpoints) retired instructions. Empty
+  /// when no trial could restore one (remote hub, per-trial hub faults); a
+  /// profile without them makes every trial boot, with the same records.
+  std::vector<std::shared_ptr<const GoldenCheckpoint>> checkpoints;
 
   /// Reference output of rank `r` on guest fd `fd`; throws ConfigError
   /// naming the rank/fd if that stream was never captured.
@@ -316,9 +340,10 @@ class TrialEngine {
   TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config,
               const std::set<Rank>& inject_ranks);
 
-  /// Execute the clean profiling run (never-firing trigger, tracing off) and
-  /// return the profile. Throws ConfigError if the clean app fails or an
-  /// inject rank never executes the targeted classes.
+  /// Execute the clean profiling run (never-firing trigger, otherwise armed
+  /// like a trial) and return the profile, checkpoints included. Throws
+  /// ConfigError if the clean app fails or an inject rank never executes the
+  /// targeted classes.
   GoldenProfile RunGolden();
 
   /// Adopt a profile — typically captured by a different engine — and
@@ -327,6 +352,9 @@ class TrialEngine {
   void AdoptGolden(const GoldenProfile& golden);
 
   /// Execute one injection trial. `run_seed` fully determines the trial.
+  /// The trial starts from the latest golden checkpoint its trigger
+  /// provably has not reached, or boots when there is none; its record is
+  /// the same either way.
   RunRecord RunTrial(std::uint64_t run_seed);
 
   mpi::Cluster& cluster() { return *cluster_; }
@@ -334,6 +362,9 @@ class TrialEngine {
 
  private:
   void Classify(const mpi::JobResult& job, RunRecord* rec);
+  /// Load the latest checkpoint a trial injecting on `inject_rank` through
+  /// `trigger` can start from into the just-started job, if there is one.
+  void RestoreGoldenPrefix(const core::Trigger& trigger, Rank inject_rank);
   /// Remove the trial spool's sink from every rank's trace log.
   void DetachSpool();
 
@@ -354,6 +385,10 @@ class TrialEngine {
   /// engine rebuilds it from the same profile deterministically, so worker
   /// engines agree without sharing.
   std::unique_ptr<SamplingPlan> plan_;
+  /// Watchdog budgets AdoptGolden installed; a checkpoint past them would
+  /// skip a kill a booted trial suffers, so such checkpoints are not used.
+  std::uint64_t per_rank_budget_ = 0;
+  std::uint64_t total_budget_ = 0;
 };
 
 /// Containment boundary shared by the serial and parallel drivers: run one

@@ -1,5 +1,6 @@
 #include "core/chaser.h"
 
+#include "common/error.h"
 #include "common/log.h"
 #include "common/strings.h"
 #include "obs/profiler.h"
@@ -124,6 +125,26 @@ void Chaser::Detach() {
   vm_.SetInstrumentPredicate(nullptr, vm::Vm::kCleanPredicateKey);
   vm_.set_injector_hook(nullptr);
   vm_.RequestTbFlush();
+}
+
+Chaser::Checkpoint Chaser::Capture() const {
+  Checkpoint ck;
+  ck.exec_count = exec_count_;
+  ck.sites_profiled = cmd_.has_value() && cmd_->profile_sites;
+  ck.site_execs.assign(site_execs_.begin(), site_execs_.end());
+  ck.taint_timeline = taint_timeline_;
+  return ck;
+}
+
+void Chaser::Restore(const Checkpoint& ck) {
+  if (!attached_) return;
+  taint_timeline_ = ck.taint_timeline;
+  if (!injector_active_) return;
+  if (!trigger_->FastForward(ck.exec_count,
+                             ck.sites_profiled ? &ck.site_execs : nullptr)) {
+    throw ConfigError("Chaser::Restore: the trigger fires within the prefix");
+  }
+  exec_count_ = ck.exec_count;
 }
 
 void Chaser::OnInjectorHelper(std::uint64_t pc) {

@@ -108,6 +108,26 @@ class Chaser {
   vm::Vm& vm() { return vm_; }
   Rng& rng() { return *rng_; }
 
+  // ---- Golden-prefix checkpoints ---------------------------------------------
+  /// What a clean run leaves in a Chaser by a checkpoint: targeted
+  /// executions (in total, and per pc when the command profiled sites) and
+  /// the taint timeline so far. A clean prefix logs no trace event and
+  /// makes no injection, so nothing else moves.
+  struct Checkpoint {
+    std::uint64_t exec_count = 0;
+    bool sites_profiled = false;
+    Trigger::SiteCounts site_execs;
+    std::vector<TaintSample> taint_timeline;
+  };
+  Checkpoint Capture() const;
+
+  /// Load `ck` into the run this Chaser just attached to. An injecting
+  /// Chaser takes the execution count and fast-forwards its trigger
+  /// (ConfigError if the trigger would have fired within the prefix); a
+  /// trace-only one counts nothing, as in a booted run. Per-site counts
+  /// only feed the trigger: a trial's command does not profile sites.
+  void Restore(const Checkpoint& ck);
+
  private:
   void OnProcessCreate(const std::string& name);
   void Attach();

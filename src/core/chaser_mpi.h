@@ -37,6 +37,8 @@ class ChaserMpi {
   Chaser& rank_chaser(Rank r) { return *chasers_[static_cast<std::size_t>(r)]; }
   const Chaser& rank_chaser(Rank r) const { return *chasers_[static_cast<std::size_t>(r)]; }
   hub::HubService& hub() { return *hub_; }
+  /// The in-process hub, or null when an external hub is in use.
+  hub::TaintHub* local_hub() { return hub_ == &owned_hub_ ? &owned_hub_ : nullptr; }
   mpi::Cluster& cluster() { return cluster_; }
 
   // ---- Aggregates across all ranks ------------------------------------------

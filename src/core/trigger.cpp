@@ -1,5 +1,7 @@
 #include "core/trigger.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -18,6 +20,11 @@ bool DeterministicTrigger::ShouldFire(std::uint64_t exec_count, Rng&) {
   }
   fired_ = true;
   return true;
+}
+
+bool DeterministicTrigger::FastForward(std::uint64_t execs, const SiteCounts*) {
+  // Executions before the nth leave no state behind.
+  return !fired_ && execs < nth_;
 }
 
 std::unique_ptr<Trigger> DeterministicTrigger::Clone() const {
@@ -97,6 +104,18 @@ bool PcNthTrigger::ShouldFireAt(std::uint64_t, std::uint64_t pc, Rng&) {
     return false;
   }
   fired_ = true;
+  return true;
+}
+
+bool PcNthTrigger::FastForward(std::uint64_t, const SiteCounts* sites) {
+  if (sites == nullptr || fired_) return false;
+  const auto it = std::lower_bound(
+      sites->begin(), sites->end(), pc_,
+      [](const std::pair<std::uint64_t, std::uint64_t>& site,
+         std::uint64_t pc) { return site.first < pc; });
+  const std::uint64_t seen = it != sites->end() && it->first == pc_ ? it->second : 0;
+  if (seen >= nth_) return false;
+  seen_ = seen;
   return true;
 }
 

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -36,6 +38,21 @@ class Trigger {
   /// True once no further firing is possible; Chaser detaches the injector.
   virtual bool Expired() const = 0;
 
+  /// Per-pc targeted-execution counts, sorted by pc.
+  using SiteCounts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+  /// Golden-prefix fast-forward for a fresh trigger: a clean run made
+  /// `execs` targeted executions (`sites` per pc, or null when the run did
+  /// not profile sites) without consulting this trigger. If the trigger
+  /// provably would not have fired within them, take the state it would
+  /// have after them and return true; otherwise return false, untouched.
+  /// The default cannot tell (random or multi-shot triggers): false.
+  virtual bool FastForward(std::uint64_t execs, const SiteCounts* sites) {
+    (void)execs;
+    (void)sites;
+    return false;
+  }
+
   /// Fresh stateful copy (campaigns re-arm the same command per run).
   virtual std::unique_ptr<Trigger> Clone() const = 0;
 
@@ -48,6 +65,7 @@ class DeterministicTrigger final : public Trigger {
   explicit DeterministicTrigger(std::uint64_t nth);
   bool ShouldFire(std::uint64_t exec_count, Rng& rng) override;
   bool Expired() const override { return fired_; }
+  bool FastForward(std::uint64_t execs, const SiteCounts* sites) override;
   std::unique_ptr<Trigger> Clone() const override;
   std::string Describe() const override;
 
@@ -104,6 +122,7 @@ class PcNthTrigger final : public Trigger {
   bool ShouldFireAt(std::uint64_t exec_count, std::uint64_t pc,
                     Rng& rng) override;
   bool Expired() const override { return fired_; }
+  bool FastForward(std::uint64_t execs, const SiteCounts* sites) override;
   std::unique_ptr<Trigger> Clone() const override;
   std::string Describe() const override;
 

@@ -98,6 +98,8 @@ struct HubStats {
   std::uint64_t taint_lost = 0;        // tainted messages whose taint never
                                        // reached the receiver (drops + abandons)
   std::uint64_t lost_taint_bytes = 0;  // tainted bytes those messages carried
+
+  bool operator==(const HubStats&) const = default;
 };
 
 /// Configurable hub degradation (all defaults = a perfectly healthy hub).

@@ -90,31 +90,98 @@ void Cluster::Start(std::shared_ptr<const guest::Program> program) {
 
 void Cluster::ResetJobState() {
   if (hooks_ != nullptr) hooks_->OnJobStart();
-  send_seq_.clear();
-  barrier_completed_ = 0;
-  barrier_arrived_count_ = 0;
-  messages_delivered_ = 0;
-  for (auto& state : ranks_) {
-    state->mpi_initialized = false;
-    state->mpi_finalized = false;
-    state->inbox.clear();
-    state->barriers_done = 0;
-    state->barrier_arrived = false;
-    state->allreduce_sent = false;
+  job_ = JobMpiState{};
+  resume_.reset();
+  for (auto& state : ranks_) static_cast<RankMpiState&>(*state) = RankMpiState{};
+}
+
+void Cluster::SetCheckpointHook(std::uint64_t at, CheckpointHook hook) {
+  checkpoint_hook_ = std::move(hook);
+  checkpoint_at_ = checkpoint_hook_ ? at : ~std::uint64_t{0};
+  for (Rank r = 0; r < config_.num_ranks; ++r) {
+    vm::Vm& v = rank_vm(r);
+    if (checkpoint_hook_) {
+      v.SetCheckpointHook([this](vm::Vm& at_vm, const vm::Vm::RunFrame& frame) {
+        OnCheckpointBoundary(at_vm, frame);
+      });
+    } else {
+      v.SetCheckpointHook(nullptr);
+    }
   }
+}
+
+std::uint64_t Cluster::CheckpointMark(std::uint64_t instret,
+                                      std::uint64_t total) const {
+  if (checkpoint_at_ == ~std::uint64_t{0}) return checkpoint_at_;
+  return checkpoint_at_ > total ? instret + (checkpoint_at_ - total) : instret;
+}
+
+void Cluster::OnCheckpointBoundary(vm::Vm& v, const vm::Vm::RunFrame& frame) {
+  capture_.frame = frame;
+  capture_.retired = running_total_ + (v.instret() - running_before_);
+  checkpoint_at_ = checkpoint_hook_(capture_.retired);
+  v.set_checkpoint_at(CheckpointMark(v.instret(), capture_.retired));
+}
+
+ClusterCheckpoint Cluster::Capture(const ClusterCheckpoint* prev) const {
+  ClusterCheckpoint ck;
+  ck.ranks.reserve(ranks_.size());
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const RankState& state = *ranks_[r];
+    ck.ranks.push_back(
+        {state.vm->Capture(prev != nullptr ? &prev->ranks[r].vm : nullptr),
+         static_cast<const RankMpiState&>(state)});
+  }
+  ck.job = job_;
+  ck.round = capture_;
+  return ck;
+}
+
+void Cluster::Restore(const ClusterCheckpoint& ck) {
+  if (ck.ranks.size() != ranks_.size()) {
+    throw ConfigError("Cluster::Restore: checkpoint of a different rank count");
+  }
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    RankState& state = *ranks_[r];
+    state.vm->Restore(ck.ranks[r].vm);
+    static_cast<RankMpiState&>(state) = ck.ranks[r].mpi;
+  }
+  job_ = ck.job;
+  resume_ = ck.round;
 }
 
 JobResult Cluster::Run() {
   JobResult result;
   std::uint64_t total = 0;
+  // A restored job re-enters the round it was captured in: the interrupted
+  // rank continues its Run, then the round goes on from the next rank.
+  Rank first = 0;
+  std::optional<vm::Vm::RunFrame> frame;
+  if (resume_.has_value()) {
+    first = resume_->rank;
+    frame = resume_->frame;
+    total = resume_->retired;
+    resume_.reset();
+  }
   while (true) {
     bool any_runnable = false;
-    for (Rank r = 0; r < config_.num_ranks; ++r) {
+    for (Rank r = first; r < config_.num_ranks; ++r) {
       vm::Vm& v = rank_vm(r);
       if (v.run_state() != vm::RunState::kRunnable) continue;
       any_runnable = true;
       const std::uint64_t before = v.instret();
-      v.Run(config_.quantum);
+      if (checkpoint_hook_) {
+        capture_.rank = r;
+        running_total_ = total;
+        running_before_ = before;
+        v.set_checkpoint_at(CheckpointMark(before, total));
+      }
+      if (frame.has_value()) {
+        v.Resume(*frame);
+        frame.reset();
+      } else {
+        v.Run(config_.quantum);
+      }
       total += v.instret() - before;
       if (v.run_state() == vm::RunState::kTerminated &&
           v.termination() != vm::TerminationKind::kExited) {
@@ -126,6 +193,7 @@ JobResult Cluster::Run() {
         return result;  // launcher kills the job on first abnormal exit
       }
     }
+    first = 0;
 
     bool all_exited = true;
     for (Rank r = 0; r < config_.num_ranks; ++r) {
@@ -229,7 +297,7 @@ vm::SyscallResult Cluster::MpiFinalize(Rank r) {
 void Cluster::Deliver(Envelope env) {
   const Rank dest = env.dest;
   rank(dest).inbox.push_back(std::move(env));
-  ++messages_delivered_;
+  ++job_.messages_delivered;
   rank_vm(dest).Unblock();
 }
 
@@ -248,7 +316,7 @@ bool Cluster::SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count
                   "MPI collective: buffer " + Hex64(buf) + " not mapped");
     return false;
   }
-  env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+  env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
   if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
   Deliver(std::move(env));
   return true;
@@ -283,7 +351,7 @@ vm::SyscallResult Cluster::MpiSend(Rank r) {
                   "MPI_Send: buffer " + Hex64(buf) + " not mapped");
     return vm::SyscallResult::Terminated();
   }
-  env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+  env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
   if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
   Deliver(std::move(env));
   return vm::SyscallResult::Done(0);
@@ -365,7 +433,7 @@ vm::SyscallResult Cluster::MpiBcast(Rank r) {
       env.count = count;
       env.datatype = datatype;
       env.payload = payload;
-      env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+      env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
       if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
       Deliver(std::move(env));
     }
@@ -470,7 +538,7 @@ vm::SyscallResult Cluster::MpiReduce(Rank r) {
                     "MPI_Reduce: buffer " + Hex64(sendbuf) + " not mapped");
       return vm::SyscallResult::Terminated();
     }
-    env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+    env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
     if (hooks_ != nullptr) hooks_->OnSend(v, env, sendbuf);
     Deliver(std::move(env));
     return vm::SyscallResult::Done(0);
@@ -760,17 +828,17 @@ vm::SyscallResult Cluster::MpiBarrier(Rank r) {
   if (!RequireInitialized(r, "MPI_Barrier")) return vm::SyscallResult::Terminated();
   RankState& state = rank(r);
   const std::uint64_t target = state.barriers_done + 1;
-  if (barrier_completed_ >= target) {
+  if (job_.barrier_completed >= target) {
     state.barriers_done = target;
     state.barrier_arrived = false;
     return vm::SyscallResult::Done(0);
   }
   if (!state.barrier_arrived) {
     state.barrier_arrived = true;
-    ++barrier_arrived_count_;
-    if (barrier_arrived_count_ == config_.num_ranks) {
-      ++barrier_completed_;
-      barrier_arrived_count_ = 0;
+    ++job_.barrier_arrived_count;
+    if (job_.barrier_arrived_count == config_.num_ranks) {
+      ++job_.barrier_completed;
+      job_.barrier_arrived_count = 0;
       for (auto& other : ranks_) {
         other->barrier_arrived = false;
         other->vm->Unblock();

@@ -14,9 +14,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/types.h"
@@ -64,6 +67,46 @@ class MessageHooks {
   /// (whose shadow taint has been cleared — fresh data arrived).
   virtual void OnRecvComplete(vm::Vm& receiver, const Envelope& env,
                               GuestAddr buf) = 0;
+};
+
+/// One rank's MPI-runtime state (everything but its VM).
+struct RankMpiState {
+  bool mpi_initialized = false;
+  bool mpi_finalized = false;
+  std::deque<Envelope> inbox;
+  std::uint64_t barriers_done = 0;
+  bool barrier_arrived = false;
+  // Allreduce progress: the contribution is sent exactly once even though
+  // a blocked syscall re-executes when the rank is unblocked.
+  bool allreduce_sent = false;
+};
+
+/// The job-wide MPI-runtime state.
+struct JobMpiState {
+  std::map<std::tuple<Rank, Rank, std::int64_t>, std::uint64_t> send_seq;
+  std::uint64_t barrier_completed = 0;
+  int barrier_arrived_count = 0;
+  std::uint64_t messages_delivered = 0;
+};
+
+/// A clean job at one TB boundary of one rank's Run: every rank's VM and
+/// MPI state, the job's, and the round in progress.
+struct ClusterCheckpoint {
+  struct RankCheckpoint {
+    vm::Vm::Checkpoint vm;
+    RankMpiState mpi;
+  };
+  /// The rank whose Run was interrupted, where that Run stood, and the
+  /// instructions the whole job had retired (what
+  /// JobResult::total_instructions counts).
+  struct Round {
+    Rank rank = 0;
+    vm::Vm::RunFrame frame;
+    std::uint64_t retired = 0;
+  };
+  std::vector<RankCheckpoint> ranks;
+  JobMpiState job;
+  Round round;
 };
 
 /// Result of running an MPI job to completion.
@@ -114,7 +157,26 @@ class Cluster {
   JobResult Run();
 
   /// Messages delivered so far (for tests).
-  std::uint64_t messages_delivered() const { return messages_delivered_; }
+  std::uint64_t messages_delivered() const { return job_.messages_delivered; }
+
+  // ---- Golden-prefix checkpoints ---------------------------------------------
+  /// While a hook is installed, Run calls it at the first TB boundary (of
+  /// whichever rank is running) at which the job has retired `at`
+  /// instructions, and then at each count the hook returns (~0 = no more).
+  /// The hook may call Capture(). A null hook disarms.
+  using CheckpointHook = std::function<std::uint64_t(std::uint64_t retired)>;
+  void SetCheckpointHook(std::uint64_t at, CheckpointHook hook);
+
+  /// Snapshot the job at the boundary a checkpoint hook is running at;
+  /// `prev` (an earlier checkpoint of this job, or null) shares unchanged
+  /// guest pages. Only valid inside the hook.
+  ClusterCheckpoint Capture(const ClusterCheckpoint* prev) const;
+
+  /// Load `ck` into a job just Start()ed from the image it was captured
+  /// from (with each rank's instrumentation attached). The next Run resumes
+  /// the interrupted round instead of starting a new one, and returns what
+  /// the captured job's Run would have returned from that point on.
+  void Restore(const ClusterCheckpoint& ck);
 
   /// Tune the whole-job instruction watchdog (see Vm::set_max_instructions).
   void SetInstructionBudgets(std::uint64_t per_rank, std::uint64_t total);
@@ -124,6 +186,11 @@ class Cluster {
 
   /// Shared prologue of both Start overloads: job bookkeeping + rank reset.
   void ResetJobState();
+  /// A rank VM reached the checkpoint mark inside Run.
+  void OnCheckpointBoundary(vm::Vm& v, const vm::Vm::RunFrame& frame);
+  /// The instret at which a rank VM standing at `instret`, with the job at
+  /// `total` retired instructions, reaches the next checkpoint mark.
+  std::uint64_t CheckpointMark(std::uint64_t instret, std::uint64_t total) const;
 
   /// Per-rank syscall extension: forwards MPI syscalls into the cluster.
   class RankSyscalls : public vm::SyscallExtension {
@@ -137,17 +204,9 @@ class Cluster {
     Rank rank_;
   };
 
-  struct RankState {
+  struct RankState : RankMpiState {
     std::unique_ptr<vm::Vm> vm;
     std::unique_ptr<RankSyscalls> syscalls;
-    bool mpi_initialized = false;
-    bool mpi_finalized = false;
-    std::deque<Envelope> inbox;
-    std::uint64_t barriers_done = 0;
-    bool barrier_arrived = false;
-    // Allreduce progress: the contribution is sent exactly once even though
-    // a blocked syscall re-executes when the rank is unblocked.
-    bool allreduce_sent = false;
   };
 
   vm::SyscallResult MpiInit(Rank r);
@@ -186,10 +245,17 @@ class Cluster {
   Config config_;
   std::vector<std::unique_ptr<RankState>> ranks_;
   MessageHooks* hooks_ = nullptr;
-  std::map<std::tuple<Rank, Rank, std::int64_t>, std::uint64_t> send_seq_;
-  std::uint64_t barrier_completed_ = 0;
-  int barrier_arrived_count_ = 0;
-  std::uint64_t messages_delivered_ = 0;
+  JobMpiState job_;
+
+  // Checkpoint capture (golden runs): the hook, the job-wide mark it set,
+  // where the running rank's quantum began, and the round a hook is at.
+  CheckpointHook checkpoint_hook_;
+  std::uint64_t checkpoint_at_ = ~std::uint64_t{0};
+  std::uint64_t running_total_ = 0;   // job instructions before the quantum
+  std::uint64_t running_before_ = 0;  // the rank's instret when it began
+  ClusterCheckpoint::Round capture_;
+  /// Set by Restore: the round Run resumes.
+  std::optional<ClusterCheckpoint::Round> resume_;
 };
 
 /// Clear the shadow taint of `len` bytes of guest memory starting at `vaddr`

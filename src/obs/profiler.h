@@ -37,8 +37,11 @@ enum class Phase : std::uint8_t {
   kHubPoll,         // TaintHub poll (incl. retries) at receive completion
   kJournalFsync,    // crash-safe journal append (write+flush+fsync)
   kStart,           // Cluster::Start of one trial: reset + load every rank
+  kRestore,         // choosing and loading a golden-prefix checkpoint (inside
+                    // execute; only trials that restore record it)
+  kClassify,        // TrialEngine::Classify: the trial's record from its job
 };
-inline constexpr std::size_t kNumPhases = 10;
+inline constexpr std::size_t kNumPhases = 12;
 
 const char* PhaseName(Phase p);
 
@@ -114,6 +117,12 @@ class ScopedPhase {
       --prof_->depth_;
       prof_->Record(phase_, t0_, MonotonicNanos(), depth_);
     }
+  }
+  /// Close the scope without recording it (the phase turned out not to
+  /// happen, e.g. a trial that found no checkpoint to restore).
+  void Discard() {
+    if (prof_ != nullptr) --prof_->depth_;
+    prof_ = nullptr;
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;

@@ -41,7 +41,7 @@ void StatusWriter::OnTrialDone(int outcome, std::uint64_t taint_lost,
   std::lock_guard<std::mutex> lock(mutex_);
   ++done_;
   if (replayed) ++replayed_;
-  if (outcome >= 0 && outcome < 4) ++outcomes_[outcome];
+  if (outcome >= 0 && outcome < kNumTrialOutcomes) ++outcomes_[outcome];
   taint_lost_ += taint_lost;
   trace_dropped_ += trace_dropped;
   if (done_ % every_ == 0 || done_ == options_.total) {
@@ -73,7 +73,7 @@ std::string StatusWriter::RenderLocked(bool running) const {
   std::string out = StrFormat(
       "{\"app\": \"%s\", \"running\": %s, \"total\": %llu, \"done\": %llu, "
       "\"replayed\": %llu, \"benign\": %llu, \"terminated\": %llu, "
-      "\"sdc\": %llu, \"infra\": %llu, \"taint_lost\": %llu, "
+      "\"sdc\": %llu, \"infra\": %llu, \"crashed\": %llu, \"taint_lost\": %llu, "
       "\"trace_dropped\": %llu, \"elapsed_s\": %.3f, \"trials_per_s\": %.2f, "
       "\"eta_s\": %s",
       options_.app.c_str(), running ? "true" : "false",
@@ -84,6 +84,7 @@ std::string StatusWriter::RenderLocked(bool running) const {
       static_cast<unsigned long long>(outcomes_[1]),
       static_cast<unsigned long long>(outcomes_[2]),
       static_cast<unsigned long long>(outcomes_[3]),
+      static_cast<unsigned long long>(outcomes_[4]),
       static_cast<unsigned long long>(taint_lost_),
       static_cast<unsigned long long>(trace_dropped_), elapsed_s, rate,
       eta.c_str());
@@ -138,13 +139,14 @@ void StatusWriter::WriteLocked(bool running) {
                                  static_cast<double>(options_.total);
     std::fprintf(stderr,
                  "\r%s: %llu/%llu (%5.1f%%)  benign %llu  terminated %llu  "
-                 "sdc %llu  infra %llu ",
+                 "sdc %llu  infra %llu  crashed %llu ",
                  options_.app.c_str(), static_cast<unsigned long long>(done_),
                  static_cast<unsigned long long>(options_.total), pct,
                  static_cast<unsigned long long>(outcomes_[0]),
                  static_cast<unsigned long long>(outcomes_[1]),
                  static_cast<unsigned long long>(outcomes_[2]),
-                 static_cast<unsigned long long>(outcomes_[3]));
+                 static_cast<unsigned long long>(outcomes_[3]),
+                 static_cast<unsigned long long>(outcomes_[4]));
     progress_line_open_ = true;
     if (!running) {
       std::fprintf(stderr, "\n");

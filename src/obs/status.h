@@ -38,6 +38,10 @@
 
 namespace chaser::obs {
 
+/// Campaign outcome indices the obs layer counts: 0 benign, 1 terminated,
+/// 2 sdc, 3 infra, 4 crashed (campaign::Outcome's values).
+inline constexpr int kNumTrialOutcomes = 5;
+
 /// Snapshot of a shared translation cache for the status report (a neutral
 /// mirror of tcg::SharedTbCache::Stats — obs stays dependency-free).
 struct CacheStatsSnapshot {
@@ -118,7 +122,7 @@ class StatusWriter {
 
   /// Account one completed trial. Thread-safe; rewrites the file when the
   /// cadence says so. `outcome` is the campaign outcome index
-  /// (0 benign, 1 terminated, 2 sdc, 3 infra); `replayed` marks trials
+  /// (0 benign, 1 terminated, 2 sdc, 3 infra, 4 crashed); `replayed` marks trials
   /// restored from a resume journal rather than executed.
   void OnTrialDone(int outcome, std::uint64_t taint_lost,
                    std::uint64_t trace_dropped, bool replayed);
@@ -142,7 +146,7 @@ class StatusWriter {
   mutable std::mutex mutex_;
   std::uint64_t done_ = 0;
   std::uint64_t replayed_ = 0;
-  std::uint64_t outcomes_[4] = {0, 0, 0, 0};
+  std::uint64_t outcomes_[kNumTrialOutcomes] = {};
   std::uint64_t taint_lost_ = 0;
   std::uint64_t trace_dropped_ = 0;
   std::uint64_t start_ns_ = 0;

@@ -11,6 +11,7 @@ const char* TrialOutcomeName(int outcome) {
     case 1: return "terminated";
     case 2: return "sdc";
     case 3: return "infra";
+    case 4: return "crashed";
   }
   return "?";
 }
@@ -136,11 +137,12 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
   // Handles resolve once per process — registration is mutexed, Inc is not.
   static Counter& trials = reg.GetCounter("campaign_trials_total");
   static Counter& replayed = reg.GetCounter("campaign_trials_replayed");
-  static Counter* outcomes[4] = {
+  static Counter* outcomes[kNumTrialOutcomes] = {
       &reg.GetCounter("campaign_outcome_benign"),
       &reg.GetCounter("campaign_outcome_terminated"),
       &reg.GetCounter("campaign_outcome_sdc"),
       &reg.GetCounter("campaign_outcome_infra"),
+      &reg.GetCounter("campaign_outcome_crashed"),
   };
   static Counter& instructions = reg.GetCounter("guest_instructions_total");
   static Counter& injections = reg.GetCounter("injections_total");
@@ -155,7 +157,7 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
     status_->OnTrialDone(t.outcome, t.taint_lost, t.trace_dropped, t.replayed);
   }
   trials.Inc();
-  if (t.outcome >= 0 && t.outcome < 4) outcomes[t.outcome]->Inc();
+  if (t.outcome >= 0 && t.outcome < kNumTrialOutcomes) outcomes[t.outcome]->Inc();
   if (t.replayed) {
     replayed.Inc();
     return;  // not executed here: no span, no hot-path counter traffic

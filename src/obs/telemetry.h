@@ -64,7 +64,7 @@ struct TelemetryOptions {
 /// Outcome-agnostic mirror of the RunRecord fields telemetry consumes
 /// (obs cannot see campaign types; the driver maps them).
 struct TrialStats {
-  int outcome = 0;  // 0 benign, 1 terminated, 2 sdc, 3 infra
+  int outcome = 0;  // 0 benign, 1 terminated, 2 sdc, 3 infra, 4 crashed
   std::uint64_t run_seed = 0;
   std::uint64_t instructions = 0;
   std::uint64_t injections = 0;
@@ -77,7 +77,8 @@ struct TrialStats {
   bool replayed = false;  // restored from a resume journal, not executed
 };
 
-const char* TrialOutcomeName(int outcome);  // benign/terminated/sdc/infra
+/// Campaign outcome index -> name: benign/terminated/sdc/infra/crashed.
+const char* TrialOutcomeName(int outcome);
 
 class Telemetry {
  public:

@@ -12,7 +12,9 @@
 //  * Vm::LookupTb consults the translation cache (the campaign-wide
 //    SharedTbCache, or the Vm's private one) before translating, so a whole
 //    campaign translates each TB once;
-//  * Vm::ExecuteTb is the one interpreter: a for/switch over the TB's ops.
+//  * Vm::ExecuteTb is the one interpreter: a for/switch over the TB's ops;
+//  * the loop's state lives in a RunFrame, so a golden run can hand it to a
+//    checkpoint hook (one compare per TB) and a trial can Resume from it.
 #include <cmath>
 
 #include "common/error.h"
@@ -56,51 +58,68 @@ Vm::CachedTb& Vm::LookupTb(std::uint64_t pc) {
     tb_evictions_ += tb_cache_.size();
     FlushTbCache();
   }
+  return tb_cache_.emplace(pc, CachedTb{.tb = ResolveTb(pc)}).first->second;
+}
 
-  CachedTb entry;
+const tcg::TranslationBlock* Vm::ResolveTb(std::uint64_t pc) {
   tcg::SharedTbCache& cache =
       private_cache_ != nullptr ? *private_cache_ : *config_.shared_cache;
   const tcg::SharedTbCache::Key key{program_hash_, VariantKey(), pc};
   if (const tcg::TranslationBlock* cached = cache.Lookup(key)) {
     ++shared_reuses_;
     ++epoch_cur_.shared_reuses;
-    entry.tb = cached;
-  } else {
-    const obs::ScopedPhase obs_scope(obs::Phase::kTranslate);
-    tcg::TranslationBlock tb = translator_.Translate(*program_, pc);
-    if (config_.optimize_tbs) {
-      const tcg::OptimizerStats stats = tcg::Optimize(&tb);
-      optimizer_stats_.movs_forwarded += stats.movs_forwarded;
-      optimizer_stats_.dead_ops_removed += stats.dead_ops_removed;
-      optimizer_stats_.imms_fused += stats.imms_fused;
-      optimizer_stats_.addrs_fused += stats.addrs_fused;
-      optimizer_stats_.insn_starts_folded += stats.insn_starts_folded;
-      epoch_cur_.optimizer.movs_forwarded += stats.movs_forwarded;
-      epoch_cur_.optimizer.dead_ops_removed += stats.dead_ops_removed;
-      epoch_cur_.optimizer.imms_fused += stats.imms_fused;
-      epoch_cur_.optimizer.addrs_fused += stats.addrs_fused;
-      epoch_cur_.optimizer.insn_starts_folded += stats.insn_starts_folded;
-    }
-    ++tb_translations_;
-    ++epoch_cur_.translations;
-    // Insert returns the canonical TB — a racing worker's copy if it
-    // published the same key first (our duplicate is then discarded).
-    entry.tb = cache.Insert(key, std::move(tb));
+    return cached;
   }
-  auto [ins, ok] = tb_cache_.emplace(pc, entry);
-  (void)ok;
-  return ins->second;
+  const obs::ScopedPhase obs_scope(obs::Phase::kTranslate);
+  tcg::TranslationBlock tb = translator_.Translate(*program_, pc);
+  if (config_.optimize_tbs) {
+    const tcg::OptimizerStats stats = tcg::Optimize(&tb);
+    optimizer_stats_.movs_forwarded += stats.movs_forwarded;
+    optimizer_stats_.dead_ops_removed += stats.dead_ops_removed;
+    optimizer_stats_.imms_fused += stats.imms_fused;
+    optimizer_stats_.addrs_fused += stats.addrs_fused;
+    optimizer_stats_.insn_starts_folded += stats.insn_starts_folded;
+    epoch_cur_.optimizer.movs_forwarded += stats.movs_forwarded;
+    epoch_cur_.optimizer.dead_ops_removed += stats.dead_ops_removed;
+    epoch_cur_.optimizer.imms_fused += stats.imms_fused;
+    epoch_cur_.optimizer.addrs_fused += stats.addrs_fused;
+    epoch_cur_.optimizer.insn_starts_folded += stats.insn_starts_folded;
+  }
+  ++tb_translations_;
+  ++epoch_cur_.translations;
+  // Insert returns the canonical TB — a racing worker's copy if it
+  // published the same key first (our duplicate is then discarded).
+  return cache.Insert(key, std::move(tb));
 }
 
 RunState Vm::Run(std::uint64_t max_insns) {
+  return Resume(RunFrame{.budget = max_insns});
+}
+
+RunState Vm::Resume(const RunFrame& frame) {
   if (program_ == nullptr) throw ConfigError("Run: no process started");
-  std::uint64_t budget = max_insns;
+  std::uint64_t budget = frame.budget;
   // goto_tb chaining state: the TB we just executed and the static exit slot
   // it took. Chains are only followed/patched within one Run call — a
-  // signal, block, budget exhaustion, or flush drops prev (chain broken).
+  // signal, block, budget exhaustion, or flush drops prev (chain broken) —
+  // or across a checkpoint, whose frame names prev by pc.
   CachedTb* prev = nullptr;
-  int slot = -1;
+  int slot = frame.slot;
+  if (frame.prev_pc != kNoPc) {
+    const auto it = tb_cache_.find(frame.prev_pc);
+    if (it == tb_cache_.end()) {
+      throw ConfigError("Resume: the frame's TB is not in the local index");
+    }
+    prev = &it->second;
+  }
   while (run_state_ == RunState::kRunnable && budget > 0) {
+    if (instret_ >= checkpoint_at_) [[unlikely]] {
+      checkpoint_hook_(*this, RunFrame{.budget = budget,
+                                       .prev_pc = prev != nullptr
+                                                      ? prev->tb->start_pc
+                                                      : kNoPc,
+                                       .slot = slot});
+    }
     CachedTb* cur = (prev != nullptr && slot >= 0) ? prev->chain[slot] : nullptr;
     if (cur != nullptr) {
       // Chained: pc already equals the slot's static target, which was

@@ -1,10 +1,66 @@
 #include "vm/memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <new>
 
+#include "common/error.h"
+
 namespace chaser::vm {
+
+namespace {
+
+using PageBytes = GuestMemory::Checkpoint::PageBytes;
+
+/// Free checkpoint page buffers. A process that runs campaign after
+/// campaign takes each golden run's page copies from here instead of
+/// faulting fresh heap pages in every time (the allocator returns the
+/// previous campaign's to the OS). Never destroyed: a page may be released
+/// by a checkpoint that outlives static destruction.
+class PagePool {
+ public:
+  static PagePool& Global() {
+    static PagePool* const pool = new PagePool;
+    return *pool;
+  }
+
+  std::shared_ptr<PageBytes> Take() {
+    PageBytes* page = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        page = free_.back().release();
+        free_.pop_back();
+      }
+    }
+    if (page == nullptr) page = new PageBytes;
+    return std::shared_ptr<PageBytes>(page, [](PageBytes* p) { Global().Give(p); });
+  }
+
+ private:
+  static constexpr std::size_t kMaxFree = 1024;  // 4 MiB of page copies
+
+  void Give(PageBytes* page) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.size() < kMaxFree) {
+      free_.emplace_back(page);
+    } else {
+      delete page;
+    }
+  }
+
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<PageBytes>> free_;
+};
+
+}  // namespace
+
+void GuestMemory::FreeSlab::operator()(std::uint8_t* slab) const {
+  munmap(slab, bytes);
+}
 
 void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
   if (bytes == 0) return;
@@ -30,15 +86,22 @@ void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
   const std::uint64_t need = mapped_ + fresh;
   if (need > frames_.size()) {
     // One zeroed slab for the pages the pool cannot cover; per-page heap
-    // allocation here used to be a top entry in campaign profiles. calloc,
-    // not new[]: a large slab arrives as untouched zero pages from the
-    // kernel, so a fault-corrupted brk of hundreds of MiB costs the pages
-    // the guest touches, not a host-side zero fill of the whole region.
+    // allocation here used to be a top entry in campaign profiles. An
+    // anonymous mapping, not new[] or calloc: it arrives as untouched zero
+    // pages from the kernel, so a fault-corrupted brk of hundreds of MiB
+    // costs the pages the guest touches, not a host-side zero fill of the
+    // whole region. calloc gave that only while the slab sat above malloc's
+    // mmap threshold, which glibc raises once a program frees a larger
+    // mapped block — from then on every new VM zero-filled its ~1 MiB stack
+    // slab (a long-running process's golden runs took ~0.45 ms longer).
     const std::uint64_t grow = need - frames_.size();
+    const std::size_t slab_bytes = static_cast<std::size_t>(grow * kPageSize);
+    void* mapped = mmap(nullptr, slab_bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mapped == MAP_FAILED) throw std::bad_alloc();
     Slab slab{std::unique_ptr<std::uint8_t[], FreeSlab>(
-                  static_cast<std::uint8_t*>(std::calloc(grow, kPageSize))),
+                  static_cast<std::uint8_t*>(mapped), FreeSlab{slab_bytes}),
               static_cast<std::uint32_t>(frames_.size())};
-    if (slab.storage == nullptr) throw std::bad_alloc();
     std::uint8_t* next = slab.storage.get();
     slabs_.push_back(std::move(slab));
     for (std::uint64_t i = 0; i < grow; ++i, next += kPageSize) {
@@ -103,6 +166,73 @@ void GuestMemory::Reset() {
     return true;
   });
   mapped_ = 0;
+}
+
+GuestMemory::Checkpoint GuestMemory::Capture(const Checkpoint* prev) const {
+  Checkpoint ck;
+  ck.regions = regions_;
+  ck.tlb_hits = tlb_hits_;
+  ck.tlb_misses = tlb_misses_;
+  ck.pages.reserve(touched_vpages_.size());
+  for (std::size_t i = 0; i < touched_vpages_.size(); ++i) {
+    const std::uint64_t vpage = touched_vpages_[i];
+    const std::uint8_t* frame = frames_[FrameIndex(vpage)];
+    Checkpoint::Page page{
+        .vpage = vpage,
+        .in_tlb = tlb_[vpage & (kTlbEntries - 1)].vpage == vpage,
+        .bytes = nullptr};
+    // Touches only append, so page i of an earlier checkpoint of this
+    // process is the same vpage.
+    if (prev != nullptr && i < prev->pages.size() &&
+        std::memcmp(prev->pages[i].bytes->data(), frame, kPageSize) == 0) {
+      page.bytes = prev->pages[i].bytes;
+    } else {
+      std::shared_ptr<PageBytes> bytes = PagePool::Global().Take();
+      std::memcpy(bytes->data(), frame, kPageSize);
+      page.bytes = std::move(bytes);
+    }
+    ck.pages.push_back(std::move(page));
+  }
+  return ck;
+}
+
+void GuestMemory::Restore(const Checkpoint& ck) {
+  const bool same_loader =
+      regions_.size() <= ck.regions.size() &&
+      std::equal(regions_.begin(), regions_.end(), ck.regions.begin()) &&
+      touched_vpages_.size() <= ck.pages.size() &&
+      std::equal(touched_vpages_.begin(), touched_vpages_.end(),
+                 ck.pages.begin(), [](std::uint64_t vpage, const auto& page) {
+                   return vpage == page.vpage;
+                 });
+  if (!same_loader) {
+    throw ConfigError(
+        "GuestMemory::Restore: checkpoint of a differently loaded process");
+  }
+  // Replaying the remaining MapRegion calls in order hands out the frames
+  // the captured process got.
+  for (std::size_t i = regions_.size(); i < ck.regions.size(); ++i) {
+    const auto [first, last] = ck.regions[i];
+    MapRegion(first << kPageBits, (last - first + 1) << kPageBits);
+  }
+  // Only touched pages occupy TLB slots; the loader's go, the checkpoint's
+  // come back.
+  for (const std::uint64_t vpage : touched_vpages_) {
+    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{};
+  }
+  touched_vpages_.clear();
+  for (const Checkpoint::Page& page : ck.pages) {
+    const std::uint32_t frame = FrameIndex(page.vpage);
+    std::memcpy(frames_[frame], page.bytes->data(), kPageSize);
+    touched_[frame] = 1;
+    touched_vpages_.push_back(page.vpage);
+    if (page.in_tlb) {
+      tlb_[page.vpage & (kTlbEntries - 1)] =
+          TlbEntry{page.vpage, static_cast<PhysAddr>(frame) * kPageSize};
+    }
+  }
+  tlb_hits_ = ck.tlb_hits;
+  tlb_misses_ = ck.tlb_misses;
 }
 
 bool GuestMemory::IsMapped(GuestAddr vaddr) const {

@@ -123,6 +123,37 @@ class GuestMemory {
   std::uint64_t tlb_hits() const { return tlb_hits_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
 
+  /// A process's memory at one point of its run: the MapRegion calls made
+  /// since the reset (their order fixes every paddr), a copy of each touched
+  /// page, which touched pages hold their TLB slot, and the TLB counters.
+  /// Untouched mapped pages are all zero and need no copy.
+  struct Checkpoint {
+    using PageBytes = std::array<std::uint8_t, kPageSize>;
+    struct Page {
+      std::uint64_t vpage = 0;
+      bool in_tlb = false;
+      /// Shared with the previous checkpoint while the bytes are unchanged.
+      std::shared_ptr<const PageBytes> bytes;
+    };
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> regions;
+    std::vector<Page> pages;  // first-touch order
+    std::uint64_t tlb_hits = 0;
+    std::uint64_t tlb_misses = 0;
+  };
+
+  /// Snapshot this memory. Pages whose bytes equal the same page of `prev`
+  /// (an earlier checkpoint of this process, or null) share its copy. Reads
+  /// frames directly: no TLB slot, counter or touch record moves.
+  Checkpoint Capture(const Checkpoint* prev) const;
+
+  /// Load `ck` into a memory that has just been reset and set up by the
+  /// same loader as the process `ck` was captured from (its MapRegion calls
+  /// must be a prefix of ck.regions; ConfigError otherwise). Afterwards the
+  /// memory equals the captured one byte for byte, paddrs, TLB and counters
+  /// included. Every frame and TLB slot the restore fills counts as
+  /// touched, so the next Reset() re-zeroes it.
+  void Restore(const Checkpoint& ck);
+
  private:
   struct TlbEntry {
     std::uint64_t vpage = ~0ull;  // ~0 never matches: vaddrs are < 2^52 pages
@@ -168,9 +199,11 @@ class GuestMemory {
     return dir_[d]->frames[vpage & (kLeafPages - 1)];
   }
 
-  /// Slabs come from std::calloc (see MapRegion), so they go back to free().
+  /// Slabs are anonymous mappings (see MapRegion), so they go back to
+  /// munmap().
   struct FreeSlab {
-    void operator()(std::uint8_t* slab) const { std::free(slab); }
+    std::size_t bytes = 0;
+    void operator()(std::uint8_t* slab) const;
   };
 
   struct Slab {

@@ -201,6 +201,66 @@ Pid Vm::StartLoadedProcess() {
   return pid_;
 }
 
+Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
+  if (taint_.Active()) {
+    throw ConfigError("Vm::Capture: the process carries taint");
+  }
+  Checkpoint ck;
+  ck.cpu = cpu_;
+  ck.run_state = run_state_;
+  ck.termination = termination_;
+  ck.signal = signal_;
+  ck.exit_code = exit_code_;
+  ck.termination_message = termination_message_;
+  ck.instret = instret_;
+  ck.heap_break = heap_break_;
+  ck.next_sample = next_sample_;
+  ck.tb_chain_hits = tb_chain_hits_;
+  ck.tb_executions = tb_executions_;
+  ck.outputs = outputs_;
+  ck.tainted_output_bytes = tainted_output_bytes_;
+  ck.memory = memory_.Capture(prev != nullptr ? &prev->memory : nullptr);
+  const auto pc_of = [](const CachedTb* e) {
+    return e != nullptr ? e->tb->start_pc : kNoPc;
+  };
+  ck.tbs.reserve(tb_cache_.size());
+  for (const auto& [pc, entry] : tb_cache_) {
+    ck.tbs.push_back({pc, {pc_of(entry.chain[0]), pc_of(entry.chain[1])}});
+  }
+  return ck;
+}
+
+void Vm::Restore(const Checkpoint& ck) {
+  if (program_ == nullptr) throw ConfigError("Vm::Restore: no process started");
+  cpu_ = ck.cpu;
+  run_state_ = ck.run_state;
+  termination_ = ck.termination;
+  signal_ = ck.signal;
+  exit_code_ = ck.exit_code;
+  termination_message_ = ck.termination_message;
+  instret_ = ck.instret;
+  heap_break_ = ck.heap_break;
+  next_sample_ = ck.next_sample;
+  UpdateNextStop();
+  tb_chain_hits_ = ck.tb_chain_hits;
+  tb_executions_ = ck.tb_executions;
+  outputs_ = ck.outputs;
+  tainted_output_bytes_ = ck.tainted_output_bytes;
+  memory_.Restore(ck.memory);
+  // Rebuild the index in this Vm's variant, then its chains: a chain slot
+  // stays patched exactly where the captured run had patched it.
+  tb_cache_.clear();
+  for (const Checkpoint::Tb& t : ck.tbs) {
+    tb_cache_.emplace(t.pc, CachedTb{.tb = ResolveTb(t.pc)});
+  }
+  for (const Checkpoint::Tb& t : ck.tbs) {
+    CachedTb& entry = tb_cache_.find(t.pc)->second;
+    for (int k = 0; k < 2; ++k) {
+      if (t.chain[k] != kNoPc) entry.chain[k] = &tb_cache_.find(t.chain[k])->second;
+    }
+  }
+}
+
 RunState Vm::RunToCompletion() {
   while (run_state_ == RunState::kRunnable) {
     Run(1u << 22);

@@ -217,7 +217,76 @@ class Vm {
   Pid StartProcess(std::shared_ptr<const guest::Program> program);
 
   /// Execute up to `max_insns` instructions (or until blocked/terminated).
+  /// The budget is checked at TB boundaries, so the last TB may overrun it.
   RunState Run(std::uint64_t max_insns);
+
+  // ---- Golden-prefix checkpoints ---------------------------------------------
+  /// No TB: a chain that cannot be followed, or a missing chain successor.
+  static constexpr std::uint64_t kNoPc = ~std::uint64_t{0};
+
+  /// Where a Run call stands at a TB boundary: the budget it has left, and
+  /// the TB it just executed with the static exit that TB took (the chain
+  /// the loop follows or patches next). Run(n) starts from {n, kNoPc, -1}.
+  struct RunFrame {
+    std::uint64_t budget = 0;
+    std::uint64_t prev_pc = kNoPc;
+    int slot = -1;
+  };
+
+  /// Continue a Run call that was interrupted at `frame` — typically one
+  /// captured by a checkpoint hook and loaded back with Restore().
+  RunState Resume(const RunFrame& frame);
+
+  /// Everything a clean (untainted, uninjected) run changes in a Vm between
+  /// StartProcess and a TB boundary: CPU, run state, counters, outputs, the
+  /// next taint-sample point, guest memory with its TLB, and the local TB
+  /// index with its chain edges (by pc; the TBs themselves are looked up
+  /// again on restore, in whatever translation variant the restoring Vm
+  /// has armed — TB boundaries do not depend on instrumentation).
+  struct Checkpoint {
+    CpuState cpu;
+    RunState run_state = RunState::kRunnable;
+    TerminationKind termination = TerminationKind::kRunning;
+    GuestSignal signal = GuestSignal::kNone;
+    std::int64_t exit_code = 0;
+    std::string termination_message;
+    std::uint64_t instret = 0;
+    GuestAddr heap_break = 0;
+    std::uint64_t next_sample = 0;
+    std::uint64_t tb_chain_hits = 0;
+    std::uint64_t tb_executions = 0;
+    std::map<int, std::string> outputs;
+    std::uint64_t tainted_output_bytes = 0;
+    GuestMemory::Checkpoint memory;
+    struct Tb {
+      std::uint64_t pc = 0;
+      std::uint64_t chain[2] = {kNoPc, kNoPc};
+    };
+    std::vector<Tb> tbs;
+  };
+
+  /// Snapshot this process; `prev` (an earlier checkpoint of it, or null)
+  /// shares unchanged guest pages. Moves no counter. ConfigError if the
+  /// process carries taint — checkpoints hold clean prefixes only.
+  Checkpoint Capture(const Checkpoint* prev) const;
+
+  /// Load `ck` into a process just started (with its instrumentation
+  /// attached) from the image `ck` was captured from. A Resume() from the
+  /// captured frame then continues exactly as the captured run did.
+  void Restore(const Checkpoint& ck);
+
+  /// Call `hook` at the first TB boundary of a Run at which instret() has
+  /// reached the mark set by set_checkpoint_at; the hook normally moves the
+  /// mark on. Costs one compare per TB; the mark ~0, or a null hook,
+  /// disarms.
+  using CheckpointHook = std::function<void(Vm&, const RunFrame&)>;
+  void SetCheckpointHook(CheckpointHook hook) {
+    checkpoint_hook_ = std::move(hook);
+    if (!checkpoint_hook_) checkpoint_at_ = ~std::uint64_t{0};
+  }
+  void set_checkpoint_at(std::uint64_t instret) {
+    checkpoint_at_ = checkpoint_hook_ ? instret : ~std::uint64_t{0};
+  }
 
   /// Convenience for single-process workloads: run until terminated.
   /// Throws ConfigError if the process blocks with no extension to unblock it.
@@ -329,6 +398,9 @@ class Vm {
   };
 
   CachedTb& LookupTb(std::uint64_t pc);
+  /// The TB for `pc` in the current translation variant: from the
+  /// translation cache, or translated and published there.
+  const tcg::TranslationBlock* ResolveTb(std::uint64_t pc);
   /// Execute `tb`; `*exit_slot` receives the chain slot of the exit taken
   /// (0/1 for static successors, -1 for dynamic/none — see CachedTb::chain).
   /// __restrict: budget/exit_slot never alias VM state, which lets the
@@ -402,6 +474,9 @@ class Vm {
   // First instret at which the watchdog or the sample hook must act; fuses
   // their two compares into one on the per-instruction hot path.
   std::uint64_t next_stop_ = 0;
+  // First instret at which Run calls checkpoint_hook_ (golden runs only).
+  std::uint64_t checkpoint_at_ = ~std::uint64_t{0};
+  CheckpointHook checkpoint_hook_;
   SyscallExtension* syscall_ext_ = nullptr;
 
   std::uint64_t tb_translations_ = 0;

@@ -89,6 +89,30 @@ TEST(Trigger, NeverTriggerNeverFiresNorExpires) {
   EXPECT_FALSE(t.Expired());
 }
 
+// A fast-forwarded trigger behaves as if it had seen the prefix's targeted
+// executions; one the prefix would have fired refuses and stays fresh.
+TEST(Trigger, FastForwardOverACleanPrefix) {
+  Rng rng(5);
+  DeterministicTrigger det(10);
+  EXPECT_FALSE(det.FastForward(10, nullptr));
+  EXPECT_TRUE(det.FastForward(9, nullptr));
+  EXPECT_TRUE(det.ShouldFire(10, rng));
+
+  const Trigger::SiteCounts sites = {{3, 5}, {8, 2}};
+  PcNthTrigger pc_nth(8, 3);
+  EXPECT_FALSE(pc_nth.FastForward(7, nullptr));  // sites not profiled
+  EXPECT_TRUE(pc_nth.FastForward(7, &sites));
+  EXPECT_FALSE(pc_nth.ShouldFireAt(8, 3, rng));
+  EXPECT_TRUE(pc_nth.ShouldFireAt(9, 8, rng));  // the 3rd execution of pc 8
+  EXPECT_FALSE(PcNthTrigger(8, 2).FastForward(7, &sites));
+  PcNthTrigger unseen(5, 1);  // a pc the prefix never executed
+  EXPECT_TRUE(unseen.FastForward(7, &sites));
+  EXPECT_TRUE(unseen.ShouldFireAt(8, 5, rng));
+
+  EXPECT_FALSE(ProbabilisticTrigger(0.5).FastForward(0, nullptr));
+  EXPECT_FALSE(GroupTrigger(5, 1, 2).FastForward(0, nullptr));
+}
+
 TEST(Trigger, DescribeMentionsParameters) {
   EXPECT_NE(DeterministicTrigger(7).Describe().find("7"), std::string::npos);
   EXPECT_NE(ProbabilisticTrigger(0.5).Describe().find("0.5"), std::string::npos);

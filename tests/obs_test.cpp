@@ -18,6 +18,8 @@
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/fileio.h"
+#include "common/strings.h"
+#include "core/injectors/registry.h"
 #include "guest/builder.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -639,7 +641,7 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   int phases = 0;
   for (const char* name : {"golden", "trial", "translate", "execute", "inject",
                            "taint-propagate", "hub-publish", "hub-poll",
-                           "start"}) {
+                           "start", "restore", "classify"}) {
     if (trace.find("\"name\":\"" + std::string(name) + "\"") !=
         std::string::npos) {
       ++phases;
@@ -648,6 +650,8 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   EXPECT_GE(phases, 5) << "expected at least 5 distinct phases in the trace";
   EXPECT_NE(trace.find("\"name\":\"start\""), std::string::npos)
       << "trial starts are not timed";
+  EXPECT_NE(trace.find("\"name\":\"classify\""), std::string::npos)
+      << "trial classification is not timed";
   EXPECT_NE(trace.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   fs::remove_all(dir);
 }
@@ -722,6 +726,87 @@ TEST(Telemetry, StartPhaseCountsOncePerSerialTrial) {
 
 TEST(Telemetry, StartPhaseCountsOncePerParallelTrial) {
   ExpectOneStartPerTrial<ParallelCampaign>(3u);
+}
+
+/// A trial that starts from a golden-prefix checkpoint records one restore
+/// phase and one restored-trial count, whichever driver and worker runs
+/// it; a trial that boots records neither. A 5000-fadd accumulator retires
+/// ~20k instructions — four checkpoints — so most trials restore and a few
+/// inject before the first checkpoint. Every trial is classified once.
+template <typename Driver, typename... Jobs>
+void ExpectOneRestorePerRestoredTrial(Jobs... jobs) {
+  Registry::Global().Reset();
+  Telemetry telemetry({});
+  CampaignConfig config;
+  config.runs = 24;
+  config.seed = 13;
+  config.telemetry = &telemetry;
+  Driver driver(AccumulatorApp(5'000), config, jobs...);
+  driver.Run();
+  telemetry.Finish();
+  Registry& reg = Registry::Global();
+  const std::uint64_t restored =
+      reg.GetCounter("campaign_trials_restored_total").Value();
+  EXPECT_GT(restored, 0u);
+  EXPECT_LT(restored, config.runs);
+  EXPECT_EQ(reg.GetHistogram("phase_restore_ns", LatencyBoundsNs()).Count(),
+            restored);
+  EXPECT_EQ(reg.GetHistogram("phase_classify_ns", LatencyBoundsNs()).Count(),
+            config.runs);
+  const std::uint64_t skipped =
+      reg.GetCounter("guest_instructions_restored_total").Value();
+  EXPECT_GT(skipped, 0u);
+  EXPECT_LT(skipped, reg.GetCounter("guest_instructions_total").Value());
+  Registry::Global().Reset();
+}
+
+TEST(Telemetry, RestoreCountsOncePerRestoredSerialTrial) {
+  ExpectOneRestorePerRestoredTrial<Campaign>();
+}
+
+TEST(Telemetry, RestoreCountsOncePerRestoredParallelTrial) {
+  ExpectOneRestorePerRestoredTrial<ParallelCampaign>(3u);
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t Count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Crashed trials (rank-crash injector) used to vanish from telemetry: the
+// report counted them while status.json, /metrics and trace spans did not.
+TEST(Telemetry, CrashedTrialsReachStatusMetricsAndSpans) {
+  Registry::Global().Reset();
+  const std::string dir = TempDir("crashed");
+  Telemetry telemetry(
+      {.trace_path = dir + "/t.json", .status_path = dir + "/s.json"});
+  CampaignConfig config;
+  config.runs = 20;
+  config.seed = 5;
+  config.injector = core::ParseInjectorSpec("rank-crash");
+  config.telemetry = &telemetry;
+  const CampaignResult result = Campaign(apps::BuildLud({}), config).Run();
+  telemetry.Finish();
+  ASSERT_EQ(result.crashed, config.runs);
+  EXPECT_NE(result.Render("lud").find(StrFormat(
+                "crashed     %6llu",
+                static_cast<unsigned long long>(result.crashed))),
+            std::string::npos);
+  double status_crashed = -1;
+  ASSERT_TRUE(JsonFindNumber(Slurp(dir + "/s.json"), "crashed", &status_crashed));
+  EXPECT_EQ(status_crashed, static_cast<double>(result.crashed));
+  EXPECT_EQ(Registry::Global().GetCounter("campaign_outcome_crashed").Value(),
+            result.crashed);
+  const std::string trace = Slurp(dir + "/t.json");
+  EXPECT_EQ(Count(trace, "\"outcome\":\"crashed\""), result.crashed);
+  EXPECT_EQ(Count(trace, "\"outcome\":\"?\""), 0u);
+  fs::remove_all(dir);
+  Registry::Global().Reset();
 }
 
 TEST(Telemetry, TrialCountersLandInTheGlobalRegistry) {

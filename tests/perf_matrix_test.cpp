@@ -1,11 +1,16 @@
 // Perf-subsystem tests (label "perf"): the shared cross-trial translation
-// cache, the flat software TLB, per-epoch translation stats, the TB cap, and
-// the identity matrix — serial, parallel, and back-to-back campaigns sharing
+// cache, the flat software TLB, per-epoch translation stats, the TB cap, the
+// identity matrix — serial, parallel, and back-to-back campaigns sharing
 // one external translation cache must produce byte-identical reports and
-// records.
+// records — and golden-prefix checkpoints: trials restored from the golden
+// run must produce the records booted trials do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,7 +21,9 @@
 #include "campaign/campaign.h"
 #include "campaign/parallel.h"
 #include "campaign/report.h"
+#include "core/injectors/registry.h"
 #include "guest/builder.h"
+#include "obs/metrics.h"
 #include "tcg/shared_cache.h"
 #include "vm/memory.h"
 #include "vm/vm.h"
@@ -403,6 +410,200 @@ TEST(IdentityMatrix, SharedCacheIsActuallyReused) {
   const SharedTbCache::Stats s = cache.stats();
   EXPECT_GT(s.translations, 0u);
   EXPECT_GT(s.reuses, s.translations);  // many trials, one translation each
+}
+
+// ---- Golden-prefix checkpoints ----------------------------------------------
+
+std::uint64_t TrialsRestored() {
+  return obs::Registry::Global()
+      .GetCounter("campaign_trials_restored_total")
+      .Value();
+}
+
+std::string RecordsCsv(const std::vector<campaign::RunRecord>& records) {
+  std::ostringstream csv;
+  campaign::WriteRecordsCsv(records, csv);
+  return csv.str();
+}
+
+CampaignConfig CheckpointConfig(campaign::SamplePolicy policy =
+                                    campaign::SamplePolicy::kUniform) {
+  CampaignConfig config;
+  config.runs = 10;
+  config.seed = 7;
+  config.retry_backoff_ms = 0;
+  config.sample_policy = policy;
+  return config;
+}
+
+/// Records CSV of `config`'s trials, every one booted: one TrialEngine run
+/// against a copy of the golden profile with its checkpoints removed.
+std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
+  SharedTbCache cache;
+  config.shared_tb_cache = &cache;
+  const std::set<Rank> ranks =
+      config.inject_ranks.empty() ? std::set<Rank>{0} : config.inject_ranks;
+  campaign::TrialEngine golden_engine(spec, config, ranks);
+  campaign::GoldenProfile golden = golden_engine.RunGolden();
+  EXPECT_FALSE(golden.checkpoints.empty());
+  golden.checkpoints.clear();
+  campaign::TrialEngine engine(spec, config, ranks);
+  engine.AdoptGolden(golden);
+  std::vector<campaign::RunRecord> records;
+  for (const std::uint64_t seed :
+       Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    records.push_back(engine.RunTrial(seed));
+  }
+  return RecordsCsv(records);
+}
+
+/// The campaign's records — restored wherever a checkpoint allows — equal
+/// the booted ones field for field (tb_chain_hits, tlb_* and instructions
+/// included), on the serial driver and on 3 parallel workers; and the
+/// serial run really restored some trials.
+void ExpectRestoredMatchesBooted(const std::string& cell,
+                                 const apps::AppSpec& spec,
+                                 const CampaignConfig& config) {
+  SCOPED_TRACE(cell);
+  const std::string want = BootedCsv(spec, config);
+  const std::uint64_t before = TrialsRestored();
+  EXPECT_EQ(RecordsCsv(Campaign(spec, config).Run().records), want) << "serial";
+  EXPECT_GT(TrialsRestored(), before) << "no trial restored";
+  EXPECT_EQ(RecordsCsv(ParallelCampaign(spec, config, 3).Run().records), want)
+      << "parallel, 3 workers";
+}
+
+std::vector<apps::AppSpec> AllApps() {
+  return {apps::BuildBfs({}), apps::BuildKmeans({}), apps::BuildLud({}),
+          apps::BuildMatvec({}), apps::BuildClamr({})};
+}
+
+/// CheckpointConfig for `spec`. Matvec's master makes most of its targeted
+/// executions before the first checkpoint, so its cells inject into every
+/// rank (as chaser_run does for clamr) to give the workers' trials a
+/// prefix to skip.
+CampaignConfig AppConfig(const apps::AppSpec& spec,
+                         campaign::SamplePolicy policy =
+                             campaign::SamplePolicy::kUniform) {
+  CampaignConfig config = CheckpointConfig(policy);
+  if (spec.name == "matvec") config.inject_ranks = {0, 1, 2, 3};
+  return config;
+}
+
+TEST(GoldenPrefix, RestoredTrialsMatchBootedOnEveryAppAndPolicy) {
+  for (const apps::AppSpec& spec : AllApps()) {
+    for (const campaign::SamplePolicy policy :
+         {campaign::SamplePolicy::kUniform, campaign::SamplePolicy::kWeighted,
+          campaign::SamplePolicy::kStratified}) {
+      ExpectRestoredMatchesBooted(
+          spec.name + "/" + campaign::SamplePolicyName(policy), spec,
+          AppConfig(spec, policy));
+    }
+  }
+}
+
+TEST(GoldenPrefix, RestoredTrialsMatchBootedUnderEveryInjector) {
+  for (const apps::AppSpec& spec : AllApps()) {
+    for (const char* injector :
+         {"iskip", "stuckat:value=1,bits=2", "multibit:bits=4", "rank-crash"}) {
+      CampaignConfig config = AppConfig(spec);
+      config.injector = core::ParseInjectorSpec(injector);
+      ExpectRestoredMatchesBooted(spec.name + "/" + injector, spec, config);
+    }
+  }
+}
+
+// A 4-TB index cap flushes the local index over and over inside the prefix:
+// the restored index must be the one the flushes left.
+TEST(GoldenPrefix, TbCacheCapEvictsInsideThePrefix) {
+  CampaignConfig config = CheckpointConfig();
+  config.tb_cache_cap = 4;
+  ExpectRestoredMatchesBooted("lud, tb cache cap 4", apps::BuildLud({}), config);
+}
+
+// With the watchdog below the golden length, booted trials are killed by
+// it; a checkpoint past a budget would skip that kill, so it must not be
+// used. lud's one rank trips the job budget; on clamr (4 ranks) the second
+// checkpoint is within the job budget (131121 <= 4 * 33000) but not within
+// one rank's (rank 0 has retired 37062 by then).
+TEST(GoldenPrefix, RestoreNeverSkipsAWatchdogKill) {
+  for (const auto& [spec, slack] : {std::pair{apps::BuildLud({}), 30'000},
+                                    std::pair{apps::BuildClamr({}), 33'000}}) {
+    CampaignConfig config = CheckpointConfig();
+    config.runs = 24;
+    config.watchdog_multiplier = 0;
+    config.watchdog_slack = static_cast<std::uint64_t>(slack);
+    ExpectRestoredMatchesBooted(spec.name + ", watchdog below the golden length",
+                                spec, config);
+    const CampaignResult result = Campaign(spec, config).Run();
+    EXPECT_TRUE(std::any_of(result.records.begin(), result.records.end(),
+                            [](const campaign::RunRecord& r) {
+                              return r.signal == vm::GuestSignal::kKill;
+                            }))
+        << spec.name << ": no trial hit the watchdog; the cell tests nothing";
+  }
+}
+
+// The golden run instruments every inject rank; a trial instruments one and
+// runs the others clean, so their restored TB indexes switch variant.
+TEST(GoldenPrefix, GoldenInstrumentsRanksTheTrialRunsClean) {
+  CampaignConfig config = CheckpointConfig();
+  config.inject_ranks = {0, 1, 2, 3};
+  ExpectRestoredMatchesBooted("clamr, every rank injectable", apps::BuildClamr({}),
+                              config);
+}
+
+TEST(GoldenPrefix, UntracedCampaigns) {
+  for (const apps::AppSpec& spec : {apps::BuildLud({}), apps::BuildMatvec({})}) {
+    CampaignConfig config = AppConfig(spec);
+    config.trace = false;
+    ExpectRestoredMatchesBooted(spec.name + ", untraced", spec, config);
+  }
+}
+
+// An ambient hub fault model acts in the golden run too: its clock, drop
+// tape and poll accounting are part of the restored hub state.
+TEST(GoldenPrefix, AmbientHubFault) {
+  const apps::AppSpec spec = apps::BuildMatvec({});
+  CampaignConfig config = AppConfig(spec);
+  config.runs = 16;
+  config.hub_fault.outage_start = 3;
+  config.hub_fault.outage_end = 9;
+  config.hub_fault.visibility_delay = 1;
+  config.hub_fault.poll_retries = 1;
+  config.hub_fault.publish_drop_prob = 0.3;
+  ExpectRestoredMatchesBooted("matvec, ambient hub fault", spec, config);
+}
+
+/// Every file under `dir` (relative path -> bytes).
+std::map<std::string, std::string> Tree(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[std::filesystem::relative(entry.path(), dir).string()] = bytes.str();
+  }
+  return files;
+}
+
+TEST(GoldenPrefix, SpoolsMatch) {
+  const apps::AppSpec spec = apps::BuildLud({});
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "chaser_perf_matrix_spools";
+  std::filesystem::remove_all(root);
+  CampaignConfig config = CheckpointConfig();
+  config.spool_dir = (root / "booted").string();
+  const std::string want = BootedCsv(spec, config);
+  config.spool_dir = (root / "restored").string();
+  const std::uint64_t before = TrialsRestored();
+  EXPECT_EQ(RecordsCsv(Campaign(spec, config).Run().records), want);
+  EXPECT_GT(TrialsRestored(), before);
+  const auto booted = Tree(root / "booted");
+  EXPECT_GE(booted.size(), config.runs);  // at least a meta file per trial
+  EXPECT_EQ(Tree(root / "restored"), booted);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

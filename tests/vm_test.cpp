@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 
+#include "apps/app.h"
 #include "common/error.h"
 #include "guest/builder.h"
 #include "peak_rss.h"
@@ -717,6 +718,156 @@ TEST(Vm, RestartMatchesFreshVm) {
   EXPECT_EQ(reused.tlb_hits(), fresh.tlb_hits());
   EXPECT_EQ(reused.tlb_misses(), fresh.tlb_misses());
   EXPECT_EQ(reused.memory().mapped_pages(), fresh.memory().mapped_pages());
+}
+
+/// Everything a restored run must reproduce, compared field by field.
+void ExpectSameProcessState(const Vm& got, const Vm& want) {
+  EXPECT_EQ(got.cpu().env, want.cpu().env);
+  EXPECT_EQ(got.cpu().pc, want.cpu().pc);
+  EXPECT_EQ(got.run_state(), want.run_state());
+  EXPECT_EQ(got.termination(), want.termination());
+  EXPECT_EQ(got.exit_code(), want.exit_code());
+  EXPECT_EQ(got.instret(), want.instret());
+  EXPECT_EQ(got.output(1), want.output(1));
+  EXPECT_EQ(got.output(3), want.output(3));
+  EXPECT_EQ(got.tb_chain_hits(), want.tb_chain_hits());
+  EXPECT_EQ(got.tlb_hits(), want.tlb_hits());
+  EXPECT_EQ(got.tlb_misses(), want.tlb_misses());
+  EXPECT_EQ(got.memory().mapped_pages(), want.memory().mapped_pages());
+  // Touched pages byte for byte (the rest of memory is zero on both sides),
+  // the mapping order, and which pages sit in the TLB.
+  const GuestMemory::Checkpoint a = got.memory().Capture(nullptr);
+  const GuestMemory::Checkpoint b = want.memory().Capture(nullptr);
+  EXPECT_EQ(a.regions, b.regions);
+  ASSERT_EQ(a.pages.size(), b.pages.size());
+  for (std::size_t i = 0; i < a.pages.size(); ++i) {
+    EXPECT_EQ(a.pages[i].vpage, b.pages[i].vpage);
+    EXPECT_EQ(a.pages[i].in_tlb, b.pages[i].in_tlb);
+    EXPECT_EQ(*a.pages[i].bytes, *b.pages[i].bytes) << "vpage " << a.pages[i].vpage;
+  }
+}
+
+void ExpectRestoresMatchStraightRun(
+    const std::shared_ptr<const guest::Program>& image) {
+  constexpr std::uint64_t kQuantum = 20'000;
+  const std::vector<std::uint64_t> marks = {1, 3'000, 20'000, 31'013, 40'001};
+  struct Taken {
+    Vm::Checkpoint ck;
+    Vm::RunFrame frame;
+  };
+  std::vector<Taken> taken;
+  Vm straight;
+  straight.StartProcess(image);
+  straight.SetCheckpointHook([&](Vm& v, const Vm::RunFrame& frame) {
+    Vm::Checkpoint ck = v.Capture(taken.empty() ? nullptr : &taken.back().ck);
+    taken.push_back({std::move(ck), frame});
+    v.set_checkpoint_at(taken.size() < marks.size() ? marks[taken.size()]
+                                                    : ~std::uint64_t{0});
+  });
+  straight.set_checkpoint_at(marks[0]);
+  while (straight.run_state() == RunState::kRunnable) straight.Run(kQuantum);
+  ASSERT_EQ(straight.termination(), TerminationKind::kExited);
+  ASSERT_EQ(taken.size(), marks.size());
+  // The marks cover both kinds of boundary.
+  EXPECT_TRUE(std::any_of(taken.begin(), taken.end(), [&](const Taken& t) {
+    return t.frame.prev_pc == Vm::kNoPc && t.frame.budget == kQuantum;
+  }));
+  EXPECT_TRUE(std::any_of(taken.begin(), taken.end(), [](const Taken& t) {
+    return t.frame.prev_pc != Vm::kNoPc && t.frame.slot >= 0;
+  }));
+  // Capture moved no counter: the straight run's record matches a run
+  // nobody checkpointed.
+  Vm plain;
+  plain.StartProcess(image);
+  while (plain.run_state() == RunState::kRunnable) plain.Run(kQuantum);
+  ExpectSameProcessState(straight, plain);
+
+  Vm restored;
+  for (const Taken& t : taken) {
+    SCOPED_TRACE(testing::Message() << "checkpoint at instret " << t.ck.instret);
+    restored.StartProcess(image);  // recycles the previous run's frames
+    restored.Restore(t.ck);
+    restored.Resume(t.frame);
+    while (restored.run_state() == RunState::kRunnable) restored.Run(kQuantum);
+    ExpectSameProcessState(restored, straight);
+  }
+
+  // Every frame and TLB slot the restores filled counted as touched, so the
+  // next start is a fresh one: the same translations with the same TLB
+  // traffic over the whole image, and a pool that reads zero past it.
+  restored.StartProcess(image);
+  Vm fresh;
+  fresh.StartProcess(image);
+  const guest::Program& prog = *image;
+  for (const auto& [base, bytes] :
+       {std::pair{guest::kDataBase, prog.data.size()},
+        std::pair{guest::kBssBase, prog.bss_bytes},
+        std::pair{guest::kStackTop - guest::kDefaultStackBytes,
+                  guest::kDefaultStackBytes}}) {
+    for (std::uint64_t off = 0; off < bytes; off += kPageSize) {
+      EXPECT_EQ(restored.memory().Translate(base + off),
+                fresh.memory().Translate(base + off));
+    }
+  }
+  EXPECT_EQ(restored.tlb_hits(), fresh.tlb_hits());
+  EXPECT_EQ(restored.tlb_misses(), fresh.tlb_misses());
+  const std::uint64_t heap = straight.memory().mapped_pages() * kPageSize;
+  restored.memory().MapRegion(guest::kHeapBase, heap);
+  std::vector<std::uint8_t> bytes(heap, 0xab);
+  ASSERT_TRUE(restored.memory().ReadBytes(guest::kHeapBase, bytes.data(), heap));
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), 0),
+            static_cast<std::ptrdiff_t>(heap));
+  restored.StartProcess(image);
+  while (restored.run_state() == RunState::kRunnable) restored.Run(kQuantum);
+  ExpectSameProcessState(restored, straight);
+}
+
+/// Sweeps a bss, a brk'd heap and the stack for ~45k instructions, touching
+/// a new page every few thousand, then writes the bss and heap to fd 1: a
+/// checkpoint mid-run holds pages the loader never touched.
+guest::Program PageWalkingProgram() {
+  ProgramBuilder b("walk");
+  const std::int64_t bss_bytes = 8 * static_cast<std::int64_t>(kPageSize);
+  const std::int64_t heap_bytes = 4 * static_cast<std::int64_t>(kPageSize);
+  const auto bss = static_cast<std::int64_t>(b.Bss("b", 8 * kPageSize));
+  b.MovI(R(1), heap_bytes);
+  b.Sys(Sys::kBrk);
+  b.Mov(R(8), R(0));
+  b.MovI(R(6), 0);
+  auto loop = b.Here("loop");
+  b.MulI(R(2), R(6), 24);
+  b.AndI(R(3), R(2), bss_bytes - 8);
+  b.AddI(R(3), R(3), bss);
+  b.Ld(R(4), R(3), 0);
+  b.Add(R(4), R(4), R(6));
+  b.St(R(3), 0, R(4));
+  b.AndI(R(5), R(2), heap_bytes - 8);
+  b.Add(R(5), R(5), R(8));
+  b.St(R(5), 0, R(4));
+  b.Push(R(4));
+  b.Pop(R(9));
+  b.AddI(R(6), R(6), 1);
+  b.CmpI(R(6), 3'000);
+  b.Br(Cond::kLt, loop);
+  b.MovI(R(4), bss);
+  b.MovI(R(5), bss_bytes);
+  b.Write(1, R(4), R(5));
+  b.MovI(R(5), heap_bytes);
+  b.Write(1, R(8), R(5));
+  b.Exit(0);
+  return b.Finalize();
+}
+
+// A process restored at a TB boundary — mid-quantum, with a chain pending,
+// or where a Run call begins — into a restarted Vm whose frames and TLB a
+// previous run dirtied, then resumed, ends exactly as the straight run.
+TEST(Vm, CheckpointRestoreMatchesStraightRun) {
+  for (const guest::Program& program :
+       {apps::BuildLud({}).program, PageWalkingProgram()}) {
+    SCOPED_TRACE(program.name);
+    ExpectRestoresMatchStraightRun(
+        std::make_shared<const guest::Program>(program));
+  }
 }
 
 TEST(Vmi, PidAdvancesPerProcess) {

@@ -5,13 +5,20 @@
 # and a change on top of it) and compares every output file. A change that
 # claims "outputs unchanged" must pass this before it lands.
 #
-# The matrix: --runs 200 --seed 11 over every combination of
+# The matrix: --runs 200 --seed 11 at --jobs 1 (serial engine) and --jobs 4
+# (parallel driver) over
 #   app       bfs, kmeans, lud, matvec, clamr
-#   jobs      --jobs 1 (serial engine) and --jobs 4 (parallel driver)
 #   sampling  uniform, and --sample weighted --stop-ci 0.05
-# Each cell runs twice per build: once writing --report and a records CSV
-# --out (plus a --spool directory on uniform cells), once writing a
-# --records-format ctr store.
+# plus the rarer branches of the golden-prefix restore path:
+#   lud, clamr       --sample stratified --stop-ci 0.05
+#   matvec, lud      --injector iskip | stuckat:value=1,bits=2 | rank-crash
+#   kmeans           --tb-cache-cap 8, at --runs 4: every lookup in a cache
+#                    that small walks all the TBs earlier flushes retired,
+#                    so trials slow down as the campaign goes on
+#   clamr            --no-trace
+# 40 cells. Each cell runs twice per build: once writing --report and a
+# records CSV --out (plus a --spool directory on cells without a --sample
+# flag), once writing a --records-format ctr store.
 #
 # usage: tools/identity_sweep.sh PARENT_TOOLS_DIR PR_TOOLS_DIR
 #   each *_TOOLS_DIR holds a chaser_run binary, e.g. build/tools
@@ -36,47 +43,56 @@ done
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-identity-sweep.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-APPS=(bfs kmeans lud matvec clamr)
-JOBS=(1 4)
-SAMPLINGS=(uniform weighted)
+# One cell per line: app, a cell name, then the extra chaser_run flags.
+CELLS=()
+for app in bfs kmeans lud matvec clamr; do
+  CELLS+=("$app uniform" "$app weighted --sample weighted --stop-ci 0.05")
+done
+for app in lud clamr; do
+  CELLS+=("$app stratified --sample stratified --stop-ci 0.05")
+done
+for app in matvec lud; do
+  CELLS+=("$app iskip --injector iskip"
+          "$app stuckat --injector stuckat:value=1,bits=2"
+          "$app rank-crash --injector rank-crash")
+done
+CELLS+=("kmeans tb-cache-cap-8 --tb-cache-cap 8 --runs 4"
+        "clamr no-trace --no-trace")
 
 cells=0
-for app in "${APPS[@]}"; do
-  for jobs in "${JOBS[@]}"; do
-    for sampling in "${SAMPLINGS[@]}"; do
-      cell="$app-j$jobs-$sampling"
-      flags=(--app "$app" --runs 200 --seed 11 --jobs "$jobs")
-      if [[ "$sampling" == weighted ]]; then
-        flags+=(--sample weighted --stop-ci 0.05)
+for spec in "${CELLS[@]}"; do
+  read -r app name cell_flags <<<"$spec"
+  read -r -a cell_flags <<<"$cell_flags"
+  for jobs in 1 4; do
+    cell="$app-j$jobs-$name"
+    flags=(--app "$app" --runs 200 --seed 11 --jobs "$jobs" "${cell_flags[@]}")
+    for side in parent pr; do
+      dir="$WORK/$side/$cell"
+      mkdir -p "$dir"
+      extra=()
+      [[ " ${cell_flags[*]} " == *" --sample "* ]] || extra=(--spool "$dir/spool")
+      if ! "${RUN[$side]}" "${flags[@]}" "${extra[@]}" \
+             --report "$dir/report.txt" --out "$dir/records.csv" \
+             >"$WORK/$side-$cell.log" 2>&1 ||
+         ! "${RUN[$side]}" "${flags[@]}" --records-format ctr \
+             --out "$dir/store" >>"$WORK/$side-$cell.log" 2>&1; then
+        echo "identity_sweep: FAIL — $side run of $cell exited non-zero:"
+        tail -5 "$WORK/$side-$cell.log"
+        exit 1
       fi
-      for side in parent pr; do
-        dir="$WORK/$side/$cell"
-        mkdir -p "$dir"
-        extra=()
-        [[ "$sampling" == uniform ]] && extra=(--spool "$dir/spool")
-        if ! "${RUN[$side]}" "${flags[@]}" "${extra[@]}" \
-               --report "$dir/report.txt" --out "$dir/records.csv" \
-               >"$WORK/$side-$cell.log" 2>&1 ||
-           ! "${RUN[$side]}" "${flags[@]}" --records-format ctr \
-               --out "$dir/store" >>"$WORK/$side-$cell.log" 2>&1; then
-          echo "identity_sweep: FAIL — $side run of $cell exited non-zero:"
-          tail -5 "$WORK/$side-$cell.log"
-          exit 1
-        fi
-      done
-      for out in report.txt records.csv store spool; do
-        want="$WORK/parent/$cell/$out"
-        got="$WORK/pr/$cell/$out"
-        [[ -e "$want" || -e "$got" ]] || continue
-        if ! diff -rq "$want" "$got" >/dev/null 2>&1; then
-          echo "identity_sweep: FAIL — $cell/$out differs:"
-          diff -rq "$want" "$got" 2>&1 | head -3
-          exit 1
-        fi
-      done
-      cells=$((cells + 1))
-      echo "   ok $cell"
     done
+    for out in report.txt records.csv store spool; do
+      want="$WORK/parent/$cell/$out"
+      got="$WORK/pr/$cell/$out"
+      [[ -e "$want" || -e "$got" ]] || continue
+      if ! diff -rq "$want" "$got" >/dev/null 2>&1; then
+        echo "identity_sweep: FAIL — $cell/$out differs:"
+        diff -rq "$want" "$got" 2>&1 | head -3
+        exit 1
+      fi
+    done
+    cells=$((cells + 1))
+    echo "   ok $cell"
   done
 done
 
