@@ -17,7 +17,6 @@
 #include "apps/app.h"
 #include "bench_util.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "core/injectors/registry.h"
 
 namespace {
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
           core::InjectorRegistry::Global().Find(spec)->fault_class;
       cell.app = app.name;
       cell.secs = bench::TimeSecs([&] {
-        campaign::ParallelCampaign c(app.build(), config, jobs);
+        campaign::Campaign c(app.build(), config, jobs);
         cell.result = c.Run();
       });
       cells.push_back(std::move(cell));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "analysis/spool.h"
@@ -13,6 +15,7 @@
 #include "common/strings.h"
 #include "core/injectors/probabilistic_injector.h"
 #include "core/trigger.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
 
 namespace chaser::campaign {
@@ -219,7 +222,11 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
     : spec_(spec),
       config_(config),
       inject_ranks_(inject_ranks),
-      image_(std::make_shared<const guest::Program>(spec.program)) {
+      image_(std::make_shared<const guest::Program>(spec.program)),
+      restored_trials_(obs::Registry::Global().GetCounter(
+          "campaign_trials_restored_total")),
+      restored_instructions_(obs::Registry::Global().GetCounter(
+          "guest_instructions_restored_total")) {
   for (const Rank r : inject_ranks_) {
     if (r < 0 || r >= spec_.num_ranks) {
       throw ConfigError(StrFormat("Campaign: inject rank %d outside 0..%d", r,
@@ -541,12 +548,8 @@ void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
     chaser_->rank_chaser(r).Restore(ck.chasers[static_cast<std::size_t>(r)]);
   }
   *chaser_->local_hub() = *ck.hub;
-  static obs::Counter& restored =
-      obs::Registry::Global().GetCounter("campaign_trials_restored_total");
-  static obs::Counter& restored_insns =
-      obs::Registry::Global().GetCounter("guest_instructions_restored_total");
-  restored.Inc();
-  restored_insns.Inc(ck.cluster.round.retired);
+  restored_trials_.Inc();
+  restored_instructions_.Inc(ck.cluster.round.retired);
 }
 
 void TrialEngine::DetachSpool() {
@@ -649,15 +652,73 @@ RunRecord RunTrialContained(std::unique_ptr<TrialEngine>* engine,
   return rec;
 }
 
-// ---- Campaign (serial driver) ------------------------------------------------
+// ---- Seed-order commit ---------------------------------------------------------
 
-Campaign::Campaign(apps::AppSpec spec, CampaignConfig config)
+SeedOrderCommitter::SeedOrderCommitter(
+    SamplePolicy policy, double stop_ci, std::uint64_t planned,
+    bool keep_records, std::function<void(const RunRecord&)> sink)
+    : policy_(policy),
+      stop_ci_(stop_ci),
+      planned_(planned),
+      keep_records_(keep_records),
+      sink_(std::move(sink)) {
+  // A plain uniform campaign runs no estimator, keeping its report/CSV/spool
+  // bytes identical to pre-sampling builds.
+  if (policy != SamplePolicy::kUniform || stop_ci > 0.0) {
+    controller_ = std::make_shared<SampleController>(policy, stop_ci);
+  }
+}
+
+void SeedOrderCommitter::Offer(std::uint64_t position, RunRecord rec) {
+  if (PastStop(position)) return;  // was in flight when the stop latched
+  if (position != next_) {
+    window_.emplace(position, std::move(rec));
+    return;
+  }
+  Commit(std::move(rec));
+  while (!window_.empty() && window_.begin()->first == next_ &&
+         !PastStop(next_)) {
+    Commit(std::move(window_.extract(window_.begin()).mapped()));
+  }
+}
+
+void SeedOrderCommitter::Commit(RunRecord rec) {
+  result_.Accumulate(rec, /*keep_record=*/false);
+  if (sink_) sink_(rec);
+  // Replayed trials feed the estimator exactly like executed ones, so a
+  // resumed campaign stops at the same seed-order prefix.
+  if (controller_ != nullptr &&
+      controller_->Commit(static_cast<int>(rec.outcome), rec.deadlock,
+                          rec.sample_weight) &&
+      controller_->stop_enabled()) {
+    stop_at_.store(next_);
+  }
+  if (keep_records_) result_.records.push_back(std::move(rec));
+  ++next_;
+}
+
+CampaignResult SeedOrderCommitter::Finish() {
+  result_.runs = next_;
+  if (controller_ != nullptr) {
+    result_.stopped_early = controller_->converged() && next_ < planned_;
+    result_.FillEstimates(controller_->estimator(), policy_, stop_ci_,
+                          planned_);
+  }
+  return std::move(result_);
+}
+
+// ---- Campaign ----------------------------------------------------------------
+
+Campaign::Campaign(apps::AppSpec spec, CampaignConfig config, unsigned jobs)
     : spec_(std::move(spec)),
       config_(std::move(config)),
       inject_ranks_(config_.inject_ranks.empty() ? std::set<Rank>{0}
-                                                 : config_.inject_ranks) {
+                                                 : config_.inject_ranks),
+      jobs_(jobs != 0 ? jobs
+                      : std::max(1u, std::thread::hardware_concurrency())) {
   // Resolve the shared translation cache before any engine exists: engines
-  // copy the pointer into their cluster's Vm::Config at construction.
+  // copy the pointer into their cluster's Vm::Config at construction, so the
+  // whole pool reads and writes one cache.
   if (config_.shared_tb_cache == nullptr) {
     owned_tb_cache_ = std::make_unique<tcg::SharedTbCache>(config_.tb_cache_cap);
     config_.shared_tb_cache = owned_tb_cache_.get();
@@ -704,107 +765,120 @@ std::vector<std::uint64_t> Campaign::DeriveTrialSeeds(std::uint64_t seed,
 
 CampaignResult Campaign::Run() {
   obs::Telemetry* const telemetry = config_.telemetry;
-  const bool sharded = config_.shard_count > 1;
   // A shard worker cannot evaluate the early-stop rule: the stop prefix is
   // defined in *global* seed order, which one shard never observes. The
-  // merge step (MergeShardRecords) re-applies it over the combined records.
-  const double stop_ci = sharded ? 0.0 : config_.stop_ci;
-  // The estimator runs whenever a sampling policy or an early stop is
-  // active; a plain uniform campaign bypasses it entirely, keeping its
-  // report/CSV/spool bytes identical to pre-sampling builds.
-  const bool sampling_active =
-      config_.sample_policy != SamplePolicy::kUniform || stop_ci > 0.0;
-  // Shared (not stack-owned) so the telemetry status channel can keep
-  // polling estimates at Finish(), after this frame returned the result.
-  std::shared_ptr<SampleController> controller;
-  if (sampling_active) {
-    controller = std::make_shared<SampleController>(config_.sample_policy,
-                                                    stop_ci);
+  // merge step (MergeShardStreams) re-applies it over the combined records.
+  const double stop_ci = config_.shard_count > 1 ? 0.0 : config_.stop_ci;
+  // This worker's slice of the trial space in seed order: global indices i
+  // with i % shard_count == shard_index (all of them when unsharded).
+  // Everything below runs over slice positions 0..runs-1.
+  const std::vector<std::uint64_t> all_seeds =
+      DeriveTrialSeeds(config_.seed, config_.runs);
+  std::vector<std::uint64_t> seeds;
+  for (const std::uint64_t index : ShardTrialIndices(
+           config_.runs, ShardSpec{config_.shard_index, config_.shard_count})) {
+    seeds.push_back(all_seeds[static_cast<std::size_t>(index)]);
   }
-  // This worker's slice of the trial space: global indices i with
-  // i % shard_count == shard_index (the identity mapping when unsharded).
-  const std::vector<std::uint64_t> indices = ShardTrialIndices(
-      config_.runs, ShardSpec{config_.shard_index, config_.shard_count});
+  const std::uint64_t runs = seeds.size();
+  SeedOrderCommitter committer(config_.sample_policy, stop_ci, runs,
+                               config_.keep_records, config_.record_sink);
+  std::mutex commit_mutex;  // guards `committer` once workers run
   if (telemetry != nullptr) {
-    if (controller != nullptr) {
+    if (const auto controller = committer.controller()) {
+      // Shared, so the status channel can still poll it at Finish(), after
+      // this frame returned.
       telemetry->SetEstimatesSource(
           [controller] { return controller->Snapshot(); });
     }
-    telemetry->BeginCampaign(spec_.name, indices.size());
-    telemetry->AttachThread("main");
+    telemetry->BeginCampaign(spec_.name, runs);
   }
+  const obs::ThreadAttachment attachment(telemetry, "main");
   if (!golden_done_) RunGolden();
-  const std::vector<std::uint64_t> seeds =
-      DeriveTrialSeeds(config_.seed, config_.runs);
 
   // With a journal, trials completed by an earlier (possibly killed) process
-  // are replayed instead of re-run; everything executed here is appended so
-  // the *next* resume sees it. Records are keyed by run_seed, so replay
-  // order (journal append order) never affects the seed-ordered reduction.
+  // are committed from it instead of re-run, before any worker starts — a
+  // resumed campaign that already converged runs no new trial. Records are
+  // keyed by run_seed, so journal order (workers append as they finish)
+  // never affects the seed-order commit. Workers share the journal:
+  // TrialJournal::Append is locked and fsync-framed, so records land whole.
   std::unique_ptr<TrialJournal> journal;
-  std::map<std::uint64_t, RunRecord> done;
+  std::map<std::uint64_t, RunRecord> journalled;
   if (!config_.journal_path.empty()) {
     std::vector<RunRecord> replayed;
     journal = std::make_unique<TrialJournal>(config_.journal_path, config_.seed,
                                              spec_.name, &replayed,
                                              config_.shard_index,
                                              config_.shard_count);
-    for (RunRecord& rec : replayed) done[rec.run_seed] = std::move(rec);
+    for (RunRecord& rec : replayed) journalled[rec.run_seed] = std::move(rec);
   }
-
-  CampaignResult result;
-  result.runs = config_.runs;
-  std::uint64_t committed = 0;
-  for (const std::uint64_t index : indices) {
-    const std::uint64_t run_seed = seeds[index];
-    const auto it = done.find(run_seed);
-    if (it != done.end()) {
-      result.Accumulate(it->second, config_.keep_records);
-      if (config_.record_sink) config_.record_sink(it->second);
-      ++committed;
-      if (telemetry != nullptr) {
-        telemetry->OnTrialDone(ToTrialStats(it->second, /*replayed=*/true), 0, 0);
-      }
-      // Replayed trials feed the estimator exactly like executed ones, so a
-      // resumed campaign stops at the same seed-order prefix — that is what
-      // makes --stop-ci journal/resume-safe.
-      if (controller != nullptr &&
-          controller->Commit(static_cast<int>(it->second.outcome),
-                             it->second.deadlock, it->second.sample_weight) &&
-          controller->stop_enabled()) {
-        break;
-      }
+  std::vector<std::uint64_t> pending;  // positions still to execute
+  for (std::uint64_t i = 0; i < runs; ++i) {
+    const auto it = journalled.find(seeds[static_cast<std::size_t>(i)]);
+    if (it == journalled.end()) {
+      pending.push_back(i);
       continue;
     }
-    const std::uint64_t t0_ns =
-        telemetry != nullptr ? obs::MonotonicNanos() : 0;
-    const RunRecord rec = RunTrialContained(&engine_, spec_, config_,
-                                            inject_ranks_, golden_, run_seed);
-    if (journal != nullptr) journal->Append(rec);
-    result.Accumulate(rec, config_.keep_records);
-    if (config_.record_sink) config_.record_sink(rec);
-    ++committed;
     if (telemetry != nullptr) {
-      telemetry->OnTrialDone(ToTrialStats(rec, /*replayed=*/false), t0_ns,
-                             obs::MonotonicNanos());
+      telemetry->OnTrialDone(ToTrialStats(it->second, /*replayed=*/true), 0, 0);
     }
-    if (controller != nullptr &&
-        controller->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                           rec.sample_weight) &&
-        controller->stop_enabled()) {
-      break;
+    committer.Offer(i, std::move(it->second));
+  }
+
+  std::atomic<std::uint64_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto worker = [&](unsigned w) {
+    // Worker 0 goes on with the golden run's engine; the others build
+    // their own at their first trial.
+    std::unique_ptr<TrialEngine> own_engine;
+    std::unique_ptr<TrialEngine>* const engine =
+        w == 0 ? &engine_ : &own_engine;
+    const obs::ThreadAttachment worker_attachment(
+        telemetry, "worker-" + std::to_string(w));
+    try {
+      for (std::uint64_t p = next.fetch_add(1, std::memory_order_relaxed);
+           p < pending.size();
+           p = next.fetch_add(1, std::memory_order_relaxed)) {
+        const std::uint64_t i = pending[static_cast<std::size_t>(p)];
+        // Positions are claimed in ascending order, so once one lies past a
+        // latched stop, every later claim would too. Trials in flight when
+        // the stop latched still finish and are journalled, but never enter
+        // the result.
+        if (committer.PastStop(i)) break;
+        const std::uint64_t t0_ns =
+            telemetry != nullptr ? obs::MonotonicNanos() : 0;
+        // Containment boundary: a throwing trial retries on a rebuilt engine
+        // and quarantines as kInfra — it cannot take down the pool.
+        RunRecord rec = RunTrialContained(engine, spec_, config_, inject_ranks_,
+                                          golden_,
+                                          seeds[static_cast<std::size_t>(i)]);
+        if (journal != nullptr) journal->Append(rec);
+        if (telemetry != nullptr) {
+          telemetry->OnTrialDone(ToTrialStats(rec, /*replayed=*/false), t0_ns,
+                                 obs::MonotonicNanos());
+        }
+        const std::lock_guard<std::mutex> lock(commit_mutex);
+        committer.Offer(i, std::move(rec));
+      }
+    } catch (...) {
+      // Only failures outside trial containment land here (the journal
+      // device filling up, a throwing record sink) — they end the campaign.
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+      // The other workers stop at their next claim.
+      next.store(pending.size(), std::memory_order_relaxed);
     }
+  };
+
+  const auto n_workers = static_cast<unsigned>(
+      std::clamp<std::uint64_t>(pending.size(), 1, jobs_));
+  {
+    std::vector<std::jthread> helpers;  // joined when this scope exits
+    for (unsigned w = 1; w < n_workers; ++w) helpers.emplace_back(worker, w);
+    worker(0);
   }
-  if (controller != nullptr) {
-    result.runs = committed;
-    result.stopped_early = controller->converged() && committed < config_.runs;
-    result.FillEstimates(controller->estimator(), config_.sample_policy,
-                         stop_ci, config_.runs);
-  } else if (sharded) {
-    result.runs = committed;  // this worker's slice, not the global plan
-  }
-  if (telemetry != nullptr) telemetry->DetachThread();
-  return result;
+  if (error) std::rethrow_exception(error);
+  return committer.Finish();
 }
 
 }  // namespace chaser::campaign

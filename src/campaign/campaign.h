@@ -20,11 +20,15 @@
 //   golden phase   runs once, produces an immutable GoldenProfile that every
 //                  subsequent trial only reads;
 //   trial phase    each trial mutates a Cluster + ChaserMpi + TaintHub. That
-//                  mutable state is encapsulated in a TrialEngine so the
-//                  serial Campaign owns one engine while ParallelCampaign
-//                  (campaign/parallel.h) gives each worker thread its own.
+//                  mutable state is encapsulated in a TrialEngine, one per
+//                  worker thread of the campaign's pool.
+//
+// Trials commit through one SeedOrderCommitter in seed order, whatever
+// order the workers finish them in, so a campaign's result is the same at
+// any worker count.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -43,6 +47,7 @@
 #include "tcg/shared_cache.h"
 
 namespace chaser::obs {
+class Counter;
 class Telemetry;
 struct TrialStats;
 }
@@ -90,7 +95,7 @@ struct RunRecord {
   std::uint64_t run_seed = 0;      // reproduce this exact trial
   std::uint64_t instructions = 0;  // total guest instructions this trial
   /// Hot-path counters summed over ranks (deterministic per run_seed and
-  /// invariant across serial/parallel drivers and translation caches —
+  /// invariant across worker counts and translation caches —
   /// which is why they may live in the identity-checked record).
   std::uint64_t tb_chain_hits = 0;
   std::uint64_t tlb_hits = 0;
@@ -114,8 +119,7 @@ struct RunRecord {
 };
 
 /// Map a RunRecord onto the obs layer's neutral mirror (obs cannot see
-/// campaign types, so the drivers translate at the boundary). Used by both
-/// the serial and parallel drivers so their telemetry cannot diverge.
+/// campaign types, so the driver translates at the boundary).
 obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed);
 
 struct CampaignConfig {
@@ -155,7 +159,7 @@ struct CampaignConfig {
   /// Early stop: halt once every outcome-rate Wilson interval (95%) is
   /// narrower than this full width, never before SampleController::
   /// kMinStopTrials trials. 0 = run all `runs` trials. Works with any
-  /// policy and both drivers; the stop point is a deterministic function of
+  /// policy and worker count; the stop point is a deterministic function of
   /// the seed-ordered trial prefix, so it is journal/resume-safe.
   double stop_ci = 0.0;
   /// Degradation model installed into every trial's TaintHub (outages,
@@ -178,7 +182,7 @@ struct CampaignConfig {
   /// changes nothing. When shard_count > 1, --stop-ci is force-disabled in
   /// the worker (the stop prefix is defined in *global* seed order, which a
   /// single shard cannot observe) and re-applied at merge by
-  /// campaign::MergeShardRecords.
+  /// campaign::MergeShardStreams.
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
   /// Non-empty: every trial's hub operations go to these chaser_hubd
@@ -189,12 +193,12 @@ struct CampaignConfig {
   /// attempt, *inside* the containment boundary — throwing from here
   /// exercises the retry/quarantine path deterministically.
   std::function<void(std::uint64_t, unsigned)> trial_chaos;
-  /// Called once per committed trial, in campaign seed order, right after
-  /// the record enters the result — journal-replayed records included, which
-  /// is what makes a resumed sink stream identical to an uninterrupted one.
-  /// Both drivers invoke it from single-threaded code (the serial loop / the
-  /// parallel ordered reduction). The streaming hook the CTR trial store
-  /// hangs off; an exception thrown from it ends the campaign.
+  /// Called once per committed trial, in campaign seed order, as the trial
+  /// commits — journal-replayed records included, which is what makes a
+  /// resumed sink stream identical to an uninterrupted one. Calls are
+  /// serialized under the driver's commit lock, possibly on a worker thread.
+  /// The streaming hook the CTR trial store hangs off; an exception thrown
+  /// from it ends the campaign.
   std::function<void(const RunRecord&)> record_sink;
   /// Borrowed observability facade (obs/telemetry.h); must outlive the
   /// campaign. Null = telemetry off — instrumentation sites degrade to a
@@ -267,12 +271,11 @@ struct CampaignResult {
   WilsonInterval est_hang;       // deadlock subset of terminated
 
   /// Tally one trial into the counters (and into `records` if
-  /// `keep_record`). The serial and parallel drivers reduce through this
-  /// same function, so their outcome bookkeeping cannot diverge.
+  /// `keep_record`).
   void Accumulate(const RunRecord& rec, bool keep_record);
 
-  /// Fill the estimates block from a finished estimator (both drivers feed
-  /// their estimator in seed order, so the floats agree bit for bit).
+  /// Fill the estimates block from a finished estimator (fed in seed order,
+  /// so the floats agree bit for bit at any worker count).
   void FillEstimates(const OutcomeEstimator& est, SamplePolicy policy,
                      double stop_ci_width, std::uint64_t planned);
 
@@ -331,7 +334,7 @@ struct GoldenProfile {
 /// One trial-execution engine: a private Cluster + ChaserMpi (and therefore
 /// TaintHub) that runs injection trials against a shared GoldenProfile.
 /// Engines own all per-trial mutable state — two engines never share
-/// anything writable, which is what makes the parallel driver race-free.
+/// anything writable, which is what makes the worker pool race-free.
 class TrialEngine {
  public:
   /// `spec`, `config` and `inject_ranks` are borrowed and must stay alive
@@ -389,9 +392,13 @@ class TrialEngine {
   /// skip a kill a booted trial suffers, so such checkpoints are not used.
   std::uint64_t per_rank_budget_ = 0;
   std::uint64_t total_budget_ = 0;
+  /// Registered when the engine is built, so a campaign in which no trial
+  /// restores still reports them, as 0.
+  obs::Counter& restored_trials_;
+  obs::Counter& restored_instructions_;
 };
 
-/// Containment boundary shared by the serial and parallel drivers: run one
+/// Containment boundary around every trial the driver runs: run one
 /// trial, catching anything the engine throws. A throwing attempt discards
 /// `*engine` (its Cluster/TaintHub may be in an arbitrary state) and retries
 /// with a freshly built engine after exponential backoff, up to
@@ -406,9 +413,65 @@ RunRecord RunTrialContained(std::unique_ptr<TrialEngine>* engine,
                             const GoldenProfile& golden,
                             std::uint64_t run_seed);
 
+/// The seed-order reduction every campaign result goes through: the driver
+/// offers each trial's record as a worker finishes it, the fleet merge each
+/// record it pulls from a shard. Records commit in position order — a reorder
+/// window holds only the ones that finished before an earlier position did —
+/// and each commit runs CampaignResult::Accumulate, the record sink and the
+/// SampleController stop rule. The commit at which the stop rule fires
+/// latches the stop: no later position enters the result. Only PastStop() is
+/// safe to call concurrently; the driver serializes Offer() under its commit
+/// lock.
+class SeedOrderCommitter {
+ public:
+  /// Commits positions 0..planned-1. `stop_ci` > 0 arms the early stop; the
+  /// estimator runs whenever the stop is armed or `policy` samples.
+  SeedOrderCommitter(SamplePolicy policy, double stop_ci, std::uint64_t planned,
+                     bool keep_records,
+                     std::function<void(const RunRecord&)> sink);
+
+  /// The record of trial `position`; it commits once every earlier position
+  /// has. A record past a latched stop is dropped.
+  void Offer(std::uint64_t position, RunRecord rec);
+
+  /// True when the stop latched before `position`: that trial would be
+  /// dropped, and so would every later one.
+  bool PastStop(std::uint64_t position) const {
+    return position > stop_at_.load();
+  }
+
+  /// The estimator for the telemetry status channel; null on a plain
+  /// uniform campaign, which runs none.
+  std::shared_ptr<const SampleController> controller() const {
+    return controller_;
+  }
+
+  /// The result over the committed trials, estimates filled in. Call once,
+  /// after the last Offer().
+  CampaignResult Finish();
+
+ private:
+  void Commit(RunRecord rec);
+
+  const SamplePolicy policy_;
+  const double stop_ci_;
+  const std::uint64_t planned_;
+  const bool keep_records_;
+  const std::function<void(const RunRecord&)> sink_;
+  std::shared_ptr<SampleController> controller_;
+  CampaignResult result_;
+  std::uint64_t next_ = 0;  // the position that commits next
+  std::map<std::uint64_t, RunRecord> window_;
+  std::atomic<std::uint64_t> stop_at_{UINT64_MAX};
+};
+
+/// The campaign driver: a golden run, then config.runs trials on a pool of
+/// worker threads, committed in seed order through a SeedOrderCommitter.
 class Campaign {
  public:
-  Campaign(apps::AppSpec spec, CampaignConfig config);
+  /// `jobs` worker threads run the trials; 0 = one per hardware thread.
+  /// Worker 0 is the calling thread, on the engine the golden run used.
+  Campaign(apps::AppSpec spec, CampaignConfig config, unsigned jobs = 1);
 
   /// Execute the golden run (throws ConfigError if the clean app fails) and
   /// profile targeted-instruction execution counts per inject rank. With
@@ -420,21 +483,20 @@ class Campaign {
   /// it lazily). `run_seed` fully determines the trial.
   RunRecord RunOnce(std::uint64_t run_seed);
 
-  /// Full campaign: golden + config.runs trials. Trial failures are
-  /// contained per RunTrialContained. With config.journal_path set, every
-  /// completed trial is journalled and trials already in the journal are
-  /// replayed instead of re-run — the resumed result is byte-identical to
-  /// an uninterrupted one.
+  /// Full campaign: golden + config.runs trials (this shard's slice of them
+  /// when sharded). Trial failures are contained per RunTrialContained.
+  /// With config.journal_path set, every completed trial is journalled and
+  /// trials already in the journal are replayed instead of re-run — the
+  /// resumed result is byte-identical to an uninterrupted one.
   CampaignResult Run();
 
-  /// The first `n` trial seeds a fresh serial Run() draws for campaign seed
-  /// `seed` (the n successive Fork()s of Rng(seed)). ParallelCampaign
-  /// dispatches exactly this sequence, which is what makes its result
-  /// bit-identical to the serial path for any worker count.
+  /// The campaign's trial seeds: the n successive Fork()s of Rng(seed).
+  /// Trial i runs seed i at any worker count and in any shard.
   static std::vector<std::uint64_t> DeriveTrialSeeds(std::uint64_t seed,
                                                      std::uint64_t n);
 
   // ---- Introspection -------------------------------------------------------
+  unsigned jobs() const { return jobs_; }
   bool golden_done() const { return golden_done_; }
   const GoldenProfile& golden() const { return golden_; }
   /// Golden output of (r, fd); throws ConfigError naming the rank/fd if the
@@ -455,12 +517,14 @@ class Campaign {
   apps::AppSpec spec_;
   CampaignConfig config_;
   std::set<Rank> inject_ranks_;
+  unsigned jobs_;
   /// Campaign-owned shared cache (when no external cache was supplied).
   /// Declared before engine_: engines must be destroyed before the cache
   /// their VMs point into.
   std::unique_ptr<tcg::SharedTbCache> owned_tb_cache_;
-  /// Owned via pointer so containment can rebuild it after a trial throws
-  /// (a half-destroyed Cluster must never serve another trial).
+  /// The golden run's engine, which worker 0 goes on with. Owned via
+  /// pointer so containment can rebuild it after a trial throws (a
+  /// half-destroyed Cluster must never serve another trial).
   std::unique_ptr<TrialEngine> engine_;  // borrows spec_/config_/inject_ranks_
 
   GoldenProfile golden_;

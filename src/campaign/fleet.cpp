@@ -1,6 +1,7 @@
 #include "campaign/fleet.h"
 
-#include <map>
+#include <algorithm>
+#include <memory>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -38,66 +39,6 @@ std::vector<std::uint64_t> ShardTrialIndices(std::uint64_t runs,
   return indices;
 }
 
-CampaignResult MergeShardRecords(const MergePlan& plan,
-                                 const std::vector<RunRecord>& shard_records) {
-  std::map<std::uint64_t, const RunRecord*> by_seed;
-  for (const RunRecord& rec : shard_records) {
-    const auto [it, inserted] = by_seed.emplace(rec.run_seed, &rec);
-    if (!inserted) {
-      throw ConfigError(StrFormat(
-          "MergeShardRecords: run_seed %llu appears twice — two shards ran "
-          "the same trial, or a records file was passed more than once",
-          static_cast<unsigned long long>(rec.run_seed)));
-    }
-  }
-
-  // Replay the serial driver's reduction loop exactly: walk the global seed
-  // order, Accumulate, feed the stop controller, and stop where it would
-  // have stopped. The records carry every field Accumulate and the
-  // estimator read, so the merged result is bit-identical to a single
-  // process running the same plan.
-  const bool sampling_active =
-      plan.sample_policy != SamplePolicy::kUniform || plan.stop_ci > 0.0;
-  std::unique_ptr<SampleController> controller;
-  if (sampling_active) {
-    controller = std::make_unique<SampleController>(plan.sample_policy,
-                                                    plan.stop_ci);
-  }
-  const std::vector<std::uint64_t> seeds =
-      Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
-
-  CampaignResult result;
-  result.runs = plan.runs;
-  std::uint64_t committed = 0;
-  for (const std::uint64_t run_seed : seeds) {
-    const auto it = by_seed.find(run_seed);
-    if (it == by_seed.end()) {
-      throw ConfigError(StrFormat(
-          "MergeShardRecords: no shard provided trial seed %llu (trial %llu "
-          "of %llu) — a shard's records are incomplete or missing",
-          static_cast<unsigned long long>(run_seed),
-          static_cast<unsigned long long>(committed + 1),
-          static_cast<unsigned long long>(plan.runs)));
-    }
-    const RunRecord& rec = *it->second;
-    result.Accumulate(rec, plan.keep_records);
-    ++committed;
-    if (controller != nullptr &&
-        controller->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                           rec.sample_weight) &&
-        controller->stop_enabled()) {
-      break;
-    }
-  }
-  if (controller != nullptr) {
-    result.runs = committed;
-    result.stopped_early = controller->converged() && committed < plan.runs;
-    result.FillEstimates(controller->estimator(), plan.sample_policy,
-                         plan.stop_ci, plan.runs);
-  }
-  return result;
-}
-
 CampaignResult MergeShardStreams(
     const MergePlan& plan, std::vector<ShardRecordStream> streams,
     const std::function<void(const RunRecord&)>& sink) {
@@ -105,30 +46,20 @@ CampaignResult MergeShardStreams(
     throw ConfigError("MergeShardStreams: no shard streams");
   }
   const std::uint64_t n_shards = streams.size();
-  const bool sampling_active =
-      plan.sample_policy != SamplePolicy::kUniform || plan.stop_ci > 0.0;
-  std::unique_ptr<SampleController> controller;
-  if (sampling_active) {
-    controller = std::make_unique<SampleController>(plan.sample_policy,
-                                                    plan.stop_ci);
-  }
   const std::vector<std::uint64_t> seeds =
       Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
-
-  // Same reduction loop as MergeShardRecords, but global trial t's record is
-  // the next unread record of stream t % N instead of a map lookup — the
+  SeedOrderCommitter committer(plan.sample_policy, plan.stop_ci, plan.runs,
+                               plan.keep_records, sink);
+  // Global trial t's record is the next unread record of stream t % N: the
   // shard partition *is* the round-robin, so pulling in lockstep walks the
   // global seed order with one in-flight record per shard.
-  CampaignResult result;
-  result.runs = plan.runs;
-  std::uint64_t committed = 0;
   RunRecord rec;
-  for (std::uint64_t t = 0; t < plan.runs; ++t) {
+  for (std::uint64_t t = 0; t < plan.runs && !committer.PastStop(t); ++t) {
     ShardRecordStream& stream = streams[static_cast<std::size_t>(t % n_shards)];
     if (!stream(&rec)) {
       throw ConfigError(StrFormat(
           "MergeShardStreams: shard %llu ran out of records at trial %llu of "
-          "%llu — its store is incomplete",
+          "%llu — its records are incomplete",
           static_cast<unsigned long long>(t % n_shards),
           static_cast<unsigned long long>(t + 1),
           static_cast<unsigned long long>(plan.runs)));
@@ -144,23 +75,52 @@ CampaignResult MergeShardStreams(
           static_cast<unsigned long long>(t + 1),
           static_cast<unsigned long long>(plan.runs)));
     }
-    result.Accumulate(rec, plan.keep_records);
-    if (sink) sink(rec);
-    ++committed;
-    if (controller != nullptr &&
-        controller->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                           rec.sample_weight) &&
-        controller->stop_enabled()) {
-      break;
+    committer.Offer(t, std::move(rec));
+  }
+  return committer.Finish();
+}
+
+std::vector<ShardRecordStream> ShardStreamsByFirstSeed(
+    const MergePlan& plan, std::vector<std::vector<RunRecord>> shards) {
+  const std::vector<std::uint64_t> seeds =
+      Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
+  const std::size_t n_shards = shards.size();
+  std::vector<ShardRecordStream> streams(n_shards);
+  const auto stream_of = [](std::vector<RunRecord> records) {
+    return [records = std::make_shared<std::vector<RunRecord>>(
+                std::move(records)),
+            next = std::size_t{0}](RunRecord* out) mutable {
+      if (next == records->size()) return false;
+      *out = (*records)[next++];
+      return true;
+    };
+  };
+  for (std::size_t k = 0; k < n_shards; ++k) {
+    if (shards[k].empty()) continue;
+    const std::uint64_t first = shards[k].front().run_seed;
+    const auto it = std::find(seeds.begin(), seeds.end(), first);
+    if (it == seeds.end()) {
+      throw ConfigError(StrFormat(
+          "merge: input %zu starts with trial seed %llu, which is not one of "
+          "the plan's %llu trials",
+          k + 1, static_cast<unsigned long long>(first),
+          static_cast<unsigned long long>(plan.runs)));
     }
+    const std::size_t shard =
+        static_cast<std::size_t>(it - seeds.begin()) % n_shards;
+    if (streams[shard]) {
+      throw ConfigError(StrFormat(
+          "merge: input %zu claims shard %zu, which an earlier input holds — "
+          "a records file was passed twice",
+          k + 1, shard));
+    }
+    streams[shard] = stream_of(std::move(shards[k]));
   }
-  if (controller != nullptr) {
-    result.runs = committed;
-    result.stopped_early = controller->converged() && committed < plan.runs;
-    result.FillEstimates(controller->estimator(), plan.sample_policy,
-                         plan.stop_ci, plan.runs);
+  // The shards no input claimed are the empty inputs' — one each.
+  for (ShardRecordStream& stream : streams) {
+    if (!stream) stream = [](RunRecord*) { return false; };
   }
-  return result;
+  return streams;
 }
 
 namespace {
@@ -192,6 +152,7 @@ ShardStatus ParseShardStatus(const std::string& json) {
   s.terminated = JsonU64(json, "terminated");
   s.sdc = JsonU64(json, "sdc");
   s.infra = JsonU64(json, "infra");
+  s.crashed = JsonU64(json, "crashed");
   s.taint_lost = JsonU64(json, "taint_lost");
   s.trace_dropped = JsonU64(json, "trace_dropped");
   JsonFindNumber(json, "elapsed_s", &s.elapsed_s);
@@ -220,6 +181,7 @@ FleetRollup RollUpShards(const std::vector<ShardStatus>& statuses) {
     r.terminated += s.terminated;
     r.sdc += s.sdc;
     r.infra += s.infra;
+    r.crashed += s.crashed;
     r.taint_lost += s.taint_lost;
     r.trace_dropped += s.trace_dropped;
     r.trials_per_s += s.trials_per_s;
@@ -236,6 +198,7 @@ FleetRollup RollUpShards(const std::vector<ShardStatus>& statuses) {
     r.terminated_rate = static_cast<double>(r.terminated) / done;
     r.sdc_rate = static_cast<double>(r.sdc) / done;
     r.infra_rate = static_cast<double>(r.infra) / done;
+    r.crashed_rate = static_cast<double>(r.crashed) / done;
   }
   return r;
 }

@@ -5,11 +5,11 @@
 // index % N == i, in seed order. Because every worker derives the identical
 // seed sequence (Campaign::DeriveTrialSeeds) and trials are pure functions
 // of their run_seed, the partition is deterministic, disjoint, and complete
-// — and merging the per-shard records in global seed order through the same
-// CampaignResult::Accumulate / SampleController path the serial driver uses
-// reproduces the unsharded report byte for byte, early stop included (the
-// stop prefix is re-evaluated here, in global order, which is why shard
-// workers themselves never stop early).
+// — and merging the per-shard records in global seed order through the
+// SeedOrderCommitter the campaign driver commits through reproduces the
+// unsharded report byte for byte, early stop included (the stop prefix is
+// re-evaluated here, in global order, which is why shard workers themselves
+// never stop early).
 #pragma once
 
 #include <cstdint>
@@ -45,32 +45,33 @@ struct MergePlan {
   bool keep_records = true;
 };
 
-/// Merge per-shard trial records into the result an unsharded run of `plan`
-/// would have produced. `shard_records` is the concatenation of every
-/// shard's records (any order — they are re-keyed by run_seed). Throws
-/// ConfigError on a duplicate run_seed (two shards ran the same trial, or
-/// one CSV was passed twice) or on a seed the plan needs that no shard
-/// provided (a shard's records are incomplete) — except past the early-stop
-/// point, where missing trials are expected.
-CampaignResult MergeShardRecords(const MergePlan& plan,
-                                 const std::vector<RunRecord>& shard_records);
-
 /// One shard's records as a pull stream, in the shard's own (seed-order)
 /// sequence: fills `*out` and returns true, or returns false at the end.
 using ShardRecordStream = std::function<bool(RunRecord*)>;
 
-/// Streaming MergeShardRecords: byte-identical result, bounded memory.
-/// `streams[i]` must yield shard i's records in order — because shard i owns
-/// exactly the global trial indices with index % N == i, the global seed
-/// order is a round-robin over the streams, so the merge pulls one record at
-/// a time and never materializes a shard's record set. Each pulled record's
-/// run_seed is verified against the plan's derived seed sequence; a mismatch
-/// (duplicate, missing, or mis-ordered trial) is a ConfigError. `sink`, when
-/// set, sees every committed record in global seed order — the hook a merged
-/// CTR store or streaming CSV export hangs off.
+/// Merge per-shard records into the result an unsharded run of `plan` would
+/// have produced, with bounded memory. `streams[i]` must yield shard i's
+/// records in order — because shard i owns exactly the global trial indices
+/// with index % N == i, the global seed order is a round-robin over the
+/// streams, so the merge pulls one record at a time into the
+/// SeedOrderCommitter and never materializes a shard's record set. Each
+/// pulled record's run_seed is verified against the plan's derived seed
+/// sequence; a stream that runs dry before the stop point (an incomplete
+/// shard) or yields the wrong seed (duplicate, missing, or mis-ordered
+/// trial) is a ConfigError. `sink`, when set, sees every committed record in
+/// global seed order — the hook a merged CTR store hangs off.
 CampaignResult MergeShardStreams(
     const MergePlan& plan, std::vector<ShardRecordStream> streams,
     const std::function<void(const RunRecord&)>& sink = nullptr);
+
+/// Streams over record sets that do not say which shard wrote them (records
+/// CSVs), for MergeShardStreams: each set becomes the stream of the shard
+/// its first run_seed belongs to, that trial's global index modulo the
+/// number of sets; empty sets fill the shards left over. Throws ConfigError
+/// when two sets claim one shard (a file passed twice) or a set's first seed
+/// is not one of the plan's trials.
+std::vector<ShardRecordStream> ShardStreamsByFirstSeed(
+    const MergePlan& plan, std::vector<std::vector<RunRecord>> shards);
 
 // ---------------------------------------------------------------------------
 // Fleet observability: shard status parsing and the live rollup.
@@ -88,6 +89,7 @@ struct ShardStatus {
   std::uint64_t terminated = 0;
   std::uint64_t sdc = 0;
   std::uint64_t infra = 0;
+  std::uint64_t crashed = 0;
   std::uint64_t taint_lost = 0;
   std::uint64_t trace_dropped = 0;
   double elapsed_s = 0.0;
@@ -117,6 +119,7 @@ struct FleetRollup {
   std::uint64_t terminated = 0;
   std::uint64_t sdc = 0;
   std::uint64_t infra = 0;
+  std::uint64_t crashed = 0;
   std::uint64_t taint_lost = 0;
   std::uint64_t trace_dropped = 0;
   double trials_per_s = 0.0;  // sum of per-shard rates
@@ -131,6 +134,7 @@ struct FleetRollup {
   double terminated_rate = 0.0;
   double sdc_rate = 0.0;
   double infra_rate = 0.0;
+  double crashed_rate = 0.0;
 };
 
 /// Aggregate shard statuses (one entry per shard, ok=false for shards with

@@ -80,7 +80,7 @@ inline constexpr std::uint64_t kJournalVersion = 5;
 std::string EncodeJournalRecord(const RunRecord& rec,
                                 std::uint64_t version = kJournalVersion);
 
-/// Append-side handle. Thread-safe: ParallelCampaign workers share one
+/// Append-side handle. Thread-safe: a campaign's workers share one
 /// journal and append completed trials as they finish (order is irrelevant —
 /// resume keys records by run_seed).
 class TrialJournal {

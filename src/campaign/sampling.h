@@ -115,8 +115,8 @@ struct WilsonInterval {
 WilsonInterval WilsonScore(double p_hat, double n_eff, double z = 1.96);
 
 /// Weighted outcome-rate estimator. Feeds on committed trials *in seed
-/// order* (floating-point accumulation order matters for bit-identical
-/// serial/parallel results) and tracks the benign / terminated / sdc /
+/// order* (floating-point accumulation order matters for results that are
+/// bit-identical at any worker count) and tracks the benign / terminated / sdc /
 /// hang rates, where hang is the deadlock subset of terminated. Weighted
 /// trials use the self-normalised (Hájek) estimator with Kish's effective
 /// sample size standing in for n in the Wilson interval. kInfra trials are
@@ -146,10 +146,10 @@ class OutcomeEstimator {
   std::uint64_t n_ = 0;
 };
 
-/// Driver-side stop-rule glue shared by the serial and parallel campaigns:
-/// committed trials stream in (seed order — the parallel driver commits
-/// through a reorder buffer), the estimator updates, and the first commit
-/// whose estimate has converged latches the stop. Snapshot() is safe to call
+/// Stop-rule glue behind the SeedOrderCommitter: committed trials stream in
+/// (seed order, whatever order the workers finished them in), the estimator
+/// updates, and the first commit whose estimate has converged latches the
+/// stop. Snapshot() is safe to call
 /// from the telemetry status thread while workers commit.
 class SampleController {
  public:

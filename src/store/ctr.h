@@ -138,9 +138,9 @@ struct CtrWriterOptions {
 };
 
 /// Streaming writer. Feed it every RunRecord in campaign seed order (the
-/// drivers' record_sink does exactly that); call Finish() to seal. Not
-/// thread-safe — records arrive from the single-threaded ordered reduction
-/// in both drivers.
+/// driver's record_sink does exactly that); call Finish() to seal. Not
+/// thread-safe — the driver serializes record_sink calls under its commit
+/// lock.
 class CtrStoreWriter {
  public:
   /// Creates `dir` (and parents). Throws ConfigError on identity mismatch

@@ -15,7 +15,6 @@
 #include "analysis/spool.h"
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/trace.h"
@@ -464,7 +463,7 @@ TEST(SpoolCampaign, SerialAndParallelSpoolsAreByteIdentical) {
   {
     campaign::CampaignConfig c = config;
     c.spool_dir = dir_parallel;
-    campaign::ParallelCampaign parallel(apps::BuildMatvec({}), c, 2);
+    campaign::Campaign parallel(apps::BuildMatvec({}), c, 2);
     (void)parallel.Run();
   }
 

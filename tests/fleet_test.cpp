@@ -1,10 +1,10 @@
 // Tests for src/campaign/fleet and the sharded-campaign machinery: the
-// shard partition must be disjoint and complete, MergeShardRecords must
-// reproduce an unsharded run byte for byte (uniform, sampled, and
-// early-stopped plans, straight from memory or round-tripped through the
-// records CSV), the journal must refuse to resume a different shard spec,
-// and a campaign over a loopback RemoteTaintHub must match the in-process
-// hub exactly.
+// shard partition must be disjoint and complete, the merge must reproduce an
+// unsharded run byte for byte (uniform, sampled, and early-stopped plans,
+// straight from memory or round-tripped through the records CSV, whatever
+// order the shards' records come in), the journal must refuse to resume a
+// different shard spec, a campaign over a loopback RemoteTaintHub must match
+// the in-process hub exactly, and the fleet rollup must count every outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
 #include "campaign/journal.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "guest/builder.h"
@@ -130,21 +129,27 @@ std::string RenderPlusCsv(const CampaignResult& result, SamplePolicy policy) {
   return out.str();
 }
 
+/// Merge per-shard record sets the way chaser_fleet merges records CSVs.
+CampaignResult MergeRecordSets(const MergePlan& plan,
+                               std::vector<std::vector<RunRecord>> sets) {
+  return MergeShardStreams(plan, ShardStreamsByFirstSeed(plan, std::move(sets)));
+}
+
 /// Run the plan unsharded, then as `shards` shard workers, merge, and
-/// compare every byte of report + CSV.
+/// compare every byte of report + CSV. The shards' record sets are handed
+/// over last shard first: each is placed by its first trial, not its
+/// position.
 void ExpectMergeMatchesUnsharded(CampaignConfig config, std::uint64_t shards) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
-  std::vector<RunRecord> shard_records;
-  for (std::uint64_t s = 0; s < shards; ++s) {
+  std::vector<std::vector<RunRecord>> shard_records;
+  for (std::uint64_t s = shards; s-- > 0;) {
     CampaignConfig shard_config = config;
     shard_config.shard_index = s;
     shard_config.shard_count = shards;
     Campaign worker(AccumulatorApp(), shard_config);
-    const CampaignResult partial = worker.Run();
-    shard_records.insert(shard_records.end(), partial.records.begin(),
-                         partial.records.end());
+    shard_records.push_back(worker.Run().records);
   }
 
   MergePlan plan;
@@ -153,7 +158,7 @@ void ExpectMergeMatchesUnsharded(CampaignConfig config, std::uint64_t shards) {
   plan.seed = config.seed;
   plan.sample_policy = config.sample_policy;
   plan.stop_ci = config.stop_ci;
-  const CampaignResult merged = MergeShardRecords(plan, shard_records);
+  const CampaignResult merged = MergeRecordSets(plan, std::move(shard_records));
 
   EXPECT_EQ(RenderPlusCsv(merged, config.sample_policy),
             RenderPlusCsv(expected, config.sample_policy));
@@ -201,7 +206,7 @@ TEST(FleetMergeTest, MergeSurvivesTheCsvRoundTrip) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
-  std::vector<RunRecord> merged_input;
+  std::vector<std::vector<RunRecord>> merged_input;
   for (std::uint64_t s = 0; s < 2; ++s) {
     CampaignConfig shard_config = config;
     shard_config.shard_index = s;
@@ -212,21 +217,43 @@ TEST(FleetMergeTest, MergeSurvivesTheCsvRoundTrip) {
     // chaser_fleet does with the workers' --out files.
     std::stringstream csv;
     WriteRecordsCsv(partial.records, csv, config.sample_policy);
-    const std::vector<RunRecord> reread = ReadRecordsCsv(csv);
-    merged_input.insert(merged_input.end(), reread.begin(), reread.end());
+    merged_input.push_back(ReadRecordsCsv(csv));
   }
   MergePlan plan;
   plan.app = "accum";
   plan.runs = config.runs;
   plan.seed = config.seed;
   plan.sample_policy = config.sample_policy;
-  const CampaignResult merged = MergeShardRecords(plan, merged_input);
+  const CampaignResult merged = MergeRecordSets(plan, std::move(merged_input));
   EXPECT_EQ(RenderPlusCsv(merged, config.sample_policy),
             RenderPlusCsv(expected, config.sample_policy))
       << "the %.17g sample_weight round-trip must keep estimator floats exact";
 }
 
-TEST(FleetMergeTest, DuplicateAndMissingSeedsAreConfigErrors) {
+TEST(FleetMergeTest, ShardsWithoutTrialsMergeFromEmptyInputs) {
+  // Three shards over two trials: shard 2 owns none, so its records file is
+  // empty — handed over first, it still lands on the shard left over.
+  CampaignConfig config;
+  config.runs = 2;
+  config.seed = 4;
+  const CampaignResult expected = Campaign(AccumulatorApp(), config).Run();
+  std::vector<std::vector<RunRecord>> sets(1);
+  for (std::uint64_t s = 0; s < 2; ++s) {
+    CampaignConfig shard_config = config;
+    shard_config.shard_index = s;
+    shard_config.shard_count = 3;
+    sets.push_back(Campaign(AccumulatorApp(), shard_config).Run().records);
+  }
+  MergePlan plan;
+  plan.app = "accum";
+  plan.runs = config.runs;
+  plan.seed = config.seed;
+  EXPECT_EQ(RenderPlusCsv(MergeRecordSets(plan, std::move(sets)),
+                          config.sample_policy),
+            RenderPlusCsv(expected, config.sample_policy));
+}
+
+TEST(FleetMergeTest, DuplicateAndTruncatedShardsAreConfigErrors) {
   CampaignConfig config;
   config.runs = 10;
   config.seed = 3;
@@ -237,13 +264,19 @@ TEST(FleetMergeTest, DuplicateAndMissingSeedsAreConfigErrors) {
   plan.runs = config.runs;
   plan.seed = config.seed;
 
-  std::vector<RunRecord> twice = result.records;
-  twice.insert(twice.end(), result.records.begin(), result.records.end());
-  EXPECT_THROW(MergeShardRecords(plan, twice), ConfigError);
+  // A records file passed twice: both copies claim shard 0.
+  EXPECT_THROW(ShardStreamsByFirstSeed(plan, {result.records, result.records}),
+               ConfigError);
 
+  // A truncated shard: its stream runs dry before the plan's last trial.
   std::vector<RunRecord> partial(result.records.begin(),
                                  result.records.end() - 1);
-  EXPECT_THROW(MergeShardRecords(plan, partial), ConfigError);
+  EXPECT_THROW(MergeRecordSets(plan, {partial}), ConfigError);
+
+  // A first seed that is not one of the plan's trials.
+  std::vector<RunRecord> foreign = result.records;
+  foreign.front().run_seed ^= 1;
+  EXPECT_THROW(ShardStreamsByFirstSeed(plan, {foreign}), ConfigError);
 }
 
 // ---- campaign over a loopback remote hub ------------------------------------
@@ -296,6 +329,7 @@ TEST(ShardStatusTest, ParsesAFullStatusDocument) {
   EXPECT_EQ(s.terminated, 12u);
   EXPECT_EQ(s.sdc, 6u);
   EXPECT_EQ(s.infra, 2u);
+  EXPECT_EQ(s.crashed, 0u);
   EXPECT_EQ(s.taint_lost, 1u);
   EXPECT_EQ(s.trace_dropped, 3u);
   EXPECT_DOUBLE_EQ(s.trials_per_s, 22.0);
@@ -348,6 +382,23 @@ TEST(FleetRollupTest, SumsCountsAndTakesTheSlowestKnownEta) {
   EXPECT_DOUBLE_EQ(r.eta_s, 7.5) << "the fleet finishes with its slowest shard";
   EXPECT_DOUBLE_EQ(r.benign_rate, 1.0);
   EXPECT_DOUBLE_EQ(r.sdc_rate, 0.0);
+}
+
+TEST(FleetRollupTest, CrashedTrialsRollUpWithEveryOtherOutcome) {
+  const FleetRollup r = RollUpShards({
+      ParseShardStatus("{\"running\": false, \"total\": 20, \"done\": 20, "
+                       "\"benign\": 5, \"terminated\": 4, \"sdc\": 3, "
+                       "\"infra\": 1, \"crashed\": 7, \"eta_s\": 0.0}"),
+      ParseShardStatus("{\"running\": false, \"total\": 20, \"done\": 20, "
+                       "\"benign\": 2, \"terminated\": 0, \"sdc\": 0, "
+                       "\"infra\": 0, \"crashed\": 18, \"eta_s\": 0.0}"),
+  });
+  EXPECT_EQ(r.crashed, 25u);
+  EXPECT_EQ(r.done, r.benign + r.terminated + r.sdc + r.infra + r.crashed);
+  EXPECT_DOUBLE_EQ(r.crashed_rate, 25.0 / 40.0);
+  EXPECT_DOUBLE_EQ(r.benign_rate + r.terminated_rate + r.sdc_rate +
+                       r.infra_rate + r.crashed_rate,
+                   1.0);
 }
 
 TEST(FleetRollupTest, OneEtaNullShardMakesTheFleetEtaUnknown) {

@@ -1,16 +1,20 @@
-// Tests for src/campaign/parallel: the worker-pool campaign driver must be
-// bit-identical to the serial Campaign for the same seed at any worker
-// count, and consecutive trials on one engine must be fully isolated (no
+// Tests for the campaign driver's worker pool and its seed-order commit:
+// a campaign must be bit-identical for the same seed at any worker count,
+// trials must commit (and reach the record sink) as they finish, in seed
+// order, and consecutive trials on one engine must be fully isolated (no
 // hub/stat bleed between trials).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "common/error.h"
 #include "guest/builder.h"
 
@@ -94,7 +98,7 @@ void ExpectResultEq(const CampaignResult& a, const CampaignResult& b) {
   }
 }
 
-TEST(ParallelCampaign, BitIdenticalToSerialAtAnyWorkerCount) {
+TEST(WorkerPool, BitIdenticalToSerialAtAnyWorkerCount) {
   CampaignConfig config;
   config.runs = 48;
   config.seed = 2026;
@@ -102,14 +106,14 @@ TEST(ParallelCampaign, BitIdenticalToSerialAtAnyWorkerCount) {
   const CampaignResult reference = serial.Run();
 
   for (const unsigned jobs : {1u, 2u, 8u}) {
-    ParallelCampaign parallel(AccumulatorApp(50), config, jobs);
+    Campaign parallel(AccumulatorApp(50), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
   }
 }
 
-TEST(ParallelCampaign, BitIdenticalToSerialForMpiApp) {
+TEST(WorkerPool, BitIdenticalToSerialForMpiApp) {
   // Matvec exercises the whole stack per trial: MPI collectives, the taint
   // hub, cross-rank propagation, and every termination class.
   CampaignConfig config;
@@ -120,31 +124,31 @@ TEST(ParallelCampaign, BitIdenticalToSerialForMpiApp) {
   const CampaignResult reference = serial.Run();
 
   for (const unsigned jobs : {2u, 8u}) {
-    ParallelCampaign parallel(apps::BuildMatvec({}), config, jobs);
+    Campaign parallel(apps::BuildMatvec({}), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
   }
 }
 
-TEST(ParallelCampaign, SeedDerivationMatchesSerialForkSequence) {
+TEST(WorkerPool, SeedDerivationMatchesSerialForkSequence) {
   Rng rng(777);
   const std::vector<std::uint64_t> expected{rng.Fork(), rng.Fork(), rng.Fork()};
   EXPECT_EQ(Campaign::DeriveTrialSeeds(777, 3), expected);
 }
 
-TEST(ParallelCampaign, JobsZeroPicksAtLeastOneWorker) {
-  ParallelCampaign c(AccumulatorApp(30), {.runs = 0}, 0);
+TEST(WorkerPool, JobsZeroPicksAtLeastOneWorker) {
+  Campaign c(AccumulatorApp(30), {.runs = 0}, 0);
   EXPECT_GE(c.jobs(), 1u);
 }
 
-TEST(ParallelCampaign, InvalidInjectRankThrowsInConstructor) {
+TEST(WorkerPool, InvalidInjectRankThrowsInConstructor) {
   CampaignConfig config;
   config.inject_ranks = {9};
-  EXPECT_THROW(ParallelCampaign(AccumulatorApp(30), config, 2), ConfigError);
+  EXPECT_THROW(Campaign(AccumulatorApp(30), config, 2), ConfigError);
 }
 
-TEST(ParallelCampaign, GoldenFailurePropagatesOutOfRun) {
+TEST(WorkerPool, GoldenFailurePropagatesOutOfRun) {
   // No targeted instructions -> the golden phase must throw, even though
   // Run() would otherwise fan out to workers.
   guest::ProgramBuilder b("nofp");
@@ -154,18 +158,122 @@ TEST(ParallelCampaign, GoldenFailurePropagatesOutOfRun) {
   spec.program = b.Finalize();
   spec.num_ranks = 1;
   spec.fault_classes = {guest::InstrClass::kFadd};
-  ParallelCampaign c(std::move(spec), {.runs = 4}, 2);
+  Campaign c(std::move(spec), {.runs = 4}, 2);
   EXPECT_THROW(c.Run(), ConfigError);
 }
 
-TEST(ParallelCampaign, KeepRecordsOffStillCountsDeterministically) {
+// ---- Seed-order commit ----------------------------------------------------------
+
+TEST(SeedOrderCommitter, CommitsInPositionOrderWhateverTheOfferOrder) {
+  std::vector<std::uint64_t> sunk;
+  SeedOrderCommitter committer(
+      SamplePolicy::kUniform, 0.0, 5, /*keep_records=*/true,
+      [&sunk](const RunRecord& rec) { sunk.push_back(rec.run_seed); });
+  const auto offer = [&committer](std::uint64_t position) {
+    RunRecord rec;
+    rec.run_seed = 100 + position;
+    committer.Offer(position, rec);
+  };
+  offer(3);
+  offer(1);
+  EXPECT_TRUE(sunk.empty()) << "nothing commits before position 0";
+  offer(0);
+  EXPECT_EQ(sunk, (std::vector<std::uint64_t>{100, 101}));
+  offer(4);
+  offer(2);
+  EXPECT_EQ(sunk, (std::vector<std::uint64_t>{100, 101, 102, 103, 104}));
+  const CampaignResult result = committer.Finish();
+  EXPECT_EQ(result.runs, 5u);
+  ASSERT_EQ(result.records.size(), 5u);
+  EXPECT_EQ(result.records[2].run_seed, 102u);
+  EXPECT_FALSE(result.has_estimates);
+}
+
+TEST(SeedOrderCommitter, StopLatchDropsEveryLaterPosition) {
+  // All-benign trials converge at the first position the stop rule may
+  // fire at, kMinStopTrials - 1; records that finished later positions
+  // first are dropped, and so is anything offered after the latch.
+  const std::uint64_t stop = SampleController::kMinStopTrials - 1;
+  std::uint64_t sunk = 0;
+  SeedOrderCommitter committer(SamplePolicy::kUniform, 0.5, 100,
+                               /*keep_records=*/true,
+                               [&sunk](const RunRecord&) { ++sunk; });
+  for (std::uint64_t p = stop + 1; p < stop + 8; ++p) committer.Offer(p, {});
+  for (std::uint64_t p = 0; p <= stop; ++p) {
+    EXPECT_FALSE(committer.PastStop(p));
+    committer.Offer(p, {});
+  }
+  EXPECT_FALSE(committer.PastStop(stop));
+  EXPECT_TRUE(committer.PastStop(stop + 1));
+  committer.Offer(stop + 9, {});
+  const CampaignResult result = committer.Finish();
+  EXPECT_EQ(sunk, stop + 1);
+  EXPECT_EQ(result.runs, stop + 1);
+  EXPECT_EQ(result.records.size(), stop + 1);
+  EXPECT_TRUE(result.stopped_early);
+  EXPECT_EQ(result.planned_runs, 100u);
+}
+
+TEST(WorkerPool, RecordSinkRunsAsTrialsCommit) {
+  // A worker that claims trial 30 or later waits until the sink has seen
+  // trial 0. Trial 0 commits as soon as it finishes, so the wait ends at
+  // once; a driver that fed the sink only after its pool joined would keep
+  // every such worker waiting until the timeout.
+  CampaignConfig config;
+  config.runs = 40;
+  config.seed = 17;
+  const std::vector<std::uint64_t> seeds =
+      Campaign::DeriveTrialSeeds(config.seed, config.runs);
+  std::mutex mutex;
+  std::condition_variable sunk_cv;
+  std::vector<std::uint64_t> sunk;
+  bool timed_out = false;
+  config.record_sink = [&](const RunRecord& rec) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    sunk.push_back(rec.run_seed);
+    sunk_cv.notify_all();
+  };
+  config.trial_chaos = [&](std::uint64_t run_seed, unsigned) {
+    if (std::find(seeds.begin(), seeds.end(), run_seed) - seeds.begin() < 30) {
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!sunk_cv.wait_for(lock, std::chrono::seconds(30),
+                          [&] { return !sunk.empty() || timed_out; })) {
+      timed_out = true;
+      sunk_cv.notify_all();
+    }
+  };
+  const CampaignResult result = Campaign(AccumulatorApp(40), config, 3).Run();
+  EXPECT_FALSE(timed_out) << "the record sink saw no trial while trials ran";
+  EXPECT_EQ(sunk, seeds) << "the sink must see every trial once, in seed order";
+  EXPECT_EQ(result.runs, config.runs);
+}
+
+TEST(WorkerPool, ShardReportIsTheSameAtAnyWorkerCount) {
+  // A shard plans its own slice of the trials, whatever the worker count.
+  CampaignConfig config;
+  config.runs = 60;
+  config.seed = 11;
+  config.sample_policy = SamplePolicy::kWeighted;
+  config.shard_index = 0;
+  config.shard_count = 4;
+  const std::string one =
+      Campaign(AccumulatorApp(40), config, 1).Run().Render("accum");
+  const std::string three =
+      Campaign(AccumulatorApp(40), config, 3).Run().Render("accum");
+  EXPECT_EQ(one, three);
+  EXPECT_NE(one.find("15/15 trials"), std::string::npos) << one;
+}
+
+TEST(WorkerPool, KeepRecordsOffStillCountsDeterministically) {
   CampaignConfig config;
   config.runs = 16;
   config.seed = 31;
   config.keep_records = false;
   Campaign serial(AccumulatorApp(40), config);
   const CampaignResult reference = serial.Run();
-  ParallelCampaign parallel(AccumulatorApp(40), config, 4);
+  Campaign parallel(AccumulatorApp(40), config, 4);
   const CampaignResult result = parallel.Run();
   EXPECT_TRUE(result.records.empty());
   EXPECT_EQ(reference.benign, result.benign);
@@ -259,7 +367,7 @@ TEST(TrialContainment, ParallelPoolSurvivesThrowingTrials) {
   EXPECT_EQ(reference.infra, 4u);
 
   for (const unsigned jobs : {2u, 8u}) {
-    ParallelCampaign parallel(AccumulatorApp(40), config, jobs);
+    Campaign parallel(AccumulatorApp(40), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
@@ -283,7 +391,7 @@ TEST(HubDegradation, DegradedCampaignStaysBitIdenticalSerialVsParallel) {
   const CampaignResult reference = serial.Run();
 
   for (const unsigned jobs : {2u, 8u}) {
-    ParallelCampaign parallel(apps::BuildMatvec({}), config, jobs);
+    Campaign parallel(apps::BuildMatvec({}), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
@@ -307,7 +415,7 @@ TEST(HubDegradation, OutagePlusThrowingTrialCompletesWithInfraAndTaintLost) {
   config.trial_chaos = [victim](std::uint64_t run_seed, unsigned) {
     if (run_seed == victim) throw ConfigError("chaos: trial host lost");
   };
-  ParallelCampaign campaign(apps::BuildMatvec({}), config, 4);
+  Campaign campaign(apps::BuildMatvec({}), config, 4);
   const CampaignResult result = campaign.Run();  // must NOT throw
   EXPECT_EQ(result.runs, 24u);
   EXPECT_EQ(result.infra, 1u);

@@ -19,7 +19,6 @@
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "core/injectors/registry.h"
 #include "guest/builder.h"
@@ -34,7 +33,6 @@ namespace {
 using campaign::Campaign;
 using campaign::CampaignConfig;
 using campaign::CampaignResult;
-using campaign::ParallelCampaign;
 using guest::Cond;
 using guest::F;
 using guest::ProgramBuilder;
@@ -347,7 +345,7 @@ TEST(IdentityMatrix, AllCellsByteIdentical) {
   const std::string want = Fingerprint(baseline.Run());
   EXPECT_NE(want.find("matrix"), std::string::npos);
 
-  ParallelCampaign parallel(spec, MatrixConfig(), /*jobs=*/3);
+  Campaign parallel(spec, MatrixConfig(), /*jobs=*/3);
   EXPECT_EQ(Fingerprint(parallel.Run()), want) << "parallel, 3 workers";
 
   SharedTbCache external;
@@ -459,8 +457,8 @@ std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
 
 /// The campaign's records — restored wherever a checkpoint allows — equal
 /// the booted ones field for field (tb_chain_hits, tlb_* and instructions
-/// included), on the serial driver and on 3 parallel workers; and the
-/// serial run really restored some trials.
+/// included), on one worker and on 3 workers; and the one-worker run
+/// really restored some trials.
 void ExpectRestoredMatchesBooted(const std::string& cell,
                                  const apps::AppSpec& spec,
                                  const CampaignConfig& config) {
@@ -469,7 +467,7 @@ void ExpectRestoredMatchesBooted(const std::string& cell,
   const std::uint64_t before = TrialsRestored();
   EXPECT_EQ(RecordsCsv(Campaign(spec, config).Run().records), want) << "serial";
   EXPECT_GT(TrialsRestored(), before) << "no trial restored";
-  EXPECT_EQ(RecordsCsv(ParallelCampaign(spec, config, 3).Run().records), want)
+  EXPECT_EQ(RecordsCsv(Campaign(spec, config, 3).Run().records), want)
       << "parallel, 3 workers";
 }
 

@@ -12,7 +12,6 @@
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "campaign/sampling.h"
 #include "common/error.h"
@@ -302,7 +301,7 @@ TEST(SampledCampaign, WeightedSerialAndParallelAreBitIdentical) {
     config.sample_policy = policy;
     Campaign serial(AccumulatorApp(), config);
     const CampaignResult a = serial.Run();
-    ParallelCampaign parallel(AccumulatorApp(), config, /*jobs=*/4);
+    Campaign parallel(AccumulatorApp(), config, /*jobs=*/4);
     const CampaignResult b = parallel.Run();
     ASSERT_TRUE(a.has_estimates);
     ASSERT_TRUE(b.has_estimates);
@@ -336,7 +335,7 @@ TEST(SampledCampaign, StopCiStopsEarlyIdenticallyOnBothDrivers) {
   EXPECT_GE(a.runs, SampleController::kMinStopTrials);
   EXPECT_LT(a.runs, 400u);
   for (unsigned jobs : {2u, 4u}) {
-    ParallelCampaign parallel(AccumulatorApp(), config, jobs);
+    Campaign parallel(AccumulatorApp(), config, jobs);
     const CampaignResult b = parallel.Run();
     EXPECT_EQ(a.runs, b.runs) << "jobs=" << jobs;
     EXPECT_EQ(RenderPlusCsv(a, config.sample_policy),
@@ -372,7 +371,7 @@ TEST(SampledCampaign, ResumeAfterEarlyStopRunsNothingAndMatchesByteForByte) {
             RenderPlusCsv(b, config.sample_policy));
 
   // Parallel resume of the same journal: identical again.
-  ParallelCampaign par(AccumulatorApp(), config, /*jobs=*/4);
+  Campaign par(AccumulatorApp(), config, /*jobs=*/4);
   const CampaignResult c = par.Run();
   EXPECT_EQ(fs::file_size(journal), journal_bytes);
   EXPECT_EQ(RenderPlusCsv(a, config.sample_policy),

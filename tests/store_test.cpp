@@ -486,8 +486,9 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
 TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   // Partition records over 3 shards by index % 3 (exactly the fleet
   // partition), write each shard's store, and stream-merge: the result must
-  // render identically to the whole-file record merge, and the sink must
-  // see the global seed order.
+  // render identically to the merge of the same records held in memory (as
+  // records CSVs are, handed over in any order) and to a plain tally of
+  // them, and the sink must see the global seed order.
   const std::uint64_t runs = 30;
   const std::uint64_t seed = 99;
   const std::vector<std::uint64_t> seeds =
@@ -512,8 +513,13 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   plan.app = "accum";
   plan.runs = runs;
   plan.seed = seed;
-  const campaign::CampaignResult by_records =
-      campaign::MergeShardRecords(plan, all);
+  campaign::CampaignResult tally;
+  tally.runs = runs;
+  for (const RunRecord& r : all) tally.Accumulate(r, /*keep_record=*/true);
+  std::vector<std::vector<RunRecord>> sets(3);
+  for (std::size_t i = 0; i < all.size(); ++i) sets[2 - i % 3].push_back(all[i]);
+  const campaign::CampaignResult by_records = campaign::MergeShardStreams(
+      plan, campaign::ShardStreamsByFirstSeed(plan, std::move(sets)));
 
   std::vector<std::unique_ptr<CtrStoreScanner>> scanners;
   std::vector<campaign::ShardRecordStream> streams;
@@ -528,6 +534,7 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
       plan, std::move(streams),
       [&](const RunRecord& r) { sink_seeds.push_back(r.run_seed); });
   EXPECT_EQ(by_streams.Render("accum"), by_records.Render("accum"));
+  EXPECT_EQ(by_streams.Render("accum"), tally.Render("accum"));
   EXPECT_EQ(sink_seeds, seeds);
 }
 

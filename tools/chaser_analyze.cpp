@@ -529,9 +529,9 @@ std::vector<std::string> DiscoverObsEndpoints(const std::string& body) {
 /// One rendered frame of the dashboard.
 std::string RenderTopFrame(const std::vector<std::string>& endpoints) {
   std::string out;
-  out += StrFormat("%-22s %-8s %13s %9s %9s %7s %6s %5s %6s\n", "ENDPOINT",
-                   "STATE", "DONE/TOTAL", "RATE/s", "ETA_s", "BENIGN", "TERM",
-                   "SDC", "INFRA");
+  out += StrFormat("%-22s %-8s %13s %9s %9s %7s %6s %5s %6s %6s\n",
+                   "ENDPOINT", "STATE", "DONE/TOTAL", "RATE/s", "ETA_s",
+                   "BENIGN", "TERM", "SDC", "INFRA", "CRASH");
   std::vector<campaign::ShardStatus> workers;
   std::string hub_lines;
   std::size_t silent = 0;
@@ -569,32 +569,34 @@ std::string RenderTopFrame(const std::vector<std::string>& endpoints) {
     const std::string eta =
         !s.running ? "-" : s.eta_known ? StrFormat("%.1f", s.eta_s) : "?";
     out += StrFormat(
-        "%-22s %-8s %6llu/%-6llu %9.2f %9s %7llu %6llu %5llu %6llu\n",
+        "%-22s %-8s %6llu/%-6llu %9.2f %9s %7llu %6llu %5llu %6llu %6llu\n",
         ep.c_str(), s.running ? "running" : "done",
         static_cast<unsigned long long>(s.done),
         static_cast<unsigned long long>(s.total), s.trials_per_s, eta.c_str(),
         static_cast<unsigned long long>(s.benign),
         static_cast<unsigned long long>(s.terminated),
         static_cast<unsigned long long>(s.sdc),
-        static_cast<unsigned long long>(s.infra));
+        static_cast<unsigned long long>(s.infra),
+        static_cast<unsigned long long>(s.crashed));
   }
   if (workers.size() > 1) {
     const campaign::FleetRollup r = campaign::RollUpShards(workers);
     const std::string eta =
         r.eta_known ? StrFormat("%.1f", r.eta_s) : std::string("?");
     out += StrFormat(
-        "%-22s %-8s %6llu/%-6llu %9.2f %9s %7llu %6llu %5llu %6llu\n",
+        "%-22s %-8s %6llu/%-6llu %9.2f %9s %7llu %6llu %5llu %6llu %6llu\n",
         "FLEET", "", static_cast<unsigned long long>(r.done),
         static_cast<unsigned long long>(r.total), r.trials_per_s, eta.c_str(),
         static_cast<unsigned long long>(r.benign),
         static_cast<unsigned long long>(r.terminated),
         static_cast<unsigned long long>(r.sdc),
-        static_cast<unsigned long long>(r.infra));
+        static_cast<unsigned long long>(r.infra),
+        static_cast<unsigned long long>(r.crashed));
     out += StrFormat(
         "  outcome mix: benign %.1f%%, terminated %.1f%%, sdc %.1f%%, "
-        "infra %.1f%%\n",
+        "infra %.1f%%, crashed %.1f%%\n",
         100.0 * r.benign_rate, 100.0 * r.terminated_rate, 100.0 * r.sdc_rate,
-        100.0 * r.infra_rate);
+        100.0 * r.infra_rate, 100.0 * r.crashed_rate);
   }
   out += hub_lines;
   if (silent == endpoints.size()) {

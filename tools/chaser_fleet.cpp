@@ -94,7 +94,8 @@ void Usage() {
       "                      files as fallback), workers write Chrome traces,\n"
       "                      and the traces merge into DIR/fleet-trace.json\n"
       "\n"
-      "merge options (inputs: records CSVs, or CTR store dirs — not mixed):\n"
+      "merge options (inputs: one records CSV or CTR store dir per shard, in\n"
+      "any order — not mixed):\n"
       "  --runs/--seed/--sample/--stop-ci   the plan every shard ran\n"
       "  --out FILE          write the merged records: a CSV for CSV inputs, a\n"
       "                      merged CTR store for CTR inputs (export a CSV\n"
@@ -309,8 +310,9 @@ campaign::CampaignResult MergeStoresAndWrite(
   return result;
 }
 
-/// Merge shard records, render, and write the merged artifacts. CTR-store
-/// inputs take the streaming path; CSVs are loaded whole, as before.
+/// Merge shard records, render, and write the merged artifacts. CTR stores
+/// stream from disk; CSVs are loaded whole, each placed at the shard its
+/// first trial belongs to. Both go through MergeShardStreams.
 campaign::CampaignResult MergeAndWrite(const campaign::MergePlan& plan,
                                        const std::vector<std::string>& inputs,
                                        const std::string& out_path,
@@ -326,12 +328,10 @@ campaign::CampaignResult MergeAndWrite(const campaign::MergePlan& plan,
     throw ConfigError(
         "merge: inputs mix CTR stores and records CSVs — pass one kind");
   }
-  std::vector<campaign::RunRecord> all;
-  for (const std::string& path : inputs) {
-    std::vector<campaign::RunRecord> recs = ReadRecordsFile(path);
-    all.insert(all.end(), recs.begin(), recs.end());
-  }
-  campaign::CampaignResult result = campaign::MergeShardRecords(plan, all);
+  std::vector<std::vector<campaign::RunRecord>> shards;
+  for (const std::string& path : inputs) shards.push_back(ReadRecordsFile(path));
+  campaign::CampaignResult result = campaign::MergeShardStreams(
+      plan, campaign::ShardStreamsByFirstSeed(plan, std::move(shards)));
   if (!out_path.empty()) {
     std::ostringstream csv;
     campaign::WriteRecordsCsv(result.records, csv, plan.sample_policy);
@@ -398,10 +398,10 @@ void WriteFleetStatus(const std::string& dir, std::uint64_t shards,
       "{\"fleet\": {\"shards\": %llu, \"reporting\": %llu, \"total\": %llu, "
       "\"done\": %llu, \"replayed\": %llu, \"benign\": %llu, "
       "\"terminated\": %llu, \"sdc\": %llu, \"infra\": %llu, "
-      "\"taint_lost\": %llu, \"trace_dropped\": %llu, "
+      "\"crashed\": %llu, \"taint_lost\": %llu, \"trace_dropped\": %llu, "
       "\"trials_per_s\": %.2f, \"eta_s\": %s, \"estimates\": "
       "{\"benign\": %.6f, \"terminated\": %.6f, \"sdc\": %.6f, "
-      "\"infra\": %.6f}}",
+      "\"infra\": %.6f, \"crashed\": %.6f}}",
       static_cast<unsigned long long>(r.shards),
       static_cast<unsigned long long>(r.shards_reporting),
       static_cast<unsigned long long>(r.total),
@@ -411,10 +411,12 @@ void WriteFleetStatus(const std::string& dir, std::uint64_t shards,
       static_cast<unsigned long long>(r.terminated),
       static_cast<unsigned long long>(r.sdc),
       static_cast<unsigned long long>(r.infra),
+      static_cast<unsigned long long>(r.crashed),
       static_cast<unsigned long long>(r.taint_lost),
       static_cast<unsigned long long>(r.trace_dropped), r.trials_per_s,
       r.eta_known ? StrFormat("%.1f", r.eta_s).c_str() : "null",
-      r.benign_rate, r.terminated_rate, r.sdc_rate, r.infra_rate);
+      r.benign_rate, r.terminated_rate, r.sdc_rate, r.infra_rate,
+      r.crashed_rate);
 
   if (!hubs.empty()) {
     out += ", \"hubs\": [";

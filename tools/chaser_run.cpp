@@ -10,9 +10,9 @@
 // distribution and termination breakdown, and optionally writes the per-run
 // records to CSV for offline analysis (see campaign/report.h).
 //
-// Trials are seed-independent, so they fan out across a worker pool
-// (campaign/parallel.h); the result is bit-identical to the serial engine
-// for the same seed no matter the --jobs value.
+// Trials are seed-independent, so they fan out across a worker pool and
+// commit in seed order; the result for a seed is the same bytes at every
+// --jobs value.
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -24,7 +24,6 @@
 #include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/fileio.h"
@@ -48,8 +47,8 @@ void Usage() {
       "  --seed N            campaign seed (default 1)\n"
       "  --bits LO-HI        random bit-flip width range (default 1-2)\n"
       "  --inject-ranks A,B  ranks to inject into (default: 0, or all for clamr)\n"
-      "  --jobs N            worker threads (default: all hardware threads;\n"
-      "                      1 = serial engine; results are seed-identical)\n"
+      "  --jobs N            worker threads (default 0 = all hardware\n"
+      "                      threads); results are the same at any N\n"
       "  --sample POLICY     trial sampling policy (default uniform):\n"
       "                        uniform     rank uniform, invocation uniform —\n"
       "                                    today's behavior, byte-identical\n"
@@ -192,7 +191,6 @@ int main(int argc, char** argv) {
   std::string report_path;
   bool inject_ranks_given = false;
   std::uint64_t jobs = 0;  // 0 = hardware concurrency
-  bool jobs_given = false;
   obs::TelemetryOptions obs_options;
 
   try {
@@ -225,7 +223,6 @@ int main(int argc, char** argv) {
         inject_ranks_given = true;
       } else if (a == "--jobs") {
         jobs = ArgNum(argc, argv, i, "--jobs");
-        jobs_given = true;
       } else if (a == "--sample") {
         if (i + 1 >= argc) throw ConfigError("missing value for --sample");
         const std::string policy = argv[++i];
@@ -389,7 +386,7 @@ int main(int argc, char** argv) {
     }
 
     // The CTR store is written as trials commit (record_sink fires from the
-    // drivers' ordered reduction, journal-replayed trials included), so a
+    // driver's seed-order commit, journal-replayed trials included), so a
     // killed run leaves a valid store prefix to resume from.
     std::unique_ptr<store::CtrStoreWriter> store_writer;
     if (!out_path.empty() && records_format == "ctr") {
@@ -432,56 +429,31 @@ int main(int argc, char** argv) {
                       ->fault_class.c_str());
     }
 
-    const auto print_golden = [](std::uint64_t instructions,
-                                 const std::set<Rank>& ranks,
-                                 auto&& execs_of) {
-      std::printf("golden run: %llu instructions, targeted executions per rank:",
-                  static_cast<unsigned long long>(instructions));
-      for (const Rank r : ranks) {
-        std::printf(" r%d=%llu", r,
-                    static_cast<unsigned long long>(execs_of(r)));
-      }
-      std::printf("\n\n");
-    };
-
-    // The cache-stats source and Finish() both read the campaign-owned
-    // shared cache, so they live inside the driver's scope.
-    const auto attach_cache_stats = [&](const tcg::SharedTbCache* cache) {
-      if (telemetry == nullptr) return;
-      telemetry->SetCacheStatsSource([cache] {
+    campaign::Campaign c(std::move(spec), config, static_cast<unsigned>(jobs));
+    c.RunGolden();
+    std::printf("golden run: %llu instructions, targeted executions per rank:",
+                static_cast<unsigned long long>(c.golden_instructions()));
+    for (const Rank r : c.inject_ranks()) {
+      std::printf(" r%d=%llu", r,
+                  static_cast<unsigned long long>(c.golden_targeted_execs(r)));
+    }
+    std::printf("\n\n");
+    std::printf("engine: %u worker%s\n", c.jobs(), c.jobs() == 1 ? "" : "s");
+    if (telemetry != nullptr) {
+      // The cache-stats source and Finish() both read the campaign-owned
+      // shared cache, which lives as long as `c`.
+      telemetry->SetCacheStatsSource([cache = c.shared_tb_cache()] {
         const tcg::SharedTbCache::Stats s = cache->stats();
         return obs::CacheStatsSnapshot{.translations = s.translations,
                                        .reuses = s.reuses,
                                        .epoch_flushes = s.epoch_flushes,
                                        .evicted_tbs = s.evicted_tbs};
       });
-    };
-
-    campaign::CampaignResult result;
-    if (jobs_given && jobs == 1) {
-      campaign::Campaign c(std::move(spec), config);
-      c.RunGolden();
-      print_golden(c.golden_instructions(), c.inject_ranks(),
-                   [&](Rank r) { return c.golden_targeted_execs(r); });
-      std::printf("engine: serial\n");
-      attach_cache_stats(c.shared_tb_cache());
-      result = c.Run();
-      if (telemetry != nullptr) telemetry->Finish();
-      std::printf("%s", result.Render(app_name).c_str());
-      PrintSharedCacheStats(c.shared_tb_cache());
-    } else {
-      campaign::ParallelCampaign c(std::move(spec), config,
-                                   static_cast<unsigned>(jobs));
-      c.RunGolden();
-      print_golden(c.golden_instructions(), c.inject_ranks(),
-                   [&](Rank r) { return c.golden_targeted_execs(r); });
-      std::printf("engine: parallel, %u workers\n", c.jobs());
-      attach_cache_stats(c.shared_tb_cache());
-      result = c.Run();
-      if (telemetry != nullptr) telemetry->Finish();
-      std::printf("%s", result.Render(app_name).c_str());
-      PrintSharedCacheStats(c.shared_tb_cache());
     }
+    const campaign::CampaignResult result = c.Run();
+    if (telemetry != nullptr) telemetry->Finish();
+    std::printf("%s", result.Render(app_name).c_str());
+    PrintSharedCacheStats(c.shared_tb_cache());
 
     if (config.trace) {
       const campaign::PropagationStats stats =

@@ -2,9 +2,10 @@
 # fleet_smoke.sh — end-to-end smoke test for the sharded fleet pipeline.
 #
 # Proves the whole chain — chaser_hubd, two `chaser_run --shard` workers
-# publishing taint through it, a SIGKILL mid-run, a journal resume, and the
-# chaser_fleet merge — reproduces an unsharded single-process run byte for
-# byte (records CSV and report). Companion to kill_resume_smoke.sh, one
+# publishing taint through it (one of them on two worker threads), a SIGKILL
+# mid-run, a journal resume, and the chaser_fleet merge over the shard CSVs
+# passed in reverse order — reproduces an unsharded single-process run byte
+# for byte (records CSV and report). Companion to kill_resume_smoke.sh, one
 # layer up the stack.
 #
 # usage: tools/fleet_smoke.sh [path/to/build/tools]
@@ -52,19 +53,19 @@ if [[ -z "$ENDPOINT" ]]; then
 fi
 echo "   hub at $ENDPOINT"
 
-shard() {  # shard <i> -> runs shard i/2 against the hub, journaled
-  local i="$1"
-  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
+shard() {  # shard <i> <jobs> -> runs shard i/2 against the hub, journaled
+  local i="$1" jobs="$2"
+  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$jobs" \
          --shard "$i/2" --hub "$ENDPOINT" \
          --resume "$WORK/shard-$i.journal" \
          --out "$WORK/shard-$i.csv"
 }
 
-echo "== shards: worker 0 runs clean; worker 1 is SIGKILLed mid-run"
-shard 0 >"$WORK/shard-0.log" 2>&1 || {
+echo "== shards: worker 0 runs clean on 2 threads; worker 1 is SIGKILLed mid-run"
+shard 0 2 >"$WORK/shard-0.log" 2>&1 || {
   echo "fleet_smoke: FAIL (shard 0 crashed; see $WORK/shard-0.log)"; exit 1; }
 
-shard 1 >"$WORK/shard-1.log" 2>&1 &
+shard 1 1 >"$WORK/shard-1.log" 2>&1 &
 VICTIM=$!
 for _ in $(seq 1 500); do
   size=$(stat -c %s "$WORK/shard-1.journal" 2>/dev/null || echo 0)
@@ -80,14 +81,14 @@ fi
 wait "$VICTIM" 2>/dev/null
 
 echo "== resume: shard 1 reruns from its journal"
-shard 1 >"$WORK/shard-1.resume.log" 2>&1 || {
+shard 1 1 >"$WORK/shard-1.resume.log" 2>&1 || {
   echo "fleet_smoke: FAIL (shard 1 resume crashed; see $WORK/shard-1.resume.log)"
   exit 1; }
 
-echo "== merge: chaser_fleet merge over both shard CSVs"
+echo "== merge: chaser_fleet merge over both shard CSVs, last shard first"
 "$FLEET" merge --app "$APP" --runs "$RUNS" --seed "$SEED" \
          --out "$WORK/merged.csv" --report "$WORK/merged.report" \
-         "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
+         "$WORK/shard-1.csv" "$WORK/shard-0.csv" \
          >"$WORK/merge.log" 2>&1 || {
   echo "fleet_smoke: FAIL (merge crashed; see $WORK/merge.log)"; exit 1; }
 

@@ -5,8 +5,7 @@
 # and a change on top of it) and compares every output file. A change that
 # claims "outputs unchanged" must pass this before it lands.
 #
-# The matrix: --runs 200 --seed 11 at --jobs 1 (serial engine) and --jobs 4
-# (parallel driver) over
+# The matrix: --runs 200 --seed 11 at --jobs 1 and --jobs 4 over
 #   app       bfs, kmeans, lud, matvec, clamr
 #   sampling  uniform, and --sample weighted --stop-ci 0.05
 # plus the rarer branches of the golden-prefix restore path:

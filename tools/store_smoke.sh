@@ -2,8 +2,9 @@
 # store_smoke.sh — end-to-end smoke test for the CTR columnar trial store.
 #
 # Proves the whole columnar chain: a `chaser_run --records-format ctr`
-# campaign SIGKILLed mid-run, a journal+store resume that converges back to
-# the uninterrupted byte stream, a 3-shard fleet producing per-shard stores,
+# campaign SIGKILLed mid-run, on one worker thread and on two, a journal+store
+# resume that converges back to the uninterrupted byte stream, a 3-shard
+# fleet producing per-shard stores,
 # a streaming `chaser_fleet merge` into one merged store, and
 # `chaser_analyze query` / `export-csv` over the result — with the exported
 # CSV byte-identical to what a plain `--records-format csv` run writes.
@@ -46,38 +47,41 @@ echo "== store: same campaign into a CTR store, uninterrupted"
   echo "store_smoke: FAIL (clean store run crashed; see $WORK/clean.log)"
   exit 1; }
 
-store_run() {  # journaled CTR run into $WORK/kill.ctr
-  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-         --resume "$WORK/kill.journal" \
-         --out "$WORK/kill.ctr" --records-format ctr
+store_run() {  # store_run <name> <jobs> -> journaled CTR run into $WORK/<name>.ctr
+  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$2" \
+         --resume "$WORK/$1.journal" \
+         --out "$WORK/$1.ctr" --records-format ctr
 }
 
-echo "== kill: journaled CTR run is SIGKILLed mid-campaign"
-store_run >"$WORK/kill.log" 2>&1 &
-VICTIM=$!
-for _ in $(seq 1 500); do
-  size=$(stat -c %s "$WORK/kill.journal" 2>/dev/null || echo 0)
-  [[ "$size" -gt 256 ]] && break
-  kill -0 "$VICTIM" 2>/dev/null || break
-  sleep 0.01
-done
-if kill -9 "$VICTIM" 2>/dev/null; then
-  echo "   killed pid $VICTIM with journal at $(stat -c %s "$WORK/kill.journal" 2>/dev/null || echo 0) bytes"
-else
-  echo "   run finished before the kill landed; resume becomes a replay"
-fi
-wait "$VICTIM" 2>/dev/null
-
-echo "== resume: rerun from journal + torn store"
-store_run >"$WORK/resume.log" 2>&1 || {
-  echo "store_smoke: FAIL (resume crashed; see $WORK/resume.log)"; exit 1; }
-
 fail=0
-if ! diff -rq "$WORK/clean.ctr" "$WORK/kill.ctr" >/dev/null; then
-  echo "store_smoke: FAIL — resumed store differs from the uninterrupted store"
-  diff -rq "$WORK/clean.ctr" "$WORK/kill.ctr" | head -10
-  fail=1
-fi
+for jobs in 1 2; do
+  name="kill-j$jobs"
+  echo "== kill: journaled CTR run on $jobs worker(s) is SIGKILLed mid-campaign"
+  store_run "$name" "$jobs" >"$WORK/$name.log" 2>&1 &
+  VICTIM=$!
+  for _ in $(seq 1 500); do
+    size=$(stat -c %s "$WORK/$name.journal" 2>/dev/null || echo 0)
+    [[ "$size" -gt 256 ]] && break
+    kill -0 "$VICTIM" 2>/dev/null || break
+    sleep 0.01
+  done
+  if kill -9 "$VICTIM" 2>/dev/null; then
+    echo "   killed pid $VICTIM with journal at $(stat -c %s "$WORK/$name.journal" 2>/dev/null || echo 0) bytes"
+  else
+    echo "   run finished before the kill landed; resume becomes a replay"
+  fi
+  wait "$VICTIM" 2>/dev/null
+
+  echo "== resume: rerun from journal + torn store"
+  store_run "$name" "$jobs" >"$WORK/$name.resume.log" 2>&1 || {
+    echo "store_smoke: FAIL (resume crashed; see $WORK/$name.resume.log)"; exit 1; }
+
+  if ! diff -r "$WORK/clean.ctr" "$WORK/$name.ctr" >/dev/null; then
+    echo "store_smoke: FAIL — resumed $jobs-worker store differs from the uninterrupted store"
+    diff -rq "$WORK/clean.ctr" "$WORK/$name.ctr" | head -10
+    fail=1
+  fi
+done
 
 echo "== shards: 3-shard fleet into per-shard stores, streaming merge"
 "$FLEET" run --app "$APP" --runs "$RUNS" --seed "$SEED" --shards 3 \
@@ -94,7 +98,8 @@ if ! diff -q "$WORK/ref.report" "$WORK/fleet/report.txt" >/dev/null; then
 fi
 
 echo "== export: every store must reproduce the reference CSV byte for byte"
-for store in "$WORK/clean.ctr" "$WORK/kill.ctr" "$WORK/fleet/merged.ctr"; do
+for store in "$WORK/clean.ctr" "$WORK/kill-j1.ctr" "$WORK/kill-j2.ctr" \
+             "$WORK/fleet/merged.ctr"; do
   "$ANALYZE" export-csv "$store" --out "$WORK/export.csv" \
       >"$WORK/export.log" 2>&1 || {
     echo "store_smoke: FAIL (export-csv crashed on $store)"; fail=1; continue; }
