@@ -95,7 +95,7 @@ std::uint64_t DirBytes(const std::string& dir) {
 
 struct Tally {
   std::uint64_t records = 0;
-  std::uint64_t outcomes[5] = {};
+  OutcomeArray<std::uint64_t> outcomes;
   std::uint64_t matched = 0;
 };
 
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     RunRecord r;
     while (reader.Next(&r)) {
       ++csv_sum.records;
-      csv_sum.outcomes[static_cast<int>(r.outcome)]++;
+      ++csv_sum.outcomes[r.outcome];
     }
   });
   const double ctr_sum_s = bench::TimeSecs([&] {
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     RunRecord r;
     while (scanner.Next(&r)) {
       ++ctr_sum.records;
-      ctr_sum.outcomes[static_cast<int>(r.outcome)]++;
+      ++ctr_sum.outcomes[r.outcome];
     }
   });
   const double sum_speedup = csv_sum_s / ctr_sum_s;
@@ -228,10 +228,8 @@ int main(int argc, char** argv) {
   };
   check(csv_sum.records == n && ctr_sum.records == n,
         "both paths saw every record");
-  for (int i = 0; i < 5; ++i) {
-    check(csv_sum.outcomes[i] == ctr_sum.outcomes[i],
-          "outcome tallies identical across formats");
-  }
+  check(csv_sum.outcomes.values == ctr_sum.outcomes.values,
+        "outcome tallies identical across formats");
   check(ctr_q.matched == csv_q.matched && ctr_q.scanned == n,
         "query matched the CSV-side filter count");
   check(ctr_q.groups.size() == csv_groups.size(),

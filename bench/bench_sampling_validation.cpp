@@ -40,7 +40,7 @@ constexpr double kMaxTrialFraction = 0.25;
 struct SeriesRow {
   const char* name;
   double exhaustive;           // rate measured by the uniform campaign
-  campaign::WilsonInterval ci; // the sampled campaign's interval
+  WilsonInterval ci;           // the sampled campaign's interval
   bool contained;
 };
 

@@ -22,7 +22,7 @@ namespace chaser::campaign {
 
 obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed) {
   obs::TrialStats t;
-  t.outcome = static_cast<int>(rec.outcome);
+  t.outcome = rec.outcome;
   t.run_seed = rec.run_seed;
   t.instructions = rec.instructions;
   t.injections = rec.injections;
@@ -34,17 +34,6 @@ obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed) {
   t.retries = rec.retries;
   t.replayed = replayed;
   return t;
-}
-
-const char* OutcomeName(Outcome o) {
-  switch (o) {
-    case Outcome::kBenign: return "benign";
-    case Outcome::kTerminated: return "terminated";
-    case Outcome::kSdc: return "sdc";
-    case Outcome::kInfra: return "infra";
-    case Outcome::kCrashed: return "crashed";
-  }
-  return "?";
 }
 
 std::string CampaignResult::Render(const std::string& label) const {
@@ -147,32 +136,36 @@ void CampaignResult::FillEstimates(const OutcomeEstimator& est,
   est_hang = est.Interval(OutcomeEstimator::kHang);
 }
 
+std::uint64_t& CampaignResult::count(Outcome o) {
+  switch (o) {
+    case Outcome::kBenign: return benign;
+    case Outcome::kTerminated: return terminated;
+    case Outcome::kSdc: return sdc;
+    case Outcome::kInfra: return infra;
+    case Outcome::kCrashed: break;
+  }
+  return crashed;
+}
+
 void CampaignResult::Accumulate(const RunRecord& rec, bool keep_record) {
-  switch (rec.outcome) {
-    case Outcome::kBenign: ++benign; break;
-    case Outcome::kSdc: ++sdc; break;
-    case Outcome::kInfra: ++infra; break;
-    case Outcome::kCrashed: ++crashed; break;
-    case Outcome::kTerminated: {
-      ++terminated;
-      // A fired program-level checker is a *detection* no matter which rank
-      // runs the check (CLAMR's conservation test runs on rank 0);
-      // otherwise a failure surfacing on a non-injected rank means the
-      // fault crossed the rank boundary before killing the job.
-      if (rec.kind == vm::TerminationKind::kAssertFailed) {
-        ++assert_detected;
-      } else if (rec.deadlock) {
-        // A deadlock is a job-wide MPI-runtime condition, not attributable
-        // to whichever blocked rank the scheduler terminated first.
-        ++mpi_error;
-      } else if (rec.failure_rank >= 0 && rec.failure_rank != rec.inject_rank) {
-        ++other_rank_failed;
-      } else if (rec.kind == vm::TerminationKind::kSignaled) {
-        ++os_exception;
-      } else if (rec.kind == vm::TerminationKind::kMpiError) {
-        ++mpi_error;
-      }
-      break;
+  ++count(rec.outcome);
+  if (rec.outcome == Outcome::kTerminated) {
+    // A fired program-level checker is a *detection* no matter which rank
+    // runs the check (CLAMR's conservation test runs on rank 0); otherwise
+    // a failure surfacing on a non-injected rank means the fault crossed the
+    // rank boundary before killing the job.
+    if (rec.kind == vm::TerminationKind::kAssertFailed) {
+      ++assert_detected;
+    } else if (rec.deadlock) {
+      // A deadlock is a job-wide MPI-runtime condition, not attributable to
+      // whichever blocked rank the scheduler terminated first.
+      ++mpi_error;
+    } else if (rec.failure_rank >= 0 && rec.failure_rank != rec.inject_rank) {
+      ++other_rank_failed;
+    } else if (rec.kind == vm::TerminationKind::kSignaled) {
+      ++os_exception;
+    } else if (rec.kind == vm::TerminationKind::kMpiError) {
+      ++mpi_error;
     }
   }
   if (rec.propagated_cross_rank) {
@@ -665,7 +658,7 @@ SeedOrderCommitter::SeedOrderCommitter(
   // A plain uniform campaign runs no estimator, keeping its report/CSV/spool
   // bytes identical to pre-sampling builds.
   if (policy != SamplePolicy::kUniform || stop_ci > 0.0) {
-    controller_ = std::make_shared<SampleController>(policy, stop_ci);
+    controller_ = std::make_shared<SampleController>(stop_ci);
   }
 }
 
@@ -688,8 +681,7 @@ void SeedOrderCommitter::Commit(RunRecord rec) {
   // Replayed trials feed the estimator exactly like executed ones, so a
   // resumed campaign stops at the same seed-order prefix.
   if (controller_ != nullptr &&
-      controller_->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                          rec.sample_weight) &&
+      controller_->Commit(rec.outcome, rec.deadlock, rec.sample_weight) &&
       controller_->stop_enabled()) {
     stop_at_.store(next_);
   }
@@ -780,8 +772,20 @@ CampaignResult Campaign::Run() {
     seeds.push_back(all_seeds[static_cast<std::size_t>(index)]);
   }
   const std::uint64_t runs = seeds.size();
+  // Trials replayed from the journal, by run_seed (filled below).
+  std::map<std::uint64_t, RunRecord> journalled;
+  // Telemetry counts a trial's outcome where the result does, as it
+  // commits: a trial that finished past a latched stop is in neither.
+  std::function<void(const RunRecord&)> sink = config_.record_sink;
+  if (telemetry != nullptr) {
+    sink = [&](const RunRecord& rec) {
+      if (config_.record_sink) config_.record_sink(rec);
+      telemetry->OnTrialCommitted(
+          ToTrialStats(rec, journalled.contains(rec.run_seed)));
+    };
+  }
   SeedOrderCommitter committer(config_.sample_policy, stop_ci, runs,
-                               config_.keep_records, config_.record_sink);
+                               config_.keep_records, std::move(sink));
   std::mutex commit_mutex;  // guards `committer` once workers run
   if (telemetry != nullptr) {
     if (const auto controller = committer.controller()) {
@@ -802,7 +806,6 @@ CampaignResult Campaign::Run() {
   // never affects the seed-order commit. Workers share the journal:
   // TrialJournal::Append is locked and fsync-framed, so records land whole.
   std::unique_ptr<TrialJournal> journal;
-  std::map<std::uint64_t, RunRecord> journalled;
   if (!config_.journal_path.empty()) {
     std::vector<RunRecord> replayed;
     journal = std::make_unique<TrialJournal>(config_.journal_path, config_.seed,

@@ -39,6 +39,7 @@
 
 #include "apps/app.h"
 #include "campaign/sampling.h"
+#include "common/outcome.h"
 #include "common/rng.h"
 #include "core/chaser_mpi.h"
 #include "core/injectors/registry.h"
@@ -54,17 +55,9 @@ struct TrialStats;
 
 namespace chaser::campaign {
 
-/// kInfra is not a fault-injection outcome at all: it marks a trial whose
-/// *harness* failed (an exception escaped the engine) even after the retry
-/// budget, and which was quarantined instead of aborting the campaign.
-/// kCrashed is an *injection* outcome: the injected fault killed its guest
-/// rank outright (GuestSignal::kCrash, the rank-crash injector) — a real
-/// system-level fault result, unlike kInfra, and distinct from kTerminated
-/// where the guest OS/runtime/checker detected the fault.
-enum class Outcome : std::uint8_t { kBenign, kTerminated, kSdc, kInfra,
-                                    kCrashed };
-
-const char* OutcomeName(Outcome o);
+/// The outcome taxonomy lives in common/outcome.h.
+using chaser::Outcome;
+using chaser::OutcomeName;
 
 /// One injection trial.
 struct RunRecord {
@@ -273,6 +266,12 @@ struct CampaignResult {
   /// Tally one trial into the counters (and into `records` if
   /// `keep_record`).
   void Accumulate(const RunRecord& rec, bool keep_record);
+
+  /// The counter of outcome `o` (benign, terminated, sdc, infra or crashed).
+  std::uint64_t& count(Outcome o);
+  std::uint64_t count(Outcome o) const {
+    return const_cast<CampaignResult*>(this)->count(o);
+  }
 
   /// Fill the estimates block from a finished estimator (fed in seed order,
   /// so the floats agree bit for bit at any worker count).

@@ -148,11 +148,9 @@ ShardStatus ParseShardStatus(const std::string& json) {
   s.total = static_cast<std::uint64_t>(total);
   s.done = JsonU64(json, "done");
   s.replayed = JsonU64(json, "replayed");
-  s.benign = JsonU64(json, "benign");
-  s.terminated = JsonU64(json, "terminated");
-  s.sdc = JsonU64(json, "sdc");
-  s.infra = JsonU64(json, "infra");
-  s.crashed = JsonU64(json, "crashed");
+  for (const OutcomeInfo& o : kOutcomes) {
+    s.outcomes[o.outcome] = JsonU64(json, o.name);
+  }
   s.taint_lost = JsonU64(json, "taint_lost");
   s.trace_dropped = JsonU64(json, "trace_dropped");
   JsonFindNumber(json, "elapsed_s", &s.elapsed_s);
@@ -177,11 +175,9 @@ FleetRollup RollUpShards(const std::vector<ShardStatus>& statuses) {
     r.total += s.total;
     r.done += s.done;
     r.replayed += s.replayed;
-    r.benign += s.benign;
-    r.terminated += s.terminated;
-    r.sdc += s.sdc;
-    r.infra += s.infra;
-    r.crashed += s.crashed;
+    for (const OutcomeInfo& o : kOutcomes) {
+      r.outcomes[o.outcome] += s.outcomes[o.outcome];
+    }
     r.taint_lost += s.taint_lost;
     r.trace_dropped += s.trace_dropped;
     r.trials_per_s += s.trials_per_s;
@@ -193,12 +189,10 @@ FleetRollup RollUpShards(const std::vector<ShardStatus>& statuses) {
   }
   if (!r.eta_known) r.eta_s = 0.0;
   if (r.done > 0) {
-    const double done = static_cast<double>(r.done);
-    r.benign_rate = static_cast<double>(r.benign) / done;
-    r.terminated_rate = static_cast<double>(r.terminated) / done;
-    r.sdc_rate = static_cast<double>(r.sdc) / done;
-    r.infra_rate = static_cast<double>(r.infra) / done;
-    r.crashed_rate = static_cast<double>(r.crashed) / done;
+    for (const OutcomeInfo& o : kOutcomes) {
+      r.rates[o.outcome] = static_cast<double>(r.outcomes[o.outcome]) /
+                           static_cast<double>(r.done);
+    }
   }
   return r;
 }

@@ -85,11 +85,7 @@ struct ShardStatus {
   std::uint64_t total = 0;
   std::uint64_t done = 0;
   std::uint64_t replayed = 0;
-  std::uint64_t benign = 0;
-  std::uint64_t terminated = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t infra = 0;
-  std::uint64_t crashed = 0;
+  OutcomeArray<std::uint64_t> outcomes;  // committed trials per outcome
   std::uint64_t taint_lost = 0;
   std::uint64_t trace_dropped = 0;
   double elapsed_s = 0.0;
@@ -115,11 +111,7 @@ struct FleetRollup {
   std::uint64_t total = 0;
   std::uint64_t done = 0;
   std::uint64_t replayed = 0;
-  std::uint64_t benign = 0;
-  std::uint64_t terminated = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t infra = 0;
-  std::uint64_t crashed = 0;
+  OutcomeArray<std::uint64_t> outcomes;
   std::uint64_t taint_lost = 0;
   std::uint64_t trace_dropped = 0;
   double trials_per_s = 0.0;  // sum of per-shard rates
@@ -129,12 +121,8 @@ struct FleetRollup {
   /// in as 0 is exactly the lie the null-for-unknown contract forbids.
   bool eta_known = false;
   double eta_s = 0.0;
-  /// Outcome mix over completed trials (0.0 when done == 0).
-  double benign_rate = 0.0;
-  double terminated_rate = 0.0;
-  double sdc_rate = 0.0;
-  double infra_rate = 0.0;
-  double crashed_rate = 0.0;
+  /// Outcome mix over committed trials (0.0 when done == 0).
+  OutcomeArray<double> rates;
 };
 
 /// Aggregate shard statuses (one entry per shard, ok=false for shards with

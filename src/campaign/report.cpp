@@ -231,35 +231,6 @@ void WriteRecordsCsv(const std::vector<RunRecord>& records, std::ostream& out,
 
 namespace {
 
-Outcome ParseOutcome(const std::string& s) {
-  if (s == "benign") return Outcome::kBenign;
-  if (s == "terminated") return Outcome::kTerminated;
-  if (s == "sdc") return Outcome::kSdc;
-  if (s == "infra") return Outcome::kInfra;
-  if (s == "crashed") return Outcome::kCrashed;
-  throw ConfigError("ReadRecordsCsv: unknown outcome '" + s + "'");
-}
-
-vm::TerminationKind ParseKind(const std::string& s) {
-  for (const auto k : {vm::TerminationKind::kRunning, vm::TerminationKind::kExited,
-                       vm::TerminationKind::kSignaled,
-                       vm::TerminationKind::kAssertFailed,
-                       vm::TerminationKind::kMpiError}) {
-    if (s == vm::TerminationKindName(k)) return k;
-  }
-  throw ConfigError("ReadRecordsCsv: unknown termination kind '" + s + "'");
-}
-
-vm::GuestSignal ParseSignal(const std::string& s) {
-  for (const auto sig : {vm::GuestSignal::kNone, vm::GuestSignal::kSegv,
-                         vm::GuestSignal::kFpe, vm::GuestSignal::kIll,
-                         vm::GuestSignal::kSys, vm::GuestSignal::kAbort,
-                         vm::GuestSignal::kKill, vm::GuestSignal::kCrash}) {
-    if (s == vm::GuestSignalName(sig)) return sig;
-  }
-  throw ConfigError("ReadRecordsCsv: unknown signal '" + s + "'");
-}
-
 std::uint64_t ParseNum(const std::string& s) {
   std::uint64_t v = 0;
   if (!ParseU64(s, &v)) throw ConfigError("ReadRecordsCsv: bad number '" + s + "'");
@@ -322,9 +293,14 @@ bool RecordsCsvReader::Next(RunRecord* out) {
     }
     RunRecord r;
     r.run_seed = ParseNum(f[0]);
-    r.outcome = ParseOutcome(f[1]);
-    r.kind = ParseKind(f[2]);
-    r.signal = ParseSignal(f[3]);
+    const auto unknown = [](const std::string& what, const std::string& s) {
+      return ConfigError("ReadRecordsCsv: unknown " + what + " '" + s + "'");
+    };
+    if (!ParseOutcome(f[1], &r.outcome)) throw unknown("outcome", f[1]);
+    if (!vm::ParseTerminationKind(f[2], &r.kind)) {
+      throw unknown("termination kind", f[2]);
+    }
+    if (!vm::ParseGuestSignal(f[3], &r.signal)) throw unknown("signal", f[3]);
     r.inject_rank = static_cast<Rank>(ParseSigned(f[4]));
     r.failure_rank = static_cast<Rank>(ParseSigned(f[5]));
     r.deadlock = ParseNum(f[6]) != 0;

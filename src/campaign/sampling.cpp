@@ -135,13 +135,15 @@ WilsonInterval WilsonScore(double p_hat, double n_eff, double z) {
 
 // ---- OutcomeEstimator --------------------------------------------------------
 
-void OutcomeEstimator::Add(int outcome, bool deadlock, double weight) {
-  // kInfra (3) is not an injection outcome; kCrashed (4) is, but it is not
-  // one of the benign/terminated/sdc series this estimator tracks.
-  if (outcome < 0 || outcome > 2) return;
-  if (weight <= 0.0) return;
-  wsum_[outcome] += weight;
-  if (outcome == kTerminated && deadlock) wsum_[kHang] += weight;
+const char* OutcomeEstimator::SeriesName(Series s) {
+  return s == kHang ? "hang" : OutcomeName(static_cast<Outcome>(s));
+}
+
+void OutcomeEstimator::Add(Outcome outcome, bool deadlock, double weight) {
+  const auto s = static_cast<std::size_t>(outcome);
+  if (!kOutcomes[s].rate_series || weight <= 0.0) return;
+  wsum_[s] += weight;
+  if (outcome == Outcome::kTerminated && deadlock) wsum_[kHang] += weight;
   w_total_ += weight;
   w2_total_ += weight * weight;
   ++n_;
@@ -166,10 +168,7 @@ bool OutcomeEstimator::Converged(double max_width, double z) const {
 
 // ---- SampleController --------------------------------------------------------
 
-SampleController::SampleController(SamplePolicy policy, double stop_ci)
-    : policy_(policy), stop_ci_(stop_ci) {}
-
-bool SampleController::Commit(int outcome, bool deadlock, double weight) {
+bool SampleController::Commit(Outcome outcome, bool deadlock, double weight) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (converged_) return true;  // sticky: the stop point never moves
   estimator_.Add(outcome, deadlock, weight);
@@ -203,17 +202,11 @@ obs::EstimateSnapshot SampleController::Snapshot() const {
   snap.effective_n = estimator_.effective_n();
   snap.stop_width = stop_ci_;
   snap.converged = converged_;
-  const auto fill = [&](OutcomeEstimator::Series s,
-                        obs::OutcomeIntervalSnapshot* out) {
-    const WilsonInterval w = estimator_.Interval(s);
-    out->rate = w.rate;
-    out->lo = w.lo;
-    out->hi = w.hi;
-  };
-  fill(OutcomeEstimator::kBenign, &snap.benign);
-  fill(OutcomeEstimator::kTerminated, &snap.terminated);
-  fill(OutcomeEstimator::kSdc, &snap.sdc);
-  fill(OutcomeEstimator::kHang, &snap.hang);
+  for (int i = 0; i < OutcomeEstimator::kNumSeries; ++i) {
+    const auto s = static_cast<OutcomeEstimator::Series>(i);
+    snap.series.push_back(
+        {OutcomeEstimator::SeriesName(s), estimator_.Interval(s)});
+  }
   return snap;
 }
 

@@ -28,6 +28,7 @@
 // driver.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -35,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/outcome.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "guest/isa.h"
@@ -101,17 +103,10 @@ class SamplingPlan {
   std::uint64_t total_mass_ = 0;
 };
 
-/// Wilson score interval for a binomial rate (the z=1.96 default is the 95%
-/// two-sided interval). Unlike the normal approximation it stays inside
-/// [0, 1] and behaves at p near 0/1 — exactly where SDC rates live.
-struct WilsonInterval {
-  double rate = 0.0;
-  double lo = 0.0;
-  double hi = 1.0;
-  double width() const { return hi - lo; }
-};
-
-/// Interval for estimated rate `p_hat` at effective sample size `n_eff`.
+/// Wilson score interval (common/outcome.h) for estimated rate `p_hat` at
+/// effective sample size `n_eff` (the z=1.96 default is the 95% two-sided
+/// interval). Unlike the normal approximation it stays inside [0, 1] and
+/// behaves at p near 0/1 — exactly where SDC rates live.
 WilsonInterval WilsonScore(double p_hat, double n_eff, double z = 1.96);
 
 /// Weighted outcome-rate estimator. Feeds on committed trials *in seed
@@ -119,16 +114,18 @@ WilsonInterval WilsonScore(double p_hat, double n_eff, double z = 1.96);
 /// bit-identical at any worker count) and tracks the benign / terminated / sdc /
 /// hang rates, where hang is the deadlock subset of terminated. Weighted
 /// trials use the self-normalised (Hájek) estimator with Kish's effective
-/// sample size standing in for n in the Wilson interval. kInfra trials are
-/// harness failures, not injection outcomes — they are ignored.
+/// sample size standing in for n in the Wilson interval. Outcomes the
+/// outcome table does not mark as rate series (infra, crashed) are ignored.
 class OutcomeEstimator {
  public:
+  /// A rate series' index is its outcome's; hang comes after them.
   enum Series { kBenign = 0, kTerminated = 1, kSdc = 2, kHang = 3 };
   static constexpr int kNumSeries = 4;
+  /// The outcome's name, or "hang".
+  static const char* SeriesName(Series s);
 
-  /// `outcome` is the campaign outcome index (0 benign, 1 terminated,
-  /// 2 sdc, 3 infra — ignored); `deadlock` marks the hang subset.
-  void Add(int outcome, bool deadlock, double weight);
+  /// `deadlock` marks the hang subset of terminated.
+  void Add(Outcome outcome, bool deadlock, double weight);
 
   std::uint64_t trials() const { return n_; }
   /// Kish effective sample size (sum w)^2 / sum w^2; equals trials() when
@@ -145,6 +142,10 @@ class OutcomeEstimator {
   double w2_total_ = 0.0;
   std::uint64_t n_ = 0;
 };
+static_assert(std::ranges::all_of(kOutcomes, [](const OutcomeInfo& o) {
+  return o.rate_series ==
+         (static_cast<int>(o.outcome) < OutcomeEstimator::kHang);
+}), "the series before kHang are the rate-series outcomes, by index");
 
 /// Stop-rule glue behind the SeedOrderCommitter: committed trials stream in
 /// (seed order, whatever order the workers finished them in), the estimator
@@ -155,13 +156,13 @@ class SampleController {
  public:
   /// `stop_ci` is the full interval width that counts as converged;
   /// 0 disables the early stop (the estimator still runs for reporting).
-  SampleController(SamplePolicy policy, double stop_ci);
+  explicit SampleController(double stop_ci) : stop_ci_(stop_ci) {}
 
   bool stop_enabled() const { return stop_ci_ > 0.0; }
 
   /// Commit one trial (seed order). Returns true once the stop rule has
   /// fired — sticky, so every commit after the trigger also returns true.
-  bool Commit(int outcome, bool deadlock, double weight);
+  bool Commit(Outcome outcome, bool deadlock, double weight);
 
   std::uint64_t committed() const;
   /// True once the stop rule has fired.
@@ -176,7 +177,6 @@ class SampleController {
   static constexpr std::uint64_t kMinStopTrials = 32;
 
  private:
-  const SamplePolicy policy_;
   const double stop_ci_;
   mutable std::mutex mutex_;
   OutcomeEstimator estimator_;

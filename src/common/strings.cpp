@@ -133,6 +133,24 @@ std::size_t QuotedEnd(const std::string& json, std::size_t start) {
 
 }  // namespace
 
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += StrFormat("\\u%04x", c);
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 bool JsonFindRaw(const std::string& json, const std::string& key,
                  std::string* out) {
   const std::size_t start = FindJsonValueStart(json, key);

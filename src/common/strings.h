@@ -40,6 +40,9 @@ struct KeyVal {
 bool ParseKeyValList(const std::string& spec, std::vector<KeyVal>* out,
                      std::string* bad_token);
 
+/// `s` as the inside of a JSON string literal.
+std::string JsonEscape(const std::string& s);
+
 /// Minimal JSON field lookup for the small, well-known documents chaser
 /// tools exchange (status.json, /status scrape bodies). Finds the FIRST
 /// `"key":` occurrence anywhere in `json` — keys must therefore be unique

@@ -19,10 +19,6 @@ ChaserMpi::ChaserMpi(mpi::Cluster& cluster, Chaser::Options options,
 }
 
 void ChaserMpi::Arm(const InjectionCommand& cmd, const std::set<Rank>& inject_ranks) {
-  // The authoritative per-trial hub reset is ChaserMpiHooks::OnJobStart
-  // (fired by Cluster::Start); clearing on re-Arm as well keeps hub state
-  // from an old command out of stats read between Arm and Start.
-  hub_->Clear();
   for (Rank r = 0; r < cluster_.num_ranks(); ++r) {
     InjectionCommand rank_cmd = cmd;
     rank_cmd.seed = cmd.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(r);

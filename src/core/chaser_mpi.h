@@ -31,7 +31,8 @@ class ChaserMpi {
 
   /// Arm injection on `inject_ranks` (empty set = all ranks); every other
   /// rank is armed trace-only so propagation is observed end to end.
-  /// Each injecting rank derives its own seed from cmd.seed.
+  /// Each injecting rank derives its own seed from cmd.seed. The hub is left
+  /// alone: Cluster::Start clears it, once per trial.
   void Arm(const InjectionCommand& cmd, const std::set<Rank>& inject_ranks);
 
   Chaser& rank_chaser(Rank r) { return *chasers_[static_cast<std::size_t>(r)]; }

@@ -71,6 +71,18 @@ HttpResponse HttpGet(const std::string& host, std::uint16_t port,
   return resp;
 }
 
+std::string TryScrape(const std::string& endpoint, const std::string& path,
+                      int timeout_ms) {
+  if (endpoint.empty()) return "";
+  try {
+    const net::Endpoint ep = net::ParseEndpoint(endpoint);
+    const HttpResponse r = HttpGet(ep.host, ep.port, path, timeout_ms);
+    if (r.status == 200) return r.body;
+  } catch (const ChaserError&) {
+  }
+  return "";
+}
+
 bool PrometheusValue(const std::string& text, const std::string& series,
                      double* out) {
   std::size_t pos = 0;

@@ -45,6 +45,11 @@ struct HttpResponse {
 HttpResponse HttpGet(const std::string& host, std::uint16_t port,
                      const std::string& path, int timeout_ms = 2000);
 
+/// The body of a 200 answer to GET `path` from a "host:port" endpoint, or ""
+/// on any failure: a dead or restarting worker is normal for a dashboard.
+std::string TryScrape(const std::string& endpoint, const std::string& path,
+                      int timeout_ms);
+
 /// Looks up one series line ("name 42" or "name{k=\"v\"} 42") in Prometheus
 /// text and parses its value. Returns false when the series is absent.
 bool PrometheusValue(const std::string& text, const std::string& series,

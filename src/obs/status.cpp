@@ -36,12 +36,13 @@ StatusWriter::~StatusWriter() {
   }
 }
 
-void StatusWriter::OnTrialDone(int outcome, std::uint64_t taint_lost,
-                               std::uint64_t trace_dropped, bool replayed) {
+void StatusWriter::OnTrialCommitted(Outcome outcome, std::uint64_t taint_lost,
+                                    std::uint64_t trace_dropped,
+                                    bool replayed) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++done_;
   if (replayed) ++replayed_;
-  if (outcome >= 0 && outcome < kNumTrialOutcomes) ++outcomes_[outcome];
+  ++outcomes_[outcome];
   taint_lost_ += taint_lost;
   trace_dropped_ += trace_dropped;
   if (done_ % every_ == 0 || done_ == options_.total) {
@@ -72,19 +73,13 @@ std::string StatusWriter::RenderLocked(bool running) const {
 
   std::string out = StrFormat(
       "{\"app\": \"%s\", \"running\": %s, \"total\": %llu, \"done\": %llu, "
-      "\"replayed\": %llu, \"benign\": %llu, \"terminated\": %llu, "
-      "\"sdc\": %llu, \"infra\": %llu, \"crashed\": %llu, \"taint_lost\": %llu, "
-      "\"trace_dropped\": %llu, \"elapsed_s\": %.3f, \"trials_per_s\": %.2f, "
-      "\"eta_s\": %s",
+      "\"replayed\": %llu, %s, \"taint_lost\": %llu, \"trace_dropped\": %llu, "
+      "\"elapsed_s\": %.3f, \"trials_per_s\": %.2f, \"eta_s\": %s",
       options_.app.c_str(), running ? "true" : "false",
       static_cast<unsigned long long>(options_.total),
       static_cast<unsigned long long>(done_),
       static_cast<unsigned long long>(replayed_),
-      static_cast<unsigned long long>(outcomes_[0]),
-      static_cast<unsigned long long>(outcomes_[1]),
-      static_cast<unsigned long long>(outcomes_[2]),
-      static_cast<unsigned long long>(outcomes_[3]),
-      static_cast<unsigned long long>(outcomes_[4]),
+      FormatOutcomeCounts(outcomes_, /*json=*/true).c_str(),
       static_cast<unsigned long long>(taint_lost_),
       static_cast<unsigned long long>(trace_dropped_), elapsed_s, rate,
       eta.c_str());
@@ -109,19 +104,17 @@ std::string StatusWriter::RenderLocked(bool running) const {
   }
   if (options_.estimates) {
     const EstimateSnapshot es = options_.estimates();
-    const auto interval = [](const char* name,
-                             const OutcomeIntervalSnapshot& i) {
-      return StrFormat("\"%s\": {\"rate\": %.6f, \"lo\": %.6f, \"hi\": %.6f}",
-                       name, i.rate, i.lo, i.hi);
-    };
     out += StrFormat(
         ", \"estimates\": {\"trials\": %llu, \"effective_n\": %.1f, "
-        "\"stop_width\": %.4f, \"converged\": %s, %s, %s, %s, %s}",
+        "\"stop_width\": %.4f, \"converged\": %s",
         static_cast<unsigned long long>(es.trials), es.effective_n,
-        es.stop_width, es.converged ? "true" : "false",
-        interval("benign", es.benign).c_str(),
-        interval("terminated", es.terminated).c_str(),
-        interval("sdc", es.sdc).c_str(), interval("hang", es.hang).c_str());
+        es.stop_width, es.converged ? "true" : "false");
+    for (const auto& [name, i] : es.series) {
+      out += StrFormat(
+          ", \"%s\": {\"rate\": %.6f, \"lo\": %.6f, \"hi\": %.6f}", name,
+          i.rate, i.lo, i.hi);
+    }
+    out += "}";
   }
   out += "}\n";
   return out;
@@ -137,21 +130,11 @@ void StatusWriter::WriteLocked(bool running) {
                            ? 100.0
                            : 100.0 * static_cast<double>(done_) /
                                  static_cast<double>(options_.total);
-    std::fprintf(stderr,
-                 "\r%s: %llu/%llu (%5.1f%%)  benign %llu  terminated %llu  "
-                 "sdc %llu  infra %llu  crashed %llu ",
+    std::fprintf(stderr, "\r%s: %llu/%llu (%5.1f%%)  %s %s",
                  options_.app.c_str(), static_cast<unsigned long long>(done_),
                  static_cast<unsigned long long>(options_.total), pct,
-                 static_cast<unsigned long long>(outcomes_[0]),
-                 static_cast<unsigned long long>(outcomes_[1]),
-                 static_cast<unsigned long long>(outcomes_[2]),
-                 static_cast<unsigned long long>(outcomes_[3]),
-                 static_cast<unsigned long long>(outcomes_[4]));
-    progress_line_open_ = true;
-    if (!running) {
-      std::fprintf(stderr, "\n");
-      progress_line_open_ = false;
-    }
+                 FormatOutcomeCounts(outcomes_, /*json=*/false).c_str(),
+                 running ? "" : "\n");
     std::fflush(stderr);
   }
 }
@@ -166,11 +149,6 @@ void StatusWriter::Finish() {
 std::string StatusWriter::RenderSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return RenderLocked(/*running=*/!finished_);
-}
-
-std::uint64_t StatusWriter::done() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
 }
 
 std::uint64_t StatusWriter::writes() const {

@@ -6,9 +6,13 @@
 // (WriteFileAtomic), so a reader polling the file always sees one complete
 // JSON object — never a torn write — and `done` only ever grows.
 //
+// `done` and the per-outcome counts (one key per entry of the outcome table,
+// common/outcome.h) count *committed* trials — the ones the report counts.
+// A trial that finished after an early stop latched is in neither.
+//
 //   {"app": "matvec", "running": true, "total": 1000, "done": 412,
 //    "replayed": 0, "benign": 301, "terminated": 88, "sdc": 21, "infra": 2,
-//    "taint_lost": 0, "trace_dropped": 0,
+//    "crashed": 0, "taint_lost": 0, "trace_dropped": 0,
 //    "elapsed_s": 12.341, "trials_per_s": 33.4, "eta_s": 17.6,
 //    "tb_cache": {"translations": n, "reuses": n, "epoch_flushes": n,
 //                 "evicted_tbs": n},
@@ -35,12 +39,12 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "common/outcome.h"
 
 namespace chaser::obs {
-
-/// Campaign outcome indices the obs layer counts: 0 benign, 1 terminated,
-/// 2 sdc, 3 infra, 4 crashed (campaign::Outcome's values).
-inline constexpr int kNumTrialOutcomes = 5;
 
 /// Snapshot of a shared translation cache for the status report (a neutral
 /// mirror of tcg::SharedTbCache::Stats — obs stays dependency-free).
@@ -51,25 +55,16 @@ struct CacheStatsSnapshot {
   std::uint64_t evicted_tbs = 0;
 };
 
-/// One outcome rate with its Wilson confidence interval (a neutral mirror of
-/// campaign::WilsonInterval — obs cannot see campaign types).
-struct OutcomeIntervalSnapshot {
-  double rate = 0.0;
-  double lo = 0.0;
-  double hi = 1.0;
-};
-
 /// Live outcome-rate estimates of a sampled campaign, polled at every status
-/// rewrite. `hang` is the deadlock subset of `terminated`.
+/// rewrite.
 struct EstimateSnapshot {
-  std::uint64_t trials = 0;    // trials in the estimate (infra excluded)
+  std::uint64_t trials = 0;    // trials in the estimate (rate series only)
   double effective_n = 0.0;    // Kish effective sample size
   double stop_width = 0.0;     // --stop-ci target; 0 = early stop off
   bool converged = false;      // the stop rule has fired
-  OutcomeIntervalSnapshot benign;
-  OutcomeIntervalSnapshot terminated;
-  OutcomeIntervalSnapshot sdc;
-  OutcomeIntervalSnapshot hang;
+  /// The estimator's series by name: the rate-series outcomes, then "hang",
+  /// the deadlock subset of terminated.
+  std::vector<std::pair<const char*, WilsonInterval>> series;
 };
 
 /// Progress-meter policy. kAuto (the default when a campaign asks for any
@@ -91,7 +86,7 @@ class StatusWriter {
     std::string path;
     std::string app;           // campaign label
     std::uint64_t total = 0;   // trials expected
-    /// Rewrite the file every N completed trials (the final write always
+    /// Rewrite the file every N committed trials (the final write always
     /// happens). 0 = auto: ~100 rewrites over the campaign, at least 1.
     std::uint64_t every = 0;
     ProgressMode progress = ProgressMode::kOff;  // one-line stderr meter
@@ -120,12 +115,11 @@ class StatusWriter {
   StatusWriter(const StatusWriter&) = delete;
   StatusWriter& operator=(const StatusWriter&) = delete;
 
-  /// Account one completed trial. Thread-safe; rewrites the file when the
-  /// cadence says so. `outcome` is the campaign outcome index
-  /// (0 benign, 1 terminated, 2 sdc, 3 infra, 4 crashed); `replayed` marks trials
-  /// restored from a resume journal rather than executed.
-  void OnTrialDone(int outcome, std::uint64_t taint_lost,
-                   std::uint64_t trace_dropped, bool replayed);
+  /// Account one committed trial. Thread-safe; rewrites the file when the
+  /// cadence says so. `replayed` marks trials restored from a resume
+  /// journal rather than executed.
+  void OnTrialCommitted(Outcome outcome, std::uint64_t taint_lost,
+                        std::uint64_t trace_dropped, bool replayed);
 
   /// Final rewrite with running=false. Idempotent. Ends the progress line.
   void Finish();
@@ -134,7 +128,6 @@ class StatusWriter {
   /// scrape endpoint's source. Thread-safe.
   std::string RenderSnapshot() const;
 
-  std::uint64_t done() const;
   std::uint64_t writes() const;  // status.json rewrites so far
 
  private:
@@ -146,14 +139,13 @@ class StatusWriter {
   mutable std::mutex mutex_;
   std::uint64_t done_ = 0;
   std::uint64_t replayed_ = 0;
-  std::uint64_t outcomes_[kNumTrialOutcomes] = {};
+  OutcomeArray<std::uint64_t> outcomes_;
   std::uint64_t taint_lost_ = 0;
   std::uint64_t trace_dropped_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint64_t every_ = 1;
   std::uint64_t writes_ = 0;
   bool finished_ = false;
-  bool progress_line_open_ = false;
 };
 
 }  // namespace chaser::obs

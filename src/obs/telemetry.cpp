@@ -5,17 +5,6 @@
 
 namespace chaser::obs {
 
-const char* TrialOutcomeName(int outcome) {
-  switch (outcome) {
-    case 0: return "benign";
-    case 1: return "terminated";
-    case 2: return "sdc";
-    case 3: return "infra";
-    case 4: return "crashed";
-  }
-  return "?";
-}
-
 Telemetry::Telemetry(TelemetryOptions options) : options_(std::move(options)) {
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<TraceJsonWriter>(options_.trace_path,
@@ -136,14 +125,6 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
   Registry& reg = Registry::Global();
   // Handles resolve once per process — registration is mutexed, Inc is not.
   static Counter& trials = reg.GetCounter("campaign_trials_total");
-  static Counter& replayed = reg.GetCounter("campaign_trials_replayed");
-  static Counter* outcomes[kNumTrialOutcomes] = {
-      &reg.GetCounter("campaign_outcome_benign"),
-      &reg.GetCounter("campaign_outcome_terminated"),
-      &reg.GetCounter("campaign_outcome_sdc"),
-      &reg.GetCounter("campaign_outcome_infra"),
-      &reg.GetCounter("campaign_outcome_crashed"),
-  };
   static Counter& instructions = reg.GetCounter("guest_instructions_total");
   static Counter& injections = reg.GetCounter("injections_total");
   static Counter& taint_lost = reg.GetCounter("hub_taint_lost_total");
@@ -153,15 +134,8 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
   static Counter& tlb_misses = reg.GetCounter("vm_tlb_misses_total");
   static Counter& retries = reg.GetCounter("campaign_trial_retries_total");
 
-  if (status_ != nullptr) {
-    status_->OnTrialDone(t.outcome, t.taint_lost, t.trace_dropped, t.replayed);
-  }
   trials.Inc();
-  if (t.outcome >= 0 && t.outcome < kNumTrialOutcomes) outcomes[t.outcome]->Inc();
-  if (t.replayed) {
-    replayed.Inc();
-    return;  // not executed here: no span, no hot-path counter traffic
-  }
+  if (t.replayed) return;  // not executed here: no span, no work counters
   instructions.Inc(t.instructions);
   injections.Inc(t.injections);
   taint_lost.Inc(t.taint_lost);
@@ -182,8 +156,28 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
     const std::uint32_t tid = prof != nullptr ? prof->tid() : 0;
     trace_->AddSpan(tid, PhaseName(Phase::kTrial), t0_ns, t1_ns,
                     {{"run_seed", std::to_string(t.run_seed)},
-                     {"outcome", TrialOutcomeName(t.outcome)}});
+                     {"outcome", OutcomeName(t.outcome)}});
   }
+}
+
+void Telemetry::OnTrialCommitted(const TrialStats& t) {
+  Registry& reg = Registry::Global();
+  static Counter& replayed = reg.GetCounter("campaign_trials_replayed");
+  static const OutcomeArray<Counter*> outcomes = [&reg] {
+    OutcomeArray<Counter*> counters;
+    for (const OutcomeInfo& o : kOutcomes) {
+      counters[o.outcome] =
+          &reg.GetCounter(std::string("campaign_outcome_") + o.name);
+    }
+    return counters;
+  }();
+
+  if (status_ != nullptr) {
+    status_->OnTrialCommitted(t.outcome, t.taint_lost, t.trace_dropped,
+                              t.replayed);
+  }
+  outcomes[t.outcome]->Inc();
+  if (t.replayed) replayed.Inc();
 }
 
 void Telemetry::Finish() {

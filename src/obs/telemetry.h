@@ -10,8 +10,11 @@
 //   AttachThread / DetachThread   around each worker's (and the main
 //                                 thread's) campaign work — this is what
 //                                 arms ScopedPhase on that thread;
-//   OnTrialDone                   once per completed trial, with a neutral
-//                                 TrialStats mirror of the RunRecord.
+//   OnTrialDone                   once per trial as it finishes executing,
+//                                 with a neutral TrialStats mirror of the
+//                                 RunRecord: the work it did;
+//   OnTrialCommitted              once per trial as it commits to the
+//                                 result, in seed order: its outcome.
 //
 // The owner calls Finish() once the campaign is over: final status.json
 // (running=false), the Chrome trace file, and metrics.json all land then,
@@ -64,7 +67,7 @@ struct TelemetryOptions {
 /// Outcome-agnostic mirror of the RunRecord fields telemetry consumes
 /// (obs cannot see campaign types; the driver maps them).
 struct TrialStats {
-  int outcome = 0;  // 0 benign, 1 terminated, 2 sdc, 3 infra, 4 crashed
+  Outcome outcome = Outcome::kBenign;
   std::uint64_t run_seed = 0;
   std::uint64_t instructions = 0;
   std::uint64_t injections = 0;
@@ -76,9 +79,6 @@ struct TrialStats {
   unsigned retries = 0;
   bool replayed = false;  // restored from a resume journal, not executed
 };
-
-/// Campaign outcome index -> name: benign/terminated/sdc/infra/crashed.
-const char* TrialOutcomeName(int outcome);
 
 class Telemetry {
  public:
@@ -110,13 +110,18 @@ class Telemetry {
   /// Flush and drop the calling thread's profiler (no-op when detached).
   void DetachThread();
 
-  /// Account one completed trial: registry counters, status channel, and —
-  /// when tracing — a "trial" span on the calling thread covering
-  /// [t0_ns, t1_ns] with run_seed/outcome args. Replayed trials update the
-  /// status channel only (they did not execute here, so no span and no
-  /// per-trial registry traffic beyond the replay counter).
+  /// Account one trial as it finishes executing: campaign_trials_total, the
+  /// work counters (instructions, injections, ...), the trial phase
+  /// histogram and — when tracing — a "trial" span on the calling thread
+  /// covering [t0_ns, t1_ns] with run_seed/outcome args. A replayed trial
+  /// did not execute here: it counts in campaign_trials_total only.
   void OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
                    std::uint64_t t1_ns);
+
+  /// Account one trial as it commits to the campaign result, in seed order:
+  /// the status channel (done, replayed, per-outcome counts) and the
+  /// campaign_outcome_<name> and campaign_trials_replayed counters.
+  void OnTrialCommitted(const TrialStats& t);
 
   /// Hub-handshake clock correction for the trace anchor (see
   /// ProbeHubClock / TraceJsonWriter::SetClockOffsetUs). No-op when

@@ -7,24 +7,6 @@ namespace chaser::obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// Microseconds with sub-microsecond precision — the trace-event format's
 /// native unit.
 std::string TsUs(std::uint64_t ns) {

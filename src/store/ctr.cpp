@@ -1039,9 +1039,7 @@ bool CtrStoreScanner::Next(campaign::RunRecord* out) {
   r.outcome = campaign::Outcome::kBenign;
   if ((mask_ >> kColOutcome) & 1u) {
     const std::uint64_t v = cols_[kColOutcome][i];
-    if (v > static_cast<std::uint64_t>(campaign::Outcome::kCrashed)) {
-      throw bad("outcome");
-    }
+    if (v >= kNumOutcomes) throw bad("outcome");
     r.outcome = static_cast<campaign::Outcome>(v);
   }
   r.kind = vm::TerminationKind::kExited;

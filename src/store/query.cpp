@@ -15,34 +15,6 @@ namespace {
 using campaign::Outcome;
 using campaign::RunRecord;
 
-Outcome ParseOutcomeName(const std::string& s) {
-  for (const Outcome o : {Outcome::kBenign, Outcome::kTerminated, Outcome::kSdc,
-                          Outcome::kInfra, Outcome::kCrashed}) {
-    if (s == campaign::OutcomeName(o)) return o;
-  }
-  throw ConfigError("--where: unknown outcome '" + s + "'");
-}
-
-vm::TerminationKind ParseKindName(const std::string& s) {
-  for (const auto k :
-       {vm::TerminationKind::kRunning, vm::TerminationKind::kExited,
-        vm::TerminationKind::kSignaled, vm::TerminationKind::kAssertFailed,
-        vm::TerminationKind::kMpiError}) {
-    if (s == vm::TerminationKindName(k)) return k;
-  }
-  throw ConfigError("--where: unknown termination kind '" + s + "'");
-}
-
-vm::GuestSignal ParseSignalName(const std::string& s) {
-  for (const auto sig : {vm::GuestSignal::kNone, vm::GuestSignal::kSegv,
-                         vm::GuestSignal::kFpe, vm::GuestSignal::kIll,
-                         vm::GuestSignal::kSys, vm::GuestSignal::kAbort,
-                         vm::GuestSignal::kKill, vm::GuestSignal::kCrash}) {
-    if (s == vm::GuestSignalName(sig)) return sig;
-  }
-  throw ConfigError("--where: unknown signal '" + s + "'");
-}
-
 }  // namespace
 
 TrialFilter ParseTrialFilter(const std::string& spec) {
@@ -54,19 +26,25 @@ TrialFilter ParseTrialFilter(const std::string& spec) {
                       "' (expected key=value[,key=value...])");
   }
   for (const KeyVal& kv : pairs) {
+    const auto unknown = [&kv](const std::string& what) {
+      return ConfigError("--where: unknown " + what + " '" + kv.value + "'");
+    };
     if (kv.key == "outcome") {
-      f.outcome = ParseOutcomeName(kv.value);
-    } else if (kv.key == "kind") {
-      f.kind = ParseKindName(kv.value);
-    } else if (kv.key == "signal") {
-      f.signal = ParseSignalName(kv.value);
-    } else if (kv.key == "inject_class") {
-      guest::InstrClass cls;
-      if (!guest::ParseInstrClass(kv.value, &cls)) {
-        throw ConfigError("--where: unknown instruction class '" + kv.value +
-                          "'");
+      if (!ParseOutcome(kv.value, &f.outcome.emplace())) {
+        throw unknown("outcome");
       }
-      f.inject_class = cls;
+    } else if (kv.key == "kind") {
+      if (!vm::ParseTerminationKind(kv.value, &f.kind.emplace())) {
+        throw unknown("termination kind");
+      }
+    } else if (kv.key == "signal") {
+      if (!vm::ParseGuestSignal(kv.value, &f.signal.emplace())) {
+        throw unknown("signal");
+      }
+    } else if (kv.key == "inject_class") {
+      if (!guest::ParseInstrClass(kv.value, &f.inject_class.emplace())) {
+        throw unknown("instruction class");
+      }
     } else if (kv.key == "rank") {
       std::uint64_t r = 0;
       if (!ParseU64(kv.value, &r)) {
@@ -150,8 +128,7 @@ std::string GroupLabel(GroupBy g, const RunRecord& r) {
 
 void Tally(GroupAgg* agg, const RunRecord& r) {
   ++agg->trials;
-  const int o = static_cast<int>(r.outcome);
-  if (o >= 0 && o < 5) ++agg->outcomes[o];
+  ++agg->outcomes[r.outcome];
   agg->weight += r.sample_weight;
   if (r.outcome == Outcome::kSdc) agg->sdc_weight += r.sample_weight;
 }
@@ -214,15 +191,9 @@ QueryResult RunQuery(const std::string& path, const QueryOptions& options) {
 namespace {
 
 std::string AggLine(const GroupAgg& a) {
-  std::string out = StrFormat(
-      "trials %llu  benign %llu, terminated %llu, sdc %llu, infra %llu, "
-      "crashed %llu",
-      static_cast<unsigned long long>(a.trials),
-      static_cast<unsigned long long>(a.outcomes[0]),
-      static_cast<unsigned long long>(a.outcomes[1]),
-      static_cast<unsigned long long>(a.outcomes[2]),
-      static_cast<unsigned long long>(a.outcomes[3]),
-      static_cast<unsigned long long>(a.outcomes[4]));
+  std::string out =
+      StrFormat("trials %llu  %s", static_cast<unsigned long long>(a.trials),
+                FormatOutcomeCounts(a.outcomes, /*json=*/false).c_str());
   if (a.weight > 0.0) {
     out += StrFormat("  (weighted sdc %.2f%%)", 100.0 * a.sdc_weight / a.weight);
   }

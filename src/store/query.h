@@ -61,7 +61,7 @@ bool ParseGroupBy(const std::string& name, GroupBy* out);
 /// Per-group streaming aggregate.
 struct GroupAgg {
   std::uint64_t trials = 0;
-  std::uint64_t outcomes[5] = {};  // indexed by campaign::Outcome
+  OutcomeArray<std::uint64_t> outcomes;
   /// sample_weight sums (total and SDC share): the weighted SDC rate of a
   /// sampled campaign, exact under importance weights.
   double weight = 0.0;

@@ -43,10 +43,9 @@ std::size_t SharedTbCache::BucketOf(const Key& key) {
 }
 
 const TranslationBlock* SharedTbCache::Lookup(const Key& key) const {
-  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
   const Node* node = buckets_[BucketOf(key)].load(std::memory_order_acquire);
   for (; node != nullptr; node = node->next) {
-    if (node->epoch == epoch && KeyEq(node->key, key)) {
+    if (KeyEq(node->key, key)) {
       reuses_.fetch_add(1, std::memory_order_relaxed);
       return &node->tb;
     }
@@ -59,27 +58,20 @@ const TranslationBlock* SharedTbCache::Insert(const Key& key,
   std::lock_guard<std::mutex> lock(mutex_);
   // Another worker may have translated the same key while we were: keep the
   // first published TB canonical so every VM chains through identical nodes.
-  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   std::atomic<Node*>& bucket = buckets_[BucketOf(key)];
   for (const Node* node = bucket.load(std::memory_order_relaxed);
        node != nullptr; node = node->next) {
-    if (node->epoch == epoch && KeyEq(node->key, key)) {
+    if (KeyEq(node->key, key)) {
       reuses_.fetch_add(1, std::memory_order_relaxed);
       return &node->tb;
     }
   }
 
-  if (max_tbs_ > 0 && live_ >= max_tbs_) {
-    // QEMU overflow semantics: retire everything, restart into a new epoch.
-    evicted_tbs_ += live_;
-    live_ = 0;
-    ++epoch_flushes_;
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
+  // QEMU overflow semantics: retire everything, restart into empty chains.
+  if (max_tbs_ > 0 && live_ >= max_tbs_) FlushLocked();
 
   auto node = std::make_unique<Node>();
   node->key = key;
-  node->epoch = epoch_.load(std::memory_order_relaxed);
   node->tb = std::move(tb);
   node->next = bucket.load(std::memory_order_relaxed);
   Node* raw = node.get();
@@ -90,18 +82,30 @@ const TranslationBlock* SharedTbCache::Insert(const Key& key,
   return &raw->tb;
 }
 
-void SharedTbCache::Flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (live_ == 0) return;
+void SharedTbCache::FlushLocked() {
+  for (std::atomic<Node*>& bucket : buckets_) {
+    bucket.store(nullptr, std::memory_order_release);
+  }
   evicted_tbs_ += live_;
   live_ = 0;
   ++epoch_flushes_;
-  epoch_.fetch_add(1, std::memory_order_release);
 }
 
 std::uint64_t SharedTbCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return live_;
+}
+
+std::uint64_t SharedTbCache::ChainedNodes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t n = 0;
+  for (const std::atomic<Node*>& bucket : buckets_) {
+    for (const Node* node = bucket.load(std::memory_order_relaxed);
+         node != nullptr; node = node->next) {
+      ++n;
+    }
+  }
+  return n;
 }
 
 SharedTbCache::Stats SharedTbCache::stats() const {

@@ -14,15 +14,15 @@
 //    acquire-load the head and walk immutable nodes;
 //  * writers serialise on one mutex, re-check the chain for a racing winner,
 //    then publish a prepended node with a release store;
-//  * published nodes are immutable forever. Invalidation is *logical*:
-//    Flush() bumps the epoch and lookups skip nodes from older epochs, so no
-//    reader can ever observe a freed TB. Retired nodes are reclaimed when
-//    the cache itself is destroyed (campaign end).
+//  * published nodes are immutable forever.
 //
 // Capacity: an optional live-TB cap with QEMU's overflow semantics — when an
-// insert would exceed the cap, the whole cache is (logically) flushed and the
-// translation starts over into a fresh epoch; evictions are surfaced in
-// stats rather than happening silently.
+// insert would exceed the cap, the whole cache is flushed: every bucket head
+// is stored null, unlinking every chain. Nothing is freed — retired nodes
+// live until the cache is destroyed (campaign end), so no reader can observe
+// a freed TB, and a reader still walking a chain it loaded before the flush
+// may return a retired TB: a correct translation all the same. Evictions are
+// surfaced in stats rather than happening silently.
 #pragma once
 
 #include <array>
@@ -50,12 +50,12 @@ class SharedTbCache {
   struct Stats {
     std::uint64_t translations = 0;   // TBs inserted (translated by some VM)
     std::uint64_t reuses = 0;         // lookups served from the cache
-    std::uint64_t epoch_flushes = 0;  // logical full flushes (incl. overflow)
+    std::uint64_t epoch_flushes = 0;  // full flushes (incl. overflow)
     std::uint64_t evicted_tbs = 0;    // live TBs retired by those flushes
   };
 
   /// `max_tbs` caps the *live* TB count; 0 = unlimited. Overflow triggers a
-  /// full logical flush (epoch bump), QEMU-style.
+  /// full flush, QEMU-style.
   explicit SharedTbCache(std::uint64_t max_tbs = 0) : max_tbs_(max_tbs) {}
 
   SharedTbCache(const SharedTbCache&) = delete;
@@ -71,12 +71,12 @@ class SharedTbCache {
   /// translated the same key concurrently (the duplicate is discarded).
   const TranslationBlock* Insert(const Key& key, TranslationBlock tb);
 
-  /// Logical full flush: bump the epoch so every cached TB stops matching.
-  /// No TB is destroyed — readers holding pointers are unaffected.
-  void Flush();
-
-  /// Live TBs in the current epoch.
+  /// Live TBs: inserted since the last flush.
   std::uint64_t size() const;
+
+  /// Nodes a lookup can reach, counted by walking every chain under the
+  /// writer lock (cold path, for tests). Equals size(): a flush unlinks.
+  std::uint64_t ChainedNodes() const;
 
   Stats stats() const;
 
@@ -87,7 +87,6 @@ class SharedTbCache {
  private:
   struct Node {
     Key key;
-    std::uint64_t epoch = 0;
     TranslationBlock tb;
     Node* next = nullptr;  // chain link, immutable once published
   };
@@ -95,12 +94,12 @@ class SharedTbCache {
   static constexpr std::size_t kBuckets = 1024;  // power of two
 
   static std::size_t BucketOf(const Key& key);
+  void FlushLocked();  // the full flush, under mutex_
   static bool KeyEq(const Key& a, const Key& b) {
     return a.program == b.program && a.variant == b.variant && a.pc == b.pc;
   }
 
   std::array<std::atomic<Node*>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> epoch_{0};
   mutable std::atomic<std::uint64_t> reuses_{0};
 
   mutable std::mutex mutex_;                   // guards everything below

@@ -12,6 +12,19 @@ namespace {
 /// as corrupt and the access faults (a corrupted length register would make
 /// the real OS fail the copy the same way).
 constexpr std::uint64_t kMaxWriteBytes = 1ull << 26;
+
+/// The enumerator 0..last whose name_of() is `name`.
+template <typename E>
+bool ParseByName(const std::string& name, E last, const char* (*name_of)(E),
+                 E* out) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (name == name_of(static_cast<E>(i))) {
+      *out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
 }  // namespace
 
 const char* GuestSignalName(GuestSignal s) {
@@ -37,6 +50,15 @@ const char* TerminationKindName(TerminationKind k) {
     case TerminationKind::kMpiError: return "mpi-error";
   }
   return "?";
+}
+
+bool ParseGuestSignal(const std::string& name, GuestSignal* out) {
+  return ParseByName(name, GuestSignal::kCrash, GuestSignalName, out);
+}
+
+bool ParseTerminationKind(const std::string& name, TerminationKind* out) {
+  return ParseByName(name, TerminationKind::kMpiError, TerminationKindName,
+                     out);
 }
 
 Vm::Vm() : Vm(Config{}) {}

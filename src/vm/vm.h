@@ -63,6 +63,9 @@ enum class RunState : std::uint8_t { kRunnable, kBlocked, kTerminated };
 
 const char* GuestSignalName(GuestSignal s);
 const char* TerminationKindName(TerminationKind k);
+/// The inverses of the two above; false for an unknown name.
+bool ParseGuestSignal(const std::string& name, GuestSignal* out);
+bool ParseTerminationKind(const std::string& name, TerminationKind* out);
 
 /// Guest CPU: TCG env slots (r0..r15, f0..f15 as bit patterns, flags) + pc.
 struct CpuState {

@@ -325,11 +325,11 @@ TEST(ShardStatusTest, ParsesAFullStatusDocument) {
   EXPECT_EQ(s.total, 200u);
   EXPECT_EQ(s.done, 60u);
   EXPECT_EQ(s.replayed, 5u);
-  EXPECT_EQ(s.benign, 40u);
-  EXPECT_EQ(s.terminated, 12u);
-  EXPECT_EQ(s.sdc, 6u);
-  EXPECT_EQ(s.infra, 2u);
-  EXPECT_EQ(s.crashed, 0u);
+  EXPECT_EQ(s.outcomes[Outcome::kBenign], 40u);
+  EXPECT_EQ(s.outcomes[Outcome::kTerminated], 12u);
+  EXPECT_EQ(s.outcomes[Outcome::kSdc], 6u);
+  EXPECT_EQ(s.outcomes[Outcome::kInfra], 2u);
+  EXPECT_EQ(s.outcomes[Outcome::kCrashed], 0u);
   EXPECT_EQ(s.taint_lost, 1u);
   EXPECT_EQ(s.trace_dropped, 3u);
   EXPECT_DOUBLE_EQ(s.trials_per_s, 22.0);
@@ -360,7 +360,7 @@ ShardStatus ReportingShard(std::uint64_t done, std::uint64_t total,
   s.running = done < total;
   s.done = done;
   s.total = total;
-  s.benign = done;  // keep the outcome sums simple
+  s.outcomes[Outcome::kBenign] = done;  // keep the outcome sums simple
   s.trials_per_s = rate;
   s.eta_known = eta_known;
   s.eta_s = eta_s;
@@ -380,8 +380,8 @@ TEST(FleetRollupTest, SumsCountsAndTakesTheSlowestKnownEta) {
   EXPECT_DOUBLE_EQ(r.trials_per_s, 18.0);
   ASSERT_TRUE(r.eta_known);
   EXPECT_DOUBLE_EQ(r.eta_s, 7.5) << "the fleet finishes with its slowest shard";
-  EXPECT_DOUBLE_EQ(r.benign_rate, 1.0);
-  EXPECT_DOUBLE_EQ(r.sdc_rate, 0.0);
+  EXPECT_DOUBLE_EQ(r.rates[Outcome::kBenign], 1.0);
+  EXPECT_DOUBLE_EQ(r.rates[Outcome::kSdc], 0.0);
 }
 
 TEST(FleetRollupTest, CrashedTrialsRollUpWithEveryOtherOutcome) {
@@ -393,12 +393,16 @@ TEST(FleetRollupTest, CrashedTrialsRollUpWithEveryOtherOutcome) {
                        "\"benign\": 2, \"terminated\": 0, \"sdc\": 0, "
                        "\"infra\": 0, \"crashed\": 18, \"eta_s\": 0.0}"),
   });
-  EXPECT_EQ(r.crashed, 25u);
-  EXPECT_EQ(r.done, r.benign + r.terminated + r.sdc + r.infra + r.crashed);
-  EXPECT_DOUBLE_EQ(r.crashed_rate, 25.0 / 40.0);
-  EXPECT_DOUBLE_EQ(r.benign_rate + r.terminated_rate + r.sdc_rate +
-                       r.infra_rate + r.crashed_rate,
-                   1.0);
+  EXPECT_EQ(r.outcomes[Outcome::kCrashed], 25u);
+  EXPECT_DOUBLE_EQ(r.rates[Outcome::kCrashed], 25.0 / 40.0);
+  std::uint64_t sum = 0;
+  double rate_sum = 0.0;
+  for (const OutcomeInfo& o : kOutcomes) {
+    sum += r.outcomes[o.outcome];
+    rate_sum += r.rates[o.outcome];
+  }
+  EXPECT_EQ(r.done, sum);
+  EXPECT_DOUBLE_EQ(rate_sum, 1.0);
 }
 
 TEST(FleetRollupTest, OneEtaNullShardMakesTheFleetEtaUnknown) {

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
+#include "campaign/campaign.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "hub/remote/client.h"
@@ -459,6 +461,23 @@ TEST_F(ServerTest, TwoEndpointClientShardsTheKeySpace) {
   EXPECT_GT(server_->stats().records_published, 0u);
   EXPECT_GT(second.stats().records_published, 0u)
       << "32 mixed keys should land on both shards";
+}
+
+// One hub reset per trial: a 1-rank lud trial sends no hub traffic of its
+// own, so all it costs the hub is the reset at job start and the stats read
+// at classification — two commands.
+TEST_F(ServerTest, ACampaignTrialSendsTwoHubCommands) {
+  const auto commands = [&](std::uint64_t runs) {
+    const std::uint64_t before = server_->stats().commands;
+    campaign::CampaignConfig config;
+    config.runs = runs;
+    config.seed = 11;
+    config.hub_endpoints = {endpoint_};
+    campaign::Campaign(apps::BuildLud({}), config).Run();
+    return server_->stats().commands - before;
+  };
+  const std::uint64_t ten = commands(10);
+  EXPECT_EQ(commands(20) - ten, 20u);
 }
 
 // ---- wire instrumentation and the hub clock ---------------------------------

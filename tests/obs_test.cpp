@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -196,7 +200,7 @@ TEST(Status, DoneIsMonotonicAcrossRewrites) {
   StatusWriter writer({.path = path, .app = "t", .total = 10, .every = 1});
   std::uint64_t last_done = 0;
   for (int i = 0; i < 10; ++i) {
-    writer.OnTrialDone(/*outcome=*/0, 0, 0, /*replayed=*/false);
+    writer.OnTrialCommitted(Outcome::kBenign, 0, 0, /*replayed=*/false);
     const std::string json = Slurp(path);
     const std::uint64_t done = ParseDone(json);
     EXPECT_GE(done, last_done) << "done must never go backwards";
@@ -216,10 +220,10 @@ TEST(Status, ReplayedTrialsCountTowardDoneButNotTheRate) {
   const std::string dir = TempDir("status_replay");
   const std::string path = dir + "/status.json";
   StatusWriter writer({.path = path, .app = "t", .total = 4, .every = 1});
-  writer.OnTrialDone(0, 0, 0, /*replayed=*/true);
-  writer.OnTrialDone(1, 0, 0, /*replayed=*/true);
-  writer.OnTrialDone(2, 0, 0, /*replayed=*/false);
-  writer.OnTrialDone(0, 0, 0, /*replayed=*/false);
+  writer.OnTrialCommitted(Outcome::kBenign, 0, 0, /*replayed=*/true);
+  writer.OnTrialCommitted(Outcome::kTerminated, 0, 0, /*replayed=*/true);
+  writer.OnTrialCommitted(Outcome::kSdc, 0, 0, /*replayed=*/false);
+  writer.OnTrialCommitted(Outcome::kBenign, 0, 0, /*replayed=*/false);
   writer.Finish();
   const std::string json = Slurp(path);
   EXPECT_EQ(ParseDone(json), 4u);
@@ -236,11 +240,11 @@ TEST(Status, EtaIsNullWhileUnknownAndZeroWhenNothingRemains) {
   StatusWriter writer({.path = path, .app = "t", .total = 3, .every = 1});
   // Replayed trials are excluded from the rate: trials remain but nothing
   // has executed here, so the ETA is genuinely unknown — null, never 0.
-  writer.OnTrialDone(0, 0, 0, /*replayed=*/true);
+  writer.OnTrialCommitted(Outcome::kBenign, 0, 0, /*replayed=*/true);
   EXPECT_NE(Slurp(path).find("\"eta_s\": null"), std::string::npos)
       << Slurp(path);
-  writer.OnTrialDone(0, 0, 0, /*replayed=*/false);
-  writer.OnTrialDone(0, 0, 0, /*replayed=*/false);
+  writer.OnTrialCommitted(Outcome::kBenign, 0, 0, /*replayed=*/false);
+  writer.OnTrialCommitted(Outcome::kBenign, 0, 0, /*replayed=*/false);
   // No trials left: 0.0 ("finishing"), not null.
   EXPECT_NE(Slurp(path).find("\"eta_s\": 0.0"), std::string::npos)
       << Slurp(path);
@@ -253,7 +257,7 @@ TEST(Status, EstimatesBlockAppearsOnlyWhenASourceIsSet) {
   const std::string without = dir + "/plain.json";
   {
     StatusWriter writer({.path = without, .app = "t", .total = 1, .every = 1});
-    writer.OnTrialDone(0, 0, 0, false);
+    writer.OnTrialCommitted(Outcome::kBenign, 0, 0, false);
     writer.Finish();
   }
   EXPECT_EQ(Slurp(without).find("\"estimates\""), std::string::npos);
@@ -268,11 +272,11 @@ TEST(Status, EstimatesBlockAppearsOnlyWhenASourceIsSet) {
       es.effective_n = 38.5;
       es.stop_width = 0.02;
       es.converged = true;
-      es.sdc = {.rate = 0.25, .lo = 0.15, .hi = 0.35};
+      es.series = {{"sdc", {.rate = 0.25, .lo = 0.15, .hi = 0.35}}};
       return es;
     };
     StatusWriter writer(std::move(options));
-    writer.OnTrialDone(2, 0, 0, false);
+    writer.OnTrialCommitted(Outcome::kSdc, 0, 0, false);
     writer.Finish();
   }
   const std::string json = Slurp(with);
@@ -478,7 +482,7 @@ TEST(Status, RenderSnapshotWorksWithoutAFile) {
   StatusWriter::Options options{.path = "", .app = "t", .total = 4, .every = 1};
   options.obs_endpoint = "127.0.0.1:9100";
   StatusWriter writer(std::move(options));
-  writer.OnTrialDone(0, 0, 0, false);
+  writer.OnTrialCommitted(Outcome::kBenign, 0, 0, false);
   const std::string live = writer.RenderSnapshot();
   EXPECT_NE(live.find("\"running\": true"), std::string::npos) << live;
   EXPECT_NE(live.find("\"done\": 1"), std::string::npos);
@@ -508,6 +512,7 @@ TEST(Telemetry, ExportServerServesTheCampaignStatus) {
   telemetry.BeginCampaign("probe", 2);
   TrialStats t;
   telemetry.OnTrialDone(t, 0, 100);
+  telemetry.OnTrialCommitted(t);
   const HttpResponse status = HttpGet("127.0.0.1", port, "/status");
   EXPECT_EQ(status.status, 200);
   EXPECT_NE(status.body.find("\"app\": \"probe\""), std::string::npos);
@@ -831,28 +836,96 @@ TEST(Telemetry, CrashedTrialsReachStatusMetricsAndSpans) {
   Registry::Global().Reset();
 }
 
+// Trials still in flight when an early stop latches finish executing but
+// never commit, so status.json and campaign_outcome_* must not count them:
+// they count what the result counts. The last committed trial (found from a
+// one-worker run) is held until a later position has started, so some trial
+// always runs past the stop.
+TEST(Telemetry, StatusAndOutcomeCountersMatchTheResultPastAnEarlyStop) {
+  CampaignConfig config;
+  config.runs = 400;
+  config.seed = 11;
+  config.sample_policy = campaign::SamplePolicy::kWeighted;
+  config.stop_ci = 0.1;
+  const CampaignResult serial = Campaign(apps::BuildLud({}), config).Run();
+  ASSERT_TRUE(serial.stopped_early);
+  const std::vector<std::uint64_t> seeds =
+      Campaign::DeriveTrialSeeds(config.seed, config.runs);
+  const std::uint64_t last_committed = seeds[serial.runs - 1];
+  const std::set<std::uint64_t> past_stop(seeds.begin() + serial.runs,
+                                          seeds.end());
+
+  std::mutex mutex;
+  std::condition_variable later_started;
+  bool started = false;
+  bool timed_out = false;
+  config.trial_chaos = [&](std::uint64_t run_seed, unsigned) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (past_stop.contains(run_seed)) {
+      started = true;
+      later_started.notify_all();
+    } else if (run_seed == last_committed &&
+               !later_started.wait_for(lock, std::chrono::seconds(60),
+                                       [&] { return started; })) {
+      timed_out = true;
+    }
+  };
+  Registry::Global().Reset();
+  const std::string dir = TempDir("past_stop");
+  Telemetry telemetry(
+      {.status_path = dir + "/s.json", .metrics_path = dir + "/m.json"});
+  config.telemetry = &telemetry;
+  const CampaignResult result =
+      Campaign(apps::BuildLud({}), config, /*jobs=*/3).Run();
+  telemetry.Finish();
+  ASSERT_FALSE(timed_out)
+      << "no later trial started while the last committed one was held";
+  ASSERT_EQ(result.runs, serial.runs);
+  Registry& reg = Registry::Global();
+  EXPECT_GT(reg.GetCounter("campaign_trials_total").Value(), result.runs)
+      << "campaign_trials_total counts executed trials, past the stop too";
+  const std::string status = Slurp(dir + "/s.json");
+  EXPECT_EQ(ParseDone(status), result.runs) << status;
+  for (const OutcomeInfo& o : kOutcomes) {
+    double count = -1;
+    ASSERT_TRUE(JsonFindNumber(status, o.name, &count)) << o.name;
+    EXPECT_EQ(count, static_cast<double>(result.count(o.outcome))) << o.name;
+    EXPECT_EQ(reg.GetCounter(std::string("campaign_outcome_") + o.name).Value(),
+              result.count(o.outcome))
+        << o.name;
+  }
+  fs::remove_all(dir);
+  Registry::Global().Reset();
+}
+
 TEST(Telemetry, TrialCountersLandInTheGlobalRegistry) {
   Registry::Global().Reset();
   Telemetry telemetry({});
-  telemetry.BeginCampaign("t", 2);
+  telemetry.BeginCampaign("t", 3);
   telemetry.AttachThread("main");
   TrialStats t;
-  t.outcome = 2;  // sdc
+  t.outcome = Outcome::kSdc;
   t.instructions = 1000;
   t.injections = 3;
   telemetry.OnTrialDone(t, 0, 500);
-  t.outcome = 0;  // benign
+  telemetry.OnTrialCommitted(t);
+  // Executed, then dropped by the commit (it finished past a latched stop).
+  telemetry.OnTrialDone(t, 0, 500);
+  t.outcome = Outcome::kBenign;
   t.replayed = true;
   telemetry.OnTrialDone(t, 0, 0);
+  telemetry.OnTrialCommitted(t);
   telemetry.DetachThread();
   telemetry.Finish();
   Registry& reg = Registry::Global();
-  EXPECT_EQ(reg.GetCounter("campaign_trials_total").Value(), 2u);
+  EXPECT_EQ(reg.GetCounter("campaign_trials_total").Value(), 3u);
   EXPECT_EQ(reg.GetCounter("campaign_trials_replayed").Value(), 1u);
-  EXPECT_EQ(reg.GetCounter("campaign_outcome_sdc").Value(), 1u);
+  EXPECT_EQ(reg.GetCounter("campaign_outcome_sdc").Value(), 1u)
+      << "outcomes count committed trials only";
+  EXPECT_EQ(reg.GetCounter("campaign_outcome_benign").Value(), 1u);
   // Replayed trials did not execute here: no per-trial hot-path traffic.
-  EXPECT_EQ(reg.GetCounter("guest_instructions_total").Value(), 1000u);
-  EXPECT_EQ(reg.GetCounter("injections_total").Value(), 3u);
+  EXPECT_EQ(reg.GetCounter("guest_instructions_total").Value(), 2000u);
+  EXPECT_EQ(reg.GetCounter("injections_total").Value(), 6u);
   Registry::Global().Reset();
 }
 

@@ -87,42 +87,50 @@ TEST(SharedTbCache, KeysAreFullIdentityNotJustPc) {
   EXPECT_EQ(cache.Lookup({2, 2, 7}), nullptr);
 }
 
-TEST(SharedTbCache, FlushIsLogicalInvalidation) {
-  SharedTbCache cache;
-  const SharedTbCache::Key key{1, 1, 0};
-  const tcg::TranslationBlock* tb = cache.Insert(key, FakeTb(0, 5));
-  cache.Flush();
-  // Old epoch no longer matches...
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-  // ...but the retired TB is still readable (no reader can see a free).
-  EXPECT_EQ(tb->num_insns, 5u);
-  const SharedTbCache::Stats s = cache.stats();
-  EXPECT_EQ(s.epoch_flushes, 1u);
-  EXPECT_EQ(s.evicted_tbs, 1u);
-  // Reinsert into the new epoch works.
-  EXPECT_NE(cache.Insert(key, FakeTb(0, 6)), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 TEST(SharedTbCache, CapOverflowFlushesWholeCache) {
   SharedTbCache cache(/*max_tbs=*/4);
-  for (std::uint64_t pc = 0; pc < 4; ++pc) {
+  const tcg::TranslationBlock* first = cache.Insert({1, 1, 0}, FakeTb(0, 5));
+  for (std::uint64_t pc = 1; pc < 4; ++pc) {
     cache.Insert({1, 1, pc}, FakeTb(pc, 1));
   }
   EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.ChainedNodes(), 4u);
   EXPECT_EQ(cache.stats().epoch_flushes, 0u);
 
   // The fifth TB overflows the cap: QEMU semantics are a full flush, then
-  // the new TB lands alone in a fresh epoch.
+  // the new TB lands alone in empty chains.
   cache.Insert({1, 1, 99}, FakeTb(99, 1));
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.ChainedNodes(), 1u) << "flushed TBs are unlinked";
   EXPECT_NE(cache.Lookup({1, 1, 99}), nullptr);
   EXPECT_EQ(cache.Lookup({1, 1, 0}), nullptr);
+  // A flushed TB stays readable: no reader can observe a free.
+  EXPECT_EQ(first->num_insns, 5u);
   const SharedTbCache::Stats s = cache.stats();
   EXPECT_EQ(s.epoch_flushes, 1u);
   EXPECT_EQ(s.evicted_tbs, 4u);
   EXPECT_EQ(s.translations, 5u);
+}
+
+// Under a cap of 8, kmeans flushes the cache thousands of times per trial.
+// A flush unlinks what it retires, so after every trial a lookup can reach
+// only the live TBs — counted in nodes, not time. A chain that kept the
+// retired TBs would make every trial slower than the one before.
+TEST(SharedTbCache, CappedCampaignChainsOnlyLiveTbs) {
+  SharedTbCache cache(/*max_tbs=*/8);
+  CampaignConfig config;
+  config.runs = 4;
+  config.seed = 11;
+  config.tb_cache_cap = 8;
+  config.shared_tb_cache = &cache;
+  std::uint64_t trials = 0;
+  config.record_sink = [&](const campaign::RunRecord&) {
+    EXPECT_EQ(cache.ChainedNodes(), cache.size()) << "after trial " << trials;
+    ++trials;
+  };
+  Campaign(apps::BuildKmeans({}), config).Run();
+  EXPECT_EQ(trials, config.runs);
+  EXPECT_GT(cache.stats().epoch_flushes, config.runs);
 }
 
 TEST(SharedTbCache, HashProgramDistinguishesImages) {

@@ -156,9 +156,9 @@ TEST(Wilson, NoDataIsVacuous) {
 
 TEST(OutcomeEstimator, UnweightedRatesAreProportions) {
   OutcomeEstimator est;
-  for (int i = 0; i < 60; ++i) est.Add(/*benign*/ 0, false, 1.0);
-  for (int i = 0; i < 30; ++i) est.Add(/*terminated*/ 1, i < 10, 1.0);
-  for (int i = 0; i < 10; ++i) est.Add(/*sdc*/ 2, false, 1.0);
+  for (int i = 0; i < 60; ++i) est.Add(Outcome::kBenign, false, 1.0);
+  for (int i = 0; i < 30; ++i) est.Add(Outcome::kTerminated, i < 10, 1.0);
+  for (int i = 0; i < 10; ++i) est.Add(Outcome::kSdc, false, 1.0);
   EXPECT_EQ(est.trials(), 100u);
   EXPECT_DOUBLE_EQ(est.effective_n(), 100.0);
   EXPECT_DOUBLE_EQ(est.Interval(OutcomeEstimator::kBenign).rate, 0.60);
@@ -169,18 +169,19 @@ TEST(OutcomeEstimator, UnweightedRatesAreProportions) {
 
 TEST(OutcomeEstimator, IgnoresInfraAndNonPositiveWeights) {
   OutcomeEstimator est;
-  est.Add(0, false, 1.0);
-  est.Add(3, false, 1.0);   // infra
-  est.Add(2, false, 0.0);   // degenerate weight
-  est.Add(2, false, -1.0);  // degenerate weight
+  est.Add(Outcome::kBenign, false, 1.0);
+  est.Add(Outcome::kInfra, false, 1.0);
+  est.Add(Outcome::kCrashed, false, 1.0);
+  est.Add(Outcome::kSdc, false, 0.0);   // degenerate weight
+  est.Add(Outcome::kSdc, false, -1.0);  // degenerate weight
   EXPECT_EQ(est.trials(), 1u);
   EXPECT_DOUBLE_EQ(est.Interval(OutcomeEstimator::kBenign).rate, 1.0);
 }
 
 TEST(OutcomeEstimator, UnequalWeightsShrinkEffectiveN) {
   OutcomeEstimator est;
-  est.Add(0, false, 9.0);
-  est.Add(2, false, 1.0);
+  est.Add(Outcome::kBenign, false, 9.0);
+  est.Add(Outcome::kSdc, false, 1.0);
   // Kish: (9+1)^2 / (81+1) = 100/82.
   EXPECT_NEAR(est.effective_n(), 100.0 / 82.0, 1e-12);
   EXPECT_DOUBLE_EQ(est.Interval(OutcomeEstimator::kBenign).rate, 0.9);
@@ -189,31 +190,36 @@ TEST(OutcomeEstimator, UnequalWeightsShrinkEffectiveN) {
 TEST(OutcomeEstimator, ConvergedNeedsEverySeriesNarrow) {
   OutcomeEstimator est;
   EXPECT_FALSE(est.Converged(0.5));
-  for (int i = 0; i < 10; ++i) est.Add(i % 2, false, 1.0);
+  const auto benign_or_terminated = [](int i) {
+    return i % 2 == 0 ? Outcome::kBenign : Outcome::kTerminated;
+  };
+  for (int i = 0; i < 10; ++i) est.Add(benign_or_terminated(i), false, 1.0);
   EXPECT_FALSE(est.Converged(0.1));
-  for (int i = 0; i < 5000; ++i) est.Add(i % 2, false, 1.0);
+  for (int i = 0; i < 5000; ++i) est.Add(benign_or_terminated(i), false, 1.0);
   EXPECT_TRUE(est.Converged(0.06));
 }
 
 TEST(SampleController, StopIsStickyAndGuardedByMinTrials) {
-  SampleController c(SamplePolicy::kWeighted, /*stop_ci=*/0.9);
+  SampleController c(/*stop_ci=*/0.9);
   EXPECT_TRUE(c.stop_enabled());
   // Even a trivially-converged estimate may not stop before kMinStopTrials.
   for (std::uint64_t i = 0; i + 1 < SampleController::kMinStopTrials; ++i) {
-    EXPECT_FALSE(c.Commit(0, false, 1.0)) << "commit " << i;
+    EXPECT_FALSE(c.Commit(Outcome::kBenign, false, 1.0)) << "commit " << i;
   }
-  EXPECT_TRUE(c.Commit(0, false, 1.0));
+  EXPECT_TRUE(c.Commit(Outcome::kBenign, false, 1.0));
   EXPECT_TRUE(c.converged());
   const std::uint64_t committed = c.committed();
   // Sticky: later commits keep reporting the stop and change nothing.
-  EXPECT_TRUE(c.Commit(2, false, 1.0));
+  EXPECT_TRUE(c.Commit(Outcome::kSdc, false, 1.0));
   EXPECT_EQ(c.committed(), committed);
 }
 
 TEST(SampleController, DisabledStopStillEstimates) {
-  SampleController c(SamplePolicy::kStratified, /*stop_ci=*/0.0);
+  SampleController c(/*stop_ci=*/0.0);
   EXPECT_FALSE(c.stop_enabled());
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(c.Commit(0, false, 1.0));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(c.Commit(Outcome::kBenign, false, 1.0));
+  }
   EXPECT_FALSE(c.converged());
   EXPECT_EQ(c.estimator().trials(), 100u);
 }

@@ -20,6 +20,8 @@
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "store/ctr.h"
 #include "store/query.h"
 
@@ -66,7 +68,7 @@ std::vector<RunRecord> SampleRecords(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     RunRecord r;
     r.run_seed = rng.UniformU64(0, ~0ull);
-    r.outcome = static_cast<Outcome>(i % 5);
+    r.outcome = static_cast<Outcome>(i % kNumOutcomes);
     r.kind = static_cast<vm::TerminationKind>(i % 3);
     r.signal = i % 7 == 0 ? vm::GuestSignal::kSegv : vm::GuestSignal::kNone;
     r.inject_rank = static_cast<Rank>(i % 4);
@@ -582,6 +584,90 @@ TEST(CtrQuery, WhereParserRejectsUnknownKeysAndValues) {
   EXPECT_EQ(*f.outcome, Outcome::kSdc);
   ASSERT_TRUE(f.inject_class.has_value());
   EXPECT_EQ(*f.inject_class, guest::InstrClass::kFadd);
+}
+
+// ---- The outcome table reaches every surface --------------------------------
+
+// Outcome i is sent i+1 times through every surface that counts outcomes;
+// each must show i+1 for every outcome. The test iterates the table, so an
+// outcome added to it is covered without editing this test.
+TEST(OutcomeTable, EveryOutcomeReachesEverySurfaceWithItsCount) {
+  std::vector<RunRecord> recs;
+  for (const OutcomeInfo& o : kOutcomes) {
+    for (std::size_t n = 0; n <= static_cast<std::size_t>(o.outcome); ++n) {
+      RunRecord r;
+      r.outcome = o.outcome;
+      r.run_seed = recs.size() + 1;
+      recs.push_back(r);
+    }
+  }
+  const auto want = [](const OutcomeInfo& o) {
+    return static_cast<std::uint64_t>(o.outcome) + 1;
+  };
+
+  campaign::CampaignResult result;
+  for (const RunRecord& r : recs) result.Accumulate(r, /*keep_record=*/false);
+
+  // Commit-side telemetry: status.json and the registry counters.
+  const std::string dir = TempPath("outcome_table");
+  fs::create_directories(dir);
+  obs::Registry::Global().Reset();
+  {
+    obs::Telemetry telemetry({.status_path = dir + "/status.json"});
+    telemetry.BeginCampaign("table", recs.size());
+    for (const RunRecord& r : recs) {
+      telemetry.OnTrialCommitted(campaign::ToTrialStats(r, /*replayed=*/false));
+    }
+    telemetry.Finish();
+  }
+  const campaign::ShardStatus status =
+      campaign::ParseShardStatus(ReadFileBytes(dir + "/status.json"));
+  ASSERT_TRUE(status.ok);
+  EXPECT_EQ(status.done, recs.size());
+
+  // The fleet rollup over two shards reporting that status.
+  const campaign::FleetRollup rollup = campaign::RollUpShards({status, status});
+
+  // The CTR store, read back through the query engine.
+  WriteStore(dir + "/store", recs);
+  QueryOptions q;
+  q.group_by = GroupBy::kOutcome;
+  const QueryResult query = RunQuery(dir + "/store", q);
+
+  // The records CSV.
+  std::stringstream csv;
+  campaign::WriteRecordsCsv(recs, csv);
+  OutcomeArray<std::uint64_t> from_csv;
+  for (const RunRecord& r : campaign::ReadRecordsCsv(csv)) {
+    ++from_csv[r.outcome];
+  }
+
+  double rate_sum = 0.0;
+  for (const OutcomeInfo& o : kOutcomes) {
+    SCOPED_TRACE(o.name);
+    EXPECT_EQ(result.count(o.outcome), want(o));
+    EXPECT_EQ(status.outcomes[o.outcome], want(o));
+    EXPECT_EQ(obs::Registry::Global()
+                  .GetCounter(std::string("campaign_outcome_") + o.name)
+                  .Value(),
+              want(o));
+    EXPECT_EQ(rollup.outcomes[o.outcome], 2 * want(o));
+    EXPECT_DOUBLE_EQ(rollup.rates[o.outcome],
+                     static_cast<double>(want(o)) /
+                         static_cast<double>(recs.size()));
+    rate_sum += rollup.rates[o.outcome];
+    EXPECT_EQ(query.total.outcomes[o.outcome], want(o));
+    const auto group = std::find_if(
+        query.groups.begin(), query.groups.end(),
+        [&](const auto& g) { return g.first == o.name; });
+    ASSERT_NE(group, query.groups.end());
+    EXPECT_EQ(group->second.trials, want(o));
+    EXPECT_EQ(from_csv[o.outcome], want(o));
+  }
+  EXPECT_DOUBLE_EQ(rate_sum, 1.0);
+  EXPECT_EQ(query.groups.size(), kNumOutcomes);
+  obs::Registry::Global().Reset();
+  fs::remove_all(dir);
 }
 
 // ---- Varint hardening (spool codec regression) -------------------------------

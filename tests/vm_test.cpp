@@ -943,5 +943,28 @@ TEST(TbCache, SemanticsUnchangedByFlushEveryQuantum) {
   EXPECT_EQ(plain.instret(), flushy.instret());
 }
 
+// ---- Record enum names ------------------------------------------------------
+
+TEST(Names, ParseInvertsEveryTerminationKindAndSignalName) {
+  for (int i = 0; i <= static_cast<int>(TerminationKind::kMpiError); ++i) {
+    const auto kind = static_cast<TerminationKind>(i);
+    TerminationKind parsed = TerminationKind::kRunning;
+    ASSERT_TRUE(ParseTerminationKind(TerminationKindName(kind), &parsed))
+        << TerminationKindName(kind);
+    EXPECT_EQ(parsed, kind);
+  }
+  for (int i = 0; i <= static_cast<int>(GuestSignal::kCrash); ++i) {
+    const auto signal = static_cast<GuestSignal>(i);
+    GuestSignal parsed = GuestSignal::kNone;
+    ASSERT_TRUE(ParseGuestSignal(GuestSignalName(signal), &parsed))
+        << GuestSignalName(signal);
+    EXPECT_EQ(parsed, signal);
+  }
+  TerminationKind kind = TerminationKind::kRunning;
+  GuestSignal signal = GuestSignal::kNone;
+  EXPECT_FALSE(ParseTerminationKind("?", &kind));
+  EXPECT_FALSE(ParseGuestSignal("SIGNOPE", &signal));
+}
+
 }  // namespace
 }  // namespace chaser::vm

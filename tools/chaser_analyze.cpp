@@ -121,16 +121,6 @@ std::string ResolveTrialDir(const std::string& dir, const std::string& trial) {
   throw ConfigError(msg);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') { out += '\\'; out += c; }
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
 /// The spool's in-memory-TraceLog drop count, recorded by the campaign in
 /// meta.txt. 0 when absent (pre-drop-accounting spools) or unparsable.
 std::uint64_t MetaTraceDropped(const std::map<std::string, std::string>& meta) {
@@ -226,7 +216,7 @@ std::string TimelineText(const analysis::PropagationGraph& g, bool csv,
 /// empty and the breakdown is omitted entirely.
 struct InjectorTally {
   std::string fault_class;
-  std::uint64_t outcomes[5] = {0, 0, 0, 0, 0};
+  OutcomeArray<std::uint64_t> outcomes;
 };
 
 /// Streaming outcome tallies — one record at a time, shared by the CSV and
@@ -235,28 +225,20 @@ struct InjectorTally {
 /// itself printed; uniform and weighted records degenerate to plain
 /// proportions.
 struct OutcomeTallies {
-  campaign::OutcomeEstimator est;
-  std::uint64_t infra = 0, crashed = 0;
+  campaign::OutcomeEstimator est;  // the rate-series outcomes
+  OutcomeArray<std::uint64_t> outcomes;
   std::size_t records = 0;
   std::map<std::string, InjectorTally> by_injector;
 
   void Add(const campaign::RunRecord& r) {
     ++records;
+    ++outcomes[r.outcome];
     if (!r.injector.empty()) {
       InjectorTally& t = by_injector[r.injector];
       t.fault_class = r.fault_class;
-      const int o = static_cast<int>(r.outcome);
-      if (o >= 0 && o < 5) ++t.outcomes[o];
+      ++t.outcomes[r.outcome];
     }
-    if (r.outcome == campaign::Outcome::kInfra) {
-      ++infra;
-      return;
-    }
-    if (r.outcome == campaign::Outcome::kCrashed) {
-      ++crashed;
-      return;
-    }
-    est.Add(static_cast<int>(r.outcome), r.deadlock, r.sample_weight);
+    est.Add(r.outcome, r.deadlock, r.sample_weight);
   }
 };
 
@@ -265,34 +247,31 @@ struct OutcomeTallies {
 /// the record counts, Wilson-interval rows and per-injector breakdown.
 std::string RenderOutcomeSummary(const OutcomeTallies& tallies, bool json,
                                  const std::string& head) {
-  const campaign::OutcomeEstimator& est = tallies.est;
-  const std::uint64_t infra = tallies.infra;
-  const std::uint64_t crashed = tallies.crashed;
-  const std::size_t total_records = tallies.records;
+  using Estimator = campaign::OutcomeEstimator;
+  const Estimator& est = tallies.est;
   const auto& by_injector = tallies.by_injector;
-  struct Row {
-    const char* name;
-    campaign::OutcomeEstimator::Series series;
-  };
-  const Row rows[] = {
-      {"benign", campaign::OutcomeEstimator::kBenign},
-      {"terminated", campaign::OutcomeEstimator::kTerminated},
-      {"sdc", campaign::OutcomeEstimator::kSdc},
-      {"hang", campaign::OutcomeEstimator::kHang},
+  std::vector<Estimator::Series> series;
+  for (int i = 0; i < Estimator::kNumSeries; ++i) {
+    series.push_back(static_cast<Estimator::Series>(i));
+  }
+  const auto count = [&](const OutcomeInfo& o) {
+    return static_cast<unsigned long long>(tallies.outcomes[o.outcome]);
   };
   if (json) {
-    std::string out = StrFormat(
-        "{\n%s  \"records\": %zu,\n  \"infra\": %llu,\n"
-        "  \"crashed\": %llu,\n"
-        "  \"effective_n\": %.1f,\n  \"estimates\": {",
-        head.c_str(), total_records, static_cast<unsigned long long>(infra),
-        static_cast<unsigned long long>(crashed), est.effective_n());
+    std::string out = StrFormat("{\n%s  \"records\": %zu,\n", head.c_str(),
+                                tallies.records);
+    for (const OutcomeInfo& o : kOutcomes) {
+      if (o.rate_series) continue;
+      out += StrFormat("  \"%s\": %llu,\n", o.name, count(o));
+    }
+    out += StrFormat("  \"effective_n\": %.1f,\n  \"estimates\": {",
+                     est.effective_n());
     bool first = true;
-    for (const Row& row : rows) {
-      const campaign::WilsonInterval w = est.Interval(row.series);
+    for (const Estimator::Series s : series) {
+      const WilsonInterval w = est.Interval(s);
       out += StrFormat(
           "%s\n    \"%s\": {\"rate\": %.6f, \"lo\": %.6f, \"hi\": %.6f}",
-          first ? "" : ",", row.name, w.rate, w.lo, w.hi);
+          first ? "" : ",", Estimator::SeriesName(s), w.rate, w.lo, w.hi);
       first = false;
     }
     out += "\n  }";
@@ -301,16 +280,9 @@ std::string RenderOutcomeSummary(const OutcomeTallies& tallies, bool json,
       first = true;
       for (const auto& [name, t] : by_injector) {
         out += StrFormat(
-            "%s\n    \"%s\": {\"fault_class\": \"%s\", \"benign\": %llu, "
-            "\"terminated\": %llu, \"sdc\": %llu, \"infra\": %llu, "
-            "\"crashed\": %llu}",
-            first ? "" : ",", JsonEscape(name).c_str(),
-            JsonEscape(t.fault_class).c_str(),
-            static_cast<unsigned long long>(t.outcomes[0]),
-            static_cast<unsigned long long>(t.outcomes[1]),
-            static_cast<unsigned long long>(t.outcomes[2]),
-            static_cast<unsigned long long>(t.outcomes[3]),
-            static_cast<unsigned long long>(t.outcomes[4]));
+            "%s\n    \"%s\": {\"fault_class\": \"%s\", %s}", first ? "" : ",",
+            JsonEscape(name).c_str(), JsonEscape(t.fault_class).c_str(),
+            FormatOutcomeCounts(t.outcomes, /*json=*/true).c_str());
         first = false;
       }
       out += "\n  }";
@@ -320,31 +292,26 @@ std::string RenderOutcomeSummary(const OutcomeTallies& tallies, bool json,
   }
   std::string out = head;
   out += StrFormat(
-      "  %zu records (%llu infra, excluded), "
-      "effective n %.1f\n  outcome-rate estimates (95%% wilson):\n",
-      total_records, static_cast<unsigned long long>(infra),
-      est.effective_n());
-  for (const Row& row : rows) {
-    const campaign::WilsonInterval w = est.Interval(row.series);
-    out += StrFormat("    %-10s %6.2f%%  [%5.2f%%, %5.2f%%]\n", row.name,
-                     100.0 * w.rate, 100.0 * w.lo, 100.0 * w.hi);
+      "  %zu records, effective n %.1f\n"
+      "  outcome-rate estimates (95%% wilson):\n",
+      tallies.records, est.effective_n());
+  for (const Estimator::Series s : series) {
+    const WilsonInterval w = est.Interval(s);
+    out += StrFormat("    %-10s %6.2f%%  [%5.2f%%, %5.2f%%]\n",
+                     Estimator::SeriesName(s), 100.0 * w.rate, 100.0 * w.lo,
+                     100.0 * w.hi);
   }
-  if (crashed > 0) {
-    out += StrFormat("    %-10s %6llu trials (excluded from rates)\n",
-                     "crashed", static_cast<unsigned long long>(crashed));
+  for (const OutcomeInfo& o : kOutcomes) {
+    if (o.rate_series || count(o) == 0) continue;
+    out += StrFormat("    %-10s %6llu trials (excluded from rates)\n", o.name,
+                     count(o));
   }
   if (!by_injector.empty()) {
     out += "  per-injector outcomes:\n";
     for (const auto& [name, t] : by_injector) {
-      out += StrFormat(
-          "    %-14s %-18s benign %llu, terminated %llu, sdc %llu, "
-          "infra %llu, crashed %llu\n",
-          name.c_str(), ("(" + t.fault_class + ")").c_str(),
-          static_cast<unsigned long long>(t.outcomes[0]),
-          static_cast<unsigned long long>(t.outcomes[1]),
-          static_cast<unsigned long long>(t.outcomes[2]),
-          static_cast<unsigned long long>(t.outcomes[3]),
-          static_cast<unsigned long long>(t.outcomes[4]));
+      out += StrFormat("    %-14s %-18s %s\n", name.c_str(),
+                       ("(" + t.fault_class + ")").c_str(),
+                       FormatOutcomeCounts(t.outcomes, /*json=*/false).c_str());
     }
   }
   return out;
@@ -444,15 +411,10 @@ std::string SummarizeCtrStore(const std::string& path, bool json) {
 
 std::string AggJson(const store::GroupAgg& a) {
   return StrFormat(
-      "{\"trials\": %llu, \"benign\": %llu, \"terminated\": %llu, "
-      "\"sdc\": %llu, \"infra\": %llu, \"crashed\": %llu, "
-      "\"weight\": %.17g, \"sdc_weight\": %.17g}",
+      "{\"trials\": %llu, %s, \"weight\": %.17g, \"sdc_weight\": %.17g}",
       static_cast<unsigned long long>(a.trials),
-      static_cast<unsigned long long>(a.outcomes[0]),
-      static_cast<unsigned long long>(a.outcomes[1]),
-      static_cast<unsigned long long>(a.outcomes[2]),
-      static_cast<unsigned long long>(a.outcomes[3]),
-      static_cast<unsigned long long>(a.outcomes[4]), a.weight, a.sdc_weight);
+      FormatOutcomeCounts(a.outcomes, /*json=*/true).c_str(), a.weight,
+      a.sdc_weight);
 }
 
 std::string QueryJson(const store::QueryResult& res) {
@@ -495,19 +457,6 @@ std::string QueryJson(const store::QueryResult& res) {
 // Live fleet dashboard (`top`) and raw endpoint scrapes (`scrape`).
 // ---------------------------------------------------------------------------
 
-/// GET `path` from an "H:P" endpoint; empty body on any failure (dead
-/// workers are a normal dashboard condition, not an error).
-std::string TryScrape(const std::string& endpoint, const std::string& path) {
-  try {
-    const net::Endpoint ep = net::ParseEndpoint(endpoint);
-    const obs::HttpResponse r =
-        obs::HttpGet(ep.host, ep.port, path, /*timeout_ms=*/500);
-    if (r.status == 200) return r.body;
-  } catch (const ChaserError&) {
-  }
-  return "";
-}
-
 /// Every `"obs": "H:P"` value in a fleet-status.json document — the shard
 /// and hub scrape endpoints the coordinator discovered, deduplicated in
 /// document order.
@@ -526,17 +475,28 @@ std::vector<std::string> DiscoverObsEndpoints(const std::string& body) {
   return out;
 }
 
+/// One dashboard row: endpoint, state, progress, rate, ETA, outcome counts.
+std::string TopRow(const std::string& label, const char* state,
+                   std::uint64_t done, std::uint64_t total, double rate,
+                   const std::string& eta,
+                   const OutcomeArray<std::uint64_t>& outcomes) {
+  return StrFormat("%-22s %-8s %6llu/%-6llu %9.2f %9s  %s\n", label.c_str(),
+                   state, static_cast<unsigned long long>(done),
+                   static_cast<unsigned long long>(total), rate, eta.c_str(),
+                   FormatOutcomeCounts(outcomes, /*json=*/false).c_str());
+}
+
 /// One rendered frame of the dashboard.
 std::string RenderTopFrame(const std::vector<std::string>& endpoints) {
-  std::string out;
-  out += StrFormat("%-22s %-8s %13s %9s %9s %7s %6s %5s %6s %6s\n",
-                   "ENDPOINT", "STATE", "DONE/TOTAL", "RATE/s", "ETA_s",
-                   "BENIGN", "TERM", "SDC", "INFRA", "CRASH");
+  std::string out = StrFormat("%-22s %-8s %13s %9s %9s  %s\n", "ENDPOINT",
+                              "STATE", "DONE/TOTAL", "RATE/s", "ETA_s",
+                              "OUTCOMES");
   std::vector<campaign::ShardStatus> workers;
   std::string hub_lines;
   std::size_t silent = 0;
   for (const std::string& ep : endpoints) {
-    const std::string body = TryScrape(ep, "/status");
+    const std::string body =
+        obs::TryScrape(ep, "/status", /*timeout_ms=*/500);
     if (body.empty()) {
       ++silent;
       out += StrFormat("%-22s %-8s\n", ep.c_str(), "silent");
@@ -549,7 +509,8 @@ std::string RenderTopFrame(const std::vector<std::string>& endpoints) {
       JsonFindNumber(body, "commands", &cmds);
       JsonFindNumber(body, "records_published", &records);
       JsonFindNumber(body, "connections_accepted", &conns);
-      const std::string metrics = TryScrape(ep, "/metrics");
+      const std::string metrics =
+          obs::TryScrape(ep, "/metrics", /*timeout_ms=*/500);
       double bytes_in = 0.0, bytes_out = 0.0;
       obs::PrometheusValue(metrics, "hub_bytes_in_total", &bytes_in);
       obs::PrometheusValue(metrics, "hub_bytes_out_total", &bytes_out);
@@ -568,35 +529,22 @@ std::string RenderTopFrame(const std::vector<std::string>& endpoints) {
     workers.push_back(s);
     const std::string eta =
         !s.running ? "-" : s.eta_known ? StrFormat("%.1f", s.eta_s) : "?";
-    out += StrFormat(
-        "%-22s %-8s %6llu/%-6llu %9.2f %9s %7llu %6llu %5llu %6llu %6llu\n",
-        ep.c_str(), s.running ? "running" : "done",
-        static_cast<unsigned long long>(s.done),
-        static_cast<unsigned long long>(s.total), s.trials_per_s, eta.c_str(),
-        static_cast<unsigned long long>(s.benign),
-        static_cast<unsigned long long>(s.terminated),
-        static_cast<unsigned long long>(s.sdc),
-        static_cast<unsigned long long>(s.infra),
-        static_cast<unsigned long long>(s.crashed));
+    out += TopRow(ep, s.running ? "running" : "done", s.done, s.total,
+                  s.trials_per_s, eta, s.outcomes);
   }
   if (workers.size() > 1) {
     const campaign::FleetRollup r = campaign::RollUpShards(workers);
     const std::string eta =
         r.eta_known ? StrFormat("%.1f", r.eta_s) : std::string("?");
-    out += StrFormat(
-        "%-22s %-8s %6llu/%-6llu %9.2f %9s %7llu %6llu %5llu %6llu %6llu\n",
-        "FLEET", "", static_cast<unsigned long long>(r.done),
-        static_cast<unsigned long long>(r.total), r.trials_per_s, eta.c_str(),
-        static_cast<unsigned long long>(r.benign),
-        static_cast<unsigned long long>(r.terminated),
-        static_cast<unsigned long long>(r.sdc),
-        static_cast<unsigned long long>(r.infra),
-        static_cast<unsigned long long>(r.crashed));
-    out += StrFormat(
-        "  outcome mix: benign %.1f%%, terminated %.1f%%, sdc %.1f%%, "
-        "infra %.1f%%, crashed %.1f%%\n",
-        100.0 * r.benign_rate, 100.0 * r.terminated_rate, 100.0 * r.sdc_rate,
-        100.0 * r.infra_rate, 100.0 * r.crashed_rate);
+    out += TopRow("FLEET", "", r.done, r.total, r.trials_per_s, eta,
+                  r.outcomes);
+    out += "  outcome mix:";
+    const char* sep = " ";
+    for (const OutcomeInfo& o : kOutcomes) {
+      out += StrFormat("%s%s %.1f%%", sep, o.name, 100.0 * r.rates[o.outcome]);
+      sep = ", ";
+    }
+    out += "\n";
   }
   out += hub_lines;
   if (silent == endpoints.size()) {

@@ -343,19 +343,10 @@ campaign::CampaignResult MergeAndWrite(const campaign::MergePlan& plan,
   return result;
 }
 
-/// GET `path` from an "H:P" scrape endpoint; "" on any failure (the caller
-/// always has a file fallback, so scrape failures are soft).
-std::string TryScrape(const std::string& endpoint, const std::string& path) {
-  if (endpoint.empty()) return "";
-  try {
-    const net::Endpoint ep = net::ParseEndpoint(endpoint);
-    const obs::HttpResponse r =
-        obs::HttpGet(ep.host, ep.port, path, /*timeout_ms=*/250);
-    if (r.status == 200) return r.body;
-  } catch (const ChaserError&) {
-    // Worker mid-restart or already gone; fall back to its status file.
-  }
-  return "";
+/// `s` without its trailing newlines and spaces.
+std::string TrimTrailing(std::string s) {
+  while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
+  return s;
 }
 
 /// Roll every shard's status up into one fleet-status.json. Each shard
@@ -381,14 +372,12 @@ void WriteFleetStatus(const std::string& dir, std::uint64_t shards,
       // The worker advertises its scrape endpoint inside its own status
       // file ("obs": "H:P") — no extra banner plumbing needed.
       const campaign::ShardStatus from_file = campaign::ParseShardStatus(body);
-      const std::string live = TryScrape(from_file.obs_endpoint, "/status");
+      const std::string live = obs::TryScrape(from_file.obs_endpoint,
+                                              "/status", /*timeout_ms=*/250);
       if (!live.empty()) body = live;
     }
-    while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-      body.pop_back();
-    }
-    bodies[i] = body;
-    parsed[i] = campaign::ParseShardStatus(body);
+    bodies[i] = TrimTrailing(body);
+    parsed[i] = campaign::ParseShardStatus(bodies[i]);
   }
   const campaign::FleetRollup r = campaign::RollUpShards(parsed);
 
@@ -396,27 +385,24 @@ void WriteFleetStatus(const std::string& dir, std::uint64_t shards,
   // cannot estimate yet (or is not reporting) makes the fleet ETA null.
   std::string out = StrFormat(
       "{\"fleet\": {\"shards\": %llu, \"reporting\": %llu, \"total\": %llu, "
-      "\"done\": %llu, \"replayed\": %llu, \"benign\": %llu, "
-      "\"terminated\": %llu, \"sdc\": %llu, \"infra\": %llu, "
-      "\"crashed\": %llu, \"taint_lost\": %llu, \"trace_dropped\": %llu, "
-      "\"trials_per_s\": %.2f, \"eta_s\": %s, \"estimates\": "
-      "{\"benign\": %.6f, \"terminated\": %.6f, \"sdc\": %.6f, "
-      "\"infra\": %.6f, \"crashed\": %.6f}}",
+      "\"done\": %llu, \"replayed\": %llu, %s, \"taint_lost\": %llu, "
+      "\"trace_dropped\": %llu, \"trials_per_s\": %.2f, \"eta_s\": %s, "
+      "\"estimates\": {",
       static_cast<unsigned long long>(r.shards),
       static_cast<unsigned long long>(r.shards_reporting),
       static_cast<unsigned long long>(r.total),
       static_cast<unsigned long long>(r.done),
       static_cast<unsigned long long>(r.replayed),
-      static_cast<unsigned long long>(r.benign),
-      static_cast<unsigned long long>(r.terminated),
-      static_cast<unsigned long long>(r.sdc),
-      static_cast<unsigned long long>(r.infra),
-      static_cast<unsigned long long>(r.crashed),
+      FormatOutcomeCounts(r.outcomes, /*json=*/true).c_str(),
       static_cast<unsigned long long>(r.taint_lost),
       static_cast<unsigned long long>(r.trace_dropped), r.trials_per_s,
-      r.eta_known ? StrFormat("%.1f", r.eta_s).c_str() : "null",
-      r.benign_rate, r.terminated_rate, r.sdc_rate, r.infra_rate,
-      r.crashed_rate);
+      r.eta_known ? StrFormat("%.1f", r.eta_s).c_str() : "null");
+  const char* sep = "";
+  for (const OutcomeInfo& o : kOutcomes) {
+    out += StrFormat("%s\"%s\": %.6f", sep, o.name, r.rates[o.outcome]);
+    sep = ", ";
+  }
+  out += "}}";
 
   if (!hubs.empty()) {
     out += ", \"hubs\": [";
@@ -425,11 +411,8 @@ void WriteFleetStatus(const std::string& dir, std::uint64_t shards,
       out += StrFormat("{\"endpoint\": \"%s\"", hubs[h].endpoint.c_str());
       if (!hubs[h].obs_endpoint.empty()) {
         out += StrFormat(", \"obs\": \"%s\"", hubs[h].obs_endpoint.c_str());
-        std::string stats = TryScrape(hubs[h].obs_endpoint, "/status");
-        while (!stats.empty() &&
-               (stats.back() == '\n' || stats.back() == ' ')) {
-          stats.pop_back();
-        }
+        const std::string stats = TrimTrailing(obs::TryScrape(
+            hubs[h].obs_endpoint, "/status", /*timeout_ms=*/250));
         if (!stats.empty()) out += ", \"stats\": " + stats;
       }
       out += "}";

@@ -11,20 +11,21 @@
 # plus the rarer branches of the golden-prefix restore path:
 #   lud, clamr       --sample stratified --stop-ci 0.05
 #   matvec, lud      --injector iskip | stuckat:value=1,bits=2 | rank-crash
-#   kmeans           --tb-cache-cap 8, at --runs 4: every lookup in a cache
-#                    that small walks all the TBs earlier flushes retired,
-#                    so trials slow down as the campaign goes on
+#   kmeans           --tb-cache-cap 8, at --runs 40: a cache that small
+#                    flushes thousands of times per trial
 #   clamr            --no-trace
-# 40 cells. Each cell runs twice per build: once writing --report and a
-# records CSV --out (plus a --spool directory on cells without a --sample
-# flag), once writing a --records-format ctr store.
+# 40 cells. Each cell runs twice per build: once writing --report, --status,
+# --metrics and a records CSV --out (plus a --spool directory on cells
+# without a --sample flag), once writing a --records-format ctr store. The PR
+# build's status.json and campaign_outcome_<name> counters must also count
+# the report's trials and outcomes.
 #
 # usage: tools/identity_sweep.sh PARENT_TOOLS_DIR PR_TOOLS_DIR
 #   each *_TOOLS_DIR holds a chaser_run binary, e.g. build/tools
 #
-# Exits 0 when every file matches, 1 naming the first file that differs (or
-# the first run that failed), 2 on bad usage. The scratch directory is
-# deleted on exit either way.
+# Exits 0 when every file matches, 1 naming the first file that differs, run
+# that failed or count that disagrees with its report, 2 on bad usage. The
+# scratch directory is deleted on exit either way.
 set -u
 
 if [[ $# -ne 2 ]]; then
@@ -55,8 +56,27 @@ for app in matvec lud; do
           "$app stuckat --injector stuckat:value=1,bits=2"
           "$app rank-crash --injector rank-crash")
 done
-CELLS+=("kmeans tb-cache-cap-8 --tb-cache-cap 8 --runs 4"
+CELLS+=("kmeans tb-cache-cap-8 --tb-cache-cap 8 --runs 40"
         "clamr no-trace --no-trace")
+
+# Prints what in report run directory $1 disagrees with its report.txt:
+# status.json's done and outcome counts, campaign_outcome_<name> counters.
+count_mismatches() {
+  local dir="$1" key name want
+  num() { grep -oE "\"$1\": [0-9]+" "$dir/$2" | grep -oE '[0-9]+$'; }
+  want="$(awk 'NR == 1 {print $2}' "$dir/report.txt")"
+  [[ "$(num done status.json)" == "$want" ]] || echo "status.json done"
+  grep -q '"campaign_outcome_' "$dir/metrics.json" || echo "no outcome counters"
+  for key in $(grep -oE '"campaign_outcome_[a-z]+"' "$dir/metrics.json" |
+               tr -d '"'); do
+    name="${key#campaign_outcome_}"
+    want="$(awk -v n="$name" '$1 == n && $3 ~ /^\(/ {print $2}' \
+              "$dir/report.txt")"
+    [[ "$(num "$name" status.json)" == "${want:-0}" ]] ||
+      echo "status.json $name"
+    [[ "$(num "$key" metrics.json)" == "${want:-0}" ]] || echo "$key"
+  done
+}
 
 cells=0
 for spec in "${CELLS[@]}"; do
@@ -72,6 +92,7 @@ for spec in "${CELLS[@]}"; do
       [[ " ${cell_flags[*]} " == *" --sample "* ]] || extra=(--spool "$dir/spool")
       if ! "${RUN[$side]}" "${flags[@]}" "${extra[@]}" \
              --report "$dir/report.txt" --out "$dir/records.csv" \
+             --status "$dir/status.json" --metrics "$dir/metrics.json" \
              >"$WORK/$side-$cell.log" 2>&1 ||
          ! "${RUN[$side]}" "${flags[@]}" --records-format ctr \
              --out "$dir/store" >>"$WORK/$side-$cell.log" 2>&1; then
@@ -90,6 +111,12 @@ for spec in "${CELLS[@]}"; do
         exit 1
       fi
     done
+    mismatches="$(count_mismatches "$WORK/pr/$cell")"
+    if [[ -n "$mismatches" ]]; then
+      echo "identity_sweep: FAIL — $cell counts differ from its report:"
+      echo "$mismatches" | head -3
+      exit 1
+    fi
     cells=$((cells + 1))
     echo "   ok $cell"
   done
