@@ -177,7 +177,8 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
                     .instret = vm_.instret(), .pc = pc, .vaddr = rec.vaddr,
                     .paddr = 0, .size = 8, .value = rec.new_value,
                     .taint = rec.flip_mask});
-    LogDebug(rec.Describe());
+    // Describe() formats three hex strings: skip it below kDebug.
+    if (GetLogLevel() == LogLevel::kDebug) LogDebug(rec.Describe());
   }
 
   if (trigger_->Expired()) {

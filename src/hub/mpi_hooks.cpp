@@ -21,7 +21,7 @@ void ChaserMpiHooks::OnSend(vm::Vm& sender, const mpi::Envelope& env,
   std::vector<std::uint8_t> masks(bytes, 0);
   bool any = false;
   // Page-at-a-time: translate once per guest page and read the shadow page
-  // directly, instead of a translation + shadow hash lookup per byte.
+  // directly, instead of a translation + shadow lookup per byte.
   std::uint64_t i = 0;
   while (i < bytes) {
     const GuestAddr va = buf + i;

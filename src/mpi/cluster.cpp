@@ -16,7 +16,7 @@ void ClearGuestMemTaint(vm::Vm& vm, GuestAddr vaddr, std::uint64_t len) {
   // receives in clean runs skip the scan entirely.
   if (taint.CountTaintedBytes() == 0) return;
   // Page-at-a-time: one translation per guest page, one shadow-page probe
-  // instead of a hash lookup per byte; untracked pages are already clean.
+  // instead of a lookup per byte; untracked pages are already clean.
   std::uint64_t i = 0;
   while (i < len) {
     const GuestAddr va = vaddr + i;

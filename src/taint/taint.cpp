@@ -15,10 +15,6 @@ std::uint64_t SmearUp(std::uint64_t mask) {
   return ~std::uint64_t{0} << lowest;
 }
 
-std::uint64_t SizeMask(std::uint32_t size) {
-  return size >= 8 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (8 * size)) - 1);
-}
-
 }  // namespace
 
 std::uint64_t PackMask(const std::uint8_t* masks, std::uint32_t size) {
@@ -69,48 +65,23 @@ void TaintEngine::ClearVals() {
   temp_nonzero_ = 0;
 }
 
-TaintEngine::ShadowPage* TaintEngine::FindPage(PhysAddr paddr) {
+std::uint8_t* TaintEngine::EnsurePage(PhysAddr paddr) {
   const std::uint64_t page = paddr >> kShadowPageBits;
-  PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
-  if (e.page == page) return e.shadow;
-  const auto it = pages_.find(page);
-  if (it == pages_.end()) return nullptr;
-  e = PageCacheEntry{page, &it->second};
-  return &it->second;
-}
-
-const TaintEngine::ShadowPage* TaintEngine::FindPage(PhysAddr paddr) const {
-  const std::uint64_t page = paddr >> kShadowPageBits;
-  PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
-  if (e.page == page) return e.shadow;
-  const auto it = pages_.find(page);
-  if (it == pages_.end()) return nullptr;
-  // Safe to cache from const context: shadow pages are node-stable in the
-  // pages_ hash and the cache is pure memoisation.
-  e = PageCacheEntry{page, const_cast<ShadowPage*>(&it->second)};
-  return &it->second;
-}
-
-TaintEngine::ShadowPage& TaintEngine::EnsurePage(PhysAddr paddr) {
-  const std::uint64_t page = paddr >> kShadowPageBits;
-  PageCacheEntry& e = page_cache_[page & (kPageCacheEntries - 1)];
-  if (e.page == page) return *e.shadow;
-  ShadowPage& shadow = pages_[page];
-  if (shadow.empty()) shadow.resize(kShadowPageSize, 0);
-  e = PageCacheEntry{page, &shadow};
-  return shadow;
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  if (!pages_[page]) pages_[page] = std::make_unique<ShadowPage>();
+  return pages_[page]->data();
 }
 
 std::uint8_t TaintEngine::GetMemTaintByte(PhysAddr paddr) const {
-  const ShadowPage* page = FindPage(paddr);
-  return page == nullptr ? 0 : (*page)[paddr & (kShadowPageSize - 1)];
+  const std::uint8_t* page = FindPage(paddr);
+  return page == nullptr ? 0 : page[paddr & (kShadowPageSize - 1)];
 }
 
 void TaintEngine::SetMemTaintByte(PhysAddr paddr, std::uint8_t mask) {
   if (mask == 0) {
-    ShadowPage* page = FindPage(paddr);
+    std::uint8_t* page = FindPage(paddr);
     if (page == nullptr) return;
-    std::uint8_t& slot = (*page)[paddr & (kShadowPageSize - 1)];
+    std::uint8_t& slot = page[paddr & (kShadowPageSize - 1)];
     if (slot != 0) --tainted_bytes_;
     slot = 0;
     return;
@@ -125,16 +96,11 @@ void TaintEngine::SetMemTaintByte(PhysAddr paddr, std::uint8_t mask) {
 
 std::uint64_t TaintEngine::GetMemTaint(PhysAddr paddr, std::uint32_t size) const {
   if (tainted_bytes_ == 0) return 0;
-  // Fast path: the whole access sits in one shadow page (one hash lookup).
-  if ((paddr & (kShadowPageSize - 1)) + size <= kShadowPageSize) {
-    const ShadowPage* page = FindPage(paddr);
-    if (page == nullptr) return 0;
-    std::uint64_t packed = 0;
-    const std::uint64_t off = paddr & (kShadowPageSize - 1);
-    for (std::uint32_t i = 0; i < size && i < 8; ++i) {
-      packed |= static_cast<std::uint64_t>((*page)[off + i]) << (8 * i);
-    }
-    return packed;
+  // Fast path: the whole access sits in one shadow page (one word read).
+  const std::uint64_t off = paddr & (kShadowPageSize - 1);
+  if (off + size <= kShadowPageSize) {
+    const std::uint8_t* page = FindPage(paddr);
+    return page == nullptr ? 0 : ShadowWord(page, off, size);
   }
   std::uint64_t packed = 0;
   for (std::uint32_t i = 0; i < size && i < 8; ++i) {
@@ -151,15 +117,10 @@ void TaintEngine::SetMemTaint(PhysAddr paddr, std::uint32_t size, std::uint64_t 
   // the hottest shadow writers).
   if ((paddr & (kShadowPageSize - 1)) + size <= kShadowPageSize) {
     const std::uint64_t off = paddr & (kShadowPageSize - 1);
-    ShadowPage* page;
-    if (packed == 0) {
-      page = FindPage(paddr);
-      if (page == nullptr) return;  // clearing untracked bytes: no-op
-    } else {
-      page = &EnsurePage(paddr);
-    }
+    std::uint8_t* page = packed == 0 ? FindPage(paddr) : EnsurePage(paddr);
+    if (page == nullptr) return;  // clearing untracked bytes: no-op
     for (std::uint32_t i = 0; i < size && i < 8; ++i) {
-      std::uint8_t& slot = (*page)[off + i];
+      std::uint8_t& slot = page[off + i];
       const auto mask = static_cast<std::uint8_t>(packed >> (8 * i));
       if (slot == 0 && mask != 0) {
         ++tainted_bytes_;
@@ -179,7 +140,6 @@ void TaintEngine::SetMemTaint(PhysAddr paddr, std::uint32_t size, std::uint64_t 
 
 void TaintEngine::ClearMem() {
   pages_.clear();
-  FlushPageCache();  // cached ShadowPage* now dangle — drop them all
   tainted_bytes_ = 0;
 }
 
@@ -266,7 +226,7 @@ std::uint64_t TaintEngine::OnLoadSlow(std::uint64_t pc, GuestAddr vaddr, PhysAdd
   if (sign_extend && size < 8 && taint != 0) {
     // If the loaded sign bit is tainted, all replicated upper bits are too.
     const std::uint64_t sign_bit = std::uint64_t{1} << (8 * size - 1);
-    if (taint & sign_bit) taint |= ~SizeMask(size);
+    if (taint & sign_bit) taint |= ~LowBytesMask(size);
   }
   if (addr_taint != 0) {
     // Tainted pointer: the loaded value is wholly attacker/fault-controlled.
@@ -279,8 +239,8 @@ void TaintEngine::OnStoreSlow(std::uint64_t pc, GuestAddr vaddr, PhysAddr paddr,
                           std::uint32_t size, std::uint64_t addr_taint,
                           std::uint64_t value, std::uint64_t value_taint) {
   if (!enabled_) return;
-  std::uint64_t stored_taint = value_taint & SizeMask(size);
-  if (addr_taint != 0) stored_taint = SizeMask(size);  // tainted pointer write
+  std::uint64_t stored_taint = value_taint & LowBytesMask(size);
+  if (addr_taint != 0) stored_taint = LowBytesMask(size);  // tainted pointer write
   if (stored_taint != 0) {
     ++stats_.tainted_writes;
     if (on_write_) {
@@ -290,10 +250,10 @@ void TaintEngine::OnStoreSlow(std::uint64_t pc, GuestAddr vaddr, PhysAddr paddr,
   } else if ((paddr & (kShadowPageSize - 1)) + size <= kShadowPageSize) {
     // Clean store: count taint destroyed by overwriting (Fig. 7's drops).
     // One page lookup for the whole in-page range.
-    if (const ShadowPage* page = FindPage(paddr)) {
+    if (const std::uint8_t* page = FindPage(paddr)) {
       const std::uint64_t off = paddr & (kShadowPageSize - 1);
       for (std::uint32_t i = 0; i < size; ++i) {
-        if ((*page)[off + i] != 0) ++stats_.taint_cleared_bytes;
+        if (page[off + i] != 0) ++stats_.taint_cleared_bytes;
       }
     }
   } else {

@@ -8,21 +8,31 @@
 //  * every TCG value slot (guest registers, flags, per-TB temporaries) has a
 //    64-bit taint mask (bit i set = bit i of the value is tainted);
 //  * guest memory has a per-byte shadow (8-bit mask per byte), stored
-//    page-by-page against *physical* addresses;
+//    page-by-page against *physical* addresses in a flat table indexed by
+//    physical page number (GuestMemory hands frames out densely from 0, so
+//    the table is bounded by the frames mapped);
 //  * per-op propagation rules are value-aware where DECAF's are (and/or use
 //    concrete operand bits; shifts move masks by the concrete amount);
 //  * FP ops use conservative whole-value rules (any tainted input bit taints
 //    the full result — FP normalisation smears bits unpredictably);
 //  * tainted memory reads/writes invoke user callbacks with the paper's log
 //    payload: eip, virtual address, physical address, taint mask, value.
+//
+// Elastic taint (DECAF++) is the execution engine's job, decided per
+// translation block from Active() and AnyValTainted(): with no taint at all
+// the taint path is skipped; with taint only in memory (check mode) just
+// loads and stores reach the engine, through OnLoad/OnStore's inline clean
+// probe; once a value slot is tainted (track mode) every op propagates.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/types.h"
 #include "tcg/ir.h"
 
@@ -67,6 +77,10 @@ class TaintEngine {
   /// if skipped entirely — everything is already clean — so the execution
   /// engine bypasses the taint path until a source appears.
   bool Active() const { return val_nonzero_ != 0 || tainted_bytes_ != 0; }
+  /// True iff any value slot (guest register, flags or temporary) carries
+  /// taint. While false, every PropagateOp rule maps its clean inputs to a
+  /// clean result, so only loads and stores can change taint state.
+  bool AnyValTainted() const { return val_nonzero_ != 0; }
 
   /// Clear a value slot's taint without the full Set path (fast-path helper
   /// for clean results).
@@ -117,13 +131,13 @@ class TaintEngine {
   /// Store packed per-byte masks for `size` bytes at `paddr`.
   void SetMemTaint(PhysAddr paddr, std::uint32_t size, std::uint64_t packed);
   /// Raw shadow masks of the page containing `paddr` (kShadowPageSize bytes,
-  /// indexed by paddr offset), or nullptr when the page holds no taint at
-  /// all. For page-at-a-time scans — e.g. the write-syscall's
-  /// taint-through-I/O filter — where a per-byte GetMemTaintByte would pay
-  /// the page lookup once per byte instead of once per page.
+  /// indexed by paddr offset), or nullptr when no byte of the page has held
+  /// taint since the last ClearMem. For page-at-a-time scans — e.g. the
+  /// write-syscall's taint-through-I/O filter — where a per-byte
+  /// GetMemTaintByte would pay the page lookup once per byte instead of once
+  /// per page.
   const std::uint8_t* PeekShadowPage(PhysAddr paddr) const {
-    const ShadowPage* page = FindPage(paddr);
-    return page == nullptr ? nullptr : page->data();
+    return FindPage(paddr);
   }
 
   /// Number of bytes whose shadow mask is currently non-zero.
@@ -139,14 +153,14 @@ class TaintEngine {
 
   /// Memory load: computes the loaded value's taint from the shadow (plus a
   /// tainted-address over-approximation), fires the read callback if tainted.
-  /// Inline early-out: while no memory byte is tainted and the address is
-  /// clean, the result is exactly 0 with no callback and no stats — the
-  /// common case even after an injection (taint usually lives in a handful
-  /// of registers/bytes while the guest streams over clean data).
+  /// Inline early-out: a clean address over clean shadow yields exactly 0
+  /// with no callback and no stats — the common case even after an injection
+  /// (taint usually lives in a handful of registers/bytes while the guest
+  /// streams over clean data).
   std::uint64_t OnLoad(std::uint64_t pc, GuestAddr vaddr, PhysAddr paddr,
                        std::uint32_t size, bool sign_extend,
                        std::uint64_t addr_taint, std::uint64_t value) {
-    if (tainted_bytes_ == 0 && addr_taint == 0) return 0;
+    if (addr_taint == 0 && ShadowClean(paddr, size)) return 0;
     return OnLoadSlow(pc, vaddr, paddr, size, sign_extend, addr_taint, value);
   }
 
@@ -157,7 +171,7 @@ class TaintEngine {
   void OnStore(std::uint64_t pc, GuestAddr vaddr, PhysAddr paddr,
                std::uint32_t size, std::uint64_t addr_taint,
                std::uint64_t value, std::uint64_t value_taint) {
-    if (tainted_bytes_ == 0 && addr_taint == 0 && value_taint == 0) return;
+    if (addr_taint == 0 && value_taint == 0 && ShadowClean(paddr, size)) return;
     OnStoreSlow(pc, vaddr, paddr, size, addr_taint, value, value_taint);
   }
 
@@ -175,17 +189,35 @@ class TaintEngine {
   void Reset();
 
  private:
-  using ShadowPage = std::vector<std::uint8_t>;  // kShadowPageSize masks
+  // kShadowPageSize masks plus an 8-byte pad that stays zero, so the 8-byte
+  // word probe at any in-page offset (up to kShadowPageSize - 1) stays in
+  // bounds.
+  using ShadowPage = std::array<std::uint8_t, kShadowPageSize + 8>;
 
-  // Same-shape fast path as GuestMemory's flat TLB: a small direct-mapped
-  // page-index -> ShadowPage* cache in front of the pages_ hash. Only
-  // positive entries are cached, and unordered_map values are node-stable,
-  // so entries survive rehash; ClearMem() is the sole invalidation point.
-  struct PageCacheEntry {
-    std::uint64_t page = ~0ull;     // ~0 never matches a real page index
-    ShadowPage* shadow = nullptr;
-  };
-  static constexpr std::size_t kPageCacheEntries = 64;  // power of two
+  /// Shadow masks of the page holding `paddr`, or nullptr when none exists.
+  std::uint8_t* FindPage(PhysAddr paddr) const {
+    const std::uint64_t page = paddr >> kShadowPageBits;
+    return page < pages_.size() && pages_[page] ? pages_[page]->data() : nullptr;
+  }
+
+  /// Packed masks of `size` (<= 8) bytes at in-page offset `off`: one
+  /// 8-byte word read (little-endian host, as GuestMemory assumes), masked.
+  static std::uint64_t ShadowWord(const std::uint8_t* page, std::uint64_t off,
+                                  std::uint32_t size) {
+    std::uint64_t word;
+    std::memcpy(&word, page + off, sizeof word);
+    return word & LowBytesMask(size);
+  }
+
+  /// Inline clean probe: true when no byte of the access can carry taint —
+  /// no shadow page, or a zero shadow word. An access that straddles two
+  /// pages is never clean here; the slow path takes it byte by byte.
+  bool ShadowClean(PhysAddr paddr, std::uint32_t size) const {
+    const std::uint64_t off = paddr & (kShadowPageSize - 1);
+    if (off + size > kShadowPageSize) return false;
+    const std::uint8_t* page = FindPage(paddr);
+    return page == nullptr || ShadowWord(page, off, size) == 0;
+  }
 
   std::uint64_t OnLoadSlow(std::uint64_t pc, GuestAddr vaddr, PhysAddr paddr,
                            std::uint32_t size, bool sign_extend,
@@ -194,17 +226,14 @@ class TaintEngine {
                    std::uint32_t size, std::uint64_t addr_taint,
                    std::uint64_t value, std::uint64_t value_taint);
 
-  ShadowPage* FindPage(PhysAddr paddr);
-  const ShadowPage* FindPage(PhysAddr paddr) const;
-  ShadowPage& EnsurePage(PhysAddr paddr);
-  void FlushPageCache() { page_cache_.fill(PageCacheEntry{}); }
+  std::uint8_t* EnsurePage(PhysAddr paddr);
 
   bool enabled_ = false;
   std::vector<std::uint64_t> val_taint_;  // env slots + temps
   std::uint64_t val_nonzero_ = 0;         // slots with non-zero taint
   std::uint64_t temp_nonzero_ = 0;        // subset of val_nonzero_ >= kTempBase
-  std::unordered_map<std::uint64_t, ShadowPage> pages_;  // page index -> masks
-  mutable std::array<PageCacheEntry, kPageCacheEntries> page_cache_{};
+  // Physical page number -> masks; null until the page first holds taint.
+  std::vector<std::unique_ptr<ShadowPage>> pages_;
   std::uint64_t tainted_bytes_ = 0;
   TaintStats stats_;
   MemAccessCallback on_read_;

@@ -185,13 +185,21 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
                    int* __restrict exit_slot) {
   using tcg::TcgOpc;
   if (temps_.size() < tb.num_temps) temps_.resize(tb.num_temps);
-  // Elastic taint (DECAF++): skip the whole taint path while no taint
-  // exists anywhere — skipping is exact because every slot/byte is already
-  // clean. Helpers (the injector, MPI receive) can introduce taint, so the
-  // latch is refreshed after every kCallHelper.
+  // Elastic taint (DECAF++), decided at TB entry. taint_on: some taint
+  // exists (a value slot or a memory byte); while false the whole taint path
+  // is skipped. track: some value slot is tainted, so every op propagates
+  // (track mode). With taint only in memory (check mode) ALU, FP, flag and
+  // move ops skip propagation — exact, because every value slot is clean and
+  // every rule maps clean inputs to a clean result — while loads and stores
+  // still consult the shadow: a load can pick taint up, and a clean store
+  // over tainted bytes clears them. A load that returns taint, a helper that
+  // leaves a value slot tainted, or a stuck-at re-pin switches the TB to
+  // track mode; helpers (the injector, MPI receive) can also create or drop
+  // memory taint, so both latches are refreshed after every kCallHelper.
   const bool taint_enabled = taint_.enabled();
   bool taint_on = taint_enabled && taint_.Active();
   if (taint_on) taint_.BeginTb(tb.num_temps);
+  bool track = taint_on && taint_.AnyValTainted();
   // Hooks cannot be (re)installed mid-TB, so fold the trace-hook presence
   // and the taint latch into one per-instruction bool.
   const bool tracing = static_cast<bool>(insn_trace_hook_);
@@ -227,7 +235,7 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
   };
   auto propagate2 = [&](const tcg::TcgOp& op, std::uint64_t a,
                         std::uint64_t bv) __attribute__((always_inline)) {
-    if (!taint_on) return;
+    if (!track) return;
     const std::uint64_t ta = taint_.GetValTaint(op.src1);
     const std::uint64_t tb = taint_.GetValTaint(op.src2);
     if ((ta | tb) == 0) {
@@ -238,7 +246,7 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
   };
   auto propagate1 = [&](const tcg::TcgOp& op,
                         std::uint64_t a) __attribute__((always_inline)) {
-    if (!taint_on) return;
+    if (!track) return;
     const std::uint64_t ta = taint_.GetValTaint(op.src1);
     if (ta == 0) {
       taint_.ClearValTaint(op.dst);
@@ -277,6 +285,7 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
     if (stuck_active_ && ReassertStuckFaults() && taint_enabled) {         \
       if (!taint_on) taint_.BeginTb(tb.num_temps);                         \
       taint_on = true;                                                     \
+      track = true;                                                        \
       trace_on = tracing;                                                  \
     }                                                                      \
     if (trace_on) {                                                        \
@@ -298,11 +307,11 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
         break;
       case TcgOpc::kMovI:
         put(opp->dst, opp->imm);
-        if (taint_on) taint_.ClearValTaint(opp->dst);
+        if (track) taint_.ClearValTaint(opp->dst);
         break;
       case TcgOpc::kMov:
         put(opp->dst, get(opp->src1));
-        if (taint_on) taint_.SetValTaint(opp->dst, taint_.GetValTaint(opp->src1));
+        if (track) taint_.SetValTaint(opp->dst, taint_.GetValTaint(opp->src1));
         break;
 
       case TcgOpc::kAdd: {
@@ -416,7 +425,8 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
           const std::uint64_t t =
               taint_.OnLoad(opp->guest_pc, vaddr, paddr, size, opp->sign,
                             mem_addr_taint(*opp), *loaded);
-          taint_.SetValTaint(opp->dst, t);
+          if (t != 0) track = true;
+          if (track) taint_.SetValTaint(opp->dst, t);
         }
         break;
       }
@@ -527,11 +537,12 @@ void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
             return;
         }
         // A helper may have created (injector, MPI receive) or consumed
-        // taint: refresh the elastic latch.
+        // taint: refresh the elastic latches.
         if (taint_enabled) {
           const bool now_active = taint_.Active();
           if (now_active && !taint_on) taint_.BeginTb(tb.num_temps);
           taint_on = now_active;
+          track = taint_.AnyValTainted();
           trace_on = tracing && taint_on;
         }
         break;

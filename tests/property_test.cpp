@@ -474,30 +474,55 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, TaintSoundnessProperty, ::testing::Range(0
 
 class ElasticTaintProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(ElasticTaintProperty, SkippingWhileInactiveChangesNothing) {
-  // The DECAF++-style elastic mode skips the taint path while nothing is
-  // tainted. Force the full path in a second run by tainting a register the
-  // generated program never touches (r8): all *other* taint state and all
-  // values must be identical.
+TEST_P(ElasticTaintProperty, CheckModeMatchesAlwaysTrack) {
+  // Elastic taint skips the taint path while nothing is tainted, and runs a
+  // TB in check mode (only loads and stores reach the engine) while taint
+  // lives only in memory. Force track mode everywhere in a second run by
+  // tainting a register the generated program never touches (r8): all
+  // *other* taint state, all values, the taint counters and the ordered
+  // tainted-access streams must be identical. The faults hit a scratch word
+  // the program loads and overwrites — in check mode a tainted load must
+  // switch the TB to track mode and a clean store must clear the shadow —
+  // and, later, a data register the program reads.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   GeneratedProgram& gen = RandomProgram(seed, true, false);
   Rng rng(seed ^ 0x517e);
-  const unsigned flip_bit = static_cast<unsigned>(rng.UniformU64(0, 63));
-  const std::uint64_t fire_after = rng.UniformU64(0, 40);
+  const std::uint64_t mem_after = rng.UniformU64(0, 40);
+  const GuestAddr mem_word = gen.scratch + 8 * rng.UniformU64(0, kScratchWords - 1);
+  const std::uint64_t mem_flip = 1ull << rng.UniformU64(0, 63);
+  const std::uint64_t reg_after = rng.UniformU64(0, 80);
+  const unsigned reg = rng.Pick(std::vector<unsigned>{1, 4, 5, 6});
+  const std::uint64_t reg_flip = 1ull << rng.UniformU64(0, 63);
 
-  auto run = [&](bool force_active) {
+  struct Access {
+    std::uint64_t pc, paddr, size, taint;
+    bool operator==(const Access&) const = default;
+  };
+  std::vector<Access> reads[2], writes[2];
+  auto run = [&](bool force_track) {
     auto vm = std::make_unique<vm::Vm>();
     vm->taint().set_enabled(true);
+    auto log = [](std::vector<Access>* out) {
+      return [out](const taint::TaintMemAccess& a) {
+        out->push_back({a.pc, a.paddr, a.size, a.taint});
+      };
+    };
+    vm->taint().set_on_tainted_read(log(&reads[force_track]));
+    vm->taint().set_on_tainted_write(log(&writes[force_track]));
     vm->StartProcess(gen.program);
-    if (force_active) {
+    if (force_track) {
       // r8 is never read or written by generated code; tainting it keeps
-      // Active() true from the first instruction.
+      // AnyValTainted() true from the first instruction.
       vm->taint().TaintSourceRegister(tcg::EnvInt(8), ~std::uint64_t{0});
     }
     // Let some instructions run on the (possibly) inactive path first.
-    vm->Run(fire_after);
+    vm->Run(mem_after);
     if (vm->run_state() == vm::RunState::kRunnable) {
-      core::CorruptMemory(*vm, gen.input, 8, 1ull << flip_bit);
+      core::CorruptMemory(*vm, mem_word, 8, mem_flip);
+    }
+    vm->Run(reg_after);
+    if (vm->run_state() == vm::RunState::kRunnable) {
+      core::CorruptIntRegister(*vm, reg, reg_flip);
     }
     vm->RunToCompletion();
     return vm;
@@ -510,7 +535,7 @@ TEST_P(ElasticTaintProperty, SkippingWhileInactiveChangesNothing) {
 
   for (unsigned i = 0; i < tcg::kNumEnvSlots; ++i) {
     EXPECT_EQ(elastic->cpu().env[i], forced->cpu().env[i]) << "env " << i;
-    if (i == tcg::EnvInt(8)) continue;  // the forced-active marker itself
+    if (i == tcg::EnvInt(8)) continue;  // the forced-track marker itself
     EXPECT_EQ(elastic->taint().GetValTaint(i), forced->taint().GetValTaint(i))
         << "taint of env slot " << i;
   }
@@ -522,10 +547,14 @@ TEST_P(ElasticTaintProperty, SkippingWhileInactiveChangesNothing) {
               forced->taint().GetMemTaintByte(*pb))
         << "memory taint at scratch+" << off;
   }
-  EXPECT_EQ(elastic->taint().stats().tainted_reads,
-            forced->taint().stats().tainted_reads);
-  EXPECT_EQ(elastic->taint().stats().tainted_writes,
-            forced->taint().stats().tainted_writes);
+  const taint::TaintStats& es = elastic->taint().stats();
+  const taint::TaintStats& fs = forced->taint().stats();
+  EXPECT_EQ(es.tainted_reads, fs.tainted_reads);
+  EXPECT_EQ(es.tainted_writes, fs.tainted_writes);
+  EXPECT_EQ(es.taint_cleared_bytes, fs.taint_cleared_bytes);
+  EXPECT_EQ(es.peak_tainted_bytes, fs.peak_tainted_bytes);
+  EXPECT_TRUE(reads[0] == reads[1]) << "tainted-read streams differ";
+  EXPECT_TRUE(writes[0] == writes[1]) << "tainted-write streams differ";
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ElasticTaintProperty, ::testing::Range(0, 40));

@@ -154,6 +154,83 @@ TEST_F(TaintEngineTest, CrossPageShadow) {
   EXPECT_EQ(engine_.CountTaintedBytes(), 4u);
 }
 
+// ---- Flat shadow: page-number index, padded pages, inline word probe -----------
+
+TEST_F(TaintEngineTest, FlatShadowFrameZeroAndHighFrame) {
+  const PhysAddr high = (PhysAddr{1} << 30) + 5 * kShadowPageSize + 0x123;
+  engine_.SetMemTaint(0x10, 2, 0x8001);
+  engine_.SetMemTaintByte(high, 0x40);
+  EXPECT_EQ(engine_.GetMemTaint(0x10, 2), 0x8001u);
+  EXPECT_EQ(engine_.GetMemTaint(high, 1), 0x40u);
+  EXPECT_EQ(engine_.CountTaintedBytes(), 3u);
+
+  const std::uint8_t* low_page = engine_.PeekShadowPage(0x10);
+  const std::uint8_t* high_page = engine_.PeekShadowPage(high);
+  ASSERT_NE(low_page, nullptr);
+  ASSERT_NE(high_page, nullptr);
+  EXPECT_EQ(low_page[0x10], 0x01u);
+  EXPECT_EQ(low_page[0x11], 0x80u);
+  EXPECT_EQ(high_page[high & (kShadowPageSize - 1)], 0x40u);
+  // A page between the two was never tainted: no shadow, reads clean.
+  EXPECT_EQ(engine_.PeekShadowPage(PhysAddr{1} << 29), nullptr);
+  EXPECT_EQ(engine_.GetMemTaint(PhysAddr{1} << 29, 8), 0u);
+}
+
+TEST_F(TaintEngineTest, WideAccessAcrossPageEdgeMatchesBytes) {
+  // An 8-byte access at page offset 4092 spans two shadow pages.
+  const PhysAddr at = 3 * kShadowPageSize + 4092;
+  const std::uint64_t packed = 0x0102030405060708ull;
+  engine_.OnStore(0, 0, at, 8, 0, 0, packed);
+  std::uint8_t bytes[8];
+  for (unsigned i = 0; i < 8; ++i) bytes[i] = engine_.GetMemTaintByte(at + i);
+  EXPECT_EQ(PackMask(bytes, 8), packed);
+  EXPECT_EQ(engine_.OnLoad(0, 0, at, 8, false, 0, 0), packed);
+
+  // Taint only in the second page: the load must still see it, though the
+  // first page has no shadow at all.
+  engine_.ClearMem();
+  engine_.SetMemTaintByte(4 * kShadowPageSize + 1, 0x22);
+  ASSERT_EQ(engine_.PeekShadowPage(at), nullptr);
+  EXPECT_EQ(engine_.OnLoad(0, 0, at, 8, false, 0, 0), 0x22ull << 40);
+
+  // A clean store over it clears and counts exactly that byte.
+  engine_.OnStore(0, 0, at, 8, 0, 0, 0);
+  EXPECT_EQ(engine_.CountTaintedBytes(), 0u);
+  EXPECT_EQ(engine_.stats().taint_cleared_bytes, 1u);
+}
+
+TEST_F(TaintEngineTest, LastByteOfPageProbesOnlyItself) {
+  // A 1-byte access at offset 4095: the word probe reads into the page's
+  // zero pad, never into the next page's shadow.
+  const PhysAddr last = 2 * kShadowPageSize + 4095;
+  engine_.SetMemTaintByte(last + 1, 0xff);  // first byte of the next page
+  EXPECT_EQ(engine_.OnLoad(0, 0, last, 1, false, 0, 0), 0u);
+  engine_.SetMemTaintByte(last, 0x81);
+  EXPECT_EQ(engine_.OnLoad(0, 0, last, 1, false, 0, 0), 0x81u);
+  EXPECT_EQ(engine_.OnLoad(0, 0, last, 1, true, 0, 0), ~0x7eull)
+      << "a tainted sign bit smears over the extended bits";
+  engine_.OnStore(0, 0, last, 1, 0, 0, 0);
+  EXPECT_EQ(engine_.GetMemTaintByte(last), 0u);
+  EXPECT_EQ(engine_.GetMemTaintByte(last + 1), 0xffu);
+  EXPECT_EQ(engine_.stats().taint_cleared_bytes, 1u);
+}
+
+TEST_F(TaintEngineTest, ClearMemDropsEveryShadowPage) {
+  const PhysAddr addrs[] = {0, 7 * kShadowPageSize + 9, (PhysAddr{1} << 30) + 1};
+  for (const PhysAddr a : addrs) engine_.SetMemTaint(a, 8, ~0ull);
+  engine_.ClearMem();
+  EXPECT_EQ(engine_.CountTaintedBytes(), 0u);
+  for (const PhysAddr a : addrs) {
+    for (unsigned i = 0; i < 8; ++i) EXPECT_EQ(engine_.GetMemTaintByte(a + i), 0u);
+    EXPECT_EQ(engine_.GetMemTaint(a, 8), 0u);
+    EXPECT_EQ(engine_.PeekShadowPage(a), nullptr);
+    EXPECT_EQ(engine_.OnLoad(0, 0, a, 8, false, 0, 0), 0u);
+  }
+  engine_.SetMemTaintByte(addrs[1], 0x10);  // the shadow grows back
+  EXPECT_EQ(engine_.GetMemTaintByte(addrs[1]), 0x10u);
+  EXPECT_EQ(engine_.CountTaintedBytes(), 1u);
+}
+
 TEST_F(TaintEngineTest, PeakTaintedBytesTracked) {
   engine_.SetMemTaint(0, 8, ~0ull);
   engine_.SetMemTaint(0, 8, 0);

@@ -51,7 +51,10 @@ for _ in $(seq 1 500); do
   kill -0 "$VICTIM" 2>/dev/null || break
   sleep 0.01
 done
-if kill -9 "$VICTIM" 2>/dev/null; then
+# $VICTIM is the subshell running the backgrounded function: kill its
+# chaser_run child too, or that keeps running and races the resume for
+# the same output files.
+if kill -9 $(pgrep -P "$VICTIM") "$VICTIM" 2>/dev/null; then
   echo "   killed pid $VICTIM with journal at $(stat -c %s "$JOURNAL" 2>/dev/null || echo 0) bytes"
 else
   echo "   victim finished before the kill landed; resume becomes a replay"

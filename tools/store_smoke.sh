@@ -65,7 +65,10 @@ for jobs in 1 2; do
     kill -0 "$VICTIM" 2>/dev/null || break
     sleep 0.01
   done
-  if kill -9 "$VICTIM" 2>/dev/null; then
+  # $VICTIM is the subshell running the backgrounded function: kill its
+  # chaser_run child too, or that keeps running and races the resume for
+  # the same output files.
+  if kill -9 $(pgrep -P "$VICTIM") "$VICTIM" 2>/dev/null; then
     echo "   killed pid $VICTIM with journal at $(stat -c %s "$WORK/$name.journal" 2>/dev/null || echo 0) bytes"
   else
     echo "   run finished before the kill landed; resume becomes a replay"
