@@ -31,7 +31,8 @@ std::uint64_t RunOnce(const apps::AppSpec& spec, Strategy strategy,
                       std::uint64_t* helper_calls) {
   vm::Vm vm;
   std::uint64_t calls = 0;
-  vm.set_injector_hook([&calls](vm::Vm&, std::uint64_t) { ++calls; });
+  vm.set_injector_hook(std::make_shared<const vm::Vm::InjectorHook>(
+      [&calls](vm::Vm&, std::uint64_t) { ++calls; }));
   switch (strategy) {
     case Strategy::kNone:
       break;

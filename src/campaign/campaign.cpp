@@ -378,74 +378,78 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
   if (golden_ == nullptr) {
     throw ConfigError("TrialEngine: RunTrial before a golden profile was adopted");
   }
-  Rng run_rng(run_seed);
-
   RunRecord rec;
   rec.run_seed = run_seed;
-  // Pick the injection point, then the bit-flip width x. The uniform path
-  // keeps its historical draw sequence exactly (rank, then global nth); the
-  // sampled path draws a site from the plan and injects at that pc's nth
-  // *local* invocation.
   std::shared_ptr<const core::Trigger> trigger;
-  if (config_.sample_policy == SamplePolicy::kUniform) {
-    const auto rank_it = std::next(inject_ranks_.begin(),
-                                   static_cast<std::ptrdiff_t>(
-                                       run_rng.Index(inject_ranks_.size())));
-    rec.inject_rank = *rank_it;
-    rec.trigger_nth = run_rng.UniformU64(1, golden_->execs(rec.inject_rank));
-    trigger = std::make_shared<core::DeterministicTrigger>(rec.trigger_nth);
-  } else {
-    const SiteDraw draw = plan_->Draw(config_.sample_policy, run_rng);
-    rec.inject_rank = draw.rank;
-    rec.trigger_nth = draw.nth;
-    rec.inject_pc = draw.pc;
-    rec.inject_class = draw.cls;
-    rec.sample_weight = draw.weight;
-    trigger = std::make_shared<core::PcNthTrigger>(draw.pc, draw.nth);
-  }
-  rec.flip_bits = static_cast<unsigned>(
-      run_rng.UniformU64(config_.flip_bits_min, config_.flip_bits_max));
-
-  core::InjectionCommand cmd;
-  cmd.target_program = spec_.program.name;
-  cmd.target_classes = spec_.fault_classes;
-  cmd.trigger = trigger;
-  // The default spec constructs the probabilistic injector directly — not
-  // through the registry — so the default path is provably unchanged; any
-  // other spec resolves through the registry and stamps the record (which
-  // upgrades the records CSV to v6 and adds spool meta keys).
-  if (config_.injector.IsDefault()) {
-    cmd.injector = core::ProbabilisticInjector::Create(rec.flip_bits);
-  } else {
-    const core::InjectorRegistry& registry = core::InjectorRegistry::Global();
-    cmd.injector = registry.Create(config_.injector, rec.flip_bits);
-    rec.injector = config_.injector.name;
-    rec.fault_class = registry.Find(config_.injector.name)->fault_class;
-  }
-  cmd.trace = config_.trace;
-  cmd.seed = run_rng.Fork();
-  // Trial-window hub faults: install the degradation model for this trial
-  // only, seeded by a fork drawn *after* cmd.seed — the default path never
-  // reaches this draw, so its historical sequence is untouched.
+  // Trial-window hub faults: the degradation model is installed for this
+  // trial only (below) and the campaign's is put back on every exit path.
   const bool hub_trigger = config_.hub_fault_trigger.has_value();
-  if (hub_trigger) {
-    hub::HubFaultModel model = *config_.hub_fault_trigger;
-    model.seed = run_rng.Fork();
-    chaser_->hub().SetFaultModel(model);
-  }
-  chaser_->Arm(cmd, {rec.inject_rank});
-
   // With a spool directory configured, tee every rank's trace into a
   // per-trial spool named by the run seed — the same seed produces the same
   // directory (and byte-identical contents) on the serial and parallel
   // drivers. Detach the sinks on every exit path: the spool dies with this
   // frame and a dangling sink would corrupt the next trial.
   std::unique_ptr<analysis::TraceSpool> spool;
-  if (!config_.spool_dir.empty()) {
-    spool = std::make_unique<analysis::TraceSpool>(
-        config_.spool_dir + "/trial-" + std::to_string(run_seed));
-    for (Rank r = 0; r < spec_.num_ranks; ++r) {
-      chaser_->rank_chaser(r).trace_log().set_sink(spool.get());
+  {
+    const obs::ScopedPhase obs_scope(obs::Phase::kArm);
+    Rng run_rng(run_seed);
+    // Pick the injection point, then the bit-flip width x. The uniform path
+    // keeps its historical draw sequence exactly (rank, then global nth);
+    // the sampled path draws a site from the plan and injects at that pc's
+    // nth *local* invocation.
+    if (config_.sample_policy == SamplePolicy::kUniform) {
+      const auto rank_it = std::next(inject_ranks_.begin(),
+                                     static_cast<std::ptrdiff_t>(
+                                         run_rng.Index(inject_ranks_.size())));
+      rec.inject_rank = *rank_it;
+      rec.trigger_nth = run_rng.UniformU64(1, golden_->execs(rec.inject_rank));
+      trigger = std::make_shared<core::DeterministicTrigger>(rec.trigger_nth);
+    } else {
+      const SiteDraw draw = plan_->Draw(config_.sample_policy, run_rng);
+      rec.inject_rank = draw.rank;
+      rec.trigger_nth = draw.nth;
+      rec.inject_pc = draw.pc;
+      rec.inject_class = draw.cls;
+      rec.sample_weight = draw.weight;
+      trigger = std::make_shared<core::PcNthTrigger>(draw.pc, draw.nth);
+    }
+    rec.flip_bits = static_cast<unsigned>(
+        run_rng.UniformU64(config_.flip_bits_min, config_.flip_bits_max));
+
+    core::InjectionCommand cmd;
+    cmd.target_program = spec_.program.name;
+    cmd.target_classes = spec_.fault_classes;
+    cmd.trigger = trigger;
+    // The default spec constructs the probabilistic injector directly — not
+    // through the registry — so the default path is provably unchanged; any
+    // other spec resolves through the registry and stamps the record (which
+    // upgrades the records CSV to v6 and adds spool meta keys).
+    if (config_.injector.IsDefault()) {
+      cmd.injector = core::ProbabilisticInjector::Create(rec.flip_bits);
+    } else {
+      const core::InjectorRegistry& registry = core::InjectorRegistry::Global();
+      cmd.injector = registry.Create(config_.injector, rec.flip_bits);
+      rec.injector = config_.injector.name;
+      rec.fault_class = registry.Find(config_.injector.name)->fault_class;
+    }
+    cmd.trace = config_.trace;
+    cmd.seed = run_rng.Fork();
+    // The trial's hub fault model is seeded by a fork drawn *after*
+    // cmd.seed — the default path never reaches this draw, so its
+    // historical sequence is untouched.
+    if (hub_trigger) {
+      hub::HubFaultModel model = *config_.hub_fault_trigger;
+      model.seed = run_rng.Fork();
+      chaser_->hub().SetFaultModel(model);
+    }
+    chaser_->Arm(cmd, {rec.inject_rank});
+
+    if (!config_.spool_dir.empty()) {
+      spool = std::make_unique<analysis::TraceSpool>(
+          config_.spool_dir + "/trial-" + std::to_string(run_seed));
+      for (Rank r = 0; r < spec_.num_ranks; ++r) {
+        chaser_->rank_chaser(r).trace_log().set_sink(spool.get());
+      }
     }
   }
   try {
@@ -524,7 +528,7 @@ void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
     }
     const core::Chaser::Checkpoint& c =
         ck->chasers[static_cast<std::size_t>(inject_rank)];
-    return trigger.Clone()->FastForward(
+    return trigger.SilentThrough(
         c.exec_count, c.sites_profiled ? &c.site_execs : nullptr);
   };
   const auto end =
@@ -821,6 +825,7 @@ CampaignResult Campaign::Run() {
       pending.push_back(i);
       continue;
     }
+    const obs::ScopedPhase commit_scope(obs::Phase::kCommit);
     if (telemetry != nullptr) {
       telemetry->OnTrialDone(ToTrialStats(it->second, /*replayed=*/true), 0, 0);
     }
@@ -856,6 +861,7 @@ CampaignResult Campaign::Run() {
                                           golden_,
                                           seeds[static_cast<std::size_t>(i)]);
         if (journal != nullptr) journal->Append(rec);
+        const obs::ScopedPhase commit_scope(obs::Phase::kCommit);
         if (telemetry != nullptr) {
           telemetry->OnTrialDone(ToTrialStats(rec, /*replayed=*/false), t0_ns,
                                  obs::MonotonicNanos());

@@ -15,11 +15,19 @@ Chaser::Chaser(vm::Vm& vm, Options options)
   vm_.set_on_process_create([this](vm::Vm&, Pid, const std::string& name) {
     OnProcessCreate(name);
   });
+  injector_hook_ = std::make_shared<const vm::Vm::InjectorHook>(
+      [this](vm::Vm&, std::uint64_t pc) { OnInjectorHelper(pc); });
 }
 
 void Chaser::Arm(InjectionCommand cmd) {
-  cmd_ = std::move(cmd);
-  rng_ = std::make_unique<Rng>(cmd_->seed);
+  owned_cmd_ = std::move(cmd);
+  Arm(owned_cmd_, owned_cmd_.seed, /*inject=*/true);
+}
+
+void Chaser::Arm(const InjectionCommand& cmd, std::uint64_t seed, bool inject) {
+  cmd_ = &cmd;
+  inject_ = inject;
+  rng_.Reseed(seed);
   // If the target process is already running, attach right away.
   if (vm_.program() != nullptr && vm_.run_state() != vm::RunState::kTerminated &&
       vm_.process_name() == cmd_->target_program) {
@@ -29,7 +37,7 @@ void Chaser::Arm(InjectionCommand cmd) {
 
 void Chaser::Disarm() {
   Detach();
-  cmd_.reset();
+  cmd_ = nullptr;
 }
 
 void Chaser::OnProcessCreate(const std::string& name) {
@@ -46,27 +54,32 @@ void Chaser::Attach() {
   taint_timeline_.clear();
   attached_ = true;
 
-  if (!cmd_->TraceOnly()) {
+  if (inject_ && !cmd_->TraceOnly()) {
     trigger_ = cmd_->trigger->Clone();
     injector_active_ = true;
-    const std::set<guest::InstrClass> classes = cmd_->target_classes;
-    // The predicate is a pure function of the target-class set, so key it
-    // for the shared translation cache: every trial targeting the same
-    // classes shares one set of instrumented TBs. Bit 63 keeps user keys
-    // disjoint from the reserved keys (0, and 1 for the clean variant).
-    std::uint64_t key = 1469598103934665603ull;
-    for (const guest::InstrClass c : classes) {  // std::set: sorted, stable
-      key ^= static_cast<std::uint64_t>(c);
-      key *= 1099511628211ull;
+    std::uint32_t classes = 0;  // InstrClass has fewer than 32 members
+    for (const guest::InstrClass c : cmd_->target_classes) {
+      classes |= 1u << static_cast<unsigned>(c);
     }
-    key |= 1ull << 63;
-    vm_.SetInstrumentPredicate(
-        [classes](const guest::Instruction& in, std::uint64_t) {
-          return classes.count(guest::ClassOf(in.op)) != 0;
-        },
-        key);
-    vm_.set_injector_hook(
-        [this](vm::Vm&, std::uint64_t pc) { OnInjectorHelper(pc); });
+    if (!predicate_ || classes != predicate_classes_) {
+      // The predicate is a pure function of the target-class set, so key it
+      // for the shared translation cache: every trial targeting the same
+      // classes shares one set of instrumented TBs. Bit 63 keeps user keys
+      // disjoint from the reserved keys (0, and 1 for the clean variant).
+      std::uint64_t key = 1469598103934665603ull;
+      for (const guest::InstrClass c : cmd_->target_classes) {  // sorted
+        key ^= static_cast<std::uint64_t>(c);
+        key *= 1099511628211ull;
+      }
+      predicate_classes_ = classes;
+      predicate_key_ = key | 1ull << 63;
+      // Captures one word, so copies of it allocate nothing.
+      predicate_ = [classes](const guest::Instruction& in, std::uint64_t) {
+        return (classes >> static_cast<unsigned>(guest::ClassOf(in.op)) & 1u) != 0;
+      };
+    }
+    vm_.SetInstrumentPredicate(predicate_, predicate_key_);
+    vm_.set_injector_hook(injector_hook_);
   } else {
     trigger_.reset();
     injector_active_ = false;
@@ -130,7 +143,7 @@ void Chaser::Detach() {
 Chaser::Checkpoint Chaser::Capture() const {
   Checkpoint ck;
   ck.exec_count = exec_count_;
-  ck.sites_profiled = cmd_.has_value() && cmd_->profile_sites;
+  ck.sites_profiled = cmd_ != nullptr && cmd_->profile_sites;
   ck.site_execs.assign(site_execs_.begin(), site_execs_.end());
   ck.taint_timeline = taint_timeline_;
   return ck;
@@ -151,7 +164,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
   if (!injector_active_ || !cmd_) return;
   ++exec_count_;
   if (cmd_->profile_sites) ++site_execs_[pc];
-  if (!trigger_->ShouldFireAt(exec_count_, pc, *rng_)) {
+  if (!trigger_->ShouldFireAt(exec_count_, pc, rng_)) {
     if (trigger_->Expired()) {
       // fi_clean_cb: stop screening and flush the instrumentation out of the
       // translation cache; tracing (taint) stays on.
@@ -165,7 +178,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
 
   const obs::ScopedPhase obs_scope(obs::Phase::kInject);
   const guest::Instruction& instr = vm_.program()->text[pc];
-  InjectionContext ctx{vm_, pc, instr, exec_count_, vm_.instret(), *rng_, records_};
+  InjectionContext ctx{vm_, pc, instr, exec_count_, vm_.instret(), rng_, records_};
   const std::size_t before = records_.size();
   cmd_->injector->Inject(ctx);
   for (std::size_t i = before; i < records_.size(); ++i) {

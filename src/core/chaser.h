@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -83,6 +82,12 @@ class Chaser {
   /// matches `cmd.target_program` is created in the VM.
   void Arm(InjectionCommand cmd);
 
+  /// Arm with a command the caller keeps alive and unchanged while it is
+  /// armed (ChaserMpi shares one across its ranks), seeded with `seed`
+  /// instead of cmd.seed. `inject` false arms it trace-only, as if its
+  /// trigger and injector were null.
+  void Arm(const InjectionCommand& cmd, std::uint64_t seed, bool inject);
+
   /// Drop the command and detach from the current process.
   void Disarm();
 
@@ -106,7 +111,7 @@ class Chaser {
   const std::vector<TaintSample>& taint_timeline() const { return taint_timeline_; }
 
   vm::Vm& vm() { return vm_; }
-  Rng& rng() { return *rng_; }
+  Rng& rng() { return rng_; }
 
   // ---- Golden-prefix checkpoints ---------------------------------------------
   /// What a clean run leaves in a Chaser by a checkpoint: targeted
@@ -138,9 +143,17 @@ class Chaser {
   Options options_;
   Rank rank_ = -1;
 
-  std::optional<InjectionCommand> cmd_;
+  const InjectionCommand* cmd_ = nullptr;  // null = disarmed
+  InjectionCommand owned_cmd_;             // what Arm(InjectionCommand) keeps
+  bool inject_ = false;                    // false = trace-only
   std::unique_ptr<Trigger> trigger_;   // per-run clone
-  std::unique_ptr<Rng> rng_;
+  Rng rng_{0};
+  // The instrumentation predicate for one class set (bit c = class c), kept
+  // across runs: rebuilt only when an armed command targets other classes.
+  std::uint32_t predicate_classes_ = 0;
+  std::uint64_t predicate_key_ = 0;
+  vm::Vm::InstrumentPredicate predicate_;
+  std::shared_ptr<const vm::Vm::InjectorHook> injector_hook_;
   bool attached_ = false;
   bool injector_active_ = false;
 

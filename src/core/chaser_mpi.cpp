@@ -19,15 +19,15 @@ ChaserMpi::ChaserMpi(mpi::Cluster& cluster, Chaser::Options options,
 }
 
 void ChaserMpi::Arm(const InjectionCommand& cmd, const std::set<Rank>& inject_ranks) {
+  // One copy for every rank. Assigning over the previous trial's command
+  // reuses its storage, so re-arming allocates nothing.
+  cmd_ = cmd;
   for (Rank r = 0; r < cluster_.num_ranks(); ++r) {
-    InjectionCommand rank_cmd = cmd;
-    rank_cmd.seed = cmd.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(r);
+    const std::uint64_t seed =
+        cmd.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(r);
+    // Non-target ranks arm trace-only.
     const bool injects = inject_ranks.empty() || inject_ranks.count(r) != 0;
-    if (!injects) {
-      rank_cmd.trigger = nullptr;  // trace-only on non-target ranks
-      rank_cmd.injector = nullptr;
-    }
-    chasers_[static_cast<std::size_t>(r)]->Arm(std::move(rank_cmd));
+    chasers_[static_cast<std::size_t>(r)]->Arm(cmd_, seed, injects);
   }
 }
 

@@ -56,6 +56,7 @@ class ChaserMpi {
   hub::TaintHub owned_hub_;     // used unless an external hub is supplied
   hub::HubService* hub_;        // the hub everything actually talks to
   hub::ChaserMpiHooks hooks_;
+  InjectionCommand cmd_;  // the armed command, shared by every rank's Chaser
   std::vector<std::unique_ptr<Chaser>> chasers_;
 };
 

@@ -22,8 +22,10 @@ bool DeterministicTrigger::ShouldFire(std::uint64_t exec_count, Rng&) {
   return true;
 }
 
-bool DeterministicTrigger::FastForward(std::uint64_t execs, const SiteCounts*) {
-  // Executions before the nth leave no state behind.
+bool DeterministicTrigger::SilentThrough(std::uint64_t execs,
+                                         const SiteCounts*) const {
+  // Executions before the nth leave no state behind, so the default
+  // FastForward fits.
   return !fired_ && execs < nth_;
 }
 
@@ -107,15 +109,21 @@ bool PcNthTrigger::ShouldFireAt(std::uint64_t, std::uint64_t pc, Rng&) {
   return true;
 }
 
-bool PcNthTrigger::FastForward(std::uint64_t, const SiteCounts* sites) {
-  if (sites == nullptr || fired_) return false;
+std::uint64_t PcNthTrigger::SeenIn(const SiteCounts& sites) const {
   const auto it = std::lower_bound(
-      sites->begin(), sites->end(), pc_,
+      sites.begin(), sites.end(), pc_,
       [](const std::pair<std::uint64_t, std::uint64_t>& site,
          std::uint64_t pc) { return site.first < pc; });
-  const std::uint64_t seen = it != sites->end() && it->first == pc_ ? it->second : 0;
-  if (seen >= nth_) return false;
-  seen_ = seen;
+  return it != sites.end() && it->first == pc_ ? it->second : 0;
+}
+
+bool PcNthTrigger::SilentThrough(std::uint64_t, const SiteCounts* sites) const {
+  return sites != nullptr && !fired_ && SeenIn(*sites) < nth_;
+}
+
+bool PcNthTrigger::FastForward(std::uint64_t execs, const SiteCounts* sites) {
+  if (!SilentThrough(execs, sites)) return false;
+  seen_ = SeenIn(*sites);
   return true;
 }
 

@@ -41,16 +41,23 @@ class Trigger {
   /// Per-pc targeted-execution counts, sorted by pc.
   using SiteCounts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-  /// Golden-prefix fast-forward for a fresh trigger: a clean run made
-  /// `execs` targeted executions (`sites` per pc, or null when the run did
-  /// not profile sites) without consulting this trigger. If the trigger
-  /// provably would not have fired within them, take the state it would
-  /// have after them and return true; otherwise return false, untouched.
-  /// The default cannot tell (random or multi-shot triggers): false.
-  virtual bool FastForward(std::uint64_t execs, const SiteCounts* sites) {
+  /// Golden-prefix query for a fresh trigger: a clean run made `execs`
+  /// targeted executions (`sites` per pc, or null when the run did not
+  /// profile sites) without consulting this trigger. True if the trigger
+  /// provably would not have fired within them. The default cannot tell
+  /// (random or multi-shot triggers): false.
+  virtual bool SilentThrough(std::uint64_t execs, const SiteCounts* sites) const {
     (void)execs;
     (void)sites;
     return false;
+  }
+
+  /// Golden-prefix fast-forward: if SilentThrough(execs, sites), take the
+  /// state the trigger would have after those executions and return true;
+  /// otherwise return false, untouched. The default suits triggers whose
+  /// executions before the firing one leave no state behind.
+  virtual bool FastForward(std::uint64_t execs, const SiteCounts* sites) {
+    return SilentThrough(execs, sites);
   }
 
   /// Fresh stateful copy (campaigns re-arm the same command per run).
@@ -65,7 +72,7 @@ class DeterministicTrigger final : public Trigger {
   explicit DeterministicTrigger(std::uint64_t nth);
   bool ShouldFire(std::uint64_t exec_count, Rng& rng) override;
   bool Expired() const override { return fired_; }
-  bool FastForward(std::uint64_t execs, const SiteCounts* sites) override;
+  bool SilentThrough(std::uint64_t execs, const SiteCounts* sites) const override;
   std::unique_ptr<Trigger> Clone() const override;
   std::string Describe() const override;
 
@@ -122,11 +129,15 @@ class PcNthTrigger final : public Trigger {
   bool ShouldFireAt(std::uint64_t exec_count, std::uint64_t pc,
                     Rng& rng) override;
   bool Expired() const override { return fired_; }
+  bool SilentThrough(std::uint64_t execs, const SiteCounts* sites) const override;
   bool FastForward(std::uint64_t execs, const SiteCounts* sites) override;
   std::unique_ptr<Trigger> Clone() const override;
   std::string Describe() const override;
 
  private:
+  /// Executions of pc_ in `sites`.
+  std::uint64_t SeenIn(const SiteCounts& sites) const;
+
   std::uint64_t pc_;
   std::uint64_t nth_;
   std::uint64_t seen_ = 0;  // executions of pc_ observed so far

@@ -185,6 +185,7 @@ void RemoteTaintHub::FlushAllBatches() {
 
 void RemoteTaintHub::Publish(MessageTaintRecord record) {
   Shard& shard = shards_[ShardOf(record.id)];
+  shard.touched = true;
   EncodeRecord(&shard.batch, record);
   ++shard.batch_count;
   if (shard.batch_count >= kBatchMaxRecords ||
@@ -198,6 +199,7 @@ PollAttempt RemoteTaintHub::TryPoll(const MessageId& id, const RecvContext& ctx)
   // preserving the in-process operation order (and the hub clock with it).
   FlushAllBatches();
   Shard& shard = shards_[ShardOf(id)];
+  shard.touched = true;
   std::string request;
   AppendVarint(&request, static_cast<std::uint64_t>(Command::kTryPoll));
   EncodeMessageId(&request, id);
@@ -234,6 +236,7 @@ PollAttempt RemoteTaintHub::TryPoll(const MessageId& id, const RecvContext& ctx)
 void RemoteTaintHub::AbandonPoll(const MessageId& id) {
   FlushAllBatches();
   Shard& shard = shards_[ShardOf(id)];
+  shard.touched = true;
   std::string request;
   AppendVarint(&request, static_cast<std::uint64_t>(Command::kAbandonPoll));
   EncodeMessageId(&request, id);
@@ -246,7 +249,10 @@ void RemoteTaintHub::SetFaultModel(const HubFaultModel& model) {
   std::string request;
   AppendVarint(&request, static_cast<std::uint64_t>(Command::kSetFaultModel));
   EncodeFaultModel(&request, model);
-  for (Shard& shard : shards_) Call(shard, request);
+  for (Shard& shard : shards_) {
+    shard.touched = true;
+    Call(shard, request);
+  }
 }
 
 std::vector<TransferLogEntry> RemoteTaintHub::transfer_log() const {
@@ -264,7 +270,9 @@ std::vector<TransferLogEntry> RemoteTaintHub::DrainTransferLog() {
   // client-side mirror — its hub_seq numbering is the deterministic one.
   std::string request;
   AppendVarint(&request, static_cast<std::uint64_t>(Command::kDrainTransferLog));
-  for (Shard& shard : shards_) Call(shard, request);
+  for (Shard& shard : shards_) {
+    if (shard.touched) Call(shard, request);
+  }
   std::vector<TransferLogEntry> log = std::move(transfers_);
   transfers_.clear();
   std::sort(log.begin(), log.end(),
@@ -286,6 +294,7 @@ HubStats RemoteTaintHub::stats() const {
   std::string request;
   AppendVarint(&request, static_cast<std::uint64_t>(Command::kStats));
   for (Shard& shard : shards_) {
+    if (!shard.touched) continue;  // a cleared session's stats are zeros
     const_cast<RemoteTaintHub*>(this)->FlushBatch(shard);
     const std::string body = Call(shard, request);
     HubStats s;
@@ -317,7 +326,11 @@ void RemoteTaintHub::Clear() {
   next_hub_seq_ = 0;
   std::string request;
   AppendVarint(&request, static_cast<std::uint64_t>(Command::kClear));
-  for (Shard& shard : shards_) Call(shard, request);
+  for (Shard& shard : shards_) {
+    if (!shard.touched) continue;
+    Call(shard, request);
+    shard.touched = false;
+  }
 }
 
 }  // namespace chaser::hub::remote

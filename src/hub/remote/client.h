@@ -16,6 +16,12 @@
 // The transfer log is mirrored client-side: each poll hit appends an entry
 // with a client-assigned hub_seq, so transfer_log()/SawTransfer() need no
 // network round trip and cross-shard ordering matches issue order.
+//
+// A shard whose session nothing has reached since its last clear (a fresh
+// session counts as cleared) is skipped by Clear(), stats() and
+// DrainTransferLog(): TaintHub::Clear() zeroes the stats, the clock, the
+// drop tape and the transfer log, so such a session already equals a
+// cleared one. A trial that makes no hub call then costs no round trip.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +78,9 @@ class RemoteTaintHub : public HubService {
     net::FrameDecoder decoder;
     std::string batch;             // encoded pending publish records
     std::uint64_t batch_count = 0;
+    /// Some command other than clear, stats or drain reached (or is batched
+    /// for) the session since its last clear.
+    bool touched = false;
   };
 
   std::size_t ShardOf(const MessageId& id) const;

@@ -86,7 +86,7 @@ void TaintHub::AbandonPoll(const MessageId& id) {
 
 void TaintHub::SetFaultModel(const HubFaultModel& model) {
   fault_model_ = model;
-  fault_rng_ = Rng(fault_model_.seed);
+  fault_rng_.Reseed(fault_model_.seed);
 }
 
 std::vector<TransferLogEntry> TaintHub::transfer_log() const {
@@ -124,7 +124,7 @@ void TaintHub::Clear() {
   // drivers Clear() via MessageHooks::OnJobStart) sees the same
   // deterministic degradation, which keeps serial == parallel bit-identity.
   clock_ = 0;
-  fault_rng_ = Rng(fault_model_.seed);
+  fault_rng_.Reseed(fault_model_.seed);
 }
 
 }  // namespace chaser::hub

@@ -92,7 +92,7 @@ void Cluster::ResetJobState() {
   if (hooks_ != nullptr) hooks_->OnJobStart();
   job_ = JobMpiState{};
   resume_.reset();
-  for (auto& state : ranks_) static_cast<RankMpiState&>(*state) = RankMpiState{};
+  for (auto& state : ranks_) state->Clear();
 }
 
 void Cluster::SetCheckpointHook(std::uint64_t at, CheckpointHook hook) {

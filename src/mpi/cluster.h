@@ -71,14 +71,28 @@ class MessageHooks {
 
 /// One rank's MPI-runtime state (everything but its VM).
 struct RankMpiState {
-  bool mpi_initialized = false;
-  bool mpi_finalized = false;
+  RankMpiState() { Clear(); }
+
+  bool mpi_initialized;
+  bool mpi_finalized;
   std::deque<Envelope> inbox;
-  std::uint64_t barriers_done = 0;
-  bool barrier_arrived = false;
+  std::uint64_t barriers_done;
+  bool barrier_arrived;
   // Allreduce progress: the contribution is sent exactly once even though
   // a blocked syscall re-executes when the rank is unblocked.
-  bool allreduce_sent = false;
+  bool allreduce_sent;
+
+  /// The one definition of a fresh rank's state (the constructor calls it),
+  /// applied in place: the inbox keeps its storage (a new std::deque
+  /// allocates even empty, and every trial resets every rank).
+  void Clear() {
+    mpi_initialized = false;
+    mpi_finalized = false;
+    inbox.clear();
+    barriers_done = 0;
+    barrier_arrived = false;
+    allreduce_sent = false;
+  }
 };
 
 /// The job-wide MPI-runtime state.

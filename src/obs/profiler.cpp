@@ -30,6 +30,8 @@ const char* PhaseName(Phase p) {
     case Phase::kStart: return "start";
     case Phase::kRestore: return "restore";
     case Phase::kClassify: return "classify";
+    case Phase::kArm: return "arm";
+    case Phase::kCommit: return "commit";
   }
   return "?";
 }

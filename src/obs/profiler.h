@@ -40,8 +40,14 @@ enum class Phase : std::uint8_t {
   kRestore,         // choosing and loading a golden-prefix checkpoint (inside
                     // execute; only trials that restore record it)
   kClassify,        // TrialEngine::Classify: the trial's record from its job
+  kArm,             // RunTrial up to Cluster::Start: the trial's draws, its
+                    // command and arming every rank
+  kCommit,          // a finished trial's Telemetry::OnTrialDone and its one
+                    // SeedOrderCommitter::Offer (commit lock included, and
+                    // every commit that Offer releases: record sink, store
+                    // append); a trial dropped past a stop still records it
 };
-inline constexpr std::size_t kNumPhases = 12;
+inline constexpr std::size_t kNumPhases = 14;
 
 const char* PhaseName(Phase p);
 

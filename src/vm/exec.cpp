@@ -9,9 +9,10 @@
 //  * Vm::Run chains TBs goto_tb-style: each executed TB reports which static
 //    exit it took, and the run loop patches a direct CachedTb* so the next
 //    iteration skips the hash lookup entirely;
-//  * Vm::LookupTb consults the translation cache (the campaign-wide
-//    SharedTbCache, or the Vm's private one) before translating, so a whole
-//    campaign translates each TB once;
+//  * Vm::LookupTb indexes the local TB slots by pc, and on a miss consults
+//    the translation cache (the campaign-wide SharedTbCache, or the Vm's
+//    private one) before translating, so a whole campaign translates each
+//    TB once;
 //  * Vm::ExecuteTb is the one interpreter: a for/switch over the TB's ops;
 //  * the loop's state lives in a RunFrame, so a golden run can hand it to a
 //    checkpoint hook (one compare per TB) and a trial can Resume from it.
@@ -49,22 +50,24 @@ std::uint64_t DoubleToI64(double d) {
 }  // namespace
 
 Vm::CachedTb& Vm::LookupTb(std::uint64_t pc) {
-  const auto it = tb_cache_.find(pc);
-  if (it != tb_cache_.end()) return it->second;
+  CachedTb& entry = tb_index_[pc];
+  if (entry.tb != nullptr) return entry;
 
   // Local index cap (QEMU code_gen_buffer overflow semantics): drop
   // everything and start over rather than evicting piecemeal.
-  if (config_.max_cached_tbs > 0 && tb_cache_.size() >= config_.max_cached_tbs) {
-    tb_evictions_ += tb_cache_.size();
+  if (config_.max_cached_tbs > 0 && tb_filled_.size() >= config_.max_cached_tbs) {
+    tb_evictions_ += tb_filled_.size();
     FlushTbCache();
   }
-  return tb_cache_.emplace(pc, CachedTb{.tb = ResolveTb(pc)}).first->second;
+  entry.tb = ResolveTb(pc);
+  tb_filled_.push_back(pc);
+  return entry;
 }
 
 const tcg::TranslationBlock* Vm::ResolveTb(std::uint64_t pc) {
   tcg::SharedTbCache& cache =
       private_cache_ != nullptr ? *private_cache_ : *config_.shared_cache;
-  const tcg::SharedTbCache::Key key{program_hash_, VariantKey(), pc};
+  const tcg::SharedTbCache::Key key{program_hash_, variant_key_, pc};
   if (const tcg::TranslationBlock* cached = cache.Lookup(key)) {
     ++shared_reuses_;
     ++epoch_cur_.shared_reuses;
@@ -106,11 +109,11 @@ RunState Vm::Resume(const RunFrame& frame) {
   CachedTb* prev = nullptr;
   int slot = frame.slot;
   if (frame.prev_pc != kNoPc) {
-    const auto it = tb_cache_.find(frame.prev_pc);
-    if (it == tb_cache_.end()) {
+    if (frame.prev_pc >= tb_index_.size() ||
+        tb_index_[frame.prev_pc].tb == nullptr) {
       throw ConfigError("Resume: the frame's TB is not in the local index");
     }
-    prev = &it->second;
+    prev = &tb_index_[frame.prev_pc];
   }
   while (run_state_ == RunState::kRunnable && budget > 0) {
     if (instret_ >= checkpoint_at_) [[unlikely]] {

@@ -62,15 +62,25 @@ void GuestMemory::FreeSlab::operator()(std::uint8_t* slab) const {
   munmap(slab, bytes);
 }
 
+template <typename F>
+void GuestMemory::ForEachSpan(std::uint64_t first, std::uint64_t last, F&& f) {
+  for (std::uint64_t d = first >> kLeafBits; d <= last >> kLeafBits; ++d) {
+    const std::uint64_t lo = d == first >> kLeafBits ? first & (kLeafPages - 1) : 0;
+    const std::uint64_t hi =
+        d == last >> kLeafBits ? last & (kLeafPages - 1) : kLeafPages - 1;
+    Leaf& leaf = *dir_[d];
+    f(leaf, leaf.frames.data() + lo, hi - lo + 1);
+  }
+}
+
 void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
   if (bytes == 0) return;
   const std::uint64_t first = vaddr >> kPageBits;
   const std::uint64_t last = (vaddr + bytes - 1) >> kPageBits;
-  // Grow the directory and allocate leaves up front so the insert loop below
-  // is pure array stores.
+  // Grow the directory and allocate leaves up front; then the page table is
+  // read and written one leaf span at a time.
   const std::uint64_t last_leaf = last >> kLeafBits;
   if (last_leaf >= dir_.size()) dir_.resize(last_leaf + 1);
-  std::uint64_t fresh = 0;
   for (std::uint64_t d = first >> kLeafBits; d <= last_leaf; ++d) {
     if (dir_[d] == nullptr) {
       dir_[d] = std::make_unique<Leaf>();
@@ -78,9 +88,10 @@ void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
       leaves_.push_back(d);
     }
   }
-  for (std::uint64_t vp = first; vp <= last; ++vp) {
-    fresh += FrameIndex(vp) == kNoFrame ? 1 : 0;
-  }
+  std::uint64_t fresh = 0;
+  ForEachSpan(first, last, [&](Leaf&, const std::uint32_t* slots, std::uint64_t n) {
+    fresh += static_cast<std::uint64_t>(std::count(slots, slots + n, kNoFrame));
+  });
   if (fresh == 0) return;
   regions_.emplace_back(first, last);
   const std::uint64_t need = mapped_ + fresh;
@@ -109,11 +120,12 @@ void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
     }
     touched_.resize(frames_.size(), 0);
   }
-  for (std::uint64_t vp = first; vp <= last; ++vp) {
-    Leaf& leaf = *dir_[vp >> kLeafBits];
-    std::uint32_t& slot = leaf.frames[vp & (kLeafPages - 1)];
-    if (slot == kNoFrame) slot = mapped_++;
-  }
+  // Hand out frames in vpage order.
+  ForEachSpan(first, last, [&](Leaf&, std::uint32_t* slots, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (slots[i] == kNoFrame) slots[i] = mapped_++;
+    }
+  });
   // No TLB flush: the TLB caches only positive entries, newly-mapped pages
   // cannot be cached yet, and frames never move (slab storage is stable), so
   // every cached translation stays valid. Reset() is the only unmap, and it
@@ -147,13 +159,12 @@ void GuestMemory::Reset() {
   }
   touched_vpages_.clear();
   // Unmap, noting which leaves still map a kept frame; the rest are freed.
+  const auto kept = [pool](std::uint32_t frame) { return frame < pool; };
   for (const auto& [first, last] : regions_) {
-    for (std::uint64_t vp = first; vp <= last; ++vp) {
-      Leaf& leaf = *dir_[vp >> kLeafBits];
-      std::uint32_t& slot = leaf.frames[vp & (kLeafPages - 1)];
-      if (slot < pool) leaf.keep = true;
-      slot = kNoFrame;
-    }
+    ForEachSpan(first, last, [&](Leaf& leaf, std::uint32_t* slots, std::uint64_t n) {
+      if (!leaf.keep && std::any_of(slots, slots + n, kept)) leaf.keep = true;
+      std::fill(slots, slots + n, kNoFrame);
+    });
   }
   regions_.clear();
   std::erase_if(leaves_, [this](std::uint64_t d) {

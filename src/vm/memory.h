@@ -198,6 +198,11 @@ class GuestMemory {
     if (d >= dir_.size() || dir_[d] == nullptr) return kNoFrame;
     return dir_[d]->frames[vpage & (kLeafPages - 1)];
   }
+  /// Call f(leaf, slots, n) for each leaf's share of the vpages
+  /// [first, last]: `slots` points at the n page-table slots of that span.
+  /// Every leaf must exist.
+  template <typename F>
+  void ForEachSpan(std::uint64_t first, std::uint64_t last, F&& f);
 
   /// Slabs are anonymous mappings (see MapRegion), so they go back to
   /// munmap().

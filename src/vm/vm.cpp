@@ -70,6 +70,7 @@ Vm::Vm(Config config) : config_(config) {
   if (config_.shared_cache == nullptr) {
     private_cache_ = std::make_unique<tcg::SharedTbCache>();
   }
+  UpdateVariantKey();
 }
 
 void Vm::SetInstrumentPredicate(InstrumentPredicate pred, std::uint64_t key) {
@@ -84,12 +85,19 @@ void Vm::SetInstrumentPredicate(InstrumentPredicate pred, std::uint64_t key) {
   opts.instrument = std::move(pred);
   translator_.set_options(std::move(opts));
   predicate_key_ = key;
+  UpdateVariantKey();
 }
 
 void Vm::SetInstrumentAll(bool all) {
   auto opts = translator_.options();
   opts.instrument_all = all;
   translator_.set_options(std::move(opts));
+  UpdateVariantKey();
+}
+
+void Vm::ClearTbIndex() {
+  for (const std::uint64_t pc : tb_filled_) tb_index_[pc] = CachedTb{};
+  tb_filled_.clear();
 }
 
 void Vm::FlushTbCache() {
@@ -97,7 +105,7 @@ void Vm::FlushTbCache() {
   // flush, and a subsequent predicate change switches the variant key, so
   // stale translations can never be looked up again. A private cache has no
   // other reader, so its TBs are freed and the next execution retranslates.
-  tb_cache_.clear();
+  ClearTbIndex();
   if (private_cache_ != nullptr) {
     private_cache_ = std::make_unique<tcg::SharedTbCache>();
   }
@@ -123,7 +131,7 @@ void Vm::ResetTranslationStats() {
   epoch_cur_ = TranslationEpochStats{};
 }
 
-std::uint64_t Vm::VariantKey() const {
+void Vm::UpdateVariantKey() {
   // Mix every knob that changes translation output. FNV-style so distinct
   // (predicate, optimize, max_tb_insns, instrument_all) tuples get distinct
   // variants.
@@ -138,7 +146,7 @@ std::uint64_t Vm::VariantKey() const {
   mix(config_.optimize_tbs ? 1 : 0);
   mix(config_.max_tb_insns);
   mix(translator_.options().instrument_all ? 1 : 0);
-  return h == 0 ? 1 : h;
+  variant_key_ = h == 0 ? 1 : h;
 }
 
 void Vm::SetInstretSample(std::uint64_t interval, InstretSampleHook hook) {
@@ -215,6 +223,8 @@ Pid Vm::StartLoadedProcess() {
   stuck_faults_.clear();
 
   FlushTbCache();
+  // Every slot is empty after the flush; a new image may need more or fewer.
+  tb_index_.resize(program.text.size());
   // Epoch history is per-process: the flush above closed the previous
   // process's open epoch, and a fresh process starts its own epoch 0.
   closed_epochs_.clear();
@@ -245,8 +255,9 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
   const auto pc_of = [](const CachedTb* e) {
     return e != nullptr ? e->tb->start_pc : kNoPc;
   };
-  ck.tbs.reserve(tb_cache_.size());
-  for (const auto& [pc, entry] : tb_cache_) {
+  ck.tbs.reserve(tb_filled_.size());
+  for (const std::uint64_t pc : tb_filled_) {
+    const CachedTb& entry = tb_index_[pc];
     ck.tbs.push_back({pc, {pc_of(entry.chain[0]), pc_of(entry.chain[1])}});
   }
   return ck;
@@ -271,14 +282,18 @@ void Vm::Restore(const Checkpoint& ck) {
   memory_.Restore(ck.memory);
   // Rebuild the index in this Vm's variant, then its chains: a chain slot
   // stays patched exactly where the captured run had patched it.
-  tb_cache_.clear();
+  ClearTbIndex();
   for (const Checkpoint::Tb& t : ck.tbs) {
-    tb_cache_.emplace(t.pc, CachedTb{.tb = ResolveTb(t.pc)});
+    if (t.pc >= tb_index_.size()) {
+      throw ConfigError("Vm::Restore: checkpoint of a different image");
+    }
+    tb_index_[t.pc].tb = ResolveTb(t.pc);
+    tb_filled_.push_back(t.pc);
   }
   for (const Checkpoint::Tb& t : ck.tbs) {
-    CachedTb& entry = tb_cache_.find(t.pc)->second;
+    CachedTb& entry = tb_index_[t.pc];
     for (int k = 0; k < 2; ++k) {
-      if (t.chain[k] != kNoPc) entry.chain[k] = &tb_cache_.find(t.chain[k])->second;
+      if (t.chain[k] != kNoPc) entry.chain[k] = &tb_index_[t.chain[k]];
     }
   }
 }

@@ -24,7 +24,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -140,12 +139,13 @@ class Vm {
   void set_on_process_exit(VmiProcessCallback cb) { on_exit_ = std::move(cb); }
 
   // ---- Chaser instrumentation glue ------------------------------------------
-  void set_injector_hook(InjectorHook hook) {
-    // Stored behind a shared_ptr: the interpreter pins the callable with a
-    // refcount bump per invocation instead of copying the closure (the hook
-    // may detach itself mid-call, so it must outlive reassignment).
-    injector_hook_ =
-        hook ? std::make_shared<const InjectorHook>(std::move(hook)) : nullptr;
+  /// A null pointer or an empty hook detaches. Shared, not copied: the
+  /// interpreter pins the callable with a refcount bump per invocation (the
+  /// hook may detach itself mid-call, so it must outlive reassignment), and
+  /// a caller re-installing one hook every run (Chaser, per trial) allocates
+  /// nothing.
+  void set_injector_hook(std::shared_ptr<const InjectorHook> hook) {
+    injector_hook_ = hook != nullptr && *hook ? std::move(hook) : nullptr;
   }
   /// Install the predicate choosing which instructions get the injector call.
   /// Takes effect for TBs translated after the next FlushTbCache().
@@ -357,10 +357,13 @@ class Vm {
   // ---- Engine statistics (Fig. 10 overhead analysis) ------------------------------
   std::uint64_t tb_translations() const { return tb_translations_; }
   std::uint64_t tb_executions() const { return tb_executions_; }
-  std::uint64_t tb_cache_size() const { return tb_cache_.size(); }
+  std::uint64_t tb_cache_size() const { return tb_filled_.size(); }
   /// Cumulative TCG-optimizer activity across all translations.
   const tcg::OptimizerStats& optimizer_stats() const { return optimizer_stats_; }
-  void set_optimize_tbs(bool on) { config_.optimize_tbs = on; }
+  void set_optimize_tbs(bool on) {
+    config_.optimize_tbs = on;
+    UpdateVariantKey();
+  }
 
   /// Per-translation-epoch breakdown of translation cost. An epoch is the
   /// interval between TB-cache flushes, so e.g. epoch 0 is the cost before
@@ -391,16 +394,21 @@ class Vm {
 
  private:
   /// One slot of the local pc -> TB index. `tb` points at a translation-
-  /// cache node; `chain` holds the patched direct successors (slot 0 =
-  /// kGotoTb / taken kBrCond, slot 1 = fallthrough kBrCond). Values live in
-  /// node-stable unordered_map storage, so CachedTb* chain pointers survive
-  /// rehash; FlushTbCache() invalidates them wholesale.
+  /// cache node (null: nothing indexed at this pc); `chain` holds the
+  /// patched direct successors (slot 0 = kGotoTb / taken kBrCond, slot 1 =
+  /// fallthrough kBrCond). Slots live in tb_index_, which is resized only
+  /// by StartProcess, so CachedTb* chain pointers stay valid until
+  /// FlushTbCache() invalidates them wholesale.
   struct CachedTb {
     const tcg::TranslationBlock* tb = nullptr;
     CachedTb* chain[2] = {nullptr, nullptr};
   };
 
+  /// The slot for `pc`, filled on a miss. Requires pc < text size (Resume
+  /// raises SIGSEGV for any other pc before looking it up).
   CachedTb& LookupTb(std::uint64_t pc);
+  /// Empty every filled slot of the local index (and only those).
+  void ClearTbIndex();
   /// The TB for `pc` in the current translation variant: from the
   /// translation cache, or translated and published there.
   const tcg::TranslationBlock* ResolveTb(std::uint64_t pc);
@@ -411,9 +419,10 @@ class Vm {
   void ExecuteTb(const tcg::TranslationBlock& tb,
                  std::uint64_t* __restrict budget,
                  int* __restrict exit_slot);
-  /// Translation-cache variant key of the current translation configuration
-  /// (instrument predicate + translator/optimizer options).
-  std::uint64_t VariantKey() const;
+  /// Recompute variant_key_, the translation-cache variant of the current
+  /// translation configuration (instrument predicate + translator/optimizer
+  /// options). Every setter of those calls it.
+  void UpdateVariantKey();
   /// Common tail of both StartProcess overloads; `program_` is already set.
   Pid StartLoadedProcess();
   void HandleSyscallHelper(std::uint64_t pc);
@@ -440,7 +449,11 @@ class Vm {
   /// The translation cache when config_.shared_cache is null. It has no
   /// other user, so FlushTbCache() frees its TBs instead of retiring them.
   std::unique_ptr<tcg::SharedTbCache> private_cache_;
-  std::unordered_map<std::uint64_t, CachedTb> tb_cache_;
+  /// The local pc -> TB index: one slot per text instruction, plus the pcs
+  /// of the filled slots in fill order, so a flush, a capture and a restore
+  /// cost the TBs a run used, not the size of the text.
+  std::vector<CachedTb> tb_index_;
+  std::vector<std::uint64_t> tb_filled_;
 
   guest::Program program_storage_;   // owned copy of the loaded image
   std::shared_ptr<const guest::Program> program_shared_;  // shared-image mode
@@ -494,6 +507,7 @@ class Vm {
   // Translation identity in the cache (fixed per StartProcess).
   std::uint64_t program_hash_ = 0;
   std::uint64_t predicate_key_ = kCleanPredicateKey;
+  std::uint64_t variant_key_ = 0;
 
   // Epoch accounting (satellite: per-flush translation-cost breakdown).
   std::vector<TranslationEpochStats> closed_epochs_;

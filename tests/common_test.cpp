@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/error.h"
@@ -230,6 +232,132 @@ TEST(Bits, SaturatingMulU64) {
 }
 
 // ---- rng -------------------------------------------------------------------
+
+// The lazy Mt19937_64 promises std::mt19937_64's stream bit for bit; these
+// compare it against the standard engine.
+
+/// 1000 seeds: the edge cases, then splitmix64 outputs.
+std::vector<std::uint64_t> ReferenceSeeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, 1ull << 63, ~0ull};
+  std::uint64_t x = 0x243f6a8885a308d3ull;
+  while (seeds.size() < 1000) {
+    x += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    seeds.push_back(z ^ (z >> 31));
+  }
+  return seeds;
+}
+
+/// Outputs per seed: past three twists of the 312-word state.
+constexpr int kReferenceOutputs = 1000;
+
+TEST(Rng, LazyEngineStreamIsStdMt19937_64) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  std::uint64_t mismatches = 0;
+  for (const std::uint64_t seed : ReferenceSeeds()) {
+    Mt19937_64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < kReferenceOutputs; ++i) {
+      if (lazy() != ref()) {
+        if (mismatches++ == 0) ADD_FAILURE() << "seed " << seed << ", output " << i;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // The standard's own check: the 10000th output of a default-seeded engine.
+  Mt19937_64 lazy(5489);
+  for (int i = 1; i < 10000; ++i) lazy();
+  EXPECT_EQ(lazy(), 9981545732273789042ull);
+}
+
+TEST(Rng, LazyEngineCopiesAndReseedsContinueTheStream) {
+  const std::vector<std::uint64_t> seeds = ReferenceSeeds();
+  // Copy points inside the first twist (part of the state not seeded yet),
+  // at the block edges, and in later blocks.
+  for (const int at : {0, 1, 2, 100, 154, 155, 156, 157, 311, 312, 313, 624, 900}) {
+    for (std::size_t s = 0; s < 40; ++s) {
+      Mt19937_64 lazy(seeds[s]);
+      std::mt19937_64 ref(seeds[s]);
+      for (int i = 0; i < at; ++i) {
+        lazy();
+        ref();
+      }
+      // Copy-construct, and copy-assign over an engine whose state words
+      // all hold other values.
+      Mt19937_64 constructed(lazy);
+      Mt19937_64 assigned(seeds[s] + 1);
+      for (int i = 0; i < 700; ++i) assigned();
+      assigned = lazy;
+      std::mt19937_64 ref_copy(ref);
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = ref_copy();
+        ASSERT_EQ(constructed(), want) << "copy at " << at << ", output " << i;
+        ASSERT_EQ(assigned(), want) << "assigned at " << at << ", output " << i;
+        ASSERT_EQ(lazy(), ref()) << "original after a copy at " << at;
+      }
+      // Reseeding mid-stream restarts the new seed's stream.
+      lazy.seed(seeds[s + 500]);
+      std::mt19937_64 reseeded(seeds[s + 500]);
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(lazy(), reseeded()) << "reseed after " << at + 700;
+      }
+    }
+  }
+}
+
+TEST(Rng, EveryMethodDrawsWhatStdMt19937_64Draws) {
+  const std::vector<std::uint64_t> seeds = ReferenceSeeds();
+  const std::vector<int> pool = {4, 8, 15, 16, 23, 42};
+  for (std::size_t s = 0; s < 200; ++s) {
+    Rng rng(seeds[s]);
+    std::mt19937_64 ref(seeds[s]);
+    if (s % 2 == 1) {
+      // Half the seeds go through Reseed from a partly drawn stream.
+      rng.Fork();
+      rng.Reseed(seeds[s]);
+    }
+    // ~1000 calls: well past the first twist on every path.
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      const std::uint64_t lo = i * 7919 % 1000;
+      const std::uint64_t hi = lo + (i % 3 == 0 ? ~0ull / 3 : i * 104729);
+      const double dlo = -static_cast<double>(i % 11);
+      const double dhi = dlo + 0.5 + static_cast<double>(i % 5);
+      const double p = static_cast<double>(i % 10) / 9.0;
+      switch (i % 7) {
+        case 0:
+          ASSERT_EQ(rng.UniformU64(lo, hi),
+                    std::uniform_int_distribution<std::uint64_t>(lo, hi)(ref));
+          break;
+        case 1:
+          ASSERT_EQ(rng.Index(lo + 1),
+                    std::uniform_int_distribution<std::uint64_t>(0, lo)(ref));
+          break;
+        case 2:
+          ASSERT_EQ(rng.UniformDouble(),
+                    std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+          break;
+        case 3:
+          ASSERT_EQ(rng.UniformDouble(dlo, dhi),
+                    std::uniform_real_distribution<double>(dlo, dhi)(ref));
+          break;
+        case 4:
+          ASSERT_EQ(rng.Bernoulli(p), std::bernoulli_distribution(p)(ref));
+          break;
+        case 5:
+          ASSERT_EQ(rng.Pick(pool),
+                    pool[std::uniform_int_distribution<std::uint64_t>(
+                        0, pool.size() - 1)(ref)]);
+          break;
+        default:
+          ASSERT_EQ(rng.Fork(), ref());
+          break;
+      }
+    }
+  }
+}
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);

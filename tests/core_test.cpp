@@ -113,6 +113,27 @@ TEST(Trigger, FastForwardOverACleanPrefix) {
   EXPECT_FALSE(GroupTrigger(5, 1, 2).FastForward(0, nullptr));
 }
 
+// The checkpoint probe asks SilentThrough, without cloning: it answers what
+// FastForward would, and leaves the trigger as it was.
+TEST(Trigger, SilentThroughAnswersFastForwardWithoutMovingState) {
+  Rng rng(5);
+  const Trigger::SiteCounts sites = {{3, 5}, {8, 2}};
+  const DeterministicTrigger det(10);
+  EXPECT_TRUE(det.SilentThrough(9, nullptr));
+  EXPECT_FALSE(det.SilentThrough(10, nullptr));
+  PcNthTrigger pc_nth(8, 3);
+  EXPECT_FALSE(pc_nth.SilentThrough(7, nullptr));
+  EXPECT_TRUE(pc_nth.SilentThrough(7, &sites));
+  EXPECT_FALSE(PcNthTrigger(8, 2).SilentThrough(7, &sites));
+  EXPECT_TRUE(PcNthTrigger(5, 1).SilentThrough(7, &sites));
+  // Probing did not fast-forward: the 3rd execution of pc 8 is still 3 away.
+  EXPECT_FALSE(pc_nth.ShouldFireAt(1, 8, rng));
+  EXPECT_FALSE(pc_nth.ShouldFireAt(2, 8, rng));
+  EXPECT_TRUE(pc_nth.ShouldFireAt(3, 8, rng));
+  EXPECT_FALSE(ProbabilisticTrigger(0.5).SilentThrough(0, nullptr));
+  EXPECT_FALSE(GroupTrigger(5, 1, 2).SilentThrough(0, nullptr));
+}
+
 TEST(Trigger, DescribeMentionsParameters) {
   EXPECT_NE(DeterministicTrigger(7).Describe().find("7"), std::string::npos);
   EXPECT_NE(ProbabilisticTrigger(0.5).Describe().find("0.5"), std::string::npos);

@@ -492,5 +492,33 @@ TEST_F(HubEndToEnd, StatsAndTransfersResetBetweenJobs) {
   EXPECT_EQ(hub_.transfers().size(), 1u);
 }
 
+/// The in-process hub, counting its clears.
+class ClearCountingHub : public TaintHub {
+ public:
+  void Clear() override {
+    ++clears;
+    TaintHub::Clear();
+  }
+  int clears = 0;
+};
+
+// Arming a trial leaves the hub alone: the job start is the trial's one
+// clear. (A remote hub skips a clear of an untouched session, so an extra
+// one would not show in its command count.)
+TEST(ChaserMpiHub, ArmingLeavesTheClearToTheJobStart) {
+  mpi::Cluster cluster({.num_ranks = 2});
+  ClearCountingHub hub;
+  core::ChaserMpi chaser(cluster, core::Chaser::Options{}, &hub);
+  core::InjectionCommand cmd;
+  cmd.target_program = RelayProgram().name;
+  for (int trial = 0; trial < 3; ++trial) {
+    chaser.Arm(cmd, {0});
+    EXPECT_EQ(hub.clears, trial) << "trial " << trial;
+    cluster.Start(RelayProgram());
+    EXPECT_EQ(hub.clears, trial + 1) << "trial " << trial;
+    ASSERT_TRUE(cluster.Run().completed);
+  }
+}
+
 }  // namespace
 }  // namespace chaser::hub

@@ -368,6 +368,15 @@ void ExpectSameTransfers(const std::vector<TransferLogEntry>& a,
 /// observable after every step.
 void RunIdentityScript(hub::HubService& local, hub::HubService& remote,
                        const HubFaultModel& fault) {
+  // An empty round first: a session no command has reached since its last
+  // clear (fresh, or cleared after an earlier script's traffic) answers
+  // stats and drains without a round trip, and must still read as the
+  // in-process hub does.
+  local.Clear();
+  remote.Clear();
+  ExpectSameStats(local.stats(), remote.stats());
+  ExpectSameTransfers(local.DrainTransferLog(), remote.DrainTransferLog());
+
   local.SetFaultModel(fault);
   remote.SetFaultModel(fault);
   local.Clear();
@@ -463,10 +472,10 @@ TEST_F(ServerTest, TwoEndpointClientShardsTheKeySpace) {
       << "32 mixed keys should land on both shards";
 }
 
-// One hub reset per trial: a 1-rank lud trial sends no hub traffic of its
-// own, so all it costs the hub is the reset at job start and the stats read
-// at classification — two commands.
-TEST_F(ServerTest, ACampaignTrialSendsTwoHubCommands) {
+// A 1-rank lud trial sends no hub traffic of its own, so its session stays
+// cleared: the reset at job start and the stats read at classification need
+// no round trip, and the trial costs the hub no command at all.
+TEST_F(ServerTest, ACampaignTrialSendsNoHubCommands) {
   const auto commands = [&](std::uint64_t runs) {
     const std::uint64_t before = server_->stats().commands;
     campaign::CampaignConfig config;
@@ -477,7 +486,43 @@ TEST_F(ServerTest, ACampaignTrialSendsTwoHubCommands) {
     return server_->stats().commands - before;
   };
   const std::uint64_t ten = commands(10);
-  EXPECT_EQ(commands(20) - ten, 20u);
+  EXPECT_EQ(commands(20), ten);
+}
+
+// A 4-rank matvec trial whose fault reaches a message touches its session:
+// on top of its own publishes and polls, classification reads the stats and
+// the next job start clears the session. Pinned for trials 11-20 at seed 11
+// (6 clears, 5 stats reads, 8 publish batches, 75 polls), so a command added
+// per touched trial shows.
+TEST_F(ServerTest, ATouchingCampaignTrialPaysOneClearAndOneStatsRead) {
+  struct Counts {
+    std::uint64_t commands = 0;
+    double clears = 0;
+    double stats = 0;
+  };
+  const auto run = [&](std::uint64_t runs) {
+    obs::Registry::Global().Reset();
+    const std::uint64_t before = server_->stats().commands;
+    campaign::CampaignConfig config;
+    config.runs = runs;
+    config.seed = 11;
+    config.hub_endpoints = {endpoint_};
+    campaign::Campaign(apps::BuildMatvec({}), config).Run();
+    Counts c;
+    c.commands = server_->stats().commands - before;
+    const std::string text = obs::Registry::Global().ToPrometheus();
+    EXPECT_TRUE(
+        obs::PrometheusValue(text, "hub_cmd_ns_count{cmd=\"clear\"}", &c.clears));
+    EXPECT_TRUE(
+        obs::PrometheusValue(text, "hub_cmd_ns_count{cmd=\"stats\"}", &c.stats));
+    return c;
+  };
+  const Counts ten = run(10);
+  const Counts twenty = run(20);
+  EXPECT_EQ(twenty.commands - ten.commands, 94u);
+  EXPECT_EQ(twenty.clears - ten.clears, 6.0);
+  EXPECT_EQ(twenty.stats - ten.stats, 5.0);
+  obs::Registry::Global().Reset();
 }
 
 // ---- wire instrumentation and the hub clock ---------------------------------

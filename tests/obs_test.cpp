@@ -673,7 +673,7 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   int phases = 0;
   for (const char* name : {"golden", "trial", "translate", "execute", "inject",
                            "taint-propagate", "hub-publish", "hub-poll",
-                           "start", "restore", "classify"}) {
+                           "start", "restore", "classify", "arm", "commit"}) {
     if (trace.find("\"name\":\"" + std::string(name) + "\"") !=
         std::string::npos) {
       ++phases;
@@ -684,6 +684,10 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
       << "trial starts are not timed";
   EXPECT_NE(trace.find("\"name\":\"classify\""), std::string::npos)
       << "trial classification is not timed";
+  EXPECT_NE(trace.find("\"name\":\"arm\""), std::string::npos)
+      << "trial arming is not timed";
+  EXPECT_NE(trace.find("\"name\":\"commit\""), std::string::npos)
+      << "trial commits are not timed";
   EXPECT_NE(trace.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   fs::remove_all(dir);
 }
@@ -732,8 +736,9 @@ TEST(Telemetry, ParallelGoldenRunIsTimedWhenCalledBeforeRun) {
   ExpectGoldenTimedOnceBeforeRun("golden_parallel", 2);
 }
 
-/// Every executed trial starts its job exactly once, inside the trial and
-/// outside the golden run, whichever worker runs it.
+/// Every executed trial arms and starts its job exactly once, inside the
+/// trial and outside the golden run, whichever worker runs it, and records
+/// one commit (its OnTrialDone and its Offer).
 void ExpectOneStartPerTrial(unsigned jobs) {
   Registry::Global().Reset();
   Telemetry telemetry({});
@@ -741,11 +746,15 @@ void ExpectOneStartPerTrial(unsigned jobs) {
   config.runs = 9;
   config.seed = 13;
   config.telemetry = &telemetry;
-  Campaign(AccumulatorApp(), config, jobs).Run();
+  const CampaignResult result = Campaign(AccumulatorApp(), config, jobs).Run();
   telemetry.Finish();
+  ASSERT_EQ(result.runs, 9u);
   Registry& reg = Registry::Global();
+  EXPECT_EQ(reg.GetHistogram("phase_arm_ns", LatencyBoundsNs()).Count(), 9u);
   EXPECT_EQ(reg.GetHistogram("phase_start_ns", LatencyBoundsNs()).Count(), 9u);
   EXPECT_EQ(reg.GetHistogram("phase_trial_ns", LatencyBoundsNs()).Count(), 9u);
+  EXPECT_EQ(reg.GetHistogram("phase_commit_ns", LatencyBoundsNs()).Count(),
+            result.runs);
   Registry::Global().Reset();
 }
 
@@ -755,6 +764,31 @@ TEST(Telemetry, StartPhaseCountsOncePerSerialTrial) {
 
 TEST(Telemetry, StartPhaseCountsOncePerParallelTrial) {
   ExpectOneStartPerTrial(3);
+}
+
+// Past an early stop, `commit` still counts one per executed trial: a trial
+// in flight when the stop latched is offered (and timed) and then dropped,
+// so the count is the trials offered, at least the trials committed.
+TEST(Telemetry, CommitPhaseCountsOneOfferPerExecutedTrialPastAnEarlyStop) {
+  Registry::Global().Reset();
+  Telemetry telemetry({});
+  CampaignConfig config;
+  config.runs = 400;
+  config.seed = 21;
+  config.sample_policy = campaign::SamplePolicy::kWeighted;
+  config.stop_ci = 0.45;
+  config.telemetry = &telemetry;
+  const CampaignResult result = Campaign(AccumulatorApp(), config, 3).Run();
+  telemetry.Finish();
+  ASSERT_TRUE(result.stopped_early);
+  Registry& reg = Registry::Global();
+  const std::uint64_t arms =
+      reg.GetHistogram("phase_arm_ns", LatencyBoundsNs()).Count();
+  EXPECT_EQ(reg.GetHistogram("phase_start_ns", LatencyBoundsNs()).Count(), arms);
+  EXPECT_EQ(reg.GetHistogram("phase_commit_ns", LatencyBoundsNs()).Count(),
+            arms);
+  EXPECT_GE(arms, result.runs);
+  Registry::Global().Reset();
 }
 
 /// A trial that starts from a golden-prefix checkpoint records one restore

@@ -213,6 +213,32 @@ TEST(GuestMemory, ResetMatchesFreshMemory) {
             static_cast<std::ptrdiff_t>(heap.bytes));
 }
 
+// MapRegion fills the page table a leaf span at a time; over a partly mapped
+// range that crosses a leaf, the fresh pages still take the next frames in
+// vpage order and the mapped ones keep theirs.
+TEST(GuestMemory, PartlyMappedRegionAcrossALeafKeepsPageOrder) {
+  constexpr std::uint64_t kLeafPages = 512;  // pages per page-table leaf
+  const GuestAddr edge = guest::kHeapBase + kLeafPages * kPageSize;
+  const auto frame_of = [](GuestMemory& m, GuestAddr va) {
+    const auto pa = m.Translate(va);
+    return pa ? static_cast<std::int64_t>(*pa / kPageSize) : -1;
+  };
+  GuestMemory m;
+  for (int round = 0; round < 2; ++round) {  // and again after a Reset
+    m.MapRegion(edge - 3 * kPageSize, 5 * kPageSize);    // pages -3..1
+    m.MapRegion(edge - 5 * kPageSize, 11 * kPageSize);   // pages -5..5
+    EXPECT_EQ(m.mapped_pages(), 11u);
+    const std::int64_t want[] = {5, 6, 0, 1, 2, 3, 4, 7, 8, 9, 10};
+    for (int i = 0; i < 11; ++i) {
+      EXPECT_EQ(frame_of(m, edge + (i - 5) * kPageSize), want[i])
+          << "round " << round << ", page " << i - 5;
+    }
+    EXPECT_EQ(frame_of(m, edge + 6 * kPageSize), -1);
+    m.Reset();
+    EXPECT_FALSE(m.IsMapped(edge));
+  }
+}
+
 // ---- Instruction semantics -------------------------------------------------------
 
 /// Runs `emit` inside a fresh program and returns the terminated VM.
@@ -941,6 +967,36 @@ TEST(TbCache, SemanticsUnchangedByFlushEveryQuantum) {
   }
   EXPECT_EQ(plain.cpu().IntReg(8), flushy.cpu().IntReg(8));
   EXPECT_EQ(plain.instret(), flushy.instret());
+}
+
+// The local TB index is a vector sized to the text: restarting the Vm on a
+// shorter and then a longer image must resize it, and index only the TBs
+// each run used.
+TEST(TbCache, IndexFollowsTheImageAcrossRestarts) {
+  const auto counter = [](const char* name, std::int64_t n, int pad) {
+    ProgramBuilder b(name);
+    for (int i = 0; i < pad; ++i) b.Nop();
+    b.MovI(R(1), 0);
+    auto loop = b.Here("loop");
+    b.AddI(R(1), R(1), 1);
+    b.CmpI(R(1), n);
+    b.Br(Cond::kLt, loop);
+    b.Mov(R(8), R(1));
+    b.Exit(0);
+    return b.Finalize();
+  };
+  const guest::Program longer = counter("long", 50, 300);
+  const guest::Program shorter = counter("short", 70, 0);
+  Vm vm;
+  for (const guest::Program* p : {&longer, &shorter, &longer}) {
+    vm.StartProcess(*p);
+    EXPECT_EQ(vm.tb_cache_size(), 0u);
+    vm.RunToCompletion();
+    EXPECT_EQ(vm.termination(), TerminationKind::kExited);
+    EXPECT_EQ(vm.cpu().IntReg(8), p == &shorter ? 70u : 50u);
+    EXPECT_GT(vm.tb_cache_size(), 0u);
+    EXPECT_LT(vm.tb_cache_size(), 12u);
+  }
 }
 
 // ---- Record enum names ------------------------------------------------------
