@@ -11,12 +11,12 @@
 //   <dir>/hub.seg        TaintHub cross-rank transfer records (hub_seq order)
 //   <dir>/meta.txt       key=value trial metadata (outcome, seed, app, ...)
 //
-// Records are compact: one tag byte, then LEB128 varints with the instret
-// delta-encoded against the previous record of the same stream, so a steady
-// trace costs a few bytes per event instead of sizeof(TraceEvent). A segment
-// whose process died mid-trial simply lacks the footer/trailer; the reader
-// detects that, decodes the intact prefix and reports truncated() — a crash
-// never loses the events written before it.
+// Records are compact: one tag byte, then LEB128 varints (net/frame.h's
+// codec) with the instret delta-encoded against the previous record of the
+// same stream, so a steady trace costs a few bytes per event instead of
+// sizeof(TraceEvent). A segment whose process died mid-trial simply lacks
+// the footer/trailer; the reader detects that, decodes the intact prefix and
+// reports truncated() — a crash never loses the events written before it.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +31,6 @@
 #include "hub/tainthub.h"
 
 namespace chaser::analysis {
-
-// ---- Varint codec (unsigned LEB128 + zigzag for signed fields) ---------------
-
-void AppendVarint(std::string* out, std::uint64_t v);
-/// Decode one varint at `*pos`; advances `*pos`. Returns nullopt on
-/// truncated/overlong input (leaves `*pos` unspecified).
-std::optional<std::uint64_t> DecodeVarint(const std::string& buf,
-                                          std::size_t* pos);
-std::uint64_t ZigZagEncode(std::int64_t v);
-std::int64_t ZigZagDecode(std::uint64_t v);
 
 // ---- Records ------------------------------------------------------------------
 

@@ -8,7 +8,6 @@
 
 #include "analysis/spool.h"
 #include "campaign/fleet.h"
-#include "campaign/journal.h"
 #include "hub/remote/client.h"
 #include "common/bits.h"
 #include "common/error.h"
@@ -228,7 +227,6 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
   }
   mpi::Cluster::Config cluster_config;
   cluster_config.num_ranks = spec_.num_ranks;
-  cluster_config.quantum = config_.scheduler_quantum;
   // Every rank VM of every trial shares the campaign's translation cache.
   cluster_config.vm.shared_cache = config_.shared_tb_cache;
   cluster_config.vm.max_cached_tbs = config_.tb_cache_cap;
@@ -759,7 +757,7 @@ std::vector<std::uint64_t> Campaign::DeriveTrialSeeds(std::uint64_t seed,
   return seeds;
 }
 
-CampaignResult Campaign::Run() {
+CampaignResult Campaign::Run(const RecordStream& replay) {
   obs::Telemetry* const telemetry = config_.telemetry;
   // A shard worker cannot evaluate the early-stop rule: the stop prefix is
   // defined in *global* seed order, which one shard never observes. The
@@ -776,16 +774,15 @@ CampaignResult Campaign::Run() {
     seeds.push_back(all_seeds[static_cast<std::size_t>(index)]);
   }
   const std::uint64_t runs = seeds.size();
-  // Trials replayed from the journal, by run_seed (filled below).
-  std::map<std::uint64_t, RunRecord> journalled;
+  // True while the replayed prefix commits (before any worker runs).
+  bool replaying = false;
   // Telemetry counts a trial's outcome where the result does, as it
   // commits: a trial that finished past a latched stop is in neither.
   std::function<void(const RunRecord&)> sink = config_.record_sink;
   if (telemetry != nullptr) {
     sink = [&](const RunRecord& rec) {
       if (config_.record_sink) config_.record_sink(rec);
-      telemetry->OnTrialCommitted(
-          ToTrialStats(rec, journalled.contains(rec.run_seed)));
+      telemetry->OnTrialCommitted(ToTrialStats(rec, replaying));
     };
   }
   SeedOrderCommitter committer(config_.sample_policy, stop_ci, runs,
@@ -803,36 +800,38 @@ CampaignResult Campaign::Run() {
   const obs::ThreadAttachment attachment(telemetry, "main");
   if (!golden_done_) RunGolden();
 
-  // With a journal, trials completed by an earlier (possibly killed) process
-  // are committed from it instead of re-run, before any worker starts — a
-  // resumed campaign that already converged runs no new trial. Records are
-  // keyed by run_seed, so journal order (workers append as they finish)
-  // never affects the seed-order commit. Workers share the journal:
-  // TrialJournal::Append is locked and fsync-framed, so records land whole.
-  std::unique_ptr<TrialJournal> journal;
-  if (!config_.journal_path.empty()) {
-    std::vector<RunRecord> replayed;
-    journal = std::make_unique<TrialJournal>(config_.journal_path, config_.seed,
-                                             spec_.name, &replayed,
-                                             config_.shard_index,
-                                             config_.shard_count);
-    for (RunRecord& rec : replayed) journalled[rec.run_seed] = std::move(rec);
-  }
-  std::vector<std::uint64_t> pending;  // positions still to execute
-  for (std::uint64_t i = 0; i < runs; ++i) {
-    const auto it = journalled.find(seeds[static_cast<std::size_t>(i)]);
-    if (it == journalled.end()) {
-      pending.push_back(i);
-      continue;
+  // The replayed prefix commits before any worker starts, so a resumed
+  // campaign that already stopped early runs no new trial.
+  std::uint64_t first_pending = 0;
+  if (replay) {
+    replaying = true;
+    RunRecord rec;
+    while (replay(&rec)) {
+      if (first_pending == runs) {
+        throw ConfigError(StrFormat(
+            "Campaign: the replayed records hold more than this campaign's "
+            "%llu trials",
+            static_cast<unsigned long long>(runs)));
+      }
+      const std::uint64_t want = seeds[static_cast<std::size_t>(first_pending)];
+      if (rec.run_seed != want) {
+        throw ConfigError(StrFormat(
+            "Campaign: replayed record %llu has trial seed %llu where this "
+            "campaign expects %llu — the records belong to another campaign",
+            static_cast<unsigned long long>(first_pending + 1),
+            static_cast<unsigned long long>(rec.run_seed),
+            static_cast<unsigned long long>(want)));
+      }
+      const obs::ScopedPhase commit_scope(obs::Phase::kCommit);
+      if (telemetry != nullptr) {
+        telemetry->OnTrialDone(ToTrialStats(rec, /*replayed=*/true), 0, 0);
+      }
+      committer.Offer(first_pending++, std::move(rec));
     }
-    const obs::ScopedPhase commit_scope(obs::Phase::kCommit);
-    if (telemetry != nullptr) {
-      telemetry->OnTrialDone(ToTrialStats(it->second, /*replayed=*/true), 0, 0);
-    }
-    committer.Offer(i, std::move(it->second));
+    replaying = false;
   }
 
-  std::atomic<std::uint64_t> next{0};
+  std::atomic<std::uint64_t> next{first_pending};
   std::mutex error_mutex;
   std::exception_ptr error;
   const auto worker = [&](unsigned w) {
@@ -844,14 +843,11 @@ CampaignResult Campaign::Run() {
     const obs::ThreadAttachment worker_attachment(
         telemetry, "worker-" + std::to_string(w));
     try {
-      for (std::uint64_t p = next.fetch_add(1, std::memory_order_relaxed);
-           p < pending.size();
-           p = next.fetch_add(1, std::memory_order_relaxed)) {
-        const std::uint64_t i = pending[static_cast<std::size_t>(p)];
+      for (std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < runs; i = next.fetch_add(1, std::memory_order_relaxed)) {
         // Positions are claimed in ascending order, so once one lies past a
         // latched stop, every later claim would too. Trials in flight when
-        // the stop latched still finish and are journalled, but never enter
-        // the result.
+        // the stop latched still finish, but never enter the result.
         if (committer.PastStop(i)) break;
         const std::uint64_t t0_ns =
             telemetry != nullptr ? obs::MonotonicNanos() : 0;
@@ -860,7 +856,6 @@ CampaignResult Campaign::Run() {
         RunRecord rec = RunTrialContained(engine, spec_, config_, inject_ranks_,
                                           golden_,
                                           seeds[static_cast<std::size_t>(i)]);
-        if (journal != nullptr) journal->Append(rec);
         const obs::ScopedPhase commit_scope(obs::Phase::kCommit);
         if (telemetry != nullptr) {
           telemetry->OnTrialDone(ToTrialStats(rec, /*replayed=*/false), t0_ns,
@@ -870,17 +865,18 @@ CampaignResult Campaign::Run() {
         committer.Offer(i, std::move(rec));
       }
     } catch (...) {
-      // Only failures outside trial containment land here (the journal
-      // device filling up, a throwing record sink) — they end the campaign.
+      // Only failures outside trial containment land here (a throwing
+      // record sink, say the store's device filling up) — they end the
+      // campaign.
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!error) error = std::current_exception();
       // The other workers stop at their next claim.
-      next.store(pending.size(), std::memory_order_relaxed);
+      next.store(runs, std::memory_order_relaxed);
     }
   };
 
   const auto n_workers = static_cast<unsigned>(
-      std::clamp<std::uint64_t>(pending.size(), 1, jobs_));
+      std::clamp<std::uint64_t>(runs - first_pending, 1, jobs_));
   {
     std::vector<std::jthread> helpers;  // joined when this scope exits
     for (unsigned w = 1; w < n_workers; ++w) helpers.emplace_back(worker, w);

@@ -115,6 +115,11 @@ struct RunRecord {
 /// campaign types, so the driver translates at the boundary).
 obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed);
 
+/// Records as a pull stream, in seed order: fills `*out` and returns true,
+/// or returns false at the end. A resumed campaign's stored prefix and each
+/// shard's records in a fleet merge both arrive this way.
+using RecordStream = std::function<bool(RunRecord*)>;
+
 struct CampaignConfig {
   std::uint64_t runs = 1000;
   std::uint64_t seed = 12345;
@@ -123,7 +128,6 @@ struct CampaignConfig {
   bool trace = true;                 // fault-propagation tracing on/off
   std::set<Rank> inject_ranks;       // empty = rank 0 only
   core::Chaser::Options chaser_options;
-  std::uint64_t scheduler_quantum = 20'000;
   /// Watchdog: per-rank budget = multiplier * golden instret + slack.
   std::uint64_t watchdog_multiplier = 20;
   std::uint64_t watchdog_slack = 1'000'000;
@@ -140,10 +144,6 @@ struct CampaignConfig {
   /// Base of the exponential backoff between retry attempts (doubled per
   /// attempt, capped at ~1 s). 0 disables sleeping — tests use that.
   std::uint64_t retry_backoff_ms = 10;
-  /// Non-empty: append every completed trial to this crash-safe journal
-  /// (campaign/journal.h) and, on start, replay any trials it already holds
-  /// instead of re-running them — `chaser_run --resume`.
-  std::string journal_path;
   /// Trial-pruning policy (campaign/sampling.h). kUniform is the legacy
   /// path, byte-identical to pre-sampling builds; kWeighted/kStratified
   /// profile golden sites and draw injection points from equivalence
@@ -153,7 +153,7 @@ struct CampaignConfig {
   /// narrower than this full width, never before SampleController::
   /// kMinStopTrials trials. 0 = run all `runs` trials. Works with any
   /// policy and worker count; the stop point is a deterministic function of
-  /// the seed-ordered trial prefix, so it is journal/resume-safe.
+  /// the seed-ordered trial prefix, so it is resume-safe.
   double stop_ci = 0.0;
   /// Degradation model installed into every trial's TaintHub (outages,
   /// publish drops, visibility lag, poll-retry deadline).
@@ -187,9 +187,9 @@ struct CampaignConfig {
   /// exercises the retry/quarantine path deterministically.
   std::function<void(std::uint64_t, unsigned)> trial_chaos;
   /// Called once per committed trial, in campaign seed order, as the trial
-  /// commits — journal-replayed records included, which is what makes a
-  /// resumed sink stream identical to an uninterrupted one. Calls are
-  /// serialized under the driver's commit lock, possibly on a worker thread.
+  /// commits — replayed records included, which is what makes a resumed
+  /// sink stream identical to an uninterrupted one. Calls are serialized
+  /// under the driver's commit lock, possibly on a worker thread.
   /// The streaming hook the CTR trial store hangs off; an exception thrown
   /// from it ends the campaign.
   std::function<void(const RunRecord&)> record_sink;
@@ -484,10 +484,13 @@ class Campaign {
 
   /// Full campaign: golden + config.runs trials (this shard's slice of them
   /// when sharded). Trial failures are contained per RunTrialContained.
-  /// With config.journal_path set, every completed trial is journalled and
-  /// trials already in the journal are replayed instead of re-run — the
-  /// resumed result is byte-identical to an uninterrupted one.
-  CampaignResult Run();
+  /// `replay`, when set, yields a seed-order prefix of this campaign's
+  /// records — what a killed run committed, read back from its CTR store.
+  /// Each is checked against the seed of its position and committed as
+  /// replayed; only the positions after the prefix execute, so the resumed
+  /// result is byte-identical to an uninterrupted one. A record with another
+  /// position's seed, or more records than positions, is a ConfigError.
+  CampaignResult Run(const RecordStream& replay = nullptr);
 
   /// The campaign's trial seeds: the n successive Fork()s of Rng(seed).
   /// Trial i runs seed i at any worker count and in any shard.

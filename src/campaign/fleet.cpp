@@ -40,7 +40,7 @@ std::vector<std::uint64_t> ShardTrialIndices(std::uint64_t runs,
 }
 
 CampaignResult MergeShardStreams(
-    const MergePlan& plan, std::vector<ShardRecordStream> streams,
+    const MergePlan& plan, std::vector<RecordStream> streams,
     const std::function<void(const RunRecord&)>& sink) {
   if (streams.empty()) {
     throw ConfigError("MergeShardStreams: no shard streams");
@@ -55,7 +55,7 @@ CampaignResult MergeShardStreams(
   // global seed order with one in-flight record per shard.
   RunRecord rec;
   for (std::uint64_t t = 0; t < plan.runs && !committer.PastStop(t); ++t) {
-    ShardRecordStream& stream = streams[static_cast<std::size_t>(t % n_shards)];
+    RecordStream& stream = streams[static_cast<std::size_t>(t % n_shards)];
     if (!stream(&rec)) {
       throw ConfigError(StrFormat(
           "MergeShardStreams: shard %llu ran out of records at trial %llu of "
@@ -80,12 +80,12 @@ CampaignResult MergeShardStreams(
   return committer.Finish();
 }
 
-std::vector<ShardRecordStream> ShardStreamsByFirstSeed(
+std::vector<RecordStream> ShardStreamsByFirstSeed(
     const MergePlan& plan, std::vector<std::vector<RunRecord>> shards) {
   const std::vector<std::uint64_t> seeds =
       Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
   const std::size_t n_shards = shards.size();
-  std::vector<ShardRecordStream> streams(n_shards);
+  std::vector<RecordStream> streams(n_shards);
   const auto stream_of = [](std::vector<RunRecord> records) {
     return [records = std::make_shared<std::vector<RunRecord>>(
                 std::move(records)),
@@ -117,7 +117,7 @@ std::vector<ShardRecordStream> ShardStreamsByFirstSeed(
     streams[shard] = stream_of(std::move(shards[k]));
   }
   // The shards no input claimed are the empty inputs' — one each.
-  for (ShardRecordStream& stream : streams) {
+  for (RecordStream& stream : streams) {
     if (!stream) stream = [](RunRecord*) { return false; };
   }
   return streams;

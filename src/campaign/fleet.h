@@ -45,23 +45,20 @@ struct MergePlan {
   bool keep_records = true;
 };
 
-/// One shard's records as a pull stream, in the shard's own (seed-order)
-/// sequence: fills `*out` and returns true, or returns false at the end.
-using ShardRecordStream = std::function<bool(RunRecord*)>;
-
 /// Merge per-shard records into the result an unsharded run of `plan` would
 /// have produced, with bounded memory. `streams[i]` must yield shard i's
-/// records in order — because shard i owns exactly the global trial indices
-/// with index % N == i, the global seed order is a round-robin over the
-/// streams, so the merge pulls one record at a time into the
-/// SeedOrderCommitter and never materializes a shard's record set. Each
-/// pulled record's run_seed is verified against the plan's derived seed
-/// sequence; a stream that runs dry before the stop point (an incomplete
-/// shard) or yields the wrong seed (duplicate, missing, or mis-ordered
-/// trial) is a ConfigError. `sink`, when set, sees every committed record in
-/// global seed order — the hook a merged CTR store hangs off.
+/// records in the shard's own (seed-order) sequence — because shard i owns
+/// exactly the global trial indices with index % N == i, the global seed
+/// order is a round-robin over the streams, so the merge pulls one record
+/// at a time into the SeedOrderCommitter and never materializes a shard's
+/// record set. Each pulled record's run_seed is verified against the plan's
+/// derived seed sequence; a stream that runs dry before the stop point (an
+/// incomplete shard) or yields the wrong seed (duplicate, missing, or
+/// mis-ordered trial) is a ConfigError. `sink`, when set, sees every
+/// committed record in global seed order — the hook a merged CTR store
+/// hangs off.
 CampaignResult MergeShardStreams(
-    const MergePlan& plan, std::vector<ShardRecordStream> streams,
+    const MergePlan& plan, std::vector<RecordStream> streams,
     const std::function<void(const RunRecord&)>& sink = nullptr);
 
 /// Streams over record sets that do not say which shard wrote them (records
@@ -70,7 +67,7 @@ CampaignResult MergeShardStreams(
 /// number of sets; empty sets fill the shards left over. Throws ConfigError
 /// when two sets claim one shard (a file passed twice) or a set's first seed
 /// is not one of the plan's trials.
-std::vector<ShardRecordStream> ShardStreamsByFirstSeed(
+std::vector<RecordStream> ShardStreamsByFirstSeed(
     const MergePlan& plan, std::vector<std::vector<RunRecord>> shards);
 
 // ---------------------------------------------------------------------------

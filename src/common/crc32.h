@@ -1,9 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
-// One checksum shared by every framed byte stream in the tree — the trial
-// journal's record frames and the hub wire protocol's command frames — so a
-// frame written by one subsystem is checkable by the other's tooling and the
-// two implementations can never drift.
+// One checksum shared by every framed byte stream in the tree — the hub
+// wire protocol's command frames and the CTR store's segment frames, both
+// net/frame.h frames — so a frame written by one subsystem is checkable by
+// the other's tooling and the implementations can never drift.
 #pragma once
 
 #include <array>

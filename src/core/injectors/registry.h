@@ -4,7 +4,7 @@
 //
 // An injector family registers once — a name, a fault-class label for the
 // outcome taxonomy, a parameter spec, and a factory — and every campaign
-// layer (trial engine, records CSV, journal, chaser_analyze) picks it up by
+// layer (trial engine, records CSV, CTR store, chaser_analyze) picks it up by
 // name. The factory runs once per trial, after the trial's RNG draws, so a
 // family can default its parameters from the campaign's per-trial bit-flip
 // width and still be fully deterministic in the trial's run_seed.

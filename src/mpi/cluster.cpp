@@ -88,9 +88,30 @@ void Cluster::Start(std::shared_ptr<const guest::Program> program) {
   for (auto& state : ranks_) state->vm->StartProcess(program);
 }
 
+std::uint64_t JobMpiState::NextSeq(Rank src, Rank dest, std::int64_t tag) {
+  const std::tuple<Rank, Rank, std::int64_t> channel{src, dest, tag};
+  auto it = std::lower_bound(
+      send_seq.begin(), send_seq.end(), channel,
+      [](const SendSeq& s, const auto& c) { return s.channel < c; });
+  if (it == send_seq.end() || it->channel != channel) {
+    it = send_seq.insert(it, SendSeq{channel, 0});
+  }
+  return it->next++;
+}
+
+void JobMpiState::Clear() {
+  if (send_seq.capacity() > kMaxKeptChannels) {
+    std::vector<SendSeq>().swap(send_seq);
+  }
+  send_seq.clear();
+  barrier_completed = 0;
+  barrier_arrived_count = 0;
+  messages_delivered = 0;
+}
+
 void Cluster::ResetJobState() {
   if (hooks_ != nullptr) hooks_->OnJobStart();
-  job_ = JobMpiState{};
+  job_.Clear();
   resume_.reset();
   for (auto& state : ranks_) state->Clear();
 }
@@ -146,6 +167,7 @@ void Cluster::Restore(const ClusterCheckpoint& ck) {
     state.vm->Restore(ck.ranks[r].vm);
     static_cast<RankMpiState&>(state) = ck.ranks[r].mpi;
   }
+  job_.Clear();  // drops storage a fault-corrupted trial outgrew
   job_ = ck.job;
   resume_ = ck.round;
 }
@@ -316,7 +338,7 @@ bool Cluster::SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count
                   "MPI collective: buffer " + Hex64(buf) + " not mapped");
     return false;
   }
-  env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
+  env.seq = job_.NextSeq(env.src, env.dest, env.tag);
   if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
   Deliver(std::move(env));
   return true;
@@ -351,7 +373,7 @@ vm::SyscallResult Cluster::MpiSend(Rank r) {
                   "MPI_Send: buffer " + Hex64(buf) + " not mapped");
     return vm::SyscallResult::Terminated();
   }
-  env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
+  env.seq = job_.NextSeq(env.src, env.dest, env.tag);
   if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
   Deliver(std::move(env));
   return vm::SyscallResult::Done(0);
@@ -433,7 +455,7 @@ vm::SyscallResult Cluster::MpiBcast(Rank r) {
       env.count = count;
       env.datatype = datatype;
       env.payload = payload;
-      env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
+      env.seq = job_.NextSeq(env.src, env.dest, env.tag);
       if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
       Deliver(std::move(env));
     }
@@ -538,7 +560,7 @@ vm::SyscallResult Cluster::MpiReduce(Rank r) {
                     "MPI_Reduce: buffer " + Hex64(sendbuf) + " not mapped");
       return vm::SyscallResult::Terminated();
     }
-    env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
+    env.seq = job_.NextSeq(env.src, env.dest, env.tag);
     if (hooks_ != nullptr) hooks_->OnSend(v, env, sendbuf);
     Deliver(std::move(env));
     return vm::SyscallResult::Done(0);

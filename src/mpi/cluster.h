@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,10 +96,28 @@ struct RankMpiState {
 
 /// The job-wide MPI-runtime state.
 struct JobMpiState {
-  std::map<std::tuple<Rank, Rank, std::int64_t>, std::uint64_t> send_seq;
-  std::uint64_t barrier_completed = 0;
-  int barrier_arrived_count = 0;
-  std::uint64_t messages_delivered = 0;
+  JobMpiState() { Clear(); }
+
+  /// The next sequence number of one (src, dest, tag) channel.
+  struct SendSeq {
+    std::tuple<Rank, Rank, std::int64_t> channel;
+    std::uint64_t next;
+  };
+  /// Sorted by channel. A flat vector, so a trial's reset and restore
+  /// reuse its storage.
+  std::vector<SendSeq> send_seq;
+  std::uint64_t barrier_completed;
+  int barrier_arrived_count;
+  std::uint64_t messages_delivered;
+
+  /// The sequence number of the next message on (src, dest, tag).
+  std::uint64_t NextSeq(Rank src, Rank dest, std::int64_t tag);
+
+  /// The one definition of a fresh job's state (the constructor calls it),
+  /// applied in place: send_seq keeps its storage unless a fault-corrupted
+  /// trial grew it past kMaxKeptChannels.
+  void Clear();
+  static constexpr std::size_t kMaxKeptChannels = 256;
 };
 
 /// A clean job at one TB boundary of one rank's Run: every rank's VM and

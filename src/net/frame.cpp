@@ -15,20 +15,23 @@ void AppendVarint(std::string* out, std::uint64_t value) {
 DecodeStatus DecodeVarint(const char* buf, std::size_t size, std::size_t* pos,
                           std::uint64_t* value) {
   std::uint64_t v = 0;
-  int shift = 0;
   std::size_t p = *pos;
-  while (p < size) {
+  for (unsigned shift = 0; shift < 64; shift += 7) {
+    if (p >= size) return DecodeStatus::kNeedMore;
     const std::uint8_t byte = static_cast<std::uint8_t>(buf[p++]);
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
+      // The tenth byte carries bit 63 alone, and a terminal 0x00 after a
+      // continuation byte adds no bits (an overlong alias of a shorter form).
+      if ((shift == 63 && byte > 1) || (byte == 0 && shift > 0)) {
+        return DecodeStatus::kMalformed;
+      }
       *value = v;
       *pos = p;
       return DecodeStatus::kOk;
     }
-    shift += 7;
-    if (shift >= 64) return DecodeStatus::kMalformed;
   }
-  return DecodeStatus::kNeedMore;
+  return DecodeStatus::kMalformed;  // the tenth byte continues
 }
 
 void AppendFrame(std::string* out, const std::string& payload) {

@@ -1,20 +1,23 @@
-// Length-prefixed CRC-framed byte streams for the hub wire protocol.
+// The tree's one varint codec and its length-prefixed CRC-framed streams.
 //
-// A frame on the wire is:
+// A frame is:
 //
 //     varint payload_len | payload bytes | CRC32-LE(payload)   (4 bytes)
 //
-// — the same shape as the trial journal's record frames (DESIGN.md §5.3),
-// with the same CRC (common/crc32.h), so a frame written by either subsystem
-// is checkable by the other's tooling. Unlike the journal, a torn frame on a
-// socket is not "end of valid prefix": the stream continues, so the decoder
-// distinguishes "need more bytes" (kNeedMore) from "this connection is
-// poisoned" (kError — bad varint, zero/oversized length, CRC mismatch).
-// Servers drop only the offending connection, never abort.
+// The hub wire protocol and the CTR store's segments (and the trial journal
+// perfbench probes) all write this shape with AppendFrame, under one CRC
+// (common/crc32.h); the trace spools and the store's column payloads use
+// the varint codec alone.
+// On disk a torn frame is the end of the valid prefix. On a socket the
+// stream continues, so the incremental decoder distinguishes "need more
+// bytes" (kNeedMore) from "this connection is poisoned" (kError — bad
+// varint, zero/oversized length, CRC mismatch). Servers drop only the
+// offending connection, never abort.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace chaser::net {
@@ -40,13 +43,28 @@ inline std::int64_t ZigZagDecode(std::uint64_t v) {
 enum class DecodeStatus : std::uint8_t {
   kOk,        // value decoded, *pos advanced past it
   kNeedMore,  // buffer ends mid-varint — feed more bytes and retry
-  kMalformed, // > 10 bytes of continuation: not a varint
+  kMalformed, // not the one canonical encoding of a 64-bit value
 };
 
 /// Decode a varint from buf[*pos..). On kOk advances *pos; otherwise leaves
-/// it untouched so the caller can retry once more bytes arrive.
+/// it untouched so the caller can retry once more bytes arrive. Every value
+/// has exactly one accepted encoding — the one AppendVarint writes — so an
+/// overlong form (a terminal 0x00 after a continuation byte) and bits past
+/// 2^64 are kMalformed. The CTR store's byte-determinism relies on that.
 DecodeStatus DecodeVarint(const char* buf, std::size_t size, std::size_t* pos,
                           std::uint64_t* value);
+
+/// The same decoder for a whole in-memory buffer: the value, or nullopt when
+/// `buf` ends mid-varint or the encoding is malformed (a file reader stops
+/// there either way).
+inline std::optional<std::uint64_t> DecodeVarint(const std::string& buf,
+                                                 std::size_t* pos) {
+  std::uint64_t value = 0;
+  if (DecodeVarint(buf.data(), buf.size(), pos, &value) != DecodeStatus::kOk) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 // ---- frame encode ----------------------------------------------------------
 

@@ -153,7 +153,7 @@ class Registry {
   /// campaign-scoped scrapers use this; concurrent writers may interleave.
   void Reset();
 
-  /// Process-wide registry. Deep layers (journal fsyncs, hub traffic)
+  /// Process-wide registry. Deep layers (hub traffic, golden restores)
   /// publish here through function-local cached handles so no pointer has
   /// to be threaded through every constructor.
   static Registry& Global();

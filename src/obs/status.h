@@ -116,8 +116,8 @@ class StatusWriter {
   StatusWriter& operator=(const StatusWriter&) = delete;
 
   /// Account one committed trial. Thread-safe; rewrites the file when the
-  /// cadence says so. `replayed` marks trials restored from a resume
-  /// journal rather than executed.
+  /// cadence says so. `replayed` marks trials a resumed campaign replayed
+  /// from its store rather than executed.
   void OnTrialCommitted(Outcome outcome, std::uint64_t taint_lost,
                         std::uint64_t trace_dropped, bool replayed);
 

@@ -77,7 +77,7 @@ struct TrialStats {
   std::uint64_t tlb_hits = 0;
   std::uint64_t tlb_misses = 0;
   unsigned retries = 0;
-  bool replayed = false;  // restored from a resume journal, not executed
+  bool replayed = false;  // replayed from a resumed store, not executed
 };
 
 class Telemetry {
@@ -134,7 +134,7 @@ class Telemetry {
   void Finish();
 
   /// The registry all telemetry metrics land in (the process-global one, so
-  /// deep-layer counters — journal fsyncs, hub traffic — are in scope).
+  /// deep-layer counters — hub traffic, golden restores — are in scope).
   Registry& registry() { return Registry::Global(); }
   StatusWriter* status() { return status_.get(); }
   TraceJsonWriter* trace_writer() { return trace_.get(); }

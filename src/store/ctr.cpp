@@ -6,21 +6,22 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 
-#include "analysis/spool.h"
 #include "common/crc32.h"
 #include "common/error.h"
 #include "common/strings.h"
+#include "net/frame.h"
 
 namespace chaser::store {
 
 namespace fs = std::filesystem;
 
-using analysis::AppendVarint;
-using analysis::DecodeVarint;
-using analysis::ZigZagDecode;
-using analysis::ZigZagEncode;
+using net::AppendVarint;
+using net::DecodeVarint;
+using net::ZigZagDecode;
+using net::ZigZagEncode;
 
 namespace {
 
@@ -38,10 +39,10 @@ constexpr char kModeDelta = 2;
 constexpr char kModePacked = 3;
 constexpr char kModePackedDelta = 4;
 
-/// Upper bound on one frame. A block of 512 records is a few KiB even with
-/// pathological strings in the dictionary prelude; anything larger is a
-/// corrupt length varint. Matches the hub wire protocol's ceiling.
-constexpr std::uint64_t kMaxCtrFrame = 1u << 22;
+/// Upper bound on one frame: the hub wire's. A block of 512 records is a
+/// few KiB even with pathological strings in the dictionary prelude;
+/// anything larger is a corrupt length varint.
+constexpr std::uint64_t kMaxCtrFrame = net::kMaxFramePayload;
 
 // FNV-1a over the 8 LE bytes of each run_seed, chained across every record
 // of the store. Footers carry the running value so a resume can verify the
@@ -83,12 +84,6 @@ void AppendU64Le(std::string* out, std::uint64_t v) {
   }
 }
 
-void AppendU32Le(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
 std::uint32_t ReadU32Le(const char* p) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -122,8 +117,8 @@ void ReadWholeFile(std::ifstream& in, std::string* out) {
 }
 
 /// Extract the next intact frame's payload. False when the tail from `*pos`
-/// is torn: short, overlong, or failing its CRC — the caller applies the
-/// journal's prefix discipline.
+/// is torn: short, overlong, or failing its CRC — the caller serves the
+/// intact prefix before it.
 bool NextFrame(const std::string& buf, std::size_t* pos, std::string* payload) {
   std::size_t p = *pos;
   const auto len = DecodeVarint(buf, &p);
@@ -676,9 +671,8 @@ CtrStoreWriter::CtrStoreWriter(std::string dir, const CtrStoreInfo& identity,
       segment_index_ = i + 1;
       base_records_ = total;
     } else {
-      // Cut the torn tail off before appending, exactly like the journal:
-      // new frames after garbage would be unreachable to a prefix-
-      // disciplined reader.
+      // Cut the torn tail off before appending: new frames after garbage
+      // would be unreachable to a prefix-disciplined reader.
       fs::resize_file(segs[i], scan.intact_bytes, ec);
       if (ec) {
         throw ConfigError("CtrStoreWriter: cannot truncate torn tail of '" +
@@ -795,12 +789,10 @@ void CtrStoreWriter::EnsureSegmentOpen() {
 
 void CtrStoreWriter::WriteFrame(const std::string& payload) {
   std::string frame;
-  AppendVarint(&frame, payload.size());
-  frame.append(payload);
-  AppendU32Le(&frame, Crc32(payload.data(), payload.size()));
+  net::AppendFrame(&frame, payload);
   // One fwrite per frame keeps frames contiguous; the fsync bounds how much
-  // a crash can tear to the current frame (the journal remains the
-  // per-record durability layer — resume replays anything torn off here).
+  // a crash can tear to the current frame. A resumed campaign reruns the
+  // trials of a block torn off here: they are pure functions of their seed.
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
       std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
     throw ConfigError("CtrStoreWriter: write failed in '" + dir_ + "'");
@@ -869,6 +861,12 @@ void CtrStoreWriter::Finish() {
   }
   SealSegment();
   finished_ = true;
+}
+
+campaign::RecordStream CtrStoreWriter::Replay() const {
+  if (stored_count_ == 0) return nullptr;
+  auto scanner = std::make_shared<CtrStoreScanner>(dir_);
+  return [scanner](campaign::RunRecord* out) { return scanner->Next(out); };
 }
 
 // ---- Scanner ----------------------------------------------------------------

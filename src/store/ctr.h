@@ -14,9 +14,8 @@
 //
 //   magic    8 bytes "CHSCTR01"
 //   frame*   varint payload_len | payload | CRC-32 of the payload as 4 LE
-//            bytes — the same frame discipline as the trial journal and the
-//            hub wire protocol, so one checksum covers every framed stream
-//            in the tree.
+//            bytes — net/frame.h's frame, the hub wire protocol's, so one
+//            checksum covers every framed stream in the tree.
 //
 // The first frame's payload is the header (tag 0x01): format version,
 // campaign identity (seed, app, sample policy, shard spec), this segment's
@@ -41,12 +40,14 @@
 // hash of every run_seed since record 0 of segment 0, and the dictionary
 // size — a sealed segment is one whose last frame is a footer.
 //
-// Crash rules are the journal's: blocks are fsync'd as written, a reader
-// serves the intact frame prefix and reports truncated() past it, and a
-// writer re-opening an unsealed segment truncates the torn tail before
-// appending. Because block boundaries (every block_records records), dict id
-// assignment, mode choice and segment roll-over are all deterministic in the
-// record stream, a resumed store converges to the uninterrupted byte stream.
+// Crash rules: blocks are fsync'd as written, a reader serves the intact
+// frame prefix and reports truncated() past it, and a writer re-opening an
+// unsealed segment truncates the torn tail before appending. Because block
+// boundaries (every block_records records), dict id assignment, mode choice
+// and segment roll-over are all deterministic in the record stream, a
+// resumed store converges to the uninterrupted byte stream. The store is
+// the campaign's resume log: `chaser_run --resume` replays its intact
+// prefix and reruns the trials after it.
 #pragma once
 
 #include <cstdint>
@@ -106,9 +107,8 @@ using ColumnMask = std::uint32_t;
 inline constexpr ColumnMask kAllColumns = (1u << kNumColumns) - 1;
 inline constexpr ColumnMask MaskOf(Column c) { return 1u << c; }
 
-/// Campaign identity stamped into every segment header — the CTR analogue of
-/// the journal header, with the same purpose: resuming or merging against
-/// the wrong campaign fails loudly.
+/// Campaign identity stamped into every segment header: resuming or merging
+/// against the wrong campaign fails loudly.
 struct CtrStoreInfo {
   std::uint64_t format_version = kCtrFormatVersion;
   std::uint64_t campaign_seed = 0;
@@ -160,6 +160,11 @@ class CtrStoreWriter {
   /// Flush the partial block, write the footer, fsync, close. Idempotent.
   void Finish();
 
+  /// The records the store held when it was reopened, as the seed-order
+  /// stream Campaign::Run replays (scanned from disk as it is pulled); null
+  /// when it held none. Pull it before the first Add that writes.
+  campaign::RecordStream Replay() const;
+
   const std::string& dir() const { return dir_; }
   /// Records passed to Add (skipped + written).
   std::uint64_t added() const { return added_; }
@@ -202,7 +207,7 @@ class CtrStoreWriter {
 /// `mask`. Throws ConfigError on a missing store, bad magic/header, or
 /// structural corruption behind a valid CRC; a torn tail (crashed writer)
 /// is served as the intact record prefix with truncated() set — never an
-/// error, exactly like the journal reader.
+/// error.
 class CtrStoreScanner {
  public:
   explicit CtrStoreScanner(const std::string& path,

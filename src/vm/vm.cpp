@@ -13,6 +13,14 @@ namespace {
 /// the real OS fail the copy the same way).
 constexpr std::uint64_t kMaxWriteBytes = 1ull << 26;
 
+/// Output-stream nodes a restart keeps for the next run, and the largest
+/// buffer one keeps. Every bundled app writes one stream, fd 3, per rank: a
+/// golden run writes 4096 B (bfs), 128 B (kmeans), 4608 B (lud), 192/64 B
+/// (matvec) and 1160–1184 B (clamr). The caps only bound what a
+/// fault-corrupted run (a stray fd, a huge length) leaves for the next.
+constexpr std::size_t kMaxSpareOutputs = 4;
+constexpr std::size_t kMaxKeptOutputBytes = 1u << 16;
+
 /// The enumerator 0..last whose name_of() is `name`.
 template <typename E>
 bool ParseByName(const std::string& name, E last, const char* (*name_of)(E),
@@ -204,7 +212,7 @@ Pid Vm::StartLoadedProcess() {
 
   taint_.Reset();
   temps_.clear();
-  outputs_.clear();
+  RecycleOutputs();
   tainted_output_bytes_ = 0;
 
   run_state_ = RunState::kRunnable;
@@ -277,7 +285,8 @@ void Vm::Restore(const Checkpoint& ck) {
   UpdateNextStop();
   tb_chain_hits_ = ck.tb_chain_hits;
   tb_executions_ = ck.tb_executions;
-  outputs_ = ck.outputs;
+  RecycleOutputs();
+  for (const auto& [fd, bytes] : ck.outputs) OutputStream(fd) = bytes;
   tainted_output_bytes_ = ck.tainted_output_bytes;
   memory_.Restore(ck.memory);
   // Rebuild the index in this Vm's variant, then its chains: a chain slot
@@ -307,6 +316,27 @@ RunState Vm::RunToCompletion() {
                       "' blocked with nothing to unblock it");
   }
   return run_state_;
+}
+
+void Vm::RecycleOutputs() {
+  while (!outputs_.empty()) {
+    auto node = outputs_.extract(outputs_.begin());
+    if (spare_outputs_.size() < kMaxSpareOutputs &&
+        node.mapped().capacity() <= kMaxKeptOutputBytes) {
+      node.mapped().clear();
+      spare_outputs_.push_back(std::move(node));
+    }
+  }
+}
+
+std::string& Vm::OutputStream(int fd) {
+  const auto it = outputs_.find(fd);
+  if (it != outputs_.end()) return it->second;
+  if (spare_outputs_.empty()) return outputs_[fd];
+  auto node = std::move(spare_outputs_.back());
+  spare_outputs_.pop_back();
+  node.key() = fd;
+  return outputs_.insert(std::move(node)).position->second;
 }
 
 const std::string& Vm::output(int fd) const {
@@ -405,8 +435,9 @@ SyscallResult Vm::HandleCoreSyscall(std::uint64_t num) {
                     "write: buffer " + Hex64(buf) + " not mapped");
         return SyscallResult::Terminated();
       }
-      const std::uint64_t stream_base = outputs_[fd].size();
-      outputs_[fd] += bytes;
+      std::string& stream = OutputStream(fd);
+      const std::uint64_t stream_base = stream.size();
+      stream += bytes;
       // Taint-through-I/O: count corrupted bytes leaving the process.
       // Scanned page-at-a-time: one translation and one shadow lookup per
       // page instead of per byte (a buffer page is contiguous physically,

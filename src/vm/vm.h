@@ -425,6 +425,12 @@ class Vm {
   void UpdateVariantKey();
   /// Common tail of both StartProcess overloads; `program_` is already set.
   Pid StartLoadedProcess();
+  /// Empty outputs_ into spare_outputs_. No fd carries over; a stream grown
+  /// past kMaxKeptOutputBytes (a fault-corrupted run's) is freed, and at
+  /// most kMaxSpareOutputs nodes are kept.
+  void RecycleOutputs();
+  /// The stream of guest fd `fd`, made from a spare node if it is new.
+  std::string& OutputStream(int fd);
   void HandleSyscallHelper(std::uint64_t pc);
   /// Recompute next_stop_ = min(watchdog threshold, next sample point).
   /// Called whenever max_instructions or the sample schedule changes.
@@ -476,7 +482,11 @@ class Vm {
   std::uint64_t instret_ = 0;
   GuestAddr heap_break_ = 0;
 
+  /// Output streams by guest fd. A restart or restore empties it into
+  /// spare_outputs_, whose nodes (buffers kept) the next run's streams
+  /// reuse, so a warmed trial allocates none.
   std::map<int, std::string> outputs_;
+  std::vector<std::map<int, std::string>::node_type> spare_outputs_;
   std::uint64_t tainted_output_bytes_ = 0;
 
   VmiProcessCallback on_create_;

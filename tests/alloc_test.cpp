@@ -103,7 +103,7 @@ double AllocationsPerTrial(const apps::AppSpec& spec, CampaignConfig config) {
 
 TEST(TrialAllocations, MatvecTrialStaysUnderItsPin) {
   const double per_trial = AllocationsPerTrial(apps::BuildMatvec({}), {});
-  EXPECT_LE(per_trial, 35.6 * 1.1)
+  EXPECT_LE(per_trial, 24.4 * 1.1)
       << "heap allocations per matvec trial: " << per_trial;
 }
 
@@ -111,7 +111,7 @@ TEST(TrialAllocations, WeightedLudTrialStaysUnderItsPin) {
   CampaignConfig config;
   config.sample_policy = SamplePolicy::kWeighted;
   const double per_trial = AllocationsPerTrial(apps::BuildLud({}), config);
-  EXPECT_LE(per_trial, 12.2 * 1.1)
+  EXPECT_LE(per_trial, 10.2 * 1.1)
       << "heap allocations per weighted lud trial: " << per_trial;
 }
 

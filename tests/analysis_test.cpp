@@ -1,4 +1,4 @@
-// Tests for src/analysis: the varint codec, the TraceSpool on-disk format
+// Tests for src/analysis: the TraceSpool on-disk format
 // (round-trip, truncation recovery, sink tee-through), the propagation
 // graph built from a hand-authored trace, the root-cause walk, and
 // serial-vs-parallel spool determinism.
@@ -30,64 +30,6 @@ std::string TempDir(const std::string& name) {
       (fs::temp_directory_path() / ("chaser_analysis_test_" + name)).string();
   fs::remove_all(dir);
   return dir;
-}
-
-// ---- Varint codec ------------------------------------------------------------
-
-TEST(Varint, KnownEncodings) {
-  std::string buf;
-  AppendVarint(&buf, 0);
-  AppendVarint(&buf, 127);
-  AppendVarint(&buf, 128);
-  EXPECT_EQ(buf.size(), 1u + 1u + 2u);
-  std::size_t pos = 0;
-  EXPECT_EQ(DecodeVarint(buf, &pos), 0u);
-  EXPECT_EQ(DecodeVarint(buf, &pos), 127u);
-  EXPECT_EQ(DecodeVarint(buf, &pos), 128u);
-  EXPECT_EQ(pos, buf.size());
-}
-
-TEST(Varint, RoundTripFuzz) {
-  Rng rng(42);
-  std::vector<std::uint64_t> values;
-  std::string buf;
-  for (int i = 0; i < 5000; ++i) {
-    // Mix magnitudes so every LEB128 length is exercised.
-    const unsigned bits = static_cast<unsigned>(rng.UniformU64(0, 64));
-    const std::uint64_t v =
-        bits == 0 ? 0 : rng.UniformU64(0, ~0ull >> (64 - bits));
-    values.push_back(v);
-    AppendVarint(&buf, v);
-  }
-  std::size_t pos = 0;
-  for (const std::uint64_t v : values) {
-    const auto got = DecodeVarint(buf, &pos);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, v);
-  }
-  EXPECT_EQ(pos, buf.size());
-}
-
-TEST(Varint, DecodeRejectsTruncation) {
-  std::string buf;
-  AppendVarint(&buf, 0x1234567890abcdefull);
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    std::size_t pos = 0;
-    EXPECT_FALSE(DecodeVarint(buf.substr(0, cut), &pos).has_value());
-  }
-}
-
-TEST(Varint, ZigZagRoundTrip) {
-  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1},
-                               std::int64_t{1}, std::int64_t{-1234567},
-                               std::int64_t{1} << 62,
-                               std::numeric_limits<std::int64_t>::min(),
-                               std::numeric_limits<std::int64_t>::max()}) {
-    EXPECT_EQ(ZigZagDecode(ZigZagEncode(v)), v);
-  }
-  EXPECT_EQ(ZigZagEncode(0), 0u);
-  EXPECT_EQ(ZigZagEncode(-1), 1u);
-  EXPECT_EQ(ZigZagEncode(1), 2u);
 }
 
 // ---- Spool round trip --------------------------------------------------------

@@ -2,13 +2,13 @@
 // shard partition must be disjoint and complete, the merge must reproduce an
 // unsharded run byte for byte (uniform, sampled, and early-stopped plans,
 // straight from memory or round-tripped through the records CSV, whatever
-// order the shards' records come in), the journal must refuse to resume a
-// different shard spec, a campaign over a loopback RemoteTaintHub must match
-// the in-process hub exactly, and the fleet rollup must count every outcome.
+// order the shards' records come in), a campaign over a loopback
+// RemoteTaintHub must match the in-process hub exactly, and the fleet rollup
+// must count every outcome. (A shard's store refusing another shard spec is
+// store_test's CtrStore.IdentityMismatchRefusesResume.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,7 +17,6 @@
 #include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
-#include "campaign/journal.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "guest/builder.h"
@@ -25,8 +24,6 @@
 
 namespace chaser::campaign {
 namespace {
-
-namespace fs = std::filesystem;
 
 using guest::Cond;
 using guest::F;
@@ -72,25 +69,6 @@ TEST(ShardTrialIndicesTest, ShardsPartitionTheTrialSpace) {
     }
   }
   EXPECT_EQ(seen.size(), kRuns) << "the shards must cover every trial";
-}
-
-// ---- journal shard-spec validation ------------------------------------------
-
-TEST(JournalShardTest, RefusesToResumeADifferentShardSpec) {
-  const std::string path =
-      (fs::temp_directory_path() / "chaser_fleet_test_journal.bin").string();
-  fs::remove(path);
-  {
-    std::vector<RunRecord> replayed;
-    TrialJournal j(path, /*campaign_seed=*/7, "accum", &replayed,
-                   /*shard_index=*/0, /*shard_count=*/2);
-  }
-  std::vector<RunRecord> replayed;
-  EXPECT_THROW(TrialJournal(path, 7, "accum", &replayed, 1, 2), ConfigError);
-  EXPECT_THROW(TrialJournal(path, 7, "accum", &replayed, 0, 1), ConfigError);
-  // The matching spec resumes fine.
-  TrialJournal ok(path, 7, "accum", &replayed, 0, 2);
-  fs::remove(path);
 }
 
 // ---- merge == unsharded -----------------------------------------------------

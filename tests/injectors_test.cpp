@@ -2,8 +2,9 @@
 // spec parsing and its error messages, each bundled family's corruption
 // semantics, stuck-at persistence across TB-chain and cache-epoch
 // boundaries, instruction-skip on the final retired instruction, rank-crash
-// campaigns and the kCrashed outcome, records CSV v6, journal v5, and
-// serial/parallel determinism for non-default injectors.
+// campaigns and the kCrashed outcome, records CSV v6 and the CTR store's
+// injector columns, and serial/parallel determinism for non-default
+// injectors.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +13,6 @@
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/journal.h"
 #include "campaign/report.h"
 #include "common/bits.h"
 #include "common/error.h"
@@ -21,6 +21,7 @@
 #include "core/trigger.h"
 #include "guest/builder.h"
 #include "hub/remote/protocol.h"
+#include "store/ctr.h"
 #include "vm/vm.h"
 
 namespace chaser {
@@ -494,8 +495,11 @@ TEST(InjectorCampaign, CsvV6RoundTripsInjectorColumns) {
   }
 }
 
-TEST(InjectorCampaign, JournalV5RoundTripsInjectorIdentityAndCrash) {
-  const std::string path = TempPath("v5_roundtrip");
+TEST(InjectorCampaign, StoreRoundTripsInjectorIdentityAndCrash) {
+  // A rank-crash record carries the injector identity and the kCrashed
+  // outcome / kCrash signal; the CTR store a campaign resumes from must hand
+  // all of them back.
+  const std::string path = TempPath("crash_store");
   campaign::RunRecord rec;
   rec.run_seed = 42;
   rec.outcome = campaign::Outcome::kCrashed;
@@ -503,31 +507,23 @@ TEST(InjectorCampaign, JournalV5RoundTripsInjectorIdentityAndCrash) {
   rec.signal = vm::GuestSignal::kCrash;
   rec.injector = "rank-crash";
   rec.fault_class = "process-crash";
+  store::CtrStoreInfo identity;
+  identity.campaign_seed = 7;
+  identity.app = "accum";
   {
-    campaign::TrialJournal journal(path, 7, "accum", nullptr);
-    EXPECT_EQ(journal.version(), campaign::kJournalVersion);
-    journal.Append(rec);
+    store::CtrStoreWriter writer(path, identity);
+    writer.Add(rec);
+    writer.Finish();
   }
-  const campaign::JournalContents contents = campaign::ReadJournal(path);
-  EXPECT_FALSE(contents.truncated);
-  ASSERT_EQ(contents.records.size(), 1u);
-  EXPECT_EQ(contents.records[0].outcome, campaign::Outcome::kCrashed);
-  EXPECT_EQ(contents.records[0].signal, vm::GuestSignal::kCrash);
-  EXPECT_EQ(contents.records[0].injector, "rank-crash");
-  EXPECT_EQ(contents.records[0].fault_class, "process-crash");
+  store::CtrStoreScanner scanner(path);
+  campaign::RunRecord back;
+  ASSERT_TRUE(scanner.Next(&back));
+  EXPECT_FALSE(scanner.Next(&back));
+  EXPECT_EQ(back.outcome, campaign::Outcome::kCrashed);
+  EXPECT_EQ(back.signal, vm::GuestSignal::kCrash);
+  EXPECT_EQ(back.injector, "rank-crash");
+  EXPECT_EQ(back.fault_class, "process-crash");
   fs::remove_all(path);
-}
-
-TEST(InjectorCampaign, PreV5JournalRejectsCrashOutcomeAsCorruption) {
-  // A v4 frame claiming outcome kCrashed (4) can only be a bit flip: the
-  // value did not exist when v4 files were written.
-  campaign::RunRecord rec;
-  rec.outcome = campaign::Outcome::kCrashed;
-  const std::string v4 = campaign::EncodeJournalRecord(rec, 4);
-  const std::string v5 = campaign::EncodeJournalRecord(rec, 5);
-  EXPECT_NE(v4, v5);
-  // The v5 payload carries the injector strings; v4 must be shorter.
-  EXPECT_LT(v4.size(), v5.size());
 }
 
 TEST(InjectorCampaign, HubFaultTriggerIsDeterministicAndTrialScoped) {

@@ -1,35 +1,24 @@
-// Tests for src/campaign/journal: the crash-safe trial journal must survive
-// truncation at any byte and random bit rot by recovering the intact record
-// prefix, and resuming a campaign from it — serial or parallel — must
-// reproduce the uninterrupted report byte for byte.
+// Tests for src/campaign/journal, the fsync-per-record log perfbench's
+// traced pass still probes: reopening a journal must replay exactly the
+// records appended, and survive truncation at any byte and random bit rot by
+// recovering the intact record prefix. (Campaigns resume from their CTR
+// store; store_test covers that.)
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
-#include "campaign/report.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "guest/builder.h"
 
 namespace chaser::campaign {
 namespace {
 
 namespace fs = std::filesystem;
-
-using guest::Cond;
-using guest::F;
-using guest::ProgramBuilder;
-using guest::R;
 
 std::string TempPath(const std::string& name) {
   const std::string path =
@@ -50,8 +39,8 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 /// A spread of records covering every encoder path: zero everything, signed
-/// ranks, all flags, huge counters, and a quarantined infra record with
-/// free-form exception text.
+/// ranks, all flags, huge counters, a sampled trial, a rank crash, and a
+/// quarantined infra record with free-form exception text.
 std::vector<RunRecord> SampleRecords() {
   std::vector<RunRecord> recs;
   {
@@ -96,6 +85,18 @@ std::vector<RunRecord> SampleRecords() {
     recs.push_back(r);
   }
   {
+    // A rank-crash campaign's record: injector identity and the kCrashed
+    // outcome / kCrash signal.
+    RunRecord r;
+    r.run_seed = 42;
+    r.outcome = Outcome::kCrashed;
+    r.kind = vm::TerminationKind::kSignaled;
+    r.signal = vm::GuestSignal::kCrash;
+    r.injector = "rank-crash";
+    r.fault_class = "process-crash";
+    recs.push_back(r);
+  }
+  {
     RunRecord r;
     r.run_seed = 999;
     r.outcome = Outcome::kInfra;
@@ -131,11 +132,20 @@ void ExpectRecordEq(const RunRecord& a, const RunRecord& b, std::size_t i) {
   EXPECT_EQ(a.inject_pc, b.inject_pc) << "record " << i;
   EXPECT_EQ(a.inject_class, b.inject_class) << "record " << i;
   EXPECT_EQ(a.sample_weight, b.sample_weight) << "record " << i;
+  EXPECT_EQ(a.injector, b.injector) << "record " << i;
+  EXPECT_EQ(a.fault_class, b.fault_class) << "record " << i;
 }
 
 // ---- Round trip --------------------------------------------------------------
 
-TEST(Journal, AppendReadRoundTrip) {
+/// The records a reopen of `path` replays (the reopen also cuts a torn tail).
+std::vector<RunRecord> Replay(const std::string& path, std::uint64_t seed) {
+  std::vector<RunRecord> replayed;
+  TrialJournal journal(path, seed, "accum", &replayed);
+  return replayed;
+}
+
+TEST(Journal, AppendReplayRoundTrip) {
   const std::string path = TempPath("roundtrip");
   const std::vector<RunRecord> recs = SampleRecords();
   {
@@ -143,38 +153,12 @@ TEST(Journal, AppendReadRoundTrip) {
     TrialJournal journal(path, 42, "accum", &replayed);
     EXPECT_TRUE(replayed.empty());
     for (const RunRecord& r : recs) journal.Append(r);
-    EXPECT_EQ(journal.appended(), recs.size());
   }
-  const JournalContents contents = ReadJournal(path);
-  EXPECT_EQ(contents.header.campaign_seed, 42u);
-  EXPECT_EQ(contents.header.app, "accum");
-  EXPECT_FALSE(contents.truncated);
-  ASSERT_EQ(contents.records.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    ExpectRecordEq(recs[i], contents.records[i], i);
-  }
-  EXPECT_EQ(contents.valid_bytes, fs::file_size(path));
-}
-
-TEST(Journal, FreshJournalWritesCurrentVersionAndOldPayloadsStillDecode) {
-  const std::string path = TempPath("version");
-  {
-    std::vector<RunRecord> replayed;
-    TrialJournal journal(path, 7, "accum", &replayed);
-    EXPECT_EQ(journal.version(), kJournalVersion);
-  }
-  EXPECT_EQ(ReadJournal(path).header.version, kJournalVersion);
-
-  // A record encoded in the v2 layout must be shorter than the same record
-  // in v3 (no sampling fields) — the layouts genuinely differ, and a v2
-  // file keeps decoding with the sampling defaults (weight 1 = uniform).
-  RunRecord rec;
-  rec.run_seed = 5;
-  rec.inject_pc = 999;
-  rec.sample_weight = 2.5;
-  const std::string v2 = EncodeJournalRecord(rec, 2);
-  const std::string v3 = EncodeJournalRecord(rec, 3);
-  EXPECT_LT(v2.size(), v3.size());
+  const auto size = fs::file_size(path);
+  const std::vector<RunRecord> back = Replay(path, 42);
+  ASSERT_EQ(back.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) ExpectRecordEq(recs[i], back[i], i);
+  EXPECT_EQ(fs::file_size(path), size) << "an intact journal must not be cut";
 }
 
 TEST(Journal, ReopenReplaysAndContinues) {
@@ -194,10 +178,9 @@ TEST(Journal, ReopenReplaysAndContinues) {
     ExpectRecordEq(recs[1], replayed[1], 1);
     journal.Append(recs[2]);
   }
-  const JournalContents contents = ReadJournal(path);
-  EXPECT_FALSE(contents.truncated);
-  ASSERT_EQ(contents.records.size(), 3u);
-  ExpectRecordEq(recs[2], contents.records[2], 2);
+  const std::vector<RunRecord> back = Replay(path, 7);
+  ASSERT_EQ(back.size(), 3u);
+  ExpectRecordEq(recs[2], back[2], 2);
 }
 
 TEST(Journal, MismatchedCampaignIdentityThrows) {
@@ -215,7 +198,6 @@ TEST(Journal, MismatchedCampaignIdentityThrows) {
 TEST(Journal, NonJournalFileThrows) {
   const std::string path = TempPath("notjournal");
   WriteFileBytes(path, "run_seed,outcome,this is a csv not a journal\n");
-  EXPECT_THROW(ReadJournal(path), ConfigError);
   std::vector<RunRecord> replayed;
   EXPECT_THROW(TrialJournal(path, 1, "accum", &replayed), ConfigError);
 }
@@ -226,43 +208,31 @@ TEST(Journal, TruncationAtEveryByteRecoversIntactPrefix) {
   const std::string path = TempPath("truncate_src");
   const std::vector<RunRecord> recs = SampleRecords();
   std::uint64_t header_end = 0;
+  // Where each intact prefix ends, so expectations are exact.
+  std::vector<std::uint64_t> frame_ends;
   {
     std::vector<RunRecord> replayed;
     TrialJournal journal(path, 11, "accum", &replayed);
     header_end = fs::file_size(path);
-    for (const RunRecord& r : recs) journal.Append(r);
-  }
-  const std::string full = ReadFileBytes(path);
-
-  // Record where each intact prefix ends so expectations are exact.
-  std::vector<std::uint64_t> frame_ends;
-  {
-    const std::string probe = TempPath("truncate_probe");
-    for (std::size_t n = 1; n <= recs.size(); ++n) {
-      std::vector<RunRecord> replayed;
-      TrialJournal journal(probe, 11, "accum", &replayed);
-      for (std::size_t i = 0; i < n; ++i) journal.Append(recs[i]);
-      frame_ends.push_back(fs::file_size(probe));
-      fs::remove(probe);
+    for (const RunRecord& r : recs) {
+      journal.Append(r);
+      frame_ends.push_back(fs::file_size(path));
     }
   }
+  const std::string full = ReadFileBytes(path);
 
   const std::string cut = TempPath("truncate_cut");
   for (std::size_t len = header_end; len <= full.size(); ++len) {
     WriteFileBytes(cut, full.substr(0, len));
-    const JournalContents contents = ReadJournal(cut);
+    const std::vector<RunRecord> back = Replay(cut, 11);
     // Number of whole frames that fit in `len` bytes.
     std::size_t expect = 0;
     while (expect < frame_ends.size() && frame_ends[expect] <= len) ++expect;
-    ASSERT_EQ(contents.records.size(), expect) << "cut at byte " << len;
-    for (std::size_t i = 0; i < expect; ++i) {
-      ExpectRecordEq(recs[i], contents.records[i], i);
-    }
-    // Truncation is flagged exactly when the cut is not on a frame boundary.
-    const bool at_boundary =
-        len == header_end || std::find(frame_ends.begin(), frame_ends.end(),
-                                       len) != frame_ends.end();
-    EXPECT_EQ(contents.truncated, !at_boundary) << "cut at byte " << len;
+    ASSERT_EQ(back.size(), expect) << "cut at byte " << len;
+    for (std::size_t i = 0; i < expect; ++i) ExpectRecordEq(recs[i], back[i], i);
+    // The reopen cut the torn tail back to the last whole frame.
+    EXPECT_EQ(fs::file_size(cut), expect == 0 ? header_end : frame_ends[expect - 1])
+        << "cut at byte " << len;
   }
 }
 
@@ -290,15 +260,12 @@ TEST(Journal, BitFlipFuzzNeverThrowsAndNeverServesCorruptRecords) {
         bytes[byte] ^ static_cast<char>(1u << rng.UniformU64(0, 7)));
     WriteFileBytes(flipped_path, bytes);
 
-    JournalContents contents;
-    ASSERT_NO_THROW(contents = ReadJournal(flipped_path))
-        << "flip in byte " << byte;
+    std::vector<RunRecord> back;
+    ASSERT_NO_THROW(back = Replay(flipped_path, 99)) << "flip in byte " << byte;
     // Whatever survives must be a prefix of the originals, bit-exact: the
     // CRC must catch the flip at the frame it lands in.
-    ASSERT_LE(contents.records.size(), recs.size());
-    for (std::size_t i = 0; i < contents.records.size(); ++i) {
-      ExpectRecordEq(recs[i], contents.records[i], i);
-    }
+    ASSERT_LE(back.size(), recs.size());
+    for (std::size_t i = 0; i < back.size(); ++i) ExpectRecordEq(recs[i], back[i], i);
   }
 }
 
@@ -316,7 +283,6 @@ TEST(Journal, TornTailIsDiscardedOnReopenAndAppendStaysReadable) {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out << "\x40garbage-torn-frame";
   }
-  EXPECT_TRUE(ReadJournal(path).truncated);
   {
     std::vector<RunRecord> replayed;
     TrialJournal journal(path, 5, "accum", &replayed);
@@ -324,148 +290,9 @@ TEST(Journal, TornTailIsDiscardedOnReopenAndAppendStaysReadable) {
     journal.Append(recs[2]);
     journal.Append(recs[3]);
   }
-  const JournalContents contents = ReadJournal(path);
-  EXPECT_FALSE(contents.truncated);
-  ASSERT_EQ(contents.records.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    ExpectRecordEq(recs[i], contents.records[i], i);
-  }
-}
-
-// ---- Campaign resume ---------------------------------------------------------
-
-/// Same steerable single-process app the campaign tests use: `iters` fadds
-/// accumulating into memory, result written to fd 3.
-apps::AppSpec AccumulatorApp(std::uint64_t iters = 50) {
-  ProgramBuilder b("accum");
-  const GuestAddr out = b.Bss("out", 8);
-  b.FmovI(F(0), 0.0);
-  b.FmovI(F(1), 1.0);
-  b.MovI(R(1), 0);
-  auto loop = b.Here("loop");
-  b.Fadd(F(0), F(0), F(1));
-  b.AddI(R(1), R(1), 1);
-  b.CmpI(R(1), static_cast<std::int64_t>(iters));
-  b.Br(Cond::kLt, loop);
-  b.MovI(R(9), static_cast<std::int64_t>(out));
-  b.Fst(R(9), 0, F(0));
-  b.MovI(R(4), static_cast<std::int64_t>(out));
-  b.MovI(R(5), 8);
-  b.Write(3, R(4), R(5));
-  b.Exit(0);
-  apps::AppSpec spec;
-  spec.name = "accum";
-  spec.program = b.Finalize();
-  spec.num_ranks = 1;
-  spec.fault_classes = {guest::InstrClass::kFadd};
-  return spec;
-}
-
-std::string RenderPlusCsv(const CampaignResult& result) {
-  std::ostringstream csv;
-  WriteRecordsCsv(result.records, csv);
-  return result.Render("accum") + "\n" + csv.str();
-}
-
-/// Simulate a campaign killed after `completed` trials: a journal holding
-/// exactly that prefix of the reference records.
-void SeedJournal(const std::string& path, std::uint64_t seed,
-                 const std::vector<RunRecord>& records, std::size_t completed) {
-  std::vector<RunRecord> replayed;
-  TrialJournal journal(path, seed, "accum", &replayed);
-  for (std::size_t i = 0; i < completed; ++i) journal.Append(records[i]);
-}
-
-TEST(JournalResume, SerialResumeIsByteIdenticalAndRunsOnlyMissingSeeds) {
-  CampaignConfig config;
-  config.runs = 12;
-  config.seed = 321;
-  Campaign reference_campaign(AccumulatorApp(50), config);
-  const CampaignResult reference = reference_campaign.Run();
-  const std::string expected = RenderPlusCsv(reference);
-
-  for (const std::size_t completed : {std::size_t{0}, std::size_t{5},
-                                      std::size_t{12}}) {
-    const std::string path =
-        TempPath("serial_resume_" + std::to_string(completed));
-    SeedJournal(path, config.seed, reference.records, completed);
-
-    CampaignConfig resumed_config = config;
-    resumed_config.journal_path = path;
-    std::atomic<std::uint64_t> executed{0};
-    resumed_config.trial_chaos = [&](std::uint64_t, unsigned) { ++executed; };
-
-    Campaign resumed(AccumulatorApp(50), resumed_config);
-    const CampaignResult result = resumed.Run();
-    SCOPED_TRACE(completed);
-    EXPECT_EQ(executed.load(), config.runs - completed)
-        << "resume re-ran trials the journal already held";
-    EXPECT_EQ(RenderPlusCsv(result), expected);
-    // The journal now holds the full campaign for the *next* resume.
-    EXPECT_EQ(ReadJournal(path).records.size(), config.runs);
-  }
-}
-
-TEST(JournalResume, ParallelResumeIsByteIdenticalAcrossWorkerCounts) {
-  CampaignConfig config;
-  config.runs = 16;
-  config.seed = 4242;
-  Campaign reference_campaign(AccumulatorApp(50), config);
-  const CampaignResult reference = reference_campaign.Run();
-  const std::string expected = RenderPlusCsv(reference);
-
-  for (const unsigned jobs : {1u, 4u}) {
-    const std::string path = TempPath("par_resume_" + std::to_string(jobs));
-    SeedJournal(path, config.seed, reference.records, 7);
-
-    CampaignConfig resumed_config = config;
-    resumed_config.journal_path = path;
-    std::atomic<std::uint64_t> executed{0};
-    resumed_config.trial_chaos = [&](std::uint64_t, unsigned) { ++executed; };
-
-    Campaign resumed(AccumulatorApp(50), resumed_config, jobs);
-    const CampaignResult result = resumed.Run();
-    SCOPED_TRACE(jobs);
-    EXPECT_EQ(executed.load(), config.runs - 7);
-    EXPECT_EQ(RenderPlusCsv(result), expected);
-    EXPECT_EQ(ReadJournal(path).records.size(), config.runs);
-  }
-}
-
-TEST(JournalResume, TornJournalResumesFromIntactPrefix) {
-  CampaignConfig config;
-  config.runs = 8;
-  config.seed = 77;
-  Campaign reference_campaign(AccumulatorApp(50), config);
-  const CampaignResult reference = reference_campaign.Run();
-
-  const std::string path = TempPath("torn_resume");
-  SeedJournal(path, config.seed, reference.records, 4);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "\x33half-written-frame";  // the kill -9 landed mid-Append
-  }
-
-  CampaignConfig resumed_config = config;
-  resumed_config.journal_path = path;
-  std::atomic<std::uint64_t> executed{0};
-  resumed_config.trial_chaos = [&](std::uint64_t, unsigned) { ++executed; };
-  Campaign resumed(AccumulatorApp(50), resumed_config);
-  const CampaignResult result = resumed.Run();
-  EXPECT_EQ(executed.load(), 4u);  // the 4 intact trials were replayed
-  EXPECT_EQ(RenderPlusCsv(result), RenderPlusCsv(reference));
-}
-
-TEST(JournalResume, MismatchedCampaignSeedRefusesToResume) {
-  CampaignConfig config;
-  config.runs = 2;
-  config.seed = 1;
-  const std::string path = TempPath("mismatch_resume");
-  SeedJournal(path, 999, {}, 0);  // journal from a different campaign
-
-  config.journal_path = path;
-  Campaign campaign(AccumulatorApp(30), config);
-  EXPECT_THROW(campaign.Run(), ConfigError);
+  const std::vector<RunRecord> back = Replay(path, 5);
+  ASSERT_EQ(back.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) ExpectRecordEq(recs[i], back[i], i);
 }
 
 }  // namespace

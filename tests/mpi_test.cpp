@@ -520,6 +520,30 @@ TEST(Mpi, ClearGuestMemTaintHelper) {
   EXPECT_EQ(vm.taint().GetMemTaintByte(*pa), 0u);
 }
 
+TEST(Mpi, JobStateClearRestartsEveryChannelAndShedsOutgrownStorage) {
+  JobMpiState job;
+  EXPECT_EQ(job.NextSeq(0, 1, 5), 0u);
+  EXPECT_EQ(job.NextSeq(0, 1, 5), 1u);
+  EXPECT_EQ(job.NextSeq(1, 0, 5), 0u);
+  EXPECT_EQ(job.NextSeq(0, 1, 6), 0u);
+  EXPECT_EQ(job.NextSeq(0, 1, 5), 2u);
+  job.messages_delivered = 4;
+  job.Clear();
+  EXPECT_EQ(job.NextSeq(0, 1, 5), 0u);  // no channel carries over
+  EXPECT_EQ(job.messages_delivered, 0u);
+  const std::size_t kept = job.send_seq.capacity();
+  job.Clear();
+  EXPECT_EQ(job.send_seq.capacity(), kept);  // a normal trial's storage stays
+  // A fault-corrupted tag sweep opens more channels than any app uses.
+  const auto tags = static_cast<std::int64_t>(2 * JobMpiState::kMaxKeptChannels);
+  for (std::int64_t tag = 0; tag <= tags; ++tag) {
+    EXPECT_EQ(job.NextSeq(0, 1, tag), 0u);
+  }
+  job.Clear();
+  EXPECT_LE(job.send_seq.capacity(), JobMpiState::kMaxKeptChannels);
+  EXPECT_EQ(job.NextSeq(0, 1, 3), 0u);
+}
+
 TEST(Mpi, BadConfigThrows) {
   EXPECT_THROW(Cluster({.num_ranks = 0}), ConfigError);
   EXPECT_THROW(Cluster({.num_ranks = 2, .ranks_per_node = 0}), ConfigError);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,12 +83,60 @@ TEST(Varint, RunawayContinuationIsMalformed) {
             DecodeStatus::kMalformed);
 }
 
+TEST(Varint, RoundTripFuzz) {
+  Rng rng(42);
+  std::vector<std::uint64_t> values;
+  std::string buf;
+  for (int i = 0; i < 5000; ++i) {
+    // Mix magnitudes so every LEB128 length is exercised.
+    const unsigned bits = static_cast<unsigned>(rng.UniformU64(0, 64));
+    const std::uint64_t v =
+        bits == 0 ? 0 : rng.UniformU64(0, ~0ull >> (64 - bits));
+    values.push_back(v);
+    AppendVarint(&buf, v);
+  }
+  std::size_t pos = 0;
+  for (const std::uint64_t v : values) {
+    const auto got = DecodeVarint(buf, &pos);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, v);
+  }
+  EXPECT_EQ(pos, buf.size());
+}
+
+TEST(Varint, NonCanonicalAndOverflowingEncodingsAreMalformed) {
+  // Overlong forms of small values — a continuation byte followed by a
+  // terminal 0x00 contributes no bits — must be rejected, not silently
+  // canonicalized: the CTR layout is deterministic only if every value has
+  // exactly one encoding.
+  for (const std::string& bad :
+       {std::string("\x80\x00", 2), std::string("\x81\x00", 2),
+        std::string("\xff\x80\x00", 3),
+        // A tenth byte carrying bits beyond 2^64.
+        std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f", 10)}) {
+    std::size_t pos = 0;
+    std::uint64_t out = 0;
+    EXPECT_EQ(DecodeVarint(bad.data(), bad.size(), &pos, &out),
+              DecodeStatus::kMalformed);
+    EXPECT_EQ(pos, 0u);
+    EXPECT_FALSE(DecodeVarint(bad, &pos).has_value());
+  }
+  // The buffer overload reports a truncated varint as absent too.
+  std::size_t pos = 0;
+  EXPECT_FALSE(DecodeVarint(std::string("\x80", 1), &pos).has_value());
+}
+
 TEST(Varint, ZigZagRoundTripsSignedValues) {
   const std::int64_t values[] = {0, -1, 1, -2, 1000, -1000,
-                                 std::int64_t{1} << 62, -(std::int64_t{1} << 62)};
+                                 std::int64_t{1} << 62, -(std::int64_t{1} << 62),
+                                 std::numeric_limits<std::int64_t>::min(),
+                                 std::numeric_limits<std::int64_t>::max()};
   for (const std::int64_t v : values) {
     EXPECT_EQ(net::ZigZagDecode(net::ZigZagEncode(v)), v);
   }
+  EXPECT_EQ(net::ZigZagEncode(0), 0u);
+  EXPECT_EQ(net::ZigZagEncode(-1), 1u);
+  EXPECT_EQ(net::ZigZagEncode(1), 2u);
 }
 
 // ---- frame codec ------------------------------------------------------------

@@ -4,8 +4,10 @@
 // guarantee, and resume-safety of an early-stopped campaign.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/rng.h"
 #include "core/trigger.h"
 #include "guest/builder.h"
+#include "store/ctr.h"
 
 namespace chaser::campaign {
 namespace {
@@ -282,6 +285,12 @@ CampaignConfig BaseConfig(std::uint64_t runs, std::uint64_t seed) {
   return config;
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 std::string RenderPlusCsv(const CampaignResult& result, SamplePolicy policy) {
   std::ostringstream out;
   out << result.Render("accum");
@@ -350,39 +359,54 @@ TEST(SampledCampaign, StopCiStopsEarlyIdenticallyOnBothDrivers) {
   }
 }
 
-/// Satellite: resuming a --stop-ci-stopped campaign must replay to the same
-/// stop point without running a single new trial or moving any estimate.
+/// Resuming a --stop-ci-stopped campaign from its CTR store must replay to
+/// the same stop point without running a single new trial or moving any
+/// estimate.
 TEST(SampledCampaign, ResumeAfterEarlyStopRunsNothingAndMatchesByteForByte) {
   namespace fs = std::filesystem;
-  const std::string journal =
-      (fs::temp_directory_path() / "chaser_stopci_resume.journal").string();
-  std::remove(journal.c_str());
+  const std::string dir =
+      (fs::temp_directory_path() / "chaser_stopci_resume.ctr").string();
+  fs::remove_all(dir);
   CampaignConfig config = BaseConfig(400, 21);
   config.sample_policy = SamplePolicy::kWeighted;
   config.stop_ci = 0.45;
-  config.journal_path = journal;
+  store::CtrStoreInfo identity;
+  identity.campaign_seed = config.seed;
+  identity.app = "accum";
+  identity.sample_policy = config.sample_policy;
+  // The campaign on `jobs` workers with its records streaming into the store
+  // at `dir`, replaying what the store already holds (chaser_run --resume).
+  std::atomic<std::uint64_t> executed{0};
+  const auto run = [&](unsigned jobs) {
+    store::CtrWriterOptions options;
+    options.resume = true;
+    store::CtrStoreWriter writer(dir, identity, options);
+    CampaignConfig resumable = config;
+    resumable.record_sink = [&](const RunRecord& r) { writer.Add(r); };
+    resumable.trial_chaos = [&](std::uint64_t, unsigned) { ++executed; };
+    Campaign campaign(AccumulatorApp(), resumable, jobs);
+    CampaignResult result = campaign.Run(writer.Replay());
+    writer.Finish();
+    return result;
+  };
 
-  Campaign first(AccumulatorApp(), config);
-  const CampaignResult a = first.Run();
+  const CampaignResult a = run(1);
   ASSERT_TRUE(a.stopped_early);
-  const auto journal_bytes = fs::file_size(journal);
+  const std::string store_bytes = ReadFileBytes(dir + "/seg-000000.ctr");
 
-  // Serial resume: replayed commits hit the same stop prefix.
-  Campaign again(AccumulatorApp(), config);
-  const CampaignResult b = again.Run();
-  EXPECT_EQ(fs::file_size(journal), journal_bytes)
-      << "a resumed early-stopped campaign must not execute (or journal) "
-         "any new trial";
-  EXPECT_EQ(RenderPlusCsv(a, config.sample_policy),
-            RenderPlusCsv(b, config.sample_policy));
-
-  // Parallel resume of the same journal: identical again.
-  Campaign par(AccumulatorApp(), config, /*jobs=*/4);
-  const CampaignResult c = par.Run();
-  EXPECT_EQ(fs::file_size(journal), journal_bytes);
-  EXPECT_EQ(RenderPlusCsv(a, config.sample_policy),
-            RenderPlusCsv(c, config.sample_policy));
-  std::remove(journal.c_str());
+  // Serial resume, then a parallel one: the replayed commits hit the same
+  // stop prefix, and nothing new runs or lands in the store.
+  for (const unsigned jobs : {1u, 4u}) {
+    executed = 0;
+    const CampaignResult b = run(jobs);
+    EXPECT_EQ(executed.load(), 0u)
+        << "a resumed early-stopped campaign must not execute any new trial";
+    EXPECT_EQ(ReadFileBytes(dir + "/seg-000000.ctr"), store_bytes);
+    EXPECT_EQ(RenderPlusCsv(a, config.sample_policy),
+              RenderPlusCsv(b, config.sample_policy))
+        << "jobs=" << jobs;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(SampledCampaign, WeightedEstimateCoversExhaustiveUniformRate) {

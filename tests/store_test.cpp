@@ -1,11 +1,13 @@
 // Tests for src/store: the CTR columnar trial store must round-trip every
 // RunRecord field, survive truncation at any byte and random bit rot by
 // serving the intact block prefix, converge back to the uninterrupted byte
-// stream on resume, and export a records CSV byte-identical to
+// stream on resume — a resumed campaign replaying what its store holds and
+// rerunning only the rest — and export a records CSV byte-identical to
 // WriteRecordsCsv — the property that lets CSV retire to an export format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,12 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/spool.h"
+#include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "guest/builder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "store/ctr.h"
@@ -265,6 +268,15 @@ TEST(CtrStore, IdentityMismatchRefusesResume) {
   other = TestIdentity();
   other.shard_count = 4;
   EXPECT_THROW(CtrStoreWriter(dir, other, resume), ConfigError);
+  // A different slice of the same sharded campaign is a different trial set.
+  CtrStoreInfo shard = TestIdentity();
+  shard.shard_count = 2;
+  const std::string sharded = TempPath("identity_shard");
+  CtrStoreWriter(sharded, shard, {}).Finish();
+  other = shard;
+  other.shard_index = 1;
+  EXPECT_THROW(CtrStoreWriter(sharded, other, resume), ConfigError);
+  EXPECT_NO_THROW(CtrStoreWriter(sharded, shard, resume));
 }
 
 TEST(CtrStore, ResumedStoreFromLongerRunRefusesToFinishShort) {
@@ -524,7 +536,7 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
       plan, campaign::ShardStreamsByFirstSeed(plan, std::move(sets)));
 
   std::vector<std::unique_ptr<CtrStoreScanner>> scanners;
-  std::vector<campaign::ShardRecordStream> streams;
+  std::vector<campaign::RecordStream> streams;
   for (const std::string& dir : dirs) {
     scanners.push_back(std::make_unique<CtrStoreScanner>(dir));
     streams.push_back([s = scanners.back().get()](RunRecord* out) {
@@ -538,6 +550,191 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   EXPECT_EQ(by_streams.Render("accum"), by_records.Render("accum"));
   EXPECT_EQ(by_streams.Render("accum"), tally.Render("accum"));
   EXPECT_EQ(sink_seeds, seeds);
+}
+
+// ---- Campaign resume ---------------------------------------------------------
+
+/// Steerable single-process app: `iters` fadds accumulating into memory,
+/// the result written to fd 3.
+apps::AppSpec AccumulatorApp(std::uint64_t iters = 50) {
+  guest::ProgramBuilder b("accum");
+  const GuestAddr out = b.Bss("out", 8);
+  b.FmovI(guest::F(0), 0.0);
+  b.FmovI(guest::F(1), 1.0);
+  b.MovI(guest::R(1), 0);
+  auto loop = b.Here("loop");
+  b.Fadd(guest::F(0), guest::F(0), guest::F(1));
+  b.AddI(guest::R(1), guest::R(1), 1);
+  b.CmpI(guest::R(1), static_cast<std::int64_t>(iters));
+  b.Br(guest::Cond::kLt, loop);
+  b.MovI(guest::R(9), static_cast<std::int64_t>(out));
+  b.Fst(guest::R(9), 0, guest::F(0));
+  b.MovI(guest::R(4), static_cast<std::int64_t>(out));
+  b.MovI(guest::R(5), 8);
+  b.Write(3, guest::R(4), guest::R(5));
+  b.Exit(0);
+  apps::AppSpec spec;
+  spec.name = "accum";
+  spec.program = b.Finalize();
+  spec.num_ranks = 1;
+  spec.fault_classes = {guest::InstrClass::kFadd};
+  return spec;
+}
+
+std::string RenderPlusCsv(const campaign::CampaignResult& result) {
+  std::ostringstream csv;
+  campaign::WriteRecordsCsv(result.records, csv);
+  return result.Render("accum") + "\n" + csv.str();
+}
+
+/// Store layout of the resume tests: blocks of 4 records, so a dozen trials
+/// span several blocks.
+CtrWriterOptions ResumeOptions(bool resume) {
+  CtrWriterOptions options;
+  options.block_records = 4;
+  options.resume = resume;
+  return options;
+}
+
+/// What a campaign run into a CTR store produced.
+struct StoreRun {
+  campaign::CampaignResult result;
+  std::uint64_t executed = 0;  // trials that ran, not replayed
+  std::uint64_t stored = 0;    // records the store held when reopened
+};
+
+/// Run `config` on `jobs` workers with its records streaming into the store
+/// at `dir`, as chaser_run --records-format ctr does: with `resume`, the
+/// store is reopened and the records it holds are replayed.
+StoreRun RunIntoStore(const std::string& dir, campaign::CampaignConfig config,
+                      unsigned jobs, bool resume) {
+  CtrStoreInfo identity;
+  identity.campaign_seed = config.seed;
+  identity.app = "accum";
+  CtrStoreWriter writer(dir, identity, ResumeOptions(resume));
+  config.record_sink = [&](const RunRecord& r) { writer.Add(r); };
+  std::atomic<std::uint64_t> executed{0};
+  config.trial_chaos = [&](std::uint64_t, unsigned) { ++executed; };
+  campaign::Campaign campaign(AccumulatorApp(50), config, jobs);
+  StoreRun run;
+  run.result = campaign.Run(writer.Replay());
+  writer.Finish();
+  run.executed = executed.load();
+  run.stored = writer.stored();
+  return run;
+}
+
+/// Simulate a run killed after its first `n` records: the store holds them
+/// (the last block partial when `n` is not a whole number of blocks) and a
+/// seal torn in half, as a kill inside Finish() leaves it.
+void WriteKilledStore(const std::string& dir, std::uint64_t seed,
+                      const std::vector<RunRecord>& records, std::size_t n) {
+  CtrStoreInfo identity;
+  identity.campaign_seed = seed;
+  identity.app = "accum";
+  {
+    CtrStoreWriter writer(dir, identity, ResumeOptions(false));
+    for (std::size_t i = 0; i < n; ++i) writer.Add(records[i]);
+    writer.Finish();
+  }
+  const std::string seg = dir + "/seg-000000.ctr";
+  fs::resize_file(seg, fs::file_size(seg) - 1);
+}
+
+TEST(StoreResume, SerialResumeIsByteIdenticalAndRunsOnlyMissingSeeds) {
+  campaign::CampaignConfig config;
+  config.runs = 12;
+  config.seed = 321;
+  const std::string ref_dir = TempPath("resume_ref");
+  const StoreRun reference = RunIntoStore(ref_dir, config, 1, false);
+  const std::string expected = RenderPlusCsv(reference.result);
+  const std::string ref_bytes = ReadFileBytes(ref_dir + "/seg-000000.ctr");
+
+  // Killed with 0, 1 or 3 whole blocks on disk, or inside the seal of the
+  // last, partial block (which is then dropped and rerun).
+  for (const auto& [killed_at, replayed] :
+       std::vector<std::pair<std::size_t, std::uint64_t>>{
+           {0, 0}, {4, 4}, {12, 12}, {11, 8}}) {
+    SCOPED_TRACE(killed_at);
+    const std::string dir = TempPath("resume_serial");
+    WriteKilledStore(dir, config.seed, reference.result.records, killed_at);
+    const StoreRun resumed = RunIntoStore(dir, config, 1, true);
+    EXPECT_EQ(resumed.stored, replayed);
+    EXPECT_EQ(resumed.executed, config.runs - replayed)
+        << "resume re-ran trials the store already held";
+    EXPECT_EQ(RenderPlusCsv(resumed.result), expected);
+    // The resumed store converges to the uninterrupted one, byte for byte.
+    EXPECT_EQ(ReadFileBytes(dir + "/seg-000000.ctr"), ref_bytes);
+  }
+}
+
+TEST(StoreResume, ParallelResumeIsByteIdenticalAcrossWorkerCounts) {
+  campaign::CampaignConfig config;
+  config.runs = 16;
+  config.seed = 4242;
+  const std::string ref_dir = TempPath("resume_par_ref");
+  const StoreRun reference = RunIntoStore(ref_dir, config, 1, false);
+  const std::string expected = RenderPlusCsv(reference.result);
+  const std::string ref_bytes = ReadFileBytes(ref_dir + "/seg-000000.ctr");
+
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    const std::string dir = TempPath("resume_par");
+    WriteKilledStore(dir, config.seed, reference.result.records, 8);
+    const StoreRun resumed = RunIntoStore(dir, config, jobs, true);
+    EXPECT_EQ(resumed.executed, config.runs - 8);
+    EXPECT_EQ(RenderPlusCsv(resumed.result), expected);
+    EXPECT_EQ(ReadFileBytes(dir + "/seg-000000.ctr"), ref_bytes);
+  }
+}
+
+TEST(StoreResume, TornStoreResumesFromItsIntactBlocks) {
+  campaign::CampaignConfig config;
+  config.runs = 8;
+  config.seed = 77;
+  const StoreRun reference =
+      RunIntoStore(TempPath("resume_torn_ref"), config, 1, false);
+
+  const std::string dir = TempPath("resume_torn");
+  WriteKilledStore(dir, config.seed, reference.result.records, 4);
+  {
+    // The kill -9 landed mid-write of the next block.
+    std::ofstream out(dir + "/seg-000000.ctr", std::ios::binary | std::ios::app);
+    out << "\x33half-written-frame";
+  }
+  const StoreRun resumed = RunIntoStore(dir, config, 1, true);
+  EXPECT_EQ(resumed.executed, 4u);  // the intact block's 4 trials replayed
+  EXPECT_EQ(RenderPlusCsv(resumed.result), RenderPlusCsv(reference.result));
+}
+
+TEST(StoreResume, ReplayingAnotherCampaignsRecordsThrows) {
+  campaign::CampaignConfig config;
+  config.runs = 4;
+  config.seed = 5;
+  const std::vector<RunRecord> own = RunIntoStore(TempPath("replay_own"), config,
+                                                  1, false)
+                                         .result.records;
+  const auto stream_of = [](std::vector<RunRecord> records) {
+    return [records = std::move(records), next = std::size_t{0}](
+               RunRecord* out) mutable {
+      if (next == records.size()) return false;
+      *out = records[next++];
+      return true;
+    };
+  };
+  // Another seed's trials, and more trials than the campaign plans.
+  std::vector<RunRecord> other = own;
+  other[1].run_seed ^= 1;
+  campaign::Campaign wrong_seed(AccumulatorApp(50), config);
+  EXPECT_THROW(wrong_seed.Run(stream_of(other)), ConfigError);
+  std::vector<RunRecord> longer = own;
+  longer.push_back(own.back());
+  campaign::Campaign too_long(AccumulatorApp(50), config);
+  EXPECT_THROW(too_long.Run(stream_of(longer)), ConfigError);
+  // Its own records replay as the whole campaign.
+  campaign::Campaign replayed(AccumulatorApp(50), config);
+  EXPECT_EQ(replayed.Run(stream_of(own)).Render("accum"),
+            campaign::Campaign(AccumulatorApp(50), config).Run().Render("accum"));
 }
 
 // ---- Query engine ------------------------------------------------------------
@@ -668,43 +865,6 @@ TEST(OutcomeTable, EveryOutcomeReachesEverySurfaceWithItsCount) {
   EXPECT_EQ(query.groups.size(), kNumOutcomes);
   obs::Registry::Global().Reset();
   fs::remove_all(dir);
-}
-
-// ---- Varint hardening (spool codec regression) -------------------------------
-
-TEST(VarintCodec, RejectsOverlongEncodings) {
-  using analysis::AppendVarint;
-  using analysis::DecodeVarint;
-  // Canonical encodings round-trip.
-  for (const std::uint64_t v :
-       {0ull, 1ull, 127ull, 128ull, 300ull, ~0ull, 1ull << 62}) {
-    std::string buf;
-    AppendVarint(&buf, v);
-    std::size_t pos = 0;
-    const auto back = DecodeVarint(buf, &pos);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, v);
-    EXPECT_EQ(pos, buf.size());
-  }
-  // Overlong forms of small values — a continuation byte followed by a
-  // terminal 0x00 contributes no bits — must be rejected, not silently
-  // canonicalized: the CTR layout is deterministic only if every value has
-  // exactly one encoding.
-  for (const std::string& overlong :
-       {std::string("\x80\x00", 2), std::string("\x81\x00", 2),
-        std::string("\xff\x80\x00", 3)}) {
-    std::size_t pos = 0;
-    EXPECT_FALSE(DecodeVarint(overlong, &pos).has_value());
-  }
-  // Truncated input is rejected too.
-  std::size_t pos = 0;
-  EXPECT_FALSE(DecodeVarint(std::string("\x80", 1), &pos).has_value());
-  // A 10th byte carrying bits beyond 2^64 overflows.
-  pos = 0;
-  EXPECT_FALSE(
-      DecodeVarint(std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f", 10),
-                   &pos)
-          .has_value());
 }
 
 }  // namespace

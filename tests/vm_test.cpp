@@ -746,6 +746,33 @@ TEST(Vm, RestartMatchesFreshVm) {
   EXPECT_EQ(reused.memory().mapped_pages(), fresh.memory().mapped_pages());
 }
 
+TEST(Vm, RestartCarriesNoOutputStreamOver) {
+  // A fault-corrupted run may write to any fd. The next process on the same
+  // Vm reuses the stream storage but must start with no stream at all,
+  // exactly as on a fresh Vm.
+  ProgramBuilder b("stray");
+  const GuestAddr buf = b.Bss("buf", 64);
+  b.MovI(R(4), static_cast<std::int64_t>(buf));
+  b.MovI(R(5), 64);
+  b.Write(7, R(4), R(5));
+  b.Write(1, R(4), R(5));
+  b.Exit(0);
+  const guest::Program stray = b.Finalize();
+  const auto image = std::make_shared<const guest::Program>(DirtyingProgram());
+  Vm fresh;
+  fresh.StartProcess(image);
+  fresh.RunToCompletion();
+
+  Vm reused;
+  reused.StartProcess(stray);
+  reused.RunToCompletion();
+  ASSERT_EQ(reused.output(7).size(), 64u);
+  reused.StartProcess(image);
+  reused.RunToCompletion();
+  EXPECT_EQ(reused.output(7), "");
+  EXPECT_EQ(reused.Capture(nullptr).outputs, fresh.Capture(nullptr).outputs);
+}
+
 /// Everything a restored run must reproduce, compared field by field.
 void ExpectSameProcessState(const Vm& got, const Vm& want) {
   EXPECT_EQ(got.cpu().env, want.cpu().env);

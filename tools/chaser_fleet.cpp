@@ -2,25 +2,22 @@
 //
 // `chaser_fleet run` splits one campaign across N `chaser_run --shard i/N`
 // worker processes (optionally publishing message taint through spawned
-// chaser_hubd servers), supervises them — a crashed shard is restarted and
-// resumes from its journal — rolls their status files up into
-// DIR/fleet-status.json, and finally merges the per-shard records into one
-// report byte-identical to an unsharded run of the same plan (see
-// campaign/fleet.h for the determinism argument).
+// chaser_hubd servers), supervises them — each writes its records to a CTR
+// store, DIR/shard-<i>.ctr, and a crashed shard is restarted and resumes
+// from that store — rolls their status files up into DIR/fleet-status.json,
+// and finally merges the shard stores into DIR/merged.ctr and one report
+// byte-identical to an unsharded run of the same plan (see campaign/fleet.h
+// for the determinism argument).
 //
 //   chaser_fleet run --app matvec --runs 400 --seed 7 --shards 2
 //       --dir /tmp/fleet --spawn-hub 1
 //
-// `chaser_fleet merge` is the offline half: given the per-shard records
-// CSVs and the campaign plan, it re-derives the merged report without
-// running anything.
+// `chaser_fleet merge` is the offline half: given the per-shard CTR stores
+// (or records CSVs) and the campaign plan, it re-derives the merged report
+// without running anything.
 //
 //   chaser_fleet merge --app matvec --runs 400 --seed 7
-//       --report /tmp/report.txt a.csv b.csv
-//
-// Hosts file: one line per shard. Only "local" (run the worker as a child
-// process) is supported today; the file format exists so a future transport
-// can slot in without changing the plan layout.
+//       --report /tmp/report.txt shard-0.ctr shard-1.ctr
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -62,13 +59,12 @@ void Usage() {
       "\n"
       "run options:\n"
       "  --app NAME          campaign app (as chaser_run --app)\n"
-      "  --dir DIR           working directory for per-shard journals, CSVs,\n"
-      "                      logs, status files, and the merged outputs\n"
+      "  --dir DIR           working directory for the per-shard CTR stores\n"
+      "                      (shard-<i>.ctr), logs, status files, and the\n"
+      "                      merged outputs (merged.ctr, report.txt)\n"
       "  --runs N            total trials across all shards (default 200)\n"
       "  --seed N            campaign seed (default 1)\n"
       "  --shards K          worker count (default 2)\n"
-      "  --hosts FILE        one line per shard; each must be 'local'. Line\n"
-      "                      count overrides --shards\n"
       "  --jobs N            worker threads per shard (default 1 = serial)\n"
       "  --sample POLICY     sampling policy, forwarded to every worker\n"
       "  --stop-ci W         early-stop interval width, applied at merge time\n"
@@ -82,11 +78,7 @@ void Usage() {
       "                      in-process run matters)\n"
       "  --hubd BIN          chaser_hubd binary (default: sibling)\n"
       "  --restarts N        max restarts per crashed shard (default 2); a\n"
-      "                      restarted shard resumes from its journal\n"
-      "  --records-format F  per-shard record storage (default csv): csv, or\n"
-      "                      ctr for columnar CTR stores (shard-<i>.ctr/); the\n"
-      "                      merge then streams shard stores record-by-record\n"
-      "                      into DIR/merged.ctr instead of loading CSVs whole\n"
+      "                      restarted shard resumes from its store\n"
       "  --obs 0|1           observability plane (default 0): every worker and\n"
       "                      spawned hubd serves /metrics + /status + /healthz\n"
       "                      on an ephemeral port, fleet-status.json gains the\n"
@@ -280,7 +272,7 @@ campaign::CampaignResult MergeStoresAndWrite(
     }
     scanners[static_cast<std::size_t>(info.shard_index)] = std::move(scanner);
   }
-  std::vector<campaign::ShardRecordStream> streams;
+  std::vector<campaign::RecordStream> streams;
   streams.reserve(scanners.size());
   for (const auto& scanner : scanners) {
     streams.push_back([s = scanner.get()](campaign::RunRecord* out) {
@@ -457,7 +449,7 @@ void MergeFleetTraces(const std::string& dir, std::uint64_t shards) {
 }
 
 int RunFleet(int argc, char** argv) {
-  std::string app, dir, worker_bin, hubd_bin, hosts_file;
+  std::string app, dir, worker_bin, hubd_bin;
   std::vector<std::string> hub_endpoints;
   campaign::MergePlan plan;
   plan.runs = 200;
@@ -466,7 +458,6 @@ int RunFleet(int argc, char** argv) {
   std::uint64_t jobs = 1;
   std::uint64_t spawn_hubs = 0;
   std::uint64_t max_restarts = 2;
-  std::string records_format = "csv";
   bool obs = false;
 
   for (int i = 2; i < argc; ++i) {
@@ -481,8 +472,6 @@ int RunFleet(int argc, char** argv) {
       plan.seed = ArgNum(argc, argv, i, "--seed");
     } else if (a == "--shards") {
       shards = ArgNum(argc, argv, i, "--shards");
-    } else if (a == "--hosts") {
-      hosts_file = ArgStr(argc, argv, i, "--hosts");
     } else if (a == "--jobs") {
       jobs = ArgNum(argc, argv, i, "--jobs");
     } else if (a == "--sample") {
@@ -510,12 +499,6 @@ int RunFleet(int argc, char** argv) {
       spawn_hubs = ArgNum(argc, argv, i, "--spawn-hub");
     } else if (a == "--restarts") {
       max_restarts = ArgNum(argc, argv, i, "--restarts");
-    } else if (a == "--records-format") {
-      records_format = ArgStr(argc, argv, i, "--records-format");
-      if (records_format != "csv" && records_format != "ctr") {
-        throw ConfigError("bad --records-format '" + records_format +
-                          "' (csv|ctr)");
-      }
     } else if (a == "--obs") {
       obs = ArgNum(argc, argv, i, "--obs") != 0;
     } else if (a == "--help" || a == "-h") {
@@ -528,25 +511,6 @@ int RunFleet(int argc, char** argv) {
   if (app.empty() || dir.empty()) {
     Usage();
     return 2;
-  }
-  if (!hosts_file.empty()) {
-    std::ifstream in(hosts_file);
-    if (!in) throw ConfigError("cannot open hosts file '" + hosts_file + "'");
-    std::uint64_t count = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-      while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      if (line.empty() || line[0] == '#') continue;
-      if (line != "local") {
-        throw ConfigError("hosts file: only 'local' shards are supported, "
-                          "got '" + line + "'");
-      }
-      ++count;
-    }
-    if (count == 0) throw ConfigError("hosts file lists no shards");
-    shards = count;
   }
   if (shards == 0) throw ConfigError("--shards must be > 0");
   if (!hub_endpoints.empty() && spawn_hubs > 0) {
@@ -585,7 +549,6 @@ int RunFleet(int argc, char** argv) {
     hub_arg += ep;
   }
 
-  const bool ctr = records_format == "ctr";
   const auto worker_args = [&](std::uint64_t i) {
     const std::string base = dir + "/shard-" + std::to_string(i);
     std::vector<std::string> args = {
@@ -595,9 +558,9 @@ int RunFleet(int argc, char** argv) {
         "--seed", std::to_string(plan.seed),
         "--shard", std::to_string(i) + "/" + std::to_string(shards),
         "--jobs", std::to_string(jobs),
-        "--resume", base + ".journal",
-        "--out", base + (ctr ? ".ctr" : ".csv"),
-        "--records-format", records_format,
+        "--resume",
+        "--records-format", "ctr",
+        "--out", base + ".ctr",
         "--status", base + ".status.json",
         "--report", base + ".report",
     };
@@ -661,7 +624,7 @@ int RunFleet(int argc, char** argv) {
     } else if (restarts[i] < max_restarts) {
       ++restarts[i];
       std::printf("chaser_fleet: shard %llu exited abnormally (status %d), "
-                  "restart %u/%llu — resuming from its journal\n",
+                  "restart %u/%llu — resuming from its store\n",
                   static_cast<unsigned long long>(i), status, restarts[i],
                   static_cast<unsigned long long>(max_restarts));
       const pid_t npid = SpawnLogged(
@@ -686,11 +649,9 @@ int RunFleet(int argc, char** argv) {
   plan.app = app;
   std::vector<std::string> inputs;
   for (std::uint64_t i = 0; i < shards; ++i) {
-    inputs.push_back(dir + "/shard-" + std::to_string(i) +
-                     (ctr ? ".ctr" : ".csv"));
+    inputs.push_back(dir + "/shard-" + std::to_string(i) + ".ctr");
   }
-  MergeAndWrite(plan, inputs, dir + (ctr ? "/merged.ctr" : "/merged.csv"),
-                dir + "/report.txt");
+  MergeStoresAndWrite(plan, inputs, dir + "/merged.ctr", dir + "/report.txt");
   return 0;
 }
 

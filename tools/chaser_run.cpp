@@ -93,12 +93,12 @@ void Usage() {
       "                        ctr  columnar CTR store (a directory of\n"
       "                             seg-*.ctr segments, ~10x smaller, written\n"
       "                             as trials commit); inspect with\n"
-      "                             chaser_analyze query / export-csv. With\n"
-      "                             --resume, a killed run's store resumes in\n"
-      "                             place alongside the journal\n"
-      "  --resume FILE       journal completed trials to FILE and, if it already\n"
-      "                      holds trials from a killed run of this same campaign,\n"
-      "                      replay them and execute only the missing seeds\n"
+      "                             chaser_analyze query / export-csv\n"
+      "  --resume            reopen the --records-format ctr --out store of a\n"
+      "                      killed run of this same campaign, replay the\n"
+      "                      trials its sealed blocks hold and execute only\n"
+      "                      the rest (a CSV cannot resume: write a store and\n"
+      "                      export it with chaser_analyze export-csv)\n"
       "  --trial-retries N   rebuild the engine and retry a trial whose harness\n"
       "                      throws, up to N times, then quarantine it as\n"
       "                      outcome 'infra' instead of aborting (default 0)\n"
@@ -118,7 +118,7 @@ void Usage() {
       "                      order is preserved, so the N shards partition the\n"
       "                      campaign exactly); --stop-ci is deferred to the\n"
       "                      merge step, since the stop prefix is defined in\n"
-      "                      global seed order. A --resume journal records the\n"
+      "                      global seed order. A --resume store records the\n"
       "                      shard spec and refuses to resume a different one\n"
       "  --hub H:P[,H:P...]  publish/poll message taint through remote\n"
       "                      chaser_hubd server(s) instead of the in-process\n"
@@ -188,6 +188,7 @@ int main(int argc, char** argv) {
   config.seed = 1;
   std::string out_path;
   std::string records_format = "csv";
+  bool resume = false;
   std::string report_path;
   bool inject_ranks_given = false;
   std::uint64_t jobs = 0;  // 0 = hardware concurrency
@@ -242,8 +243,7 @@ int main(int argc, char** argv) {
       } else if (a == "--no-trace") {
         config.trace = false;
       } else if (a == "--resume") {
-        if (i + 1 >= argc) throw ConfigError("missing value for --resume");
-        config.journal_path = argv[++i];
+        resume = true;
       } else if (a == "--tb-cache-cap") {
         config.tb_cache_cap = ArgNum(argc, argv, i, "--tb-cache-cap");
       } else if (a == "--trial-retries") {
@@ -320,6 +320,12 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
+    if (resume && (out_path.empty() || records_format != "ctr")) {
+      throw ConfigError(
+          "--resume reopens a --records-format ctr --out DIR store; a records "
+          "CSV cannot resume (write the store, then chaser_analyze export-csv "
+          "it)");
+    }
 
     apps::AppSpec spec = BuildApp(app_name);
     if (!inject_ranks_given && app_name == "clamr") {
@@ -386,8 +392,11 @@ int main(int argc, char** argv) {
     }
 
     // The CTR store is written as trials commit (record_sink fires from the
-    // driver's seed-order commit, journal-replayed trials included), so a
-    // killed run leaves a valid store prefix to resume from.
+    // driver's seed-order commit, replayed trials included), so a killed run
+    // leaves a valid store prefix to resume from. Resuming reopens it (torn
+    // tail cut, identity pinned) and replays what it holds: the writer
+    // skip-verifies those records against its seed-hash chain as the driver
+    // commits them again.
     std::unique_ptr<store::CtrStoreWriter> store_writer;
     if (!out_path.empty() && records_format == "ctr") {
       store::CtrStoreInfo identity;
@@ -397,7 +406,7 @@ int main(int argc, char** argv) {
       identity.shard_index = config.shard_index;
       identity.shard_count = config.shard_count;
       store::CtrWriterOptions store_options;
-      store_options.resume = !config.journal_path.empty();
+      store_options.resume = resume;
       store_writer = std::make_unique<store::CtrStoreWriter>(
           out_path, identity, store_options);
       config.record_sink = [w = store_writer.get()](
@@ -450,7 +459,8 @@ int main(int argc, char** argv) {
                                        .evicted_tbs = s.evicted_tbs};
       });
     }
-    const campaign::CampaignResult result = c.Run();
+    const campaign::CampaignResult result =
+        c.Run(store_writer != nullptr ? store_writer->Replay() : nullptr);
     if (telemetry != nullptr) telemetry->Finish();
     std::printf("%s", result.Render(app_name).c_str());
     PrintSharedCacheStats(c.shared_tb_cache());

@@ -2,11 +2,16 @@
 # fleet_smoke.sh — end-to-end smoke test for the sharded fleet pipeline.
 #
 # Proves the whole chain — chaser_hubd, two `chaser_run --shard` workers
-# publishing taint through it (one of them on two worker threads), a SIGKILL
-# mid-run, a journal resume, and the chaser_fleet merge over the shard CSVs
-# passed in reverse order — reproduces an unsharded single-process run byte
-# for byte (records CSV and report). Companion to kill_resume_smoke.sh, one
-# layer up the stack.
+# publishing taint through it (one of them on two worker threads) into
+# per-shard CTR stores, a SIGKILL once a data block is on disk, a resume
+# that replays the stored blocks (a nonzero "resumed" count), and the
+# chaser_fleet merge over the shard stores passed in reverse order —
+# reproduces an unsharded single-process run byte for byte (report, and
+# records CSV via export-csv), and that `chaser_analyze summarize` merges the
+# two shards' exported CSVs and refuses one passed twice. Each shard spans
+# more than three 512-record blocks, and a remote-hub matvec trial is slow
+# enough (~0.6 ms) for the kill to land mid-run. Companion to
+# kill_resume_smoke.sh, one layer up the stack.
 #
 # usage: tools/fleet_smoke.sh [path/to/build/tools]
 #
@@ -17,11 +22,12 @@ TOOLS="${1:-build/tools}"
 RUN="$TOOLS/chaser_run"
 HUBD="$TOOLS/chaser_hubd"
 FLEET="$TOOLS/chaser_fleet"
+ANALYZE="$TOOLS/chaser_analyze"
 APP=matvec
-RUNS=80
+RUNS=3200
 SEED=20260807
 
-for bin in "$RUN" "$HUBD" "$FLEET"; do
+for bin in "$RUN" "$HUBD" "$FLEET" "$ANALYZE"; do
   if [[ ! -x "$bin" ]]; then
     echo "fleet_smoke: binary not found at '$bin'" >&2
     echo "  build first (cmake --build build) or pass the tools dir" >&2
@@ -29,6 +35,7 @@ for bin in "$RUN" "$HUBD" "$FLEET"; do
   fi
 done
 
+source "$(dirname "$0")/smoke_lib.sh"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-fleet-smoke.XXXXXX")"
 HUB_PID=
 trap '[[ -n "$HUB_PID" ]] && kill "$HUB_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
@@ -53,12 +60,11 @@ if [[ -z "$ENDPOINT" ]]; then
 fi
 echo "   hub at $ENDPOINT"
 
-shard() {  # shard <i> <jobs> -> runs shard i/2 against the hub, journaled
+shard() {  # shard <i> <jobs> -> runs shard i/2 against the hub, resumable
   local i="$1" jobs="$2"
   "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$jobs" \
          --shard "$i/2" --hub "$ENDPOINT" \
-         --resume "$WORK/shard-$i.journal" \
-         --out "$WORK/shard-$i.csv"
+         --resume --records-format ctr --out "$WORK/shard-$i.ctr"
 }
 
 echo "== shards: worker 0 runs clean on 2 threads; worker 1 is SIGKILLed mid-run"
@@ -66,38 +72,27 @@ shard 0 2 >"$WORK/shard-0.log" 2>&1 || {
   echo "fleet_smoke: FAIL (shard 0 crashed; see $WORK/shard-0.log)"; exit 1; }
 
 shard 1 1 >"$WORK/shard-1.log" 2>&1 &
-VICTIM=$!
-for _ in $(seq 1 500); do
-  size=$(stat -c %s "$WORK/shard-1.journal" 2>/dev/null || echo 0)
-  [[ "$size" -gt 256 ]] && break
-  kill -0 "$VICTIM" 2>/dev/null || break
-  sleep 0.01
-done
-# $VICTIM is the subshell running the backgrounded function: kill its
-# chaser_run child too, or that keeps running and races the resume for
-# the same output files.
-if kill -9 $(pgrep -P "$VICTIM") "$VICTIM" 2>/dev/null; then
-  echo "   killed shard 1 (pid $VICTIM) with journal at $(stat -c %s "$WORK/shard-1.journal" 2>/dev/null || echo 0) bytes"
-else
-  echo "   shard 1 finished before the kill landed; resume becomes a replay"
-fi
-wait "$VICTIM" 2>/dev/null
+kill_after_first_block $! "$WORK/shard-1.ctr/seg-000000.ctr"
 
-echo "== resume: shard 1 reruns from its journal"
+echo "== resume: shard 1 reruns from its store"
 shard 1 1 >"$WORK/shard-1.resume.log" 2>&1 || {
   echo "fleet_smoke: FAIL (shard 1 resume crashed; see $WORK/shard-1.resume.log)"
   exit 1; }
+fail=0
+check_resumed "$WORK/shard-1.resume.log" fleet_smoke || fail=1
 
-echo "== merge: chaser_fleet merge over both shard CSVs, last shard first"
+echo "== merge: chaser_fleet merge over both shard stores, last shard first"
 "$FLEET" merge --app "$APP" --runs "$RUNS" --seed "$SEED" \
-         --out "$WORK/merged.csv" --report "$WORK/merged.report" \
-         "$WORK/shard-1.csv" "$WORK/shard-0.csv" \
+         --out "$WORK/merged.ctr" --report "$WORK/merged.report" \
+         "$WORK/shard-1.ctr" "$WORK/shard-0.ctr" \
          >"$WORK/merge.log" 2>&1 || {
   echo "fleet_smoke: FAIL (merge crashed; see $WORK/merge.log)"; exit 1; }
 
-fail=0
+"$ANALYZE" export-csv "$WORK/merged.ctr" --out "$WORK/merged.csv" \
+    >"$WORK/export.log" 2>&1 || {
+  echo "fleet_smoke: FAIL (export-csv of the merged store crashed)"; exit 1; }
 if ! diff -q "$WORK/ref.csv" "$WORK/merged.csv" >/dev/null; then
-  echo "fleet_smoke: FAIL — merged CSV differs from the unsharded reference"
+  echo "fleet_smoke: FAIL — merged records differ from the unsharded reference"
   diff "$WORK/ref.csv" "$WORK/merged.csv" | head -20
   fail=1
 fi
@@ -107,15 +102,22 @@ if ! diff -q "$WORK/ref.report" "$WORK/merged.report" >/dev/null; then
   fail=1
 fi
 
-echo "== analyze: chaser_analyze summarize merges both shard CSVs"
-ANALYZE="$TOOLS/chaser_analyze"
-if [[ -x "$ANALYZE" ]]; then
-  "$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
-      >"$WORK/summary.txt" 2>&1 || {
-    echo "fleet_smoke: FAIL (chaser_analyze summarize crashed)"; fail=1; }
-  grep -q "$RUNS records" "$WORK/summary.txt" || {
-    echo "fleet_smoke: FAIL — summarize did not see all $RUNS records"
-    head -5 "$WORK/summary.txt"; fail=1; }
+echo "== analyze: chaser_analyze summarize merges both shards' CSVs"
+for i in 0 1; do
+  "$ANALYZE" export-csv "$WORK/shard-$i.ctr" --out "$WORK/shard-$i.csv" \
+      >>"$WORK/export.log" 2>&1 || {
+    echo "fleet_smoke: FAIL (export-csv of shard $i's store crashed)"; fail=1; }
+done
+"$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
+    >"$WORK/summary.txt" 2>&1 || {
+  echo "fleet_smoke: FAIL (chaser_analyze summarize crashed)"; fail=1; }
+grep -q "$RUNS records" "$WORK/summary.txt" || {
+  echo "fleet_smoke: FAIL — summarize did not see all $RUNS records"
+  head -5 "$WORK/summary.txt"; fail=1; }
+if "$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-0.csv" \
+    >"$WORK/overlap.txt" 2>&1; then
+  echo "fleet_smoke: FAIL — summarize counted one shard's CSV twice"
+  fail=1
 fi
 
 kill "$HUB_PID" 2>/dev/null
@@ -123,6 +125,6 @@ wait "$HUB_PID" 2>/dev/null
 HUB_PID=
 
 if [[ "$fail" -eq 0 ]]; then
-  echo "fleet_smoke: PASS — 2-shard remote-hub run (with a kill+resume) is byte-identical to the unsharded reference"
+  echo "fleet_smoke: PASS — 2-shard remote-hub run (with a kill+resume from its store) is byte-identical to the unsharded reference"
 fi
 exit "$fail"

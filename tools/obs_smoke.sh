@@ -6,8 +6,9 @@
 # /healthz and /metrics on every advertised endpoint (workers + hubd) via
 # `chaser_analyze scrape`, renders one `chaser_analyze top --once` frame,
 # then checks fleet-status.json carries the rollup, fleet-trace.json is a
-# stitched Chrome trace, and — the identity guarantee — the merged CSV and
-# report are byte-identical to the dark run's. Companion to fleet_smoke.sh.
+# stitched Chrome trace, and — the identity guarantee — the merged CTR store
+# and report are byte-identical to the dark run's. Companion to
+# fleet_smoke.sh.
 #
 # usage: tools/obs_smoke.sh [path/to/build/tools]
 #
@@ -102,9 +103,9 @@ grep -q '"traceEvents"' "$WORK/obs/fleet-trace.json" 2>/dev/null || {
   fail=1; }
 
 echo "== identity: watched run's merged outputs == dark run's"
-if ! diff -q "$WORK/dark/merged.csv" "$WORK/obs/merged.csv" >/dev/null; then
-  echo "obs_smoke: FAIL — merged CSV differs with the plane on"
-  diff "$WORK/dark/merged.csv" "$WORK/obs/merged.csv" | head -20
+if ! diff -rq "$WORK/dark/merged.ctr" "$WORK/obs/merged.ctr" >/dev/null 2>&1; then
+  echo "obs_smoke: FAIL — merged store differs with the plane on"
+  diff -rq "$WORK/dark/merged.ctr" "$WORK/obs/merged.ctr" 2>&1 | head -20
   fail=1
 fi
 if ! diff -q "$WORK/dark/report.txt" "$WORK/obs/report.txt" >/dev/null; then

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # store_smoke.sh — end-to-end smoke test for the CTR columnar trial store.
 #
-# Proves the whole columnar chain: a `chaser_run --records-format ctr`
-# campaign SIGKILLed mid-run, on one worker thread and on two, a journal+store
-# resume that converges back to the uninterrupted byte stream, a 3-shard
-# fleet producing per-shard stores,
-# a streaming `chaser_fleet merge` into one merged store, and
-# `chaser_analyze query` / `export-csv` over the result — with the exported
-# CSV byte-identical to what a plain `--records-format csv` run writes.
+# Proves the whole columnar chain: a `chaser_run --resume --records-format
+# ctr` campaign SIGKILLed once a data block is on disk, on one worker thread
+# and on two, a resume that replays the stored blocks (a nonzero "resumed"
+# count) and converges back to the uninterrupted byte stream, a 3-shard
+# fleet producing per-shard stores, a streaming `chaser_fleet merge` into
+# one merged store, and `chaser_analyze query` / `export-csv` over the
+# result — with the exported CSV byte-identical to what a plain
+# `--records-format csv` run writes. The campaign spans more than three
+# 512-record blocks of lud (~0.5 ms a trial), so the kill lands mid-run.
 # Companion to fleet_smoke.sh, one storage layer down.
 #
 # usage: tools/store_smoke.sh [path/to/build/tools]
@@ -19,8 +21,8 @@ TOOLS="${1:-build/tools}"
 RUN="$TOOLS/chaser_run"
 FLEET="$TOOLS/chaser_fleet"
 ANALYZE="$TOOLS/chaser_analyze"
-APP=matvec
-RUNS=120
+APP=lud
+RUNS=1600
 SEED=20260807
 
 for bin in "$RUN" "$FLEET" "$ANALYZE"; do
@@ -31,6 +33,7 @@ for bin in "$RUN" "$FLEET" "$ANALYZE"; do
   fi
 done
 
+source "$(dirname "$0")/smoke_lib.sh"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-store-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -47,37 +50,22 @@ echo "== store: same campaign into a CTR store, uninterrupted"
   echo "store_smoke: FAIL (clean store run crashed; see $WORK/clean.log)"
   exit 1; }
 
-store_run() {  # store_run <name> <jobs> -> journaled CTR run into $WORK/<name>.ctr
+store_run() {  # store_run <name> <jobs> -> resumable CTR run into $WORK/<name>.ctr
   "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$2" \
-         --resume "$WORK/$1.journal" \
-         --out "$WORK/$1.ctr" --records-format ctr
+         --resume --out "$WORK/$1.ctr" --records-format ctr
 }
 
 fail=0
 for jobs in 1 2; do
   name="kill-j$jobs"
-  echo "== kill: journaled CTR run on $jobs worker(s) is SIGKILLed mid-campaign"
+  echo "== kill: resumable CTR run on $jobs worker(s) is SIGKILLed mid-campaign"
   store_run "$name" "$jobs" >"$WORK/$name.log" 2>&1 &
-  VICTIM=$!
-  for _ in $(seq 1 500); do
-    size=$(stat -c %s "$WORK/$name.journal" 2>/dev/null || echo 0)
-    [[ "$size" -gt 256 ]] && break
-    kill -0 "$VICTIM" 2>/dev/null || break
-    sleep 0.01
-  done
-  # $VICTIM is the subshell running the backgrounded function: kill its
-  # chaser_run child too, or that keeps running and races the resume for
-  # the same output files.
-  if kill -9 $(pgrep -P "$VICTIM") "$VICTIM" 2>/dev/null; then
-    echo "   killed pid $VICTIM with journal at $(stat -c %s "$WORK/$name.journal" 2>/dev/null || echo 0) bytes"
-  else
-    echo "   run finished before the kill landed; resume becomes a replay"
-  fi
-  wait "$VICTIM" 2>/dev/null
+  kill_after_first_block $! "$WORK/$name.ctr/seg-000000.ctr"
 
-  echo "== resume: rerun from journal + torn store"
+  echo "== resume: rerun from the torn store"
   store_run "$name" "$jobs" >"$WORK/$name.resume.log" 2>&1 || {
     echo "store_smoke: FAIL (resume crashed; see $WORK/$name.resume.log)"; exit 1; }
+  check_resumed "$WORK/$name.resume.log" store_smoke || fail=1
 
   if ! diff -r "$WORK/clean.ctr" "$WORK/$name.ctr" >/dev/null; then
     echo "store_smoke: FAIL — resumed $jobs-worker store differs from the uninterrupted store"
@@ -88,7 +76,7 @@ done
 
 echo "== shards: 3-shard fleet into per-shard stores, streaming merge"
 "$FLEET" run --app "$APP" --runs "$RUNS" --seed "$SEED" --shards 3 \
-         --records-format ctr --dir "$WORK/fleet" \
+         --dir "$WORK/fleet" \
          >"$WORK/fleet.log" 2>&1 || {
   echo "store_smoke: FAIL (fleet run crashed; see $WORK/fleet.log)"; exit 1; }
 if [[ ! -d "$WORK/fleet/merged.ctr" ]]; then
@@ -127,6 +115,6 @@ grep -q "$RUNS records scanned" "$WORK/query.txt" || {
   head -5 "$WORK/query.txt"; fail=1; }
 
 if [[ "$fail" -eq 0 ]]; then
-  echo "store_smoke: PASS — kill+resume, 3-shard streaming merge, query, and export-csv all byte-identical to the CSV reference"
+  echo "store_smoke: PASS — kill+resume from the store, 3-shard streaming merge, query, and export-csv all byte-identical to the CSV reference"
 fi
 exit "$fail"
