@@ -214,7 +214,6 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
     : spec_(spec),
       config_(config),
       inject_ranks_(inject_ranks),
-      image_(std::make_shared<const guest::Program>(spec.program)),
       restored_trials_(obs::Registry::Global().GetCounter(
           "campaign_trials_restored_total")),
       restored_instructions_(obs::Registry::Global().GetCounter(
@@ -231,7 +230,7 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
   cluster_config.vm.shared_cache = config_.shared_tb_cache;
   cluster_config.vm.max_cached_tbs = config_.tb_cache_cap;
   // Every trial restarts the same image; hash it once per engine, not once
-  // per StartProcess.
+  // per process start.
   if (config_.shared_tb_cache != nullptr) {
     cluster_config.vm.program_hash =
         tcg::SharedTbCache::HashProgram(spec_.program);
@@ -271,16 +270,28 @@ GoldenProfile TrialEngine::RunGolden() {
   chaser_->Arm(cmd, inject_ranks_);
 
   GoldenProfile golden;
-  // Checkpoint schedule: targets at multiples of `spacing`; a full set
-  // keeps the ones at multiples of twice the spacing. Only an in-process
-  // hub with the campaign-wide fault model gives trials the golden hub
-  // state, so other configurations take none.
+  cluster_->Start(spec_.program);
+  const auto capture = [&](const GoldenCheckpoint* prev) {
+    auto ck = std::make_shared<GoldenCheckpoint>();
+    ck->cluster = cluster_->Capture(prev != nullptr ? &prev->cluster : nullptr);
+    for (Rank r = 0; r < spec_.num_ranks; ++r) {
+      ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
+    }
+    return ck;
+  };
+  // Checkpoint 0: the job as every trial starts it. Its hub is the clear
+  // the job start performs, so every hub configuration can use it.
+  std::shared_ptr<const GoldenCheckpoint> last = capture(nullptr);
+  golden.checkpoints.push_back(last);
+  // Later checkpoints: targets at multiples of `spacing`; a full set keeps
+  // the ones at multiples of twice the spacing. Only an in-process hub with
+  // the campaign-wide fault model gives trials the golden hub state, so
+  // other configurations take none.
   struct Taken {
     std::uint64_t target;
     std::shared_ptr<const GoldenCheckpoint> checkpoint;
   };
   std::vector<Taken> taken;
-  std::shared_ptr<const GoldenCheckpoint> last;
   std::uint64_t spacing = kCheckpointSpacing;
   std::uint64_t target = spacing;
   if (chaser_->local_hub() != nullptr && !config_.hub_fault_trigger) {
@@ -290,15 +301,11 @@ GoldenProfile TrialEngine::RunGolden() {
         std::erase_if(taken, [&](const Taken& t) { return t.target % spacing != 0; });
       }
       if (target % spacing == 0) {
-        auto ck = std::make_shared<GoldenCheckpoint>();
-        ck->cluster = cluster_->Capture(last != nullptr ? &last->cluster : nullptr);
-        for (Rank r = 0; r < spec_.num_ranks; ++r) {
-          ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
-        }
+        auto ck = capture(last.get());
         // Every hub operation bumps a stats counter, so equal stats mean
         // an unchanged hub.
         const hub::TaintHub& hub = *chaser_->local_hub();
-        ck->hub = last != nullptr && last->hub->stats() == hub.stats()
+        ck->hub = last->hub != nullptr && last->hub->stats() == hub.stats()
                       ? last->hub
                       : std::make_shared<const hub::TaintHub>(hub);
         last = ck;
@@ -308,7 +315,6 @@ GoldenProfile TrialEngine::RunGolden() {
       return target;
     });
   }
-  cluster_->Start(image_);
   mpi::JobResult job;
   try {
     job = cluster_->Run();
@@ -351,6 +357,9 @@ GoldenProfile TrialEngine::RunGolden() {
 }
 
 void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
+  if (golden.checkpoints.empty()) {
+    throw ConfigError("TrialEngine: the golden profile has no checkpoint 0");
+  }
   golden_ = &golden;
   if (config_.sample_policy != SamplePolicy::kUniform) {
     if (golden.sites.empty()) {
@@ -453,11 +462,10 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
   try {
     {
       const obs::ScopedPhase obs_scope(obs::Phase::kStart);
-      cluster_->Start(image_);
+      RestoreGoldenPrefix(*trigger, rec.inject_rank);
     }
     const mpi::JobResult job = [&] {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);
-      RestoreGoldenPrefix(*trigger, rec.inject_rank);
       return cluster_->Run();
     }();
     const obs::ScopedPhase obs_scope(obs::Phase::kClassify);
@@ -508,15 +516,11 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
 
 void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
                                       Rank inject_rank) {
-  obs::ScopedPhase obs_scope(obs::Phase::kRestore);
   const auto& checkpoints = golden_->checkpoints;
-  // The prefix must be the golden one: the in-process hub holds the golden
-  // hub state, and a per-trial hub fault model would diverge from it.
-  const bool golden_prefix =
-      chaser_->local_hub() != nullptr && !config_.hub_fault_trigger;
   // Usable = the trigger has provably not fired and no watchdog has killed
   // anything by the checkpoint. Both only fail later along the run, so the
-  // usable checkpoints form a prefix of the list.
+  // usable checkpoints form a prefix of the list; checkpoint 0, where
+  // nothing has run, always heads it.
   const auto usable = [&](const std::shared_ptr<const GoldenCheckpoint>& ck) {
     if (ck->cluster.round.retired > total_budget_) return false;
     for (const auto& rank : ck->cluster.ranks) {
@@ -529,22 +533,17 @@ void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
     return trigger.SilentThrough(
         c.exec_count, c.sites_profiled ? &c.site_execs : nullptr);
   };
-  const auto end =
-      golden_prefix
-          ? std::partition_point(checkpoints.begin(), checkpoints.end(), usable)
-          : checkpoints.begin();
-  if (end == checkpoints.begin()) {
-    obs_scope.Discard();
-    return;
-  }
-  const GoldenCheckpoint& ck = **std::prev(end);
+  const GoldenCheckpoint& ck = **std::prev(
+      std::partition_point(checkpoints.begin() + 1, checkpoints.end(), usable));
   cluster_->Restore(ck.cluster);
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
     chaser_->rank_chaser(r).Restore(ck.chasers[static_cast<std::size_t>(r)]);
   }
-  *chaser_->local_hub() = *ck.hub;
-  restored_trials_.Inc();
-  restored_instructions_.Inc(ck.cluster.round.retired);
+  if (ck.hub != nullptr) *chaser_->local_hub() = *ck.hub;
+  if (ck.cluster.round.retired > 0) {
+    restored_trials_.Inc();
+    restored_instructions_.Inc(ck.cluster.round.retired);
+  }
 }
 
 void TrialEngine::DetachSpool() {

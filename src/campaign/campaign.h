@@ -285,10 +285,10 @@ struct CampaignResult {
   std::string Render(const std::string& label) const;
 };
 
-/// Golden-prefix checkpoints are taken at the first TB boundary after every
-/// kCheckpointSpacing cluster-wide retired instructions of the golden run;
-/// when kMaxCheckpoints are held, every other one is dropped and the spacing
-/// doubles.
+/// Past checkpoint 0, golden-prefix checkpoints are taken at the first TB
+/// boundary after every kCheckpointSpacing cluster-wide retired instructions
+/// of the golden run; when kMaxCheckpoints are held, every other one is
+/// dropped and the spacing doubles.
 inline constexpr std::uint64_t kCheckpointSpacing = 4096;
 inline constexpr std::size_t kMaxCheckpoints = 64;
 
@@ -299,7 +299,8 @@ inline constexpr std::size_t kMaxCheckpoints = 64;
 struct GoldenCheckpoint {
   mpi::ClusterCheckpoint cluster;
   std::vector<core::Chaser::Checkpoint> chasers;  // by rank
-  /// Shared with the previous checkpoint while the hub is unchanged.
+  /// Shared with the previous checkpoint while the hub is unchanged. Null
+  /// at checkpoint 0, whose hub is the clear every job start performs.
   std::shared_ptr<const hub::TaintHub> hub;
 };
 
@@ -316,10 +317,11 @@ struct GoldenProfile {
   /// path, where nothing reads it.
   GoldenSiteMap sites;
   std::uint64_t instructions = 0;
-  /// Checkpoints in run order, about every kCheckpointSpacing (doubled as
-  /// needed to keep at most kMaxCheckpoints) retired instructions. Empty
-  /// when no trial could restore one (remote hub, per-trial hub faults); a
-  /// profile without them makes every trial boot, with the same records.
+  /// Checkpoints in run order: checkpoint 0, taken right after the job
+  /// started, then about every kCheckpointSpacing (doubled as needed to
+  /// keep at most kMaxCheckpoints) retired instructions. Only checkpoint 0
+  /// when no trial could restore a later one (remote hub, per-trial hub
+  /// faults).
   std::vector<std::shared_ptr<const GoldenCheckpoint>> checkpoints;
 
   /// Reference output of rank `r` on guest fd `fd`; throws ConfigError
@@ -355,8 +357,8 @@ class TrialEngine {
 
   /// Execute one injection trial. `run_seed` fully determines the trial.
   /// The trial starts from the latest golden checkpoint its trigger
-  /// provably has not reached, or boots when there is none; its record is
-  /// the same either way.
+  /// provably has not reached, checkpoint 0 when no later one qualifies;
+  /// its record is the same from any of them.
   RunRecord RunTrial(std::uint64_t run_seed);
 
   mpi::Cluster& cluster() { return *cluster_; }
@@ -364,8 +366,8 @@ class TrialEngine {
 
  private:
   void Classify(const mpi::JobResult& job, RunRecord* rec);
-  /// Load the latest checkpoint a trial injecting on `inject_rank` through
-  /// `trigger` can start from into the just-started job, if there is one.
+  /// Start the trial's job from the latest checkpoint a trial injecting on
+  /// `inject_rank` through `trigger` can start from.
   void RestoreGoldenPrefix(const core::Trigger& trigger, Rank inject_rank);
   /// Remove the trial spool's sink from every rank's trace log.
   void DetachSpool();
@@ -373,9 +375,6 @@ class TrialEngine {
   const apps::AppSpec& spec_;
   const CampaignConfig& config_;
   const std::set<Rank>& inject_ranks_;
-  /// One immutable copy of the app image, lent to every rank VM of every
-  /// trial (Vm::StartProcess shared overload) instead of re-copied per start.
-  std::shared_ptr<const guest::Program> image_;
   std::unique_ptr<mpi::Cluster> cluster_;
   /// Remote hub client (config.hub_endpoints non-empty). Declared before
   /// chaser_: the ChaserMpi's hooks point into it, so it must be destroyed

@@ -152,7 +152,8 @@ Chaser::Checkpoint Chaser::Capture() const {
 void Chaser::Restore(const Checkpoint& ck) {
   if (!attached_) return;
   taint_timeline_ = ck.taint_timeline;
-  if (!injector_active_) return;
+  // No targeted execution yet (checkpoint 0): every trigger is still fresh.
+  if (!injector_active_ || ck.exec_count == 0) return;
   if (!trigger_->FastForward(ck.exec_count,
                              ck.sites_profiled ? &ck.site_execs : nullptr)) {
     throw ConfigError("Chaser::Restore: the trigger fires within the prefix");

@@ -78,13 +78,9 @@ void Cluster::SetInstructionBudgets(std::uint64_t per_rank, std::uint64_t total)
   for (auto& state : ranks_) state->vm->set_max_instructions(per_rank);
 }
 
-void Cluster::Start(const guest::Program& program) {
-  ResetJobState();
-  for (auto& state : ranks_) state->vm->StartProcess(program);
-}
-
 void Cluster::Start(std::shared_ptr<const guest::Program> program) {
-  ResetJobState();
+  BeginJob();
+  capture_ = {.rank = 0, .frame = {.budget = config_.quantum}, .retired = 0};
   for (auto& state : ranks_) state->vm->StartProcess(program);
 }
 
@@ -109,7 +105,7 @@ void JobMpiState::Clear() {
   messages_delivered = 0;
 }
 
-void Cluster::ResetJobState() {
+void Cluster::BeginJob() {
   if (hooks_ != nullptr) hooks_->OnJobStart();
   job_.Clear();
   resume_.reset();
@@ -162,12 +158,12 @@ void Cluster::Restore(const ClusterCheckpoint& ck) {
   if (ck.ranks.size() != ranks_.size()) {
     throw ConfigError("Cluster::Restore: checkpoint of a different rank count");
   }
+  BeginJob();
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     RankState& state = *ranks_[r];
     state.vm->Restore(ck.ranks[r].vm);
     static_cast<RankMpiState&>(state) = ck.ranks[r].mpi;
   }
-  job_.Clear();  // drops storage a fault-corrupted trial outgrew
   job_ = ck.job;
   resume_ = ck.round;
 }

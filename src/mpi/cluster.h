@@ -53,11 +53,12 @@ struct Envelope {
 class MessageHooks {
  public:
   virtual ~MessageHooks() = default;
-  /// Invoked by Cluster::Start before any rank executes. Per-job state must
-  /// reset here: message sequence numbers restart at zero on Start, so taint
-  /// records published in a previous job (e.g. by a trial that terminated
-  /// before the receiver polled) would otherwise match the *next* job's
-  /// identities and leak phantom taint across campaign trials.
+  /// Invoked at every job start — Cluster::Start or Cluster::Restore —
+  /// before any rank begins. Per-job state must reset here: message
+  /// sequence numbers restart with every job, so taint records published
+  /// in a previous job (e.g. by a trial that terminated before the receiver
+  /// polled) would otherwise match the *next* job's identities and leak
+  /// phantom taint across campaign trials.
   virtual void OnJobStart() {}
   /// Sender side, invoked before the message leaves the rank; `buf` is the
   /// send buffer's guest virtual address in `sender`.
@@ -174,14 +175,14 @@ class Cluster {
   vm::Vm& rank_vm(Rank r) { return *ranks_[static_cast<std::size_t>(r)]->vm; }
   const vm::Vm& rank_vm(Rank r) const { return *ranks_[static_cast<std::size_t>(r)]->vm; }
 
-  /// Load the SPMD `program` into every rank's VM (fires each VM's VMI
-  /// process-creation callback).
-  void Start(const guest::Program& program);
-
-  /// Shared-image variant: every rank VM borrows the same immutable image
-  /// instead of copying it (see Vm::StartProcess overloads). The fast path
-  /// for campaign engines that restart one program thousands of times.
+  /// Boot the SPMD `program`: the job-start hook, then Vm::StartProcess on
+  /// every rank (firing each VM's VMI process-creation callback). Every
+  /// rank VM shares the one image.
   void Start(std::shared_ptr<const guest::Program> program);
+  /// Boots one shared copy of `program`, so temporaries are safe to pass.
+  void Start(const guest::Program& program) {
+    Start(std::make_shared<const guest::Program>(program));
+  }
 
   /// Round-robin schedule all ranks until the job completes, a rank fails
   /// (which kills the job, like a real MPI launcher), or deadlock.
@@ -198,15 +199,16 @@ class Cluster {
   using CheckpointHook = std::function<std::uint64_t(std::uint64_t retired)>;
   void SetCheckpointHook(std::uint64_t at, CheckpointHook hook);
 
-  /// Snapshot the job at the boundary a checkpoint hook is running at;
-  /// `prev` (an earlier checkpoint of this job, or null) shares unchanged
-  /// guest pages. Only valid inside the hook.
+  /// Snapshot the job at the boundary a checkpoint hook is running at, or
+  /// right after Start (a job that has run nothing); `prev` (an earlier
+  /// checkpoint of this job, or null) shares unchanged guest pages.
   ClusterCheckpoint Capture(const ClusterCheckpoint* prev) const;
 
-  /// Load `ck` into a job just Start()ed from the image it was captured
-  /// from (with each rank's instrumentation attached). The next Run resumes
-  /// the interrupted round instead of starting a new one, and returns what
-  /// the captured job's Run would have returned from that point on.
+  /// Start the job from `ck` instead of booting it: the job-start hook,
+  /// then Vm::Restore on every rank (each VM's process-creation callback
+  /// attaches its instrumentation first) and the MPI state. The next Run
+  /// resumes the captured round, and returns what the captured job's Run
+  /// would have returned from that point on.
   void Restore(const ClusterCheckpoint& ck);
 
   /// Tune the whole-job instruction watchdog (see Vm::set_max_instructions).
@@ -215,8 +217,9 @@ class Cluster {
  private:
   struct RankState;
 
-  /// Shared prologue of both Start overloads: job bookkeeping + rank reset.
-  void ResetJobState();
+  /// Shared prologue of Start and Restore: the job-start hook, then a
+  /// fresh job and fresh ranks.
+  void BeginJob();
   /// A rank VM reached the checkpoint mark inside Run.
   void OnCheckpointBoundary(vm::Vm& v, const vm::Vm::RunFrame& frame);
   /// The instret at which a rank VM standing at `instret`, with the job at
@@ -279,7 +282,8 @@ class Cluster {
   JobMpiState job_;
 
   // Checkpoint capture (golden runs): the hook, the job-wide mark it set,
-  // where the running rank's quantum began, and the round a hook is at.
+  // where the running rank's quantum began, and the round a hook is at (a
+  // fresh one right after Start).
   CheckpointHook checkpoint_hook_;
   std::uint64_t checkpoint_at_ = ~std::uint64_t{0};
   std::uint64_t running_total_ = 0;   // job instructions before the quantum

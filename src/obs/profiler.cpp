@@ -28,7 +28,6 @@ const char* PhaseName(Phase p) {
     case Phase::kHubPoll: return "hub-poll";
     case Phase::kJournalFsync: return "journal-fsync";
     case Phase::kStart: return "start";
-    case Phase::kRestore: return "restore";
     case Phase::kClassify: return "classify";
     case Phase::kArm: return "arm";
     case Phase::kCommit: return "commit";

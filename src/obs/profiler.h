@@ -24,8 +24,8 @@ class Registry;
 class Histogram;
 class TraceJsonWriter;
 
-/// The instrumented phases. Order is stable (it names histogram metrics and
-/// trace spans); append only.
+/// The instrumented phases. Metrics and trace spans name them by
+/// PhaseName(), so the order is free to change.
 enum class Phase : std::uint8_t {
   kGolden = 0,      // the one-time clean profiling run
   kTrial,           // one whole injection trial (driver-emitted span)
@@ -36,18 +36,17 @@ enum class Phase : std::uint8_t {
   kHubPublish,      // TaintHub::Publish
   kHubPoll,         // TaintHub poll (incl. retries) at receive completion
   kJournalFsync,    // crash-safe journal append (write+flush+fsync)
-  kStart,           // Cluster::Start of one trial: reset + load every rank
-  kRestore,         // choosing and loading a golden-prefix checkpoint (inside
-                    // execute; only trials that restore record it)
+  kStart,           // one trial's start: choosing and loading the golden
+                    // checkpoint it starts from (Cluster::Restore)
   kClassify,        // TrialEngine::Classify: the trial's record from its job
-  kArm,             // RunTrial up to Cluster::Start: the trial's draws, its
+  kArm,             // RunTrial up to the trial start: the trial's draws, its
                     // command and arming every rank
   kCommit,          // a finished trial's Telemetry::OnTrialDone and its one
                     // SeedOrderCommitter::Offer (commit lock included, and
                     // every commit that Offer releases: record sink, store
                     // append); a trial dropped past a stop still records it
 };
-inline constexpr std::size_t kNumPhases = 14;
+inline constexpr std::size_t kNumPhases = 13;
 
 const char* PhaseName(Phase p);
 
@@ -123,12 +122,6 @@ class ScopedPhase {
       --prof_->depth_;
       prof_->Record(phase_, t0_, MonotonicNanos(), depth_);
     }
-  }
-  /// Close the scope without recording it (the phase turned out not to
-  /// happen, e.g. a trial that found no checkpoint to restore).
-  void Discard() {
-    if (prof_ != nullptr) --prof_->depth_;
-    prof_ = nullptr;
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;

@@ -7,8 +7,6 @@
 #include <mutex>
 #include <new>
 
-#include "common/error.h"
-
 namespace chaser::vm {
 
 namespace {
@@ -208,30 +206,12 @@ GuestMemory::Checkpoint GuestMemory::Capture(const Checkpoint* prev) const {
 }
 
 void GuestMemory::Restore(const Checkpoint& ck) {
-  const bool same_loader =
-      regions_.size() <= ck.regions.size() &&
-      std::equal(regions_.begin(), regions_.end(), ck.regions.begin()) &&
-      touched_vpages_.size() <= ck.pages.size() &&
-      std::equal(touched_vpages_.begin(), touched_vpages_.end(),
-                 ck.pages.begin(), [](std::uint64_t vpage, const auto& page) {
-                   return vpage == page.vpage;
-                 });
-  if (!same_loader) {
-    throw ConfigError(
-        "GuestMemory::Restore: checkpoint of a differently loaded process");
-  }
-  // Replaying the remaining MapRegion calls in order hands out the frames
-  // the captured process got.
-  for (std::size_t i = regions_.size(); i < ck.regions.size(); ++i) {
-    const auto [first, last] = ck.regions[i];
+  Reset();
+  // Replaying the MapRegion calls in order hands out the frames the captured
+  // process got.
+  for (const auto& [first, last] : ck.regions) {
     MapRegion(first << kPageBits, (last - first + 1) << kPageBits);
   }
-  // Only touched pages occupy TLB slots; the loader's go, the checkpoint's
-  // come back.
-  for (const std::uint64_t vpage : touched_vpages_) {
-    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{};
-  }
-  touched_vpages_.clear();
   for (const Checkpoint::Page& page : ck.pages) {
     const std::uint32_t frame = FrameIndex(page.vpage);
     std::memcpy(frames_[frame], page.bytes->data(), kPageSize);

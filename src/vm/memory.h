@@ -146,12 +146,10 @@ class GuestMemory {
   /// frames directly: no TLB slot, counter or touch record moves.
   Checkpoint Capture(const Checkpoint* prev) const;
 
-  /// Load `ck` into a memory that has just been reset and set up by the
-  /// same loader as the process `ck` was captured from (its MapRegion calls
-  /// must be a prefix of ck.regions; ConfigError otherwise). Afterwards the
-  /// memory equals the captured one byte for byte, paddrs, TLB and counters
-  /// included. Every frame and TLB slot the restore fills counts as
-  /// touched, so the next Reset() re-zeroes it.
+  /// Reset(), then load `ck` by replaying its MapRegion calls. Afterwards
+  /// the memory equals the captured one byte for byte, paddrs, TLB and
+  /// counters included. Every frame and TLB slot the restore fills counts
+  /// as touched, so the next Reset() re-zeroes it.
   void Restore(const Checkpoint& ck);
 
  private:

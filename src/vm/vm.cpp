@@ -164,52 +164,39 @@ void Vm::SetInstretSample(std::uint64_t interval, InstretSampleHook hook) {
   UpdateNextStop();
 }
 
-Pid Vm::StartProcess(const guest::Program& program) {
-  // Copy the image: callers may hand us a temporary, and the TB cache /
-  // execution engine reference the text for the process's whole lifetime.
-  // (Self-assignment when re-starting the same image is harmless.)
-  program_storage_ = program;
-  program_shared_.reset();
-  program_ = &program_storage_;
-  return StartLoadedProcess();
-}
-
 Pid Vm::StartProcess(std::shared_ptr<const guest::Program> program) {
-  if (program == nullptr) {
-    throw ConfigError("StartProcess: null shared program image");
+  BeginProcess(std::move(program));
+  const guest::Program& image = *program_;
+  if (!image.data.empty()) {
+    memory_.MapRegion(guest::kDataBase, image.data.size());
+    memory_.WriteBytes(guest::kDataBase, image.data.data(), image.data.size());
   }
-  program_shared_ = std::move(program);
-  program_ = program_shared_.get();
-  return StartLoadedProcess();
-}
-
-Pid Vm::StartLoadedProcess() {
-  const guest::Program& program = *program_;
-  process_name_ = program.name;
-  pid_ = next_pid_++;
-  // A private cache is emptied on every start (FlushTbCache below), so only
-  // a shared one needs the image in its keys.
-  program_hash_ = private_cache_ != nullptr ? 0
-                  : config_.program_hash != 0
-                      ? config_.program_hash
-                      : tcg::SharedTbCache::HashProgram(program);
-
-  memory_.Reset();
-  if (!program.data.empty()) {
-    memory_.MapRegion(guest::kDataBase, program.data.size());
-    memory_.WriteBytes(guest::kDataBase, program.data.data(), program.data.size());
-  }
-  if (program.bss_bytes > 0) {
-    memory_.MapRegion(guest::kBssBase, program.bss_bytes);
+  if (image.bss_bytes > 0) {
+    memory_.MapRegion(guest::kBssBase, image.bss_bytes);
   }
   memory_.MapRegion(guest::kStackTop - guest::kDefaultStackBytes,
                     guest::kDefaultStackBytes);
   heap_break_ = guest::kHeapBase;
 
   cpu_ = CpuState{};
-  cpu_.pc = program.entry;
+  cpu_.pc = image.entry;
   cpu_.IntReg(guest::kSpReg) = guest::kStackTop - 64;
+  return pid_;
+}
 
+void Vm::BeginProcess(std::shared_ptr<const guest::Program> program) {
+  if (program == nullptr) throw ConfigError("Vm: no program image to start");
+  program_ = std::move(program);
+  process_name_ = program_->name;
+  pid_ = next_pid_++;
+  // A private cache is emptied on every start (FlushTbCache below), so only
+  // a shared one needs the image in its keys.
+  program_hash_ = private_cache_ != nullptr ? 0
+                  : config_.program_hash != 0
+                      ? config_.program_hash
+                      : tcg::SharedTbCache::HashProgram(*program_);
+
+  memory_.Reset();
   taint_.Reset();
   temps_.clear();
   RecycleOutputs();
@@ -232,13 +219,12 @@ Pid Vm::StartLoadedProcess() {
 
   FlushTbCache();
   // Every slot is empty after the flush; a new image may need more or fewer.
-  tb_index_.resize(program.text.size());
+  tb_index_.resize(program_->text.size());
   // Epoch history is per-process: the flush above closed the previous
   // process's open epoch, and a fresh process starts its own epoch 0.
   closed_epochs_.clear();
 
   if (on_create_) on_create_(*this, pid_, process_name_);
-  return pid_;
 }
 
 Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
@@ -246,6 +232,7 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
     throw ConfigError("Vm::Capture: the process carries taint");
   }
   Checkpoint ck;
+  ck.image = program_;
   ck.cpu = cpu_;
   ck.run_state = run_state_;
   ck.termination = termination_;
@@ -272,7 +259,7 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
 }
 
 void Vm::Restore(const Checkpoint& ck) {
-  if (program_ == nullptr) throw ConfigError("Vm::Restore: no process started");
+  BeginProcess(ck.image);
   cpu_ = ck.cpu;
   run_state_ = ck.run_state;
   termination_ = ck.termination;
@@ -285,17 +272,12 @@ void Vm::Restore(const Checkpoint& ck) {
   UpdateNextStop();
   tb_chain_hits_ = ck.tb_chain_hits;
   tb_executions_ = ck.tb_executions;
-  RecycleOutputs();
   for (const auto& [fd, bytes] : ck.outputs) OutputStream(fd) = bytes;
   tainted_output_bytes_ = ck.tainted_output_bytes;
   memory_.Restore(ck.memory);
   // Rebuild the index in this Vm's variant, then its chains: a chain slot
   // stays patched exactly where the captured run had patched it.
-  ClearTbIndex();
   for (const Checkpoint::Tb& t : ck.tbs) {
-    if (t.pc >= tb_index_.size()) {
-      throw ConfigError("Vm::Restore: checkpoint of a different image");
-    }
     tb_index_[t.pc].tb = ResolveTb(t.pc);
     tb_filled_.push_back(t.pc);
   }

@@ -120,8 +120,8 @@ class Vm {
     tcg::SharedTbCache* shared_cache = nullptr;
     /// Precomputed SharedTbCache::HashProgram of the image this Vm will run,
     /// for callers (campaign engines) that restart one program thousands of
-    /// times — hashing a large image on every StartProcess is measurable.
-    /// 0 = hash at StartProcess.
+    /// times — hashing a large image on every process start is measurable.
+    /// 0 = hash at each start.
     std::uint64_t program_hash = 0;
   };
 
@@ -209,15 +209,14 @@ class Vm {
   std::uint64_t max_instructions() const { return config_.max_instructions; }
 
   // ---- Lifecycle -------------------------------------------------------------
-  /// Load `program` (data, bss, stack), reset CPU/taint, fire the VMI
-  /// process-creation callback. Returns the new pid. The VM keeps its own
-  /// copy of the image, so temporaries are safe to pass.
-  Pid StartProcess(const guest::Program& program);
-
-  /// Zero-copy variant for callers that restart one immutable image many
-  /// times (campaign trial engines): the Vm shares ownership instead of
-  /// copying text/data into private storage on every start.
+  /// Begin a process of `program` (reset CPU/taint, fire the VMI
+  /// process-creation callback), then load it: data, bss, stack, entry.
+  /// Returns the new pid. The Vm shares ownership of the image.
   Pid StartProcess(std::shared_ptr<const guest::Program> program);
+  /// Starts one shared copy of `program`, so temporaries are safe to pass.
+  Pid StartProcess(const guest::Program& program) {
+    return StartProcess(std::make_shared<const guest::Program>(program));
+  }
 
   /// Execute up to `max_insns` instructions (or until blocked/terminated).
   /// The budget is checked at TB boundaries, so the last TB may overrun it.
@@ -240,13 +239,14 @@ class Vm {
   /// captured by a checkpoint hook and loaded back with Restore().
   RunState Resume(const RunFrame& frame);
 
-  /// Everything a clean (untainted, uninjected) run changes in a Vm between
-  /// StartProcess and a TB boundary: CPU, run state, counters, outputs, the
-  /// next taint-sample point, guest memory with its TLB, and the local TB
-  /// index with its chain edges (by pc; the TBs themselves are looked up
-  /// again on restore, in whatever translation variant the restoring Vm
-  /// has armed — TB boundaries do not depend on instrumentation).
+  /// A clean (untainted, uninjected) process at a TB boundary: its image,
+  /// CPU, run state, counters, outputs, the next taint-sample point, guest
+  /// memory with its TLB, and the local TB index with its chain edges (by
+  /// pc; the TBs themselves are looked up again on restore, in whatever
+  /// translation variant the restoring Vm has armed — TB boundaries do not
+  /// depend on instrumentation).
   struct Checkpoint {
+    std::shared_ptr<const guest::Program> image;
     CpuState cpu;
     RunState run_state = RunState::kRunnable;
     TerminationKind termination = TerminationKind::kRunning;
@@ -273,9 +273,11 @@ class Vm {
   /// process carries taint — checkpoints hold clean prefixes only.
   Checkpoint Capture(const Checkpoint* prev) const;
 
-  /// Load `ck` into a process just started (with its instrumentation
-  /// attached) from the image `ck` was captured from. A Resume() from the
-  /// captured frame then continues exactly as the captured run did.
+  /// Start a process from `ck` instead of the loader: the begin-process
+  /// step of StartProcess (so the process-creation callback attaches any
+  /// instrumentation first), then the captured state. Any Vm can restore
+  /// any checkpoint, whatever it ran before. A Resume() from the captured
+  /// frame then continues exactly as the captured run did.
   void Restore(const Checkpoint& ck);
 
   /// Call `hook` at the first TB boundary of a Run at which instret() has
@@ -311,7 +313,7 @@ class Vm {
   const GuestMemory& memory() const { return memory_; }
   taint::TaintEngine& taint() { return taint_; }
   const taint::TaintEngine& taint() const { return taint_; }
-  const guest::Program* program() const { return program_; }
+  const guest::Program* program() const { return program_.get(); }
 
   /// Captured guest output for a file descriptor (1 = stdout, 3 = data file).
   const std::string& output(int fd) const;
@@ -343,7 +345,7 @@ class Vm {
   /// register read observes the stuck bits no matter what the program wrote;
   /// each re-pin that changes state re-taints the changed bits. Pins are VM
   /// state, not TB state — they survive TB chaining and cache flushes — and
-  /// are cleared by StartProcess, making them strictly per-trial.
+  /// are cleared by every process start, making them strictly per-trial.
   struct StuckFault {
     std::uint32_t env_slot = 0;
     std::uint64_t mask = 0;
@@ -397,7 +399,7 @@ class Vm {
   /// cache node (null: nothing indexed at this pc); `chain` holds the
   /// patched direct successors (slot 0 = kGotoTb / taken kBrCond, slot 1 =
   /// fallthrough kBrCond). Slots live in tb_index_, which is resized only
-  /// by StartProcess, so CachedTb* chain pointers stay valid until
+  /// by BeginProcess, so CachedTb* chain pointers stay valid until
   /// FlushTbCache() invalidates them wholesale.
   struct CachedTb {
     const tcg::TranslationBlock* tb = nullptr;
@@ -423,8 +425,10 @@ class Vm {
   /// translation configuration (instrument predicate + translator/optimizer
   /// options). Every setter of those calls it.
   void UpdateVariantKey();
-  /// Common tail of both StartProcess overloads; `program_` is already set.
-  Pid StartLoadedProcess();
+  /// The start of every process, booted or restored: the per-process reset
+  /// of everything but CPU, heap break and memory contents, then the VMI
+  /// process-creation callback.
+  void BeginProcess(std::shared_ptr<const guest::Program> program);
   /// Empty outputs_ into spare_outputs_. No fd carries over; a stream grown
   /// past kMaxKeptOutputBytes (a fault-corrupted run's) is freed, and at
   /// most kMaxSpareOutputs nodes are kept.
@@ -461,9 +465,7 @@ class Vm {
   std::vector<CachedTb> tb_index_;
   std::vector<std::uint64_t> tb_filled_;
 
-  guest::Program program_storage_;   // owned copy of the loaded image
-  std::shared_ptr<const guest::Program> program_shared_;  // shared-image mode
-  const guest::Program* program_ = nullptr;  // null until a process starts
+  std::shared_ptr<const guest::Program> program_;  // null until a process starts
   std::string process_name_;
   Pid pid_ = kInvalidPid;
   Pid next_pid_ = 1000;
@@ -514,7 +516,7 @@ class Vm {
   std::vector<StuckFault> stuck_faults_;
   tcg::OptimizerStats optimizer_stats_;
 
-  // Translation identity in the cache (fixed per StartProcess).
+  // Translation identity in the cache (fixed per process).
   std::uint64_t program_hash_ = 0;
   std::uint64_t predicate_key_ = kCleanPredicateKey;
   std::uint64_t variant_key_ = 0;

@@ -5,7 +5,9 @@
 
 #include <cstring>
 #include <deque>
+#include <tuple>
 
+#include "apps/app.h"
 #include "common/error.h"
 #include "guest/builder.h"
 #include "mpi/cluster.h"
@@ -542,6 +544,48 @@ TEST(Mpi, JobStateClearRestartsEveryChannelAndShedsOutgrownStorage) {
   job.Clear();
   EXPECT_LE(job.send_seq.capacity(), JobMpiState::kMaxKeptChannels);
   EXPECT_EQ(job.NextSeq(0, 1, 3), 0u);
+}
+
+/// Each rank's outputs (fds 1 and 3) and counters (instret, chain hits, TLB
+/// hits and misses).
+using RankEnd = std::tuple<std::string, std::string, std::uint64_t,
+                           std::uint64_t, std::uint64_t, std::uint64_t>;
+std::vector<RankEnd> RankEnds(const Cluster& cluster) {
+  std::vector<RankEnd> ends;
+  for (Rank r = 0; r < cluster.num_ranks(); ++r) {
+    const vm::Vm& v = cluster.rank_vm(r);
+    ends.emplace_back(v.output(1), v.output(3), v.instret(), v.tb_chain_hits(),
+                      v.tlb_hits(), v.tlb_misses());
+  }
+  return ends;
+}
+
+// Checkpoint 0 is a boot: a job captured right after Start and restored —
+// into a cluster that never ran one, and into the booted cluster once its
+// job is done — returns the booted job's result, outputs and counters.
+TEST(Mpi, JobRestoredFromItsStartMatchesTheBootedJob) {
+  for (const apps::AppSpec& spec :
+       {apps::BuildMatvec({.ranks = 4}), apps::BuildClamr({})}) {
+    SCOPED_TRACE(spec.name);
+    Cluster booted({.num_ranks = spec.num_ranks});
+    booted.Start(spec.program);
+    const ClusterCheckpoint start = booted.Capture(nullptr);
+    const JobResult want = booted.Run();
+    ASSERT_TRUE(want.completed);
+    const std::uint64_t delivered = booted.messages_delivered();
+    const std::vector<RankEnd> want_ranks = RankEnds(booted);
+    Cluster fresh({.num_ranks = spec.num_ranks});
+    for (Cluster* cluster : {&fresh, &booted}) {
+      cluster->Restore(start);
+      const JobResult got = cluster->Run();
+      EXPECT_EQ(got.completed, want.completed);
+      EXPECT_EQ(got.deadlock, want.deadlock);
+      EXPECT_EQ(got.first_failure_rank, want.first_failure_rank);
+      EXPECT_EQ(got.total_instructions, want.total_instructions);
+      EXPECT_EQ(cluster->messages_delivered(), delivered);
+      EXPECT_EQ(RankEnds(*cluster), want_ranks);
+    }
+  }
 }
 
 TEST(Mpi, BadConfigThrows) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -572,6 +573,31 @@ TEST_F(ServerTest, ATouchingCampaignTrialPaysOneClearAndOneStatsRead) {
   EXPECT_EQ(twenty.clears - ten.clears, 6.0);
   EXPECT_EQ(twenty.stats - ten.stats, 5.0);
   obs::Registry::Global().Reset();
+}
+
+// Every hub configuration's golden profile starts with checkpoint 0, which
+// has retired nothing and holds no hub copy (its hub is the clear every job
+// start performs), so remote-hub and per-trial-fault trials start from it
+// too. Only the in-process hub with the campaign-wide model takes more.
+TEST_F(ServerTest, EveryHubConfigurationsGoldenProfileHoldsCheckpointZero) {
+  const apps::AppSpec spec = apps::BuildMatvec({});
+  const std::set<Rank> ranks{0};
+  for (const char* cell : {"in-process hub", "--hub", "--hub-fault-trigger"}) {
+    SCOPED_TRACE(cell);
+    campaign::CampaignConfig config;
+    config.seed = 11;
+    if (cell == std::string("--hub")) config.hub_endpoints = {endpoint_};
+    if (cell == std::string("--hub-fault-trigger")) {
+      config.hub_fault_trigger = HubFaultModel{};
+    }
+    campaign::TrialEngine engine(spec, config, ranks);
+    const campaign::GoldenProfile golden = engine.RunGolden();
+    ASSERT_FALSE(golden.checkpoints.empty());
+    EXPECT_EQ(golden.checkpoints[0]->cluster.round.retired, 0u);
+    EXPECT_EQ(golden.checkpoints[0]->hub, nullptr);
+    EXPECT_EQ(golden.checkpoints.size() > 1,
+              cell == std::string("in-process hub"));
+  }
 }
 
 // ---- wire instrumentation and the hub clock ---------------------------------

@@ -578,8 +578,8 @@ std::string ResultCsv(const CampaignResult& result) {
 }
 
 // The restore counters are registered when a trial engine is built, so a
-// campaign in which no trial can restore (per-trial hub faults take no
-// checkpoints) reports them as 0 instead of leaving them out. Registrations
+// campaign in which no trial skips an instruction (per-trial hub faults take
+// no checkpoint past 0) reports them as 0 instead of leaving them out. Registrations
 // outlive Registry::Reset(), so this test comes before every other test in
 // this file that builds an engine.
 TEST(Telemetry, RestoreCountersReadZeroWhenNoTrialRestores) {
@@ -673,7 +673,7 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   int phases = 0;
   for (const char* name : {"golden", "trial", "translate", "execute", "inject",
                            "taint-propagate", "hub-publish", "hub-poll",
-                           "start", "restore", "classify", "arm", "commit"}) {
+                           "start", "classify", "arm", "commit"}) {
     if (trace.find("\"name\":\"" + std::string(name) + "\"") !=
         std::string::npos) {
       ++phases;
@@ -791,11 +791,11 @@ TEST(Telemetry, CommitPhaseCountsOneOfferPerExecutedTrialPastAnEarlyStop) {
   Registry::Global().Reset();
 }
 
-/// A trial that starts from a golden-prefix checkpoint records one restore
-/// phase and one restored-trial count, whichever worker runs it; a trial
-/// that boots records neither. A 5000-fadd accumulator retires ~20k
-/// instructions — four checkpoints — so most trials restore and a few
-/// inject before the first checkpoint. Every trial is classified once.
+/// Every trial records one start phase, whichever worker runs it, and a
+/// trial that starts past checkpoint 0 one restored-trial count. A
+/// 5000-fadd accumulator retires ~20k instructions — four checkpoints past
+/// 0 — so most trials skip a prefix and a few inject before the first
+/// checkpoint. Every trial is classified once.
 void ExpectOneRestorePerRestoredTrial(unsigned jobs) {
   Registry::Global().Reset();
   Telemetry telemetry({});
@@ -810,8 +810,8 @@ void ExpectOneRestorePerRestoredTrial(unsigned jobs) {
       reg.GetCounter("campaign_trials_restored_total").Value();
   EXPECT_GT(restored, 0u);
   EXPECT_LT(restored, config.runs);
-  EXPECT_EQ(reg.GetHistogram("phase_restore_ns", LatencyBoundsNs()).Count(),
-            restored);
+  EXPECT_EQ(reg.GetHistogram("phase_start_ns", LatencyBoundsNs()).Count(),
+            config.runs);
   EXPECT_EQ(reg.GetHistogram("phase_classify_ns", LatencyBoundsNs()).Count(),
             config.runs);
   const std::uint64_t skipped =

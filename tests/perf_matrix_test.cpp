@@ -2,8 +2,8 @@
 // cache, the flat software TLB, per-epoch translation stats, the TB cap, the
 // identity matrix — serial, parallel, and back-to-back campaigns sharing
 // one external translation cache must produce byte-identical reports and
-// records — and golden-prefix checkpoints: trials restored from the golden
-// run must produce the records booted trials do.
+// records — and golden-prefix checkpoints: trials restored from any golden
+// checkpoint must produce the records trials started from checkpoint 0 do.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -442,8 +442,10 @@ CampaignConfig CheckpointConfig(campaign::SamplePolicy policy =
   return config;
 }
 
-/// Records CSV of `config`'s trials, every one booted: one TrialEngine run
-/// against a copy of the golden profile with its checkpoints removed.
+/// Records CSV of `config`'s trials, every one started at instruction 0:
+/// one TrialEngine run against a copy of the golden profile cut down to
+/// checkpoint 0, which vm_test's RestoreOfAStartMatchesTheBootOnEveryApp
+/// and mpi_test's JobRestoredFromItsStartMatchesTheBootedJob pin as a boot.
 std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
   SharedTbCache cache;
   config.shared_tb_cache = &cache;
@@ -451,8 +453,8 @@ std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
       config.inject_ranks.empty() ? std::set<Rank>{0} : config.inject_ranks;
   campaign::TrialEngine golden_engine(spec, config, ranks);
   campaign::GoldenProfile golden = golden_engine.RunGolden();
-  EXPECT_FALSE(golden.checkpoints.empty());
-  golden.checkpoints.clear();
+  EXPECT_GT(golden.checkpoints.size(), 1u);
+  golden.checkpoints.resize(1);
   campaign::TrialEngine engine(spec, config, ranks);
   engine.AdoptGolden(golden);
   std::vector<campaign::RunRecord> records;

@@ -835,14 +835,27 @@ void ExpectRestoresMatchStraightRun(
   while (plain.run_state() == RunState::kRunnable) plain.Run(kQuantum);
   ExpectSameProcessState(straight, plain);
 
+  // A restore is a process start: onto a Vm whose last process was the
+  // previous restore's run (its frames dirty), onto one that never started
+  // a process, and onto one whose last process ran another image.
+  const auto other = std::make_shared<const guest::Program>(DirtyingProgram());
   Vm restored;
   for (const Taken& t : taken) {
     SCOPED_TRACE(testing::Message() << "checkpoint at instret " << t.ck.instret);
-    restored.StartProcess(image);  // recycles the previous run's frames
-    restored.Restore(t.ck);
-    restored.Resume(t.frame);
-    while (restored.run_state() == RunState::kRunnable) restored.Run(kQuantum);
-    ExpectSameProcessState(restored, straight);
+    Vm never_started;
+    Vm ran_other;
+    ran_other.StartProcess(other);
+    ran_other.RunToCompletion();
+    for (const auto& [name, vm] : {std::pair<const char*, Vm*>{"reused", &restored},
+                                   {"never started", &never_started},
+                                   {"ran another image", &ran_other}}) {
+      SCOPED_TRACE(name);
+      vm->Restore(t.ck);
+      EXPECT_EQ(vm->program(), image.get());
+      vm->Resume(t.frame);
+      while (vm->run_state() == RunState::kRunnable) vm->Run(kQuantum);
+      ExpectSameProcessState(*vm, straight);
+    }
   }
 
   // Every frame and TLB slot the restores filled counted as touched, so the
@@ -920,6 +933,27 @@ TEST(Vm, CheckpointRestoreMatchesStraightRun) {
     SCOPED_TRACE(program.name);
     ExpectRestoresMatchStraightRun(
         std::make_shared<const guest::Program>(program));
+  }
+}
+
+// Checkpoint 0 is a boot: a process captured right after StartProcess and
+// restored onto a Vm that never started one is the booted process, before
+// and after both run to completion. (matvec and clamr stop at their first
+// MPI call here, with no runtime attached; mpi_test runs their jobs.)
+TEST(Vm, RestoreOfAStartMatchesTheBootOnEveryApp) {
+  for (const apps::AppSpec& spec :
+       {apps::BuildBfs({}), apps::BuildKmeans({}), apps::BuildLud({}),
+        apps::BuildMatvec({}), apps::BuildClamr({})}) {
+    SCOPED_TRACE(spec.name);
+    Vm booted;
+    booted.StartProcess(spec.program);
+    Vm restored;
+    restored.Restore(booted.Capture(nullptr));
+    EXPECT_EQ(restored.program(), booted.program());
+    ExpectSameProcessState(restored, booted);
+    booted.RunToCompletion();
+    restored.RunToCompletion();
+    ExpectSameProcessState(restored, booted);
   }
 }
 

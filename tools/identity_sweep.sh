@@ -14,7 +14,11 @@
 #   kmeans           --tb-cache-cap 8, at --runs 40: a cache that small
 #                    flushes thousands of times per trial
 #   clamr            --no-trace
-# 40 cells. Each cell runs twice per build: once writing --report, --status,
+#   matvec           --hub-fault | --hub-fault-trigger
+#                    drop=0.3,delay=1,outage=3-9,retries=1: a degraded hub
+#                    ambient (checkpoints past 0) and per trial (checkpoint 0
+#                    only), both losing taint on some messages
+# 44 cells. Each cell runs twice per build: once writing --report, --status,
 # --metrics and a records CSV --out (plus a --spool directory on cells
 # without a --sample flag), once writing a --records-format ctr store. The PR
 # build's status.json and campaign_outcome_<name> counters must also count
@@ -57,7 +61,9 @@ for app in matvec lud; do
           "$app rank-crash --injector rank-crash")
 done
 CELLS+=("kmeans tb-cache-cap-8 --tb-cache-cap 8 --runs 40"
-        "clamr no-trace --no-trace")
+        "clamr no-trace --no-trace"
+        "matvec hub-fault --hub-fault drop=0.3,delay=1,outage=3-9,retries=1"
+        "matvec hub-fault-trigger --hub-fault-trigger drop=0.3,delay=1,outage=3-9,retries=1")
 
 # Prints what in report run directory $1 disagrees with its report.txt:
 # status.json's done and outcome counts, campaign_outcome_<name> counters.
