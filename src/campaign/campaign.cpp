@@ -19,6 +19,14 @@
 
 namespace chaser::campaign {
 
+namespace {
+
+/// A trial polls for captures this many times over a golden run's length.
+constexpr std::uint64_t kCapturePolls = 1024;
+constexpr std::uint64_t kNoPoll = ~std::uint64_t{0};
+
+}  // namespace
+
 obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed) {
   obs::TrialStats t;
   t.outcome = rec.outcome;
@@ -207,6 +215,50 @@ std::uint64_t GoldenProfile::execs(Rank r) const {
   return it->second;
 }
 
+// ---- CheckpointSlots ---------------------------------------------------------
+
+CheckpointSlots::CheckpointSlots(const std::map<Rank, std::uint64_t>& execs,
+                                 std::uint64_t instructions)
+    : size_(std::clamp<std::size_t>(
+          static_cast<std::size_t>(instructions / kCheckpointSpacing),
+          kMinCheckpoints, kMaxCheckpoints)) {
+  for (const auto& [rank, n] : execs) {
+    RankSlots& table = tables_[rank];
+    table.golden_execs = n;
+    table.slots.resize(size_);
+  }
+}
+
+const CheckpointSlots::RankSlots& CheckpointSlots::Table(Rank r) const {
+  const auto it = tables_.find(r);
+  if (it == tables_.end()) {
+    throw ConfigError(StrFormat("CheckpointSlots: rank %d has no slots", r));
+  }
+  return it->second;
+}
+
+std::size_t CheckpointSlots::SlotOf(Rank r, std::uint64_t execs) const {
+  const std::uint64_t golden_execs = Table(r).golden_execs;
+  return execs >= golden_execs
+             ? size_
+             : static_cast<std::size_t>(execs * size_ / golden_execs);
+}
+
+std::shared_ptr<const GoldenCheckpoint> CheckpointSlots::Get(
+    Rank r, std::size_t k) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return Table(r).slots.at(k);
+}
+
+bool CheckpointSlots::Publish(Rank r, std::size_t k,
+                              std::shared_ptr<const GoldenCheckpoint> ck) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto& slot = Table(r).slots.at(k);
+  if (slot != nullptr) return false;
+  slot = std::move(ck);
+  return true;
+}
+
 // ---- TrialEngine -------------------------------------------------------------
 
 TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config,
@@ -217,7 +269,9 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
       restored_trials_(obs::Registry::Global().GetCounter(
           "campaign_trials_restored_total")),
       restored_instructions_(obs::Registry::Global().GetCounter(
-          "guest_instructions_restored_total")) {
+          "guest_instructions_restored_total")),
+      captures_(obs::Registry::Global().GetCounter(
+          "campaign_prefix_captures_total")) {
   for (const Rank r : inject_ranks_) {
     if (r < 0 || r >= spec_.num_ranks) {
       throw ConfigError(StrFormat("Campaign: inject rank %d outside 0..%d", r,
@@ -254,8 +308,7 @@ GoldenProfile TrialEngine::RunGolden() {
   // executions without perturbing anything. Everything else is armed as in
   // a trial — tracing included, since receivers poll the hub only while
   // tracing — so the run's state up to any point is what a trial that has
-  // not injected yet would have there, and checkpoints of it can stand in
-  // for a trial's prefix.
+  // not injected yet has there.
   core::InjectionCommand cmd;
   cmd.target_program = spec_.program.name;
   cmd.target_classes = spec_.fault_classes;
@@ -264,66 +317,17 @@ GoldenProfile TrialEngine::RunGolden() {
   cmd.trace = config_.trace;
   cmd.seed = config_.seed;
   // Sampled campaigns need the per-site histogram to build their sampling
-  // frame (and their pc-local triggers to fast-forward over checkpoints);
-  // the uniform path skips the per-execution map update.
+  // frame; the uniform path skips the per-execution count.
   cmd.profile_sites = config_.sample_policy != SamplePolicy::kUniform;
   chaser_->Arm(cmd, inject_ranks_);
 
   GoldenProfile golden;
   cluster_->Start(spec_.program);
-  const auto capture = [&](const GoldenCheckpoint* prev) {
-    auto ck = std::make_shared<GoldenCheckpoint>();
-    ck->cluster = cluster_->Capture(prev != nullptr ? &prev->cluster : nullptr);
-    for (Rank r = 0; r < spec_.num_ranks; ++r) {
-      ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
-    }
-    return ck;
-  };
   // Checkpoint 0: the job as every trial starts it. Its hub is the clear
-  // the job start performs, so every hub configuration can use it.
-  std::shared_ptr<const GoldenCheckpoint> last = capture(nullptr);
-  golden.checkpoints.push_back(last);
-  // Later checkpoints: targets at multiples of `spacing`; a full set keeps
-  // the ones at multiples of twice the spacing. Only an in-process hub with
-  // the campaign-wide fault model gives trials the golden hub state, so
-  // other configurations take none.
-  struct Taken {
-    std::uint64_t target;
-    std::shared_ptr<const GoldenCheckpoint> checkpoint;
-  };
-  std::vector<Taken> taken;
-  std::uint64_t spacing = kCheckpointSpacing;
-  std::uint64_t target = spacing;
-  if (chaser_->local_hub() != nullptr && !config_.hub_fault_trigger) {
-    cluster_->SetCheckpointHook(target, [&](std::uint64_t retired) {
-      if (taken.size() == kMaxCheckpoints) {
-        spacing *= 2;
-        std::erase_if(taken, [&](const Taken& t) { return t.target % spacing != 0; });
-      }
-      if (target % spacing == 0) {
-        auto ck = capture(last.get());
-        // Every hub operation bumps a stats counter, so equal stats mean
-        // an unchanged hub.
-        const hub::TaintHub& hub = *chaser_->local_hub();
-        ck->hub = last->hub != nullptr && last->hub->stats() == hub.stats()
-                      ? last->hub
-                      : std::make_shared<const hub::TaintHub>(hub);
-        last = ck;
-        taken.push_back({target, std::move(ck)});
-      }
-      target = (retired / spacing + 1) * spacing;
-      return target;
-    });
-  }
-  mpi::JobResult job;
-  try {
-    job = cluster_->Run();
-  } catch (...) {
-    cluster_->SetCheckpointHook(0, nullptr);
-    throw;
-  }
-  cluster_->SetCheckpointHook(0, nullptr);
-  for (Taken& t : taken) golden.checkpoints.push_back(std::move(t.checkpoint));
+  // the job start performs, so every hub configuration can use it. Later
+  // checkpoints are the trials' to capture.
+  golden.start = CaptureJob(nullptr);
+  const mpi::JobResult job = cluster_->Run();
   if (!job.completed) {
     throw ConfigError(StrFormat(
         "Campaign: golden run of '%s' failed on rank %d: %s (%s)",
@@ -353,11 +357,37 @@ GoldenProfile TrialEngine::RunGolden() {
       }
     }
   }
+  // Only an in-process hub with the campaign-wide fault model gives trials
+  // the golden hub state, so other configurations capture nothing.
+  if (chaser_->local_hub() != nullptr && !config_.hub_fault_trigger) {
+    golden.slots = std::make_shared<CheckpointSlots>(golden.targeted_execs,
+                                                     golden.instructions);
+  }
   return golden;
 }
 
+std::shared_ptr<const GoldenCheckpoint> TrialEngine::CaptureJob(
+    const GoldenCheckpoint* prev) {
+  auto ck = std::make_shared<GoldenCheckpoint>();
+  ck->cluster = cluster_->Capture(prev != nullptr ? &prev->cluster : nullptr);
+  ck->chasers.reserve(static_cast<std::size_t>(spec_.num_ranks));
+  for (Rank r = 0; r < spec_.num_ranks; ++r) {
+    ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
+  }
+  // Every hub operation bumps a stats counter, so equal stats mean an
+  // unchanged hub, and zero stats the clear every job start performs.
+  const hub::TaintHub* hub = chaser_->local_hub();
+  if (hub != nullptr && !(hub->stats() == hub::HubStats{})) {
+    ck->hub = prev != nullptr && prev->hub != nullptr &&
+                      prev->hub->stats() == hub->stats()
+                  ? prev->hub
+                  : std::make_shared<const hub::TaintHub>(*hub);
+  }
+  return ck;
+}
+
 void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
-  if (golden.checkpoints.empty()) {
+  if (golden.start == nullptr) {
     throw ConfigError("TrialEngine: the golden profile has no checkpoint 0");
   }
   golden_ = &golden;
@@ -379,6 +409,8 @@ void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
   total_budget_ = SaturatingMulU64(per_rank_budget_,
                                    static_cast<std::uint64_t>(spec_.num_ranks));
   cluster_->SetInstructionBudgets(per_rank_budget_, total_budget_);
+  capture_interval_ =
+      std::max<std::uint64_t>(1, golden.instructions / kCapturePolls);
 }
 
 RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
@@ -440,6 +472,9 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
       rec.fault_class = registry.Find(config_.injector.name)->fault_class;
     }
     cmd.trace = config_.trace;
+    // Sampled trials count per site too, so their captures carry what the
+    // pc-local triggers of the trials restoring them read.
+    cmd.profile_sites = config_.sample_policy != SamplePolicy::kUniform;
     cmd.seed = run_rng.Fork();
     // The trial's hub fault model is seeded by a fork drawn *after*
     // cmd.seed — the default path never reaches this draw, so its
@@ -468,9 +503,13 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);
       return cluster_->Run();
     }();
+    cluster_->SetCheckpointHook(0, nullptr);
+    capture_prev_.reset();
     const obs::ScopedPhase obs_scope(obs::Phase::kClassify);
     Classify(job, &rec);
   } catch (...) {
+    cluster_->SetCheckpointHook(0, nullptr);
+    capture_prev_.reset();
     if (hub_trigger) chaser_->hub().SetFaultModel(config_.hub_fault);
     if (spool != nullptr) DetachSpool();
     throw;
@@ -516,34 +555,69 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
 
 void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
                                       Rank inject_rank) {
-  const auto& checkpoints = golden_->checkpoints;
+  CheckpointSlots* const slots = golden_->slots.get();
   // Usable = the trigger has provably not fired and no watchdog has killed
-  // anything by the checkpoint. Both only fail later along the run, so the
-  // usable checkpoints form a prefix of the list; checkpoint 0, where
-  // nothing has run, always heads it.
-  const auto usable = [&](const std::shared_ptr<const GoldenCheckpoint>& ck) {
-    if (ck->cluster.round.retired > total_budget_) return false;
-    for (const auto& rank : ck->cluster.ranks) {
+  // anything by the checkpoint. Both only fail later along the run, as the
+  // slots go; checkpoint 0, where nothing has run, always qualifies.
+  const auto usable = [&](const GoldenCheckpoint& ck) {
+    if (ck.cluster.round.retired > total_budget_) return false;
+    for (const auto& rank : ck.cluster.ranks) {
       // instret < budget, not <=: a syscall that blocks retires its
       // instruction, passing the watchdog's check, and then un-retires it.
-      if (rank.vm.instret >= per_rank_budget_) return false;
+      if (rank.vm->instret >= per_rank_budget_) return false;
     }
     const core::Chaser::Checkpoint& c =
-        ck->chasers[static_cast<std::size_t>(inject_rank)];
+        ck.chasers[static_cast<std::size_t>(inject_rank)];
     return trigger.SilentThrough(
         c.exec_count, c.sites_profiled ? &c.site_execs : nullptr);
   };
-  const GoldenCheckpoint& ck = **std::prev(
-      std::partition_point(checkpoints.begin() + 1, checkpoints.end(), usable));
-  cluster_->Restore(ck.cluster);
+  std::shared_ptr<const GoldenCheckpoint> ck;
+  if (slots != nullptr) ck = slots->Latest(inject_rank, usable);
+  if (ck == nullptr) ck = golden_->start;
+  cluster_->Restore(ck->cluster);
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
-    chaser_->rank_chaser(r).Restore(ck.chasers[static_cast<std::size_t>(r)]);
+    chaser_->rank_chaser(r).Restore(ck->chasers[static_cast<std::size_t>(r)]);
   }
-  if (ck.hub != nullptr) *chaser_->local_hub() = *ck.hub;
-  if (ck.cluster.round.retired > 0) {
+  if (ck->hub != nullptr) *chaser_->local_hub() = *ck->hub;
+  if (ck->cluster.round.retired > 0) {
     restored_trials_.Inc();
-    restored_instructions_.Inc(ck.cluster.round.retired);
+    restored_instructions_.Inc(ck->cluster.round.retired);
   }
+  if (slots == nullptr) return;
+  // Capture the later slots from this trial's own clean prefix. Checkpoint
+  // 0 stands in for slot 0.
+  capture_rank_ = inject_rank;
+  capture_slot_ = slots->SlotOf(
+      inject_rank, ck->chasers[static_cast<std::size_t>(inject_rank)].exec_count);
+  capture_prev_ = std::move(ck);
+  cluster_->SetCheckpointHook(
+      capture_prev_->cluster.round.retired + capture_interval_,
+      [this](std::uint64_t retired) { return PollCapture(retired); });
+}
+
+std::uint64_t TrialEngine::PollCapture(std::uint64_t retired) {
+  const core::Chaser& chaser = chaser_->rank_chaser(capture_rank_);
+  // Past the trigger the run has left the golden one.
+  if (!chaser.trigger_pending()) return kNoPoll;
+  CheckpointSlots& slots = *golden_->slots;
+  const std::size_t slot =
+      slots.SlotOf(capture_rank_, chaser.targeted_executions());
+  if (slot != capture_slot_) {
+    capture_slot_ = slot;
+    if (slot == slots.size()) return kNoPoll;
+    // The budgets only run out later along the run.
+    if (retired > total_budget_) return kNoPoll;
+    for (Rank r = 0; r < spec_.num_ranks; ++r) {
+      if (cluster_->rank_vm(r).instret() >= per_rank_budget_) return kNoPoll;
+    }
+    if (slots.Get(capture_rank_, slot) == nullptr) {
+      const obs::ScopedPhase obs_scope(obs::Phase::kCapture);
+      std::shared_ptr<const GoldenCheckpoint> ck = CaptureJob(capture_prev_.get());
+      if (slots.Publish(capture_rank_, slot, ck)) captures_.Inc();
+      capture_prev_ = std::move(ck);
+    }
+  }
+  return retired + capture_interval_;
 }
 
 void TrialEngine::DetachSpool() {

@@ -17,8 +17,9 @@
 //
 // The campaign splits into two phases with very different sharing rules:
 //
-//   golden phase   runs once, produces an immutable GoldenProfile that every
-//                  subsequent trial only reads;
+//   golden phase   runs once, produces the GoldenProfile that every
+//                  subsequent trial reads — and whose slot table trials
+//                  fill with golden-prefix checkpoints, under its lock;
 //   trial phase    each trial mutates a Cluster + ChaserMpi + TaintHub. That
 //                  mutable state is encapsulated in a TrialEngine, one per
 //                  worker thread of the campaign's pool.
@@ -28,13 +29,16 @@
 // any worker count.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -285,30 +289,94 @@ struct CampaignResult {
   std::string Render(const std::string& label) const;
 };
 
-/// Past checkpoint 0, golden-prefix checkpoints are taken at the first TB
-/// boundary after every kCheckpointSpacing cluster-wide retired instructions
-/// of the golden run; when kMaxCheckpoints are held, every other one is
-/// dropped and the spacing doubles.
-inline constexpr std::uint64_t kCheckpointSpacing = 4096;
+/// Golden-prefix slots per inject rank: one per kCheckpointSpacing
+/// instructions of the golden run, at least kMinCheckpoints and at most
+/// kMaxCheckpoints.
+inline constexpr std::uint64_t kCheckpointSpacing = 2048;
+inline constexpr std::size_t kMinCheckpoints = 8;
 inline constexpr std::size_t kMaxCheckpoints = 64;
 
 /// One golden-prefix checkpoint: the whole job at a TB boundary of the
-/// golden run, as a trial whose trigger has not fired yet would have it —
-/// the cluster (every rank VM, the MPI runtime, the round in progress), each
+/// golden run, as a trial whose trigger has not fired yet has it — the
+/// cluster (every rank VM, the MPI runtime, the round in progress), each
 /// rank's Chaser, and the in-process TaintHub.
 struct GoldenCheckpoint {
   mpi::ClusterCheckpoint cluster;
   std::vector<core::Chaser::Checkpoint> chasers;  // by rank
-  /// Shared with the previous checkpoint while the hub is unchanged. Null
-  /// at checkpoint 0, whose hub is the clear every job start performs.
+  /// Null while the hub is the clear every job start performs (always at
+  /// checkpoint 0); otherwise shared with the previous checkpoint while the
+  /// hub is unchanged.
   std::shared_ptr<const hub::TaintHub> hub;
 };
 
-/// The immutable product of the one-time golden phase: reference outputs,
-/// per-rank targeted-execution counts, the clean instruction count, and the
-/// golden-prefix checkpoints trials start from.
-/// After RunGolden it is only ever read, so one profile can be shared by any
-/// number of worker-private TrialEngines without copies or locks.
+/// The golden-prefix checkpoints past checkpoint 0, which trials capture
+/// from their own clean prefixes. Each inject rank r has size() slots at
+/// equal steps of its golden targeted executions E_r, which is where
+/// uniform and weighted trials inject: slot k holds a prefix in which r
+/// has made c executions with k <= c * size() / E_r < k + 1. A slot is
+/// written once — the first capture wins — and lives as long as the
+/// table. A trial arms only its own rank to count, so a table serves the
+/// trials of its rank alone. Shared by every engine of a campaign, behind
+/// one mutex.
+class CheckpointSlots {
+ public:
+  /// Empty slots for each rank of `execs` (rank -> E_r), as many per rank
+  /// as a golden run of `instructions` earns.
+  CheckpointSlots(const std::map<Rank, std::uint64_t>& execs,
+                  std::uint64_t instructions);
+
+  /// Slots per inject rank.
+  std::size_t size() const { return size_; }
+  /// The slot of a prefix in which inject rank `r` has made `execs`
+  /// targeted executions; size() once past the last.
+  std::size_t SlotOf(Rank r, std::uint64_t execs) const;
+  /// Slot `k` of rank `r`: its checkpoint, or null while it is empty.
+  std::shared_ptr<const GoldenCheckpoint> Get(Rank r, std::size_t k) const;
+  /// Fill slot `k` of rank `r` with `ck` unless a capture got there first.
+  /// True if `ck` went in.
+  bool Publish(Rank r, std::size_t k, std::shared_ptr<const GoldenCheckpoint> ck);
+  /// The latest filled slot of rank `r` that `usable` accepts, or null.
+  /// `usable` must hold for every earlier slot once it holds for one, as
+  /// "the trigger has not fired yet" does along a run.
+  template <typename Usable>
+  std::shared_ptr<const GoldenCheckpoint> Latest(Rank r,
+                                                 const Usable& usable) const {
+    const auto& slots = Table(r).slots;
+    // Slots are write-once: those seen filled under the lock stay as they
+    // are, so `usable` runs outside it.
+    std::array<const GoldenCheckpoint*, kMaxCheckpoints> filled;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (std::size_t k = 0; k < size_; ++k) filled[k] = slots[k].get();
+    }
+    for (std::size_t k = size_; k-- > 0;) {
+      if (filled[k] != nullptr && usable(*filled[k])) return slots[k];
+    }
+    return nullptr;
+  }
+
+ private:
+  struct RankSlots {
+    std::uint64_t golden_execs = 0;  // E_r
+    std::vector<std::shared_ptr<const GoldenCheckpoint>> slots;
+  };
+  /// Rank `r`'s slots; ConfigError if `r` is not an inject rank.
+  const RankSlots& Table(Rank r) const;
+  RankSlots& Table(Rank r) {
+    return const_cast<RankSlots&>(std::as_const(*this).Table(r));
+  }
+
+  std::size_t size_ = 0;
+  mutable std::mutex mutex_;
+  /// Fixed at construction; only the slot pointers change, under mutex_.
+  std::map<Rank, RankSlots> tables_;
+};
+
+/// The product of the one-time golden phase: reference outputs, per-rank
+/// targeted-execution counts, the clean instruction count, checkpoint 0,
+/// and the slots trials capture later checkpoints into.
+/// After RunGolden only the slot table changes (under its own lock), so one
+/// profile can be shared by any number of worker-private TrialEngines.
 struct GoldenProfile {
   std::map<std::pair<Rank, int>, std::string> outputs;
   std::map<Rank, std::uint64_t> targeted_execs;
@@ -317,12 +385,13 @@ struct GoldenProfile {
   /// path, where nothing reads it.
   GoldenSiteMap sites;
   std::uint64_t instructions = 0;
-  /// Checkpoints in run order: checkpoint 0, taken right after the job
-  /// started, then about every kCheckpointSpacing (doubled as needed to
-  /// keep at most kMaxCheckpoints) retired instructions. Only checkpoint 0
-  /// when no trial could restore a later one (remote hub, per-trial hub
-  /// faults).
-  std::vector<std::shared_ptr<const GoldenCheckpoint>> checkpoints;
+  /// Checkpoint 0: the job right after it started, which every trial can
+  /// start from.
+  std::shared_ptr<const GoldenCheckpoint> start;
+  /// Where trials capture the later checkpoints; copies of the profile
+  /// share it. Null when no trial could restore one: a remote hub, or
+  /// per-trial hub faults.
+  std::shared_ptr<CheckpointSlots> slots;
 
   /// Reference output of rank `r` on guest fd `fd`; throws ConfigError
   /// naming the rank/fd if that stream was never captured.
@@ -334,8 +403,8 @@ struct GoldenProfile {
 
 /// One trial-execution engine: a private Cluster + ChaserMpi (and therefore
 /// TaintHub) that runs injection trials against a shared GoldenProfile.
-/// Engines own all per-trial mutable state — two engines never share
-/// anything writable, which is what makes the worker pool race-free.
+/// Engines own all per-trial mutable state; the one thing they write in
+/// common is the profile's slot table, behind its lock.
 class TrialEngine {
  public:
   /// `spec`, `config` and `inject_ranks` are borrowed and must stay alive
@@ -345,9 +414,9 @@ class TrialEngine {
               const std::set<Rank>& inject_ranks);
 
   /// Execute the clean profiling run (never-firing trigger, otherwise armed
-  /// like a trial) and return the profile, checkpoints included. Throws
-  /// ConfigError if the clean app fails or an inject rank never executes the
-  /// targeted classes.
+  /// like a trial) and return the profile: checkpoint 0 and empty slots.
+  /// Throws ConfigError if the clean app fails or an inject rank never
+  /// executes the targeted classes.
   GoldenProfile RunGolden();
 
   /// Adopt a profile — typically captured by a different engine — and
@@ -358,7 +427,8 @@ class TrialEngine {
   /// Execute one injection trial. `run_seed` fully determines the trial.
   /// The trial starts from the latest golden checkpoint its trigger
   /// provably has not reached, checkpoint 0 when no later one qualifies;
-  /// its record is the same from any of them.
+  /// its record is the same from any of them. Until its trigger fires it
+  /// captures the empty slots its clean prefix enters.
   RunRecord RunTrial(std::uint64_t run_seed);
 
   mpi::Cluster& cluster() { return *cluster_; }
@@ -367,8 +437,17 @@ class TrialEngine {
  private:
   void Classify(const mpi::JobResult& job, RunRecord* rec);
   /// Start the trial's job from the latest checkpoint a trial injecting on
-  /// `inject_rank` through `trigger` can start from.
+  /// `inject_rank` through `trigger` can start from, and arm the capture
+  /// of the slots after it.
   void RestoreGoldenPrefix(const core::Trigger& trigger, Rank inject_rank);
+  /// The checkpoint hook of a trial: capture the job into the slot its
+  /// inject rank's count has entered, if that slot is empty, the trigger
+  /// has not fired and the job is inside the watchdog budgets. Returns
+  /// the next poll, ~0 once no later capture can qualify.
+  std::uint64_t PollCapture(std::uint64_t retired);
+  /// The whole job at this point; `prev` (an earlier checkpoint of it, or
+  /// null at checkpoint 0) shares what has not changed.
+  std::shared_ptr<const GoldenCheckpoint> CaptureJob(const GoldenCheckpoint* prev);
   /// Remove the trial spool's sink from every rank's trace log.
   void DetachSpool();
 
@@ -390,10 +469,18 @@ class TrialEngine {
   /// skip a kill a booted trial suffers, so such checkpoints are not used.
   std::uint64_t per_rank_budget_ = 0;
   std::uint64_t total_budget_ = 0;
+  /// The running trial's captures: retired instructions between polls, its
+  /// inject rank, the slot its count was last seen in, and the checkpoint
+  /// it restored or last captured.
+  std::uint64_t capture_interval_ = 1;
+  Rank capture_rank_ = 0;
+  std::size_t capture_slot_ = 0;
+  std::shared_ptr<const GoldenCheckpoint> capture_prev_;
   /// Registered when the engine is built, so a campaign in which no trial
-  /// restores still reports them, as 0.
+  /// restores or captures still reports them, as 0.
   obs::Counter& restored_trials_;
   obs::Counter& restored_instructions_;
+  obs::Counter& captures_;
 };
 
 /// Containment boundary around every trial the driver runs: run one

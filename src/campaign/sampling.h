@@ -77,9 +77,9 @@ struct SiteDraw {
   double weight = 1.0;    // importance weight vs uniform-over-invocations
 };
 
-/// The immutable sampling frame built from a golden profile. Like the
-/// profile itself it is only read after construction, so one plan may be
-/// shared (or identically rebuilt) by any number of worker engines.
+/// The immutable sampling frame built from a golden profile. It is only
+/// read after construction, so one plan may be shared (or identically
+/// rebuilt) by any number of worker engines.
 class SamplingPlan {
  public:
   /// Build the class list from per-rank golden site histograms. Classes are

@@ -1,5 +1,7 @@
 #include "core/chaser.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "common/strings.h"
@@ -48,7 +50,9 @@ void Chaser::OnProcessCreate(const std::string& name) {
 void Chaser::Attach() {
   // Fresh per-run state (campaigns re-Start the same VM repeatedly).
   exec_count_ = 0;
-  site_execs_.clear();
+  for (const std::uint64_t pc : site_pcs_) site_counts_[pc] = 0;
+  site_pcs_.clear();
+  if (cmd_->profile_sites) site_counts_.resize(vm_.program()->text.size());
   records_.clear();
   trace_log_.Clear();
   taint_timeline_.clear();
@@ -140,11 +144,19 @@ void Chaser::Detach() {
   vm_.RequestTbFlush();
 }
 
+Trigger::SiteCounts Chaser::site_execs() const {
+  Trigger::SiteCounts sites;
+  sites.reserve(site_pcs_.size());
+  for (const std::uint64_t pc : site_pcs_) sites.emplace_back(pc, site_counts_[pc]);
+  std::sort(sites.begin(), sites.end());
+  return sites;
+}
+
 Chaser::Checkpoint Chaser::Capture() const {
   Checkpoint ck;
   ck.exec_count = exec_count_;
   ck.sites_profiled = cmd_ != nullptr && cmd_->profile_sites;
-  ck.site_execs.assign(site_execs_.begin(), site_execs_.end());
+  ck.site_execs = site_execs();
   ck.taint_timeline = taint_timeline_;
   return ck;
 }
@@ -159,12 +171,18 @@ void Chaser::Restore(const Checkpoint& ck) {
     throw ConfigError("Chaser::Restore: the trigger fires within the prefix");
   }
   exec_count_ = ck.exec_count;
+  if (ck.sites_profiled && cmd_->profile_sites) {
+    for (const auto& [pc, count] : ck.site_execs) {
+      site_counts_[pc] = count;
+      site_pcs_.push_back(pc);
+    }
+  }
 }
 
 void Chaser::OnInjectorHelper(std::uint64_t pc) {
   if (!injector_active_ || !cmd_) return;
   ++exec_count_;
-  if (cmd_->profile_sites) ++site_execs_[pc];
+  if (cmd_->profile_sites && site_counts_[pc]++ == 0) site_pcs_.push_back(pc);
   if (!trigger_->ShouldFireAt(exec_count_, pc, rng_)) {
     if (trigger_->Expired()) {
       // fi_clean_cb: stop screening and flush the instrumentation out of the

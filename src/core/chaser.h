@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -43,9 +42,10 @@ struct InjectionCommand {
   bool trace = true;                             // enable propagation tracing
   std::uint64_t seed = 1;                        // injector/trigger randomness
   /// Record a per-pc execution histogram of the targeted instructions
-  /// (site_execs()). Sampled campaigns enable this on the golden run to
-  /// build their importance-sampling frame; off by default — it adds a map
-  /// update per targeted execution.
+  /// (site_execs()). Sampled campaigns enable this on the golden run, to
+  /// build their importance-sampling frame, and on every trial, whose
+  /// golden-prefix captures carry what pc-local triggers read; off by
+  /// default — it adds a counter update per targeted execution.
   bool profile_sites = false;
 
   /// True if this command only traces (no instrumentation is inserted).
@@ -99,12 +99,13 @@ class Chaser {
   /// Executions of targeted instructions observed so far (profiling runs use
   /// this with a NeverTrigger to size deterministic triggers).
   std::uint64_t targeted_executions() const { return exec_count_; }
-  /// Per-pc execution counts of the targeted instructions — populated only
-  /// when the armed command set `profile_sites` (empty otherwise). The
-  /// counts sum to targeted_executions().
-  const std::map<std::uint64_t, std::uint64_t>& site_execs() const {
-    return site_execs_;
-  }
+  /// True while the armed trigger can still fire: the injector is attached
+  /// and has not expired. Until then the run is the clean golden run.
+  bool trigger_pending() const { return injector_active_; }
+  /// Per-pc execution counts of the targeted instructions, sorted by pc —
+  /// populated only when the armed command set `profile_sites` (empty
+  /// otherwise). The counts sum to targeted_executions().
+  Trigger::SiteCounts site_execs() const;
   const std::vector<InjectionRecord>& injections() const { return records_; }
   TraceLog& trace_log() { return trace_log_; }
   const TraceLog& trace_log() const { return trace_log_; }
@@ -127,10 +128,11 @@ class Chaser {
   Checkpoint Capture() const;
 
   /// Load `ck` into the run this Chaser just attached to. An injecting
-  /// Chaser takes the execution count and fast-forwards its trigger
-  /// (ConfigError if the trigger would have fired within the prefix); a
-  /// trace-only one counts nothing, as in a booted run. Per-site counts
-  /// only feed the trigger: a trial's command does not profile sites.
+  /// Chaser takes the execution counts — per pc too when its command
+  /// profiles sites, so a capture later in the run carries them — and
+  /// fast-forwards its trigger (ConfigError if the trigger would have fired
+  /// within the prefix); a trace-only one counts nothing, as in a booted
+  /// run.
   void Restore(const Checkpoint& ck);
 
  private:
@@ -158,7 +160,10 @@ class Chaser {
   bool injector_active_ = false;
 
   std::uint64_t exec_count_ = 0;
-  std::map<std::uint64_t, std::uint64_t> site_execs_;  // pc -> executions
+  // Per-site executions: a count per text pc, and the pcs counted so far,
+  // so neither counting nor a restore allocates once warm.
+  std::vector<std::uint64_t> site_counts_;
+  std::vector<std::uint64_t> site_pcs_;
   std::vector<InjectionRecord> records_;
   TraceLog trace_log_;
   std::vector<TaintSample> taint_timeline_;

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -47,6 +46,8 @@ struct Envelope {
   std::uint64_t datatype = 0;  // guest::MpiDatatype value
   std::uint64_t seq = 0;       // per-(src,dest,tag) FIFO sequence number
   std::vector<std::uint8_t> payload;
+
+  bool operator==(const Envelope&) const = default;
 };
 
 /// Chaser's MPI function hooks (implemented by the TaintHub glue, src/hub).
@@ -69,30 +70,27 @@ class MessageHooks {
                               GuestAddr buf) = 0;
 };
 
-/// One rank's MPI-runtime state (everything but its VM).
-struct RankMpiState {
-  RankMpiState() { Clear(); }
-
-  bool mpi_initialized;
-  bool mpi_finalized;
-  std::deque<Envelope> inbox;
-  std::uint64_t barriers_done;
-  bool barrier_arrived;
+/// Where one rank's MPI calls stand: its MPI-runtime state but the inbox.
+/// The member initializers are the one definition of a fresh rank's.
+struct RankMpiProgress {
+  bool mpi_initialized = false;
+  bool mpi_finalized = false;
+  std::uint64_t barriers_done = 0;
+  bool barrier_arrived = false;
   // Allreduce progress: the contribution is sent exactly once even though
   // a blocked syscall re-executes when the rank is unblocked.
-  bool allreduce_sent;
+  bool allreduce_sent = false;
 
-  /// The one definition of a fresh rank's state (the constructor calls it),
-  /// applied in place: the inbox keeps its storage (a new std::deque
-  /// allocates even empty, and every trial resets every rank).
-  void Clear() {
-    mpi_initialized = false;
-    mpi_finalized = false;
-    inbox.clear();
-    barriers_done = 0;
-    barrier_arrived = false;
-    allreduce_sent = false;
-  }
+  bool operator==(const RankMpiProgress&) const = default;
+};
+
+/// One rank's MPI-runtime state (everything but its VM).
+struct RankMpiState : RankMpiProgress {
+  /// Messages delivered to the rank and not yet received. A vector: a copy
+  /// of an empty one allocates nothing, and a reset keeps its storage.
+  std::vector<Envelope> inbox;
+
+  bool operator==(const RankMpiState&) const = default;
 };
 
 /// The job-wide MPI-runtime state.
@@ -124,9 +122,11 @@ struct JobMpiState {
 /// A clean job at one TB boundary of one rank's Run: every rank's VM and
 /// MPI state, the job's, and the round in progress.
 struct ClusterCheckpoint {
+  /// Each part is shared with the previous checkpoint while it is
+  /// unchanged — a rank that has not run since then shares its whole VM.
   struct RankCheckpoint {
-    vm::Vm::Checkpoint vm;
-    RankMpiState mpi;
+    std::shared_ptr<const vm::Vm::Checkpoint> vm;
+    std::shared_ptr<const RankMpiState> mpi;
   };
   /// The rank whose Run was interrupted, where that Run stood, and the
   /// instructions the whole job had retired (what
@@ -201,7 +201,8 @@ class Cluster {
 
   /// Snapshot the job at the boundary a checkpoint hook is running at, or
   /// right after Start (a job that has run nothing); `prev` (an earlier
-  /// checkpoint of this job, or null) shares unchanged guest pages.
+  /// checkpoint of this job, or null) shares unchanged rank VMs, guest
+  /// pages, TB indexes and rank MPI states.
   ClusterCheckpoint Capture(const ClusterCheckpoint* prev) const;
 
   /// Start the job from `ck` instead of booting it: the job-start hook,
@@ -218,7 +219,7 @@ class Cluster {
   struct RankState;
 
   /// Shared prologue of Start and Restore: the job-start hook, then a
-  /// fresh job and fresh ranks.
+  /// fresh job and fresh ranks, their inboxes' payloads recycled.
   void BeginJob();
   /// A rank VM reached the checkpoint mark inside Run.
   void OnCheckpointBoundary(vm::Vm& v, const vm::Vm::RunFrame& frame);
@@ -265,14 +266,24 @@ class Cluster {
   void Deliver(Envelope env);
 
   /// Copy a payload into guest memory, clear the buffer's shadow taint
-  /// (fresh bytes arrived over the wire), and fire the receive hook.
-  /// Returns false if the destination buffer faulted (signal raised).
-  bool CompleteReceive(Rank r, const Envelope& env, GuestAddr buf);
+  /// (fresh bytes arrived over the wire), and fire the receive hook; the
+  /// payload's storage then goes back to the spare list. Returns false if
+  /// the destination buffer faulted (signal raised).
+  bool CompleteReceive(Rank r, Envelope env, GuestAddr buf);
 
-  /// Read `bytes` from `buf` into an envelope payload and ship it; raises
-  /// SIGSEGV and returns false if the buffer is unmapped.
+  /// Read `count` elements from `buf` into an envelope payload and ship it;
+  /// raises SIGSEGV (naming `what`) and returns false if the buffer is
+  /// unmapped.
   bool SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count,
-               std::uint64_t datatype, GuestAddr buf);
+               std::uint64_t datatype, GuestAddr buf,
+               const char* what = "MPI collective");
+
+  /// An empty payload vector, with the storage of a recycled one when the
+  /// spare list has one, so a warmed job's messages allocate nothing.
+  std::vector<std::uint8_t> TakePayload();
+  /// Keep `payload`'s storage for TakePayload, unless the list is full or
+  /// it grew past kMaxKeptPayloadBytes (a fault-corrupted count's).
+  void RecyclePayload(std::vector<std::uint8_t>&& payload);
 
   RankState& rank(Rank r) { return *ranks_[static_cast<std::size_t>(r)]; }
 
@@ -280,8 +291,9 @@ class Cluster {
   std::vector<std::unique_ptr<RankState>> ranks_;
   MessageHooks* hooks_ = nullptr;
   JobMpiState job_;
+  std::vector<std::vector<std::uint8_t>> spare_payloads_;
 
-  // Checkpoint capture (golden runs): the hook, the job-wide mark it set,
+  // Checkpoint capture: the hook, the job-wide mark it set,
   // where the running rank's quantum began, and the round a hook is at (a
   // fresh one right after Start).
   CheckpointHook checkpoint_hook_;

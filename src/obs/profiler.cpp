@@ -31,6 +31,7 @@ const char* PhaseName(Phase p) {
     case Phase::kClassify: return "classify";
     case Phase::kArm: return "arm";
     case Phase::kCommit: return "commit";
+    case Phase::kCapture: return "capture";
   }
   return "?";
 }

@@ -45,8 +45,10 @@ enum class Phase : std::uint8_t {
                     // SeedOrderCommitter::Offer (commit lock included, and
                     // every commit that Offer releases: record sink, store
                     // append); a trial dropped past a stop still records it
+  kCapture,         // a trial capturing its clean prefix into a golden-prefix
+                    // slot (inside execute)
 };
-inline constexpr std::size_t kNumPhases = 13;
+inline constexpr std::size_t kNumPhases = 14;
 
 const char* PhaseName(Phase p);
 

@@ -11,50 +11,84 @@ namespace chaser::vm {
 
 namespace {
 
-using PageBytes = GuestMemory::Checkpoint::PageBytes;
+using ChunkBytes = GuestMemory::Checkpoint::ChunkBytes;
+using PageChunks = GuestMemory::Checkpoint::PageChunks;
+constexpr std::uint64_t kChunkSize = GuestMemory::Checkpoint::kChunkSize;
 
-/// Free checkpoint page buffers. A process that runs campaign after
-/// campaign takes each golden run's page copies from here instead of
+/// Free checkpoint chunk buffers. A process that runs campaign after
+/// campaign takes each campaign's page copies from here instead of
 /// faulting fresh heap pages in every time (the allocator returns the
-/// previous campaign's to the OS). Never destroyed: a page may be released
+/// previous campaign's to the OS). Never destroyed: a chunk may be released
 /// by a checkpoint that outlives static destruction.
-class PagePool {
+class ChunkPool {
  public:
-  static PagePool& Global() {
-    static PagePool* const pool = new PagePool;
+  static ChunkPool& Global() {
+    static ChunkPool* const pool = new ChunkPool;
     return *pool;
   }
 
-  std::shared_ptr<PageBytes> Take() {
-    PageBytes* page = nullptr;
+  /// A copy of the chunk at `bytes`.
+  std::shared_ptr<const ChunkBytes> Copy(const std::uint8_t* bytes) {
+    ChunkBytes* chunk = nullptr;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (!free_.empty()) {
-        page = free_.back().release();
+        chunk = free_.back().release();
         free_.pop_back();
       }
     }
-    if (page == nullptr) page = new PageBytes;
-    return std::shared_ptr<PageBytes>(page, [](PageBytes* p) { Global().Give(p); });
+    if (chunk == nullptr) chunk = new ChunkBytes;
+    std::memcpy(chunk->data(), bytes, kChunkSize);
+    return std::shared_ptr<ChunkBytes>(chunk,
+                                       [](ChunkBytes* c) { Global().Give(c); });
   }
 
  private:
-  static constexpr std::size_t kMaxFree = 1024;  // 4 MiB of page copies
+  static constexpr std::size_t kMaxFree = 8192;  // 4 MiB of chunk copies
 
-  void Give(PageBytes* page) {
+  void Give(ChunkBytes* chunk) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (free_.size() < kMaxFree) {
-      free_.emplace_back(page);
+      free_.emplace_back(chunk);
     } else {
-      delete page;
+      delete chunk;
     }
   }
 
   std::mutex mutex_;
-  std::vector<std::unique_ptr<PageBytes>> free_;
+  std::vector<std::unique_ptr<ChunkBytes>> free_;
 };
 
+/// The page at `frame` as chunks, sharing those of `prev` (the same page in
+/// an earlier checkpoint, or null) whose bytes are equal — and `prev`
+/// itself when all are.
+std::shared_ptr<const PageChunks> CopyPage(
+    const std::uint8_t* frame, const std::shared_ptr<const PageChunks>& prev) {
+  const auto& zero = GuestMemory::Checkpoint::ZeroChunk();
+  PageChunks chunks;
+  bool changed = prev == nullptr;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    const std::uint8_t* bytes = frame + c * kChunkSize;
+    if (prev != nullptr &&
+        std::memcmp((*prev)[c]->data(), bytes, kChunkSize) == 0) {
+      chunks[c] = (*prev)[c];
+      continue;
+    }
+    changed = true;
+    chunks[c] = std::memcmp(zero->data(), bytes, kChunkSize) == 0
+                    ? zero
+                    : ChunkPool::Global().Copy(bytes);
+  }
+  return changed ? std::make_shared<const PageChunks>(std::move(chunks)) : prev;
+}
+
 }  // namespace
+
+const std::shared_ptr<const ChunkBytes>& GuestMemory::Checkpoint::ZeroChunk() {
+  static const std::shared_ptr<const ChunkBytes> zero =
+      std::make_shared<const ChunkBytes>();
+  return zero;
+}
 
 void GuestMemory::FreeSlab::operator()(std::uint8_t* slab) const {
   munmap(slab, bytes);
@@ -185,22 +219,15 @@ GuestMemory::Checkpoint GuestMemory::Capture(const Checkpoint* prev) const {
   ck.pages.reserve(touched_vpages_.size());
   for (std::size_t i = 0; i < touched_vpages_.size(); ++i) {
     const std::uint64_t vpage = touched_vpages_[i];
-    const std::uint8_t* frame = frames_[FrameIndex(vpage)];
-    Checkpoint::Page page{
-        .vpage = vpage,
-        .in_tlb = tlb_[vpage & (kTlbEntries - 1)].vpage == vpage,
-        .bytes = nullptr};
     // Touches only append, so page i of an earlier checkpoint of this
     // process is the same vpage.
-    if (prev != nullptr && i < prev->pages.size() &&
-        std::memcmp(prev->pages[i].bytes->data(), frame, kPageSize) == 0) {
-      page.bytes = prev->pages[i].bytes;
-    } else {
-      std::shared_ptr<PageBytes> bytes = PagePool::Global().Take();
-      std::memcpy(bytes->data(), frame, kPageSize);
-      page.bytes = std::move(bytes);
-    }
-    ck.pages.push_back(std::move(page));
+    ck.pages.push_back(
+        {.vpage = vpage,
+         .in_tlb = tlb_[vpage & (kTlbEntries - 1)].vpage == vpage,
+         .chunks = CopyPage(frames_[FrameIndex(vpage)],
+                            prev != nullptr && i < prev->pages.size()
+                                ? prev->pages[i].chunks
+                                : nullptr)});
   }
   return ck;
 }
@@ -212,9 +239,15 @@ void GuestMemory::Restore(const Checkpoint& ck) {
   for (const auto& [first, last] : ck.regions) {
     MapRegion(first << kPageBits, (last - first + 1) << kPageBits);
   }
+  const auto& zero = Checkpoint::ZeroChunk();
   for (const Checkpoint::Page& page : ck.pages) {
     const std::uint32_t frame = FrameIndex(page.vpage);
-    std::memcpy(frames_[frame], page.bytes->data(), kPageSize);
+    // The reset left every frame zero.
+    for (std::size_t c = 0; c < page.chunks->size(); ++c) {
+      const auto& chunk = (*page.chunks)[c];
+      if (chunk == zero) continue;
+      std::memcpy(frames_[frame] + c * kChunkSize, chunk->data(), kChunkSize);
+    }
     touched_[frame] = 1;
     touched_vpages_.push_back(page.vpage);
     if (page.in_tlb) {

@@ -128,22 +128,36 @@ class GuestMemory {
   /// page, which touched pages hold their TLB slot, and the TLB counters.
   /// Untouched mapped pages are all zero and need no copy.
   struct Checkpoint {
-    using PageBytes = std::array<std::uint8_t, kPageSize>;
+    /// A page is copied in chunks, each shared with the same page of the
+    /// previous checkpoint while its bytes are unchanged — a stretch of a
+    /// run mostly rewrites a small part of a page — and every all-zero
+    /// chunk is the one ZeroChunk().
+    static constexpr std::uint64_t kChunkSize = 512;
+    static constexpr std::size_t kPageChunks = kPageSize / kChunkSize;
+    using ChunkBytes = std::array<std::uint8_t, kChunkSize>;
+    using PageChunks = std::array<std::shared_ptr<const ChunkBytes>, kPageChunks>;
+    static const std::shared_ptr<const ChunkBytes>& ZeroChunk();
     struct Page {
       std::uint64_t vpage = 0;
       bool in_tlb = false;
-      /// Shared with the previous checkpoint while the bytes are unchanged.
-      std::shared_ptr<const PageBytes> bytes;
+      /// Shared with the previous checkpoint while no chunk changed.
+      std::shared_ptr<const PageChunks> chunks;
+      /// Compares the copies by address, so a page equals the previous
+      /// checkpoint's only while it shares its copy.
+      bool operator==(const Page&) const = default;
     };
     std::vector<std::pair<std::uint64_t, std::uint64_t>> regions;
     std::vector<Page> pages;  // first-touch order
     std::uint64_t tlb_hits = 0;
     std::uint64_t tlb_misses = 0;
+
+    bool operator==(const Checkpoint&) const = default;
   };
 
-  /// Snapshot this memory. Pages whose bytes equal the same page of `prev`
-  /// (an earlier checkpoint of this process, or null) share its copy. Reads
-  /// frames directly: no TLB slot, counter or touch record moves.
+  /// Snapshot this memory. Chunks whose bytes equal the same chunk of
+  /// `prev` (an earlier checkpoint of this process, or null) share its
+  /// copy, and so do whole pages. Reads frames directly: no TLB slot,
+  /// counter or touch record moves.
   Checkpoint Capture(const Checkpoint* prev) const;
 
   /// Reset(), then load `ck` by replaying its MapRegion calls. Afterwards

@@ -247,13 +247,28 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
   ck.outputs = outputs_;
   ck.tainted_output_bytes = tainted_output_bytes_;
   ck.memory = memory_.Capture(prev != nullptr ? &prev->memory : nullptr);
-  const auto pc_of = [](const CachedTb* e) {
-    return e != nullptr ? e->tb->start_pc : kNoPc;
-  };
-  ck.tbs.reserve(tb_filled_.size());
-  for (const std::uint64_t pc : tb_filled_) {
+  const auto tb_at = [&](std::size_t i) {
+    const auto pc_of = [](const CachedTb* e) {
+      return e != nullptr ? e->tb->start_pc : kNoPc;
+    };
+    const std::uint64_t pc = tb_filled_[i];
     const CachedTb& entry = tb_index_[pc];
-    ck.tbs.push_back({pc, {pc_of(entry.chain[0]), pc_of(entry.chain[1])}});
+    return Checkpoint::Tb{pc, {pc_of(entry.chain[0]), pc_of(entry.chain[1])}};
+  };
+  const auto same_as = [&](const std::vector<Checkpoint::Tb>& tbs) {
+    if (tbs.size() != tb_filled_.size()) return false;
+    for (std::size_t i = 0; i < tbs.size(); ++i) {
+      if (!(tbs[i] == tb_at(i))) return false;
+    }
+    return true;
+  };
+  if (prev != nullptr && same_as(*prev->tbs)) {
+    ck.tbs = prev->tbs;
+  } else {
+    auto tbs = std::make_shared<std::vector<Checkpoint::Tb>>();
+    tbs->reserve(tb_filled_.size());
+    for (std::size_t i = 0; i < tb_filled_.size(); ++i) tbs->push_back(tb_at(i));
+    ck.tbs = std::move(tbs);
   }
   return ck;
 }
@@ -277,11 +292,11 @@ void Vm::Restore(const Checkpoint& ck) {
   memory_.Restore(ck.memory);
   // Rebuild the index in this Vm's variant, then its chains: a chain slot
   // stays patched exactly where the captured run had patched it.
-  for (const Checkpoint::Tb& t : ck.tbs) {
+  for (const Checkpoint::Tb& t : *ck.tbs) {
     tb_index_[t.pc].tb = ResolveTb(t.pc);
     tb_filled_.push_back(t.pc);
   }
-  for (const Checkpoint::Tb& t : ck.tbs) {
+  for (const Checkpoint::Tb& t : *ck.tbs) {
     CachedTb& entry = tb_index_[t.pc];
     for (int k = 0; k < 2; ++k) {
       if (t.chain[k] != kNoPc) entry.chain[k] = &tb_index_[t.chain[k]];

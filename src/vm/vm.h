@@ -75,6 +75,8 @@ struct CpuState {
   std::uint64_t IntReg(unsigned r) const { return env[tcg::EnvInt(r)]; }
   double FpReg(unsigned f) const { return std::bit_cast<double>(env[tcg::EnvFp(f)]); }
   void SetFpReg(unsigned f, double v) { env[tcg::EnvFp(f)] = std::bit_cast<std::uint64_t>(v); }
+
+  bool operator==(const CpuState&) const = default;
 };
 
 class Vm;
@@ -264,13 +266,20 @@ class Vm {
     struct Tb {
       std::uint64_t pc = 0;
       std::uint64_t chain[2] = {kNoPc, kNoPc};
+      bool operator==(const Tb&) const = default;
     };
-    std::vector<Tb> tbs;
+    /// Shared with the previous checkpoint while the index is unchanged.
+    std::shared_ptr<const std::vector<Tb>> tbs;
+
+    /// Shared parts compare by address: a checkpoint equals the previous
+    /// one when its process has not changed since.
+    bool operator==(const Checkpoint&) const = default;
   };
 
   /// Snapshot this process; `prev` (an earlier checkpoint of it, or null)
-  /// shares unchanged guest pages. Moves no counter. ConfigError if the
-  /// process carries taint — checkpoints hold clean prefixes only.
+  /// shares unchanged guest pages and an unchanged TB index. Moves no
+  /// counter. ConfigError if the process carries taint — checkpoints hold
+  /// clean prefixes only.
   Checkpoint Capture(const Checkpoint* prev) const;
 
   /// Start a process from `ck` instead of the loader: the begin-process
@@ -502,7 +511,7 @@ class Vm {
   // First instret at which the watchdog or the sample hook must act; fuses
   // their two compares into one on the per-instruction hot path.
   std::uint64_t next_stop_ = 0;
-  // First instret at which Run calls checkpoint_hook_ (golden runs only).
+  // First instret at which Run calls checkpoint_hook_ (a trial's clean prefix).
   std::uint64_t checkpoint_at_ = ~std::uint64_t{0};
   CheckpointHook checkpoint_hook_;
   SyscallExtension* syscall_ext_ = nullptr;

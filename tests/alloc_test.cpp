@@ -10,7 +10,9 @@
 // cache, the frame pool and every container's capacity settle), then counts
 // the allocations of the next 1000. Each pin is the count measured when it
 // was set, plus 10% headroom: a change that adds per-trial allocations
-// fails here and says how many.
+// fails here and says how many. Matvec's pin fell from 24.4 to 11.8: the
+// cluster recycles MPI payload vectors, and trials that restore a
+// trial-captured slot skip the messages of their prefix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -103,7 +105,7 @@ double AllocationsPerTrial(const apps::AppSpec& spec, CampaignConfig config) {
 
 TEST(TrialAllocations, MatvecTrialStaysUnderItsPin) {
   const double per_trial = AllocationsPerTrial(apps::BuildMatvec({}), {});
-  EXPECT_LE(per_trial, 24.4 * 1.1)
+  EXPECT_LE(per_trial, 11.8 * 1.1)
       << "heap allocations per matvec trial: " << per_trial;
 }
 

@@ -3,7 +3,8 @@
 // identity matrix — serial, parallel, and back-to-back campaigns sharing
 // one external translation cache must produce byte-identical reports and
 // records — and golden-prefix checkpoints: trials restored from any golden
-// checkpoint must produce the records trials started from checkpoint 0 do.
+// checkpoint must produce the records trials started from checkpoint 0 do,
+// and the slots trials capture must hold clean prefixes of their own rank.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -442,10 +443,19 @@ CampaignConfig CheckpointConfig(campaign::SamplePolicy policy =
   return config;
 }
 
+/// Empty slots shaped like `golden`'s.
+std::shared_ptr<campaign::CheckpointSlots> EmptySlots(
+    const campaign::GoldenProfile& golden) {
+  return std::make_shared<campaign::CheckpointSlots>(golden.targeted_execs,
+                                                     golden.instructions);
+}
+
 /// Records CSV of `config`'s trials, every one started at instruction 0:
-/// one TrialEngine run against a copy of the golden profile cut down to
-/// checkpoint 0, which vm_test's RestoreOfAStartMatchesTheBootOnEveryApp
-/// and mpi_test's JobRestoredFromItsStartMatchesTheBootedJob pin as a boot.
+/// one TrialEngine, and a fresh empty slot table before each trial, so the
+/// trial restores checkpoint 0 — which vm_test's
+/// RestoreOfAStartMatchesTheBootOnEveryApp and mpi_test's
+/// JobRestoredFromItsStartMatchesTheBootedJob pin as a boot — and no later
+/// trial reads what it captures. (Copies of a profile share its table.)
 std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
   SharedTbCache cache;
   config.shared_tb_cache = &cache;
@@ -453,49 +463,78 @@ std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
       config.inject_ranks.empty() ? std::set<Rank>{0} : config.inject_ranks;
   campaign::TrialEngine golden_engine(spec, config, ranks);
   campaign::GoldenProfile golden = golden_engine.RunGolden();
-  EXPECT_GT(golden.checkpoints.size(), 1u);
-  golden.checkpoints.resize(1);
+  EXPECT_NE(golden.slots, nullptr);
   campaign::TrialEngine engine(spec, config, ranks);
   engine.AdoptGolden(golden);
   std::vector<campaign::RunRecord> records;
   for (const std::uint64_t seed :
        Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    golden.slots = EmptySlots(golden);
     records.push_back(engine.RunTrial(seed));
   }
   return RecordsCsv(records);
 }
 
+/// Every filled slot of `golden` holds a prefix of its own inject rank:
+/// that rank's count falls in the slot, every other rank counted nothing
+/// (only the trial's rank counts, so its capture serves no other rank's
+/// trials), and a sampled trial's per-site counts add up to its count.
+/// Returns how many slots each inject rank filled.
+std::map<Rank, std::size_t> ExpectSlotsHoldTheirRanksPrefixes(
+    const campaign::GoldenProfile& golden) {
+  std::map<Rank, std::size_t> filled;
+  for (const auto& [r, execs] : golden.targeted_execs) {
+    for (std::size_t k = 0; k < golden.slots->size(); ++k) {
+      const auto ck = golden.slots->Get(r, k);
+      if (ck == nullptr) continue;
+      ++filled[r];
+      SCOPED_TRACE(testing::Message() << "rank " << r << " slot " << k);
+      for (std::size_t s = 0; s < ck->chasers.size(); ++s) {
+        const core::Chaser::Checkpoint& c = ck->chasers[s];
+        if (static_cast<Rank>(s) != r) {
+          EXPECT_EQ(c.exec_count, 0u) << "rank " << s << " counted";
+          continue;
+        }
+        EXPECT_EQ(golden.slots->SlotOf(r, c.exec_count), k);
+        if (c.sites_profiled) {
+          std::uint64_t sum = 0;
+          for (const auto& [pc, n] : c.site_execs) sum += n;
+          EXPECT_EQ(sum, c.exec_count) << "per-site counts";
+        }
+      }
+    }
+  }
+  return filled;
+}
+
 /// The campaign's records — restored wherever a checkpoint allows — equal
 /// the booted ones field for field (tb_chain_hits, tlb_* and instructions
-/// included), on one worker and on 3 workers; and the one-worker run
-/// really restored some trials.
+/// included), on one worker and on 3 workers, whose engines share one slot
+/// table; the one-worker run really restored some trials, and every inject
+/// rank filled slots; and both campaigns' slots hold prefixes of their own
+/// ranks.
 void ExpectRestoredMatchesBooted(const std::string& cell,
                                  const apps::AppSpec& spec,
                                  const CampaignConfig& config) {
   SCOPED_TRACE(cell);
   const std::string want = BootedCsv(spec, config);
   const std::uint64_t before = TrialsRestored();
-  EXPECT_EQ(RecordsCsv(Campaign(spec, config).Run().records), want) << "serial";
+  Campaign serial(spec, config);
+  EXPECT_EQ(RecordsCsv(serial.Run().records), want) << "serial";
   EXPECT_GT(TrialsRestored(), before) << "no trial restored";
-  EXPECT_EQ(RecordsCsv(Campaign(spec, config, 3).Run().records), want)
-      << "parallel, 3 workers";
+  const std::map<Rank, std::size_t> filled =
+      ExpectSlotsHoldTheirRanksPrefixes(serial.golden());
+  for (const auto& [r, execs] : serial.golden().targeted_execs) {
+    EXPECT_GT(filled.count(r), 0u) << "rank " << r << " captured nothing";
+  }
+  Campaign parallel(spec, config, 3);
+  EXPECT_EQ(RecordsCsv(parallel.Run().records), want) << "parallel, 3 workers";
+  ExpectSlotsHoldTheirRanksPrefixes(parallel.golden());
 }
 
 std::vector<apps::AppSpec> AllApps() {
   return {apps::BuildBfs({}), apps::BuildKmeans({}), apps::BuildLud({}),
           apps::BuildMatvec({}), apps::BuildClamr({})};
-}
-
-/// CheckpointConfig for `spec`. Matvec's master makes most of its targeted
-/// executions before the first checkpoint, so its cells inject into every
-/// rank (as chaser_run does for clamr) to give the workers' trials a
-/// prefix to skip.
-CampaignConfig AppConfig(const apps::AppSpec& spec,
-                         campaign::SamplePolicy policy =
-                             campaign::SamplePolicy::kUniform) {
-  CampaignConfig config = CheckpointConfig(policy);
-  if (spec.name == "matvec") config.inject_ranks = {0, 1, 2, 3};
-  return config;
 }
 
 TEST(GoldenPrefix, RestoredTrialsMatchBootedOnEveryAppAndPolicy) {
@@ -505,7 +544,7 @@ TEST(GoldenPrefix, RestoredTrialsMatchBootedOnEveryAppAndPolicy) {
           campaign::SamplePolicy::kStratified}) {
       ExpectRestoredMatchesBooted(
           spec.name + "/" + campaign::SamplePolicyName(policy), spec,
-          AppConfig(spec, policy));
+          CheckpointConfig(policy));
     }
   }
 }
@@ -514,7 +553,7 @@ TEST(GoldenPrefix, RestoredTrialsMatchBootedUnderEveryInjector) {
   for (const apps::AppSpec& spec : AllApps()) {
     for (const char* injector :
          {"iskip", "stuckat:value=1,bits=2", "multibit:bits=4", "rank-crash"}) {
-      CampaignConfig config = AppConfig(spec);
+      CampaignConfig config = CheckpointConfig();
       config.injector = core::ParseInjectorSpec(injector);
       ExpectRestoredMatchesBooted(spec.name + "/" + injector, spec, config);
     }
@@ -552,18 +591,62 @@ TEST(GoldenPrefix, RestoreNeverSkipsAWatchdogKill) {
   }
 }
 
-// The golden run instruments every inject rank; a trial instruments one and
-// runs the others clean, so their restored TB indexes switch variant.
-TEST(GoldenPrefix, GoldenInstrumentsRanksTheTrialRunsClean) {
+// A trial counts targeted executions on its own rank only, so a slot it
+// captures may serve trials of that rank alone: each rank of an every-rank
+// clamr campaign fills its own slots, and no trial restores another rank's.
+TEST(GoldenPrefix, SlotsServeOnlyTheirInjectRank) {
   CampaignConfig config = CheckpointConfig();
+  config.runs = 24;
   config.inject_ranks = {0, 1, 2, 3};
-  ExpectRestoredMatchesBooted("clamr, every rank injectable", apps::BuildClamr({}),
-                              config);
+  ExpectRestoredMatchesBooted("clamr, every rank injectable",
+                              apps::BuildClamr({}), config);
+}
+
+// On matvec the master makes 90% of its targeted executions in the first
+// third of the golden run; slots at steps of those executions let most
+// master-only trials skip a prefix.
+TEST(GoldenPrefix, MasterOnlyMatvecTrialsRestorePastCheckpointZero) {
+  CampaignConfig config = CheckpointConfig();
+  config.runs = 40;
+  const std::uint64_t before = TrialsRestored();
+  Campaign(apps::BuildMatvec({}), config).Run();
+  EXPECT_GE(TrialsRestored() - before, config.runs / 2);
+}
+
+// Captures stop when the trigger fires. Untraced, no taint makes
+// Vm::Capture refuse a late one, so each trial runs against a fresh table
+// and every slot it filled must hold fewer targeted executions than the
+// trial's injection point.
+TEST(GoldenPrefix, TrialsCaptureOnlyTheirCleanPrefix) {
+  for (const apps::AppSpec& spec : {apps::BuildMatvec({}), apps::BuildLud({})}) {
+    SCOPED_TRACE(spec.name);
+    CampaignConfig config = CheckpointConfig();
+    config.trace = false;
+    SharedTbCache cache;
+    config.shared_tb_cache = &cache;
+    const std::set<Rank> ranks{0};
+    campaign::TrialEngine engine(spec, config, ranks);
+    campaign::GoldenProfile golden = engine.RunGolden();
+    engine.AdoptGolden(golden);
+    std::size_t captured = 0;
+    for (const std::uint64_t seed : Campaign::DeriveTrialSeeds(config.seed, 200)) {
+      golden.slots = EmptySlots(golden);
+      const campaign::RunRecord rec = engine.RunTrial(seed);
+      for (std::size_t k = 0; k < golden.slots->size(); ++k) {
+        const auto ck = golden.slots->Get(0, k);
+        if (ck == nullptr) continue;
+        ++captured;
+        EXPECT_LT(ck->chasers[0].exec_count, rec.trigger_nth)
+            << "seed " << seed << " slot " << k;
+      }
+    }
+    EXPECT_GT(captured, 0u);
+  }
 }
 
 TEST(GoldenPrefix, UntracedCampaigns) {
   for (const apps::AppSpec& spec : {apps::BuildLud({}), apps::BuildMatvec({})}) {
-    CampaignConfig config = AppConfig(spec);
+    CampaignConfig config = CheckpointConfig();
     config.trace = false;
     ExpectRestoredMatchesBooted(spec.name + ", untraced", spec, config);
   }
@@ -573,7 +656,7 @@ TEST(GoldenPrefix, UntracedCampaigns) {
 // tape and poll accounting are part of the restored hub state.
 TEST(GoldenPrefix, AmbientHubFault) {
   const apps::AppSpec spec = apps::BuildMatvec({});
-  CampaignConfig config = AppConfig(spec);
+  CampaignConfig config = CheckpointConfig();
   config.runs = 16;
   config.hub_fault.outage_start = 3;
   config.hub_fault.outage_end = 9;

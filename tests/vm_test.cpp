@@ -796,7 +796,10 @@ void ExpectSameProcessState(const Vm& got, const Vm& want) {
   for (std::size_t i = 0; i < a.pages.size(); ++i) {
     EXPECT_EQ(a.pages[i].vpage, b.pages[i].vpage);
     EXPECT_EQ(a.pages[i].in_tlb, b.pages[i].in_tlb);
-    EXPECT_EQ(*a.pages[i].bytes, *b.pages[i].bytes) << "vpage " << a.pages[i].vpage;
+    for (std::size_t c = 0; c < a.pages[i].chunks->size(); ++c) {
+      EXPECT_EQ(*(*a.pages[i].chunks)[c], *(*b.pages[i].chunks)[c])
+          << "vpage " << a.pages[i].vpage << " chunk " << c;
+    }
   }
 }
 

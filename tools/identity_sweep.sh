@@ -18,7 +18,9 @@
 #                    drop=0.3,delay=1,outage=3-9,retries=1: a degraded hub
 #                    ambient (checkpoints past 0) and per trial (checkpoint 0
 #                    only), both losing taint on some messages
-# 44 cells. Each cell runs twice per build: once writing --report, --status,
+#   matvec           --inject-ranks 0,1,2,3: one table of trial-captured
+#                    slots per inject rank
+# 46 cells. Each cell runs twice per build: once writing --report, --status,
 # --metrics and a records CSV --out (plus a --spool directory on cells
 # without a --sample flag), once writing a --records-format ctr store. The PR
 # build's status.json and campaign_outcome_<name> counters must also count
@@ -63,7 +65,8 @@ done
 CELLS+=("kmeans tb-cache-cap-8 --tb-cache-cap 8 --runs 40"
         "clamr no-trace --no-trace"
         "matvec hub-fault --hub-fault drop=0.3,delay=1,outage=3-9,retries=1"
-        "matvec hub-fault-trigger --hub-fault-trigger drop=0.3,delay=1,outage=3-9,retries=1")
+        "matvec hub-fault-trigger --hub-fault-trigger drop=0.3,delay=1,outage=3-9,retries=1"
+        "matvec all-ranks --inject-ranks 0,1,2,3")
 
 # Prints what in report run directory $1 disagrees with its report.txt:
 # status.json's done and outcome counts, campaign_outcome_<name> counters.
