@@ -1,12 +1,14 @@
 // Columnar store vs records CSV — the million-trial storage question. A
 // synthetic campaign-shaped record stream (benign-majority outcomes, zero
 // taint counters on clean trials, clustered hot-path counters, a multi-
-// injector v6 mix) is written both ways, then summarized and queried both
-// ways, all streaming. The CTR store must hold ≥5x less disk than the CSV
-// and aggregate ≥10x faster at 10^5+ records — the margins that make
+// injector v6 mix) is written into a CTR store and exported as the records
+// CSV (chaser_analyze export-csv), then summarized and queried both ways,
+// all streaming. The CTR store must hold ≥5x less disk than the CSV and
+// aggregate ≥10x faster at 10^5+ records — the margins that make
 // million-trial campaigns (ROADMAP: the defense-evaluation axis) routine
 // instead of an I/O problem. Both paths stream record-at-a-time, so memory
-// stays bounded regardless of record count.
+// stays bounded regardless of record count; both must tally exactly what
+// was generated.
 //
 // `--json` emits the table for tools/bench_to_json.sh
 // (BENCH_columnar_store.json). Fixed seeds make every number reproducible.
@@ -22,8 +24,9 @@
 
 #include "bench_util.h"
 #include "campaign/campaign.h"
-#include "campaign/report.h"
 #include "common/rng.h"
+#include "common/strings.h"
+#include "guest/isa.h"
 #include "store/ctr.h"
 #include "store/query.h"
 
@@ -99,6 +102,26 @@ struct Tally {
   std::uint64_t matched = 0;
 };
 
+/// Stream the rows of an exported records CSV (v6: every record names an
+/// injector) as records holding only the columns the tallies read — a
+/// bench-local split with no validation.
+template <typename Fn>
+void ForEachCsvRow(const std::string& path, Fn&& fn) {
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  std::getline(in, line);  // version line
+  std::getline(in, line);  // column header
+  RunRecord r;
+  while (std::getline(in, line)) {
+    const std::vector<std::string> cells = Split(line, ',');
+    ParseOutcome(cells[1], &r.outcome);
+    ParseU64(cells[24], &r.inject_pc);
+    guest::ParseInstrClass(cells[25], &r.inject_class);
+    r.injector = cells[27];
+    fn(r);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,30 +145,8 @@ int main(int argc, char** argv) {
   const std::string csv_path = work + "/records.csv";
   const std::string ctr_path = work + "/records.ctr";
 
-  // ---- write both formats, streaming record-at-a-time -----------------------
+  // ---- the store, written as a campaign writes it; the CSV, exported -------
   double csv_write_s, ctr_write_s;
-  {
-    Rng rng(2026);
-    std::vector<RunRecord> batch;  // CSV writer takes a vector; chunk it so
-    batch.reserve(4096);           // memory stays bounded at any n.
-    std::ofstream out(csv_path, std::ios::binary);
-    std::string header;
-    campaign::AppendRecordsCsvHeader(&header, campaign::kRecordsCsvVersion);
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    csv_write_s = bench::TimeSecs([&] {
-      std::string buf;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        campaign::AppendRecordsCsvRow(&buf, SyntheticRecord(rng, i),
-                                      campaign::kRecordsCsvVersion);
-        if (buf.size() >= (1u << 16)) {
-          out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-          buf.clear();
-        }
-      }
-      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-      out.flush();
-    });
-  }
   {
     Rng rng(2026);
     store::CtrStoreInfo identity;
@@ -159,6 +160,10 @@ int main(int argc, char** argv) {
       writer.Finish();
     });
   }
+  csv_write_s = bench::TimeSecs([&] {
+    std::ofstream out(csv_path, std::ios::binary);
+    store::ExportCsv(ctr_path, out);
+  });
   const auto csv_bytes = static_cast<std::uint64_t>(fs::file_size(csv_path));
   const std::uint64_t ctr_bytes = DirBytes(ctr_path);
   const double size_ratio =
@@ -167,13 +172,10 @@ int main(int argc, char** argv) {
   // ---- summarize: the outcome tally behind `chaser_analyze summarize` -------
   Tally csv_sum, ctr_sum;
   const double csv_sum_s = bench::TimeSecs([&] {
-    std::ifstream in(csv_path, std::ios::binary);
-    campaign::RecordsCsvReader reader(in);
-    RunRecord r;
-    while (reader.Next(&r)) {
+    ForEachCsvRow(csv_path, [&](const RunRecord& r) {
       ++csv_sum.records;
       ++csv_sum.outcomes[r.outcome];
-    }
+    });
   });
   const double ctr_sum_s = bench::TimeSecs([&] {
     store::CtrStoreScanner scanner(
@@ -197,16 +199,13 @@ int main(int argc, char** argv) {
   std::map<std::string, std::uint64_t> csv_groups;
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> csv_sites;
   const double csv_q_s = bench::TimeSecs([&] {
-    std::ifstream in(csv_path, std::ios::binary);
-    campaign::RecordsCsvReader reader(in);
-    RunRecord r;
-    while (reader.Next(&r)) {
+    ForEachCsvRow(csv_path, [&](const RunRecord& r) {
       ++csv_q.records;
-      if (!store::MatchesFilter(filter, r)) continue;
+      if (!store::MatchesFilter(filter, r)) return;
       ++csv_q.matched;
       csv_groups[r.injector.empty() ? "(default)" : r.injector]++;
       csv_sites[{r.inject_pc, static_cast<std::uint64_t>(r.inject_class)}]++;
-    }
+    });
   });
   store::QueryResult ctr_q;
   const double ctr_q_s = bench::TimeSecs([&] {
@@ -218,7 +217,20 @@ int main(int argc, char** argv) {
   });
   const double query_speedup = csv_q_s / ctr_q_s;
 
-  // ---- self-checks ----------------------------------------------------------
+  // ---- self-checks: both formats against the generated records -----------
+  Tally truth;
+  std::map<std::string, std::uint64_t> truth_groups;
+  {
+    Rng rng(2026);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const RunRecord r = SyntheticRecord(rng, i);
+      ++truth.records;
+      ++truth.outcomes[r.outcome];
+      if (!store::MatchesFilter(filter, r)) continue;
+      ++truth.matched;
+      truth_groups[r.injector.empty() ? "(default)" : r.injector]++;
+    }
+  }
   bool pass = true;
   auto check = [&](bool ok, const char* what) {
     if (!ok) {
@@ -228,16 +240,19 @@ int main(int argc, char** argv) {
   };
   check(csv_sum.records == n && ctr_sum.records == n,
         "both paths saw every record");
-  check(csv_sum.outcomes.values == ctr_sum.outcomes.values,
-        "outcome tallies identical across formats");
-  check(ctr_q.matched == csv_q.matched && ctr_q.scanned == n,
-        "query matched the CSV-side filter count");
-  check(ctr_q.groups.size() == csv_groups.size(),
-        "group-by buckets identical across formats");
+  check(csv_sum.outcomes.values == truth.outcomes.values &&
+            ctr_sum.outcomes.values == truth.outcomes.values,
+        "outcome tallies identical to the generated records");
+  check(ctr_q.matched == truth.matched && csv_q.matched == truth.matched &&
+            ctr_q.scanned == n,
+        "query matched the generated records' filter count");
+  check(ctr_q.groups.size() == truth_groups.size() &&
+            csv_groups == truth_groups,
+        "group-by buckets identical to the generated records");
   for (const auto& [label, agg] : ctr_q.groups) {
-    const auto it = csv_groups.find(label);
-    check(it != csv_groups.end() && it->second == agg.trials,
-          "per-group trial counts identical across formats");
+    const auto it = truth_groups.find(label);
+    check(it != truth_groups.end() && it->second == agg.trials,
+          "per-group trial counts identical to the generated records");
   }
   check(ctr_q.top_sites.size() == std::min<std::size_t>(10, csv_sites.size()),
         "top-k site count matches the CSV-side site map");

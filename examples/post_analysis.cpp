@@ -1,45 +1,52 @@
 // Offline post-analysis workflow (how Figs. 7-9 are produced): run a traced
-// campaign, export the per-run records and one case's propagation log to
-// CSV, load the CSV back and compute the distribution statistics — then
-// replay the most active case into a trace spool and build the propagation
-// graph from it (the chaser_analyze pipeline, in-process).
+// campaign that logs its per-run records to a CTR store as trials commit,
+// export one case's propagation log to CSV, read the store back and compute
+// the distribution statistics — then replay the most active case into a
+// trace spool and build the propagation graph from it (the chaser_analyze
+// pipeline, in-process).
 //
 //   $ ./examples/post_analysis [runs]
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "analysis/propagation.h"
 #include "analysis/spool.h"
 #include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/report.h"
+#include "store/ctr.h"
 
 using namespace chaser;
 
 int main(int argc, char** argv) {
   const std::uint64_t runs = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 40;
 
-  // 1. A traced CLAMR campaign (faults on all ranks, like SIV-C).
+  // 1. A traced CLAMR campaign (faults on all ranks, like SIV-C) whose
+  //    run records stream into a CTR store as trials commit.
   apps::AppSpec spec =
       apps::BuildClamr({.global_rows = 16, .cols = 16, .steps = 15, .ranks = 4});
   campaign::CampaignConfig config;
   config.runs = runs;
   config.seed = 2973;  // the paper's SIV-C campaign size, as a nod
   config.inject_ranks = {0, 1, 2, 3};
+  const char* records_path = "/tmp/chaser_runs.ctr";
+  store::CtrStoreInfo identity;
+  identity.campaign_seed = config.seed;
+  identity.app = "clamr";
+  store::CtrStoreWriter writer(records_path, identity);
+  config.record_sink = [&writer](const campaign::RunRecord& rec) {
+    writer.Add(rec);
+  };
   campaign::Campaign c(std::move(spec), config);
   const campaign::CampaignResult result = c.Run();
   std::printf("%s\n", result.Render("clamr campaign").c_str());
 
-  // 2. Export the run records.
-  const char* records_path = "/tmp/chaser_runs.csv";
-  {
-    std::ofstream out(records_path);
-    campaign::WriteRecordsCsv(result.records, out);
-  }
-  std::printf("wrote %zu run records to %s\n", result.records.size(), records_path);
+  // 2. Seal the store.
+  writer.Finish();
+  std::printf("wrote %llu run records to %s\n",
+              static_cast<unsigned long long>(writer.added()), records_path);
 
   // 3. Re-execute the run with the most tainted writes and export its
   //    propagation trace + tainted-bytes timeline.
@@ -64,9 +71,11 @@ int main(int argc, char** argv) {
                 campaign::OutcomeName(replay.outcome));
   }
 
-  // 4. Offline pass: load the CSV back and compute the Fig. 8/9 statistics.
-  std::ifstream in(records_path);
-  const std::vector<campaign::RunRecord> loaded = campaign::ReadRecordsCsv(in);
+  // 4. Offline pass: read the store back and compute the Fig. 8/9
+  //    statistics.
+  std::vector<campaign::RunRecord> loaded;
+  store::CtrStoreScanner scanner(records_path);
+  for (campaign::RunRecord rec; scanner.Next(&rec);) loaded.push_back(rec);
   const campaign::PropagationStats stats = campaign::AnalyzePropagation(loaded);
   std::printf(
       "\noffline analysis of %llu runs:\n"

@@ -374,15 +374,7 @@ std::shared_ptr<const GoldenCheckpoint> TrialEngine::CaptureJob(
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
     ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
   }
-  // Every hub operation bumps a stats counter, so equal stats mean an
-  // unchanged hub, and zero stats the clear every job start performs.
-  const hub::TaintHub* hub = chaser_->local_hub();
-  if (hub != nullptr && !(hub->stats() == hub::HubStats{})) {
-    ck->hub = prev != nullptr && prev->hub != nullptr &&
-                      prev->hub->stats() == hub->stats()
-                  ? prev->hub
-                  : std::make_shared<const hub::TaintHub>(*hub);
-  }
+  if (const hub::TaintHub* hub = chaser_->local_hub()) ck->hub = hub->Capture();
   return ck;
 }
 
@@ -578,7 +570,7 @@ void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
     chaser_->rank_chaser(r).Restore(ck->chasers[static_cast<std::size_t>(r)]);
   }
-  if (ck->hub != nullptr) *chaser_->local_hub() = *ck->hub;
+  if (hub::TaintHub* hub = chaser_->local_hub()) hub->Restore(ck->hub);
   if (ck->cluster.round.retired > 0) {
     restored_trials_.Inc();
     restored_instructions_.Inc(ck->cluster.round.retired);

@@ -299,14 +299,12 @@ inline constexpr std::size_t kMaxCheckpoints = 64;
 /// One golden-prefix checkpoint: the whole job at a TB boundary of the
 /// golden run, as a trial whose trigger has not fired yet has it — the
 /// cluster (every rank VM, the MPI runtime, the round in progress), each
-/// rank's Chaser, and the in-process TaintHub.
+/// rank's Chaser, and the in-process TaintHub's clock and stats (zero at
+/// checkpoint 0 and with a remote hub).
 struct GoldenCheckpoint {
   mpi::ClusterCheckpoint cluster;
   std::vector<core::Chaser::Checkpoint> chasers;  // by rank
-  /// Null while the hub is the clear every job start performs (always at
-  /// checkpoint 0); otherwise shared with the previous checkpoint while the
-  /// hub is unchanged.
-  std::shared_ptr<const hub::TaintHub> hub;
+  hub::TaintHub::Checkpoint hub;
 };
 
 /// The golden-prefix checkpoints past checkpoint 0, which trials capture

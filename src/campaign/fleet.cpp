@@ -1,8 +1,5 @@
 #include "campaign/fleet.h"
 
-#include <algorithm>
-#include <memory>
-
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -78,49 +75,6 @@ CampaignResult MergeShardStreams(
     committer.Offer(t, std::move(rec));
   }
   return committer.Finish();
-}
-
-std::vector<RecordStream> ShardStreamsByFirstSeed(
-    const MergePlan& plan, std::vector<std::vector<RunRecord>> shards) {
-  const std::vector<std::uint64_t> seeds =
-      Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
-  const std::size_t n_shards = shards.size();
-  std::vector<RecordStream> streams(n_shards);
-  const auto stream_of = [](std::vector<RunRecord> records) {
-    return [records = std::make_shared<std::vector<RunRecord>>(
-                std::move(records)),
-            next = std::size_t{0}](RunRecord* out) mutable {
-      if (next == records->size()) return false;
-      *out = (*records)[next++];
-      return true;
-    };
-  };
-  for (std::size_t k = 0; k < n_shards; ++k) {
-    if (shards[k].empty()) continue;
-    const std::uint64_t first = shards[k].front().run_seed;
-    const auto it = std::find(seeds.begin(), seeds.end(), first);
-    if (it == seeds.end()) {
-      throw ConfigError(StrFormat(
-          "merge: input %zu starts with trial seed %llu, which is not one of "
-          "the plan's %llu trials",
-          k + 1, static_cast<unsigned long long>(first),
-          static_cast<unsigned long long>(plan.runs)));
-    }
-    const std::size_t shard =
-        static_cast<std::size_t>(it - seeds.begin()) % n_shards;
-    if (streams[shard]) {
-      throw ConfigError(StrFormat(
-          "merge: input %zu claims shard %zu, which an earlier input holds — "
-          "a records file was passed twice",
-          k + 1, shard));
-    }
-    streams[shard] = stream_of(std::move(shards[k]));
-  }
-  // The shards no input claimed are the empty inputs' — one each.
-  for (RecordStream& stream : streams) {
-    if (!stream) stream = [](RunRecord*) { return false; };
-  }
-  return streams;
 }
 
 namespace {

@@ -61,15 +61,6 @@ CampaignResult MergeShardStreams(
     const MergePlan& plan, std::vector<RecordStream> streams,
     const std::function<void(const RunRecord&)>& sink = nullptr);
 
-/// Streams over record sets that do not say which shard wrote them (records
-/// CSVs), for MergeShardStreams: each set becomes the stream of the shard
-/// its first run_seed belongs to, that trial's global index modulo the
-/// number of sets; empty sets fill the shards left over. Throws ConfigError
-/// when two sets claim one shard (a file passed twice) or a set's first seed
-/// is not one of the plan's trials.
-std::vector<RecordStream> ShardStreamsByFirstSeed(
-    const MergePlan& plan, std::vector<std::vector<RunRecord>> shards);
-
 // ---------------------------------------------------------------------------
 // Fleet observability: shard status parsing and the live rollup.
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-// Campaign post-analysis: CSV export and offline statistics.
+// Campaign post-analysis: the records CSV export and offline statistics.
 //
 // The paper's workflow logs fault-propagation data during the runs and
-// analyses it afterwards (Figs. 7-9 are produced from those logs). This
-// module serialises campaign results to CSV, parses them back, and computes
-// the distribution statistics the paper reports.
+// analyses it afterwards (Figs. 7-9 are produced from those logs). The
+// durable log is the CTR store (store/ctr.h); this module formats records as
+// the CSV the store exports (chaser_analyze export-csv) and computes the
+// distribution statistics the paper reports.
 #pragma once
 
 #include <iosfwd>
@@ -15,35 +16,37 @@
 
 namespace chaser::campaign {
 
-/// Version of the records-CSV format this build writes (the
-/// `#chaser-records-csv vN` lead line). The one shared constant behind the
-/// writer, the reader's too-new ceiling, report_test's expectations, and
-/// tools/bench_to_json.sh (which greps this line to stamp its JSON) — bump
-/// it here and every consumer follows.
+/// The newest records-CSV format this build writes (the
+/// `#chaser-records-csv vN` lead line): the version RecordsCsvVersionFor
+/// gives a custom-injector campaign. report_test and tools/bench_to_json.sh
+/// (which greps this line to stamp its JSON) read it; bump it with the
+/// writer.
 inline constexpr unsigned kRecordsCsvVersion = 6;
 
 /// Write one row per run: seed, outcome, termination detail, injection site,
-/// propagation counters. Uniform campaigns emit format v4 — byte-identical
-/// to what this tool has always written — while sampled campaigns (`policy`
-/// != kUniform) emit v5, which appends the inject_pc/inject_class/
-/// sample_weight columns those campaigns populate. Campaigns run with a
-/// non-default `--injector` (detected by any record carrying an injector
-/// name) emit v6, which further appends injector/fault_class — and always
-/// includes the sampling columns so v6 has one fixed layout. Either way the
-/// file leads with a `#chaser-records-csv vN` version line, then the column
-/// header, then the rows. `infra_error` cells are sanitized (',' and
-/// newlines become spaces) so rows stay one line wide.
+/// propagation counters. Uniform campaigns emit format v4 (24 columns) —
+/// byte-identical to what this tool has always written — while sampled
+/// campaigns (`policy` != kUniform) emit v5, which appends the inject_pc/
+/// inject_class/sample_weight columns those campaigns populate. Campaigns
+/// run with a non-default `--injector` (detected by any record carrying an
+/// injector name) emit v6, which further appends injector/fault_class — and
+/// always includes the sampling columns so v6 has one fixed layout. Either
+/// way the file leads with a `#chaser-records-csv vN` version line, then the
+/// column header, then the rows. `infra_error`, `injector` and `fault_class`
+/// cells are sanitized (',' and newlines become spaces) so rows stay one
+/// line wide. This is the reference the CTR store's export-csv is tested
+/// against.
 void WriteRecordsCsv(const std::vector<RunRecord>& records, std::ostream& out,
                      SamplePolicy policy = SamplePolicy::kUniform);
 
 /// The version WriteRecordsCsv picks for a record set: v6 when any record
 /// carries an injector name, else v5 for sampled policies, else v4. The CTR
 /// store's export-csv path shares this rule so its output is byte-identical
-/// to the native CSV of the same campaign.
+/// to WriteRecordsCsv's for the same records.
 unsigned RecordsCsvVersionFor(bool any_injector, SamplePolicy policy);
 
 /// Append the `#chaser-records-csv vN` version line plus the column header
-/// for `version` (4..kRecordsCsvVersion) to `*out`.
+/// for `version` (4, 5 or 6) to `*out`.
 void AppendRecordsCsvHeader(std::string* out, unsigned version);
 
 /// Append one record row (newline included) in the `version` layout. This is
@@ -53,48 +56,6 @@ void AppendRecordsCsvHeader(std::string* out, unsigned version);
 /// state churn.
 void AppendRecordsCsvRow(std::string* out, const RunRecord& r,
                          unsigned version);
-
-/// Streaming (line-at-a-time) reader over a records CSV: parses the
-/// version/header eagerly, then decodes one row per Next() call without ever
-/// materializing the whole file. ReadRecordsCsv is this reader plus a
-/// vector; chaser_analyze summarize streams through it directly so shard
-/// CSVs from million-trial campaigns aggregate in constant memory.
-class RecordsCsvReader {
- public:
-  /// Reads and validates the header lines; throws ConfigError on an
-  /// unknown/too-new header. `in` is borrowed and must outlive the reader.
-  explicit RecordsCsvReader(std::istream& in);
-
-  /// Decode the next row into `*out` (fields the version predates get their
-  /// defaults). Returns false at end of input; throws ConfigError on a
-  /// malformed row.
-  bool Next(RunRecord* out);
-
-  unsigned version() const { return version_; }
-  std::uint64_t rows() const { return rows_; }
-
- private:
-  std::istream& in_;
-  unsigned version_ = 0;
-  std::size_t fields_ = 0;
-  std::uint64_t rows_ = 0;
-  std::string line_;
-};
-
-/// Parse a CSV produced by WriteRecordsCsv — any version this build knows:
-///   v1  bare 17-column header (pre trace_dropped)
-///   v2  bare 18-column header (adds trace_dropped)
-///   v3  version line + 21 columns (adds taint_lost, retries, infra_error)
-///   v4  version line + 24 columns (adds tb_chain_hits, tlb_hits, tlb_misses)
-///   v5  version line + 27 columns (adds inject_pc, inject_class,
-///       sample_weight — written only by sampled campaigns)
-///   v6  version line + 29 columns (adds injector, fault_class — written
-///       only by campaigns with a non-default --injector)
-/// Fields a version predates default to zero/empty (sample_weight to 1).
-/// A version line newer than kRecordsCsvVersion is rejected as "too new".
-/// Throws ConfigError on malformed input (unknown header/version, bad field
-/// counts, bad cells).
-std::vector<RunRecord> ReadRecordsCsv(std::istream& in);
 
 /// Write a tainted-bytes timeline (Fig. 7 series) as CSV.
 void WriteTimelineCsv(const std::vector<core::TaintSample>& samples,

@@ -7,13 +7,21 @@
 // the old contents or the complete new contents, never a prefix.
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace chaser {
 
-/// Write `content` to `path` atomically: the bytes go to `<path>.tmp`, are
-/// flushed and fsync'd, and the temp file is renamed over `path`. Throws
-/// ConfigError if any step fails (the temp file is removed on failure).
+/// Write the bytes `write` streams into its ostream to `path` atomically:
+/// they go to `<path>.tmp`, are flushed and fsync'd, and the temp file is
+/// renamed over `path`. Throws ConfigError if any step fails and rethrows
+/// whatever `write` throws; either way the temp file is removed and `path`
+/// keeps its old contents.
+void WriteFileAtomic(const std::string& path,
+                     const std::function<void(std::ostream&)>& write);
+
+/// WriteFileAtomic of a string held whole in memory.
 void WriteFileAtomic(const std::string& path, const std::string& content);
 
 /// Read the whole file at `path` into a string. Throws ConfigError when the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.h"
 #include "obs/metrics.h"
 
 namespace chaser::hub {
@@ -125,6 +126,21 @@ void TaintHub::Clear() {
   // deterministic degradation, which keeps serial == parallel bit-identity.
   clock_ = 0;
   fault_rng_.Reseed(fault_model_.seed);
+}
+
+TaintHub::Checkpoint TaintHub::Capture() const {
+  // Pending records, logged transfers and drawn drop decisions all start
+  // with a publish.
+  if (stats_.publishes != 0) {
+    throw ConfigError(
+        "TaintHub::Capture: a message was published since the last Clear");
+  }
+  return {clock_, stats_};
+}
+
+void TaintHub::Restore(const Checkpoint& ck) {
+  clock_ = ck.clock;
+  stats_ = ck.stats;
 }
 
 }  // namespace chaser::hub

@@ -244,6 +244,22 @@ class TaintHub : public HubService {
 
   void Clear() override;
 
+  /// What a clean job prefix leaves in the hub. Such a prefix publishes
+  /// nothing (the send hook returns before Publish for a clean message), so
+  /// pending records, the transfer log, the hub_seq counter and the drop
+  /// tape keep their Clear() state; only polls ran.
+  struct Checkpoint {
+    std::uint64_t clock = 0;
+    HubStats stats;
+  };
+  /// Throws ConfigError if anything was published since the last Clear(),
+  /// so a record may be pending or a transfer logged: that hub is not one
+  /// a clean prefix leaves.
+  Checkpoint Capture() const;
+  /// Onto a hub in its Clear() state (a job start's): set the captured
+  /// clock and stats.
+  void Restore(const Checkpoint& ck);
+
  private:
   /// A published record plus the hub clock at which it becomes pollable.
   struct Pending {

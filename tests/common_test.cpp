@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <random>
 #include <set>
 #include <vector>
@@ -159,6 +160,27 @@ TEST(FileIo, ReadFileToStringRoundTrips) {
   EXPECT_EQ(ReadFileToString(path), payload);
   std::filesystem::remove(path);
   EXPECT_THROW(ReadFileToString(path), ConfigError);
+}
+
+TEST(FileIo, StreamedWriteIsAtomic) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "chaser_common_test_atomic.csv")
+          .string();
+  WriteFileAtomic(path,
+                  [](std::ostream& out) { out << "a,b\n" << 12 << '\n'; });
+  EXPECT_EQ(ReadFileToString(path), "a,b\n12\n");
+
+  // A writer that throws midway leaves neither its temp file nor a changed
+  // destination behind, and its exception reaches the caller.
+  EXPECT_THROW(WriteFileAtomic(path,
+                               [](std::ostream& out) {
+                                 out << "partial";
+                                 throw ConfigError("writer failed");
+                               }),
+               ConfigError);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(ReadFileToString(path), "a,b\n12\n");
+  std::filesystem::remove(path);
 }
 
 TEST(Bits, FlipBit) {

@@ -1,14 +1,15 @@
 // Tests for src/campaign/fleet and the sharded-campaign machinery: the
 // shard partition must be disjoint and complete, the merge must reproduce an
 // unsharded run byte for byte (uniform, sampled, and early-stopped plans,
-// straight from memory or round-tripped through the records CSV, whatever
-// order the shards' records come in), a campaign over a loopback
-// RemoteTaintHub must match the in-process hub exactly, and the fleet rollup
-// must count every outcome. (A shard's store refusing another shard spec is
-// store_test's CtrStore.IdentityMismatchRefusesResume.)
+// straight from memory or streamed from per-shard CTR stores), a campaign
+// over a loopback RemoteTaintHub must match the in-process hub exactly, and
+// the fleet rollup must count every outcome. (A shard's store refusing
+// another shard spec is store_test's CtrStore.IdentityMismatchRefusesResume.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/error.h"
 #include "guest/builder.h"
 #include "hub/remote/server.h"
+#include "store/ctr.h"
 
 namespace chaser::campaign {
 namespace {
@@ -107,22 +109,29 @@ std::string RenderPlusCsv(const CampaignResult& result, SamplePolicy policy) {
   return out.str();
 }
 
-/// Merge per-shard record sets the way chaser_fleet merges records CSVs.
+/// Merge per-shard record sets held in memory: `sets[i]` is shard i's.
 CampaignResult MergeRecordSets(const MergePlan& plan,
                                std::vector<std::vector<RunRecord>> sets) {
-  return MergeShardStreams(plan, ShardStreamsByFirstSeed(plan, std::move(sets)));
+  std::vector<RecordStream> streams;
+  for (std::vector<RunRecord>& set : sets) {
+    streams.push_back([records = std::move(set),
+                       next = std::size_t{0}](RunRecord* out) mutable {
+      if (next == records.size()) return false;
+      *out = records[next++];
+      return true;
+    });
+  }
+  return MergeShardStreams(plan, std::move(streams));
 }
 
 /// Run the plan unsharded, then as `shards` shard workers, merge, and
-/// compare every byte of report + CSV. The shards' record sets are handed
-/// over last shard first: each is placed by its first trial, not its
-/// position.
+/// compare every byte of report + CSV.
 void ExpectMergeMatchesUnsharded(CampaignConfig config, std::uint64_t shards) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
   std::vector<std::vector<RunRecord>> shard_records;
-  for (std::uint64_t s = shards; s-- > 0;) {
+  for (std::uint64_t s = 0; s < shards; ++s) {
     CampaignConfig shard_config = config;
     shard_config.shard_index = s;
     shard_config.shard_count = shards;
@@ -176,7 +185,9 @@ TEST(FleetMergeTest, ShardWorkersNeverStopEarlyThemselves) {
   EXPECT_FALSE(partial.stopped_early);
 }
 
-TEST(FleetMergeTest, MergeSurvivesTheCsvRoundTrip) {
+TEST(FleetMergeTest, MergeSurvivesPerShardStores) {
+  // Each shard worker writes its records into its own CTR store as they
+  // commit, and the merge streams them back out, as chaser_fleet does.
   CampaignConfig config;
   config.runs = 60;
   config.seed = 9;
@@ -184,44 +195,61 @@ TEST(FleetMergeTest, MergeSurvivesTheCsvRoundTrip) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
-  std::vector<std::vector<RunRecord>> merged_input;
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "chaser_fleet_test_stores")
+          .string();
+  std::filesystem::remove_all(root);
+  std::vector<std::unique_ptr<store::CtrStoreScanner>> scanners;
+  std::vector<RecordStream> streams;
   for (std::uint64_t s = 0; s < 2; ++s) {
-    CampaignConfig shard_config = config;
-    shard_config.shard_index = s;
-    shard_config.shard_count = 2;
-    Campaign worker(AccumulatorApp(), shard_config);
-    const CampaignResult partial = worker.Run();
-    // Round-trip this shard's records through the CSV codec, as
-    // chaser_fleet does with the workers' --out files.
-    std::stringstream csv;
-    WriteRecordsCsv(partial.records, csv, config.sample_policy);
-    merged_input.push_back(ReadRecordsCsv(csv));
+    const std::string dir = root + "/shard-" + std::to_string(s) + ".ctr";
+    store::CtrStoreInfo identity;
+    identity.campaign_seed = config.seed;
+    identity.app = "accum";
+    identity.sample_policy = config.sample_policy;
+    identity.shard_index = s;
+    identity.shard_count = 2;
+    {
+      store::CtrStoreWriter writer(dir, identity);
+      CampaignConfig shard_config = config;
+      shard_config.shard_index = s;
+      shard_config.shard_count = 2;
+      shard_config.record_sink = [&](const RunRecord& r) { writer.Add(r); };
+      Campaign(AccumulatorApp(), shard_config).Run();
+      writer.Finish();
+    }
+    scanners.push_back(std::make_unique<store::CtrStoreScanner>(dir));
+    streams.push_back([scanner = scanners.back().get()](RunRecord* out) {
+      return scanner->Next(out);
+    });
   }
   MergePlan plan;
   plan.app = "accum";
   plan.runs = config.runs;
   plan.seed = config.seed;
   plan.sample_policy = config.sample_policy;
-  const CampaignResult merged = MergeRecordSets(plan, std::move(merged_input));
+  const CampaignResult merged = MergeShardStreams(plan, std::move(streams));
   EXPECT_EQ(RenderPlusCsv(merged, config.sample_policy),
             RenderPlusCsv(expected, config.sample_policy))
-      << "the %.17g sample_weight round-trip must keep estimator floats exact";
+      << "the stored sample_weight must keep estimator floats exact";
+  scanners.clear();
+  std::filesystem::remove_all(root);
 }
 
-TEST(FleetMergeTest, ShardsWithoutTrialsMergeFromEmptyInputs) {
-  // Three shards over two trials: shard 2 owns none, so its records file is
-  // empty — handed over first, it still lands on the shard left over.
+TEST(FleetMergeTest, ShardsWithoutTrialsMergeFromEmptyStreams) {
+  // Three shards over two trials: shard 2 owns none, so its stream is empty.
   CampaignConfig config;
   config.runs = 2;
   config.seed = 4;
   const CampaignResult expected = Campaign(AccumulatorApp(), config).Run();
-  std::vector<std::vector<RunRecord>> sets(1);
-  for (std::uint64_t s = 0; s < 2; ++s) {
+  std::vector<std::vector<RunRecord>> sets;
+  for (std::uint64_t s = 0; s < 3; ++s) {
     CampaignConfig shard_config = config;
     shard_config.shard_index = s;
     shard_config.shard_count = 3;
     sets.push_back(Campaign(AccumulatorApp(), shard_config).Run().records);
   }
+  ASSERT_TRUE(sets[2].empty());
   MergePlan plan;
   plan.app = "accum";
   plan.runs = config.runs;
@@ -231,7 +259,7 @@ TEST(FleetMergeTest, ShardsWithoutTrialsMergeFromEmptyInputs) {
             RenderPlusCsv(expected, config.sample_policy));
 }
 
-TEST(FleetMergeTest, DuplicateAndTruncatedShardsAreConfigErrors) {
+TEST(FleetMergeTest, ForeignAndTruncatedShardsAreConfigErrors) {
   CampaignConfig config;
   config.runs = 10;
   config.seed = 3;
@@ -242,19 +270,25 @@ TEST(FleetMergeTest, DuplicateAndTruncatedShardsAreConfigErrors) {
   plan.runs = config.runs;
   plan.seed = config.seed;
 
-  // A records file passed twice: both copies claim shard 0.
-  EXPECT_THROW(ShardStreamsByFirstSeed(plan, {result.records, result.records}),
-               ConfigError);
-
   // A truncated shard: its stream runs dry before the plan's last trial.
   std::vector<RunRecord> partial(result.records.begin(),
                                  result.records.end() - 1);
   EXPECT_THROW(MergeRecordSets(plan, {partial}), ConfigError);
 
-  // A first seed that is not one of the plan's trials.
+  // A seed that is not the plan's trial at that position.
   std::vector<RunRecord> foreign = result.records;
   foreign.front().run_seed ^= 1;
-  EXPECT_THROW(ShardStreamsByFirstSeed(plan, {foreign}), ConfigError);
+  EXPECT_THROW(MergeRecordSets(plan, {foreign}), ConfigError);
+
+  // Two shards handed over in the wrong order.
+  CampaignConfig shard_config = config;
+  shard_config.shard_count = 2;
+  std::vector<std::vector<RunRecord>> swapped(2);
+  for (std::uint64_t s = 0; s < 2; ++s) {
+    shard_config.shard_index = s;
+    swapped[1 - s] = Campaign(AccumulatorApp(), shard_config).Run().records;
+  }
+  EXPECT_THROW(MergeRecordSets(plan, std::move(swapped)), ConfigError);
 }
 
 // ---- campaign over a loopback remote hub ------------------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.h"
 #include "core/chaser_mpi.h"
 #include "core/corrupt.h"
 #include "guest/builder.h"
@@ -247,6 +248,43 @@ TEST(TaintHubFault, LegacyPollTreatsUnavailableAsMiss) {
   rec.byte_masks = {0xff};
   hub.Publish(rec);
   EXPECT_FALSE(hub.Poll({0, 1, 7, 0}).has_value());
+}
+
+// ---- Golden-prefix checkpoints ----------------------------------------------
+
+TEST(TaintHubFault, RestoredCaptureKeepsTheClockInsideAnOutage) {
+  // A clean prefix only polls, here partly inside an outage window. A hub
+  // restored from its capture after a job start's Clear() has the captured
+  // clock and stats, so its next poll lands where the captured hub's does.
+  const HubFaultModel model{.outage_start = 2, .outage_end = 6};
+  TaintHub hub;
+  hub.SetFaultModel(model);
+  for (std::uint64_t i = 0; i < 3; ++i) hub.TryPoll({0, 1, 7, i}, {});
+  hub.AbandonPoll({0, 1, 7, 2});
+  const TaintHub::Checkpoint ck = hub.Capture();
+
+  TaintHub restored;
+  restored.SetFaultModel(model);
+  restored.Clear();
+  restored.Restore(ck);
+  EXPECT_EQ(restored.clock(), 3u);
+  EXPECT_EQ(restored.clock(), hub.clock());
+  EXPECT_TRUE(restored.stats() == hub.stats());
+  EXPECT_EQ(restored.stats().unavailable_polls, 2u);
+  const PollStatus next = restored.TryPoll({0, 1, 7, 3}, {}).status;
+  EXPECT_EQ(next, PollStatus::kUnavailable);
+  EXPECT_EQ(next, hub.TryPoll({0, 1, 7, 3}, {}).status);
+}
+
+TEST(TaintHub, CaptureRefusesAHubThatHoldsARecord) {
+  TaintHub hub;
+  MessageTaintRecord rec;
+  rec.id = {0, 1, 7, 0};
+  rec.byte_masks = {0xff};
+  hub.Publish(rec);
+  EXPECT_THROW(hub.Capture(), ConfigError);
+  hub.Clear();
+  EXPECT_NO_THROW(hub.Capture());
 }
 
 TEST(TaintHub, AnyTaintedHelper) {

@@ -476,23 +476,33 @@ TEST(InjectorCampaign, EveryFamilyRunsDeterministically) {
   }
 }
 
-TEST(InjectorCampaign, CsvV6RoundTripsInjectorColumns) {
+TEST(InjectorCampaign, StoreKeepsACampaignsInjectorColumns) {
+  // A custom-injector campaign stamps its identity on every record, and
+  // the CTR store it commits into hands it back.
+  const std::string path = TempPath("iskip_store");
   campaign::CampaignConfig config;
   config.runs = 4;
   config.seed = 17;
   config.injector = core::ParseInjectorSpec("iskip");
+  store::CtrStoreInfo identity;
+  identity.campaign_seed = config.seed;
+  identity.app = "accum";
+  store::CtrStoreWriter writer(path, identity);
+  config.record_sink = [&](const campaign::RunRecord& r) { writer.Add(r); };
   campaign::Campaign c(AccumulatorApp(30), config);
   const campaign::CampaignResult result = c.Run();
-  std::stringstream csv;
-  campaign::WriteRecordsCsv(result.records, csv);
-  const std::vector<campaign::RunRecord> back =
-      campaign::ReadRecordsCsv(csv);
-  ASSERT_EQ(back.size(), result.records.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].injector, "iskip");
-    EXPECT_EQ(back[i].fault_class, "instruction-skip");
-    EXPECT_EQ(back[i].outcome, result.records[i].outcome);
+  writer.Finish();
+  store::CtrStoreScanner scanner(path);
+  campaign::RunRecord back;
+  std::size_t i = 0;
+  for (; scanner.Next(&back); ++i) {
+    ASSERT_LT(i, result.records.size());
+    EXPECT_EQ(back.injector, "iskip");
+    EXPECT_EQ(back.fault_class, "instruction-skip");
+    EXPECT_EQ(back.outcome, result.records[i].outcome);
   }
+  EXPECT_EQ(i, result.records.size());
+  fs::remove_all(path);
 }
 
 TEST(InjectorCampaign, StoreRoundTripsInjectorIdentityAndCrash) {

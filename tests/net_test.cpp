@@ -576,9 +576,9 @@ TEST_F(ServerTest, ATouchingCampaignTrialPaysOneClearAndOneStatsRead) {
 }
 
 // Every hub configuration's golden profile holds checkpoint 0, which has
-// retired nothing and holds no hub copy (its hub is the clear every job
-// start performs), so remote-hub and per-trial-fault trials start from it
-// too. Only the in-process hub with the campaign-wide model gives trials
+// retired nothing and whose hub clock and stats are zero (the clear every
+// job start performs), so remote-hub and per-trial-fault trials start from
+// it too. Only the in-process hub with the campaign-wide model gives trials
 // slots to capture later checkpoints into.
 TEST_F(ServerTest, EveryHubConfigurationsGoldenProfileHoldsCheckpointZero) {
   const apps::AppSpec spec = apps::BuildMatvec({});
@@ -595,7 +595,8 @@ TEST_F(ServerTest, EveryHubConfigurationsGoldenProfileHoldsCheckpointZero) {
     const campaign::GoldenProfile golden = engine.RunGolden();
     ASSERT_NE(golden.start, nullptr);
     EXPECT_EQ(golden.start->cluster.round.retired, 0u);
-    EXPECT_EQ(golden.start->hub, nullptr);
+    EXPECT_EQ(golden.start->hub.clock, 0u);
+    EXPECT_TRUE(golden.start->hub.stats == HubStats{});
     EXPECT_EQ(golden.slots != nullptr, cell == std::string("in-process hub"));
   }
 }

@@ -652,10 +652,11 @@ TEST(GoldenPrefix, UntracedCampaigns) {
   }
 }
 
-// An ambient hub fault model acts in the golden run too: its clock, drop
-// tape and poll accounting are part of the restored hub state.
+// An ambient hub fault model acts in the golden run too: the hub clock and
+// poll accounting a clean prefix leaves are part of the restored state.
+// matvec's clean prefixes never poll the hub; clamr's do, so only the clamr
+// cell sees a checkpoint's hub restored.
 TEST(GoldenPrefix, AmbientHubFault) {
-  const apps::AppSpec spec = apps::BuildMatvec({});
   CampaignConfig config = CheckpointConfig();
   config.runs = 16;
   config.hub_fault.outage_start = 3;
@@ -663,7 +664,11 @@ TEST(GoldenPrefix, AmbientHubFault) {
   config.hub_fault.visibility_delay = 1;
   config.hub_fault.poll_retries = 1;
   config.hub_fault.publish_drop_prob = 0.3;
-  ExpectRestoredMatchesBooted("matvec, ambient hub fault", spec, config);
+  ExpectRestoredMatchesBooted("matvec, ambient hub fault",
+                              apps::BuildMatvec({}), config);
+  config.inject_ranks = {0, 1, 2, 3};
+  ExpectRestoredMatchesBooted("clamr, ambient hub fault", apps::BuildClamr({}),
+                              config);
 }
 
 /// Every file under `dir` (relative path -> bytes).

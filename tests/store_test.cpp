@@ -22,6 +22,7 @@
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "guest/builder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -500,9 +501,8 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
 TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   // Partition records over 3 shards by index % 3 (exactly the fleet
   // partition), write each shard's store, and stream-merge: the result must
-  // render identically to the merge of the same records held in memory (as
-  // records CSVs are, handed over in any order) and to a plain tally of
-  // them, and the sink must see the global seed order.
+  // render identically to the merge of the same records held in memory and
+  // to a plain tally of them, and the sink must see the global seed order.
   const std::uint64_t runs = 30;
   const std::uint64_t seed = 99;
   const std::vector<std::uint64_t> seeds =
@@ -531,9 +531,17 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   tally.runs = runs;
   for (const RunRecord& r : all) tally.Accumulate(r, /*keep_record=*/true);
   std::vector<std::vector<RunRecord>> sets(3);
-  for (std::size_t i = 0; i < all.size(); ++i) sets[2 - i % 3].push_back(all[i]);
-  const campaign::CampaignResult by_records = campaign::MergeShardStreams(
-      plan, campaign::ShardStreamsByFirstSeed(plan, std::move(sets)));
+  for (std::size_t i = 0; i < all.size(); ++i) sets[i % 3].push_back(all[i]);
+  std::vector<campaign::RecordStream> held;
+  for (const std::vector<RunRecord>& set : sets) {
+    held.push_back([&set, next = std::size_t{0}](RunRecord* out) mutable {
+      if (next == set.size()) return false;
+      *out = set[next++];
+      return true;
+    });
+  }
+  const campaign::CampaignResult by_records =
+      campaign::MergeShardStreams(plan, std::move(held));
 
   std::vector<std::unique_ptr<CtrStoreScanner>> scanners;
   std::vector<campaign::RecordStream> streams;
@@ -604,7 +612,7 @@ struct StoreRun {
 };
 
 /// Run `config` on `jobs` workers with its records streaming into the store
-/// at `dir`, as chaser_run --records-format ctr does: with `resume`, the
+/// at `dir`, as chaser_run --out does: with `resume`, the
 /// store is reopened and the records it holds are replayed.
 StoreRun RunIntoStore(const std::string& dir, campaign::CampaignConfig config,
                       unsigned jobs, bool resume) {
@@ -831,12 +839,17 @@ TEST(OutcomeTable, EveryOutcomeReachesEverySurfaceWithItsCount) {
   q.group_by = GroupBy::kOutcome;
   const QueryResult query = RunQuery(dir + "/store", q);
 
-  // The records CSV.
+  // The store's records CSV export: each row's outcome column.
   std::stringstream csv;
-  campaign::WriteRecordsCsv(recs, csv);
+  ExportCsv(dir + "/store", csv);
   OutcomeArray<std::uint64_t> from_csv;
-  for (const RunRecord& r : campaign::ReadRecordsCsv(csv)) {
-    ++from_csv[r.outcome];
+  std::string line;
+  std::getline(csv, line);  // version line
+  std::getline(csv, line);  // column header
+  while (std::getline(csv, line)) {
+    Outcome outcome{};
+    ASSERT_TRUE(ParseOutcome(Split(line, ',')[1], &outcome)) << line;
+    ++from_csv[outcome];
   }
 
   double rate_sum = 0.0;

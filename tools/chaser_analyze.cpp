@@ -1,8 +1,8 @@
 // chaser_analyze — offline propagation analysis over trial trace spools.
 //
 //   chaser_analyze summarize  <spool>            # counts, spread order, transfers
-//   chaser_analyze summarize  <records.csv>...   # outcome rates + Wilson CIs
-//                                                # (several CSVs merge)
+//   chaser_analyze summarize  <store>            # outcome rates + Wilson CIs
+//   chaser_analyze export-csv <store> [--out F]  # the records CSV
 //   chaser_analyze timeline   <spool> [--csv]    # Fig. 7 tainted-bytes curve
 //   chaser_analyze graph-dot  <spool>            # Graphviz DOT of the graph
 //   chaser_analyze root-cause <spool> [--rank R --fd F --offset N]
@@ -12,12 +12,14 @@
 // CampaignConfig::spool_dir, or examples/post_analysis) — or a campaign
 // spool directory holding trial-<seed>/ subdirectories, selected with
 // --trial SEED (defaulting to the only trial if there is exactly one).
-// `summarize` also accepts a records CSV written by chaser_run --out: it
-// then reports the weighted outcome-rate estimates with their 95% Wilson
-// intervals (sample_weight-aware, so sampled campaigns are unbiased).
+// <store> is a CTR trial store (chaser_run --out, chaser_fleet merge --out);
+// `summarize` over one reports the weighted outcome-rate estimates with
+// their 95% Wilson intervals (sample_weight-aware, so sampled campaigns are
+// unbiased).
 // --json switches summarize/timeline/root-cause to JSON; --out FILE writes
 // to a file instead of stdout.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -31,7 +33,6 @@
 #include "analysis/propagation.h"
 #include "analysis/spool.h"
 #include "campaign/fleet.h"
-#include "campaign/report.h"
 #include "campaign/sampling.h"
 #include "common/error.h"
 #include "common/fileio.h"
@@ -53,12 +54,10 @@ void Usage() {
       "\n"
       "subcommands:\n"
       "  summarize    graph/transfer summary, first contamination, spread order;\n"
-      "               given records CSV file(s) instead of a spool dir: outcome\n"
-      "               rates with 95%% Wilson intervals (weight-aware); several\n"
-      "               CSVs — e.g. fleet shard outputs — merge into one estimate\n"
-      "               (overlapping trial seeds are an error); given a CTR store\n"
-      "               (chaser_run --records-format ctr): the same estimates,\n"
-      "               streamed column-wise\n"
+      "               given a CTR store (chaser_run --out) instead of a spool\n"
+      "               dir: outcome rates with 95%% Wilson intervals\n"
+      "               (weight-aware), streamed column-wise; merge shard\n"
+      "               stores with chaser_fleet merge first\n"
       "  query        filter/aggregate a CTR trial store in one streaming pass:\n"
       "               --where outcome=sdc,injector=stuckat equality filters,\n"
       "               --group-by outcome|injector|fault_class|inject_class|rank,\n"
@@ -219,11 +218,10 @@ struct InjectorTally {
   OutcomeArray<std::uint64_t> outcomes;
 };
 
-/// Streaming outcome tallies — one record at a time, shared by the CSV and
-/// CTR-store summaries. The estimator is sample_weight-aware, so records
-/// from a stratified campaign report the same unbiased rates the campaign
-/// itself printed; uniform and weighted records degenerate to plain
-/// proportions.
+/// Streaming outcome tallies over a store's records, one at a time. The
+/// estimator is sample_weight-aware, so records from a stratified campaign
+/// report the same unbiased rates the campaign itself printed; uniform and
+/// weighted records degenerate to plain proportions.
 struct OutcomeTallies {
   campaign::OutcomeEstimator est;  // the rate-series outcomes
   OutcomeArray<std::uint64_t> outcomes;
@@ -317,57 +315,8 @@ std::string RenderOutcomeSummary(const OutcomeTallies& tallies, bool json,
   return out;
 }
 
-/// Summarize one or more records CSVs, read line-at-a-time (a million-trial
-/// CSV never lives in memory) and merged across every file — per-shard CSVs
-/// from a fleet run estimate the whole campaign. Overlapping trial seeds
-/// across files mean double-counted trials, which would silently bias the
-/// merged estimate, so they are an error.
-std::string SummarizeRecordsCsv(const std::vector<std::string>& paths,
-                                bool json) {
-  OutcomeTallies tallies;
-  std::vector<std::size_t> per_file;
-  std::map<std::uint64_t, std::size_t> seed_file;  // run_seed -> first file
-  for (std::size_t f = 0; f < paths.size(); ++f) {
-    std::ifstream in(paths[f]);
-    if (!in) throw ConfigError("cannot open records CSV '" + paths[f] + "'");
-    campaign::RecordsCsvReader reader(in);
-    campaign::RunRecord r;
-    std::size_t n = 0;
-    while (reader.Next(&r)) {
-      if (paths.size() > 1) {
-        const auto [it, inserted] = seed_file.emplace(r.run_seed, f);
-        if (!inserted) {
-          throw ConfigError(StrFormat(
-              "summarize: run_seed %llu appears in both '%s' and '%s' — the "
-              "same records were passed twice, or the shard CSVs overlap",
-              static_cast<unsigned long long>(r.run_seed),
-              paths[it->second].c_str(), paths[f].c_str()));
-        }
-      }
-      tallies.Add(r);
-      ++n;
-    }
-    per_file.push_back(n);
-  }
-
-  std::string head;
-  if (json) {
-    head = StrFormat("  \"files\": %zu,\n", paths.size());
-  } else if (paths.size() == 1) {
-    head = StrFormat("records csv: %s\n", paths[0].c_str());
-  } else {
-    head = StrFormat("records csv: %zu files\n", paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      head += StrFormat("    %s (%zu records)\n", paths[i].c_str(),
-                        per_file[i]);
-    }
-  }
-  return RenderOutcomeSummary(tallies, json, head);
-}
-
-/// Summarize a CTR trial store: same estimates as the CSV path, but the scan
-/// decodes only the six columns the tallies read and skips the rest by their
-/// length prefixes.
+/// Summarize a CTR trial store: the scan decodes only the six columns the
+/// tallies read and skips the rest by their length prefixes.
 std::string SummarizeCtrStore(const std::string& path, bool json) {
   const store::ColumnMask mask =
       store::MaskOf(store::kColRunSeed) | store::MaskOf(store::kColOutcome) |
@@ -659,7 +608,6 @@ int main(int argc, char** argv) {
     const std::string cmd = argv[1];
     const std::string dir = argv[2];
     std::string trial, out_path;
-    std::vector<std::string> extra_csvs;
     std::string where_spec, group_by;
     std::uint64_t top_k = 0;
     bool csv = false, json = false;
@@ -691,8 +639,7 @@ int main(int argc, char** argv) {
       else if (a == "--json") json = true;
       else if (a == "--out") out_path = value("--out");
       else if (a == "--help" || a == "-h") { Usage(); return 0; }
-      else if (!a.empty() && a[0] != '-') extra_csvs.push_back(a);
-      else throw ConfigError("unknown flag '" + a + "'");
+      else throw ConfigError("unknown argument '" + a + "'");
     }
 
     if (cmd == "query") {
@@ -703,6 +650,9 @@ int main(int argc, char** argv) {
       if (!group_by.empty() && !store::ParseGroupBy(group_by, &query.group_by)) {
         throw ConfigError("bad --group-by '" + group_by +
                           "' (outcome|injector|fault_class|inject_class|rank)");
+      }
+      if (top_k > UINT32_MAX) {
+        throw ConfigError("--top-k must be at most 4294967295");
       }
       query.top_k = static_cast<unsigned>(top_k);
       const store::QueryResult result = store::RunQuery(dir, query);
@@ -723,20 +673,11 @@ int main(int argc, char** argv) {
         stats = store::ExportCsv(dir, std::cout);
         std::cout.flush();
       } else {
-        // Stream through a tmp file + rename: the CSV never lives in memory,
-        // and a crash mid-export never clobbers a previous complete file.
-        const std::string tmp = out_path + ".tmp";
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) throw ConfigError("cannot write '" + tmp + "'");
-        stats = store::ExportCsv(dir, out);
-        out.close();
-        if (!out) throw ConfigError("write to '" + tmp + "' failed");
-        std::error_code ec;
-        fs::rename(tmp, out_path, ec);
-        if (ec) {
-          throw ConfigError("rename '" + tmp + "' -> '" + out_path + "': " +
-                            ec.message());
-        }
+        // Streamed, never held in memory, and crash-safe: a failed export
+        // never clobbers a previous complete file.
+        WriteFileAtomic(out_path, [&](std::ostream& out) {
+          stats = store::ExportCsv(dir, out);
+        });
         std::printf("exported %llu records (records csv v%u) to %s\n",
                     static_cast<unsigned long long>(stats.rows),
                     stats.csv_version, out_path.c_str());
@@ -751,11 +692,6 @@ int main(int argc, char** argv) {
     }
 
     if (cmd == "summarize" && store::IsCtrStorePath(dir)) {
-      if (!extra_csvs.empty()) {
-        throw ConfigError(
-            "summarize: a CTR store summarizes alone — merge shard stores "
-            "with chaser_fleet merge first");
-      }
       const std::string output = SummarizeCtrStore(dir, json);
       if (out_path.empty()) {
         std::fputs(output.c_str(), stdout);
@@ -766,20 +702,10 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // A regular file can only be a records CSV — spools are directories.
-    // Extra positional files merge into one estimate (fleet shard CSVs).
-    if (cmd == "summarize" && (fs::is_regular_file(dir) || !extra_csvs.empty())) {
-      std::vector<std::string> paths;
-      paths.push_back(dir);
-      paths.insert(paths.end(), extra_csvs.begin(), extra_csvs.end());
-      const std::string output = SummarizeRecordsCsv(paths, json);
-      if (out_path.empty()) {
-        std::fputs(output.c_str(), stdout);
-      } else {
-        WriteFileAtomic(out_path, output);
-        std::printf("wrote %zu bytes to %s\n", output.size(), out_path.c_str());
-      }
-      return 0;
+    if (cmd == "summarize" && fs::is_regular_file(dir)) {
+      throw ConfigError("summarize: '" + dir +
+                        "' is neither a CTR store nor a trial spool (a "
+                        "records CSV is an export only)");
     }
 
     const std::string trial_dir = ResolveTrialDir(dir, trial);

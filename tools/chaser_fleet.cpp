@@ -13,8 +13,8 @@
 //       --dir /tmp/fleet --spawn-hub 1
 //
 // `chaser_fleet merge` is the offline half: given the per-shard CTR stores
-// (or records CSVs) and the campaign plan, it re-derives the merged report
-// without running anything.
+// and the campaign plan, it re-derives the merged report without running
+// anything.
 //
 //   chaser_fleet merge --app matvec --runs 400 --seed 7
 //       --report /tmp/report.txt shard-0.ctr shard-1.ctr
@@ -38,7 +38,6 @@
 
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
-#include "campaign/report.h"
 #include "common/error.h"
 #include "common/fileio.h"
 #include "common/strings.h"
@@ -54,7 +53,7 @@ using namespace chaser;
 void Usage() {
   std::printf(
       "usage: chaser_fleet run   --app APP --dir DIR [options]\n"
-      "       chaser_fleet merge --app APP --runs N --seed S [options] CSV...\n"
+      "       chaser_fleet merge --app APP --runs N --seed S [opts] STORE...\n"
       "       chaser_fleet trace-merge --out FILE TRACE.json...\n"
       "\n"
       "run options:\n"
@@ -86,12 +85,10 @@ void Usage() {
       "                      files as fallback), workers write Chrome traces,\n"
       "                      and the traces merge into DIR/fleet-trace.json\n"
       "\n"
-      "merge options (inputs: one records CSV or CTR store dir per shard, in\n"
-      "any order — not mixed):\n"
+      "merge options (inputs: one CTR store per shard, in any order):\n"
       "  --runs/--seed/--sample/--stop-ci   the plan every shard ran\n"
-      "  --out FILE          write the merged records: a CSV for CSV inputs, a\n"
-      "                      merged CTR store for CTR inputs (export a CSV\n"
-      "                      with chaser_analyze export-csv)\n"
+      "  --out DIR           write the merged records as one CTR store\n"
+      "                      (export a CSV with chaser_analyze export-csv)\n"
       "  --report FILE       write the merged report (also printed)\n"
       "\n"
       "trace-merge: stitch per-process Chrome traces (chaser_run --trace-out)\n"
@@ -210,12 +207,6 @@ HubProc SpawnHub(const std::string& hubd_bin, bool obs) {
   return hub;
 }
 
-std::vector<campaign::RunRecord> ReadRecordsFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open records CSV '" + path + "'");
-  return campaign::ReadRecordsCsv(in);
-}
-
 void RenderAndWriteReport(const campaign::CampaignResult& result,
                           const campaign::MergePlan& plan,
                           const std::string& report_path) {
@@ -232,14 +223,20 @@ void RenderAndWriteReport(const campaign::CampaignResult& result,
 /// pulled round-robin through MergeShardStreams, and optionally re-emitted
 /// as one merged CTR store. The merged result is byte-identical to the
 /// unsharded run's — same reduction loop, same seed order.
-campaign::CampaignResult MergeStoresAndWrite(
-    const campaign::MergePlan& plan, const std::vector<std::string>& paths,
-    const std::string& out_path, const std::string& report_path) {
+void MergeStoresAndWrite(const campaign::MergePlan& plan,
+                         const std::vector<std::string>& paths,
+                         const std::string& out_path,
+                         const std::string& report_path) {
   // Order the streams by each store's self-declared shard index —
   // MergeShardStreams expects stream i to be the shard owning trials
   // t % N == i, whatever order the paths were given in.
   std::vector<std::unique_ptr<store::CtrStoreScanner>> scanners(paths.size());
   for (const std::string& path : paths) {
+    if (!store::IsCtrStorePath(path)) {
+      throw ConfigError("merge: '" + path +
+                        "' is not a CTR store (records CSVs are an export "
+                        "only; merge the shard stores)");
+    }
     auto scanner = std::make_unique<store::CtrStoreScanner>(path);
     const store::CtrStoreInfo& info = scanner->info();
     if (info.campaign_seed != plan.seed || info.app != plan.app ||
@@ -290,7 +287,7 @@ campaign::CampaignResult MergeStoresAndWrite(
     merged = std::make_unique<store::CtrStoreWriter>(out_path, identity);
     sink = [w = merged.get()](const campaign::RunRecord& rec) { w->Add(rec); };
   }
-  campaign::CampaignResult result =
+  const campaign::CampaignResult result =
       campaign::MergeShardStreams(plan, std::move(streams), sink);
   if (merged != nullptr) {
     merged->Finish();
@@ -299,40 +296,6 @@ campaign::CampaignResult MergeStoresAndWrite(
                 out_path.c_str());
   }
   RenderAndWriteReport(result, plan, report_path);
-  return result;
-}
-
-/// Merge shard records, render, and write the merged artifacts. CTR stores
-/// stream from disk; CSVs are loaded whole, each placed at the shard its
-/// first trial belongs to. Both go through MergeShardStreams.
-campaign::CampaignResult MergeAndWrite(const campaign::MergePlan& plan,
-                                       const std::vector<std::string>& inputs,
-                                       const std::string& out_path,
-                                       const std::string& report_path) {
-  std::size_t n_stores = 0;
-  for (const std::string& path : inputs) {
-    if (store::IsCtrStorePath(path)) ++n_stores;
-  }
-  if (n_stores == inputs.size()) {
-    return MergeStoresAndWrite(plan, inputs, out_path, report_path);
-  }
-  if (n_stores != 0) {
-    throw ConfigError(
-        "merge: inputs mix CTR stores and records CSVs — pass one kind");
-  }
-  std::vector<std::vector<campaign::RunRecord>> shards;
-  for (const std::string& path : inputs) shards.push_back(ReadRecordsFile(path));
-  campaign::CampaignResult result = campaign::MergeShardStreams(
-      plan, campaign::ShardStreamsByFirstSeed(plan, std::move(shards)));
-  if (!out_path.empty()) {
-    std::ostringstream csv;
-    campaign::WriteRecordsCsv(result.records, csv, plan.sample_policy);
-    WriteFileAtomic(out_path, csv.str());
-    std::printf("wrote %zu merged records to %s\n", result.records.size(),
-                out_path.c_str());
-  }
-  RenderAndWriteReport(result, plan, report_path);
-  return result;
 }
 
 /// `s` without its trailing newlines and spaces.
@@ -559,7 +522,6 @@ int RunFleet(int argc, char** argv) {
         "--shard", std::to_string(i) + "/" + std::to_string(shards),
         "--jobs", std::to_string(jobs),
         "--resume",
-        "--records-format", "ctr",
         "--out", base + ".ctr",
         "--status", base + ".status.json",
         "--report", base + ".report",
@@ -689,7 +651,7 @@ int RunMerge(int argc, char** argv) {
   plan.runs = 200;
   plan.seed = 1;
   std::string out_path, report_path;
-  std::vector<std::string> csvs;
+  std::vector<std::string> stores;
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -722,14 +684,14 @@ int RunMerge(int argc, char** argv) {
     } else if (!a.empty() && a[0] == '-') {
       throw ConfigError("unknown flag '" + a + "'");
     } else {
-      csvs.push_back(a);
+      stores.push_back(a);
     }
   }
-  if (plan.app.empty() || csvs.empty()) {
+  if (plan.app.empty() || stores.empty()) {
     Usage();
     return 2;
   }
-  MergeAndWrite(plan, csvs, out_path, report_path);
+  MergeStoresAndWrite(plan, stores, out_path, report_path);
   return 0;
 }
 

@@ -2,20 +2,21 @@
 //
 // The productised entry point a user reaches for first:
 //
-//   chaser_run --app clamr --runs 500 --seed 7 --out /tmp/clamr.csv
+//   chaser_run --app clamr --runs 500 --seed 7 --out /tmp/clamr.ctr
 //   chaser_run --app matvec --runs 1000 --inject-ranks 0 --no-trace
 //   chaser_run --app lud --runs 200 --bits 1-3 --jobs 4
 //
 // Runs the campaign (golden run + N injection trials), prints the outcome
 // distribution and termination breakdown, and optionally writes the per-run
-// records to CSV for offline analysis (see campaign/report.h).
+// records to a CTR store as trials commit, for offline analysis with
+// chaser_analyze (query, summarize, export-csv).
 //
 // Trials are seed-independent, so they fan out across a worker pool and
 // commit in seed order; the result for a seed is the same bytes at every
 // --jobs value.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,8 +78,8 @@ void Usage() {
       "                                    rest of the trial\n"
       "                        iskip       squash the targeted instruction\n"
       "                        rank-crash  kill the injected rank mid-run\n"
-      "                      non-default injectors stamp the records CSV (v6)\n"
-      "                      with injector and fault-class columns\n"
+      "                      non-default injectors stamp the records with\n"
+      "                      injector and fault-class columns\n"
       "  --hub-fault-trigger SPEC\n"
       "                      like --hub-fault, but armed per trial: the model\n"
       "                      runs only inside each trial window (seeded from\n"
@@ -86,19 +87,14 @@ void Usage() {
       "  --no-trace          disable fault-propagation tracing\n"
       "  --spool DIR         stream each trial's full trace to DIR/trial-<seed>/\n"
       "                      (no event cap; inspect with chaser_analyze)\n"
-      "  --out FILE          write per-run records as CSV (atomic: written to\n"
-      "                      FILE.tmp and renamed into place)\n"
-      "  --records-format F  how --out stores the records (default csv):\n"
-      "                        csv  one records CSV, as before\n"
-      "                        ctr  columnar CTR store (a directory of\n"
-      "                             seg-*.ctr segments, ~10x smaller, written\n"
-      "                             as trials commit); inspect with\n"
-      "                             chaser_analyze query / export-csv\n"
-      "  --resume            reopen the --records-format ctr --out store of a\n"
-      "                      killed run of this same campaign, replay the\n"
-      "                      trials its sealed blocks hold and execute only\n"
-      "                      the rest (a CSV cannot resume: write a store and\n"
-      "                      export it with chaser_analyze export-csv)\n"
+      "  --out DIR           write per-run records to the CTR store DIR\n"
+      "                      (seg-*.ctr segments, written as trials commit);\n"
+      "                      inspect it with chaser_analyze query or\n"
+      "                      summarize, and get a records CSV with\n"
+      "                      chaser_analyze export-csv\n"
+      "  --resume            reopen the --out store of a killed run of this\n"
+      "                      same campaign, replay the trials its sealed\n"
+      "                      blocks hold and execute only the rest\n"
       "  --trial-retries N   rebuild the engine and retry a trial whose harness\n"
       "                      throws, up to N times, then quarantine it as\n"
       "                      outcome 'infra' instead of aborting (default 0)\n"
@@ -126,8 +122,8 @@ void Usage() {
       "  --report FILE       atomically write the rendered campaign report to\n"
       "                      FILE (the same text printed to stdout)\n"
       "\n"
-      "observability (reports/CSVs/spools are byte-identical with these on or\n"
-      "off — telemetry only observes):\n"
+      "observability (reports, stores and spools are byte-identical with\n"
+      "these on or off — telemetry only observes):\n"
       "  --trace-out FILE    write a Chrome trace-event JSON (one tid per\n"
       "                      worker, spans per trial and per phase); open in\n"
       "                      chrome://tracing or https://ui.perfetto.dev\n"
@@ -166,6 +162,16 @@ std::uint64_t ArgNum(int argc, char** argv, int& i, const char* flag) {
   return v;
 }
 
+/// ArgNum for a count the campaign holds as `unsigned`: a larger value would
+/// wrap, so it is refused.
+unsigned ArgCount(int argc, char** argv, int& i, const char* flag) {
+  const std::uint64_t v = ArgNum(argc, argv, i, flag);
+  if (v > UINT32_MAX) {
+    throw ConfigError(std::string(flag) + " must be at most 4294967295");
+  }
+  return static_cast<unsigned>(v);
+}
+
 /// Aggregate cache effectiveness across the whole campaign; printed while
 /// the owning driver is still alive (the cache dies with it).
 void PrintSharedCacheStats(const tcg::SharedTbCache* cache) {
@@ -187,11 +193,10 @@ int main(int argc, char** argv) {
   config.runs = 200;
   config.seed = 1;
   std::string out_path;
-  std::string records_format = "csv";
   bool resume = false;
   std::string report_path;
   bool inject_ranks_given = false;
-  std::uint64_t jobs = 0;  // 0 = hardware concurrency
+  unsigned jobs = 0;  // 0 = hardware concurrency
   obs::TelemetryOptions obs_options;
 
   try {
@@ -223,7 +228,7 @@ int main(int argc, char** argv) {
         }
         inject_ranks_given = true;
       } else if (a == "--jobs") {
-        jobs = ArgNum(argc, argv, i, "--jobs");
+        jobs = ArgCount(argc, argv, i, "--jobs");
       } else if (a == "--sample") {
         if (i + 1 >= argc) throw ConfigError("missing value for --sample");
         const std::string policy = argv[++i];
@@ -247,8 +252,7 @@ int main(int argc, char** argv) {
       } else if (a == "--tb-cache-cap") {
         config.tb_cache_cap = ArgNum(argc, argv, i, "--tb-cache-cap");
       } else if (a == "--trial-retries") {
-        config.trial_retries =
-            static_cast<unsigned>(ArgNum(argc, argv, i, "--trial-retries"));
+        config.trial_retries = ArgCount(argc, argv, i, "--trial-retries");
       } else if (a == "--hub-fault") {
         if (i + 1 >= argc) throw ConfigError("missing value for --hub-fault");
         config.hub_fault = hub::remote::ParseHubFaultSpec(argv[++i]);
@@ -283,15 +287,6 @@ int main(int argc, char** argv) {
       } else if (a == "--out") {
         if (i + 1 >= argc) throw ConfigError("missing value for --out");
         out_path = argv[++i];
-      } else if (a == "--records-format") {
-        if (i + 1 >= argc) {
-          throw ConfigError("missing value for --records-format");
-        }
-        records_format = argv[++i];
-        if (records_format != "csv" && records_format != "ctr") {
-          throw ConfigError("bad --records-format '" + records_format +
-                            "' (csv|ctr)");
-        }
       } else if (a == "--trace-out") {
         if (i + 1 >= argc) throw ConfigError("missing value for --trace-out");
         obs_options.trace_path = argv[++i];
@@ -320,11 +315,8 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
-    if (resume && (out_path.empty() || records_format != "ctr")) {
-      throw ConfigError(
-          "--resume reopens a --records-format ctr --out DIR store; a records "
-          "CSV cannot resume (write the store, then chaser_analyze export-csv "
-          "it)");
+    if (resume && out_path.empty()) {
+      throw ConfigError("--resume reopens the --out DIR store; pass --out");
     }
 
     apps::AppSpec spec = BuildApp(app_name);
@@ -398,7 +390,7 @@ int main(int argc, char** argv) {
     // skip-verifies those records against its seed-hash chain as the driver
     // commits them again.
     std::unique_ptr<store::CtrStoreWriter> store_writer;
-    if (!out_path.empty() && records_format == "ctr") {
+    if (!out_path.empty()) {
       store::CtrStoreInfo identity;
       identity.campaign_seed = config.seed;
       identity.app = app_name;
@@ -438,7 +430,7 @@ int main(int argc, char** argv) {
                       ->fault_class.c_str());
     }
 
-    campaign::Campaign c(std::move(spec), config, static_cast<unsigned>(jobs));
+    campaign::Campaign c(std::move(spec), config, jobs);
     c.RunGolden();
     std::printf("golden run: %llu instructions, targeted executions per rank:",
                 static_cast<unsigned long long>(c.golden_instructions()));
@@ -489,14 +481,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(store_writer->segments()),
                   store_writer->segments() == 1 ? "" : "s",
                   static_cast<unsigned long long>(store_writer->stored()));
-    } else if (!out_path.empty()) {
-      // Atomic: a crash mid-write must never leave a half-written CSV where
-      // a previous complete report used to be.
-      std::ostringstream csv;
-      campaign::WriteRecordsCsv(result.records, csv, config.sample_policy);
-      WriteFileAtomic(out_path, csv.str());
-      std::printf("wrote %zu records to %s\n", result.records.size(),
-                  out_path.c_str());
     }
     if (!obs_options.trace_path.empty()) {
       std::printf("wrote Chrome trace to %s (chrome://tracing, Perfetto)\n",

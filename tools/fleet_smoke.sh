@@ -6,12 +6,11 @@
 # per-shard CTR stores, a SIGKILL once a data block is on disk, a resume
 # that replays the stored blocks (a nonzero "resumed" count), and the
 # chaser_fleet merge over the shard stores passed in reverse order —
-# reproduces an unsharded single-process run byte for byte (report, and
-# records CSV via export-csv), and that `chaser_analyze summarize` merges the
-# two shards' exported CSVs and refuses one passed twice. Each shard spans
-# more than three 512-record blocks, and a remote-hub matvec trial is slow
-# enough (~0.6 ms) for the kill to land mid-run. Companion to
-# kill_resume_smoke.sh, one layer up the stack.
+# reproduces an unsharded single-process run byte for byte (report, and the
+# records CSV each store exports). Each shard spans more than three
+# 512-record blocks, and a remote-hub matvec trial is slow enough (~0.6 ms)
+# for the kill to land mid-run. Companion to kill_resume_smoke.sh, one layer
+# up the stack.
 #
 # usage: tools/fleet_smoke.sh [path/to/build/tools]
 #
@@ -42,9 +41,12 @@ trap '[[ -n "$HUB_PID" ]] && kill "$HUB_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
 echo "== reference: unsharded single-process campaign ($RUNS trials)"
 "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/ref.csv" --report "$WORK/ref.report" \
+       --out "$WORK/ref.ctr" --report "$WORK/ref.report" \
        >"$WORK/ref.log" 2>&1 || {
   echo "fleet_smoke: FAIL (reference run crashed; see $WORK/ref.log)"; exit 1; }
+"$ANALYZE" export-csv "$WORK/ref.ctr" --out "$WORK/ref.csv" \
+    >"$WORK/ref-export.log" 2>&1 || {
+  echo "fleet_smoke: FAIL (export-csv of the reference store crashed)"; exit 1; }
 
 echo "== hub: chaser_hubd on an ephemeral port"
 "$HUBD" --port 0 >"$WORK/hubd.log" 2>&1 &
@@ -64,7 +66,7 @@ shard() {  # shard <i> <jobs> -> runs shard i/2 against the hub, resumable
   local i="$1" jobs="$2"
   "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$jobs" \
          --shard "$i/2" --hub "$ENDPOINT" \
-         --resume --records-format ctr --out "$WORK/shard-$i.ctr"
+         --resume --out "$WORK/shard-$i.ctr"
 }
 
 echo "== shards: worker 0 runs clean on 2 threads; worker 1 is SIGKILLed mid-run"
@@ -99,24 +101,6 @@ fi
 if ! diff -q "$WORK/ref.report" "$WORK/merged.report" >/dev/null; then
   echo "fleet_smoke: FAIL — merged report differs from the unsharded reference"
   diff "$WORK/ref.report" "$WORK/merged.report" | head -20
-  fail=1
-fi
-
-echo "== analyze: chaser_analyze summarize merges both shards' CSVs"
-for i in 0 1; do
-  "$ANALYZE" export-csv "$WORK/shard-$i.ctr" --out "$WORK/shard-$i.csv" \
-      >>"$WORK/export.log" 2>&1 || {
-    echo "fleet_smoke: FAIL (export-csv of shard $i's store crashed)"; fail=1; }
-done
-"$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
-    >"$WORK/summary.txt" 2>&1 || {
-  echo "fleet_smoke: FAIL (chaser_analyze summarize crashed)"; fail=1; }
-grep -q "$RUNS records" "$WORK/summary.txt" || {
-  echo "fleet_smoke: FAIL — summarize did not see all $RUNS records"
-  head -5 "$WORK/summary.txt"; fail=1; }
-if "$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-0.csv" \
-    >"$WORK/overlap.txt" 2>&1; then
-  echo "fleet_smoke: FAIL — summarize counted one shard's CSV twice"
   fail=1
 fi
 

@@ -20,14 +20,15 @@
 #                    only), both losing taint on some messages
 #   matvec           --inject-ranks 0,1,2,3: one table of trial-captured
 #                    slots per inject rank
-# 46 cells. Each cell runs twice per build: once writing --report, --status,
-# --metrics and a records CSV --out (plus a --spool directory on cells
-# without a --sample flag), once writing a --records-format ctr store. The PR
-# build's status.json and campaign_outcome_<name> counters must also count
-# the report's trials and outcomes.
+# 46 cells. Each cell runs once per build, writing --report, --status,
+# --metrics and an --out CTR store (plus a --spool directory on cells
+# without a --sample flag); chaser_analyze export-csv then exports the store
+# as the records CSV. The report, store, export and spool are compared. The
+# PR build's status.json and campaign_outcome_<name> counters must also
+# count the report's trials and outcomes.
 #
 # usage: tools/identity_sweep.sh PARENT_TOOLS_DIR PR_TOOLS_DIR
-#   each *_TOOLS_DIR holds a chaser_run binary, e.g. build/tools
+#   each *_TOOLS_DIR holds chaser_run and chaser_analyze, e.g. build/tools
 #
 # Exits 0 when every file matches, 1 naming the first file that differs, run
 # that failed or count that disagrees with its report, 2 on bad usage. The
@@ -39,11 +40,14 @@ if [[ $# -ne 2 ]]; then
   exit 2
 fi
 declare -A RUN=([parent]="$1/chaser_run" [pr]="$2/chaser_run")
+declare -A ANALYZE=([parent]="$1/chaser_analyze" [pr]="$2/chaser_analyze")
 for side in parent pr; do
-  if [[ ! -x "${RUN[$side]}" ]]; then
-    echo "identity_sweep: binary not found at '${RUN[$side]}'" >&2
-    exit 2
-  fi
+  for bin in "${RUN[$side]}" "${ANALYZE[$side]}"; do
+    if [[ ! -x "$bin" ]]; then
+      echo "identity_sweep: binary not found at '$bin'" >&2
+      exit 2
+    fi
+  done
 done
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-identity-sweep.XXXXXX")"
@@ -100,11 +104,11 @@ for spec in "${CELLS[@]}"; do
       extra=()
       [[ " ${cell_flags[*]} " == *" --sample "* ]] || extra=(--spool "$dir/spool")
       if ! "${RUN[$side]}" "${flags[@]}" "${extra[@]}" \
-             --report "$dir/report.txt" --out "$dir/records.csv" \
+             --report "$dir/report.txt" --out "$dir/store" \
              --status "$dir/status.json" --metrics "$dir/metrics.json" \
              >"$WORK/$side-$cell.log" 2>&1 ||
-         ! "${RUN[$side]}" "${flags[@]}" --records-format ctr \
-             --out "$dir/store" >>"$WORK/$side-$cell.log" 2>&1; then
+         ! "${ANALYZE[$side]}" export-csv "$dir/store" \
+             --out "$dir/records.csv" >>"$WORK/$side-$cell.log" 2>&1; then
         echo "identity_sweep: FAIL — $side run of $cell exited non-zero:"
         tail -5 "$WORK/$side-$cell.log"
         exit 1

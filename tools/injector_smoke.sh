@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # injector_smoke.sh — smoke test for every registered fault injector.
 #
-# Runs a short matvec campaign through `chaser_run --injector NAME` for each
-# bundled fault family, checks the campaign exits cleanly, that custom
-# injectors stamp their identity into a records CSV v6, and that the default
-# family's output stays on the v4 wire format (the byte-identity guarantee).
-# Companion to fleet_smoke.sh, one subsystem over.
+# Runs a short matvec campaign through `chaser_run --injector NAME --out
+# STORE` for each bundled fault family, checks the campaign exits cleanly,
+# that custom injectors stamp their identity into the records CSV v6 the
+# store exports (chaser_analyze export-csv), and that the default family's
+# export stays on the v4 wire format (the byte-identity guarantee). Also
+# checks that count flags above 2^32-1 are refused, not wrapped. Companion
+# to fleet_smoke.sh, one subsystem over.
 #
 # usage: tools/injector_smoke.sh [path/to/build/tools]
 #
@@ -14,15 +16,29 @@ set -u
 
 TOOLS="${1:-build/tools}"
 RUN="$TOOLS/chaser_run"
+ANALYZE="$TOOLS/chaser_analyze"
 APP=matvec
 RUNS=12
 SEED=20260807
 
-if [[ ! -x "$RUN" ]]; then
-  echo "injector_smoke: binary not found at '$RUN'" >&2
-  echo "  build first (cmake --build build) or pass the tools dir" >&2
-  exit 1
-fi
+for bin in "$RUN" "$ANALYZE"; do
+  if [[ ! -x "$bin" ]]; then
+    echo "injector_smoke: binary not found at '$bin'" >&2
+    echo "  build first (cmake --build build) or pass the tools dir" >&2
+    exit 1
+  fi
+done
+
+# run_and_export <name> [chaser_run flags...]: a campaign into
+# $WORK/<name>.ctr, exported to $WORK/<name>.csv.
+run_and_export() {
+  local name="$1"
+  shift
+  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 "$@" \
+         --out "$WORK/$name.ctr" >"$WORK/$name.log" 2>&1 &&
+    "$ANALYZE" export-csv "$WORK/$name.ctr" --out "$WORK/$name.csv" \
+               >>"$WORK/$name.log" 2>&1
+}
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-injector-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
@@ -46,8 +62,7 @@ for spec in "${SPECS[@]}"; do
   name="${spec%%:*}"
   slug="${spec//[:,=]/_}"
   csv="$WORK/$slug.csv"
-  if ! "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --injector "$spec" --out "$csv" >"$WORK/$slug.log" 2>&1; then
+  if ! run_and_export "$slug" --injector "$spec"; then
     echo "injector_smoke: FAIL — '$spec' campaign crashed (see $WORK/$slug.log)"
     tail -5 "$WORK/$slug.log"
     fail=1
@@ -75,8 +90,7 @@ for spec in "${SPECS[@]}"; do
 done
 
 echo "== default fault model stays on the v4 wire format"
-"$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/default.csv" >"$WORK/default.log" 2>&1 || {
+run_and_export default || {
   echo "injector_smoke: FAIL (default campaign crashed; see $WORK/default.log)"
   fail=1; }
 if [[ -f "$WORK/default.csv" ]] &&
@@ -96,6 +110,17 @@ elif ! grep -q 'rank-crash' "$WORK/bogus.log"; then
   tail -3 "$WORK/bogus.log"
   fail=1
 fi
+
+echo "== count flags above 2^32-1 are refused, not wrapped"
+for flag in --jobs --trial-retries; do
+  "$RUN" --app "$APP" --runs 1 --seed "$SEED" "$flag" 4294967296 \
+         >"$WORK/count.log" 2>&1
+  if [[ $? -ne 2 ]]; then
+    echo "injector_smoke: FAIL — '$flag 4294967296' did not exit 2"
+    tail -3 "$WORK/count.log"
+    fail=1
+  fi
+done
 
 if [[ "$fail" -eq 0 ]]; then
   echo "injector_smoke: PASS — ${#SPECS[@]} injector specs ran a $RUNS-trial $APP campaign each"

@@ -2,8 +2,8 @@
 # kill_resume_smoke.sh — end-to-end crash-safety smoke test for chaser_run.
 #
 # Proves a campaign resumes from its CTR store after a SIGKILL: a
-# `--resume --records-format ctr` campaign is killed once its first data
-# block (512 records) is on disk, rerun with --resume, and must report a
+# `--resume --out` campaign is killed once its first data block (512
+# records) is on disk, rerun with --resume, and must report a
 # nonzero number of resumed records. Its store and report must then be
 # byte-identical to an uninterrupted reference run of the same campaign.
 # The campaign spans more than three blocks of an app slow enough (kmeans,
@@ -34,14 +34,14 @@ run() {  # run <store> <report> [extra flags...]
   local store="$1" report="$2"
   shift 2
   "$BIN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$JOBS" \
-         --records-format ctr --out "$store" "$@" >"$report" 2>&1
+         --out "$store" "$@" >"$report" 2>&1
 }
 
-echo "== flags: --resume refuses a records CSV and names the export path"
-if "$BIN" --app "$APP" --runs 1 --resume --out "$WORK/x.csv" \
-     >"$WORK/csv.log" 2>&1 || ! grep -q "export-csv" "$WORK/csv.log"; then
-  echo "kill_resume_smoke: FAIL — --resume with a CSV --out was not refused"
-  cat "$WORK/csv.log"
+echo "== flags: --resume without an --out store to reopen is refused"
+"$BIN" --app "$APP" --runs 1 --resume >"$WORK/no-out.log" 2>&1
+if [[ $? -ne 2 ]] || ! grep -q -- "--out" "$WORK/no-out.log"; then
+  echo "kill_resume_smoke: FAIL — --resume without --out was not refused"
+  cat "$WORK/no-out.log"
   exit 1
 fi
 

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # store_smoke.sh — end-to-end smoke test for the CTR columnar trial store.
 #
-# Proves the whole columnar chain: a `chaser_run --resume --records-format
-# ctr` campaign SIGKILLed once a data block is on disk, on one worker thread
-# and on two, a resume that replays the stored blocks (a nonzero "resumed"
-# count) and converges back to the uninterrupted byte stream, a 3-shard
-# fleet producing per-shard stores, a streaming `chaser_fleet merge` into
-# one merged store, and `chaser_analyze query` / `export-csv` over the
-# result — with the exported CSV byte-identical to what a plain
-# `--records-format csv` run writes. The campaign spans more than three
-# 512-record blocks of lud (~0.5 ms a trial), so the kill lands mid-run.
-# Companion to fleet_smoke.sh, one storage layer down.
+# Proves the whole columnar chain: a `chaser_run --resume --out` campaign
+# SIGKILLed once a data block is on disk, on one worker thread and on two, a
+# resume that replays the stored blocks (a nonzero "resumed" count) and
+# converges back to the uninterrupted store byte for byte, a 3-shard fleet
+# producing per-shard stores, a streaming `chaser_fleet merge` into one
+# merged store, and `chaser_analyze query` / `summarize` / `export-csv` over
+# the result — every store exporting the same records CSV as the
+# uninterrupted one. Records CSVs are an export only: handed to `chaser_fleet
+# merge` or `summarize`, one is refused (exit 2). The campaign spans more
+# than three 512-record blocks of lud (~0.5 ms a trial), so the kill lands
+# mid-run. Companion to fleet_smoke.sh, one storage layer down.
 #
 # usage: tools/store_smoke.sh [path/to/build/tools]
 #
@@ -37,22 +38,19 @@ source "$(dirname "$0")/smoke_lib.sh"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-store-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-echo "== reference: records CSV from an uninterrupted run ($RUNS trials)"
+echo "== reference: an uninterrupted run into a CTR store ($RUNS trials)"
 "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/ref.csv" --report "$WORK/ref.report" \
-       >"$WORK/ref.log" 2>&1 || {
-  echo "store_smoke: FAIL (reference run crashed; see $WORK/ref.log)"; exit 1; }
-
-echo "== store: same campaign into a CTR store, uninterrupted"
-"$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/clean.ctr" --records-format ctr \
+       --out "$WORK/clean.ctr" --report "$WORK/ref.report" \
        >"$WORK/clean.log" 2>&1 || {
-  echo "store_smoke: FAIL (clean store run crashed; see $WORK/clean.log)"
+  echo "store_smoke: FAIL (reference run crashed; see $WORK/clean.log)"
   exit 1; }
+"$ANALYZE" export-csv "$WORK/clean.ctr" --out "$WORK/ref.csv" \
+    >"$WORK/ref-export.log" 2>&1 || {
+  echo "store_smoke: FAIL (export-csv of the reference store crashed)"; exit 1; }
 
 store_run() {  # store_run <name> <jobs> -> resumable CTR run into $WORK/<name>.ctr
   "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$2" \
-         --resume --out "$WORK/$1.ctr" --records-format ctr
+         --resume --out "$WORK/$1.ctr"
 }
 
 fail=0
@@ -88,14 +86,13 @@ if ! diff -q "$WORK/ref.report" "$WORK/fleet/report.txt" >/dev/null; then
   fail=1
 fi
 
-echo "== export: every store must reproduce the reference CSV byte for byte"
-for store in "$WORK/clean.ctr" "$WORK/kill-j1.ctr" "$WORK/kill-j2.ctr" \
-             "$WORK/fleet/merged.ctr"; do
+echo "== export: every store must export the reference's CSV byte for byte"
+for store in "$WORK/kill-j1.ctr" "$WORK/kill-j2.ctr" "$WORK/fleet/merged.ctr"; do
   "$ANALYZE" export-csv "$store" --out "$WORK/export.csv" \
       >"$WORK/export.log" 2>&1 || {
     echo "store_smoke: FAIL (export-csv crashed on $store)"; fail=1; continue; }
   if ! diff -q "$WORK/ref.csv" "$WORK/export.csv" >/dev/null; then
-    echo "store_smoke: FAIL — export of $store differs from the native CSV"
+    echo "store_smoke: FAIL — export of $store differs from the reference's"
     diff "$WORK/ref.csv" "$WORK/export.csv" | head -10
     fail=1
   fi
@@ -114,7 +111,28 @@ grep -q "$RUNS records scanned" "$WORK/query.txt" || {
   echo "store_smoke: FAIL — query did not scan all $RUNS records"
   head -5 "$WORK/query.txt"; fail=1; }
 
+echo "== csv: a records CSV is an export only; merge and summarize refuse it"
+"$FLEET" merge --app "$APP" --runs "$RUNS" --seed "$SEED" "$WORK/ref.csv" \
+    >"$WORK/merge-csv.log" 2>&1
+if [[ $? -ne 2 ]]; then
+  echo "store_smoke: FAIL — chaser_fleet merge of a records CSV did not exit 2"
+  cat "$WORK/merge-csv.log"; fail=1
+fi
+"$ANALYZE" summarize "$WORK/ref.csv" >"$WORK/summarize-csv.log" 2>&1
+if [[ $? -ne 2 ]]; then
+  echo "store_smoke: FAIL — summarize of a records CSV did not exit 2"
+  cat "$WORK/summarize-csv.log"; fail=1
+fi
+
+echo "== flags: a --top-k above 2^32-1 is refused, not wrapped"
+"$ANALYZE" query "$WORK/clean.ctr" --top-k 4294967296 \
+    >"$WORK/top-k.log" 2>&1
+if [[ $? -ne 2 ]]; then
+  echo "store_smoke: FAIL — query --top-k 4294967296 did not exit 2"
+  cat "$WORK/top-k.log"; fail=1
+fi
+
 if [[ "$fail" -eq 0 ]]; then
-  echo "store_smoke: PASS — kill+resume from the store, 3-shard streaming merge, query, and export-csv all byte-identical to the CSV reference"
+  echo "store_smoke: PASS — kill+resume from the store, 3-shard streaming merge, query, and export-csv all byte-identical to the uninterrupted store's"
 fi
 exit "$fail"
