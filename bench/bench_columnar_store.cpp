@@ -1,7 +1,7 @@
 // Columnar store vs records CSV — the million-trial storage question. A
 // synthetic campaign-shaped record stream (benign-majority outcomes, zero
-// taint counters on clean trials, clustered hot-path counters, a multi-
-// injector v6 mix) is written into a CTR store and exported as the records
+// taint counters on clean trials, clustered instruction counts, a multi-
+// injector v9 mix) is written into a CTR store and exported as the records
 // CSV (chaser_analyze export-csv), then summarized and queried both ways,
 // all streaming. The CTR store must hold ≥5x less disk than the CSV and
 // aggregate ≥10x faster at 10^5+ records — the margins that make
@@ -24,6 +24,7 @@
 
 #include "bench_util.h"
 #include "campaign/campaign.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "guest/isa.h"
@@ -68,9 +69,6 @@ RunRecord SyntheticRecord(Rng& rng, std::uint64_t i) {
   r.instructions = 1'000'000'000 + rng.UniformU64(0, 40'000);
   r.trigger_nth = rng.UniformU64(1, r.instructions);
   r.flip_bits = 1;
-  r.tb_chain_hits = 52'000'000 + rng.UniformU64(0, 9'000);
-  r.tlb_hits = 310'000'000 + rng.UniformU64(0, 30'000);
-  r.tlb_misses = 41'000 + rng.UniformU64(0, 900);
   r.trace_dropped = 0;
   r.taint_lost = 0;
   r.retries = 0;
@@ -102,22 +100,34 @@ struct Tally {
   std::uint64_t matched = 0;
 };
 
-/// Stream the rows of an exported records CSV (v6: every record names an
-/// injector) as records holding only the columns the tallies read — a
-/// bench-local split with no validation.
+/// Stream the rows of an exported records CSV (v9: every record names an
+/// injector) as records holding only the columns the tallies read, found by
+/// name in the header row — a bench-local split with no validation.
 template <typename Fn>
 void ForEachCsvRow(const std::string& path, Fn&& fn) {
   std::ifstream in(path, std::ios::binary);
   std::string line;
   std::getline(in, line);  // version line
   std::getline(in, line);  // column header
+  const std::vector<std::string> header = Split(line, ',');
+  const auto column = [&header](const char* name) {
+    const auto it = std::find(header.begin(), header.end(), name);
+    if (it == header.end()) {
+      throw ConfigError(std::string("records CSV has no column ") + name);
+    }
+    return static_cast<std::size_t>(it - header.begin());
+  };
+  const std::size_t outcome = column("outcome");
+  const std::size_t inject_pc = column("inject_pc");
+  const std::size_t inject_class = column("inject_class");
+  const std::size_t injector = column("injector");
   RunRecord r;
   while (std::getline(in, line)) {
     const std::vector<std::string> cells = Split(line, ',');
-    ParseOutcome(cells[1], &r.outcome);
-    ParseU64(cells[24], &r.inject_pc);
-    guest::ParseInstrClass(cells[25], &r.inject_class);
-    r.injector = cells[27];
+    ParseOutcome(cells[outcome], &r.outcome);
+    ParseU64(cells[inject_pc], &r.inject_pc);
+    guest::ParseInstrClass(cells[inject_class], &r.inject_class);
+    r.injector = cells[injector];
     fn(r);
   }
 }

@@ -99,13 +99,6 @@ std::string CampaignResult::Render(const std::string& label) const {
         "transit (propagation counts are a lower bound)\n",
         static_cast<unsigned long long>(taint_lost));
   }
-  if (tb_chain_hits + tlb_hits + tlb_misses > 0) {
-    out += StrFormat(
-        "  hot path: %llu tb chain hits, %llu tlb hits, %llu tlb misses\n",
-        static_cast<unsigned long long>(tb_chain_hits),
-        static_cast<unsigned long long>(tlb_hits),
-        static_cast<unsigned long long>(tlb_misses));
-  }
   if (has_estimates) {
     out += StrFormat(
         "  sampling: policy %s, %llu/%llu trials%s (effective n %.1f)\n",
@@ -188,9 +181,6 @@ void CampaignResult::Accumulate(const RunRecord& rec, bool keep_record) {
   }
   trace_dropped += rec.trace_dropped;
   taint_lost += rec.taint_lost;
-  tb_chain_hits += rec.tb_chain_hits;
-  tlb_hits += rec.tlb_hits;
-  tlb_misses += rec.tlb_misses;
   if (keep_record) records.push_back(rec);
 }
 
@@ -454,7 +444,7 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
     // The default spec constructs the probabilistic injector directly — not
     // through the registry — so the default path is provably unchanged; any
     // other spec resolves through the registry and stamps the record (which
-    // upgrades the records CSV to v6 and adds spool meta keys).
+    // upgrades the records CSV to v9 and adds spool meta keys).
     if (config_.injector.IsDefault()) {
       cmd.injector = core::ProbabilisticInjector::Create(rec.flip_bits);
     } else {
@@ -632,9 +622,8 @@ void TrialEngine::Classify(const mpi::JobResult& job, RunRecord* rec) {
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
     rec->trace_dropped += chaser_->rank_chaser(r).trace_log().dropped();
   }
-  // Hot-path counters: per-trial deterministic (chain hits and TLB traffic
-  // depend only on the executed instruction stream) and config-invariant, so
-  // they are safe to place in the identity-checked record.
+  // Host counters, for the vm_*_total metrics only: the work executed
+  // since the restore.
   for (Rank r = 0; r < spec_.num_ranks; ++r) {
     const vm::Vm& rank_vm = cluster_->rank_vm(r);
     rec->tb_chain_hits += rank_vm.tb_chain_hits();

@@ -91,9 +91,12 @@ struct RunRecord {
   double sample_weight = 1.0;
   std::uint64_t run_seed = 0;      // reproduce this exact trial
   std::uint64_t instructions = 0;  // total guest instructions this trial
-  /// Hot-path counters summed over ranks (deterministic per run_seed and
-  /// invariant across worker counts and translation caches —
-  /// which is why they may live in the identity-checked record).
+  /// Host counters summed over ranks: TB-chain hits, TLB hits and misses.
+  /// Telemetry, not results — they appear in no store, export or report,
+  /// only in the vm_*_total metrics (ToTrialStats). They count the work
+  /// this trial executed from its restore point, so they vary with the
+  /// checkpoint the trial restored and, through it, with the worker count.
+  /// They go once perfbench reads vm_*_total for its per-layer figures.
   std::uint64_t tb_chain_hits = 0;
   std::uint64_t tlb_hits = 0;
   std::uint64_t tlb_misses = 0;
@@ -110,7 +113,7 @@ struct RunRecord {
   std::string infra_error;
   /// Non-default-injector campaigns only (empty strings on the legacy
   /// path): the registry name of the armed injector and its fault class.
-  /// Their presence switches the records CSV to v6.
+  /// Their presence switches the records CSV to v9.
   std::string injector;
   std::string fault_class;
 };
@@ -244,11 +247,6 @@ struct CampaignResult {
   std::uint64_t infra = 0;
   /// Messages whose taint shadow the degraded hub lost, summed over trials.
   std::uint64_t taint_lost = 0;
-
-  // Hot-path counters summed over trials (see RunRecord).
-  std::uint64_t tb_chain_hits = 0;
-  std::uint64_t tlb_hits = 0;
-  std::uint64_t tlb_misses = 0;
 
   std::vector<RunRecord> records;
 

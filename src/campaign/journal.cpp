@@ -18,7 +18,7 @@ namespace chaser::campaign {
 namespace {
 
 constexpr char kJournalMagic[8] = {'C', 'H', 'S', 'J', 'R', 'N', 'L', '1'};
-constexpr std::uint64_t kJournalVersion = 5;
+constexpr std::uint64_t kJournalVersion = 6;
 
 using net::AppendVarint;
 using net::DecodeVarint;
@@ -40,8 +40,7 @@ std::string EncodeRecord(const RunRecord& rec) {
        {rec.injections, rec.tainted_reads, rec.tainted_writes,
         rec.peak_tainted_bytes, rec.tainted_output_bytes, rec.trigger_nth,
         std::uint64_t{rec.flip_bits}, rec.instructions, rec.trace_dropped,
-        rec.taint_lost, std::uint64_t{rec.retries}, rec.tb_chain_hits,
-        rec.tlb_hits, rec.tlb_misses, rec.inject_pc,
+        rec.taint_lost, std::uint64_t{rec.retries}, rec.inject_pc,
         static_cast<std::uint64_t>(rec.inject_class)}) {
     AppendVarint(&payload, v);
   }
@@ -79,7 +78,6 @@ std::optional<RunRecord> DecodeRecord(const std::string& payload) {
       !u64(&r.peak_tainted_bytes) || !u64(&r.tainted_output_bytes) ||
       !u64(&r.trigger_nth) || !u64(&flip_bits) || !u64(&r.instructions) ||
       !u64(&r.trace_dropped) || !u64(&r.taint_lost) || !u64(&retries) ||
-      !u64(&r.tb_chain_hits) || !u64(&r.tlb_hits) || !u64(&r.tlb_misses) ||
       !u64(&r.inject_pc) || !u64(&cls) || !u64(&weight_bits) ||
       !str(&r.injector) || !str(&r.fault_class) || !str(&r.infra_error) ||
       pos != payload.size()) {
@@ -108,7 +106,7 @@ std::optional<RunRecord> DecodeRecord(const std::string& payload) {
 
 /// Replay the journal at `path` into `replayed` and return the offset one
 /// past its last intact record. Throws ConfigError unless the header is an
-/// intact v5 header of this campaign; a torn record region is not an error.
+/// intact v6 header of this campaign; a torn record region is not an error.
 std::uint64_t ReplayJournal(const std::string& path, std::uint64_t campaign_seed,
                             const std::string& app,
                             std::vector<RunRecord>* replayed) {
@@ -130,7 +128,7 @@ std::uint64_t ReplayJournal(const std::string& path, std::uint64_t campaign_seed
   const std::uint64_t found_seed = header_u64();
   const std::uint64_t app_len = header_u64();
   if (version != kJournalVersion || app_len > buf.size() - pos) {
-    throw ConfigError("TrialJournal: '" + path + "' is not a v5 journal");
+    throw ConfigError("TrialJournal: '" + path + "' is not a v6 journal");
   }
   const std::string found_app = buf.substr(pos, app_len);
   pos += app_len;

@@ -8,7 +8,7 @@
 //
 // On-disk format (integers varint-encoded unless noted):
 //
-//   header   magic "CHSJRNL1", version 5, campaign_seed, app (len+bytes),
+//   header   magic "CHSJRNL1", version 6, campaign_seed, app (len+bytes),
 //            shard_index, shard_count (always 0 and 1)
 //   record*  a net/frame.h frame whose payload is the varint-serialised
 //            RunRecord
@@ -30,7 +30,7 @@ namespace chaser::campaign {
 class TrialJournal {
  public:
   /// Open `path` for appending, creating it with a header naming this
-  /// campaign if absent. An existing journal must be a v5 journal of the
+  /// campaign if absent. An existing journal must be a v6 journal of the
   /// same `campaign_seed` and `app` (ConfigError otherwise); its torn tail
   /// is cut off and its intact records are returned via `replayed`.
   TrialJournal(const std::string& path, std::uint64_t campaign_seed,

@@ -10,16 +10,15 @@ namespace {
 
 constexpr const char* kVersionLinePrefix = "#chaser-records-csv v";
 
-// The v4 columns; v5 appends the sampling columns and v6 the injector ones,
+// The v7 columns; v8 appends the sampling columns and v9 the injector ones,
 // in the order AppendRecordsCsvRow writes them.
-constexpr const char* kColumnsV4 =
+constexpr const char* kColumnsV7 =
     "run_seed,outcome,kind,signal,inject_rank,failure_rank,deadlock,"
     "propagated_cross_rank,propagated_cross_node,injections,tainted_reads,"
     "tainted_writes,peak_tainted_bytes,tainted_output_bytes,trigger_nth,"
-    "flip_bits,instructions,trace_dropped,taint_lost,retries,infra_error,"
-    "tb_chain_hits,tlb_hits,tlb_misses";
-constexpr const char* kColumnsAddedV5 = ",inject_pc,inject_class,sample_weight";
-constexpr const char* kColumnsAddedV6 = ",injector,fault_class";
+    "flip_bits,instructions,trace_dropped,taint_lost,retries,infra_error";
+constexpr const char* kColumnsAddedV8 = ",inject_pc,inject_class,sample_weight";
+constexpr const char* kColumnsAddedV9 = ",injector,fault_class";
 
 /// Decimal append without a temporary std::string per field. 20 digits is
 /// enough for 2^64-1.
@@ -53,23 +52,23 @@ void AppendSanitized(std::string* out, const std::string& s) {
 }  // namespace
 
 unsigned RecordsCsvVersionFor(bool any_injector, SamplePolicy policy) {
-  // Uniform campaigns never populate the sampling columns, so they keep
-  // writing v4 — byte for byte what earlier builds produced. Only sampled
-  // campaigns opt into the wider v5 layout, and only campaigns run with a
-  // non-default injector (the one way records gain an injector name) opt
-  // into v6, which carries both the sampling and the injector columns.
-  if (any_injector) return 6;
-  if (policy != SamplePolicy::kUniform) return 5;
-  return 4;
+  // Uniform campaigns never populate the sampling columns, so they write
+  // the narrow v7. Only sampled campaigns opt into the wider v8 layout, and
+  // only campaigns run with a non-default injector (the one way records
+  // gain an injector name) opt into v9, which carries both the sampling and
+  // the injector columns.
+  if (any_injector) return 9;
+  if (policy != SamplePolicy::kUniform) return 8;
+  return 7;
 }
 
 void AppendRecordsCsvHeader(std::string* out, unsigned version) {
   out->append(kVersionLinePrefix);
   AppendU64(out, version);
   out->push_back('\n');
-  out->append(kColumnsV4);
-  if (version >= 5) out->append(kColumnsAddedV5);
-  if (version >= 6) out->append(kColumnsAddedV6);
+  out->append(kColumnsV7);
+  if (version >= 8) out->append(kColumnsAddedV8);
+  if (version >= 9) out->append(kColumnsAddedV9);
   out->push_back('\n');
 }
 
@@ -116,13 +115,7 @@ void AppendRecordsCsvRow(std::string* out, const RunRecord& r,
   AppendU64(out, r.retries);
   out->push_back(',');
   AppendSanitized(out, r.infra_error);
-  out->push_back(',');
-  AppendU64(out, r.tb_chain_hits);
-  out->push_back(',');
-  AppendU64(out, r.tlb_hits);
-  out->push_back(',');
-  AppendU64(out, r.tlb_misses);
-  if (version >= 5) {
+  if (version >= 8) {
     out->push_back(',');
     AppendU64(out, r.inject_pc);
     out->push_back(',');
@@ -130,7 +123,7 @@ void AppendRecordsCsvRow(std::string* out, const RunRecord& r,
     out->push_back(',');
     out->append(StrFormat("%.17g", r.sample_weight));
   }
-  if (version >= 6) {
+  if (version >= 9) {
     out->push_back(',');
     AppendSanitized(out, r.injector);
     out->push_back(',');

@@ -21,16 +21,17 @@ namespace chaser::campaign {
 /// gives a custom-injector campaign. report_test and tools/bench_to_json.sh
 /// (which greps this line to stamp its JSON) read it; bump it with the
 /// writer.
-inline constexpr unsigned kRecordsCsvVersion = 6;
+inline constexpr unsigned kRecordsCsvVersion = 9;
 
 /// Write one row per run: seed, outcome, termination detail, injection site,
-/// propagation counters. Uniform campaigns emit format v4 (24 columns) —
-/// byte-identical to what this tool has always written — while sampled
-/// campaigns (`policy` != kUniform) emit v5, which appends the inject_pc/
-/// inject_class/sample_weight columns those campaigns populate. Campaigns
-/// run with a non-default `--injector` (detected by any record carrying an
-/// injector name) emit v6, which further appends injector/fault_class — and
-/// always includes the sampling columns so v6 has one fixed layout. Either
+/// propagation counters. Uniform campaigns emit format v7 (21 columns),
+/// while sampled campaigns (`policy` != kUniform) emit v8, which appends the
+/// inject_pc/inject_class/sample_weight columns those campaigns populate.
+/// Campaigns run with a non-default `--injector` (detected by any record
+/// carrying an injector name) emit v9, which further appends
+/// injector/fault_class — and always includes the sampling columns so v9 has
+/// one fixed layout. (v4/v5/v6 were the same three layouts with the host
+/// counters tb_chain_hits, tlb_hits and tlb_misses after infra_error.) Either
 /// way the file leads with a `#chaser-records-csv vN` version line, then the
 /// column header, then the rows. `infra_error`, `injector` and `fault_class`
 /// cells are sanitized (',' and newlines become spaces) so rows stay one
@@ -39,14 +40,14 @@ inline constexpr unsigned kRecordsCsvVersion = 6;
 void WriteRecordsCsv(const std::vector<RunRecord>& records, std::ostream& out,
                      SamplePolicy policy = SamplePolicy::kUniform);
 
-/// The version WriteRecordsCsv picks for a record set: v6 when any record
-/// carries an injector name, else v5 for sampled policies, else v4. The CTR
+/// The version WriteRecordsCsv picks for a record set: v9 when any record
+/// carries an injector name, else v8 for sampled policies, else v7. The CTR
 /// store's export-csv path shares this rule so its output is byte-identical
 /// to WriteRecordsCsv's for the same records.
 unsigned RecordsCsvVersionFor(bool any_injector, SamplePolicy policy);
 
 /// Append the `#chaser-records-csv vN` version line plus the column header
-/// for `version` (4, 5 or 6) to `*out`.
+/// for `version` (7, 8 or 9) to `*out`.
 void AppendRecordsCsvHeader(std::string* out, unsigned version);
 
 /// Append one record row (newline included) in the `version` layout. This is

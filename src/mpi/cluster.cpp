@@ -94,7 +94,7 @@ void Cluster::SetInstructionBudgets(std::uint64_t per_rank, std::uint64_t total)
 
 void Cluster::Start(std::shared_ptr<const guest::Program> program) {
   BeginJob();
-  capture_ = {.rank = 0, .frame = {.budget = config_.quantum}, .retired = 0};
+  capture_ = {.rank = 0, .budget = config_.quantum, .retired = 0};
   for (auto& state : ranks_) state->vm->StartProcess(program);
 }
 
@@ -151,8 +151,8 @@ void Cluster::SetCheckpointHook(std::uint64_t at, CheckpointHook hook) {
   for (Rank r = 0; r < config_.num_ranks; ++r) {
     vm::Vm& v = rank_vm(r);
     if (checkpoint_hook_) {
-      v.SetCheckpointHook([this](vm::Vm& at_vm, const vm::Vm::RunFrame& frame) {
-        OnCheckpointBoundary(at_vm, frame);
+      v.SetCheckpointHook([this](vm::Vm& at_vm, std::uint64_t budget) {
+        OnCheckpointBoundary(at_vm, budget);
       });
     } else {
       v.SetCheckpointHook(nullptr);
@@ -166,8 +166,8 @@ std::uint64_t Cluster::CheckpointMark(std::uint64_t instret,
   return checkpoint_at_ > total ? instret + (checkpoint_at_ - total) : instret;
 }
 
-void Cluster::OnCheckpointBoundary(vm::Vm& v, const vm::Vm::RunFrame& frame) {
-  capture_.frame = frame;
+void Cluster::OnCheckpointBoundary(vm::Vm& v, std::uint64_t budget) {
+  capture_.budget = budget;
   capture_.retired = running_total_ + (v.instret() - running_before_);
   checkpoint_at_ = checkpoint_hook_(capture_.retired);
   v.set_checkpoint_at(CheckpointMark(v.instret(), capture_.retired));
@@ -225,10 +225,10 @@ JobResult Cluster::Run() {
   // A restored job re-enters the round it was captured in: the interrupted
   // rank continues its Run, then the round goes on from the next rank.
   Rank first = 0;
-  std::optional<vm::Vm::RunFrame> frame;
+  std::optional<std::uint64_t> budget;
   if (resume_.has_value()) {
     first = resume_->rank;
-    frame = resume_->frame;
+    budget = resume_->budget;
     total = resume_->retired;
     resume_.reset();
   }
@@ -245,12 +245,8 @@ JobResult Cluster::Run() {
         running_before_ = before;
         v.set_checkpoint_at(CheckpointMark(before, total));
       }
-      if (frame.has_value()) {
-        v.Resume(*frame);
-        frame.reset();
-      } else {
-        v.Run(config_.quantum);
-      }
+      v.Run(budget.value_or(config_.quantum));
+      budget.reset();
       total += v.instret() - before;
       if (v.run_state() == vm::RunState::kTerminated &&
           v.termination() != vm::TerminationKind::kExited) {

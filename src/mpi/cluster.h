@@ -128,12 +128,12 @@ struct ClusterCheckpoint {
     std::shared_ptr<const vm::Vm::Checkpoint> vm;
     std::shared_ptr<const RankMpiState> mpi;
   };
-  /// The rank whose Run was interrupted, where that Run stood, and the
-  /// instructions the whole job had retired (what
+  /// The rank whose Run was interrupted, the budget that Run had left, and
+  /// the instructions the whole job had retired (what
   /// JobResult::total_instructions counts).
   struct Round {
     Rank rank = 0;
-    vm::Vm::RunFrame frame;
+    std::uint64_t budget = 0;
     std::uint64_t retired = 0;
   };
   std::vector<RankCheckpoint> ranks;
@@ -190,6 +190,11 @@ class Cluster {
 
   /// Messages delivered so far (for tests).
   std::uint64_t messages_delivered() const { return job_.messages_delivered; }
+  /// Rank `r`'s MPI-runtime state, and the job's.
+  const RankMpiState& rank_mpi(Rank r) const {
+    return *ranks_[static_cast<std::size_t>(r)];
+  }
+  const JobMpiState& job_mpi() const { return job_; }
 
   // ---- Golden-prefix checkpoints ---------------------------------------------
   /// While a hook is installed, Run calls it at the first TB boundary (of
@@ -202,7 +207,7 @@ class Cluster {
   /// Snapshot the job at the boundary a checkpoint hook is running at, or
   /// right after Start (a job that has run nothing); `prev` (an earlier
   /// checkpoint of this job, or null) shares unchanged rank VMs, guest
-  /// pages, TB indexes and rank MPI states.
+  /// pages and rank MPI states.
   ClusterCheckpoint Capture(const ClusterCheckpoint* prev) const;
 
   /// Start the job from `ck` instead of booting it: the job-start hook,
@@ -222,7 +227,7 @@ class Cluster {
   /// fresh job and fresh ranks, their inboxes' payloads recycled.
   void BeginJob();
   /// A rank VM reached the checkpoint mark inside Run.
-  void OnCheckpointBoundary(vm::Vm& v, const vm::Vm::RunFrame& frame);
+  void OnCheckpointBoundary(vm::Vm& v, std::uint64_t budget);
   /// The instret at which a rank VM standing at `instret`, with the job at
   /// `total` retired instructions, reaches the next checkpoint mark.
   std::uint64_t CheckpointMark(std::uint64_t instret, std::uint64_t total) const;

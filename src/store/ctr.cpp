@@ -491,6 +491,19 @@ struct SegmentScan {
   std::size_t dict_before_last_block = 1;
 };
 
+/// Refuse a segment of any format but this build's: an older store's
+/// blocks hold other columns, so reading or appending to one would corrupt
+/// every record.
+void CheckFormatVersion(std::uint64_t found, const char* who,
+                        const std::string& path) {
+  if (found != kCtrFormatVersion) {
+    throw ConfigError(StrFormat(
+        "%s: '%s' is format v%llu; this build reads and writes only v%llu",
+        who, path.c_str(), static_cast<unsigned long long>(found),
+        static_cast<unsigned long long>(kCtrFormatVersion)));
+  }
+}
+
 SegmentScan ScanSegmentFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ConfigError("CtrStore: cannot open '" + path + "'");
@@ -508,6 +521,7 @@ SegmentScan ScanSegmentFile(const std::string& path) {
       !DecodeHeaderPayload(payload, &scan.header)) {
     return scan;
   }
+  CheckFormatVersion(scan.header.info.format_version, "CtrStore", path);
   scan.header_ok = true;
   scan.intact_bytes = pos;
 
@@ -547,12 +561,6 @@ SegmentScan ScanSegmentFile(const std::string& path) {
 
 void CheckIdentity(const CtrStoreInfo& found, const CtrStoreInfo& want,
                    const std::string& path) {
-  if (found.format_version > kCtrFormatVersion) {
-    throw ConfigError(StrFormat(
-        "CtrStore: '%s' is format v%llu; this build reads up to v%llu",
-        path.c_str(), static_cast<unsigned long long>(found.format_version),
-        static_cast<unsigned long long>(kCtrFormatVersion)));
-  }
   if (found.campaign_seed != want.campaign_seed || found.app != want.app ||
       found.sample_policy != want.sample_policy ||
       found.shard_index != want.shard_index ||
@@ -758,9 +766,6 @@ void CtrStoreWriter::Add(const campaign::RunRecord& rec) {
   v[kColTraceDropped] = rec.trace_dropped;
   v[kColTaintLost] = rec.taint_lost;
   v[kColRetries] = rec.retries;
-  v[kColTbChainHits] = rec.tb_chain_hits;
-  v[kColTlbHits] = rec.tlb_hits;
-  v[kColTlbMisses] = rec.tlb_misses;
   v[kColInjectPc] = rec.inject_pc;
   v[kColInjectClass] = static_cast<std::uint64_t>(rec.inject_class);
   v[kColSampleWeight] = WeightToBits(rec.sample_weight);
@@ -927,13 +932,7 @@ bool CtrStoreScanner::LoadNextSegment() {
     }
     throw ConfigError("CtrStoreScanner: '" + path + "' has no intact header");
   }
-  if (header.info.format_version > kCtrFormatVersion) {
-    throw ConfigError(StrFormat(
-        "CtrStoreScanner: '%s' is format v%llu; this build reads up to v%llu",
-        path.c_str(),
-        static_cast<unsigned long long>(header.info.format_version),
-        static_cast<unsigned long long>(kCtrFormatVersion)));
-  }
+  CheckFormatVersion(header.info.format_version, "CtrStoreScanner", path);
   if (!have_info_) {
     info_ = header.info;
     have_info_ = true;
@@ -1097,10 +1096,6 @@ bool CtrStoreScanner::Next(campaign::RunRecord* out) {
   r.retries = (mask_ >> kColRetries) & 1u
                   ? static_cast<unsigned>(cols_[kColRetries][i])
                   : 0;
-  r.tb_chain_hits =
-      (mask_ >> kColTbChainHits) & 1u ? cols_[kColTbChainHits][i] : 0;
-  r.tlb_hits = (mask_ >> kColTlbHits) & 1u ? cols_[kColTlbHits][i] : 0;
-  r.tlb_misses = (mask_ >> kColTlbMisses) & 1u ? cols_[kColTlbMisses][i] : 0;
   r.inject_pc = (mask_ >> kColInjectPc) & 1u ? cols_[kColInjectPc][i] : 0;
   r.inject_class = guest::InstrClass::kMov;
   if ((mask_ >> kColInjectClass) & 1u) {

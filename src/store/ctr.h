@@ -33,7 +33,7 @@
 // packed values — what tiny-cardinality columns like outcome or dict ids
 // compress to), and mode 4 is bit-packed deltas (varint width, first value
 // as a varint, then packed zigzag deltas — clustered counters like
-// instructions or tlb_hits). The writer picks the smallest encoding
+// instructions or tainted_reads). The writer picks the smallest encoding
 // deterministically, so the byte stream is a pure function of the record
 // stream. The final frame is
 // the footer (tag 0x03): segment record/block counts, the cumulative FNV-1a
@@ -63,7 +63,9 @@ namespace chaser::store {
 
 /// Bump when the segment layout changes. Stamped into every segment header
 /// and into BENCH_columnar_store.json by tools/bench_to_json.sh.
-inline constexpr std::uint64_t kCtrFormatVersion = 1;
+/// v2 dropped v1's host-counter columns (tb_chain_hits, tlb_hits,
+/// tlb_misses); a store of any other version is refused, never reused.
+inline constexpr std::uint64_t kCtrFormatVersion = 2;
 
 /// Column order inside a data block (fixed; new columns append at the end
 /// under a format-version bump). Ranks are zigzag-encoded, the three bool
@@ -89,9 +91,6 @@ enum Column : unsigned {
   kColTraceDropped,
   kColTaintLost,
   kColRetries,
-  kColTbChainHits,
-  kColTlbHits,
-  kColTlbMisses,
   kColInjectPc,
   kColInjectClass,
   kColSampleWeight,
@@ -99,7 +98,7 @@ enum Column : unsigned {
   kColFaultClass,
   kColInfraError,
 };
-inline constexpr unsigned kNumColumns = 27;
+inline constexpr unsigned kNumColumns = 24;
 
 /// Which columns a scanner decodes; unselected columns are skipped by their
 /// length prefix and the materialized RunRecord keeps their defaults.

@@ -14,8 +14,9 @@
 //    private one) before translating, so a whole campaign translates each
 //    TB once;
 //  * Vm::ExecuteTb is the one interpreter: a for/switch over the TB's ops;
-//  * the loop's state lives in a RunFrame, so a golden run can hand it to a
-//    checkpoint hook (one compare per TB) and a trial can Resume from it.
+//  * at a TB boundary the loop can hand the budget it has left to a
+//    checkpoint hook (one compare per TB); a process restored there goes on
+//    with a Run of that budget.
 #include <cmath>
 
 #include "common/error.h"
@@ -70,7 +71,6 @@ const tcg::TranslationBlock* Vm::ResolveTb(std::uint64_t pc) {
   const tcg::SharedTbCache::Key key{program_hash_, variant_key_, pc};
   if (const tcg::TranslationBlock* cached = cache.Lookup(key)) {
     ++shared_reuses_;
-    ++epoch_cur_.shared_reuses;
     return cached;
   }
   const obs::ScopedPhase obs_scope(obs::Phase::kTranslate);
@@ -82,46 +82,24 @@ const tcg::TranslationBlock* Vm::ResolveTb(std::uint64_t pc) {
     optimizer_stats_.imms_fused += stats.imms_fused;
     optimizer_stats_.addrs_fused += stats.addrs_fused;
     optimizer_stats_.insn_starts_folded += stats.insn_starts_folded;
-    epoch_cur_.optimizer.movs_forwarded += stats.movs_forwarded;
-    epoch_cur_.optimizer.dead_ops_removed += stats.dead_ops_removed;
-    epoch_cur_.optimizer.imms_fused += stats.imms_fused;
-    epoch_cur_.optimizer.addrs_fused += stats.addrs_fused;
-    epoch_cur_.optimizer.insn_starts_folded += stats.insn_starts_folded;
   }
   ++tb_translations_;
-  ++epoch_cur_.translations;
   // Insert returns the canonical TB — a racing worker's copy if it
   // published the same key first (our duplicate is then discarded).
   return cache.Insert(key, std::move(tb));
 }
 
 RunState Vm::Run(std::uint64_t max_insns) {
-  return Resume(RunFrame{.budget = max_insns});
-}
-
-RunState Vm::Resume(const RunFrame& frame) {
   if (program_ == nullptr) throw ConfigError("Run: no process started");
-  std::uint64_t budget = frame.budget;
+  std::uint64_t budget = max_insns;
   // goto_tb chaining state: the TB we just executed and the static exit slot
   // it took. Chains are only followed/patched within one Run call — a
-  // signal, block, budget exhaustion, or flush drops prev (chain broken) —
-  // or across a checkpoint, whose frame names prev by pc.
+  // signal, block, budget exhaustion, or flush drops prev (chain broken).
   CachedTb* prev = nullptr;
-  int slot = frame.slot;
-  if (frame.prev_pc != kNoPc) {
-    if (frame.prev_pc >= tb_index_.size() ||
-        tb_index_[frame.prev_pc].tb == nullptr) {
-      throw ConfigError("Resume: the frame's TB is not in the local index");
-    }
-    prev = &tb_index_[frame.prev_pc];
-  }
+  int slot = -1;
   while (run_state_ == RunState::kRunnable && budget > 0) {
     if (instret_ >= checkpoint_at_) [[unlikely]] {
-      checkpoint_hook_(*this, RunFrame{.budget = budget,
-                                       .prev_pc = prev != nullptr
-                                                      ? prev->tb->start_pc
-                                                      : kNoPc,
-                                       .slot = slot});
+      checkpoint_hook_(*this, budget);
     }
     CachedTb* cur = (prev != nullptr && slot >= 0) ? prev->chain[slot] : nullptr;
     if (cur != nullptr) {

@@ -182,7 +182,7 @@ void GuestMemory::Reset() {
   // Re-zero the kept frames this process touched and drop their TLB slots
   // (only touched pages can occupy one).
   for (const std::uint64_t vpage : touched_vpages_) {
-    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{};
+    tlb_[TlbSlot(vpage)] = TlbEntry{};
     const std::uint32_t frame = FrameIndex(vpage);
     if (frame < pool) {
       std::memset(frames_[frame], 0, kPageSize);
@@ -214,8 +214,6 @@ void GuestMemory::Reset() {
 GuestMemory::Checkpoint GuestMemory::Capture(const Checkpoint* prev) const {
   Checkpoint ck;
   ck.regions = regions_;
-  ck.tlb_hits = tlb_hits_;
-  ck.tlb_misses = tlb_misses_;
   ck.pages.reserve(touched_vpages_.size());
   for (std::size_t i = 0; i < touched_vpages_.size(); ++i) {
     const std::uint64_t vpage = touched_vpages_[i];
@@ -223,7 +221,6 @@ GuestMemory::Checkpoint GuestMemory::Capture(const Checkpoint* prev) const {
     // process is the same vpage.
     ck.pages.push_back(
         {.vpage = vpage,
-         .in_tlb = tlb_[vpage & (kTlbEntries - 1)].vpage == vpage,
          .chunks = CopyPage(frames_[FrameIndex(vpage)],
                             prev != nullptr && i < prev->pages.size()
                                 ? prev->pages[i].chunks
@@ -250,13 +247,7 @@ void GuestMemory::Restore(const Checkpoint& ck) {
     }
     touched_[frame] = 1;
     touched_vpages_.push_back(page.vpage);
-    if (page.in_tlb) {
-      tlb_[page.vpage & (kTlbEntries - 1)] =
-          TlbEntry{page.vpage, static_cast<PhysAddr>(frame) * kPageSize};
-    }
   }
-  tlb_hits_ = ck.tlb_hits;
-  tlb_misses_ = ck.tlb_misses;
 }
 
 bool GuestMemory::IsMapped(GuestAddr vaddr) const {
@@ -286,15 +277,8 @@ std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
     touched_vpages_.push_back(vpage);
   }
   const PhysAddr frame_base = static_cast<PhysAddr>(frame) * kPageSize;
-  tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
+  tlb_[TlbSlot(vpage)] = TlbEntry{vpage, frame_base};
   return frame_base + (vaddr & kPageMask);
-}
-
-void GuestMemory::TranslateUntilFault(GuestAddr vaddr, std::uint64_t n) const {
-  std::uint64_t done = 0;
-  while (done < n && Translate(vaddr + done)) {
-    done += std::min(kPageSize - ((vaddr + done) & kPageMask), n - done);
-  }
 }
 
 std::uint8_t* GuestMemory::FramePtr(PhysAddr paddr) {

@@ -71,7 +71,7 @@ class GuestMemory {
   /// entries, so fault behaviour is exactly the page table's.
   std::optional<PhysAddr> Translate(GuestAddr vaddr) const {
     const std::uint64_t vpage = vaddr >> kPageBits;
-    const TlbEntry& e = tlb_[vpage & (kTlbEntries - 1)];
+    const TlbEntry& e = tlb_[TlbSlot(vpage)];
     if (e.vpage == vpage) {
       ++tlb_hits_;
       return e.frame_base + (vaddr & kPageMask);
@@ -102,14 +102,10 @@ class GuestMemory {
   /// ReadBytes into `*out` resized to `n`, but only once the whole range is
   /// known to be mapped: a fault-corrupted length must not size (and
   /// zero-fill) a host buffer for a copy that is going to fault. On a fault
-  /// `*out` is left alone, and the TLB sees the same translations the failed
-  /// ReadBytes would have made, so the counters a trial records match.
+  /// `*out` is left alone.
   template <typename Buffer>
   bool ReadBuffer(GuestAddr vaddr, std::uint64_t n, Buffer* out) const {
-    if (!IsRangeMapped(vaddr, n)) {
-      TranslateUntilFault(vaddr, n);
-      return false;
-    }
+    if (!IsRangeMapped(vaddr, n)) return false;
     out->resize(n);
     return ReadBytes(vaddr, out->data(), n);
   }
@@ -120,13 +116,14 @@ class GuestMemory {
   /// Pages mapped since construction or the last Reset().
   std::uint64_t mapped_pages() const { return mapped_; }
 
+  /// TLB traffic since construction or the last Reset(): host counters, not
+  /// guest state, so no checkpoint holds them.
   std::uint64_t tlb_hits() const { return tlb_hits_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
 
   /// A process's memory at one point of its run: the MapRegion calls made
-  /// since the reset (their order fixes every paddr), a copy of each touched
-  /// page, which touched pages hold their TLB slot, and the TLB counters.
-  /// Untouched mapped pages are all zero and need no copy.
+  /// since the reset (their order fixes every paddr) and a copy of each
+  /// touched page. Untouched mapped pages are all zero and need no copy.
   struct Checkpoint {
     /// A page is copied in chunks, each shared with the same page of the
     /// previous checkpoint while its bytes are unchanged — a stretch of a
@@ -139,7 +136,6 @@ class GuestMemory {
     static const std::shared_ptr<const ChunkBytes>& ZeroChunk();
     struct Page {
       std::uint64_t vpage = 0;
-      bool in_tlb = false;
       /// Shared with the previous checkpoint while no chunk changed.
       std::shared_ptr<const PageChunks> chunks;
       /// Compares the copies by address, so a page equals the previous
@@ -148,8 +144,6 @@ class GuestMemory {
     };
     std::vector<std::pair<std::uint64_t, std::uint64_t>> regions;
     std::vector<Page> pages;  // first-touch order
-    std::uint64_t tlb_hits = 0;
-    std::uint64_t tlb_misses = 0;
 
     bool operator==(const Checkpoint&) const = default;
   };
@@ -161,9 +155,9 @@ class GuestMemory {
   Checkpoint Capture(const Checkpoint* prev) const;
 
   /// Reset(), then load `ck` by replaying its MapRegion calls. Afterwards
-  /// the memory equals the captured one byte for byte, paddrs, TLB and
-  /// counters included. Every frame and TLB slot the restore fills counts
-  /// as touched, so the next Reset() re-zeroes it.
+  /// the memory equals the captured one byte for byte, paddrs included, and
+  /// its TLB is empty, as after a Reset(). Every frame the restore fills
+  /// counts as touched, so the next Reset() re-zeroes it.
   void Restore(const Checkpoint& ck);
 
  private:
@@ -175,6 +169,14 @@ class GuestMemory {
   // guest pages) without conflict thrash; at 16 B/entry the table still sits
   // comfortably in L2.
   static constexpr std::size_t kTlbEntries = 1024;
+  /// The TLB slot of `vpage`. The image regions start 1024-page aligned
+  /// (guest::kDataBase, kBssBase, kHeapBase), so the bits above the slot
+  /// index are folded in: by the low bits alone their first pages would all
+  /// evict each other from slot 0.
+  static std::size_t TlbSlot(std::uint64_t vpage) {
+    return static_cast<std::size_t>((vpage ^ (vpage >> 10) * 7) &
+                                    (kTlbEntries - 1));
+  }
 
   /// The TLB-miss path, and the one place touches are recorded. Every byte
   /// access goes through Translate and Reset() empties the TLB, so each
@@ -182,9 +184,6 @@ class GuestMemory {
   /// frame memory, or Reset() would hand out a dirty frame.
   std::optional<PhysAddr> TranslateSlow(GuestAddr vaddr,
                                         std::uint64_t vpage) const;
-  /// Translate each page of [vaddr, vaddr + n) in ReadBytes's order, up to
-  /// the first unmapped one.
-  void TranslateUntilFault(GuestAddr vaddr, std::uint64_t n) const;
 
   std::uint8_t* FramePtr(PhysAddr paddr);
   const std::uint8_t* FramePtr(PhysAddr paddr) const;

@@ -118,25 +118,6 @@ void Vm::FlushTbCache() {
     private_cache_ = std::make_unique<tcg::SharedTbCache>();
   }
   ++flush_count_;  // invalidates every outstanding CachedTb* / chain pointer
-  if (epoch_cur_.translations != 0 || epoch_cur_.shared_reuses != 0) {
-    closed_epochs_.push_back(epoch_cur_);
-    epoch_cur_ = TranslationEpochStats{};
-  }
-}
-
-std::vector<Vm::TranslationEpochStats> Vm::translation_epochs() const {
-  std::vector<TranslationEpochStats> epochs = closed_epochs_;
-  epochs.push_back(epoch_cur_);
-  return epochs;
-}
-
-void Vm::ResetTranslationStats() {
-  tb_translations_ = 0;
-  optimizer_stats_ = tcg::OptimizerStats{};
-  shared_reuses_ = 0;
-  tb_evictions_ = 0;
-  closed_epochs_.clear();
-  epoch_cur_ = TranslationEpochStats{};
 }
 
 void Vm::UpdateVariantKey() {
@@ -220,9 +201,6 @@ void Vm::BeginProcess(std::shared_ptr<const guest::Program> program) {
   FlushTbCache();
   // Every slot is empty after the flush; a new image may need more or fewer.
   tb_index_.resize(program_->text.size());
-  // Epoch history is per-process: the flush above closed the previous
-  // process's open epoch, and a fresh process starts its own epoch 0.
-  closed_epochs_.clear();
 
   if (on_create_) on_create_(*this, pid_, process_name_);
 }
@@ -242,34 +220,9 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
   ck.instret = instret_;
   ck.heap_break = heap_break_;
   ck.next_sample = next_sample_;
-  ck.tb_chain_hits = tb_chain_hits_;
-  ck.tb_executions = tb_executions_;
   ck.outputs = outputs_;
   ck.tainted_output_bytes = tainted_output_bytes_;
   ck.memory = memory_.Capture(prev != nullptr ? &prev->memory : nullptr);
-  const auto tb_at = [&](std::size_t i) {
-    const auto pc_of = [](const CachedTb* e) {
-      return e != nullptr ? e->tb->start_pc : kNoPc;
-    };
-    const std::uint64_t pc = tb_filled_[i];
-    const CachedTb& entry = tb_index_[pc];
-    return Checkpoint::Tb{pc, {pc_of(entry.chain[0]), pc_of(entry.chain[1])}};
-  };
-  const auto same_as = [&](const std::vector<Checkpoint::Tb>& tbs) {
-    if (tbs.size() != tb_filled_.size()) return false;
-    for (std::size_t i = 0; i < tbs.size(); ++i) {
-      if (!(tbs[i] == tb_at(i))) return false;
-    }
-    return true;
-  };
-  if (prev != nullptr && same_as(*prev->tbs)) {
-    ck.tbs = prev->tbs;
-  } else {
-    auto tbs = std::make_shared<std::vector<Checkpoint::Tb>>();
-    tbs->reserve(tb_filled_.size());
-    for (std::size_t i = 0; i < tb_filled_.size(); ++i) tbs->push_back(tb_at(i));
-    ck.tbs = std::move(tbs);
-  }
   return ck;
 }
 
@@ -285,23 +238,9 @@ void Vm::Restore(const Checkpoint& ck) {
   heap_break_ = ck.heap_break;
   next_sample_ = ck.next_sample;
   UpdateNextStop();
-  tb_chain_hits_ = ck.tb_chain_hits;
-  tb_executions_ = ck.tb_executions;
   for (const auto& [fd, bytes] : ck.outputs) OutputStream(fd) = bytes;
   tainted_output_bytes_ = ck.tainted_output_bytes;
   memory_.Restore(ck.memory);
-  // Rebuild the index in this Vm's variant, then its chains: a chain slot
-  // stays patched exactly where the captured run had patched it.
-  for (const Checkpoint::Tb& t : *ck.tbs) {
-    tb_index_[t.pc].tb = ResolveTb(t.pc);
-    tb_filled_.push_back(t.pc);
-  }
-  for (const Checkpoint::Tb& t : *ck.tbs) {
-    CachedTb& entry = tb_index_[t.pc];
-    for (int k = 0; k < 2; ++k) {
-      if (t.chain[k] != kNoPc) entry.chain[k] = &tb_index_[t.chain[k]];
-    }
-  }
 }
 
 RunState Vm::RunToCompletion() {

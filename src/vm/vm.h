@@ -225,28 +225,10 @@ class Vm {
   RunState Run(std::uint64_t max_insns);
 
   // ---- Golden-prefix checkpoints ---------------------------------------------
-  /// No TB: a chain that cannot be followed, or a missing chain successor.
-  static constexpr std::uint64_t kNoPc = ~std::uint64_t{0};
-
-  /// Where a Run call stands at a TB boundary: the budget it has left, and
-  /// the TB it just executed with the static exit that TB took (the chain
-  /// the loop follows or patches next). Run(n) starts from {n, kNoPc, -1}.
-  struct RunFrame {
-    std::uint64_t budget = 0;
-    std::uint64_t prev_pc = kNoPc;
-    int slot = -1;
-  };
-
-  /// Continue a Run call that was interrupted at `frame` — typically one
-  /// captured by a checkpoint hook and loaded back with Restore().
-  RunState Resume(const RunFrame& frame);
-
   /// A clean (untainted, uninjected) process at a TB boundary: its image,
-  /// CPU, run state, counters, outputs, the next taint-sample point, guest
-  /// memory with its TLB, and the local TB index with its chain edges (by
-  /// pc; the TBs themselves are looked up again on restore, in whatever
-  /// translation variant the restoring Vm has armed — TB boundaries do not
-  /// depend on instrumentation).
+  /// CPU, run state, outputs, the next taint-sample point and guest memory.
+  /// Guest state only: a restored process refills its TB index and TLB as
+  /// it runs, as a booted one does.
   struct Checkpoint {
     std::shared_ptr<const guest::Program> image;
     CpuState cpu;
@@ -258,18 +240,9 @@ class Vm {
     std::uint64_t instret = 0;
     GuestAddr heap_break = 0;
     std::uint64_t next_sample = 0;
-    std::uint64_t tb_chain_hits = 0;
-    std::uint64_t tb_executions = 0;
     std::map<int, std::string> outputs;
     std::uint64_t tainted_output_bytes = 0;
     GuestMemory::Checkpoint memory;
-    struct Tb {
-      std::uint64_t pc = 0;
-      std::uint64_t chain[2] = {kNoPc, kNoPc};
-      bool operator==(const Tb&) const = default;
-    };
-    /// Shared with the previous checkpoint while the index is unchanged.
-    std::shared_ptr<const std::vector<Tb>> tbs;
 
     /// Shared parts compare by address: a checkpoint equals the previous
     /// one when its process has not changed since.
@@ -277,23 +250,23 @@ class Vm {
   };
 
   /// Snapshot this process; `prev` (an earlier checkpoint of it, or null)
-  /// shares unchanged guest pages and an unchanged TB index. Moves no
-  /// counter. ConfigError if the process carries taint — checkpoints hold
-  /// clean prefixes only.
+  /// shares unchanged guest pages. Moves no guest state. ConfigError if the
+  /// process carries taint — checkpoints hold clean prefixes only.
   Checkpoint Capture(const Checkpoint* prev) const;
 
   /// Start a process from `ck` instead of the loader: the begin-process
   /// step of StartProcess (so the process-creation callback attaches any
   /// instrumentation first), then the captured state. Any Vm can restore
-  /// any checkpoint, whatever it ran before. A Resume() from the captured
-  /// frame then continues exactly as the captured run did.
+  /// any checkpoint, whatever it ran before. A Run() with the budget the
+  /// checkpoint hook was handed then continues exactly as the captured run
+  /// did.
   void Restore(const Checkpoint& ck);
 
-  /// Call `hook` at the first TB boundary of a Run at which instret() has
-  /// reached the mark set by set_checkpoint_at; the hook normally moves the
-  /// mark on. Costs one compare per TB; the mark ~0, or a null hook,
-  /// disarms.
-  using CheckpointHook = std::function<void(Vm&, const RunFrame&)>;
+  /// Call `hook` with the budget the Run has left at the first TB boundary
+  /// of a Run at which instret() has reached the mark set by
+  /// set_checkpoint_at; the hook normally moves the mark on. Costs one
+  /// compare per TB; the mark ~0, or a null hook, disarms.
+  using CheckpointHook = std::function<void(Vm&, std::uint64_t budget)>;
   void SetCheckpointHook(CheckpointHook hook) {
     checkpoint_hook_ = std::move(hook);
     if (!checkpoint_hook_) checkpoint_at_ = ~std::uint64_t{0};
@@ -326,6 +299,10 @@ class Vm {
 
   /// Captured guest output for a file descriptor (1 = stdout, 3 = data file).
   const std::string& output(int fd) const;
+  /// Every output stream, by fd.
+  const std::map<int, std::string>& outputs() const { return outputs_; }
+  /// The current brk: the end of the guest heap.
+  GuestAddr heap_break() const { return heap_break_; }
 
   /// Tainted bytes the guest wrote to any output fd (taint-through-I/O:
   /// DECAF propagates taint into I/O devices; a non-zero value predicts
@@ -371,31 +348,13 @@ class Vm {
   std::uint64_t tb_cache_size() const { return tb_filled_.size(); }
   /// Cumulative TCG-optimizer activity across all translations.
   const tcg::OptimizerStats& optimizer_stats() const { return optimizer_stats_; }
-  void set_optimize_tbs(bool on) {
-    config_.optimize_tbs = on;
-    UpdateVariantKey();
-  }
 
-  /// Per-translation-epoch breakdown of translation cost. An epoch is the
-  /// interval between TB-cache flushes, so e.g. epoch 0 is the cost before
-  /// the injector predicate was attached and epoch 1 the retranslation cost
-  /// after. The current (open) epoch is included as the last element.
-  struct TranslationEpochStats {
-    std::uint64_t translations = 0;   // TBs translated locally this epoch
-    std::uint64_t shared_reuses = 0;  // TBs taken from the shared cache
-    tcg::OptimizerStats optimizer;    // optimizer work for those translations
-  };
-  /// Closed epochs then the current one (always >= 1 entry once running).
-  std::vector<TranslationEpochStats> translation_epochs() const;
-  /// Zero every translation counter: lifetime totals (tb_translations,
-  /// optimizer_stats, shared-cache reuse, evictions) and the epoch history.
-  void ResetTranslationStats();
-
-  // ---- Hot-path counters (this PR's perf work) -------------------------------
+  // ---- Host counters (telemetry, not guest state) ----------------------------
   /// TB-to-TB transfers that followed a patched chain pointer instead of
-  /// hashing into the TB cache (QEMU's tb_add_jump hit rate).
+  /// hashing into the TB cache (QEMU's tb_add_jump hit rate), and the
+  /// soft-MMU's TLB hits and misses. Each counts from the start of the
+  /// process, booted or restored; no checkpoint holds them.
   std::uint64_t tb_chain_hits() const { return tb_chain_hits_; }
-  /// Flat-TLB hit/miss counters from the soft-MMU.
   std::uint64_t tlb_hits() const { return memory_.tlb_hits(); }
   std::uint64_t tlb_misses() const { return memory_.tlb_misses(); }
   /// TBs served by the shared cross-trial cache instead of translating.
@@ -415,7 +374,7 @@ class Vm {
     CachedTb* chain[2] = {nullptr, nullptr};
   };
 
-  /// The slot for `pc`, filled on a miss. Requires pc < text size (Resume
+  /// The slot for `pc`, filled on a miss. Requires pc < text size (Run
   /// raises SIGSEGV for any other pc before looking it up).
   CachedTb& LookupTb(std::uint64_t pc);
   /// Empty every filled slot of the local index (and only those).
@@ -530,11 +489,7 @@ class Vm {
   std::uint64_t predicate_key_ = kCleanPredicateKey;
   std::uint64_t variant_key_ = 0;
 
-  // Epoch accounting (satellite: per-flush translation-cost breakdown).
-  std::vector<TranslationEpochStats> closed_epochs_;
-  TranslationEpochStats epoch_cur_;
-
-  // Hot-path counters + chain-safety generation counter. flush_count_ lets
+  // Host counters + chain-safety generation counter. flush_count_ lets
   // the run loop detect a flush that happened *inside* LookupTb/ExecuteTb
   // (cap overflow, guest-requested flush) and drop its dangling CachedTb*.
   std::uint64_t tb_chain_hits_ = 0;

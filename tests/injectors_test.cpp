@@ -2,7 +2,7 @@
 // spec parsing and its error messages, each bundled family's corruption
 // semantics, stuck-at persistence across TB-chain and cache-epoch
 // boundaries, instruction-skip on the final retired instruction, rank-crash
-// campaigns and the kCrashed outcome, records CSV v6 and the CTR store's
+// campaigns and the kCrashed outcome, records CSV v9 and the CTR store's
 // injector columns, and serial/parallel determinism for non-default
 // injectors.
 #include <gtest/gtest.h>
@@ -445,7 +445,7 @@ TEST(InjectorCampaign, CustomInjectorSerialParallelIdentical) {
   campaign::Campaign parallel(AccumulatorApp(40), config, 3);
   const std::string parallel_csv = RecordsCsvOf(parallel.Run());
   EXPECT_EQ(serial_csv, parallel_csv);
-  EXPECT_EQ(serial_csv.rfind("#chaser-records-csv v6\n", 0), 0u);
+  EXPECT_EQ(serial_csv.rfind("#chaser-records-csv v9\n", 0), 0u);
 }
 
 TEST(InjectorCampaign, StuckAtDeterministicAcrossCacheConfigs) {
@@ -550,9 +550,9 @@ TEST(InjectorCampaign, HubFaultTriggerIsDeterministicAndTrialScoped) {
   const std::string csv_a = RecordsCsvOf(a.Run());
   campaign::Campaign b(std::move(spec), config);
   EXPECT_EQ(RecordsCsvOf(b.Run()), csv_a);
-  // Default injector + uniform sampling: the CSV stays v4 even with the
+  // Default injector + uniform sampling: the CSV stays v7 even with the
   // trigger armed — the feature adds no columns.
-  EXPECT_EQ(csv_a.rfind("#chaser-records-csv v4\n", 0), 0u);
+  EXPECT_EQ(csv_a.rfind("#chaser-records-csv v7\n", 0), 0u);
 }
 
 }  // namespace

@@ -546,23 +546,20 @@ TEST(Mpi, JobStateClearRestartsEveryChannelAndShedsOutgrownStorage) {
   EXPECT_EQ(job.NextSeq(0, 1, 3), 0u);
 }
 
-/// Each rank's outputs (fds 1 and 3) and counters (instret, chain hits, TLB
-/// hits and misses).
-using RankEnd = std::tuple<std::string, std::string, std::uint64_t,
-                           std::uint64_t, std::uint64_t, std::uint64_t>;
+/// Each rank's outputs (fds 1 and 3) and instret.
+using RankEnd = std::tuple<std::string, std::string, std::uint64_t>;
 std::vector<RankEnd> RankEnds(const Cluster& cluster) {
   std::vector<RankEnd> ends;
   for (Rank r = 0; r < cluster.num_ranks(); ++r) {
     const vm::Vm& v = cluster.rank_vm(r);
-    ends.emplace_back(v.output(1), v.output(3), v.instret(), v.tb_chain_hits(),
-                      v.tlb_hits(), v.tlb_misses());
+    ends.emplace_back(v.output(1), v.output(3), v.instret());
   }
   return ends;
 }
 
 // Checkpoint 0 is a boot: a job captured right after Start and restored —
 // into a cluster that never ran one, and into the booted cluster once its
-// job is done — returns the booted job's result, outputs and counters.
+// job is done — returns the booted job's result, outputs and instret.
 TEST(Mpi, JobRestoredFromItsStartMatchesTheBootedJob) {
   for (const apps::AppSpec& spec :
        {apps::BuildMatvec({.ranks = 4}), apps::BuildClamr({})}) {

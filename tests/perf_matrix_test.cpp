@@ -1,10 +1,11 @@
 // Perf-subsystem tests (label "perf"): the shared cross-trial translation
-// cache, the flat software TLB, per-epoch translation stats, the TB cap, the
-// identity matrix — serial, parallel, and back-to-back campaigns sharing
-// one external translation cache must produce byte-identical reports and
-// records — and golden-prefix checkpoints: trials restored from any golden
-// checkpoint must produce the records trials started from checkpoint 0 do,
-// and the slots trials capture must hold clean prefixes of their own rank.
+// cache, the flat software TLB, the TB cap, the identity matrix — serial,
+// parallel, and back-to-back campaigns sharing one external translation
+// cache must produce byte-identical reports and records — and golden-prefix
+// checkpoints: trials restored from any golden checkpoint must produce the
+// records and the final guest state (guest_state_digest.h) trials started
+// from checkpoint 0 do, and the slots trials capture must hold clean
+// prefixes of their own rank.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "campaign/report.h"
 #include "core/injectors/registry.h"
 #include "guest/builder.h"
+#include "guest_state_digest.h"
 #include "obs/metrics.h"
 #include "tcg/shared_cache.h"
 #include "vm/memory.h"
@@ -211,27 +213,45 @@ TEST(MemoryTlb, NeverCachesUnmappedPages) {
   EXPECT_TRUE(mem.Translate(0x100000).has_value());
 }
 
+// The image regions all start 1024-page aligned; by the low vpage bits
+// alone their first pages would share one slot and evict each other.
+TEST(MemoryTlb, ImageRegionsKeepTheirOwnSlots) {
+  vm::GuestMemory mem;
+  const GuestAddr bases[] = {guest::kDataBase, guest::kBssBase,
+                             guest::kHeapBase,
+                             guest::kStackTop - vm::kPageSize};
+  for (const GuestAddr base : bases) mem.MapRegion(base, vm::kPageSize);
+  for (const GuestAddr base : bases) ASSERT_TRUE(mem.Translate(base));
+  const std::uint64_t misses = mem.tlb_misses();
+  for (int round = 0; round < 4; ++round) {
+    for (const GuestAddr base : bases) ASSERT_TRUE(mem.Translate(base + 8));
+  }
+  EXPECT_EQ(mem.tlb_misses(), misses);
+}
+
 TEST(MemoryTlb, AliasedSlotsEvictEachOtherCorrectly) {
   vm::GuestMemory mem;
-  // Two pages 256 pages apart land in the same direct-mapped slot.
-  const GuestAddr a = 0x10000;
-  const GuestAddr b = a + 256 * vm::kPageSize;
-  mem.MapRegion(a, vm::kPageSize);
-  mem.MapRegion(b, vm::kPageSize);
-  ASSERT_TRUE(mem.WriteBytes(a, "A", 1));
-  ASSERT_TRUE(mem.WriteBytes(b, "B", 1));
-  // Ping-pong between the aliases: every access must still translate to the
-  // right frame even though each evicts the other's entry.
-  for (int i = 0; i < 8; ++i) {
-    char ca = 0, cb = 0;
-    ASSERT_TRUE(mem.ReadBytes(a, &ca, 1));
-    ASSERT_TRUE(mem.ReadBytes(b, &cb, 1));
-    EXPECT_EQ(ca, 'A');
-    EXPECT_EQ(cb, 'B');
+  // Twice as many pages as TLB slots, so pages share slots whatever the
+  // slot function.
+  constexpr std::uint64_t kPages = 2048;
+  const GuestAddr base = 0x10000;
+  mem.MapRegion(base, kPages * vm::kPageSize);
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    const auto byte = static_cast<std::uint8_t>(p * 37);
+    ASSERT_TRUE(mem.WriteBytes(base + p * vm::kPageSize, &byte, 1));
+  }
+  // Every access must still translate to the right frame even though the
+  // pages keep evicting each other's entries.
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+      std::uint8_t byte = 0;
+      ASSERT_TRUE(mem.ReadBytes(base + p * vm::kPageSize, &byte, 1));
+      EXPECT_EQ(byte, static_cast<std::uint8_t>(p * 37)) << "page " << p;
+    }
   }
 }
 
-// ---- Per-epoch translation stats (satellite: breakdown + reset) -----------
+// ---- Local TB cap (bounded cache, flush-on-overflow) ---------------------
 
 guest::Program LoopProgram() {
   ProgramBuilder b("loop");
@@ -243,43 +263,6 @@ guest::Program LoopProgram() {
   b.Exit(0);
   return b.Finalize();
 }
-
-TEST(TranslationEpochs, FlushClosesAnEpochAndResetZeroes) {
-  // Epoch history is per-process (StartProcess clears it), so flush *mid*
-  // process — exactly what Chaser's attach/detach retranslation does.
-  vm::Vm vm;
-  vm.StartProcess(LoopProgram());
-  ASSERT_EQ(vm.Run(50), vm::RunState::kRunnable);
-
-  auto epochs = vm.translation_epochs();
-  ASSERT_EQ(epochs.size(), 1u);
-  EXPECT_GT(epochs[0].translations, 0u);
-  EXPECT_GT(epochs[0].optimizer.movs_forwarded, 0u);
-  const std::uint64_t first_translations = epochs[0].translations;
-
-  // The flush closes epoch 0; continuing retranslates into epoch 1 and the
-  // closed epoch's numbers must not change.
-  vm.FlushTbCache();
-  vm.RunToCompletion();
-  epochs = vm.translation_epochs();
-  ASSERT_EQ(epochs.size(), 2u);
-  EXPECT_EQ(epochs[0].translations, first_translations);
-  EXPECT_GT(epochs[1].translations, 0u);
-  EXPECT_EQ(vm.tb_translations(),
-            epochs[0].translations + epochs[1].translations);
-
-  // Reset drops the history and the lifetime totals together.
-  vm.ResetTranslationStats();
-  epochs = vm.translation_epochs();
-  ASSERT_EQ(epochs.size(), 1u);
-  EXPECT_EQ(epochs[0].translations, 0u);
-  EXPECT_EQ(vm.tb_translations(), 0u);
-  EXPECT_EQ(vm.optimizer_stats().movs_forwarded, 0u);
-  EXPECT_EQ(vm.shared_tb_reuses(), 0u);
-  EXPECT_EQ(vm.tb_evictions(), 0u);
-}
-
-// ---- Local TB cap (satellite: bounded cache, flush-on-overflow) -----------
 
 TEST(TbCap, OverflowFlushesAndCountsEvictionsWithoutChangingResults) {
   auto run = [](std::uint64_t cap) {
@@ -328,6 +311,56 @@ apps::AppSpec AccumulatorApp(std::uint64_t iters = 40) {
   return spec;
 }
 
+std::string RecordsCsv(const std::vector<campaign::RunRecord>& records) {
+  std::ostringstream csv;
+  campaign::WriteRecordsCsv(records, csv);
+  return csv.str();
+}
+
+/// Trials' records and, per trial, the final guest state it left.
+struct TrialRuns {
+  std::vector<campaign::RunRecord> records;
+  std::vector<std::vector<std::string>> digests;
+
+  void Run(campaign::TrialEngine& engine, std::uint64_t seed) {
+    records.push_back(engine.RunTrial(seed));
+    digests.push_back(digest::GuestStateDigest(engine));
+  }
+  std::string csv() const { return RecordsCsv(records); }
+};
+
+/// Trial i's digest equals `want`'s, naming the trial on a mismatch.
+void ExpectSameDigests(const TrialRuns& got, const TrialRuns& want) {
+  ASSERT_EQ(got.digests.size(), want.digests.size());
+  for (std::size_t i = 0; i < got.digests.size(); ++i) {
+    EXPECT_EQ(got.digests[i], want.digests[i]) << "trial " << i;
+  }
+}
+
+std::set<Rank> InjectRanks(const CampaignConfig& config) {
+  return config.inject_ranks.empty() ? std::set<Rank>{0} : config.inject_ranks;
+}
+
+/// `config`'s trials as a one-worker campaign runs them: on the golden
+/// run's engine, each restoring from the slots earlier trials captured.
+/// `*golden` receives the profile, slot table included.
+TrialRuns SerialTrials(const apps::AppSpec& spec, CampaignConfig config,
+                       campaign::GoldenProfile* golden = nullptr) {
+  SharedTbCache cache;
+  config.shared_tb_cache = &cache;
+  const std::set<Rank> ranks = InjectRanks(config);
+  campaign::TrialEngine engine(spec, config, ranks);
+  const campaign::GoldenProfile profile = engine.RunGolden();
+  engine.AdoptGolden(profile);
+  TrialRuns runs;
+  for (const std::uint64_t seed :
+       Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    runs.Run(engine, seed);
+  }
+  if (golden != nullptr) *golden = profile;
+  return runs;
+}
+
 /// Render + records CSV: one string capturing everything user-visible.
 std::string Fingerprint(const CampaignResult& result) {
   std::ostringstream csv;
@@ -371,37 +404,39 @@ TEST(IdentityMatrix, AllCellsByteIdentical) {
   EXPECT_EQ(external.stats().translations, translations);
 }
 
-/// Records CSV of the MatrixConfig trials, each run on a TrialEngine built
-/// for that trial alone (one golden profile and one translation cache, as a
-/// campaign's engines share): nothing a process leaves in an engine's VMs —
-/// guest memory, TLB, counters — can reach the next trial.
-std::string FreshEngineCsv(const apps::AppSpec& spec) {
+/// The MatrixConfig trials, each run on a TrialEngine built for that trial
+/// alone (one golden profile and one translation cache, as a campaign's
+/// engines share): nothing a process leaves in an engine's VMs — guest
+/// memory, TLB, TB index — can reach the next trial.
+TrialRuns FreshEngineTrials(const apps::AppSpec& spec) {
   SharedTbCache cache;
   CampaignConfig config = MatrixConfig();
   config.shared_tb_cache = &cache;
   const std::set<Rank> ranks{0};
   campaign::TrialEngine golden_engine(spec, config, ranks);
   const campaign::GoldenProfile golden = golden_engine.RunGolden();
-  std::vector<campaign::RunRecord> records;
+  TrialRuns runs;
   for (const std::uint64_t seed :
        Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
     campaign::TrialEngine engine(spec, config, ranks);
     engine.AdoptGolden(golden);
-    records.push_back(engine.RunTrial(seed));
+    runs.Run(engine, seed);
   }
-  std::ostringstream csv;
-  campaign::WriteRecordsCsv(records, csv);
-  return csv.str();
+  return runs;
 }
 
-// A reused engine restarts its VMs on recycled guest memory; its records,
-// hot-path counters included, must be the ones fresh engines produce.
+// A reused engine restarts its VMs on recycled guest memory; its records
+// and the guest state each trial leaves must be the ones fresh engines
+// produce.
 TEST(IdentityMatrix, FreshEnginePerTrialMatchesReusedEngine) {
   for (const apps::AppSpec& spec : {AccumulatorApp(), apps::BuildMatvec({})}) {
-    Campaign reused(spec, MatrixConfig());
-    std::ostringstream want;
-    campaign::WriteRecordsCsv(reused.Run().records, want);
-    EXPECT_EQ(FreshEngineCsv(spec), want.str()) << spec.name;
+    SCOPED_TRACE(spec.name);
+    const TrialRuns fresh = FreshEngineTrials(spec);
+    const TrialRuns reused = SerialTrials(spec, MatrixConfig());
+    EXPECT_EQ(reused.csv(), fresh.csv());
+    ExpectSameDigests(reused, fresh);
+    Campaign campaign(spec, MatrixConfig());
+    EXPECT_EQ(RecordsCsv(campaign.Run().records), fresh.csv()) << "campaign";
   }
 }
 
@@ -427,12 +462,6 @@ std::uint64_t TrialsRestored() {
       .Value();
 }
 
-std::string RecordsCsv(const std::vector<campaign::RunRecord>& records) {
-  std::ostringstream csv;
-  campaign::WriteRecordsCsv(records, csv);
-  return csv.str();
-}
-
 CampaignConfig CheckpointConfig(campaign::SamplePolicy policy =
                                     campaign::SamplePolicy::kUniform) {
   CampaignConfig config;
@@ -450,29 +479,28 @@ std::shared_ptr<campaign::CheckpointSlots> EmptySlots(
                                                      golden.instructions);
 }
 
-/// Records CSV of `config`'s trials, every one started at instruction 0:
-/// one TrialEngine, and a fresh empty slot table before each trial, so the
+/// `config`'s trials, every one started at instruction 0: one
+/// TrialEngine, and a fresh empty slot table before each trial, so the
 /// trial restores checkpoint 0 — which vm_test's
 /// RestoreOfAStartMatchesTheBootOnEveryApp and mpi_test's
 /// JobRestoredFromItsStartMatchesTheBootedJob pin as a boot — and no later
 /// trial reads what it captures. (Copies of a profile share its table.)
-std::string BootedCsv(const apps::AppSpec& spec, CampaignConfig config) {
+TrialRuns BootedTrials(const apps::AppSpec& spec, CampaignConfig config) {
   SharedTbCache cache;
   config.shared_tb_cache = &cache;
-  const std::set<Rank> ranks =
-      config.inject_ranks.empty() ? std::set<Rank>{0} : config.inject_ranks;
+  const std::set<Rank> ranks = InjectRanks(config);
   campaign::TrialEngine golden_engine(spec, config, ranks);
   campaign::GoldenProfile golden = golden_engine.RunGolden();
   EXPECT_NE(golden.slots, nullptr);
   campaign::TrialEngine engine(spec, config, ranks);
   engine.AdoptGolden(golden);
-  std::vector<campaign::RunRecord> records;
+  TrialRuns runs;
   for (const std::uint64_t seed :
        Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
     golden.slots = EmptySlots(golden);
-    records.push_back(engine.RunTrial(seed));
+    runs.Run(engine, seed);
   }
-  return RecordsCsv(records);
+  return runs;
 }
 
 /// Every filled slot of `golden` holds a prefix of its own inject rank:
@@ -507,28 +535,32 @@ std::map<Rank, std::size_t> ExpectSlotsHoldTheirRanksPrefixes(
   return filled;
 }
 
-/// The campaign's records — restored wherever a checkpoint allows — equal
-/// the booted ones field for field (tb_chain_hits, tlb_* and instructions
-/// included), on one worker and on 3 workers, whose engines share one slot
-/// table; the one-worker run really restored some trials, and every inject
-/// rank filled slots; and both campaigns' slots hold prefixes of their own
-/// ranks.
+/// The campaign's trials — restored wherever a checkpoint allows — equal
+/// the booted ones: on one worker their records field for field and the
+/// guest state each trial leaves, and on 3 workers, whose engines share one
+/// slot table, their records. The one-worker run really restored some
+/// trials, every inject rank filled slots, and both runs' slots hold
+/// prefixes of their own ranks.
 void ExpectRestoredMatchesBooted(const std::string& cell,
                                  const apps::AppSpec& spec,
                                  const CampaignConfig& config) {
   SCOPED_TRACE(cell);
-  const std::string want = BootedCsv(spec, config);
+  const TrialRuns want = BootedTrials(spec, config);
   const std::uint64_t before = TrialsRestored();
-  Campaign serial(spec, config);
-  EXPECT_EQ(RecordsCsv(serial.Run().records), want) << "serial";
+  campaign::GoldenProfile golden;
+  const TrialRuns serial = SerialTrials(spec, config, &golden);
+  const std::string want_csv = want.csv();
+  EXPECT_EQ(serial.csv(), want_csv) << "serial";
+  ExpectSameDigests(serial, want);
   EXPECT_GT(TrialsRestored(), before) << "no trial restored";
   const std::map<Rank, std::size_t> filled =
-      ExpectSlotsHoldTheirRanksPrefixes(serial.golden());
-  for (const auto& [r, execs] : serial.golden().targeted_execs) {
+      ExpectSlotsHoldTheirRanksPrefixes(golden);
+  for (const auto& [r, execs] : golden.targeted_execs) {
     EXPECT_GT(filled.count(r), 0u) << "rank " << r << " captured nothing";
   }
   Campaign parallel(spec, config, 3);
-  EXPECT_EQ(RecordsCsv(parallel.Run().records), want) << "parallel, 3 workers";
+  EXPECT_EQ(RecordsCsv(parallel.Run().records), want_csv)
+      << "parallel, 3 workers";
   ExpectSlotsHoldTheirRanksPrefixes(parallel.golden());
 }
 
@@ -691,7 +723,7 @@ TEST(GoldenPrefix, SpoolsMatch) {
   std::filesystem::remove_all(root);
   CampaignConfig config = CheckpointConfig();
   config.spool_dir = (root / "booted").string();
-  const std::string want = BootedCsv(spec, config);
+  const std::string want = BootedTrials(spec, config).csv();
   config.spool_dir = (root / "restored").string();
   const std::uint64_t before = TrialsRestored();
   EXPECT_EQ(RecordsCsv(Campaign(spec, config).Run().records), want);

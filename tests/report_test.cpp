@@ -41,15 +41,14 @@ TEST(Report, AppendBufferWriterIsByteExact) {
   std::stringstream ss;
   WriteRecordsCsv({SampleRecord(1)}, ss);
   EXPECT_EQ(ss.str(),
-            "#chaser-records-csv v4\n"
+            "#chaser-records-csv v7\n"
             "run_seed,outcome,kind,signal,inject_rank,failure_rank,deadlock,"
             "propagated_cross_rank,propagated_cross_node,injections,"
             "tainted_reads,tainted_writes,peak_tainted_bytes,"
             "tainted_output_bytes,trigger_nth,flip_bits,instructions,"
-            "trace_dropped,taint_lost,retries,infra_error,tb_chain_hits,"
-            "tlb_hits,tlb_misses\n"
+            "trace_dropped,taint_lost,retries,infra_error\n"
             "1,terminated,os-exception,SIGSEGV,0,2,0,1,1,1,123,45,678,0,999,2,"
-            "1000000,41,0,0,,0,0,0\n");
+            "1000000,41,0,0,\n");
 
   // And the streamed output is exactly header + per-row appends, including
   // across the 64 KiB chunked-flush boundary.
@@ -58,8 +57,8 @@ TEST(Report, AppendBufferWriterIsByteExact) {
   std::stringstream streamed;
   WriteRecordsCsv(many, streamed);
   std::string expected;
-  AppendRecordsCsvHeader(&expected, 4);
-  for (const RunRecord& r : many) AppendRecordsCsvRow(&expected, r, 4);
+  AppendRecordsCsvHeader(&expected, 7);
+  for (const RunRecord& r : many) AppendRecordsCsvRow(&expected, r, 7);
   EXPECT_GT(expected.size(), std::size_t{1} << 16);
   EXPECT_EQ(streamed.str(), expected);
 
@@ -67,7 +66,8 @@ TEST(Report, AppendBufferWriterIsByteExact) {
   // a field written into another's column, or in another format, changes
   // these bytes. The flags alternate, and flip between the rows, so each is
   // set in some row. infra_error and injector need sanitizing, failure_rank
-  // is negative, and 0.1 prints exactly only with %.17g.
+  // is negative, and 0.1 prints exactly only with %.17g. The host counters
+  // are set too: no layout has a column for them.
   RunRecord rec;
   rec.run_seed = 12345678901234567890ull;
   rec.outcome = Outcome::kTerminated;
@@ -95,73 +95,69 @@ TEST(Report, AppendBufferWriterIsByteExact) {
   rec.inject_pc = 4242;
   rec.inject_class = guest::InstrClass::kFmul;
   rec.sample_weight = 0.1;
-  const std::string v4_cells =
+  const std::string v7_cells =
       "12345678901234567890,terminated,os-exception,SIGSEGV,3,-7,1,0,1,4,123,"
-      "45,678,321,999,2,1000000,41,5,6,line one with commas and returns,"
-      "4096,777,13";
-  std::stringstream v4;
-  WriteRecordsCsv({rec}, v4);
-  EXPECT_EQ(v4.str(),
-            "#chaser-records-csv v4\n"
+      "45,678,321,999,2,1000000,41,5,6,line one with commas and returns";
+  std::stringstream v7;
+  WriteRecordsCsv({rec}, v7);
+  EXPECT_EQ(v7.str(),
+            "#chaser-records-csv v7\n"
             "run_seed,outcome,kind,signal,inject_rank,failure_rank,deadlock,"
             "propagated_cross_rank,propagated_cross_node,injections,"
             "tainted_reads,tainted_writes,peak_tainted_bytes,"
             "tainted_output_bytes,trigger_nth,flip_bits,instructions,"
-            "trace_dropped,taint_lost,retries,infra_error,tb_chain_hits,"
-            "tlb_hits,tlb_misses\n" +
-                v4_cells + "\n");
+            "trace_dropped,taint_lost,retries,infra_error\n" +
+                v7_cells + "\n");
 
   RunRecord flipped = rec;
   flipped.deadlock = false;
   flipped.propagated_cross_rank = true;
   flipped.propagated_cross_node = false;
-  std::stringstream v5;
-  WriteRecordsCsv({flipped}, v5, SamplePolicy::kWeighted);
-  EXPECT_EQ(v5.str(),
-            "#chaser-records-csv v5\n"
+  std::stringstream v8;
+  WriteRecordsCsv({flipped}, v8, SamplePolicy::kWeighted);
+  EXPECT_EQ(v8.str(),
+            "#chaser-records-csv v8\n"
             "run_seed,outcome,kind,signal,inject_rank,failure_rank,deadlock,"
             "propagated_cross_rank,propagated_cross_node,injections,"
             "tainted_reads,tainted_writes,peak_tainted_bytes,"
             "tainted_output_bytes,trigger_nth,flip_bits,instructions,"
-            "trace_dropped,taint_lost,retries,infra_error,tb_chain_hits,"
-            "tlb_hits,tlb_misses,inject_pc,inject_class,sample_weight\n"
+            "trace_dropped,taint_lost,retries,infra_error,inject_pc,"
+            "inject_class,sample_weight\n"
             "12345678901234567890,terminated,os-exception,SIGSEGV,3,-7,0,1,0,"
             "4,123,45,678,321,999,2,1000000,41,5,6,line one with commas and "
-            "returns,4096,777,13,4242,fmul,0.10000000000000001\n");
+            "returns,4242,fmul,0.10000000000000001\n");
 
   rec.injector = "multi,bit";
   rec.fault_class = "transient\nbitflip";
-  std::stringstream v6;
-  WriteRecordsCsv({rec}, v6);
-  EXPECT_EQ(v6.str(),
-            "#chaser-records-csv v6\n"
+  std::stringstream v9;
+  WriteRecordsCsv({rec}, v9);
+  EXPECT_EQ(v9.str(),
+            "#chaser-records-csv v9\n"
             "run_seed,outcome,kind,signal,inject_rank,failure_rank,deadlock,"
             "propagated_cross_rank,propagated_cross_node,injections,"
             "tainted_reads,tainted_writes,peak_tainted_bytes,"
             "tainted_output_bytes,trigger_nth,flip_bits,instructions,"
-            "trace_dropped,taint_lost,retries,infra_error,tb_chain_hits,"
-            "tlb_hits,tlb_misses,inject_pc,inject_class,sample_weight,"
-            "injector,fault_class\n" +
-                v4_cells + ",4242,fmul,0.10000000000000001,multi bit,"
+            "trace_dropped,taint_lost,retries,infra_error,inject_pc,"
+            "inject_class,sample_weight,injector,fault_class\n" +
+                v7_cells + ",4242,fmul,0.10000000000000001,multi bit,"
                            "transient bitflip\n");
 }
 
 // ---- Format versioning --------------------------------------------------------
 
 TEST(Report, WriterEmitsVersionLine) {
-  // Uniform campaigns keep writing the legacy v4 layout byte for byte;
-  // sampled campaigns opt into v5, and only custom-injector campaigns (any
-  // record naming its injector) write the current (v6) format.
+  // Uniform campaigns write the narrow v7 layout; sampled campaigns opt into
+  // v8, and only custom-injector campaigns (any record naming its injector)
+  // write the current (v9) format.
   std::stringstream uniform;
   WriteRecordsCsv({SampleRecord(1)}, uniform);
-  EXPECT_EQ(uniform.str().rfind("#chaser-records-csv v4\n", 0), 0u)
-      << "uniform campaigns must stay byte-identical to pre-sampling builds";
+  EXPECT_EQ(uniform.str().rfind("#chaser-records-csv v7\n", 0), 0u)
+      << "uniform campaigns carry no sampling or injector columns";
 
   std::stringstream sampled;
   WriteRecordsCsv({SampleRecord(1)}, sampled, SamplePolicy::kWeighted);
-  EXPECT_EQ(sampled.str().rfind("#chaser-records-csv v5\n", 0), 0u)
-      << "sampled default-injector campaigns must stay byte-identical to "
-         "pre-registry builds";
+  EXPECT_EQ(sampled.str().rfind("#chaser-records-csv v8\n", 0), 0u)
+      << "sampled default-injector campaigns carry no injector columns";
 
   RunRecord custom = SampleRecord(1);
   custom.injector = "multibit";

@@ -305,8 +305,8 @@ TEST(SampledCampaign, UniformRenderAndCsvCarryNoSamplingArtifacts) {
   const std::string text = RenderPlusCsv(result, SamplePolicy::kUniform);
   EXPECT_EQ(text.find("sampling:"), std::string::npos);
   EXPECT_EQ(text.find("wilson"), std::string::npos);
-  EXPECT_NE(text.find("#chaser-records-csv v4\n"), std::string::npos)
-      << "uniform campaigns must keep the pre-sampling CSV format";
+  EXPECT_NE(text.find("#chaser-records-csv v7\n"), std::string::npos)
+      << "uniform campaigns write the layout without sampling columns";
 }
 
 TEST(SampledCampaign, WeightedSerialAndParallelAreBitIdentical) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
 #include "campaign/report.h"
+#include "common/crc32.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -88,6 +90,7 @@ std::vector<RunRecord> SampleRecords(std::size_t n) {
     r.trigger_nth = rng.UniformU64(1, 100000);
     r.flip_bits = 1 + (i % 2);
     r.instructions = 1000000 + (i % 997);
+    // Host counters: set, and never stored.
     r.tb_chain_hits = 50000 + (i % 321);
     r.tlb_hits = 300000 + (i % 555);
     r.tlb_misses = 40 + (i % 7);
@@ -127,9 +130,6 @@ void ExpectRecordEq(const RunRecord& a, const RunRecord& b, std::size_t i) {
   EXPECT_EQ(a.trigger_nth, b.trigger_nth) << "record " << i;
   EXPECT_EQ(a.flip_bits, b.flip_bits) << "record " << i;
   EXPECT_EQ(a.instructions, b.instructions) << "record " << i;
-  EXPECT_EQ(a.tb_chain_hits, b.tb_chain_hits) << "record " << i;
-  EXPECT_EQ(a.tlb_hits, b.tlb_hits) << "record " << i;
-  EXPECT_EQ(a.tlb_misses, b.tlb_misses) << "record " << i;
   EXPECT_EQ(a.trace_dropped, b.trace_dropped) << "record " << i;
   EXPECT_EQ(a.taint_lost, b.taint_lost) << "record " << i;
   EXPECT_EQ(a.retries, b.retries) << "record " << i;
@@ -146,6 +146,16 @@ void WriteStore(const std::string& dir, const std::vector<RunRecord>& recs,
   CtrStoreWriter writer(dir, TestIdentity(), options);
   for (const RunRecord& r : recs) writer.Add(r);
   writer.Finish();
+}
+
+/// The names in `dir`, sorted.
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 std::vector<RunRecord> ScanAll(const std::string& path,
@@ -193,6 +203,9 @@ TEST(CtrStore, RoundTripAllFieldsAcrossBlocks) {
   ASSERT_EQ(back.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
     ExpectRecordEq(recs[i], back[i], i);
+    EXPECT_EQ(back[i].tb_chain_hits + back[i].tlb_hits + back[i].tlb_misses,
+              0u)
+        << "record " << i << ": a host counter was stored";
   }
 }
 
@@ -241,7 +254,7 @@ TEST(CtrStore, ColumnMaskDecodesOnlySelectedColumns) {
     EXPECT_EQ(back[i].injector, recs[i].injector);
     // Unselected columns keep their defaults (skipped by length prefix).
     EXPECT_EQ(back[i].instructions, 0u);
-    EXPECT_EQ(back[i].tlb_hits, 0u);
+    EXPECT_EQ(back[i].trigger_nth, 0u);
     EXPECT_EQ(back[i].fault_class, "");
   }
 }
@@ -278,6 +291,58 @@ TEST(CtrStore, IdentityMismatchRefusesResume) {
   other.shard_index = 1;
   EXPECT_THROW(CtrStoreWriter(sharded, other, resume), ConfigError);
   EXPECT_NO_THROW(CtrStoreWriter(sharded, shard, resume));
+}
+
+// A store of another format version — v1 carried the host-counter
+// columns — is refused by every reader and by a resuming writer, with an
+// error naming both versions, and left as it was.
+TEST(CtrStore, OtherFormatVersionIsRefusedAndLeftUntouched) {
+  const std::string dir = TempPath("v1");
+  WriteStore(dir, SampleRecords(20));
+  const std::string seg = dir + "/seg-000000.ctr";
+  std::string bytes = ReadFileBytes(seg);
+  // Magic, a one-byte payload length, the header tag, then the version.
+  ASSERT_LT(static_cast<unsigned char>(bytes.at(8)), 0x80u);
+  ASSERT_EQ(bytes.at(9), '\x01');
+  ASSERT_EQ(static_cast<unsigned char>(bytes.at(10)), kCtrFormatVersion);
+  ASSERT_EQ(kCtrFormatVersion, 2u);
+  bytes[10] = 1;
+  // A valid CRC, so the version is all a reader can object to.
+  const std::size_t end = HeaderEnd(bytes);
+  const std::uint32_t crc = Crc32(bytes.data() + 9, end - 4 - 9);
+  for (int k = 0; k < 4; ++k) {
+    bytes[end - 4 + static_cast<std::size_t>(k)] =
+        static_cast<char>(crc >> (8 * k));
+  }
+  WriteFileBytes(seg, bytes);
+
+  const auto expect_refused = [&](const char* what,
+                                  const std::function<void()>& read) {
+    SCOPED_TRACE(what);
+    try {
+      read();
+      ADD_FAILURE() << "a v1 store was accepted";
+    } catch (const ConfigError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("v1"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("v2"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(ReadFileBytes(seg), bytes) << "the store was modified";
+    EXPECT_EQ(ListDir(dir), std::vector<std::string>{"seg-000000.ctr"});
+  };
+  expect_refused("scanner", [&] { ScanAll(dir); });
+  expect_refused("export", [&] {
+    std::ostringstream out;
+    ExportCsv(dir, out);
+  });
+  expect_refused("query", [&] { RunQuery(dir, QueryOptions{}); });
+  expect_refused("resuming writer", [&] {
+    CtrWriterOptions resume;
+    resume.resume = true;
+    CtrStoreWriter writer(dir, TestIdentity(), resume);
+    writer.Add(SampleRecords(1)[0]);
+    writer.Finish();
+  });
 }
 
 TEST(CtrStore, ResumedStoreFromLongerRunRefusesToFinishShort) {
@@ -457,9 +522,9 @@ std::string ExportedCsv(const std::string& dir) {
 }
 
 TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
-  // v6: custom injectors present.
+  // v9: custom injectors present.
   {
-    const std::string dir = TempPath("export_v6");
+    const std::string dir = TempPath("export_v9");
     const std::vector<RunRecord> recs = SampleRecords(37);
     CtrWriterOptions options;
     options.block_records = 8;
@@ -467,10 +532,10 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
     EXPECT_EQ(ExportedCsv(dir),
               ReferenceCsv(recs, campaign::SamplePolicy::kUniform));
   }
-  // v4: uniform policy, no injectors — the version probe must not be fooled
+  // v7: uniform policy, no injectors — the version probe must not be fooled
   // by the empty dictionary column.
   {
-    const std::string dir = TempPath("export_v4");
+    const std::string dir = TempPath("export_v7");
     std::vector<RunRecord> recs = SampleRecords(21);
     for (RunRecord& r : recs) {
       r.injector.clear();
@@ -480,9 +545,9 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
     EXPECT_EQ(ExportedCsv(dir),
               ReferenceCsv(recs, campaign::SamplePolicy::kUniform));
   }
-  // v5: non-uniform policy, still no injectors.
+  // v8: non-uniform policy, still no injectors.
   {
-    const std::string dir = TempPath("export_v5");
+    const std::string dir = TempPath("export_v8");
     std::vector<RunRecord> recs = SampleRecords(21);
     for (RunRecord& r : recs) {
       r.injector.clear();
@@ -490,7 +555,7 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
     }
     CtrStoreInfo info = TestIdentity();
     info.sample_policy = campaign::SamplePolicy::kStratified;
-    CtrStoreWriter writer(TempPath("export_v5"), info, {});
+    CtrStoreWriter writer(TempPath("export_v8"), info, {});
     for (const RunRecord& r : recs) writer.Add(r);
     writer.Finish();
     EXPECT_EQ(ExportedCsv(dir),

@@ -210,7 +210,7 @@ std::string TimelineText(const analysis::PropagationGraph& g, bool csv,
   return out;
 }
 
-/// Per-injector outcome tallies, keyed by the v6 injector column. Only
+/// Per-injector outcome tallies, keyed by the v9 injector column. Only
 /// custom-injector campaigns populate it; default records leave the map
 /// empty and the breakdown is omitted entirely.
 struct InjectorTally {

@@ -18,9 +18,12 @@
 #                    drop=0.3,delay=1,outage=3-9,retries=1: a degraded hub
 #                    ambient (checkpoints past 0) and per trial (checkpoint 0
 #                    only), both losing taint on some messages
+#   clamr            --hub-fault drop=0.3,delay=1,outage=3-9,retries=1:
+#                    matvec's clean prefixes never poll the hub, clamr's do,
+#                    so only this cell restores a hub that has moved
 #   matvec           --inject-ranks 0,1,2,3: one table of trial-captured
 #                    slots per inject rank
-# 46 cells. Each cell runs once per build, writing --report, --status,
+# 48 cells. Each cell runs once per build, writing --report, --status,
 # --metrics and an --out CTR store (plus a --spool directory on cells
 # without a --sample flag); chaser_analyze export-csv then exports the store
 # as the records CSV. The report, store, export and spool are compared. The
@@ -70,6 +73,7 @@ CELLS+=("kmeans tb-cache-cap-8 --tb-cache-cap 8 --runs 40"
         "clamr no-trace --no-trace"
         "matvec hub-fault --hub-fault drop=0.3,delay=1,outage=3-9,retries=1"
         "matvec hub-fault-trigger --hub-fault-trigger drop=0.3,delay=1,outage=3-9,retries=1"
+        "clamr hub-fault --hub-fault drop=0.3,delay=1,outage=3-9,retries=1"
         "matvec all-ranks --inject-ranks 0,1,2,3")
 
 # Prints what in report run directory $1 disagrees with its report.txt:

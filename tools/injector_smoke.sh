@@ -3,9 +3,9 @@
 #
 # Runs a short matvec campaign through `chaser_run --injector NAME --out
 # STORE` for each bundled fault family, checks the campaign exits cleanly,
-# that custom injectors stamp their identity into the records CSV v6 the
+# that custom injectors stamp their identity into the records CSV v9 the
 # store exports (chaser_analyze export-csv), and that the default family's
-# export stays on the v4 wire format (the byte-identity guarantee). Also
+# export stays on the narrow v7 layout, without the injector columns. Also
 # checks that count flags above 2^32-1 are refused, not wrapped. Companion
 # to fleet_smoke.sh, one subsystem over.
 #
@@ -68,8 +68,8 @@ for spec in "${SPECS[@]}"; do
     fail=1
     continue
   fi
-  if ! head -1 "$csv" | grep -q '^#chaser-records-csv v6$'; then
-    echo "injector_smoke: FAIL — '$spec' did not emit a records CSV v6"
+  if ! head -1 "$csv" | grep -q '^#chaser-records-csv v9$'; then
+    echo "injector_smoke: FAIL — '$spec' did not emit a records CSV v9"
     head -1 "$csv"
     fail=1
     continue
@@ -89,13 +89,13 @@ for spec in "${SPECS[@]}"; do
   echo "   ok $spec ($rows trials)"
 done
 
-echo "== default fault model stays on the v4 wire format"
+echo "== default fault model stays on the v7 layout"
 run_and_export default || {
   echo "injector_smoke: FAIL (default campaign crashed; see $WORK/default.log)"
   fail=1; }
 if [[ -f "$WORK/default.csv" ]] &&
-   ! head -1 "$WORK/default.csv" | grep -q '^#chaser-records-csv v4$'; then
-  echo "injector_smoke: FAIL — default campaign no longer emits CSV v4"
+   ! head -1 "$WORK/default.csv" | grep -q '^#chaser-records-csv v7$'; then
+  echo "injector_smoke: FAIL — default campaign no longer emits CSV v7"
   head -1 "$WORK/default.csv"
   fail=1
 fi
