@@ -358,14 +358,23 @@ GoldenProfile TrialEngine::RunGolden() {
 
 std::shared_ptr<const GoldenCheckpoint> TrialEngine::CaptureJob(
     const GoldenCheckpoint* prev) {
-  auto ck = std::make_shared<GoldenCheckpoint>();
-  ck->cluster = cluster_->Capture(prev != nullptr ? &prev->cluster : nullptr);
-  ck->chasers.reserve(static_cast<std::size_t>(spec_.num_ranks));
-  for (Rank r = 0; r < spec_.num_ranks; ++r) {
-    ck->chasers.push_back(chaser_->rank_chaser(r).Capture());
-  }
-  if (const hub::TaintHub* hub = chaser_->local_hub()) ck->hub = hub->Capture();
+  // Each part starts as prev's, which the cluster's capture shares from.
+  auto ck = std::make_shared<GoldenCheckpoint>(
+      prev != nullptr ? *prev : GoldenCheckpoint{});
+  ForEachPart(*ck, *this, [prev](const char*, Rank, auto& part, const auto& live) {
+    if constexpr (std::is_same_v<decltype(part), mpi::ClusterCheckpoint&>) {
+      part = live.Capture(prev != nullptr ? &part : nullptr);
+    } else {
+      part = live.Capture();
+    }
+  });
   return ck;
+}
+
+void TrialEngine::RestoreJob(const GoldenCheckpoint& ck) {
+  ForEachPart(ck, *this, [](const char*, Rank, const auto& part, auto& live) {
+    live.Restore(part);
+  });
 }
 
 void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
@@ -551,16 +560,12 @@ void TrialEngine::RestoreGoldenPrefix(const core::Trigger& trigger,
     const core::Chaser::Checkpoint& c =
         ck.chasers[static_cast<std::size_t>(inject_rank)];
     return trigger.SilentThrough(
-        c.exec_count, c.sites_profiled ? &c.site_execs : nullptr);
+        c.exec_count, c.site_execs.empty() ? nullptr : &c.site_execs);
   };
   std::shared_ptr<const GoldenCheckpoint> ck;
   if (slots != nullptr) ck = slots->Latest(inject_rank, usable);
   if (ck == nullptr) ck = golden_->start;
-  cluster_->Restore(ck->cluster);
-  for (Rank r = 0; r < spec_.num_ranks; ++r) {
-    chaser_->rank_chaser(r).Restore(ck->chasers[static_cast<std::size_t>(r)]);
-  }
-  if (hub::TaintHub* hub = chaser_->local_hub()) hub->Restore(ck->hub);
+  RestoreJob(*ck);
   if (ck->cluster.round.retired > 0) {
     restored_trials_.Inc();
     restored_instructions_.Inc(ck->cluster.round.retired);

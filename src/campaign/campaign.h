@@ -403,6 +403,7 @@ struct GoldenProfile {
 /// common is the profile's slot table, behind its lock.
 class TrialEngine {
  public:
+  using Checkpoint = GoldenCheckpoint;
   /// `spec`, `config` and `inject_ranks` are borrowed and must stay alive
   /// and unmodified for the engine's lifetime. Throws ConfigError if an
   /// inject rank is outside the spec's rank range.
@@ -430,6 +431,19 @@ class TrialEngine {
   mpi::Cluster& cluster() { return *cluster_; }
   core::ChaserMpi& chaser() { return *chaser_; }
 
+  /// The one list of a job's state as a trial has it (see Vm::ForEachPart):
+  /// f(name, rank, checkpoint part, live part) for the cluster (rank -1),
+  /// each rank's Chaser and the in-process hub (rank -1), each a layer.
+  template <typename Ck, typename E, typename F>
+  static void ForEachPart(Ck& ck, E& engine, F&& f) {
+    if constexpr (!std::is_const_v<Ck>) ck.chasers.resize(engine.spec_.num_ranks);
+    f("cluster", Rank{-1}, ck.cluster, *engine.cluster_);
+    for (Rank r = 0; r < engine.spec_.num_ranks; ++r) {
+      f("chaser", r, ck.chasers[r], engine.chaser_->rank_chaser(r));
+    }
+    if (hub::TaintHub* hub = engine.chaser_->local_hub()) f("hub", Rank{-1}, ck.hub, *hub);
+  }
+
  private:
   void Classify(const mpi::JobResult& job, RunRecord* rec);
   /// Start the trial's job from the latest checkpoint a trial injecting on
@@ -444,6 +458,8 @@ class TrialEngine {
   /// The whole job at this point; `prev` (an earlier checkpoint of it, or
   /// null at checkpoint 0) shares what has not changed.
   std::shared_ptr<const GoldenCheckpoint> CaptureJob(const GoldenCheckpoint* prev);
+  /// Start the job from `ck`: each layer's Restore.
+  void RestoreJob(const GoldenCheckpoint& ck);
   /// Remove the trial spool's sink from every rank's trace log.
   void DetachSpool();
 

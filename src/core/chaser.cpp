@@ -154,29 +154,41 @@ Trigger::SiteCounts Chaser::site_execs() const {
 
 Chaser::Checkpoint Chaser::Capture() const {
   Checkpoint ck;
-  ck.exec_count = exec_count_;
-  ck.sites_profiled = cmd_ != nullptr && cmd_->profile_sites;
-  ck.site_execs = site_execs();
-  ck.taint_timeline = taint_timeline_;
+  ForEachPart(ck, *this, [this](const char*, auto& part, const auto& live) {
+    if constexpr (std::is_same_v<decltype(part), Trigger::SiteCounts&>) {
+      part = site_execs();
+    } else {
+      part = live;
+    }
+  });
   return ck;
 }
 
 void Chaser::Restore(const Checkpoint& ck) {
   if (!attached_) return;
-  taint_timeline_ = ck.taint_timeline;
-  // No targeted execution yet (checkpoint 0): every trigger is still fresh.
-  if (!injector_active_ || ck.exec_count == 0) return;
-  if (!trigger_->FastForward(ck.exec_count,
-                             ck.sites_profiled ? &ck.site_execs : nullptr)) {
-    throw ConfigError("Chaser::Restore: the trigger fires within the prefix");
-  }
-  exec_count_ = ck.exec_count;
-  if (ck.sites_profiled && cmd_->profile_sites) {
-    for (const auto& [pc, count] : ck.site_execs) {
-      site_counts_[pc] = count;
-      site_pcs_.push_back(pc);
+  // A trace-only Chaser counts nothing, as in a booted run. An injecting
+  // one fast-forwards its trigger over the counts, unless there is none
+  // yet (checkpoint 0), when every trigger is still fresh.
+  const Trigger::SiteCounts* sites = nullptr;
+  ForEachPart(ck, *this, [&](const char*, const auto& part, auto& live) {
+    using T = std::remove_cvref_t<decltype(part)>;
+    if constexpr (std::is_same_v<T, Trigger::SiteCounts>) {
+      if (!part.empty()) sites = &part;
+      if (sites == nullptr || !injector_active_ || !cmd_->profile_sites) return;
+      for (const auto& [pc, count] : part) {
+        live[pc] = count;
+        site_pcs_.push_back(pc);
+      }
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      if (!injector_active_ || part == 0) return;
+      if (!trigger_->FastForward(part, sites)) {
+        throw ConfigError("Chaser::Restore: the trigger fires within the prefix");
+      }
+      live = part;
+    } else {
+      live = part;
     }
-  }
+  });
 }
 
 void Chaser::OnInjectorHelper(std::uint64_t pc) {

@@ -116,15 +116,23 @@ class Chaser {
 
   // ---- Golden-prefix checkpoints ---------------------------------------------
   /// What a clean run leaves in a Chaser by a checkpoint: targeted
-  /// executions (in total, and per pc when the command profiled sites) and
-  /// the taint timeline so far. A clean prefix logs no trace event and
-  /// makes no injection, so nothing else moves.
+  /// executions (in total, and per pc: empty unless the command profiled
+  /// sites) and the taint timeline so far. A clean prefix logs no trace
+  /// event and makes no injection, so nothing else moves.
   struct Checkpoint {
     std::uint64_t exec_count = 0;
-    bool sites_profiled = false;
     Trigger::SiteCounts site_execs;
     std::vector<TaintSample> taint_timeline;
   };
+  /// The one list of that state (see vm::Vm::ForEachPart). Live, the site
+  /// counts are a count per text pc; the execution count, the one integer
+  /// part, restores by fast-forwarding the trigger over them.
+  template <typename Ck, typename C, typename F>
+  static void ForEachPart(Ck& ck, C& chaser, F&& f) {
+    f("site_execs", ck.site_execs, chaser.site_counts_);
+    f("exec_count", ck.exec_count, chaser.exec_count_);
+    f("taint_timeline", ck.taint_timeline, chaser.taint_timeline_);
+  }
   Checkpoint Capture() const;
 
   /// Load `ck` into the run this Chaser just attached to. An injecting

@@ -53,6 +53,7 @@ struct TaintSample {
   Rank rank = -1;
   std::uint64_t instret = 0;
   std::uint64_t tainted_bytes = 0;
+  bool operator==(const TaintSample&) const = default;
 };
 
 /// Streaming consumer of trace events (implemented by analysis::TraceSpool).

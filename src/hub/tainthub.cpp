@@ -135,12 +135,13 @@ TaintHub::Checkpoint TaintHub::Capture() const {
     throw ConfigError(
         "TaintHub::Capture: a message was published since the last Clear");
   }
-  return {clock_, stats_};
+  Checkpoint ck;
+  ForEachPart(ck, *this, [](const char*, auto& part, const auto& live) { part = live; });
+  return ck;
 }
 
 void TaintHub::Restore(const Checkpoint& ck) {
-  clock_ = ck.clock;
-  stats_ = ck.stats;
+  ForEachPart(ck, *this, [](const char*, const auto& part, auto& live) { live = part; });
 }
 
 }  // namespace chaser::hub

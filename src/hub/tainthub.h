@@ -252,6 +252,12 @@ class TaintHub : public HubService {
     std::uint64_t clock = 0;
     HubStats stats;
   };
+  /// The one list of that state (see vm::Vm::ForEachPart).
+  template <typename Ck, typename H, typename F>
+  static void ForEachPart(Ck& ck, H& hub, F&& f) {
+    f("clock", ck.clock, hub.clock_);
+    f("stats", ck.stats, hub.stats_);
+  }
   /// Throws ConfigError if anything was published since the last Clear(),
   /// so a record may be pending or a transfer logged: that hub is not one
   /// a clean prefix leaves.

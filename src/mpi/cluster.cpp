@@ -174,24 +174,24 @@ void Cluster::OnCheckpointBoundary(vm::Vm& v, std::uint64_t budget) {
 }
 
 ClusterCheckpoint Cluster::Capture(const ClusterCheckpoint* prev) const {
-  ClusterCheckpoint ck;
-  ck.ranks.reserve(ranks_.size());
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankState& state = *ranks_[r];
-    const ClusterCheckpoint::RankCheckpoint* before =
-        prev != nullptr ? &prev->ranks[r] : nullptr;
-    vm::Vm::Checkpoint vm =
-        state.vm->Capture(before != nullptr ? before->vm.get() : nullptr);
-    const RankMpiState& mpi = state;
-    ck.ranks.push_back(
-        {before != nullptr && *before->vm == vm
-             ? before->vm
-             : std::make_shared<const vm::Vm::Checkpoint>(std::move(vm)),
-         before != nullptr && *before->mpi == mpi
-             ? before->mpi
-             : std::make_shared<const RankMpiState>(mpi)});
-  }
-  ck.job = job_;
+  // Each part starts as prev's and is replaced only where it changed: a
+  // rank that has not run since shares its whole VM.
+  ClusterCheckpoint ck = prev != nullptr ? *prev : ClusterCheckpoint{};
+  const auto share = [](auto& part, auto now) {
+    if (part == nullptr || !(*part == now)) {
+      part = std::make_shared<const decltype(now)>(std::move(now));
+    }
+  };
+  ForEachPart(ck, *this, [&](const char*, Rank, auto& part, const auto& live) {
+    using T = std::remove_cvref_t<decltype(part)>;
+    if constexpr (std::is_same_v<T, std::shared_ptr<const vm::Vm::Checkpoint>>) {
+      share(part, live.Capture(part.get()));
+    } else if constexpr (std::is_same_v<T, std::shared_ptr<const RankMpiState>>) {
+      share(part, RankMpiState(live));
+    } else {
+      part = live;
+    }
+  });
   ck.round = capture_;
   return ck;
 }
@@ -201,21 +201,24 @@ void Cluster::Restore(const ClusterCheckpoint& ck) {
     throw ConfigError("Cluster::Restore: checkpoint of a different rank count");
   }
   BeginJob();
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    RankState& state = *ranks_[r];
-    state.vm->Restore(*ck.ranks[r].vm);
-    const RankMpiState& mpi = *ck.ranks[r].mpi;
-    static_cast<RankMpiProgress&>(state) = mpi;
-    // Envelope by envelope into spare payloads: BeginJob emptied the inbox,
-    // keeping its storage.
-    for (const Envelope& env : mpi.inbox) {
-      state.inbox.push_back({.src = env.src, .dest = env.dest, .tag = env.tag,
-                             .count = env.count, .datatype = env.datatype,
-                             .seq = env.seq, .payload = TakePayload()});
-      state.inbox.back().payload.assign(env.payload.begin(), env.payload.end());
+  ForEachPart(ck, *this, [this](const char*, Rank, const auto& part, auto& live) {
+    using T = std::remove_cvref_t<decltype(part)>;
+    if constexpr (std::is_same_v<T, JobMpiState>) {
+      live = part;
+    } else if constexpr (std::is_same_v<T, std::shared_ptr<const RankMpiState>>) {
+      static_cast<RankMpiProgress&>(live) = *part;
+      // Envelope by envelope into spare payloads: BeginJob emptied the
+      // inbox, keeping its storage.
+      for (const Envelope& env : part->inbox) {
+        live.inbox.push_back({.src = env.src, .dest = env.dest, .tag = env.tag,
+                              .count = env.count, .datatype = env.datatype,
+                              .seq = env.seq, .payload = TakePayload()});
+        live.inbox.back().payload.assign(env.payload.begin(), env.payload.end());
+      }
+    } else {
+      live.Restore(*part);
     }
-  }
-  job_ = ck.job;
+  });
   resume_ = ck.round;
 }
 

@@ -101,6 +101,7 @@ struct JobMpiState {
   struct SendSeq {
     std::tuple<Rank, Rank, std::int64_t> channel;
     std::uint64_t next;
+    bool operator==(const SendSeq&) const = default;
   };
   /// Sorted by channel. A flat vector, so a trial's reset and restore
   /// reuse its storage.
@@ -117,6 +118,7 @@ struct JobMpiState {
   /// trial grew it past kMaxKeptChannels.
   void Clear();
   static constexpr std::size_t kMaxKeptChannels = 256;
+  bool operator==(const JobMpiState&) const = default;
 };
 
 /// A clean job at one TB boundary of one rank's Run: every rank's VM and
@@ -154,6 +156,7 @@ struct JobResult {
 
 class Cluster {
  public:
+  using Checkpoint = ClusterCheckpoint;
   struct Config {
     int num_ranks = 4;
     int ranks_per_node = 1;           // paper testbed: one rank per node
@@ -190,11 +193,6 @@ class Cluster {
 
   /// Messages delivered so far (for tests).
   std::uint64_t messages_delivered() const { return job_.messages_delivered; }
-  /// Rank `r`'s MPI-runtime state, and the job's.
-  const RankMpiState& rank_mpi(Rank r) const {
-    return *ranks_[static_cast<std::size_t>(r)];
-  }
-  const JobMpiState& job_mpi() const { return job_; }
 
   // ---- Golden-prefix checkpoints ---------------------------------------------
   /// While a hook is installed, Run calls it at the first TB boundary (of
@@ -203,6 +201,20 @@ class Cluster {
   /// The hook may call Capture(). A null hook disarms.
   using CheckpointHook = std::function<std::uint64_t(std::uint64_t retired)>;
   void SetCheckpointHook(std::uint64_t at, CheckpointHook hook);
+
+  /// The one list of a job's guest state (see Vm::ForEachPart): f(name,
+  /// rank, checkpoint part, live part) for each rank's VM and MPI state,
+  /// then (rank -1) the job's. Not the round, where a checkpoint stands.
+  template <typename Ck, typename C, typename F>
+  static void ForEachPart(Ck& ck, C& cluster, F&& f) {
+    if constexpr (!std::is_const_v<Ck>) ck.ranks.resize(cluster.ranks_.size());
+    for (std::size_t r = 0; r < cluster.ranks_.size(); ++r) {
+      auto& state = *cluster.ranks_[r];
+      f("vm", static_cast<Rank>(r), ck.ranks[r].vm, *state.vm);
+      f("mpi", static_cast<Rank>(r), ck.ranks[r].mpi, static_cast<RankMpiState&>(state));
+    }
+    f("job", Rank{-1}, ck.job, cluster.job_);
+  }
 
   /// Snapshot the job at the boundary a checkpoint hook is running at, or
   /// right after Start (a job that has run nothing); `prev` (an earlier

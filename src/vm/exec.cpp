@@ -161,9 +161,10 @@ void Vm::HandleSyscallHelper(std::uint64_t pc) {
 // run loop can patch goto_tb-style chain pointers: 0 = kGotoTb / taken
 // kBrCond, 1 = fallthrough kBrCond. The caller pre-sets -1; dynamic exits
 // (kExitTb) and abnormal exits (signal, block, budget) leave it at -1.
-void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
-                   std::uint64_t* __restrict budget,
-                   int* __restrict exit_slot) {
+// Cache-line aligned: at the default 48 mod 64 it measured up to 15% slower.
+[[gnu::aligned(64)]] void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
+                                        std::uint64_t* __restrict budget,
+                                        int* __restrict exit_slot) {
   using tcg::TcgOpc;
   if (temps_.size() < tb.num_temps) temps_.resize(tb.num_temps);
   // Elastic taint (DECAF++), decided at TB entry. taint_on: some taint

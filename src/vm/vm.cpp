@@ -209,38 +209,32 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
   if (taint_.Active()) {
     throw ConfigError("Vm::Capture: the process carries taint");
   }
-  Checkpoint ck;
-  ck.image = program_;
-  ck.cpu = cpu_;
-  ck.run_state = run_state_;
-  ck.termination = termination_;
-  ck.signal = signal_;
-  ck.exit_code = exit_code_;
-  ck.termination_message = termination_message_;
-  ck.instret = instret_;
-  ck.heap_break = heap_break_;
-  ck.next_sample = next_sample_;
-  ck.outputs = outputs_;
-  ck.tainted_output_bytes = tainted_output_bytes_;
-  ck.memory = memory_.Capture(prev != nullptr ? &prev->memory : nullptr);
+  // Each part starts as prev's, so memory can share its unchanged chunks.
+  Checkpoint ck = prev != nullptr ? *prev : Checkpoint{};
+  ForEachPart(ck, *this, [](const char*, auto& part, const auto& live) {
+    if constexpr (std::is_same_v<decltype(part), GuestMemory::Checkpoint&>) {
+      part = live.Capture(&part);
+    } else {
+      part = live;
+    }
+  });
   return ck;
 }
 
 void Vm::Restore(const Checkpoint& ck) {
-  BeginProcess(ck.image);
-  cpu_ = ck.cpu;
-  run_state_ = ck.run_state;
-  termination_ = ck.termination;
-  signal_ = ck.signal;
-  exit_code_ = ck.exit_code;
-  termination_message_ = ck.termination_message;
-  instret_ = ck.instret;
-  heap_break_ = ck.heap_break;
-  next_sample_ = ck.next_sample;
-  UpdateNextStop();
-  for (const auto& [fd, bytes] : ck.outputs) OutputStream(fd) = bytes;
-  tainted_output_bytes_ = ck.tainted_output_bytes;
-  memory_.Restore(ck.memory);
+  ForEachPart(ck, *this, [this](const char*, const auto& part, auto& live) {
+    using T = std::remove_cvref_t<decltype(part)>;
+    if constexpr (std::is_same_v<T, std::shared_ptr<const guest::Program>>) {
+      BeginProcess(part);  // first in the walk
+    } else if constexpr (std::is_same_v<T, std::map<int, std::string>>) {
+      for (const auto& [fd, bytes] : part) OutputStream(fd) = bytes;
+    } else if constexpr (std::is_same_v<T, GuestMemory::Checkpoint>) {
+      live.Restore(part);
+    } else {
+      live = part;
+    }
+  });
+  UpdateNextStop();  // for the restored next sample point
 }
 
 RunState Vm::RunToCompletion() {

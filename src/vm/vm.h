@@ -225,10 +225,9 @@ class Vm {
   RunState Run(std::uint64_t max_insns);
 
   // ---- Golden-prefix checkpoints ---------------------------------------------
-  /// A clean (untainted, uninjected) process at a TB boundary: its image,
-  /// CPU, run state, outputs, the next taint-sample point and guest memory.
-  /// Guest state only: a restored process refills its TB index and TLB as
-  /// it runs, as a booted one does.
+  /// A clean (untainted, uninjected) process at a TB boundary. Guest state
+  /// only: a restored process refills its TB index and TLB as it runs, as a
+  /// booted one does.
   struct Checkpoint {
     std::shared_ptr<const guest::Program> image;
     CpuState cpu;
@@ -248,6 +247,26 @@ class Vm {
     /// one when its process has not changed since.
     bool operator==(const Checkpoint&) const = default;
   };
+
+  /// The one list of a process's guest state: f(name, checkpoint part, live
+  /// part), the image first. Capture, Restore and the tests' state oracle
+  /// visit it: a part added here is captured, restored and compared.
+  template <typename Ck, typename V, typename F>
+  static void ForEachPart(Ck& ck, V& vm, F&& f) {
+    f("image", ck.image, vm.program_);
+    f("cpu", ck.cpu, vm.cpu_);
+    f("run_state", ck.run_state, vm.run_state_);
+    f("termination", ck.termination, vm.termination_);
+    f("signal", ck.signal, vm.signal_);
+    f("exit_code", ck.exit_code, vm.exit_code_);
+    f("termination_message", ck.termination_message, vm.termination_message_);
+    f("instret", ck.instret, vm.instret_);
+    f("heap_break", ck.heap_break, vm.heap_break_);
+    f("next_sample", ck.next_sample, vm.next_sample_);
+    f("outputs", ck.outputs, vm.outputs_);
+    f("tainted_output_bytes", ck.tainted_output_bytes, vm.tainted_output_bytes_);
+    f("memory", ck.memory, vm.memory_);
+  }
 
   /// Snapshot this process; `prev` (an earlier checkpoint of it, or null)
   /// shares unchanged guest pages. Moves no guest state. ConfigError if the
@@ -299,10 +318,6 @@ class Vm {
 
   /// Captured guest output for a file descriptor (1 = stdout, 3 = data file).
   const std::string& output(int fd) const;
-  /// Every output stream, by fd.
-  const std::map<int, std::string>& outputs() const { return outputs_; }
-  /// The current brk: the end of the guest heap.
-  GuestAddr heap_break() const { return heap_break_; }
 
   /// Tainted bytes the guest wrote to any output fd (taint-through-I/O:
   /// DECAF propagates taint into I/O devices; a non-zero value predicts
