@@ -358,12 +358,10 @@ GoldenProfile TrialEngine::RunGolden() {
 
 std::shared_ptr<const GoldenCheckpoint> TrialEngine::CaptureJob(
     const GoldenCheckpoint* prev) {
-  // Each part starts as prev's, which the cluster's capture shares from.
-  auto ck = std::make_shared<GoldenCheckpoint>(
-      prev != nullptr ? *prev : GoldenCheckpoint{});
+  auto ck = std::make_shared<GoldenCheckpoint>();
   ForEachPart(*ck, *this, [prev](const char*, Rank, auto& part, const auto& live) {
     if constexpr (std::is_same_v<decltype(part), mpi::ClusterCheckpoint&>) {
-      part = live.Capture(prev != nullptr ? &part : nullptr);
+      part = live.Capture(prev != nullptr ? &prev->cluster : nullptr);
     } else {
       part = live.Capture();
     }

@@ -167,24 +167,27 @@ Chaser::Checkpoint Chaser::Capture() const {
 void Chaser::Restore(const Checkpoint& ck) {
   if (!attached_) return;
   // A trace-only Chaser counts nothing, as in a booted run. An injecting
-  // one fast-forwards its trigger over the counts, unless there is none
-  // yet (checkpoint 0), when every trigger is still fresh.
-  const Trigger::SiteCounts* sites = nullptr;
+  // one takes the counts and fast-forwards its trigger over them, unless
+  // there are none yet (checkpoint 0), when every trigger is still fresh.
   ForEachPart(ck, *this, [&](const char*, const auto& part, auto& live) {
     using T = std::remove_cvref_t<decltype(part)>;
     if constexpr (std::is_same_v<T, Trigger::SiteCounts>) {
-      if (!part.empty()) sites = &part;
-      if (sites == nullptr || !injector_active_ || !cmd_->profile_sites) return;
+      if (!injector_active_ || !cmd_->profile_sites) return;
       for (const auto& [pc, count] : part) {
         live[pc] = count;
         site_pcs_.push_back(pc);
       }
     } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-      if (!injector_active_ || part == 0) return;
-      if (!trigger_->FastForward(part, sites)) {
-        throw ConfigError("Chaser::Restore: the trigger fires within the prefix");
+      // The execution count, picked by itself: another part may be a count.
+      if (&part != &ck.exec_count) {
+        live = part;
+      } else if (injector_active_ && ck.exec_count > 0) {
+        const Trigger::SiteCounts* sites = ck.site_execs.empty() ? nullptr : &ck.site_execs;
+        if (!trigger_->FastForward(ck.exec_count, sites)) {
+          throw ConfigError("Chaser::Restore: the trigger fires within the prefix");
+        }
+        live = part;
       }
-      live = part;
     } else {
       live = part;
     }

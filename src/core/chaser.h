@@ -125,12 +125,11 @@ class Chaser {
     std::vector<TaintSample> taint_timeline;
   };
   /// The one list of that state (see vm::Vm::ForEachPart). Live, the site
-  /// counts are a count per text pc; the execution count, the one integer
-  /// part, restores by fast-forwarding the trigger over them.
+  /// counts are a count per text pc; Capture and Restore pick them by type.
   template <typename Ck, typename C, typename F>
   static void ForEachPart(Ck& ck, C& chaser, F&& f) {
-    f("site_execs", ck.site_execs, chaser.site_counts_);
     f("exec_count", ck.exec_count, chaser.exec_count_);
+    f("site_execs", ck.site_execs, chaser.site_counts_);
     f("taint_timeline", ck.taint_timeline, chaser.taint_timeline_);
   }
   Checkpoint Capture() const;

@@ -174,20 +174,22 @@ void Cluster::OnCheckpointBoundary(vm::Vm& v, std::uint64_t budget) {
 }
 
 ClusterCheckpoint Cluster::Capture(const ClusterCheckpoint* prev) const {
-  // Each part starts as prev's and is replaced only where it changed: a
-  // rank that has not run since shares its whole VM.
-  ClusterCheckpoint ck = prev != nullptr ? *prev : ClusterCheckpoint{};
-  const auto share = [](auto& part, auto now) {
-    if (part == nullptr || !(*part == now)) {
-      part = std::make_shared<const decltype(now)>(std::move(now));
-    }
+  // A rank part equal to prev's copy (`before`) shares it: a rank that has
+  // not run since shares its whole VM.
+  const auto share = [](auto& part, const auto* before, auto&& now) {
+    part = before != nullptr && **before == now
+               ? *before
+               : std::make_shared<const std::remove_cvref_t<decltype(now)>>(
+                     std::forward<decltype(now)>(now));
   };
-  ForEachPart(ck, *this, [&](const char*, Rank, auto& part, const auto& live) {
+  ClusterCheckpoint ck;
+  ForEachPart(ck, *this, [&](const char*, Rank r, auto& part, const auto& live) {
     using T = std::remove_cvref_t<decltype(part)>;
     if constexpr (std::is_same_v<T, std::shared_ptr<const vm::Vm::Checkpoint>>) {
-      share(part, live.Capture(part.get()));
+      const T* before = prev != nullptr ? &prev->ranks[r].vm : nullptr;
+      share(part, before, live.Capture(before != nullptr ? before->get() : nullptr));
     } else if constexpr (std::is_same_v<T, std::shared_ptr<const RankMpiState>>) {
-      share(part, RankMpiState(live));
+      share(part, prev != nullptr ? &prev->ranks[r].mpi : nullptr, live);
     } else {
       part = live;
     }

@@ -205,6 +205,7 @@ class Cluster {
   /// The one list of a job's guest state (see Vm::ForEachPart): f(name,
   /// rank, checkpoint part, live part) for each rank's VM and MPI state,
   /// then (rank -1) the job's. Not the round, where a checkpoint stands.
+  /// Capture and Restore pick each part by type.
   template <typename Ck, typename C, typename F>
   static void ForEachPart(Ck& ck, C& cluster, F&& f) {
     if constexpr (!std::is_const_v<Ck>) ck.ranks.resize(cluster.ranks_.size());

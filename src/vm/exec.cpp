@@ -161,7 +161,8 @@ void Vm::HandleSyscallHelper(std::uint64_t pc) {
 // run loop can patch goto_tb-style chain pointers: 0 = kGotoTb / taken
 // kBrCond, 1 = fallthrough kBrCond. The caller pre-sets -1; dynamic exits
 // (kExitTb) and abnormal exits (signal, block, budget) leave it at -1.
-// Cache-line aligned: at the default 48 mod 64 it measured up to 15% slower.
+// Cache-line aligned: fixes this function's placement, not other code's,
+// which still moves timings (EXPERIMENTS.md).
 [[gnu::aligned(64)]] void Vm::ExecuteTb(const tcg::TranslationBlock& tb,
                                         std::uint64_t* __restrict budget,
                                         int* __restrict exit_slot) {

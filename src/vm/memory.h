@@ -149,9 +149,9 @@ class GuestMemory {
   };
 
   /// Snapshot this memory. Chunks whose bytes equal the same chunk of
-  /// `prev` (an earlier checkpoint of this process; null or an empty one
-  /// shares nothing) share its copy, and so do whole pages. Reads frames
-  /// directly: no TLB slot, counter or touch record moves.
+  /// `prev` (an earlier checkpoint of this process, or null) share its
+  /// copy, and so do whole pages. Reads frames directly: no TLB slot,
+  /// counter or touch record moves.
   Checkpoint Capture(const Checkpoint* prev) const;
 
   /// Reset(), then load `ck` by replaying its MapRegion calls. Afterwards

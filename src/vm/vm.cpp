@@ -209,11 +209,10 @@ Vm::Checkpoint Vm::Capture(const Checkpoint* prev) const {
   if (taint_.Active()) {
     throw ConfigError("Vm::Capture: the process carries taint");
   }
-  // Each part starts as prev's, so memory can share its unchanged chunks.
-  Checkpoint ck = prev != nullptr ? *prev : Checkpoint{};
-  ForEachPart(ck, *this, [](const char*, auto& part, const auto& live) {
+  Checkpoint ck;
+  ForEachPart(ck, *this, [prev](const char*, auto& part, const auto& live) {
     if constexpr (std::is_same_v<decltype(part), GuestMemory::Checkpoint&>) {
-      part = live.Capture(&part);
+      part = live.Capture(prev != nullptr ? &prev->memory : nullptr);
     } else {
       part = live;
     }

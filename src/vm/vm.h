@@ -251,6 +251,8 @@ class Vm {
   /// The one list of a process's guest state: f(name, checkpoint part, live
   /// part), the image first. Capture, Restore and the tests' state oracle
   /// visit it: a part added here is captured, restored and compared.
+  /// Capture and Restore pick the image, outputs and memory by type, so
+  /// each must stay the only part of its type.
   template <typename Ck, typename V, typename F>
   static void ForEachPart(Ck& ck, V& vm, F&& f) {
     f("image", ck.image, vm.program_);

@@ -387,18 +387,6 @@ MessageTaintRecord MakeRecord(Rank src, Rank dest, std::int64_t tag,
   return rec;
 }
 
-void ExpectSameStats(const HubStats& a, const HubStats& b) {
-  EXPECT_EQ(a.publishes, b.publishes);
-  EXPECT_EQ(a.polls, b.polls);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.applied_bytes, b.applied_bytes);
-  EXPECT_EQ(a.publish_drops, b.publish_drops);
-  EXPECT_EQ(a.unavailable_polls, b.unavailable_polls);
-  EXPECT_EQ(a.abandoned_polls, b.abandoned_polls);
-  EXPECT_EQ(a.taint_lost, b.taint_lost);
-  EXPECT_EQ(a.lost_taint_bytes, b.lost_taint_bytes);
-}
-
 void ExpectSameTransfers(const std::vector<TransferLogEntry>& a,
                          const std::vector<TransferLogEntry>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -424,7 +412,7 @@ void RunIdentityScript(hub::HubService& local, hub::HubService& remote,
   // in-process hub does.
   local.Clear();
   remote.Clear();
-  ExpectSameStats(local.stats(), remote.stats());
+  EXPECT_EQ(local.stats(), remote.stats());
   ExpectSameTransfers(local.DrainTransferLog(), remote.DrainTransferLog());
 
   local.SetFaultModel(fault);
@@ -463,7 +451,7 @@ void RunIdentityScript(hub::HubService& local, hub::HubService& remote,
       local.AbandonPoll(id);
       remote.AbandonPoll(id);
     }
-    ExpectSameStats(local.stats(), remote.stats());
+    EXPECT_EQ(local.stats(), remote.stats());
     ExpectSameTransfers(local.transfer_log(), remote.transfer_log());
     EXPECT_EQ(local.SawTransfer(0, 1), remote.SawTransfer(0, 1));
     EXPECT_EQ(local.SawTransfer(2, 0), remote.SawTransfer(2, 0));

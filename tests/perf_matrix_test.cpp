@@ -524,7 +524,7 @@ std::map<Rank, std::size_t> ExpectSlotsHoldTheirRanksPrefixes(
           continue;
         }
         EXPECT_EQ(golden.slots->SlotOf(r, c.exec_count), k);
-        if (!c.site_execs.empty()) {
+        if (!golden.sites.empty()) {
           std::uint64_t sum = 0;
           for (const auto& [pc, n] : c.site_execs) sum += n;
           EXPECT_EQ(sum, c.exec_count) << "per-site counts";
