@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "obs/profiler.h"
-#include "taint/taint.h"
-#include "vm/memory.h"
 
 namespace chaser::hub {
 
@@ -17,33 +15,10 @@ void ChaserMpiHooks::OnSend(vm::Vm& sender, const mpi::Envelope& env,
   if (!taint.Active()) return;
 
   const obs::ScopedPhase obs_scope(obs::Phase::kTaintPropagate);
-  const std::uint64_t bytes = env.payload.size();
-  std::vector<std::uint8_t> masks(bytes, 0);
-  bool any = false;
-  // Page-at-a-time: translate once per guest page and read the shadow page
-  // directly, instead of a translation + shadow lookup per byte.
-  std::uint64_t i = 0;
-  while (i < bytes) {
-    const GuestAddr va = buf + i;
-    std::uint64_t chunk =
-        std::min<std::uint64_t>(bytes - i, vm::kPageSize - (va & vm::kPageMask));
-    const auto paddr = sender.memory().Translate(va);
-    if (!paddr) {  // runtime already validated; stay defensive
-      i += chunk;
-      continue;
-    }
-    const std::uint64_t shadow_off = *paddr & (taint::kShadowPageSize - 1);
-    chunk = std::min(chunk, taint::kShadowPageSize - shadow_off);
-    if (const std::uint8_t* shadow = taint.PeekShadowPage(*paddr)) {
-      for (std::uint64_t j = 0; j < chunk; ++j) {
-        const std::uint8_t m = shadow[shadow_off + j];
-        masks[i + j] = m;
-        any = any || (m != 0);
-      }
-    }
-    i += chunk;
+  std::vector<std::uint8_t> masks;
+  if (!mpi::ReadGuestMemTaint(sender, buf, env.payload.size(), &masks)) {
+    return;  // clean message: no hub operation at all
   }
-  if (!any) return;  // clean message: no hub operation at all
 
   MessageTaintRecord record;
   record.id = {env.src, env.dest, env.tag, env.seq};
@@ -56,8 +31,7 @@ void ChaserMpiHooks::OnSend(vm::Vm& sender, const mpi::Envelope& env,
 
 void ChaserMpiHooks::OnRecvComplete(vm::Vm& receiver, const mpi::Envelope& env,
                                     GuestAddr buf) {
-  auto& taint = receiver.taint();
-  if (!taint.enabled()) return;
+  if (!receiver.taint().enabled()) return;
 
   const MessageId id{env.src, env.dest, env.tag, env.seq};
   const RecvContext ctx{.dest_vaddr = buf, .recv_instret = receiver.instret()};
@@ -82,14 +56,9 @@ void ChaserMpiHooks::OnRecvComplete(vm::Vm& receiver, const mpi::Envelope& env,
 
   const obs::ScopedPhase obs_scope(obs::Phase::kTaintPropagate);
   const MessageTaintRecord& record = *attempt.record;
-  const std::uint64_t bytes =
-      std::min<std::uint64_t>(record.byte_masks.size(), env.payload.size());
-  for (std::uint64_t i = 0; i < bytes; ++i) {
-    const std::uint8_t m = record.byte_masks[i];
-    if (m == 0) continue;
-    const auto paddr = receiver.memory().Translate(buf + i);
-    if (paddr) taint.SetMemTaintByte(*paddr, m);
-  }
+  mpi::ApplyGuestMemTaint(
+      receiver, buf, record.byte_masks.data(),
+      std::min<std::uint64_t>(record.byte_masks.size(), env.payload.size()));
 }
 
 }  // namespace chaser::hub

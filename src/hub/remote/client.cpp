@@ -282,13 +282,6 @@ std::vector<TransferLogEntry> RemoteTaintHub::DrainTransferLog() {
   return log;
 }
 
-bool RemoteTaintHub::SawTransfer(Rank src, Rank dest) const {
-  for (const TransferLogEntry& t : transfers_) {
-    if (t.id.src == src && t.id.dest == dest) return true;
-  }
-  return false;
-}
-
 HubStats RemoteTaintHub::stats() const {
   HubStats total;
   std::string request;

@@ -14,8 +14,8 @@
 // in DESIGN.md §5.7 — use one endpoint when byte-identity matters).
 //
 // The transfer log is mirrored client-side: each poll hit appends an entry
-// with a client-assigned hub_seq, so transfer_log()/SawTransfer() need no
-// network round trip and cross-shard ordering matches issue order.
+// with a client-assigned hub_seq, so transfer_log() needs no network round
+// trip and cross-shard ordering matches issue order.
 //
 // A shard whose session nothing has reached since its last clear (a fresh
 // session counts as cleared) is skipped by Clear(), stats() and
@@ -65,7 +65,6 @@ class RemoteTaintHub : public HubService {
   const HubFaultModel& fault_model() const override { return fault_model_; }
   std::vector<TransferLogEntry> transfer_log() const override;
   std::vector<TransferLogEntry> DrainTransferLog() override;
-  bool SawTransfer(Rank src, Rank dest) const override;
   /// Sum of every shard's server-side counters.
   HubStats stats() const override;
   void Clear() override;

@@ -109,13 +109,6 @@ std::vector<TransferLogEntry> TaintHub::DrainTransferLog() {
   return log;
 }
 
-bool TaintHub::SawTransfer(Rank src, Rank dest) const {
-  for (const TransferLogEntry& t : transfers_) {
-    if (t.id.src == src && t.id.dest == dest) return true;
-  }
-  return false;
-}
-
 void TaintHub::Clear() {
   records_.clear();
   transfers_.clear();

@@ -179,9 +179,6 @@ class HubService {
   /// and pending records untouched.
   virtual std::vector<TransferLogEntry> DrainTransferLog() = 0;
 
-  /// True if any tainted message has flowed src -> dest.
-  virtual bool SawTransfer(Rank src, Rank dest) const = 0;
-
   /// Counter snapshot (remote implementations sum their shards').
   virtual HubStats stats() const = 0;
 
@@ -236,9 +233,6 @@ class TaintHub : public HubService {
   /// through this so records from one trial can never bleed into — or
   /// interleave with — the next trial's spool.
   std::vector<TransferLogEntry> DrainTransferLog() override;
-
-  /// True if any tainted message has flowed src -> dest.
-  bool SawTransfer(Rank src, Rank dest) const override;
 
   HubStats stats() const override { return stats_; }
 

@@ -29,25 +29,37 @@ void ClearGuestMemTaint(vm::Vm& vm, GuestAddr vaddr, std::uint64_t len) {
   // With zero tainted bytes in the whole process the clear is a no-op;
   // receives in clean runs skip the scan entirely.
   if (taint.CountTaintedBytes() == 0) return;
-  // Page-at-a-time: one translation per guest page, one shadow-page probe
-  // instead of a lookup per byte; untracked pages are already clean.
-  std::uint64_t i = 0;
-  while (i < len) {
-    const GuestAddr va = vaddr + i;
-    std::uint64_t chunk =
-        std::min<std::uint64_t>(len - i, vm::kPageSize - (va & vm::kPageMask));
-    const auto paddr = vm.memory().Translate(va);
-    if (paddr) {
-      const std::uint64_t shadow_off = *paddr & (taint::kShadowPageSize - 1);
-      chunk = std::min(chunk, taint::kShadowPageSize - shadow_off);
-      if (taint.PeekShadowPage(*paddr) != nullptr) {
-        for (std::uint64_t j = 0; j < chunk; ++j) {
-          taint.SetMemTaintByte(*paddr + j, 0);
-        }
-      }
+  vm.ForEachShadowRun(vaddr, len, [&](std::uint64_t, PhysAddr pa,
+                                      const std::uint8_t* shadow, std::uint64_t n) {
+    if (shadow == nullptr) return;  // untracked page: already clean
+    for (std::uint64_t j = 0; j < n; ++j) taint.SetMemTaintByte(pa + j, 0);
+  });
+}
+
+bool ReadGuestMemTaint(const vm::Vm& vm, GuestAddr vaddr, std::uint64_t len,
+                       std::vector<std::uint8_t>* masks) {
+  const auto& taint = vm.taint();
+  if (!taint.enabled() || taint.CountTaintedBytes() == 0) return false;
+  masks->assign(len, 0);
+  bool any = false;
+  vm.ForEachShadowRun(vaddr, len, [&](std::uint64_t i, PhysAddr,
+                                      const std::uint8_t* shadow, std::uint64_t n) {
+    if (shadow == nullptr) return;
+    std::copy_n(shadow, n, masks->begin() + static_cast<std::ptrdiff_t>(i));
+    any = any || std::any_of(shadow, shadow + n, [](std::uint8_t m) { return m != 0; });
+  });
+  return any;
+}
+
+void ApplyGuestMemTaint(vm::Vm& vm, GuestAddr vaddr, const std::uint8_t* masks,
+                        std::uint64_t len) {
+  auto& taint = vm.taint();
+  vm.ForEachShadowRun(vaddr, len, [&](std::uint64_t i, PhysAddr pa,
+                                      const std::uint8_t*, std::uint64_t n) {
+    for (std::uint64_t j = 0; j < n; ++j) {
+      if (masks[i + j] != 0) taint.SetMemTaintByte(pa + j, masks[i + j]);
     }
-    i += chunk;
-  }
+  });
 }
 
 std::optional<vm::SyscallResult> Cluster::RankSyscalls::HandleSyscall(
@@ -354,6 +366,18 @@ bool Cluster::ValidateArgs(Rank r, std::uint64_t count, std::uint64_t datatype,
   return true;
 }
 
+bool Cluster::ValidateOp(Rank r, std::uint64_t op, const char* what) {
+  using guest::MpiOp;
+  if (op == static_cast<std::uint64_t>(MpiOp::kSum) ||
+      op == static_cast<std::uint64_t>(MpiOp::kMin) ||
+      op == static_cast<std::uint64_t>(MpiOp::kMax)) {
+    return true;
+  }
+  rank_vm(r).TerminateMpiError(
+      StrFormat("%s: invalid op %llu", what, static_cast<unsigned long long>(op)));
+  return false;
+}
+
 vm::SyscallResult Cluster::MpiInit(Rank r) {
   rank(r).mpi_initialized = true;
   return vm::SyscallResult::Done(0);
@@ -429,6 +453,73 @@ bool Cluster::CompleteReceive(Rank r, Envelope env, GuestAddr buf) {
   return mapped;
 }
 
+std::vector<Envelope>::iterator Cluster::FindMessage(Rank r, std::int64_t src,
+                                                    std::int64_t tag) {
+  auto& inbox = rank(r).inbox;
+  return std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
+    return (src == -1 || e.src == src) && (tag == -1 ? e.tag >= 0 : e.tag == tag);
+  });
+}
+
+bool Cluster::AllArrived(Rank r, std::int64_t tag) {
+  for (Rank src = 0; src < config_.num_ranks; ++src) {
+    if (src != r && FindMessage(r, src, tag) == rank(r).inbox.end()) return false;
+  }
+  return true;
+}
+
+vm::SyscallResult Cluster::TakeMessage(Rank r, std::int64_t src, std::int64_t tag,
+                                       std::uint64_t bytes, Fit fit,
+                                       const char* what, Envelope* env) {
+  const auto match = FindMessage(r, src, tag);
+  if (match == rank(r).inbox.end()) return vm::SyscallResult::Block();
+  const std::size_t size = match->payload.size();
+  if (fit == Fit::kAtMost ? size > bytes : size != bytes) {
+    rank_vm(r).TerminateMpiError(
+        fit == Fit::kAtMost
+            ? StrFormat("%s: message truncated (%zu bytes into %llu-byte buffer)",
+                        what, size, static_cast<unsigned long long>(bytes))
+            : StrFormat("%s: count mismatch %s", what,
+                        fit == Fit::kFromRoot ? "between root and receiver"
+                                              : "across ranks"));
+    return vm::SyscallResult::Terminated();
+  }
+  *env = std::move(*match);
+  rank(r).inbox.erase(match);
+  return vm::SyscallResult::Done(0);
+}
+
+vm::SyscallResult Cluster::Receive(Rank r, std::int64_t src, std::int64_t tag,
+                                   GuestAddr buf, std::uint64_t bytes, Fit fit,
+                                   const char* what) {
+  Envelope env;
+  const vm::SyscallResult took = TakeMessage(r, src, tag, bytes, fit, what, &env);
+  if (took.outcome != vm::SyscallResult::Outcome::kDone) return took;
+  return CompleteReceive(r, std::move(env), buf) ? took
+                                                 : vm::SyscallResult::Terminated();
+}
+
+bool Cluster::CopyLocal(Rank r, GuestAddr from, GuestAddr to, std::uint64_t bytes,
+                        const char* what) {
+  vm::Vm& v = rank_vm(r);
+  std::vector<std::uint8_t> data = TakePayload();
+  std::vector<std::uint8_t> masks = TakePayload();
+  // The source's shadow is read before the destination's is cleared: the
+  // two may overlap.
+  const bool read = v.memory().ReadBuffer(from, bytes, &data);
+  const bool tainted = read && ReadGuestMemTaint(v, from, bytes, &masks);
+  const bool copied = read && v.memory().WriteBytes(to, data.data(), bytes);
+  if (copied) {
+    ClearGuestMemTaint(v, to, bytes);
+    if (tainted) ApplyGuestMemTaint(v, to, masks.data(), bytes);
+  } else {
+    v.RaiseSignal(vm::GuestSignal::kSegv, std::string(what) + ": buffer not mapped");
+  }
+  RecyclePayload(std::move(data));
+  RecyclePayload(std::move(masks));
+  return copied;
+}
+
 vm::SyscallResult Cluster::MpiRecv(Rank r) {
   if (!RequireInitialized(r, "MPI_Recv")) return vm::SyscallResult::Terminated();
   vm::Vm& v = rank_vm(r);
@@ -441,27 +532,8 @@ vm::SyscallResult Cluster::MpiRecv(Rank r) {
                     "MPI_Recv")) {
     return vm::SyscallResult::Terminated();
   }
-
-  auto& inbox = rank(r).inbox;
-  const auto match = std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
-    if (e.tag < 0) return false;  // collective traffic is not user-receivable
-    return (source == -1 || e.src == source) && (tag == -1 || e.tag == tag);
-  });
-  if (match == inbox.end()) return vm::SyscallResult::Block();
-
-  const std::uint64_t capacity = count * guest::MpiDatatypeSize(datatype);
-  if (match->payload.size() > capacity) {
-    v.TerminateMpiError(StrFormat(
-        "MPI_Recv: message truncated (%zu bytes into %llu-byte buffer)",
-        match->payload.size(), static_cast<unsigned long long>(capacity)));
-    return vm::SyscallResult::Terminated();
-  }
-  Envelope env = std::move(*match);
-  inbox.erase(match);
-  if (!CompleteReceive(r, std::move(env), buf)) {
-    return vm::SyscallResult::Terminated();
-  }
-  return vm::SyscallResult::Done(0);
+  return Receive(r, source, tag, buf, count * guest::MpiDatatypeSize(datatype),
+                 Fit::kAtMost, "MPI_Recv");
 }
 
 vm::SyscallResult Cluster::MpiBcast(Rank r) {
@@ -474,94 +546,110 @@ vm::SyscallResult Cluster::MpiBcast(Rank r) {
   if (!ValidateArgs(r, count, datatype, root, 0, false, "MPI_Bcast")) {
     return vm::SyscallResult::Terminated();
   }
-
-  if (r == root) {
-    const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
-    std::vector<std::uint8_t> payload = TakePayload();
-    if (!v.memory().ReadBuffer(buf, bytes, &payload)) {
-      v.RaiseSignal(vm::GuestSignal::kSegv,
-                    "MPI_Bcast: buffer " + Hex64(buf) + " not mapped");
+  if (r != root) {
+    return Receive(r, root, kBcastTag, buf, count * guest::MpiDatatypeSize(datatype),
+                   Fit::kFromRoot, "MPI_Bcast");
+  }
+  for (Rank dest = 0; dest < config_.num_ranks; ++dest) {
+    if (dest != r && !SendRaw(r, dest, kBcastTag, count, datatype, buf, "MPI_Bcast")) {
       return vm::SyscallResult::Terminated();
     }
-    for (Rank dest = 0; dest < config_.num_ranks; ++dest) {
-      if (dest == r) continue;
-      Envelope env{.src = r, .dest = dest, .tag = kBcastTag, .count = count,
-                   .datatype = datatype, .payload = TakePayload()};
-      env.payload.assign(payload.begin(), payload.end());
-      env.seq = job_.NextSeq(env.src, env.dest, env.tag);
-      if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
-      Deliver(std::move(env));
-    }
-    RecyclePayload(std::move(payload));
-    return vm::SyscallResult::Done(0);
-  }
-
-  // Non-root: wait for the broadcast message from the root.
-  auto& inbox = rank(r).inbox;
-  const auto match = std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
-    return e.tag == kBcastTag && e.src == root;
-  });
-  if (match == inbox.end()) return vm::SyscallResult::Block();
-  const std::uint64_t capacity = count * guest::MpiDatatypeSize(datatype);
-  if (match->payload.size() != capacity) {
-    v.TerminateMpiError("MPI_Bcast: count mismatch between root and receiver");
-    return vm::SyscallResult::Terminated();
-  }
-  Envelope env = std::move(*match);
-  inbox.erase(match);
-  if (!CompleteReceive(r, std::move(env), buf)) {
-    return vm::SyscallResult::Terminated();
   }
   return vm::SyscallResult::Done(0);
 }
 
 namespace {
 
-/// Element-wise reduction of `incoming` into `accum`.
-void CombineReduce(std::vector<std::uint8_t>& accum,
-                   const std::vector<std::uint8_t>& incoming,
-                   std::uint64_t datatype, std::uint64_t op) {
+/// One element of a reduction: *acc = *acc `op` *in, as T.
+template <typename T>
+void CombineElement(std::uint8_t* acc, const std::uint8_t* in, std::uint64_t op) {
+  T a, b;
+  std::memcpy(&a, acc, sizeof a);
+  std::memcpy(&b, in, sizeof b);
+  switch (static_cast<guest::MpiOp>(op)) {
+    case guest::MpiOp::kSum: a = static_cast<T>(a + b); break;
+    case guest::MpiOp::kMin: a = std::min(a, b); break;
+    case guest::MpiOp::kMax: a = std::max(a, b); break;
+  }
+  std::memcpy(acc, &a, sizeof a);
+}
+
+/// Element-wise reduction of `incoming` into `accum` (same size).
+void Combine(std::vector<std::uint8_t>& accum, const std::vector<std::uint8_t>& incoming,
+             std::uint64_t datatype, std::uint64_t op) {
   using guest::MpiDatatype;
-  using guest::MpiOp;
-  const std::size_t n = std::min(accum.size(), incoming.size());
-  if (static_cast<MpiDatatype>(datatype) == MpiDatatype::kDouble) {
-    for (std::size_t i = 0; i + 8 <= n; i += 8) {
-      double a = 0, b = 0;
-      std::memcpy(&a, accum.data() + i, 8);
-      std::memcpy(&b, incoming.data() + i, 8);
-      double out = a;
-      switch (static_cast<MpiOp>(op)) {
-        case MpiOp::kSum: out = a + b; break;
-        case MpiOp::kMin: out = std::min(a, b); break;
-        case MpiOp::kMax: out = std::max(a, b); break;
-      }
-      std::memcpy(accum.data() + i, &out, 8);
-    }
-  } else if (static_cast<MpiDatatype>(datatype) == MpiDatatype::kInt64) {
-    for (std::size_t i = 0; i + 8 <= n; i += 8) {
-      std::int64_t a = 0, b = 0;
-      std::memcpy(&a, accum.data() + i, 8);
-      std::memcpy(&b, incoming.data() + i, 8);
-      std::int64_t out = a;
-      switch (static_cast<MpiOp>(op)) {
-        case MpiOp::kSum: out = a + b; break;
-        case MpiOp::kMin: out = std::min(a, b); break;
-        case MpiOp::kMax: out = std::max(a, b); break;
-      }
-      std::memcpy(accum.data() + i, &out, 8);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (static_cast<MpiOp>(op)) {
-        case MpiOp::kSum: accum[i] = static_cast<std::uint8_t>(accum[i] + incoming[i]); break;
-        case MpiOp::kMin: accum[i] = std::min(accum[i], incoming[i]); break;
-        case MpiOp::kMax: accum[i] = std::max(accum[i], incoming[i]); break;
-      }
+  const std::uint64_t size = guest::MpiDatatypeSize(datatype);
+  for (std::size_t i = 0; i < accum.size(); i += size) {
+    std::uint8_t* acc = accum.data() + i;
+    const std::uint8_t* in = incoming.data() + i;
+    switch (static_cast<MpiDatatype>(datatype)) {
+      case MpiDatatype::kDouble: CombineElement<double>(acc, in, op); break;
+      case MpiDatatype::kInt64: CombineElement<std::int64_t>(acc, in, op); break;
+      case MpiDatatype::kByte: CombineElement<std::uint8_t>(acc, in, op); break;
     }
   }
 }
 
 }  // namespace
+
+vm::SyscallResult Cluster::ReduceAtRoot(Rank r, std::int64_t tag, GuestAddr sendbuf,
+                                        GuestAddr recvbuf, std::uint64_t count,
+                                        std::uint64_t datatype, std::uint64_t op,
+                                        const char* what) {
+  if (!AllArrived(r, tag)) return vm::SyscallResult::Block();
+  vm::Vm& v = rank_vm(r);
+  auto& taint = v.taint();
+  const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
+  std::vector<std::uint8_t> accum = TakePayload();
+  if (!v.memory().ReadBuffer(sendbuf, bytes, &accum)) {
+    v.RaiseSignal(vm::GuestSignal::kSegv,
+                  std::string(what) + ": buffer " + Hex64(sendbuf) + " not mapped");
+    return vm::SyscallResult::Terminated();
+  }
+  // Whether the root's own contribution is tainted, before combining.
+  bool root_tainted = false;
+  if (taint.enabled() && taint.Active()) {  // elastic: no taint -> clean
+    v.ForEachShadowRun(sendbuf, bytes, [&](std::uint64_t, PhysAddr,
+                                           const std::uint8_t* shadow, std::uint64_t n) {
+      root_tainted = root_tainted ||
+                     (shadow != nullptr &&
+                      std::any_of(shadow, shadow + n, [](std::uint8_t m) { return m != 0; }));
+    });
+  }
+
+  std::vector<Envelope> taken;
+  for (Rank src = 0; src < config_.num_ranks; ++src) {
+    if (src == r) continue;
+    Envelope& env = taken.emplace_back();
+    if (TakeMessage(r, src, tag, bytes, Fit::kAcrossRanks, what, &env).outcome !=
+        vm::SyscallResult::Outcome::kDone) {
+      return vm::SyscallResult::Terminated();
+    }
+    Combine(accum, env.payload, datatype, op);
+  }
+
+  if (!v.memory().WriteBytes(recvbuf, accum.data(), bytes)) {
+    v.RaiseSignal(vm::GuestSignal::kSegv,
+                  std::string(what) + ": recv buffer " + Hex64(recvbuf) + " not mapped");
+    return vm::SyscallResult::Terminated();
+  }
+  ClearGuestMemTaint(v, recvbuf, bytes);
+  // Taint flows into the result from the root's own contribution (local
+  // propagation, every byte) and from remote contributions (the hub hook,
+  // whose masks replace those bytes').
+  if (root_tainted) {
+    v.ForEachShadowRun(recvbuf, bytes, [&](std::uint64_t, PhysAddr pa,
+                                           const std::uint8_t*, std::uint64_t n) {
+      for (std::uint64_t j = 0; j < n; ++j) taint.SetMemTaintByte(pa + j, 0xff);
+    });
+  }
+  if (hooks_ != nullptr) {
+    for (const Envelope& env : taken) hooks_->OnRecvComplete(v, env, recvbuf);
+  }
+  for (Envelope& env : taken) RecyclePayload(std::move(env.payload));
+  RecyclePayload(std::move(accum));
+  return vm::SyscallResult::Done(0);
+}
 
 vm::SyscallResult Cluster::MpiReduce(Rank r) {
   if (!RequireInitialized(r, "MPI_Reduce")) return vm::SyscallResult::Terminated();
@@ -572,97 +660,24 @@ vm::SyscallResult Cluster::MpiReduce(Rank r) {
   const std::uint64_t datatype = v.cpu().IntReg(4);
   const std::uint64_t op = v.cpu().IntReg(5);
   const auto root = static_cast<std::int64_t>(v.cpu().IntReg(6));
-  if (!ValidateArgs(r, count, datatype, root, 0, false, "MPI_Reduce")) {
+  if (!ValidateArgs(r, count, datatype, root, 0, false, "MPI_Reduce") ||
+      !ValidateOp(r, op, "MPI_Reduce")) {
     return vm::SyscallResult::Terminated();
   }
-  if (op != static_cast<std::uint64_t>(guest::MpiOp::kSum) &&
-      op != static_cast<std::uint64_t>(guest::MpiOp::kMin) &&
-      op != static_cast<std::uint64_t>(guest::MpiOp::kMax)) {
-    v.TerminateMpiError(StrFormat("MPI_Reduce: invalid op %llu",
-                                  static_cast<unsigned long long>(op)));
-    return vm::SyscallResult::Terminated();
-  }
-  const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
-
   if (r != root) {
-    if (!SendRaw(r, static_cast<Rank>(root), kReduceTag, count, datatype,
-                 sendbuf, "MPI_Reduce")) {
-      return vm::SyscallResult::Terminated();
-    }
-    return vm::SyscallResult::Done(0);
+    return SendRaw(r, static_cast<Rank>(root), kReduceTag, count, datatype, sendbuf,
+                   "MPI_Reduce")
+               ? vm::SyscallResult::Done(0)
+               : vm::SyscallResult::Terminated();
   }
-
-  // Root: wait until every other rank's contribution is in the inbox.
-  auto& inbox = rank(r).inbox;
-  std::vector<const Envelope*> contributions(
-      static_cast<std::size_t>(config_.num_ranks), nullptr);
-  int have = 0;
-  for (const Envelope& e : inbox) {
-    if (e.tag == kReduceTag && contributions[static_cast<std::size_t>(e.src)] == nullptr) {
-      contributions[static_cast<std::size_t>(e.src)] = &e;
-      ++have;
-    }
-  }
-  if (have < config_.num_ranks - 1) return vm::SyscallResult::Block();
-
-  std::vector<std::uint8_t> accum = TakePayload();
-  if (!v.memory().ReadBuffer(sendbuf, bytes, &accum)) {
-    v.RaiseSignal(vm::GuestSignal::kSegv,
-                  "MPI_Reduce: buffer " + Hex64(sendbuf) + " not mapped");
-    return vm::SyscallResult::Terminated();
-  }
-  // Record whether the root's own contribution was tainted before combining.
-  bool root_contribution_tainted = false;
-  if (v.taint().enabled() && v.taint().Active()) {  // elastic: no taint -> clean
-    for (std::uint64_t i = 0; i < bytes && !root_contribution_tainted; ++i) {
-      const auto pa = v.memory().Translate(sendbuf + i);
-      if (pa && v.taint().GetMemTaintByte(*pa) != 0) root_contribution_tainted = true;
-    }
-  }
-
-  std::vector<Envelope> taken;
-  for (Rank src = 0; src < config_.num_ranks; ++src) {
-    if (src == r) continue;
-    const auto match = std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
-      return e.tag == kReduceTag && e.src == src;
-    });
-    if (match->payload.size() != bytes) {
-      v.TerminateMpiError("MPI_Reduce: count mismatch across ranks");
-      return vm::SyscallResult::Terminated();
-    }
-    CombineReduce(accum, match->payload, datatype, op);
-    taken.push_back(std::move(*match));
-    inbox.erase(match);
-  }
-
-  if (!v.memory().WriteBytes(recvbuf, accum.data(), bytes)) {
-    v.RaiseSignal(vm::GuestSignal::kSegv,
-                  "MPI_Reduce: recv buffer " + Hex64(recvbuf) + " not mapped");
-    return vm::SyscallResult::Terminated();
-  }
-  ClearGuestMemTaint(v, recvbuf, bytes);
-  // Taint flows into the reduction result from the root's own contribution
-  // (local propagation) and from remote contributions (via the hub hook).
-  if (root_contribution_tainted && v.taint().enabled()) {
-    for (std::uint64_t i = 0; i < bytes; ++i) {
-      const auto pa = v.memory().Translate(recvbuf + i);
-      if (pa) v.taint().SetMemTaintByte(*pa, 0xff);
-    }
-  }
-  if (hooks_ != nullptr) {
-    for (const Envelope& env : taken) hooks_->OnRecvComplete(v, env, recvbuf);
-  }
-  for (Envelope& env : taken) RecyclePayload(std::move(env.payload));
-  RecyclePayload(std::move(accum));
-  return vm::SyscallResult::Done(0);
+  return ReduceAtRoot(r, kReduceTag, sendbuf, recvbuf, count, datatype, op,
+                      "MPI_Reduce");
 }
 
 vm::SyscallResult Cluster::MpiAllreduce(Rank r) {
-  // Implemented as reduce-to-rank-0 + result distribution. Rank 0 combines
-  // contributions (idempotently: they are only consumed once all arrived)
-  // and sends the result to every other rank; non-zero ranks contribute
-  // exactly once (allreduce_sent survives blocked re-execution) and then
-  // wait for the result message.
+  // A reduce to rank 0, which then sends the result to every other rank.
+  // The other ranks contribute exactly once (allreduce_sent survives the
+  // re-execution of a blocked syscall) and then wait for the result.
   if (!RequireInitialized(r, "MPI_Allreduce")) return vm::SyscallResult::Terminated();
   vm::Vm& v = rank_vm(r);
   const GuestAddr sendbuf = v.cpu().IntReg(1);
@@ -670,18 +685,10 @@ vm::SyscallResult Cluster::MpiAllreduce(Rank r) {
   const std::uint64_t count = v.cpu().IntReg(3);
   const std::uint64_t datatype = v.cpu().IntReg(4);
   const std::uint64_t op = v.cpu().IntReg(5);
-  if (!ValidateArgs(r, count, datatype, 0, 0, false, "MPI_Allreduce")) {
+  if (!ValidateArgs(r, count, datatype, 0, 0, false, "MPI_Allreduce") ||
+      !ValidateOp(r, op, "MPI_Allreduce")) {
     return vm::SyscallResult::Terminated();
   }
-  if (op != static_cast<std::uint64_t>(guest::MpiOp::kSum) &&
-      op != static_cast<std::uint64_t>(guest::MpiOp::kMin) &&
-      op != static_cast<std::uint64_t>(guest::MpiOp::kMax)) {
-    v.TerminateMpiError(StrFormat("MPI_Allreduce: invalid op %llu",
-                                  static_cast<unsigned long long>(op)));
-    return vm::SyscallResult::Terminated();
-  }
-  const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
-
   if (r != 0) {
     RankState& state = rank(r);
     if (!state.allreduce_sent) {
@@ -690,86 +697,25 @@ vm::SyscallResult Cluster::MpiAllreduce(Rank r) {
       }
       state.allreduce_sent = true;
     }
-    auto& inbox = state.inbox;
-    const auto match = std::find_if(inbox.begin(), inbox.end(), [](const Envelope& e) {
-      return e.tag == kAllreduceResultTag;
-    });
-    if (match == inbox.end()) return vm::SyscallResult::Block();
-    if (match->payload.size() != bytes) {
-      v.TerminateMpiError("MPI_Allreduce: count mismatch across ranks");
-      return vm::SyscallResult::Terminated();
+    const vm::SyscallResult got =
+        Receive(r, 0, kAllreduceResultTag, recvbuf,
+                count * guest::MpiDatatypeSize(datatype), Fit::kAcrossRanks,
+                "MPI_Allreduce");
+    if (got.outcome != vm::SyscallResult::Outcome::kBlock) {
+      state.allreduce_sent = false;  // ready for the next allreduce
     }
-    Envelope env = std::move(*match);
-    inbox.erase(match);
-    state.allreduce_sent = false;  // ready for the next allreduce
-    if (!CompleteReceive(r, std::move(env), recvbuf)) {
-      return vm::SyscallResult::Terminated();
-    }
-    return vm::SyscallResult::Done(0);
+    return got;
   }
-
-  // Rank 0: wait for every contribution, combine, distribute.
-  auto& inbox = rank(r).inbox;
-  int have = 0;
-  std::vector<bool> seen(static_cast<std::size_t>(config_.num_ranks), false);
-  for (const Envelope& e : inbox) {
-    if (e.tag == kAllreduceTag && !seen[static_cast<std::size_t>(e.src)]) {
-      seen[static_cast<std::size_t>(e.src)] = true;
-      ++have;
-    }
-  }
-  if (have < config_.num_ranks - 1) return vm::SyscallResult::Block();
-
-  std::vector<std::uint8_t> accum = TakePayload();
-  if (!v.memory().ReadBuffer(sendbuf, bytes, &accum)) {
-    v.RaiseSignal(vm::GuestSignal::kSegv,
-                  "MPI_Allreduce: buffer " + Hex64(sendbuf) + " not mapped");
-    return vm::SyscallResult::Terminated();
-  }
-  bool root_tainted = false;
-  if (v.taint().enabled() && v.taint().Active()) {  // elastic: no taint -> clean
-    for (std::uint64_t i = 0; i < bytes && !root_tainted; ++i) {
-      const auto pa = v.memory().Translate(sendbuf + i);
-      if (pa && v.taint().GetMemTaintByte(*pa) != 0) root_tainted = true;
-    }
-  }
-  std::vector<Envelope> taken;
-  for (Rank src = 1; src < config_.num_ranks; ++src) {
-    const auto match = std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
-      return e.tag == kAllreduceTag && e.src == src;
-    });
-    if (match->payload.size() != bytes) {
-      v.TerminateMpiError("MPI_Allreduce: count mismatch across ranks");
-      return vm::SyscallResult::Terminated();
-    }
-    CombineReduce(accum, match->payload, datatype, op);
-    taken.push_back(std::move(*match));
-    inbox.erase(match);
-  }
-  if (!v.memory().WriteBytes(recvbuf, accum.data(), bytes)) {
-    v.RaiseSignal(vm::GuestSignal::kSegv,
-                  "MPI_Allreduce: recv buffer " + Hex64(recvbuf) + " not mapped");
-    return vm::SyscallResult::Terminated();
-  }
-  ClearGuestMemTaint(v, recvbuf, bytes);
-  if (root_tainted && v.taint().enabled()) {
-    for (std::uint64_t i = 0; i < bytes; ++i) {
-      const auto pa = v.memory().Translate(recvbuf + i);
-      if (pa) v.taint().SetMemTaintByte(*pa, 0xff);
-    }
-  }
-  if (hooks_ != nullptr) {
-    for (const Envelope& env : taken) hooks_->OnRecvComplete(v, env, recvbuf);
-  }
-  for (Envelope& env : taken) RecyclePayload(std::move(env.payload));
-  RecyclePayload(std::move(accum));
+  const vm::SyscallResult reduced = ReduceAtRoot(r, kAllreduceTag, sendbuf, recvbuf,
+                                                 count, datatype, op, "MPI_Allreduce");
+  if (reduced.outcome != vm::SyscallResult::Outcome::kDone) return reduced;
   // Distribute the combined result (taint travels via the usual send hook).
   for (Rank dest = 1; dest < config_.num_ranks; ++dest) {
     if (!SendRaw(r, dest, kAllreduceResultTag, count, datatype, recvbuf)) {
       return vm::SyscallResult::Terminated();
     }
   }
-  return vm::SyscallResult::Done(0);
+  return reduced;
 }
 
 vm::SyscallResult Cluster::MpiGather(Rank r) {
@@ -787,46 +733,22 @@ vm::SyscallResult Cluster::MpiGather(Rank r) {
 
   if (r != root) {
     // Fire-and-forget: no blocking, so no re-execution to guard against.
-    if (!SendRaw(r, static_cast<Rank>(root), kGatherTag, count, datatype, sendbuf)) {
-      return vm::SyscallResult::Terminated();
-    }
-    return vm::SyscallResult::Done(0);
+    return SendRaw(r, static_cast<Rank>(root), kGatherTag, count, datatype, sendbuf)
+               ? vm::SyscallResult::Done(0)
+               : vm::SyscallResult::Terminated();
   }
-
-  auto& inbox = rank(r).inbox;
-  int have = 0;
-  std::vector<bool> seen(static_cast<std::size_t>(config_.num_ranks), false);
-  for (const Envelope& e : inbox) {
-    if (e.tag == kGatherTag && !seen[static_cast<std::size_t>(e.src)]) {
-      seen[static_cast<std::size_t>(e.src)] = true;
-      ++have;
-    }
-  }
-  if (have < config_.num_ranks - 1) return vm::SyscallResult::Block();
-
-  // Root's own slice first (local copy).
-  std::vector<std::uint8_t> slice;
-  if (!v.memory().ReadBuffer(sendbuf, bytes, &slice) ||
-      !v.memory().WriteBytes(recvbuf + static_cast<std::uint64_t>(r) * bytes,
-                             slice.data(), bytes)) {
-    v.RaiseSignal(vm::GuestSignal::kSegv, "MPI_Gather: buffer not mapped");
+  if (!AllArrived(r, kGatherTag)) return vm::SyscallResult::Block();
+  // Root's own slice first.
+  if (!CopyLocal(r, sendbuf, recvbuf + static_cast<std::uint64_t>(r) * bytes, bytes,
+                 "MPI_Gather")) {
     return vm::SyscallResult::Terminated();
   }
   for (Rank src = 0; src < config_.num_ranks; ++src) {
     if (src == r) continue;
-    const auto match = std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
-      return e.tag == kGatherTag && e.src == src;
-    });
-    if (match->payload.size() != bytes) {
-      v.TerminateMpiError("MPI_Gather: count mismatch across ranks");
-      return vm::SyscallResult::Terminated();
-    }
-    Envelope env = std::move(*match);
-    inbox.erase(match);
-    if (!CompleteReceive(r, std::move(env),
-                         recvbuf + static_cast<std::uint64_t>(src) * bytes)) {
-      return vm::SyscallResult::Terminated();
-    }
+    const vm::SyscallResult got =
+        Receive(r, src, kGatherTag, recvbuf + static_cast<std::uint64_t>(src) * bytes,
+                bytes, Fit::kAcrossRanks, "MPI_Gather");
+    if (got.outcome != vm::SyscallResult::Outcome::kDone) return got;
   }
   return vm::SyscallResult::Done(0);
 }
@@ -844,38 +766,15 @@ vm::SyscallResult Cluster::MpiScatter(Rank r) {
   }
   const std::uint64_t bytes = count * guest::MpiDatatypeSize(datatype);
 
-  if (r == root) {
-    for (Rank dest = 0; dest < config_.num_ranks; ++dest) {
-      const GuestAddr chunk = sendbuf + static_cast<std::uint64_t>(dest) * bytes;
-      if (dest == r) {
-        std::vector<std::uint8_t> slice;
-        if (!v.memory().ReadBuffer(chunk, bytes, &slice) ||
-            !v.memory().WriteBytes(recvbuf, slice.data(), bytes)) {
-          v.RaiseSignal(vm::GuestSignal::kSegv, "MPI_Scatter: buffer not mapped");
-          return vm::SyscallResult::Terminated();
-        }
-        continue;
-      }
-      if (!SendRaw(r, dest, kScatterTag, count, datatype, chunk)) {
-        return vm::SyscallResult::Terminated();
-      }
+  if (r != root) {
+    return Receive(r, root, kScatterTag, recvbuf, bytes, Fit::kFromRoot, "MPI_Scatter");
+  }
+  for (Rank dest = 0; dest < config_.num_ranks; ++dest) {
+    const GuestAddr chunk = sendbuf + static_cast<std::uint64_t>(dest) * bytes;
+    if (!(dest == r ? CopyLocal(r, chunk, recvbuf, bytes, "MPI_Scatter")
+                    : SendRaw(r, dest, kScatterTag, count, datatype, chunk))) {
+      return vm::SyscallResult::Terminated();
     }
-    return vm::SyscallResult::Done(0);
-  }
-
-  auto& inbox = rank(r).inbox;
-  const auto match = std::find_if(inbox.begin(), inbox.end(), [&](const Envelope& e) {
-    return e.tag == kScatterTag && e.src == root;
-  });
-  if (match == inbox.end()) return vm::SyscallResult::Block();
-  if (match->payload.size() != bytes) {
-    v.TerminateMpiError("MPI_Scatter: count mismatch between root and receiver");
-    return vm::SyscallResult::Terminated();
-  }
-  Envelope env = std::move(*match);
-  inbox.erase(match);
-  if (!CompleteReceive(r, std::move(env), recvbuf)) {
-    return vm::SyscallResult::Terminated();
   }
   return vm::SyscallResult::Done(0);
 }

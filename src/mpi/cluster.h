@@ -278,23 +278,68 @@ class Cluster {
   bool ValidateArgs(Rank r, std::uint64_t count, std::uint64_t datatype,
                     std::int64_t peer, std::int64_t tag, bool peer_may_be_any,
                     const char* what);
+  /// The same for a reduction operator.
+  bool ValidateOp(Rank r, std::uint64_t op, const char* what);
   bool RequireInitialized(Rank r, const char* what);
 
+  // ---- The point-to-point steps every MPI call is built from ----------------
   /// Enqueue `env` for its destination and unblock the destination VM.
   void Deliver(Envelope env);
 
+  /// Read `count` elements from `buf` into an envelope payload and ship it;
+  /// raises SIGSEGV (naming `what`) and returns false if the buffer is
+  /// unmapped. Every message leaves through here.
+  bool SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count,
+               std::uint64_t datatype, GuestAddr buf,
+               const char* what = "MPI collective");
+
+  /// The one matching rule: r's first inbox message from `src` (-1: any
+  /// rank) with `tag` (-1: any user tag; collective traffic is not
+  /// user-receivable), or the inbox's end.
+  std::vector<Envelope>::iterator FindMessage(Rank r, std::int64_t src,
+                                              std::int64_t tag);
+  /// True once every other rank's `tag` message is in r's inbox.
+  bool AllArrived(Rank r, std::int64_t tag);
+
+  /// How a payload must fit a `bytes`-byte receive, and the MPI error
+  /// naming a misfit.
+  enum class Fit : std::uint8_t {
+    kAtMost,       // no longer: "message truncated" (MPI_Recv)
+    kFromRoot,     // exactly: "count mismatch between root and receiver"
+    kAcrossRanks,  // exactly: "count mismatch across ranks"
+  };
+  /// Take FindMessage's message off r's inbox into *env: Done; Block while
+  /// none has arrived; Terminated, with an MPI error naming `what`, when it
+  /// does not fit.
+  vm::SyscallResult TakeMessage(Rank r, std::int64_t src, std::int64_t tag,
+                                std::uint64_t bytes, Fit fit, const char* what,
+                                Envelope* env);
+  /// TakeMessage, then land the message in `buf` through CompleteReceive.
+  vm::SyscallResult Receive(Rank r, std::int64_t src, std::int64_t tag,
+                            GuestAddr buf, std::uint64_t bytes, Fit fit,
+                            const char* what);
   /// Copy a payload into guest memory, clear the buffer's shadow taint
   /// (fresh bytes arrived over the wire), and fire the receive hook; the
   /// payload's storage then goes back to the spare list. Returns false if
   /// the destination buffer faulted (signal raised).
   bool CompleteReceive(Rank r, Envelope env, GuestAddr buf);
 
-  /// Read `count` elements from `buf` into an envelope payload and ship it;
-  /// raises SIGSEGV (naming `what`) and returns false if the buffer is
-  /// unmapped.
-  bool SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count,
-               std::uint64_t datatype, GuestAddr buf,
-               const char* what = "MPI collective");
+  /// A root's copy of its own share within its memory (Gather, Scatter):
+  /// `bytes` bytes from `from` to `to`, shadow with them, so the root's own
+  /// share carries the taint a sent one would. Raises SIGSEGV ("`what`:
+  /// buffer not mapped") and returns false when either side is unmapped.
+  bool CopyLocal(Rank r, GuestAddr from, GuestAddr to, std::uint64_t bytes,
+                 const char* what);
+
+  /// The root's part of MPI_Reduce and MPI_Allreduce (root 0): once every
+  /// other rank's `tag` contribution has arrived, combine them in rank order
+  /// into the root's own and write the result to `recvbuf`. Its taint is
+  /// 0xff on every byte if the root's contribution held any, with each
+  /// remote contribution's masks (the receive hook) replacing those bytes'.
+  vm::SyscallResult ReduceAtRoot(Rank r, std::int64_t tag, GuestAddr sendbuf,
+                                 GuestAddr recvbuf, std::uint64_t count,
+                                 std::uint64_t datatype, std::uint64_t op,
+                                 const char* what);
 
   /// An empty payload vector, with the storage of a recycled one when the
   /// spare list has one, so a warmed job's messages allocate nothing.
@@ -323,8 +368,19 @@ class Cluster {
   std::optional<ClusterCheckpoint::Round> resume_;
 };
 
-/// Clear the shadow taint of `len` bytes of guest memory starting at `vaddr`
-/// (no-op for unmapped bytes). Exposed for the hub and tests.
+// The taint of a guest buffer, each over Vm::ForEachShadowRun (unmapped
+// bytes are skipped). Exposed for the hub and tests.
+
+/// Clear the shadow taint of `len` bytes of guest memory starting at `vaddr`.
 void ClearGuestMemTaint(vm::Vm& vm, GuestAddr vaddr, std::uint64_t len);
+/// The shadow masks of `len` guest bytes at `vaddr` into *masks (resized to
+/// `len`); true if any is non-zero. False, leaving *masks alone, when no
+/// byte of the process holds taint.
+bool ReadGuestMemTaint(const vm::Vm& vm, GuestAddr vaddr, std::uint64_t len,
+                       std::vector<std::uint8_t>* masks);
+/// Give each guest byte vaddr + i whose masks[i] is non-zero that mask; the
+/// other bytes keep theirs.
+void ApplyGuestMemTaint(vm::Vm& vm, GuestAddr vaddr, const std::uint8_t* masks,
+                        std::uint64_t len);
 
 }  // namespace chaser::mpi

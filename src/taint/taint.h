@@ -132,10 +132,9 @@ class TaintEngine {
   void SetMemTaint(PhysAddr paddr, std::uint32_t size, std::uint64_t packed);
   /// Raw shadow masks of the page containing `paddr` (kShadowPageSize bytes,
   /// indexed by paddr offset), or nullptr when no byte of the page has held
-  /// taint since the last ClearMem. For page-at-a-time scans — e.g. the
-  /// write-syscall's taint-through-I/O filter — where a per-byte
-  /// GetMemTaintByte would pay the page lookup once per byte instead of once
-  /// per page.
+  /// taint since the last ClearMem. For page-at-a-time scans
+  /// (Vm::ForEachShadowRun), where a per-byte GetMemTaintByte would pay the
+  /// page lookup once per byte instead of once per page.
   const std::uint8_t* PeekShadowPage(PhysAddr paddr) const {
     return FindPage(paddr);
   }

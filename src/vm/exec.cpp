@@ -69,10 +69,7 @@ const tcg::TranslationBlock* Vm::ResolveTb(std::uint64_t pc) {
   tcg::SharedTbCache& cache =
       private_cache_ != nullptr ? *private_cache_ : *config_.shared_cache;
   const tcg::SharedTbCache::Key key{program_hash_, variant_key_, pc};
-  if (const tcg::TranslationBlock* cached = cache.Lookup(key)) {
-    ++shared_reuses_;
-    return cached;
-  }
+  if (const tcg::TranslationBlock* cached = cache.Lookup(key)) return cached;
   const obs::ScopedPhase obs_scope(obs::Phase::kTranslate);
   tcg::TranslationBlock tb = translator_.Translate(*program_, pc);
   if (config_.optimize_tbs) {

@@ -297,11 +297,6 @@ void Vm::AddStuckFault(std::uint32_t env_slot, std::uint64_t mask,
   ReassertStuckFaults();
 }
 
-void Vm::ClearStuckFaults() {
-  stuck_faults_.clear();
-  stuck_active_ = false;
-}
-
 bool Vm::ReassertStuckFaults() {
   bool changed = false;
   for (const StuckFault& f : stuck_faults_) {
@@ -368,45 +363,26 @@ SyscallResult Vm::HandleCoreSyscall(std::uint64_t num) {
       const std::uint64_t stream_base = stream.size();
       stream += bytes;
       // Taint-through-I/O: count corrupted bytes leaving the process.
-      // Scanned page-at-a-time: one translation and one shadow lookup per
-      // page instead of per byte (a buffer page is contiguous physically,
-      // so per-byte results are identical).
       if (taint_.enabled() && taint_.Active()) {
-        // One guest page maps to one phys frame maps to one shadow page.
-        static_assert(taint::kShadowPageSize == kPageSize);
-        std::uint64_t i = 0;
-        while (i < len) {
-          const GuestAddr va = buf + i;
-          const std::uint64_t in_page = kPageSize - (va & kPageMask);
-          const std::uint64_t chunk = std::min(in_page, len - i);
-          const auto pa = memory_.Translate(va);
-          if (!pa) {
-            i += chunk;  // unmapped page: every byte in it is unmapped
-            continue;
-          }
-          const std::uint8_t* shadow = taint_.PeekShadowPage(*pa);
-          if (shadow == nullptr) {
-            i += chunk;  // untracked page: every byte in it is clean
-            continue;
-          }
-          const std::uint64_t off = *pa & (taint::kShadowPageSize - 1);
-          for (std::uint64_t j = 0; j < chunk; ++j) {
-            const std::uint8_t mask = shadow[off + j];
-            if (mask == 0) continue;
+        ForEachShadowRun(buf, len, [&](std::uint64_t i, PhysAddr pa,
+                                       const std::uint8_t* shadow,
+                                       std::uint64_t n) {
+          if (shadow == nullptr) return;  // untracked page: all clean
+          for (std::uint64_t j = 0; j < n; ++j) {
+            if (shadow[j] == 0) continue;
             ++tainted_output_bytes_;
             if (tainted_output_hook_) {
               tainted_output_hook_(
                   *this, TaintedOutputByte{
                              .fd = fd,
                              .stream_off = stream_base + i + j,
-                             .vaddr = va + j,
-                             .paddr = *pa + j,
+                             .vaddr = buf + i + j,
+                             .paddr = pa + j,
                              .value = static_cast<std::uint8_t>(bytes[i + j]),
-                             .taint = mask});
+                             .taint = shadow[j]});
             }
           }
-          i += chunk;
-        }
+        });
       }
       return SyscallResult::Done(len);
     }

@@ -16,6 +16,7 @@
 //  * `set_syscall_extension` — the simulated MPI runtime.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -318,6 +319,27 @@ class Vm {
   const taint::TaintEngine& taint() const { return taint_; }
   const guest::Program* program() const { return program_.get(); }
 
+  /// The one walk over the taint shadow of guest bytes [vaddr, vaddr + len):
+  /// f(i, paddr, shadow, n) for each run of n mapped bytes within one page,
+  /// starting i bytes into the range at physical address paddr. `shadow`
+  /// points at paddr's mask, the run's other masks after it, or is null
+  /// when no byte of the page has held taint. Unmapped pages are skipped.
+  /// One translation and one shadow-page probe per page: a guest page is
+  /// one frame, and one shadow page.
+  template <typename F>
+  void ForEachShadowRun(GuestAddr vaddr, std::uint64_t len, F&& f) const {
+    static_assert(taint::kShadowPageSize == kPageSize);
+    for (std::uint64_t i = 0; i < len;) {
+      const GuestAddr va = vaddr + i;
+      const std::uint64_t n = std::min(len - i, kPageSize - (va & kPageMask));
+      if (const std::optional<PhysAddr> pa = memory_.Translate(va)) {
+        const std::uint8_t* page = taint_.PeekShadowPage(*pa);
+        f(i, *pa, page == nullptr ? nullptr : page + (*pa & kPageMask), n);
+      }
+      i += n;
+    }
+  }
+
   /// Captured guest output for a file descriptor (1 = stdout, 3 = data file).
   const std::string& output(int fd) const;
 
@@ -356,7 +378,6 @@ class Vm {
   };
   void AddStuckFault(std::uint32_t env_slot, std::uint64_t mask,
                      std::uint64_t value);
-  void ClearStuckFaults();
   const std::vector<StuckFault>& stuck_faults() const { return stuck_faults_; }
 
   // ---- Engine statistics (Fig. 10 overhead analysis) ------------------------------
@@ -374,8 +395,6 @@ class Vm {
   std::uint64_t tb_chain_hits() const { return tb_chain_hits_; }
   std::uint64_t tlb_hits() const { return memory_.tlb_hits(); }
   std::uint64_t tlb_misses() const { return memory_.tlb_misses(); }
-  /// TBs served by the shared cross-trial cache instead of translating.
-  std::uint64_t shared_tb_reuses() const { return shared_reuses_; }
   /// TBs dropped by cap-overflow flushes of the local index.
   std::uint64_t tb_evictions() const { return tb_evictions_; }
 
@@ -510,7 +529,6 @@ class Vm {
   // the run loop detect a flush that happened *inside* LookupTb/ExecuteTb
   // (cap overflow, guest-requested flush) and drop its dangling CachedTb*.
   std::uint64_t tb_chain_hits_ = 0;
-  std::uint64_t shared_reuses_ = 0;
   std::uint64_t tb_evictions_ = 0;
   std::uint64_t flush_count_ = 0;
 };

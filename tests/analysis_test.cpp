@@ -19,18 +19,14 @@
 #include "common/rng.h"
 #include "core/trace.h"
 #include "hub/tainthub.h"
+#include "scratch_path.h"
 
 namespace chaser::analysis {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string TempDir(const std::string& name) {
-  const std::string dir =
-      (fs::temp_directory_path() / ("chaser_analysis_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
-}
+using testutil::ScratchPath;
 
 // ---- Spool round trip --------------------------------------------------------
 
@@ -68,7 +64,7 @@ void ExpectEventsEqual(const core::TraceEvent& a, const core::TraceEvent& b) {
 }
 
 TEST(Spool, RoundTripFuzz) {
-  const std::string dir = TempDir("roundtrip");
+  const std::string dir = ScratchPath("roundtrip");
   Rng rng(7);
   std::vector<core::TraceEvent> events;
   std::vector<core::TaintSample> samples;
@@ -145,7 +141,7 @@ TEST(Spool, RoundTripFuzz) {
 }
 
 TEST(Spool, FooterCountsMatch) {
-  const std::string dir = TempDir("footer");
+  const std::string dir = ScratchPath("footer");
   {
     TraceSpool spool(dir);
     for (int i = 0; i < 10; ++i) {
@@ -171,7 +167,7 @@ TEST(Spool, FooterCountsMatch) {
 }
 
 TEST(Spool, TruncatedSegmentServesIntactPrefix) {
-  const std::string dir = TempDir("truncated");
+  const std::string dir = ScratchPath("truncated");
   {
     TraceSpool spool(dir);
     for (int i = 0; i < 100; ++i) {
@@ -207,7 +203,7 @@ TEST(Spool, TruncatedSegmentServesIntactPrefix) {
 }
 
 TEST(Spool, ReaderRejectsGarbage) {
-  const std::string dir = TempDir("garbage");
+  const std::string dir = ScratchPath("garbage");
   fs::create_directories(dir);
   {
     std::ofstream out(dir + "/rank-0.seg", std::ios::binary);
@@ -219,7 +215,7 @@ TEST(Spool, ReaderRejectsGarbage) {
 }
 
 TEST(Spool, SinkReceivesEventsPastTraceLogCap) {
-  const std::string dir = TempDir("cap");
+  const std::string dir = ScratchPath("cap");
   core::TraceLog log(/*capacity=*/4);
   {
     TraceSpool spool(dir);
@@ -239,7 +235,7 @@ TEST(Spool, SinkReceivesEventsPastTraceLogCap) {
 }
 
 TEST(Spool, FinishIsIdempotentAndSeals) {
-  const std::string dir = TempDir("sealed");
+  const std::string dir = ScratchPath("sealed");
   TraceSpool spool(dir);
   spool.OnTraceEvent({.kind = core::TraceEventKind::kTaintedRead, .rank = 0});
   spool.Finish();
@@ -388,8 +384,8 @@ TEST(PropagationGraph, OutputEventsSortedAndSummarized) {
 // ---- End-to-end: campaign spools, serial == parallel -------------------------
 
 TEST(SpoolCampaign, SerialAndParallelSpoolsAreByteIdentical) {
-  const std::string dir_serial = TempDir("serial");
-  const std::string dir_parallel = TempDir("parallel");
+  const std::string dir_serial = ScratchPath("serial");
+  const std::string dir_parallel = ScratchPath("parallel");
 
   campaign::CampaignConfig config;
   config.runs = 4;
@@ -431,7 +427,7 @@ TEST(SpoolCampaign, SerialAndParallelSpoolsAreByteIdentical) {
 }
 
 TEST(SpoolCampaign, SpooledTrialIsAnalyzable) {
-  const std::string dir = TempDir("analyzable");
+  const std::string dir = ScratchPath("analyzable");
   campaign::CampaignConfig config;
   config.runs = 0;
   config.seed = 5;

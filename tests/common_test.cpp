@@ -13,6 +13,7 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "scratch_path.h"
 
 namespace chaser {
 namespace {
@@ -152,9 +153,7 @@ TEST(Strings, JsonFindNumberTreatsNullAsAbsent) {
 // ---- fileio ----------------------------------------------------------------
 
 TEST(FileIo, ReadFileToStringRoundTrips) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "chaser_common_test_rt.bin")
-          .string();
+  const std::string path = testutil::ScratchPath("rt.bin");
   const std::string payload("a\0b\nc", 5);  // binary-safe
   WriteFileAtomic(path, payload);
   EXPECT_EQ(ReadFileToString(path), payload);
@@ -163,9 +162,7 @@ TEST(FileIo, ReadFileToStringRoundTrips) {
 }
 
 TEST(FileIo, StreamedWriteIsAtomic) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "chaser_common_test_atomic.csv")
-          .string();
+  const std::string path = testutil::ScratchPath("atomic.csv");
   WriteFileAtomic(path,
                   [](std::ostream& out) { out << "a,b\n" << 12 << '\n'; });
   EXPECT_EQ(ReadFileToString(path), "a,b\n12\n");

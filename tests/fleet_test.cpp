@@ -22,6 +22,7 @@
 #include "common/error.h"
 #include "guest/builder.h"
 #include "hub/remote/server.h"
+#include "scratch_path.h"
 #include "store/ctr.h"
 
 namespace chaser::campaign {
@@ -195,10 +196,7 @@ TEST(FleetMergeTest, MergeSurvivesPerShardStores) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
-  const std::string root =
-      (std::filesystem::temp_directory_path() / "chaser_fleet_test_stores")
-          .string();
-  std::filesystem::remove_all(root);
+  const std::string root = testutil::ScratchPath("stores");
   std::vector<std::unique_ptr<store::CtrStoreScanner>> scanners;
   std::vector<RecordStream> streams;
   for (std::uint64_t s = 0; s < 2; ++s) {

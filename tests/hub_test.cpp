@@ -64,8 +64,8 @@ TEST(TaintHub, StatsAndTransfers) {
   EXPECT_EQ(hub.stats().hits, 1u);
   EXPECT_EQ(hub.stats().applied_bytes, 2u);
   ASSERT_EQ(hub.transfers().size(), 1u);
-  EXPECT_TRUE(hub.SawTransfer(2, 3));
-  EXPECT_FALSE(hub.SawTransfer(3, 2));
+  EXPECT_EQ(hub.transfers()[0].id.src, 2);
+  EXPECT_EQ(hub.transfers()[0].id.dest, 3);
 }
 
 TEST(TaintHub, ClearResets) {
@@ -368,7 +368,9 @@ TEST_F(HubEndToEnd, TaintCrossesRankBoundaryViaHub) {
   ASSERT_TRUE(RunWithTaintedCell().completed);
   EXPECT_EQ(hub_.stats().publishes, 1u);
   EXPECT_EQ(hub_.stats().hits, 1u);
-  EXPECT_TRUE(hub_.SawTransfer(0, 1));
+  ASSERT_EQ(hub_.transfers().size(), 1u);
+  EXPECT_EQ(hub_.transfers()[0].id.src, 0);
+  EXPECT_EQ(hub_.transfers()[0].id.dest, 1);
 
   // The receiver's cell carries the re-applied per-byte masks...
   vm::Vm& receiver = cluster_.rank_vm(1);

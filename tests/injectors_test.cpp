@@ -21,6 +21,7 @@
 #include "core/trigger.h"
 #include "guest/builder.h"
 #include "hub/remote/protocol.h"
+#include "scratch_path.h"
 #include "store/ctr.h"
 #include "vm/vm.h"
 
@@ -33,12 +34,7 @@ using guest::F;
 using guest::ProgramBuilder;
 using guest::R;
 
-std::string TempPath(const std::string& name) {
-  const std::string path =
-      (fs::temp_directory_path() / ("chaser_injectors_test_" + name)).string();
-  fs::remove_all(path);
-  return path;
-}
+using testutil::ScratchPath;
 
 // ---- key=val tokenizer (common/strings) ---------------------------------------
 
@@ -479,7 +475,7 @@ TEST(InjectorCampaign, EveryFamilyRunsDeterministically) {
 TEST(InjectorCampaign, StoreKeepsACampaignsInjectorColumns) {
   // A custom-injector campaign stamps its identity on every record, and
   // the CTR store it commits into hands it back.
-  const std::string path = TempPath("iskip_store");
+  const std::string path = ScratchPath("iskip_store");
   campaign::CampaignConfig config;
   config.runs = 4;
   config.seed = 17;
@@ -509,7 +505,7 @@ TEST(InjectorCampaign, StoreRoundTripsInjectorIdentityAndCrash) {
   // A rank-crash record carries the injector identity and the kCrashed
   // outcome / kCrash signal; the CTR store a campaign resumes from must hand
   // all of them back.
-  const std::string path = TempPath("crash_store");
+  const std::string path = ScratchPath("crash_store");
   campaign::RunRecord rec;
   rec.run_seed = 42;
   rec.outcome = campaign::Outcome::kCrashed;

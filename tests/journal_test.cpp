@@ -14,18 +14,14 @@
 #include "campaign/journal.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "scratch_path.h"
 
 namespace chaser::campaign {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string TempPath(const std::string& name) {
-  const std::string path =
-      (fs::temp_directory_path() / ("chaser_journal_test_" + name)).string();
-  fs::remove_all(path);
-  return path;
-}
+using testutil::ScratchPath;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -146,7 +142,7 @@ std::vector<RunRecord> Replay(const std::string& path, std::uint64_t seed) {
 }
 
 TEST(Journal, AppendReplayRoundTrip) {
-  const std::string path = TempPath("roundtrip");
+  const std::string path = ScratchPath("roundtrip");
   const std::vector<RunRecord> recs = SampleRecords();
   {
     std::vector<RunRecord> replayed;
@@ -162,7 +158,7 @@ TEST(Journal, AppendReplayRoundTrip) {
 }
 
 TEST(Journal, ReopenReplaysAndContinues) {
-  const std::string path = TempPath("reopen");
+  const std::string path = ScratchPath("reopen");
   const std::vector<RunRecord> recs = SampleRecords();
   {
     std::vector<RunRecord> replayed;
@@ -184,7 +180,7 @@ TEST(Journal, ReopenReplaysAndContinues) {
 }
 
 TEST(Journal, MismatchedCampaignIdentityThrows) {
-  const std::string path = TempPath("identity");
+  const std::string path = ScratchPath("identity");
   {
     std::vector<RunRecord> replayed;
     TrialJournal journal(path, 42, "accum", &replayed);
@@ -196,7 +192,7 @@ TEST(Journal, MismatchedCampaignIdentityThrows) {
 }
 
 TEST(Journal, NonJournalFileThrows) {
-  const std::string path = TempPath("notjournal");
+  const std::string path = ScratchPath("notjournal");
   WriteFileBytes(path, "run_seed,outcome,this is a csv not a journal\n");
   std::vector<RunRecord> replayed;
   EXPECT_THROW(TrialJournal(path, 1, "accum", &replayed), ConfigError);
@@ -205,7 +201,7 @@ TEST(Journal, NonJournalFileThrows) {
 // ---- Crash discipline --------------------------------------------------------
 
 TEST(Journal, TruncationAtEveryByteRecoversIntactPrefix) {
-  const std::string path = TempPath("truncate_src");
+  const std::string path = ScratchPath("truncate_src");
   const std::vector<RunRecord> recs = SampleRecords();
   std::uint64_t header_end = 0;
   // Where each intact prefix ends, so expectations are exact.
@@ -221,7 +217,7 @@ TEST(Journal, TruncationAtEveryByteRecoversIntactPrefix) {
   }
   const std::string full = ReadFileBytes(path);
 
-  const std::string cut = TempPath("truncate_cut");
+  const std::string cut = ScratchPath("truncate_cut");
   for (std::size_t len = header_end; len <= full.size(); ++len) {
     WriteFileBytes(cut, full.substr(0, len));
     const std::vector<RunRecord> back = Replay(cut, 11);
@@ -237,7 +233,7 @@ TEST(Journal, TruncationAtEveryByteRecoversIntactPrefix) {
 }
 
 TEST(Journal, BitFlipFuzzNeverThrowsAndNeverServesCorruptRecords) {
-  const std::string path = TempPath("bitflip_src");
+  const std::string path = ScratchPath("bitflip_src");
   const std::vector<RunRecord> recs = SampleRecords();
   std::uint64_t header_end = 0;
   {
@@ -247,7 +243,7 @@ TEST(Journal, BitFlipFuzzNeverThrowsAndNeverServesCorruptRecords) {
     for (const RunRecord& r : recs) journal.Append(r);
   }
   const std::string full = ReadFileBytes(path);
-  const std::string flipped_path = TempPath("bitflip_cut");
+  const std::string flipped_path = ScratchPath("bitflip_cut");
 
   Rng rng(2026);
   for (int trial = 0; trial < 500; ++trial) {
@@ -270,7 +266,7 @@ TEST(Journal, BitFlipFuzzNeverThrowsAndNeverServesCorruptRecords) {
 }
 
 TEST(Journal, TornTailIsDiscardedOnReopenAndAppendStaysReadable) {
-  const std::string path = TempPath("torn");
+  const std::string path = ScratchPath("torn");
   const std::vector<RunRecord> recs = SampleRecords();
   {
     std::vector<RunRecord> replayed;

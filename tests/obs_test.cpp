@@ -32,6 +32,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_merge.h"
 #include "obs/trace_writer.h"
+#include "scratch_path.h"
 
 namespace chaser::obs {
 namespace {
@@ -39,9 +40,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string TempDir(const std::string& name) {
-  const std::string dir =
-      (fs::temp_directory_path() / ("chaser_obs_test_" + name)).string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::ScratchPath(name);
   fs::create_directories(dir);
   return dir;
 }

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/trigger.h"
 #include "guest/builder.h"
+#include "scratch_path.h"
 #include "store/ctr.h"
 
 namespace chaser::campaign {
@@ -364,9 +365,7 @@ TEST(SampledCampaign, StopCiStopsEarlyIdenticallyOnBothDrivers) {
 /// estimate.
 TEST(SampledCampaign, ResumeAfterEarlyStopRunsNothingAndMatchesByteForByte) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "chaser_stopci_resume.ctr").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::ScratchPath("stopci_resume.ctr");
   CampaignConfig config = BaseConfig(400, 21);
   config.sample_policy = SamplePolicy::kWeighted;
   config.stop_ci = 0.45;

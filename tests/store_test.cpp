@@ -28,6 +28,7 @@
 #include "guest/builder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "scratch_path.h"
 #include "store/ctr.h"
 #include "store/query.h"
 
@@ -39,12 +40,7 @@ namespace fs = std::filesystem;
 using campaign::Outcome;
 using campaign::RunRecord;
 
-std::string TempPath(const std::string& name) {
-  const std::string path =
-      (fs::temp_directory_path() / ("chaser_store_test_" + name)).string();
-  fs::remove_all(path);
-  return path;
-}
+using testutil::ScratchPath;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -189,7 +185,7 @@ std::size_t HeaderEnd(const std::string& bytes) {
 // ---- Round trip --------------------------------------------------------------
 
 TEST(CtrStore, RoundTripAllFieldsAcrossBlocks) {
-  const std::string dir = TempPath("roundtrip");
+  const std::string dir = ScratchPath("roundtrip");
   const std::vector<RunRecord> recs = SampleRecords(43);
   CtrWriterOptions options;
   options.block_records = 8;  // 5 full blocks + a partial one
@@ -210,8 +206,8 @@ TEST(CtrStore, RoundTripAllFieldsAcrossBlocks) {
 }
 
 TEST(CtrStore, ByteStreamIsDeterministic) {
-  const std::string a = TempPath("det_a");
-  const std::string b = TempPath("det_b");
+  const std::string a = ScratchPath("det_a");
+  const std::string b = ScratchPath("det_b");
   const std::vector<RunRecord> recs = SampleRecords(20);
   CtrWriterOptions options;
   options.block_records = 6;
@@ -222,7 +218,7 @@ TEST(CtrStore, ByteStreamIsDeterministic) {
 }
 
 TEST(CtrStore, SegmentRollOverPreservesOrderAndSeeds) {
-  const std::string dir = TempPath("rollover");
+  const std::string dir = ScratchPath("rollover");
   const std::vector<RunRecord> recs = SampleRecords(64);
   CtrWriterOptions options;
   options.block_records = 4;
@@ -241,7 +237,7 @@ TEST(CtrStore, SegmentRollOverPreservesOrderAndSeeds) {
 }
 
 TEST(CtrStore, ColumnMaskDecodesOnlySelectedColumns) {
-  const std::string dir = TempPath("mask");
+  const std::string dir = ScratchPath("mask");
   const std::vector<RunRecord> recs = SampleRecords(10);
   WriteStore(dir, recs);
   const ColumnMask mask = MaskOf(kColRunSeed) | MaskOf(kColOutcome) |
@@ -260,7 +256,7 @@ TEST(CtrStore, ColumnMaskDecodesOnlySelectedColumns) {
 }
 
 TEST(CtrStore, EmptyStoreSealsAndScansEmpty) {
-  const std::string dir = TempPath("empty");
+  const std::string dir = ScratchPath("empty");
   WriteStore(dir, {});
   bool truncated = true, sealed = false;
   EXPECT_TRUE(ScanAll(dir, kAllColumns, &truncated, &sealed).empty());
@@ -269,7 +265,7 @@ TEST(CtrStore, EmptyStoreSealsAndScansEmpty) {
 }
 
 TEST(CtrStore, IdentityMismatchRefusesResume) {
-  const std::string dir = TempPath("identity");
+  const std::string dir = ScratchPath("identity");
   WriteStore(dir, SampleRecords(5));
   CtrWriterOptions resume;
   resume.resume = true;
@@ -285,7 +281,7 @@ TEST(CtrStore, IdentityMismatchRefusesResume) {
   // A different slice of the same sharded campaign is a different trial set.
   CtrStoreInfo shard = TestIdentity();
   shard.shard_count = 2;
-  const std::string sharded = TempPath("identity_shard");
+  const std::string sharded = ScratchPath("identity_shard");
   CtrStoreWriter(sharded, shard, {}).Finish();
   other = shard;
   other.shard_index = 1;
@@ -297,7 +293,7 @@ TEST(CtrStore, IdentityMismatchRefusesResume) {
 // columns — is refused by every reader and by a resuming writer, with an
 // error naming both versions, and left as it was.
 TEST(CtrStore, OtherFormatVersionIsRefusedAndLeftUntouched) {
-  const std::string dir = TempPath("v1");
+  const std::string dir = ScratchPath("v1");
   WriteStore(dir, SampleRecords(20));
   const std::string seg = dir + "/seg-000000.ctr";
   std::string bytes = ReadFileBytes(seg);
@@ -346,7 +342,7 @@ TEST(CtrStore, OtherFormatVersionIsRefusedAndLeftUntouched) {
 }
 
 TEST(CtrStore, ResumedStoreFromLongerRunRefusesToFinishShort) {
-  const std::string dir = TempPath("longer");
+  const std::string dir = ScratchPath("longer");
   const std::vector<RunRecord> recs = SampleRecords(12);
   CtrWriterOptions options;
   options.block_records = 4;
@@ -358,7 +354,7 @@ TEST(CtrStore, ResumedStoreFromLongerRunRefusesToFinishShort) {
 }
 
 TEST(CtrStore, ResumeWithDivergentTrialSequenceThrowsAtBoundary) {
-  const std::string dir = TempPath("diverge");
+  const std::string dir = ScratchPath("diverge");
   const std::vector<RunRecord> recs = SampleRecords(9);
   CtrWriterOptions options;
   options.block_records = 4;
@@ -379,7 +375,7 @@ TEST(CtrStore, ResumeWithDivergentTrialSequenceThrowsAtBoundary) {
 // ---- Crash discipline --------------------------------------------------------
 
 TEST(CtrStore, TruncationAtEveryByteServesPrefixAndResumeConverges) {
-  const std::string src = TempPath("cut_src");
+  const std::string src = ScratchPath("cut_src");
   const std::vector<RunRecord> recs = SampleRecords(11);
   CtrWriterOptions options;
   options.block_records = 4;  // 2 full blocks + a partial block of 3
@@ -388,7 +384,7 @@ TEST(CtrStore, TruncationAtEveryByteServesPrefixAndResumeConverges) {
   const std::string full = ReadFileBytes(seg);
   const std::size_t header_end = HeaderEnd(full);
 
-  const std::string cut = TempPath("cut_copy");
+  const std::string cut = ScratchPath("cut_copy");
   std::size_t prev_served = 0;
   for (std::size_t len = 0; len <= full.size(); ++len) {
     fs::create_directories(cut);
@@ -440,14 +436,14 @@ TEST(CtrStore, TruncationAtEveryByteServesPrefixAndResumeConverges) {
 }
 
 TEST(CtrStore, BitFlipFuzzNeverServesCorruptRecords) {
-  const std::string src = TempPath("flip_src");
+  const std::string src = ScratchPath("flip_src");
   const std::vector<RunRecord> recs = SampleRecords(11);
   CtrWriterOptions options;
   options.block_records = 4;
   WriteStore(src, recs, options);
   const std::string full = ReadFileBytes(src + "/seg-000000.ctr");
   const std::size_t header_end = HeaderEnd(full);
-  const std::string flipped = TempPath("flip_copy");
+  const std::string flipped = ScratchPath("flip_copy");
 
   Rng rng(2026);
   for (int trial = 0; trial < 500; ++trial) {
@@ -474,7 +470,7 @@ TEST(CtrStore, BitFlipFuzzNeverServesCorruptRecords) {
 }
 
 TEST(CtrStore, HalfCreatedLastSegmentIsDroppedOnResume) {
-  const std::string dir = TempPath("halfseg");
+  const std::string dir = ScratchPath("halfseg");
   const std::vector<RunRecord> recs = SampleRecords(16);
   CtrWriterOptions options;
   options.block_records = 4;
@@ -524,7 +520,7 @@ std::string ExportedCsv(const std::string& dir) {
 TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
   // v9: custom injectors present.
   {
-    const std::string dir = TempPath("export_v9");
+    const std::string dir = ScratchPath("export_v9");
     const std::vector<RunRecord> recs = SampleRecords(37);
     CtrWriterOptions options;
     options.block_records = 8;
@@ -535,7 +531,7 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
   // v7: uniform policy, no injectors — the version probe must not be fooled
   // by the empty dictionary column.
   {
-    const std::string dir = TempPath("export_v7");
+    const std::string dir = ScratchPath("export_v7");
     std::vector<RunRecord> recs = SampleRecords(21);
     for (RunRecord& r : recs) {
       r.injector.clear();
@@ -547,7 +543,7 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
   }
   // v8: non-uniform policy, still no injectors.
   {
-    const std::string dir = TempPath("export_v8");
+    const std::string dir = ScratchPath("export_v8");
     std::vector<RunRecord> recs = SampleRecords(21);
     for (RunRecord& r : recs) {
       r.injector.clear();
@@ -555,7 +551,7 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
     }
     CtrStoreInfo info = TestIdentity();
     info.sample_policy = campaign::SamplePolicy::kStratified;
-    CtrStoreWriter writer(TempPath("export_v8"), info, {});
+    CtrStoreWriter writer(ScratchPath("export_v8"), info, {});
     for (const RunRecord& r : recs) writer.Add(r);
     writer.Finish();
     EXPECT_EQ(ExportedCsv(dir),
@@ -577,7 +573,7 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
 
   std::vector<std::string> dirs;
   for (std::uint64_t s = 0; s < 3; ++s) {
-    const std::string dir = TempPath("merge_shard" + std::to_string(s));
+    const std::string dir = ScratchPath("merge_shard" + std::to_string(s));
     dirs.push_back(dir);
     CtrStoreInfo info = TestIdentity();
     info.campaign_seed = seed;
@@ -718,7 +714,7 @@ TEST(StoreResume, SerialResumeIsByteIdenticalAndRunsOnlyMissingSeeds) {
   campaign::CampaignConfig config;
   config.runs = 12;
   config.seed = 321;
-  const std::string ref_dir = TempPath("resume_ref");
+  const std::string ref_dir = ScratchPath("resume_ref");
   const StoreRun reference = RunIntoStore(ref_dir, config, 1, false);
   const std::string expected = RenderPlusCsv(reference.result);
   const std::string ref_bytes = ReadFileBytes(ref_dir + "/seg-000000.ctr");
@@ -729,7 +725,7 @@ TEST(StoreResume, SerialResumeIsByteIdenticalAndRunsOnlyMissingSeeds) {
        std::vector<std::pair<std::size_t, std::uint64_t>>{
            {0, 0}, {4, 4}, {12, 12}, {11, 8}}) {
     SCOPED_TRACE(killed_at);
-    const std::string dir = TempPath("resume_serial");
+    const std::string dir = ScratchPath("resume_serial");
     WriteKilledStore(dir, config.seed, reference.result.records, killed_at);
     const StoreRun resumed = RunIntoStore(dir, config, 1, true);
     EXPECT_EQ(resumed.stored, replayed);
@@ -745,14 +741,14 @@ TEST(StoreResume, ParallelResumeIsByteIdenticalAcrossWorkerCounts) {
   campaign::CampaignConfig config;
   config.runs = 16;
   config.seed = 4242;
-  const std::string ref_dir = TempPath("resume_par_ref");
+  const std::string ref_dir = ScratchPath("resume_par_ref");
   const StoreRun reference = RunIntoStore(ref_dir, config, 1, false);
   const std::string expected = RenderPlusCsv(reference.result);
   const std::string ref_bytes = ReadFileBytes(ref_dir + "/seg-000000.ctr");
 
   for (const unsigned jobs : {1u, 4u}) {
     SCOPED_TRACE(jobs);
-    const std::string dir = TempPath("resume_par");
+    const std::string dir = ScratchPath("resume_par");
     WriteKilledStore(dir, config.seed, reference.result.records, 8);
     const StoreRun resumed = RunIntoStore(dir, config, jobs, true);
     EXPECT_EQ(resumed.executed, config.runs - 8);
@@ -766,9 +762,9 @@ TEST(StoreResume, TornStoreResumesFromItsIntactBlocks) {
   config.runs = 8;
   config.seed = 77;
   const StoreRun reference =
-      RunIntoStore(TempPath("resume_torn_ref"), config, 1, false);
+      RunIntoStore(ScratchPath("resume_torn_ref"), config, 1, false);
 
-  const std::string dir = TempPath("resume_torn");
+  const std::string dir = ScratchPath("resume_torn");
   WriteKilledStore(dir, config.seed, reference.result.records, 4);
   {
     // The kill -9 landed mid-write of the next block.
@@ -784,7 +780,7 @@ TEST(StoreResume, ReplayingAnotherCampaignsRecordsThrows) {
   campaign::CampaignConfig config;
   config.runs = 4;
   config.seed = 5;
-  const std::vector<RunRecord> own = RunIntoStore(TempPath("replay_own"), config,
+  const std::vector<RunRecord> own = RunIntoStore(ScratchPath("replay_own"), config,
                                                   1, false)
                                          .result.records;
   const auto stream_of = [](std::vector<RunRecord> records) {
@@ -813,7 +809,7 @@ TEST(StoreResume, ReplayingAnotherCampaignsRecordsThrows) {
 // ---- Query engine ------------------------------------------------------------
 
 TEST(CtrQuery, FilterGroupAndTopKMatchDirectTallies) {
-  const std::string dir = TempPath("query");
+  const std::string dir = ScratchPath("query");
   const std::vector<RunRecord> recs = SampleRecords(60);
   CtrWriterOptions options;
   options.block_records = 16;
@@ -879,7 +875,7 @@ TEST(OutcomeTable, EveryOutcomeReachesEverySurfaceWithItsCount) {
   for (const RunRecord& r : recs) result.Accumulate(r, /*keep_record=*/false);
 
   // Commit-side telemetry: status.json and the registry counters.
-  const std::string dir = TempPath("outcome_table");
+  const std::string dir = ScratchPath("outcome_table");
   fs::create_directories(dir);
   obs::Registry::Global().Reset();
   {
