@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
 
   hub::TaintHub local;
   hub::remote::HubServer server({});
-  server.Start();
   const std::string endpoint =
       "127.0.0.1:" + std::to_string(server.port());
   hub::remote::RemoteTaintHub batched({endpoint});

@@ -37,13 +37,47 @@ std::uint64_t MixKey(const MessageId& id) {
   return h;
 }
 
+/// The hub_client_* byte counters a session's round trips feed.
+struct WireBytes {
+  obs::Counter& sent;
+  obs::Counter& recv;
+};
+
+/// Send `request` as one frame and read until one response frame is whole;
+/// returns its payload. `who` opens the error messages (ConfigError on a
+/// corrupt stream or a closed connection); `bytes`, when given, counts the
+/// traffic.
+std::string RoundTrip(net::TcpSocket& sock, net::FrameDecoder& decoder,
+                      const std::string& request, const char* who,
+                      const WireBytes* bytes) {
+  std::string wire;
+  AppendFrame(&wire, request);
+  sock.SendAll(wire.data(), wire.size());
+  if (bytes != nullptr) bytes->sent.Inc(wire.size());
+  std::string payload;
+  for (;;) {
+    const net::FrameDecoder::Result r = decoder.Next(&payload);
+    if (r == net::FrameDecoder::Result::kFrame) return payload;
+    if (r == net::FrameDecoder::Result::kError) {
+      throw ConfigError(std::string(who) + ": response stream corrupt: " +
+                        decoder.error());
+    }
+    char buf[64 * 1024];
+    const std::size_t n = sock.Recv(buf, sizeof(buf));
+    if (n == 0) {
+      throw ConfigError(std::string(who) + ": server closed the connection");
+    }
+    if (bytes != nullptr) bytes->recv.Inc(n);
+    decoder.Feed(buf, n);
+  }
+}
+
 }  // namespace
 
 HubClockProbe ProbeHubClock(const std::string& endpoint) {
   const net::Endpoint ep = net::ParseEndpoint(endpoint);
   net::TcpSocket sock = net::TcpSocket::Connect(ep.host, ep.port);
-  std::string wire;
-  AppendFrame(&wire, EncodeHello());
+  net::FrameDecoder decoder;
   const auto now_us = [] {
     return static_cast<std::int64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -51,23 +85,8 @@ HubClockProbe ProbeHubClock(const std::string& endpoint) {
             .count());
   };
   const std::int64_t t0 = now_us();
-  sock.SendAll(wire.data(), wire.size());
-  net::FrameDecoder decoder;
-  std::string payload;
-  for (;;) {
-    const net::FrameDecoder::Result r = decoder.Next(&payload);
-    if (r == net::FrameDecoder::Result::kFrame) break;
-    if (r == net::FrameDecoder::Result::kError) {
-      throw ConfigError("hub clock probe: response stream corrupt: " +
-                        decoder.error());
-    }
-    char buf[4096];
-    const std::size_t n = sock.Recv(buf, sizeof(buf));
-    if (n == 0) {
-      throw ConfigError("hub clock probe: server closed the connection");
-    }
-    decoder.Feed(buf, n);
-  }
+  const std::string payload =
+      RoundTrip(sock, decoder, EncodeHello(), "hub clock probe", nullptr);
   const std::int64_t t1 = now_us();
   std::size_t pos = 0;
   std::uint64_t status = 0;
@@ -120,31 +139,12 @@ std::size_t RemoteTaintHub::ShardOf(const MessageId& id) const {
 std::string RemoteTaintHub::Call(Shard& shard, const std::string& request) const {
   static obs::Histogram& call_ns = obs::Registry::Global().GetHistogram(
       "hub_client_call_ns", obs::LatencyBoundsNs());
-  static obs::Counter& bytes_sent =
-      obs::Registry::Global().GetCounter("hub_client_bytes_sent_total");
-  static obs::Counter& bytes_recv =
-      obs::Registry::Global().GetCounter("hub_client_bytes_recv_total");
+  static const WireBytes bytes{
+      obs::Registry::Global().GetCounter("hub_client_bytes_sent_total"),
+      obs::Registry::Global().GetCounter("hub_client_bytes_recv_total")};
   const std::uint64_t t0 = obs::MonotonicNanos();
-  std::string wire;
-  AppendFrame(&wire, request);
-  shard.sock.SendAll(wire.data(), wire.size());
-  bytes_sent.Inc(wire.size());
-  std::string payload;
-  for (;;) {
-    const net::FrameDecoder::Result r = shard.decoder.Next(&payload);
-    if (r == net::FrameDecoder::Result::kFrame) break;
-    if (r == net::FrameDecoder::Result::kError) {
-      throw ConfigError("remote hub: response stream corrupt: " +
-                        shard.decoder.error());
-    }
-    char buf[64 * 1024];
-    const std::size_t n = shard.sock.Recv(buf, sizeof(buf));
-    if (n == 0) {
-      throw ConfigError("remote hub: server closed the connection");
-    }
-    bytes_recv.Inc(n);
-    shard.decoder.Feed(buf, n);
-  }
+  const std::string payload =
+      RoundTrip(shard.sock, shard.decoder, request, "remote hub", &bytes);
   call_ns.Observe(obs::MonotonicNanos() - t0);
   std::size_t pos = 0;
   std::uint64_t status = 0;

@@ -435,13 +435,14 @@ vm::SyscallResult Cluster::MpiSend(Rank r) {
   return vm::SyscallResult::Done(0);
 }
 
-bool Cluster::CompleteReceive(Rank r, Envelope env, GuestAddr buf) {
+bool Cluster::CompleteReceive(Rank r, Envelope env, GuestAddr buf,
+                              const char* what) {
   vm::Vm& v = rank_vm(r);
   const bool mapped =
       v.memory().WriteBytes(buf, env.payload.data(), env.payload.size());
   if (!mapped) {
     v.RaiseSignal(vm::GuestSignal::kSegv,
-                  "MPI_Recv: buffer " + Hex64(buf) + " not mapped");
+                  std::string(what) + ": buffer " + Hex64(buf) + " not mapped");
   } else {
     // Only raw bytes crossed the wire: whatever taint the buffer carried is
     // gone, and the incoming taint (if any) must be re-established by the
@@ -495,8 +496,9 @@ vm::SyscallResult Cluster::Receive(Rank r, std::int64_t src, std::int64_t tag,
   Envelope env;
   const vm::SyscallResult took = TakeMessage(r, src, tag, bytes, fit, what, &env);
   if (took.outcome != vm::SyscallResult::Outcome::kDone) return took;
-  return CompleteReceive(r, std::move(env), buf) ? took
-                                                 : vm::SyscallResult::Terminated();
+  return CompleteReceive(r, std::move(env), buf, what)
+             ? took
+             : vm::SyscallResult::Terminated();
 }
 
 bool Cluster::CopyLocal(Rank r, GuestAddr from, GuestAddr to, std::uint64_t bytes,
@@ -692,7 +694,8 @@ vm::SyscallResult Cluster::MpiAllreduce(Rank r) {
   if (r != 0) {
     RankState& state = rank(r);
     if (!state.allreduce_sent) {
-      if (!SendRaw(r, 0, kAllreduceTag, count, datatype, sendbuf)) {
+      if (!SendRaw(r, 0, kAllreduceTag, count, datatype, sendbuf,
+                   "MPI_Allreduce")) {
         return vm::SyscallResult::Terminated();
       }
       state.allreduce_sent = true;
@@ -711,7 +714,8 @@ vm::SyscallResult Cluster::MpiAllreduce(Rank r) {
   if (reduced.outcome != vm::SyscallResult::Outcome::kDone) return reduced;
   // Distribute the combined result (taint travels via the usual send hook).
   for (Rank dest = 1; dest < config_.num_ranks; ++dest) {
-    if (!SendRaw(r, dest, kAllreduceResultTag, count, datatype, recvbuf)) {
+    if (!SendRaw(r, dest, kAllreduceResultTag, count, datatype, recvbuf,
+                 "MPI_Allreduce")) {
       return vm::SyscallResult::Terminated();
     }
   }
@@ -733,7 +737,8 @@ vm::SyscallResult Cluster::MpiGather(Rank r) {
 
   if (r != root) {
     // Fire-and-forget: no blocking, so no re-execution to guard against.
-    return SendRaw(r, static_cast<Rank>(root), kGatherTag, count, datatype, sendbuf)
+    return SendRaw(r, static_cast<Rank>(root), kGatherTag, count, datatype, sendbuf,
+                   "MPI_Gather")
                ? vm::SyscallResult::Done(0)
                : vm::SyscallResult::Terminated();
   }
@@ -772,7 +777,8 @@ vm::SyscallResult Cluster::MpiScatter(Rank r) {
   for (Rank dest = 0; dest < config_.num_ranks; ++dest) {
     const GuestAddr chunk = sendbuf + static_cast<std::uint64_t>(dest) * bytes;
     if (!(dest == r ? CopyLocal(r, chunk, recvbuf, bytes, "MPI_Scatter")
-                    : SendRaw(r, dest, kScatterTag, count, datatype, chunk))) {
+                    : SendRaw(r, dest, kScatterTag, count, datatype, chunk,
+                              "MPI_Scatter"))) {
       return vm::SyscallResult::Terminated();
     }
   }

@@ -290,8 +290,7 @@ class Cluster {
   /// raises SIGSEGV (naming `what`) and returns false if the buffer is
   /// unmapped. Every message leaves through here.
   bool SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count,
-               std::uint64_t datatype, GuestAddr buf,
-               const char* what = "MPI collective");
+               std::uint64_t datatype, GuestAddr buf, const char* what);
 
   /// The one matching rule: r's first inbox message from `src` (-1: any
   /// rank) with `tag` (-1: any user tag; collective traffic is not
@@ -321,8 +320,8 @@ class Cluster {
   /// Copy a payload into guest memory, clear the buffer's shadow taint
   /// (fresh bytes arrived over the wire), and fire the receive hook; the
   /// payload's storage then goes back to the spare list. Returns false if
-  /// the destination buffer faulted (signal raised).
-  bool CompleteReceive(Rank r, Envelope env, GuestAddr buf);
+  /// the destination buffer faulted (SIGSEGV raised, naming `what`).
+  bool CompleteReceive(Rank r, Envelope env, GuestAddr buf, const char* what);
 
   /// A root's copy of its own share within its memory (Gather, Scatter):
   /// `bytes` bytes from `from` to `to`, shadow with them, so the root's own

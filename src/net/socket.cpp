@@ -93,37 +93,11 @@ std::size_t TcpSocket::Recv(char* buf, std::size_t n) {
   }
 }
 
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(other.fd_), port_(other.port_) {
-  other.fd_ = -1;
-  other.port_ = 0;
-}
-
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    port_ = other.port_;
-    other.fd_ = -1;
-    other.port_ = 0;
-  }
-  return *this;
-}
-
-TcpListener::~TcpListener() { Close(); }
-
-void TcpListener::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-TcpListener TcpListener::Bind(const std::string& host, std::uint16_t port) {
+TcpSocket Listen(const std::string& host, std::uint16_t port,
+                 std::uint16_t* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw ConfigError(Errno("net: socket()"));
-  TcpListener lis;
-  lis.fd_ = fd;
+  TcpSocket sock(fd);
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -140,17 +114,9 @@ TcpListener TcpListener::Bind(const std::string& host, std::uint16_t port) {
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
     throw ConfigError(Errno("net: getsockname"));
   }
-  lis.port_ = ntohs(bound.sin_port);
-  return lis;
-}
-
-int TcpListener::Accept() {
-  for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return fd;
-    if (errno == EINTR) continue;
-    return -1;  // EAGAIN (nonblocking) or a transient failure: not fatal
-  }
+  *bound_port = ntohs(bound.sin_port);
+  SetNonBlocking(fd);
+  return sock;
 }
 
 Endpoint ParseEndpoint(const std::string& spec) {

@@ -1,6 +1,7 @@
-// Thin RAII wrappers over POSIX TCP sockets — just enough for the hub wire
-// protocol: a blocking client socket and a listener the server's poll loop
-// accepts from. IPv4 only (campaign fleets are rack-local); no TLS.
+// Thin RAII wrappers over POSIX TCP sockets: a blocking client socket for
+// the hub wire protocol and HTTP scrapes, and the listener that
+// net/server_loop.h serves both from. IPv4 only (campaign fleets are
+// rack-local); no TLS.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +25,6 @@ class TcpSocket {
   /// (unknown host, refused, ...).
   static TcpSocket Connect(const std::string& host, std::uint16_t port);
 
-  bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
   /// Write all of data[0..n); throws ConfigError if the peer vanished.
@@ -42,34 +42,11 @@ class TcpSocket {
   int fd_ = -1;
 };
 
-/// Listening socket. Bind with port 0 for an ephemeral port, then port()
-/// reports the one the kernel picked (test servers, chaser_hubd --port 0).
-class TcpListener {
- public:
-  TcpListener() = default;
-  TcpListener(TcpListener&& other) noexcept;
-  TcpListener& operator=(TcpListener&& other) noexcept;
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-  ~TcpListener();
-
-  /// Bind + listen on host:port (SO_REUSEADDR). Throws ConfigError.
-  static TcpListener Bind(const std::string& host, std::uint16_t port);
-
-  bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-  std::uint16_t port() const { return port_; }
-
-  /// Accept one pending connection; returns an owned fd, or -1 if none is
-  /// pending (nonblocking listener) or the accept failed transiently.
-  int Accept();
-
-  void Close();
-
- private:
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
-};
+/// A nonblocking socket listening on host:port (SO_REUSEADDR). Port 0 binds
+/// an ephemeral port; *bound_port gets the one the kernel picked (test
+/// servers, chaser_hubd --port 0). Throws ConfigError.
+TcpSocket Listen(const std::string& host, std::uint16_t port,
+                 std::uint16_t* bound_port);
 
 /// Endpoint spec "host:port" (e.g. "127.0.0.1:7700"). Throws ConfigError on
 /// a missing/invalid port.
@@ -79,7 +56,8 @@ struct Endpoint {
 };
 Endpoint ParseEndpoint(const std::string& spec);
 
-/// Make fd nonblocking (server poll loop). Returns false on fcntl failure.
+/// Make fd nonblocking (the server loop's sockets and wake pipe). Returns
+/// false on fcntl failure.
 bool SetNonBlocking(int fd);
 
 }  // namespace chaser::net

@@ -7,11 +7,13 @@
 //              would write to --status), rendered on demand
 //   /healthz   "ok\n" — liveness for fleet supervisors and smoke scripts
 //
-// Design mirrors HubServer: one poll(2) event loop on a background thread
-// owns every connection (wake pipe for Stop(), nonblocking listener,
-// per-connection buffers). HTTP here is deliberately minimal — parse the
-// request line of a GET, answer with Content-Length + Connection: close,
-// drop the connection. No keep-alive, no TLS, no request bodies; scrapers
+// It runs on net::ServerLoop (net/server_loop.h), the poll(2) loop that
+// also serves chaser_hubd's hub protocol, and adds only HTTP and three
+// limits of its own: a request is at most 8 KiB, a connection idle for 10
+// loop rounds (500 ms each when quiet) is closed, and every connection
+// closes once its response has drained. HTTP here is deliberately minimal —
+// parse the request line of a GET, answer with Content-Length +
+// Connection: close. No keep-alive, no TLS, no request bodies; scrapers
 // (Prometheus, chaser_fleet, chaser_top, curl) all speak this subset.
 //
 // Identity-safety rule (DESIGN.md §5.5): the server only *reads* registry
@@ -19,15 +21,12 @@
 // endpoint exists or anyone ever scrapes it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "net/socket.h"
+#include "net/server_loop.h"
 
 namespace chaser::obs {
 
@@ -55,7 +54,7 @@ std::string TryScrape(const std::string& endpoint, const std::string& path,
 bool PrometheusValue(const std::string& text, const std::string& series,
                      double* out);
 
-class ExportServer {
+class ExportServer : private net::ServerLoop::Handler {
  public:
   struct Options {
     std::string host = "127.0.0.1";
@@ -67,42 +66,29 @@ class ExportServer {
     std::function<std::string()> status_body;
   };
 
-  /// Binds, listens, and launches the event loop thread. Throws ConfigError
-  /// if the bind fails (the thread is never started in that case).
+  /// Binds, listens, and starts serving. Throws ConfigError if the bind
+  /// fails (nothing is started in that case).
   explicit ExportServer(Options options);
-  ~ExportServer();
 
   ExportServer(const ExportServer&) = delete;
   ExportServer& operator=(const ExportServer&) = delete;
 
-  void Stop();
+  void Stop() { loop_.Stop(); }
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
   const std::string& host() const { return options_.host; }
   /// "host:port" as a scraper would dial it.
   std::string endpoint() const;
 
  private:
-  struct Connection {
-    net::TcpSocket sock;
-    std::string in;        // request bytes until the blank line
-    std::string out;       // response bytes not yet written
-    bool responded = false;
-    int idle_ticks = 0;    // poll rounds without progress; reaped at limit
-  };
-
-  void Loop();
-  void BuildResponse(Connection& conn);
-  void FlushWrites(Connection& conn);
+  std::unique_ptr<net::Connection> OnConnect() override;
+  bool OnRecv(net::Connection& conn, const char* data, std::size_t n) override;
+  /// The whole response to a complete request.
+  std::string Respond(const std::string& request);
 
   Options options_;
-  net::TcpListener listener_;
-  std::uint16_t port_ = 0;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
-  std::vector<std::unique_ptr<Connection>> conns_;
+  /// Last: it starts after, and stops before, the state its calls read.
+  net::ServerLoop loop_;
 };
 
 }  // namespace chaser::obs

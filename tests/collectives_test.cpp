@@ -238,7 +238,7 @@ TEST(Collectives, FailureOutcomes) {
        "MPI_Bcast: buffer 0x0000000000001000 not mapped"},
       {"bcast unmapped receive buffer", Sys::kMpiBcast,
        {{{kBuf, 1, kInt64, 0}, {kUnmapped, 1, kInt64, 0}}}, 1, kSig, kSegv,
-       "MPI_Recv: buffer 0x0000000000001000 not mapped"},
+       "MPI_Bcast: buffer 0x0000000000001000 not mapped"},
       {"bcast invalid root", Sys::kMpiBcast,
        {{{kBuf, 1, kInt64, 9}, {kBuf, 1, kInt64, 9}}}, 0, kMpi, kNone,
        "MPI_Bcast: invalid rank 9"},
@@ -270,13 +270,13 @@ TEST(Collectives, FailureOutcomes) {
        0, kSig, kSegv, "MPI_Allreduce: buffer 0x0000000000001000 not mapped"},
       {"allreduce unmapped send buffer off the root", Sys::kMpiAllreduce,
        {{{kBuf, kRecv, 1, kInt64, kSum}, {kUnmapped, kRecv, 1, kInt64, kSum}}},
-       1, kSig, kSegv, "MPI collective: buffer 0x0000000000001000 not mapped"},
+       1, kSig, kSegv, "MPI_Allreduce: buffer 0x0000000000001000 not mapped"},
       {"allreduce unmapped receive buffer at the root", Sys::kMpiAllreduce,
        {{{kBuf, kUnmapped, 1, kInt64, kSum}, {kBuf, kRecv, 1, kInt64, kSum}}},
        0, kSig, kSegv, "MPI_Allreduce: recv buffer 0x0000000000001000 not mapped"},
       {"allreduce unmapped receive buffer off the root", Sys::kMpiAllreduce,
        {{{kBuf, kRecv, 1, kInt64, kSum}, {kBuf, kUnmapped, 1, kInt64, kSum}}},
-       1, kSig, kSegv, "MPI_Recv: buffer 0x0000000000001000 not mapped"},
+       1, kSig, kSegv, "MPI_Allreduce: buffer 0x0000000000001000 not mapped"},
       {"allreduce invalid op", Sys::kMpiAllreduce,
        {{{kBuf, kRecv, 1, kInt64, 42}, {kBuf, kRecv, 1, kInt64, 42}}},
        0, kMpi, kNone, "MPI_Allreduce: invalid op 42"},
@@ -289,13 +289,13 @@ TEST(Collectives, FailureOutcomes) {
        0, kSig, kSegv, "MPI_Gather: buffer not mapped"},
       {"gather unmapped send buffer off the root", Sys::kMpiGather,
        {{{kBuf, kRecv, 1, kInt64, 0}, {kUnmapped, kRecv, 1, kInt64, 0}}},
-       1, kSig, kSegv, "MPI collective: buffer 0x0000000000001000 not mapped"},
+       1, kSig, kSegv, "MPI_Gather: buffer 0x0000000000001000 not mapped"},
       {"gather unmapped receive buffer", Sys::kMpiGather,
        {{{kBuf, kUnmapped, 1, kInt64, 0}, {kBuf, kRecv, 1, kInt64, 0}}},
        0, kSig, kSegv, "MPI_Gather: buffer not mapped"},
       {"gather receive buffer unmapped past the root's slot", Sys::kMpiGather,
        {{{kBuf, kPageEnd, 1, kInt64, 0}, {kBuf, kRecv, 1, kInt64, 0}}},
-       0, kSig, kSegv, "MPI_Recv: buffer 0x0000000018001000 not mapped"},
+       0, kSig, kSegv, "MPI_Gather: buffer 0x0000000018001000 not mapped"},
       {"gather invalid root", Sys::kMpiGather,
        {{{kBuf, kRecv, 1, kInt64, 9}, {kBuf, kRecv, 1, kInt64, 9}}},
        0, kMpi, kNone, "MPI_Gather: invalid rank 9"},
@@ -308,16 +308,16 @@ TEST(Collectives, FailureOutcomes) {
        0, kSig, kSegv, "MPI_Scatter: buffer not mapped"},
       {"scatter send buffer unmapped past the root's chunk", Sys::kMpiScatter,
        {{{kPageEnd, kRecv, 1, kInt64, 0}, {kBuf, kRecv, 1, kInt64, 0}}},
-       0, kSig, kSegv, "MPI collective: buffer 0x0000000018001000 not mapped"},
+       0, kSig, kSegv, "MPI_Scatter: buffer 0x0000000018001000 not mapped"},
       {"scatter unmapped send buffer, root 1", Sys::kMpiScatter,
        {{{kBuf, kRecv, 1, kInt64, 1}, {kUnmapped, kRecv, 1, kInt64, 1}}},
-       1, kSig, kSegv, "MPI collective: buffer 0x0000000000001000 not mapped"},
+       1, kSig, kSegv, "MPI_Scatter: buffer 0x0000000000001000 not mapped"},
       {"scatter unmapped receive buffer at the root", Sys::kMpiScatter,
        {{{kBuf, kUnmapped, 1, kInt64, 0}, {kBuf, kRecv, 1, kInt64, 0}}},
        0, kSig, kSegv, "MPI_Scatter: buffer not mapped"},
       {"scatter unmapped receive buffer off the root", Sys::kMpiScatter,
        {{{kBuf, kRecv, 1, kInt64, 0}, {kBuf, kUnmapped, 1, kInt64, 0}}},
-       1, kSig, kSegv, "MPI_Recv: buffer 0x0000000000001000 not mapped"},
+       1, kSig, kSegv, "MPI_Scatter: buffer 0x0000000000001000 not mapped"},
       {"scatter invalid root", Sys::kMpiScatter,
        {{{kBuf, kRecv, 1, kInt64, 9}, {kBuf, kRecv, 1, kInt64, 9}}},
        0, kMpi, kNone, "MPI_Scatter: invalid rank 9"},

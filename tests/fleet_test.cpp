@@ -305,7 +305,6 @@ TEST(RemoteHubCampaignTest, LoopbackRemoteHubMatchesInProcess) {
   const CampaignResult expected = local.Run();
 
   hub::remote::HubServer server({});
-  server.Start();
   config.hub_endpoints = {"127.0.0.1:" + std::to_string(server.port())};
   Campaign remote(apps::BuildMatvec({}), config);
   const CampaignResult got = remote.Run();

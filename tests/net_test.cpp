@@ -5,12 +5,16 @@
 // keep working, and a RemoteTaintHub over loopback must be operation-for-
 // operation identical to the in-process TaintHub it proxies.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.h"
@@ -262,9 +266,13 @@ TEST(Endpoint, ParsesHostPort) {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    server_ = std::make_unique<HubServer>(HubServer::Options{});
-    server_->Start();
+    server_ = StartServer({});
     endpoint_ = "127.0.0.1:" + std::to_string(server_->port());
+  }
+
+  /// A running server on `options` (the fixture's own uses the defaults).
+  static std::unique_ptr<HubServer> StartServer(HubServer::Options options) {
+    return std::make_unique<HubServer>(std::move(options));
   }
 
   /// Raw client socket that has NOT sent a hello.
@@ -339,6 +347,25 @@ TEST_F(ServerTest, OversizedFrameDropsConnectionNotServer) {
   EXPECT_EQ(still_fine.stats().publishes, 0u);
 }
 
+TEST_F(ServerTest, ABatchCountPastItsBytesDropsOnlyThatConnection) {
+  // A publish batch claiming more records than its frame holds is malformed:
+  // a protocol error for that connection, never an allocation sized by the
+  // claim (which aborted the whole daemon).
+  net::TcpSocket sock = RawConnect();
+  std::string hello;
+  AppendFrame(&hello, hub::remote::EncodeHello());
+  sock.SendAll(hello.data(), hello.size());
+  std::string batch;
+  AppendVarint(&batch,
+               static_cast<std::uint64_t>(hub::remote::Command::kPublishBatch));
+  AppendVarint(&batch, 1ull << 60);
+  EXPECT_TRUE(SendAndExpectDrop(sock, batch));
+  EXPECT_TRUE(server_->running());
+  EXPECT_EQ(server_->stats().conn_errors, 1u);
+  RemoteTaintHub still_fine({endpoint_});
+  EXPECT_EQ(still_fine.stats().publishes, 0u);
+}
+
 TEST_F(ServerTest, UnknownCommandGetsAnErrorFrameWithoutADrop) {
   net::TcpSocket sock = RawConnect();
   std::string stream;
@@ -369,6 +396,55 @@ TEST_F(ServerTest, UnknownCommandGetsAnErrorFrameWithoutADrop) {
   EXPECT_EQ(status, 1u);
   EXPECT_EQ(server_->stats().conn_errors, 0u)
       << "unknown commands are forward-compat, not protocol errors";
+}
+
+TEST_F(ServerTest, AClientThatDoesNotReadIsDroppedAtItsQueueCap) {
+  // Backpressure: answers queue per connection up to max_out_bytes. A
+  // client that keeps sending commands without reading passes the cap and
+  // is dropped; that is a protocol error after the hello (conn_errors, not
+  // hello_errors), and other sessions keep being answered.
+  HubServer::Options options;
+  options.max_out_bytes = 64;
+  const std::unique_ptr<HubServer> server = StartServer(options);
+  net::TcpSocket greedy = net::TcpSocket::Connect("127.0.0.1", server->port());
+  std::string hello;
+  AppendFrame(&hello, hub::remote::EncodeHello());
+  greedy.SendAll(hello.data(), hello.size());
+  std::string stats_command;
+  AppendVarint(&stats_command,
+               static_cast<std::uint64_t>(hub::remote::Command::kStats));
+  std::string burst;  // 32 commands, ~480 bytes of answers
+  for (int i = 0; i < 32; ++i) AppendFrame(&burst, stats_command);
+  for (int i = 0; i < 50 && server->stats().connections_dropped == 0; ++i) {
+    try {
+      greedy.SendAll(burst.data(), burst.size());
+    } catch (const ConfigError&) {
+      break;  // reset: the server has dropped us
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The drop closes the socket: reading ends in EOF or a reset, not the
+  // 10 s receive timeout.
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(greedy.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  try {
+    char buf[4096];
+    while (greedy.Recv(buf, sizeof(buf)) > 0) {
+    }
+  } catch (const ConfigError&) {
+  }
+  EXPECT_EQ(server->stats().connections_dropped, 1u);
+  EXPECT_EQ(server->stats().conn_errors, 1u);
+  EXPECT_EQ(server->stats().hello_errors, 0u);
+
+  RemoteTaintHub polite({"127.0.0.1:" + std::to_string(server->port())});
+  MessageTaintRecord rec;
+  rec.id = {0, 1, 3, 0};
+  rec.byte_masks = {0x01, 0x80};
+  polite.Publish(std::move(rec));
+  EXPECT_EQ(polite.TryPoll({0, 1, 3, 0}, {}).status, PollStatus::kHit);
+  EXPECT_EQ(server->stats().connections_dropped, 1u);
 }
 
 // ---- remote-vs-in-process identity ------------------------------------------
@@ -483,7 +559,6 @@ TEST_F(ServerTest, RemoteHubMatchesInProcessUnderFaultModel) {
 
 TEST_F(ServerTest, TwoEndpointClientShardsTheKeySpace) {
   HubServer second({});
-  second.Start();
   RemoteTaintHub remote(
       {endpoint_, "127.0.0.1:" + std::to_string(second.port())});
   EXPECT_EQ(remote.num_shards(), 2u);

@@ -4,9 +4,12 @@
 // and the identity guarantee — campaign outputs are byte-identical with
 // telemetry on or off, serial and parallel.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -431,6 +434,70 @@ TEST(ExportServer, ScrapesWhileRecordersHammerTheRegistry) {
   double total = 0.0;
   ASSERT_TRUE(PrometheusValue(text, "hammer_total", &total));
   EXPECT_EQ(static_cast<std::uint64_t>(total), c.Value());
+}
+
+/// Reads `sock` until the server closes it (EOF or reset) or `limit_s`
+/// seconds pass without a byte. Returns what arrived; *closed says whether
+/// the server closed.
+std::string ReadUntilClosed(net::TcpSocket& sock, int limit_s, bool* closed) {
+  timeval tv{};
+  tv.tv_sec = limit_s;
+  ::setsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string got;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(sock.fd(), buf, sizeof(buf), 0);
+    if (n > 0) {
+      got.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    *closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    return got;
+  }
+}
+
+TEST(ExportServer, AnOversizedRequestIsDroppedUnanswered) {
+  // Requests are capped at 8 KiB: a client past the cap without the blank
+  // line that ends a request is closed with no response, and only it.
+  Registry reg;
+  ExportServer::Options options;
+  options.registry = &reg;
+  ExportServer server(std::move(options));
+  net::TcpSocket flood = net::TcpSocket::Connect("127.0.0.1", server.port());
+  const std::string request = "GET /" + std::string(9 * 1024, 'a');
+  flood.SendAll(request.data(), request.size());
+
+  EXPECT_EQ(HttpGet("127.0.0.1", server.port(), "/healthz").status, 200);
+  bool closed = false;
+  EXPECT_EQ(ReadUntilClosed(flood, 10, &closed), "");
+  EXPECT_TRUE(closed);
+}
+
+TEST(ExportServer, AStalledRequestIsReapedWithoutDelayingOthers) {
+  // A client that stops mid request line holds up no other scrape, and is
+  // closed after 10 poll rounds without progress: 500 ms each while the
+  // server is otherwise quiet, so about 5 s.
+  Registry reg;
+  ExportServer::Options options;
+  options.registry = &reg;
+  ExportServer server(std::move(options));
+  net::TcpSocket stalled = net::TcpSocket::Connect("127.0.0.1", server.port());
+  const std::string partial = "GET /metr";
+  stalled.SendAll(partial.data(), partial.size());
+  const auto t0 = std::chrono::steady_clock::now();
+
+  const HttpResponse metrics =
+      HttpGet("127.0.0.1", server.port(), "/metrics", /*timeout_ms=*/2000);
+  EXPECT_EQ(metrics.status, 200);
+  bool closed = false;
+  EXPECT_EQ(ReadUntilClosed(stalled, 15, &closed), "");
+  EXPECT_TRUE(closed);
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_GT(waited, 3.0) << "reaped before its idle rounds ran out";
+  EXPECT_LT(waited, 10.0) << "not reaped after its idle rounds";
 }
 
 // ---- Trace merge -------------------------------------------------------------

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
     }
 
     hub::remote::HubServer server(options);
-    server.Start();
     std::printf("chaser_hubd: listening on %s:%u\n", options.host.c_str(),
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);  // parents read the port from a pipe before EOF

@@ -10,7 +10,9 @@
 # records CSV each store exports). Each shard spans more than three
 # 512-record blocks, and a remote-hub matvec trial is slow enough (~0.6 ms)
 # for the kill to land mid-run. Companion to kill_resume_smoke.sh, one layer
-# up the stack.
+# up the stack. The hub also runs its scrape endpoint (--obs-port 0) on the
+# same server loop; before the hub is stopped, its /healthz, /metrics and
+# /status must answer, and /metrics must count the shards' hub traffic.
 #
 # usage: tools/fleet_smoke.sh [path/to/build/tools]
 #
@@ -48,19 +50,20 @@ echo "== reference: unsharded single-process campaign ($RUNS trials)"
     >"$WORK/ref-export.log" 2>&1 || {
   echo "fleet_smoke: FAIL (export-csv of the reference store crashed)"; exit 1; }
 
-echo "== hub: chaser_hubd on an ephemeral port"
-"$HUBD" --port 0 >"$WORK/hubd.log" 2>&1 &
+echo "== hub: chaser_hubd and its scrape endpoint on ephemeral ports"
+"$HUBD" --port 0 --obs-port 0 >"$WORK/hubd.log" 2>&1 &
 HUB_PID=$!
 for _ in $(seq 1 500); do
-  grep -q 'listening on' "$WORK/hubd.log" 2>/dev/null && break
+  grep -q 'obs listening on' "$WORK/hubd.log" 2>/dev/null && break
   sleep 0.01
 done
 ENDPOINT="$(sed -n 's/^chaser_hubd: listening on //p' "$WORK/hubd.log" | head -1)"
-if [[ -z "$ENDPOINT" ]]; then
+OBS="$(sed -n 's/^chaser_hubd: obs listening on //p' "$WORK/hubd.log" | head -1)"
+if [[ -z "$ENDPOINT" || -z "$OBS" ]]; then
   echo "fleet_smoke: FAIL (chaser_hubd never came up; see $WORK/hubd.log)"
   exit 1
 fi
-echo "   hub at $ENDPOINT"
+echo "   hub at $ENDPOINT, scrape endpoint at $OBS"
 
 shard() {  # shard <i> <jobs> -> runs shard i/2 against the hub, resumable
   local i="$1" jobs="$2"
@@ -104,11 +107,31 @@ if ! diff -q "$WORK/ref.report" "$WORK/merged.report" >/dev/null; then
   fail=1
 fi
 
+echo "== scrape: the hub's /healthz, /metrics and /status while it still runs"
+for path in healthz metrics status; do
+  "$ANALYZE" scrape "$OBS" "/$path" >"$WORK/scrape-$path.txt" 2>&1 || {
+    echo "fleet_smoke: FAIL (scrape of /$path failed; see $WORK/scrape-$path.txt)"
+    fail=1; }
+done
+if [[ "$(cat "$WORK/scrape-healthz.txt")" != "ok" ]]; then
+  echo "fleet_smoke: FAIL — /healthz did not answer ok"
+  fail=1
+fi
+if ! awk '$1 == "hub_bytes_in_total" && $2 > 0 { found = 1 } END { exit !found }' \
+       "$WORK/scrape-metrics.txt"; then
+  echo "fleet_smoke: FAIL — /metrics has no hub_bytes_in_total sample above 0"
+  fail=1
+fi
+if ! grep -q '"role": "hubd"' "$WORK/scrape-status.txt"; then
+  echo "fleet_smoke: FAIL — /status is not the hub's status document"
+  fail=1
+fi
+
 kill "$HUB_PID" 2>/dev/null
 wait "$HUB_PID" 2>/dev/null
 HUB_PID=
 
 if [[ "$fail" -eq 0 ]]; then
-  echo "fleet_smoke: PASS — 2-shard remote-hub run (with a kill+resume from its store) is byte-identical to the unsharded reference"
+  echo "fleet_smoke: PASS — 2-shard remote-hub run (with a kill+resume from its store) is byte-identical to the unsharded reference, and the hub's scrape endpoint answered"
 fi
 exit "$fail"
