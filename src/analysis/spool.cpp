@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "hub/remote/protocol.h"
 #include "net/frame.h"
 
 namespace chaser::analysis {
@@ -139,17 +140,7 @@ void TraceSpool::AddTransfer(const hub::TransferLogEntry& entry) {
   Segment& seg = SegmentFor(-1, /*hub=*/true);
   std::string rec;
   rec.push_back(static_cast<char>(SpoolRecord::Type::kTransfer));
-  AppendVarint(&rec, ZigZagEncode(entry.id.src));
-  AppendVarint(&rec, ZigZagEncode(entry.id.dest));
-  AppendVarint(&rec, ZigZagEncode(entry.id.tag));
-  AppendVarint(&rec, entry.id.seq);
-  AppendVarint(&rec, entry.tainted_bytes);
-  AppendVarint(&rec, entry.payload_bytes);
-  AppendVarint(&rec, entry.src_vaddr);
-  AppendVarint(&rec, entry.dest_vaddr);
-  AppendVarint(&rec, entry.send_instret);
-  AppendVarint(&rec, entry.recv_instret);
-  AppendVarint(&rec, entry.hub_seq);
+  hub::remote::EncodeTransferEntry(&rec, entry);
   seg.out.write(rec.data(), static_cast<std::streamsize>(rec.size()));
   ++seg.footer.records;
   ++seg.footer.transfers;
@@ -301,16 +292,7 @@ bool SegmentReader::Next(SpoolRecord* out) {
     }
     case static_cast<std::uint8_t>(SpoolRecord::Type::kTransfer): {
       hub::TransferLogEntry t;
-      std::uint64_t src = 0, dest = 0, tag_field = 0;
-      if (!u64(&src) || !u64(&dest) || !u64(&tag_field) || !u64(&t.id.seq) ||
-          !u64(&t.tainted_bytes) || !u64(&t.payload_bytes) ||
-          !u64(&t.src_vaddr) || !u64(&t.dest_vaddr) || !u64(&t.send_instret) ||
-          !u64(&t.recv_instret) || !u64(&t.hub_seq)) {
-        return fail();
-      }
-      t.id.src = static_cast<Rank>(ZigZagDecode(src));
-      t.id.dest = static_cast<Rank>(ZigZagDecode(dest));
-      t.id.tag = ZigZagDecode(tag_field);
+      if (!hub::remote::DecodeTransferEntry(buf_, &pos_, &t)) return fail();
       out->type = SpoolRecord::Type::kTransfer;
       out->transfer = t;
       return true;

@@ -63,6 +63,45 @@ namespace chaser::campaign {
 using chaser::Outcome;
 using chaser::OutcomeName;
 
+/// The CTR store's columns (store/ctr.h), in their order inside a data
+/// block; RunRecord::ForEachField gives each field's. Fixed: a new column
+/// appends at the end under a store format-version bump. The three
+/// propagation flags share kColFlags.
+enum RecordColumn : unsigned {
+  kColRunSeed = 0,
+  kColOutcome,
+  kColKind,
+  kColSignal,
+  kColInjectRank,
+  kColFailureRank,
+  kColFlags,
+  kColInjections,
+  kColTaintedReads,
+  kColTaintedWrites,
+  kColPeakTaintedBytes,
+  kColTaintedOutputBytes,
+  kColTriggerNth,
+  kColFlipBits,
+  kColInstructions,
+  kColTraceDropped,
+  kColTaintLost,
+  kColRetries,
+  kColInjectPc,
+  kColInjectClass,
+  kColSampleWeight,
+  kColInjector,
+  kColFaultClass,
+  kColInfraError,
+};
+
+/// Where the records CSV and the CTR store hold one RunRecord field.
+struct RecordField {
+  const char* name;        // its records-CSV column
+  RecordColumn column;     // its CTR store column
+  unsigned since;          // the records-CSV layout that added it: 7, 8 or 9
+  std::uint64_t flag = 0;  // a bool: its bit in its column
+};
+
 /// One injection trial.
 struct RunRecord {
   Outcome outcome = Outcome::kBenign;
@@ -116,6 +155,53 @@ struct RunRecord {
   /// Their presence switches the records CSV to v9.
   std::string injector;
   std::string fault_class;
+
+  /// The one list of a record's results, in records-CSV column order:
+  /// f(field, member pointer). The CTR store's writer and scanner, the
+  /// records CSV's header and rows, and the tests' record oracle visit it,
+  /// each picking a field's encoding from its type, so a field added here
+  /// is stored, scanned, exported and compared with no other edit. The host
+  /// counters are not on it.
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    f(RecordField{"run_seed", kColRunSeed, 7}, &RunRecord::run_seed);
+    f(RecordField{"outcome", kColOutcome, 7}, &RunRecord::outcome);
+    f(RecordField{"kind", kColKind, 7}, &RunRecord::kind);
+    f(RecordField{"signal", kColSignal, 7}, &RunRecord::signal);
+    f(RecordField{"inject_rank", kColInjectRank, 7}, &RunRecord::inject_rank);
+    f(RecordField{"failure_rank", kColFailureRank, 7},
+      &RunRecord::failure_rank);
+    f(RecordField{"deadlock", kColFlags, 7, 1}, &RunRecord::deadlock);
+    f(RecordField{"propagated_cross_rank", kColFlags, 7, 2},
+      &RunRecord::propagated_cross_rank);
+    f(RecordField{"propagated_cross_node", kColFlags, 7, 4},
+      &RunRecord::propagated_cross_node);
+    f(RecordField{"injections", kColInjections, 7}, &RunRecord::injections);
+    f(RecordField{"tainted_reads", kColTaintedReads, 7},
+      &RunRecord::tainted_reads);
+    f(RecordField{"tainted_writes", kColTaintedWrites, 7},
+      &RunRecord::tainted_writes);
+    f(RecordField{"peak_tainted_bytes", kColPeakTaintedBytes, 7},
+      &RunRecord::peak_tainted_bytes);
+    f(RecordField{"tainted_output_bytes", kColTaintedOutputBytes, 7},
+      &RunRecord::tainted_output_bytes);
+    f(RecordField{"trigger_nth", kColTriggerNth, 7}, &RunRecord::trigger_nth);
+    f(RecordField{"flip_bits", kColFlipBits, 7}, &RunRecord::flip_bits);
+    f(RecordField{"instructions", kColInstructions, 7},
+      &RunRecord::instructions);
+    f(RecordField{"trace_dropped", kColTraceDropped, 7},
+      &RunRecord::trace_dropped);
+    f(RecordField{"taint_lost", kColTaintLost, 7}, &RunRecord::taint_lost);
+    f(RecordField{"retries", kColRetries, 7}, &RunRecord::retries);
+    f(RecordField{"infra_error", kColInfraError, 7}, &RunRecord::infra_error);
+    f(RecordField{"inject_pc", kColInjectPc, 8}, &RunRecord::inject_pc);
+    f(RecordField{"inject_class", kColInjectClass, 8},
+      &RunRecord::inject_class);
+    f(RecordField{"sample_weight", kColSampleWeight, 8},
+      &RunRecord::sample_weight);
+    f(RecordField{"injector", kColInjector, 9}, &RunRecord::injector);
+    f(RecordField{"fault_class", kColFaultClass, 9}, &RunRecord::fault_class);
+  }
 };
 
 /// Map a RunRecord onto the obs layer's neutral mirror (obs cannot see

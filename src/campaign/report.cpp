@@ -10,16 +10,6 @@ namespace {
 
 constexpr const char* kVersionLinePrefix = "#chaser-records-csv v";
 
-// The v7 columns; v8 appends the sampling columns and v9 the injector ones,
-// in the order AppendRecordsCsvRow writes them.
-constexpr const char* kColumnsV7 =
-    "run_seed,outcome,kind,signal,inject_rank,failure_rank,deadlock,"
-    "propagated_cross_rank,propagated_cross_node,injections,tainted_reads,"
-    "tainted_writes,peak_tainted_bytes,tainted_output_bytes,trigger_nth,"
-    "flip_bits,instructions,trace_dropped,taint_lost,retries,infra_error";
-constexpr const char* kColumnsAddedV8 = ",inject_pc,inject_class,sample_weight";
-constexpr const char* kColumnsAddedV9 = ",injector,fault_class";
-
 /// Decimal append without a temporary std::string per field. 20 digits is
 /// enough for 2^64-1.
 void AppendU64(std::string* out, std::uint64_t v) {
@@ -41,9 +31,28 @@ void AppendI64(std::string* out, std::int64_t v) {
   }
 }
 
+// One field's cell, by the field's type: counters in decimal, ranks signed,
+// flags 0/1, enums by name, the weight at %.17g, strings sanitized.
+void AppendCell(std::string* out, std::uint64_t v) { AppendU64(out, v); }
+void AppendCell(std::string* out, unsigned v) { AppendU64(out, v); }
+void AppendCell(std::string* out, Rank r) { AppendI64(out, r); }
+void AppendCell(std::string* out, bool b) { out->push_back(b ? '1' : '0'); }
+void AppendCell(std::string* out, Outcome o) { out->append(OutcomeName(o)); }
+void AppendCell(std::string* out, vm::TerminationKind k) {
+  out->append(vm::TerminationKindName(k));
+}
+void AppendCell(std::string* out, vm::GuestSignal s) {
+  out->append(vm::GuestSignalName(s));
+}
+void AppendCell(std::string* out, guest::InstrClass c) {
+  out->append(guest::ClassName(c));
+}
+void AppendCell(std::string* out, double w) {
+  out->append(StrFormat("%.17g", w));
+}
 /// infra_error/injector/fault_class are free-form text; flatten anything
 /// that would break the one-line-per-record framing or the comma split.
-void AppendSanitized(std::string* out, const std::string& s) {
+void AppendCell(std::string* out, const std::string& s) {
   for (char c : s) {
     out->push_back((c == ',' || c == '\n' || c == '\r') ? ' ' : c);
   }
@@ -66,70 +75,22 @@ void AppendRecordsCsvHeader(std::string* out, unsigned version) {
   out->append(kVersionLinePrefix);
   AppendU64(out, version);
   out->push_back('\n');
-  out->append(kColumnsV7);
-  if (version >= 8) out->append(kColumnsAddedV8);
-  if (version >= 9) out->append(kColumnsAddedV9);
-  out->push_back('\n');
+  RunRecord::ForEachField([&](const RecordField& field, auto) {
+    if (field.since > version) return;
+    out->append(field.name);
+    out->push_back(',');
+  });
+  out->back() = '\n';
 }
 
 void AppendRecordsCsvRow(std::string* out, const RunRecord& r,
                          unsigned version) {
-  AppendU64(out, r.run_seed);
-  out->push_back(',');
-  out->append(OutcomeName(r.outcome));
-  out->push_back(',');
-  out->append(vm::TerminationKindName(r.kind));
-  out->push_back(',');
-  out->append(vm::GuestSignalName(r.signal));
-  out->push_back(',');
-  AppendI64(out, r.inject_rank);
-  out->push_back(',');
-  AppendI64(out, r.failure_rank);
-  out->push_back(',');
-  out->push_back(r.deadlock ? '1' : '0');
-  out->push_back(',');
-  out->push_back(r.propagated_cross_rank ? '1' : '0');
-  out->push_back(',');
-  out->push_back(r.propagated_cross_node ? '1' : '0');
-  out->push_back(',');
-  AppendU64(out, r.injections);
-  out->push_back(',');
-  AppendU64(out, r.tainted_reads);
-  out->push_back(',');
-  AppendU64(out, r.tainted_writes);
-  out->push_back(',');
-  AppendU64(out, r.peak_tainted_bytes);
-  out->push_back(',');
-  AppendU64(out, r.tainted_output_bytes);
-  out->push_back(',');
-  AppendU64(out, r.trigger_nth);
-  out->push_back(',');
-  AppendU64(out, r.flip_bits);
-  out->push_back(',');
-  AppendU64(out, r.instructions);
-  out->push_back(',');
-  AppendU64(out, r.trace_dropped);
-  out->push_back(',');
-  AppendU64(out, r.taint_lost);
-  out->push_back(',');
-  AppendU64(out, r.retries);
-  out->push_back(',');
-  AppendSanitized(out, r.infra_error);
-  if (version >= 8) {
+  RunRecord::ForEachField([&](const RecordField& field, auto member) {
+    if (field.since > version) return;
+    AppendCell(out, r.*member);
     out->push_back(',');
-    AppendU64(out, r.inject_pc);
-    out->push_back(',');
-    out->append(guest::ClassName(r.inject_class));
-    out->push_back(',');
-    out->append(StrFormat("%.17g", r.sample_weight));
-  }
-  if (version >= 9) {
-    out->push_back(',');
-    AppendSanitized(out, r.injector);
-    out->push_back(',');
-    AppendSanitized(out, r.fault_class);
-  }
-  out->push_back('\n');
+  });
+  out->back() = '\n';
 }
 
 void WriteRecordsCsv(const std::vector<RunRecord>& records, std::ostream& out,

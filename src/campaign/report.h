@@ -23,20 +23,15 @@ namespace chaser::campaign {
 /// writer.
 inline constexpr unsigned kRecordsCsvVersion = 9;
 
-/// Write one row per run: seed, outcome, termination detail, injection site,
-/// propagation counters. Uniform campaigns emit format v7 (21 columns),
-/// while sampled campaigns (`policy` != kUniform) emit v8, which appends the
-/// inject_pc/inject_class/sample_weight columns those campaigns populate.
-/// Campaigns run with a non-default `--injector` (detected by any record
-/// carrying an injector name) emit v9, which further appends
-/// injector/fault_class — and always includes the sampling columns so v9 has
-/// one fixed layout. (v4/v5/v6 were the same three layouts with the host
-/// counters tb_chain_hits, tlb_hits and tlb_misses after infra_error.) Either
-/// way the file leads with a `#chaser-records-csv vN` version line, then the
-/// column header, then the rows. `infra_error`, `injector` and `fault_class`
-/// cells are sanitized (',' and newlines become spaces) so rows stay one
-/// line wide. This is the reference the CTR store's export-csv is tested
-/// against.
+/// Write one row per run. The columns are RunRecord::ForEachField's fields,
+/// in its order, that the file's layout has: v7's (uniform campaigns), v7's
+/// and v8's (sampled campaigns, `policy` != kUniform), or all of them (v9:
+/// any record carrying an injector name). (v4/v5/v6 were the same three
+/// layouts with the host counters tb_chain_hits, tlb_hits and tlb_misses
+/// after infra_error.) The file leads with a `#chaser-records-csv vN`
+/// version line, then the column header, then the rows; string cells are
+/// sanitized (',' and newlines become spaces) so rows stay one line wide.
+/// This is the reference the CTR store's export-csv is tested against.
 void WriteRecordsCsv(const std::vector<RunRecord>& records, std::ostream& out,
                      SamplePolicy policy = SamplePolicy::kUniform);
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -77,6 +78,45 @@ double BitsToWeight(std::uint64_t b) {
   std::memcpy(&w, &b, sizeof(w));
   return w;
 }
+
+/// The last stored value of each enum a record holds, and what the scanner
+/// calls a value past it.
+struct EnumRange {
+  std::uint64_t last;
+  const char* what;
+};
+constexpr EnumRange RangeOf(campaign::Outcome) {
+  return {kNumOutcomes - 1, "outcome"};
+}
+constexpr EnumRange RangeOf(vm::TerminationKind) {
+  return {static_cast<std::uint64_t>(vm::TerminationKind::kMpiError),
+          "termination kind"};
+}
+constexpr EnumRange RangeOf(vm::GuestSignal) {
+  return {static_cast<std::uint64_t>(vm::GuestSignal::kCrash), "signal"};
+}
+constexpr EnumRange RangeOf(guest::InstrClass) {
+  return {static_cast<std::uint64_t>(guest::InstrClass::kSys),
+          "instruction class"};
+}
+
+/// The scanner's range-check error, out of line so its visitors stay small
+/// enough to inline.
+[[noreturn]] void ThrowOutOfRange(const char* what, const std::string& path) {
+  throw ConfigError(std::string("CtrStoreScanner: out-of-range ") + what +
+                    " in '" + path + "'");
+}
+
+/// What the scanner leaves in a field whose column it skips.
+constexpr campaign::RunRecord kDefaultRecord;
+
+/// Every flag bit a record's bools use.
+constexpr std::uint64_t kFlagBits = [] {
+  std::uint64_t bits = 0;
+  campaign::RunRecord::ForEachField(
+      [&](const campaign::RecordField& field, auto) { bits |= field.flag; });
+  return bits;
+}();
 
 void AppendU64Le(std::string* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -561,10 +601,7 @@ SegmentScan ScanSegmentFile(const std::string& path) {
 
 void CheckIdentity(const CtrStoreInfo& found, const CtrStoreInfo& want,
                    const std::string& path) {
-  if (found.campaign_seed != want.campaign_seed || found.app != want.app ||
-      found.sample_policy != want.sample_policy ||
-      found.shard_index != want.shard_index ||
-      found.shard_count != want.shard_count) {
+  if (found != want) {
     throw ConfigError(StrFormat(
         "CtrStore: '%s' belongs to campaign (app '%s', seed %llu, policy %s, "
         "shard %llu/%llu), not (app '%s', seed %llu, policy %s, shard "
@@ -745,34 +782,33 @@ void CtrStoreWriter::Add(const campaign::RunRecord& rec) {
     return;
   }
 
-  std::uint64_t v[kNumColumns];
-  v[kColRunSeed] = rec.run_seed;
-  v[kColOutcome] = static_cast<std::uint64_t>(rec.outcome);
-  v[kColKind] = static_cast<std::uint64_t>(rec.kind);
-  v[kColSignal] = static_cast<std::uint64_t>(rec.signal);
-  v[kColInjectRank] = ZigZagEncode(rec.inject_rank);
-  v[kColFailureRank] = ZigZagEncode(rec.failure_rank);
-  v[kColFlags] = (rec.deadlock ? 1u : 0u) |
-                 (rec.propagated_cross_rank ? 2u : 0u) |
-                 (rec.propagated_cross_node ? 4u : 0u);
-  v[kColInjections] = rec.injections;
-  v[kColTaintedReads] = rec.tainted_reads;
-  v[kColTaintedWrites] = rec.tainted_writes;
-  v[kColPeakTaintedBytes] = rec.peak_tainted_bytes;
-  v[kColTaintedOutputBytes] = rec.tainted_output_bytes;
-  v[kColTriggerNth] = rec.trigger_nth;
-  v[kColFlipBits] = rec.flip_bits;
-  v[kColInstructions] = rec.instructions;
-  v[kColTraceDropped] = rec.trace_dropped;
-  v[kColTaintLost] = rec.taint_lost;
-  v[kColRetries] = rec.retries;
-  v[kColInjectPc] = rec.inject_pc;
-  v[kColInjectClass] = static_cast<std::uint64_t>(rec.inject_class);
-  v[kColSampleWeight] = WeightToBits(rec.sample_weight);
-  v[kColInjector] = DictId(rec.injector);
-  v[kColFaultClass] = DictId(rec.fault_class);
-  v[kColInfraError] = DictId(rec.infra_error);
-  for (unsigned c = 0; c < kNumColumns; ++c) cols_[c].push_back(v[c]);
+  // Each field's column value, by the field's type: a flag sets its bit, a
+  // string is a dictionary id, a rank zigzag-coded, the weight its bits XOR
+  // 1.0's, and an enum or counter its value.
+  std::uint64_t v[kNumColumns] = {};
+  const std::string* strings[kNumColumns] = {};
+  campaign::RunRecord::ForEachField(
+      [&](const campaign::RecordField& field, auto member) {
+        const auto& x = rec.*member;
+        using T = std::remove_cvref_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (x) v[field.column] |= field.flag;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          strings[field.column] = &x;
+        } else if constexpr (std::is_same_v<T, Rank>) {
+          v[field.column] = ZigZagEncode(x);
+        } else if constexpr (std::is_same_v<T, double>) {
+          v[field.column] = WeightToBits(x);
+        } else {
+          static_assert(std::is_enum_v<T> || std::is_unsigned_v<T>);
+          v[field.column] = static_cast<std::uint64_t>(x);
+        }
+      });
+  // Dictionary ids are handed out in column order, whatever the walk's.
+  for (unsigned c = 0; c < kNumColumns; ++c) {
+    if (strings[c] != nullptr) v[c] = DictId(*strings[c]);
+    cols_[c].push_back(v[c]);
+  }
 
   if (cols_[0].size() >= options_.block_records) FlushBlock();
 }
@@ -936,11 +972,7 @@ bool CtrStoreScanner::LoadNextSegment() {
   if (!have_info_) {
     info_ = header.info;
     have_info_ = true;
-  } else if (header.info.campaign_seed != info_.campaign_seed ||
-             header.info.app != info_.app ||
-             header.info.sample_policy != info_.sample_policy ||
-             header.info.shard_index != info_.shard_index ||
-             header.info.shard_count != info_.shard_count) {
+  } else if (header.info != info_) {
     throw ConfigError("CtrStoreScanner: '" + path +
                       "' belongs to a different campaign than its store");
   }
@@ -1023,111 +1055,44 @@ bool CtrStoreScanner::Next(campaign::RunRecord* out) {
     if (!DecodeNextBlock()) return false;
   }
   const std::size_t i = static_cast<std::size_t>(row_in_block_);
-  // Fill `*out` in place: unmasked fields are reset to their defaults (the
-  // documented contract) rather than materializing a fresh RunRecord and
-  // copying it out — at scan rates that copy costs more than the decode, and
-  // assign/clear on the string fields reuses their capacity across rows.
-  campaign::RunRecord& r = *out;
-  const auto bad = [this](const char* what) -> ConfigError {
-    return ConfigError(std::string("CtrStoreScanner: out-of-range ") + what +
-                       " in '" + segment_paths_[next_segment_ - 1] + "'");
-  };
-  r.run_seed = (mask_ >> kColRunSeed) & 1u ? cols_[kColRunSeed][i] : 0;
-  r.outcome = campaign::Outcome::kBenign;
-  if ((mask_ >> kColOutcome) & 1u) {
-    const std::uint64_t v = cols_[kColOutcome][i];
-    if (v >= kNumOutcomes) throw bad("outcome");
-    r.outcome = static_cast<campaign::Outcome>(v);
-  }
-  r.kind = vm::TerminationKind::kExited;
-  if ((mask_ >> kColKind) & 1u) {
-    const std::uint64_t v = cols_[kColKind][i];
-    if (v > static_cast<std::uint64_t>(vm::TerminationKind::kMpiError)) {
-      throw bad("termination kind");
-    }
-    r.kind = static_cast<vm::TerminationKind>(v);
-  }
-  r.signal = vm::GuestSignal::kNone;
-  if ((mask_ >> kColSignal) & 1u) {
-    const std::uint64_t v = cols_[kColSignal][i];
-    if (v > static_cast<std::uint64_t>(vm::GuestSignal::kCrash)) {
-      throw bad("signal");
-    }
-    r.signal = static_cast<vm::GuestSignal>(v);
-  }
-  r.inject_rank =
-      (mask_ >> kColInjectRank) & 1u
-          ? static_cast<Rank>(ZigZagDecode(cols_[kColInjectRank][i]))
-          : 0;
-  r.failure_rank =
-      (mask_ >> kColFailureRank) & 1u
-          ? static_cast<Rank>(ZigZagDecode(cols_[kColFailureRank][i]))
-          : -1;
-  {
-    std::uint64_t v = 0;
-    if ((mask_ >> kColFlags) & 1u) {
-      v = cols_[kColFlags][i];
-      if (v > 7) throw bad("flags");
-    }
-    r.deadlock = (v & 1) != 0;
-    r.propagated_cross_rank = (v & 2) != 0;
-    r.propagated_cross_node = (v & 4) != 0;
-  }
-  r.injections = (mask_ >> kColInjections) & 1u ? cols_[kColInjections][i] : 0;
-  r.tainted_reads =
-      (mask_ >> kColTaintedReads) & 1u ? cols_[kColTaintedReads][i] : 0;
-  r.tainted_writes =
-      (mask_ >> kColTaintedWrites) & 1u ? cols_[kColTaintedWrites][i] : 0;
-  r.peak_tainted_bytes = (mask_ >> kColPeakTaintedBytes) & 1u
-                             ? cols_[kColPeakTaintedBytes][i]
-                             : 0;
-  r.tainted_output_bytes = (mask_ >> kColTaintedOutputBytes) & 1u
-                               ? cols_[kColTaintedOutputBytes][i]
-                               : 0;
-  r.trigger_nth = (mask_ >> kColTriggerNth) & 1u ? cols_[kColTriggerNth][i] : 0;
-  r.flip_bits = (mask_ >> kColFlipBits) & 1u
-                    ? static_cast<unsigned>(cols_[kColFlipBits][i])
-                    : 0;
-  r.instructions =
-      (mask_ >> kColInstructions) & 1u ? cols_[kColInstructions][i] : 0;
-  r.trace_dropped =
-      (mask_ >> kColTraceDropped) & 1u ? cols_[kColTraceDropped][i] : 0;
-  r.taint_lost = (mask_ >> kColTaintLost) & 1u ? cols_[kColTaintLost][i] : 0;
-  r.retries = (mask_ >> kColRetries) & 1u
-                  ? static_cast<unsigned>(cols_[kColRetries][i])
-                  : 0;
-  r.inject_pc = (mask_ >> kColInjectPc) & 1u ? cols_[kColInjectPc][i] : 0;
-  r.inject_class = guest::InstrClass::kMov;
-  if ((mask_ >> kColInjectClass) & 1u) {
-    const std::uint64_t v = cols_[kColInjectClass][i];
-    if (v > static_cast<std::uint64_t>(guest::InstrClass::kSys)) {
-      throw bad("instruction class");
-    }
-    r.inject_class = static_cast<guest::InstrClass>(v);
-  }
-  r.sample_weight = (mask_ >> kColSampleWeight) & 1u
-                        ? BitsToWeight(cols_[kColSampleWeight][i])
-                        : 1.0;
-  const auto dict_at = [&](Column c) -> const std::string& {
-    const std::uint64_t id = cols_[c][i];
-    if (id >= dict_.size()) throw bad("dictionary id");
-    return dict_[static_cast<std::size_t>(id)];
-  };
-  if ((mask_ >> kColInjector) & 1u) {
-    r.injector.assign(dict_at(kColInjector));
-  } else {
-    r.injector.clear();
-  }
-  if ((mask_ >> kColFaultClass) & 1u) {
-    r.fault_class.assign(dict_at(kColFaultClass));
-  } else {
-    r.fault_class.clear();
-  }
-  if ((mask_ >> kColInfraError) & 1u) {
-    r.infra_error.assign(dict_at(kColInfraError));
-  } else {
-    r.infra_error.clear();
-  }
+  // Fill `*out` in place, inverting Add field by field, each enum, flags
+  // value and dictionary id range-checked. Unmasked fields are reset to their
+  // defaults (the documented contract) rather than materializing a fresh
+  // RunRecord and copying it out — at scan rates that copy costs more than
+  // the decode, and assigning the string fields reuses their capacity across
+  // rows.
+  const std::string& path = segment_paths_[next_segment_ - 1];
+  campaign::RunRecord::ForEachField(
+      [&](const campaign::RecordField& field, auto member) {
+        auto& x = out->*member;
+        using T = std::remove_reference_t<decltype(x)>;
+        if (((mask_ >> field.column) & 1u) == 0) {
+          if constexpr (std::is_same_v<T, std::string>) {
+            x.clear();  // every string's default, keeping the capacity
+          } else {
+            x = kDefaultRecord.*member;
+          }
+          return;
+        }
+        const std::uint64_t v = cols_[field.column][i];
+        if constexpr (std::is_same_v<T, bool>) {
+          if ((v & ~kFlagBits) != 0) ThrowOutOfRange("flags", path);
+          x = (v & field.flag) != 0;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          if (v >= dict_.size()) ThrowOutOfRange("dictionary id", path);
+          x = dict_[static_cast<std::size_t>(v)];
+        } else if constexpr (std::is_enum_v<T>) {
+          constexpr EnumRange range = RangeOf(T{});
+          if (v > range.last) ThrowOutOfRange(range.what, path);
+          x = static_cast<T>(v);
+        } else if constexpr (std::is_same_v<T, Rank>) {
+          x = static_cast<Rank>(ZigZagDecode(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+          x = BitsToWeight(v);
+        } else {
+          x = static_cast<T>(v);
+        }
+      });
   ++row_in_block_;
   ++rows_;
   return true;

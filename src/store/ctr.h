@@ -67,38 +67,23 @@ namespace chaser::store {
 /// tlb_misses); a store of any other version is refused, never reused.
 inline constexpr std::uint64_t kCtrFormatVersion = 2;
 
-/// Column order inside a data block (fixed; new columns append at the end
-/// under a format-version bump). Ranks are zigzag-encoded, the three bool
-/// flags pack into one column, sample_weight is stored as IEEE-754 bits
-/// XORed with the bits of 1.0 (so the overwhelmingly common weight 1.0
-/// encodes as 0 and const-collapses), and the string columns hold dict ids.
-enum Column : unsigned {
-  kColRunSeed = 0,
-  kColOutcome,
-  kColKind,
-  kColSignal,
-  kColInjectRank,
-  kColFailureRank,
-  kColFlags,
-  kColInjections,
-  kColTaintedReads,
-  kColTaintedWrites,
-  kColPeakTaintedBytes,
-  kColTaintedOutputBytes,
-  kColTriggerNth,
-  kColFlipBits,
-  kColInstructions,
-  kColTraceDropped,
-  kColTaintLost,
-  kColRetries,
-  kColInjectPc,
-  kColInjectClass,
-  kColSampleWeight,
-  kColInjector,
-  kColFaultClass,
-  kColInfraError,
-};
-inline constexpr unsigned kNumColumns = 24;
+/// Column order inside a data block: campaign::RecordColumn, beside the
+/// RunRecord field walk that gives each field's column. Ranks are
+/// zigzag-encoded, the three bool flags pack into kColFlags, sample_weight
+/// is stored as IEEE-754 bits XORed with the bits of 1.0 (so the
+/// overwhelmingly common weight 1.0 encodes as 0 and const-collapses), and
+/// the string columns hold dict ids.
+using Column = campaign::RecordColumn;
+using enum campaign::RecordColumn;
+/// One past the last column the walk names.
+inline constexpr unsigned kNumColumns = [] {
+  unsigned n = 0;
+  campaign::RunRecord::ForEachField(
+      [&](const campaign::RecordField& field, auto) {
+        if (field.column >= n) n = field.column + 1;
+      });
+  return n;
+}();
 
 /// Which columns a scanner decodes; unselected columns are skipped by their
 /// length prefix and the materialized RunRecord keeps their defaults.
@@ -115,6 +100,9 @@ struct CtrStoreInfo {
   campaign::SamplePolicy sample_policy = campaign::SamplePolicy::kUniform;
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
+
+  /// The same campaign, in the same format.
+  bool operator==(const CtrStoreInfo&) const = default;
 };
 
 /// True if `path` looks like a CTR store: a directory holding at least one

@@ -1,6 +1,7 @@
 #include "store/query.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <ostream>
 
@@ -47,7 +48,8 @@ TrialFilter ParseTrialFilter(const std::string& spec) {
       }
     } else if (kv.key == "rank") {
       std::uint64_t r = 0;
-      if (!ParseU64(kv.value, &r)) {
+      if (!ParseU64(kv.value, &r) ||
+          r > static_cast<std::uint64_t>(std::numeric_limits<Rank>::max())) {
         throw ConfigError("--where: bad rank '" + kv.value + "'");
       }
       f.inject_rank = static_cast<Rank>(r);

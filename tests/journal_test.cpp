@@ -14,6 +14,7 @@
 #include "campaign/journal.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "record_oracle.h"
 #include "scratch_path.h"
 
 namespace chaser::campaign {
@@ -21,6 +22,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using testutil::SameRecord;
+using testutil::SameRecords;
 using testutil::ScratchPath;
 
 std::string ReadFileBytes(const std::string& path) {
@@ -103,35 +106,6 @@ std::vector<RunRecord> SampleRecords() {
   return recs;
 }
 
-void ExpectRecordEq(const RunRecord& a, const RunRecord& b, std::size_t i) {
-  EXPECT_EQ(a.run_seed, b.run_seed) << "record " << i;
-  EXPECT_EQ(a.outcome, b.outcome) << "record " << i;
-  EXPECT_EQ(a.kind, b.kind) << "record " << i;
-  EXPECT_EQ(a.signal, b.signal) << "record " << i;
-  EXPECT_EQ(a.inject_rank, b.inject_rank) << "record " << i;
-  EXPECT_EQ(a.failure_rank, b.failure_rank) << "record " << i;
-  EXPECT_EQ(a.deadlock, b.deadlock) << "record " << i;
-  EXPECT_EQ(a.propagated_cross_rank, b.propagated_cross_rank) << "record " << i;
-  EXPECT_EQ(a.propagated_cross_node, b.propagated_cross_node) << "record " << i;
-  EXPECT_EQ(a.injections, b.injections) << "record " << i;
-  EXPECT_EQ(a.tainted_reads, b.tainted_reads) << "record " << i;
-  EXPECT_EQ(a.tainted_writes, b.tainted_writes) << "record " << i;
-  EXPECT_EQ(a.peak_tainted_bytes, b.peak_tainted_bytes) << "record " << i;
-  EXPECT_EQ(a.tainted_output_bytes, b.tainted_output_bytes) << "record " << i;
-  EXPECT_EQ(a.trigger_nth, b.trigger_nth) << "record " << i;
-  EXPECT_EQ(a.flip_bits, b.flip_bits) << "record " << i;
-  EXPECT_EQ(a.instructions, b.instructions) << "record " << i;
-  EXPECT_EQ(a.trace_dropped, b.trace_dropped) << "record " << i;
-  EXPECT_EQ(a.taint_lost, b.taint_lost) << "record " << i;
-  EXPECT_EQ(a.retries, b.retries) << "record " << i;
-  EXPECT_EQ(a.infra_error, b.infra_error) << "record " << i;
-  EXPECT_EQ(a.inject_pc, b.inject_pc) << "record " << i;
-  EXPECT_EQ(a.inject_class, b.inject_class) << "record " << i;
-  EXPECT_EQ(a.sample_weight, b.sample_weight) << "record " << i;
-  EXPECT_EQ(a.injector, b.injector) << "record " << i;
-  EXPECT_EQ(a.fault_class, b.fault_class) << "record " << i;
-}
-
 // ---- Round trip --------------------------------------------------------------
 
 /// The records a reopen of `path` replays (the reopen also cuts a torn tail).
@@ -152,8 +126,7 @@ TEST(Journal, AppendReplayRoundTrip) {
   }
   const auto size = fs::file_size(path);
   const std::vector<RunRecord> back = Replay(path, 42);
-  ASSERT_EQ(back.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) ExpectRecordEq(recs[i], back[i], i);
+  EXPECT_TRUE(SameRecords(back, recs));
   EXPECT_EQ(fs::file_size(path), size) << "an intact journal must not be cut";
 }
 
@@ -170,13 +143,13 @@ TEST(Journal, ReopenReplaysAndContinues) {
     std::vector<RunRecord> replayed;
     TrialJournal journal(path, 7, "accum", &replayed);
     ASSERT_EQ(replayed.size(), 2u);
-    ExpectRecordEq(recs[0], replayed[0], 0);
-    ExpectRecordEq(recs[1], replayed[1], 1);
+    EXPECT_TRUE(SameRecord(replayed[0], recs[0]));
+    EXPECT_TRUE(SameRecord(replayed[1], recs[1]));
     journal.Append(recs[2]);
   }
   const std::vector<RunRecord> back = Replay(path, 7);
   ASSERT_EQ(back.size(), 3u);
-  ExpectRecordEq(recs[2], back[2], 2);
+  EXPECT_TRUE(SameRecord(back[2], recs[2]));
 }
 
 TEST(Journal, MismatchedCampaignIdentityThrows) {
@@ -225,7 +198,9 @@ TEST(Journal, TruncationAtEveryByteRecoversIntactPrefix) {
     std::size_t expect = 0;
     while (expect < frame_ends.size() && frame_ends[expect] <= len) ++expect;
     ASSERT_EQ(back.size(), expect) << "cut at byte " << len;
-    for (std::size_t i = 0; i < expect; ++i) ExpectRecordEq(recs[i], back[i], i);
+    for (std::size_t i = 0; i < expect; ++i) {
+      EXPECT_TRUE(SameRecord(back[i], recs[i])) << "record " << i;
+    }
     // The reopen cut the torn tail back to the last whole frame.
     EXPECT_EQ(fs::file_size(cut), expect == 0 ? header_end : frame_ends[expect - 1])
         << "cut at byte " << len;
@@ -261,7 +236,9 @@ TEST(Journal, BitFlipFuzzNeverThrowsAndNeverServesCorruptRecords) {
     // Whatever survives must be a prefix of the originals, bit-exact: the
     // CRC must catch the flip at the frame it lands in.
     ASSERT_LE(back.size(), recs.size());
-    for (std::size_t i = 0; i < back.size(); ++i) ExpectRecordEq(recs[i], back[i], i);
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      EXPECT_TRUE(SameRecord(back[i], recs[i])) << "record " << i;
+    }
   }
 }
 
@@ -288,7 +265,9 @@ TEST(Journal, TornTailIsDiscardedOnReopenAndAppendStaysReadable) {
   }
   const std::vector<RunRecord> back = Replay(path, 5);
   ASSERT_EQ(back.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) ExpectRecordEq(recs[i], back[i], i);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(SameRecord(back[i], recs[i])) << "record " << i;
+  }
 }
 
 }  // namespace

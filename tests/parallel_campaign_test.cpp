@@ -17,6 +17,7 @@
 #include "campaign/campaign.h"
 #include "common/error.h"
 #include "guest/builder.h"
+#include "record_oracle.h"
 
 namespace chaser::campaign {
 namespace {
@@ -53,30 +54,6 @@ apps::AppSpec AccumulatorApp(std::uint64_t iters = 50) {
   return spec;
 }
 
-void ExpectRecordEq(const RunRecord& a, const RunRecord& b, std::size_t i) {
-  EXPECT_EQ(a.outcome, b.outcome) << "record " << i;
-  EXPECT_EQ(a.kind, b.kind) << "record " << i;
-  EXPECT_EQ(a.signal, b.signal) << "record " << i;
-  EXPECT_EQ(a.inject_rank, b.inject_rank) << "record " << i;
-  EXPECT_EQ(a.failure_rank, b.failure_rank) << "record " << i;
-  EXPECT_EQ(a.deadlock, b.deadlock) << "record " << i;
-  EXPECT_EQ(a.propagated_cross_rank, b.propagated_cross_rank) << "record " << i;
-  EXPECT_EQ(a.propagated_cross_node, b.propagated_cross_node) << "record " << i;
-  EXPECT_EQ(a.injections, b.injections) << "record " << i;
-  EXPECT_EQ(a.tainted_reads, b.tainted_reads) << "record " << i;
-  EXPECT_EQ(a.tainted_writes, b.tainted_writes) << "record " << i;
-  EXPECT_EQ(a.peak_tainted_bytes, b.peak_tainted_bytes) << "record " << i;
-  EXPECT_EQ(a.tainted_output_bytes, b.tainted_output_bytes) << "record " << i;
-  EXPECT_EQ(a.trigger_nth, b.trigger_nth) << "record " << i;
-  EXPECT_EQ(a.flip_bits, b.flip_bits) << "record " << i;
-  EXPECT_EQ(a.run_seed, b.run_seed) << "record " << i;
-  EXPECT_EQ(a.instructions, b.instructions) << "record " << i;
-  EXPECT_EQ(a.trace_dropped, b.trace_dropped) << "record " << i;
-  EXPECT_EQ(a.taint_lost, b.taint_lost) << "record " << i;
-  EXPECT_EQ(a.retries, b.retries) << "record " << i;
-  EXPECT_EQ(a.infra_error, b.infra_error) << "record " << i;
-}
-
 void ExpectResultEq(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.runs, b.runs);
   EXPECT_EQ(a.benign, b.benign);
@@ -92,10 +69,7 @@ void ExpectResultEq(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.propagated_mpi_error, b.propagated_mpi_error);
   EXPECT_EQ(a.infra, b.infra);
   EXPECT_EQ(a.taint_lost, b.taint_lost);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    ExpectRecordEq(a.records[i], b.records[i], i);
-  }
+  EXPECT_TRUE(testutil::SameRecords(b.records, a.records));
 }
 
 TEST(WorkerPool, BitIdenticalToSerialAtAnyWorkerCount) {
@@ -314,7 +288,7 @@ TEST(TrialContainment, ThrowingTrialRetriesThenSucceeds) {
   const CampaignResult reference = clean.Run();
   RunRecord retried = result.records[3];
   retried.retries = reference.records[3].retries;
-  ExpectRecordEq(reference.records[3], retried, 3);
+  EXPECT_TRUE(testutil::SameRecord(retried, reference.records[3]));
 }
 
 TEST(TrialContainment, ExhaustedRetriesQuarantineInsteadOfAborting) {
@@ -442,7 +416,7 @@ TEST(TrialIsolation, RunOnceUnaffectedByInterveningTrials) {
   const RunRecord first = c.RunOnce(4242);
   for (std::uint64_t s = 100; s < 112; ++s) c.RunOnce(s);  // pollute
   const RunRecord replay = c.RunOnce(4242);
-  ExpectRecordEq(first, replay, 0);
+  EXPECT_TRUE(testutil::SameRecord(replay, first));
 }
 
 TEST(TrialIsolation, NoStatBleedAcrossConsecutiveTrials) {

@@ -26,6 +26,7 @@
 #include "guest/builder.h"
 #include "guest_state_digest.h"
 #include "obs/metrics.h"
+#include "record_oracle.h"
 #include "scratch_path.h"
 #include "tcg/shared_cache.h"
 #include "vm/memory.h"
@@ -42,6 +43,7 @@ using guest::F;
 using guest::ProgramBuilder;
 using guest::R;
 using tcg::SharedTbCache;
+using testutil::SameRecords;
 
 // ---- SharedTbCache unit behaviour -----------------------------------------
 
@@ -312,12 +314,6 @@ apps::AppSpec AccumulatorApp(std::uint64_t iters = 40) {
   return spec;
 }
 
-std::string RecordsCsv(const std::vector<campaign::RunRecord>& records) {
-  std::ostringstream csv;
-  campaign::WriteRecordsCsv(records, csv);
-  return csv.str();
-}
-
 /// Trials' records and, per trial, the final guest state it left.
 struct TrialRuns {
   std::vector<campaign::RunRecord> records;
@@ -327,7 +323,6 @@ struct TrialRuns {
     records.push_back(engine.RunTrial(seed));
     digests.push_back(digest::Snapshot(engine));
   }
-  std::string csv() const { return RecordsCsv(records); }
 };
 
 /// Trial i's digest equals `want`'s, naming the trial on a mismatch.
@@ -434,10 +429,11 @@ TEST(IdentityMatrix, FreshEnginePerTrialMatchesReusedEngine) {
     SCOPED_TRACE(spec.name);
     const TrialRuns fresh = FreshEngineTrials(spec);
     const TrialRuns reused = SerialTrials(spec, MatrixConfig());
-    EXPECT_EQ(reused.csv(), fresh.csv());
+    EXPECT_TRUE(SameRecords(reused.records, fresh.records));
     ExpectSameDigests(reused, fresh);
     Campaign campaign(spec, MatrixConfig());
-    EXPECT_EQ(RecordsCsv(campaign.Run().records), fresh.csv()) << "campaign";
+    EXPECT_TRUE(SameRecords(campaign.Run().records, fresh.records))
+        << "campaign";
   }
 }
 
@@ -550,8 +546,7 @@ void ExpectRestoredMatchesBooted(const std::string& cell,
   const std::uint64_t before = TrialsRestored();
   campaign::GoldenProfile golden;
   const TrialRuns serial = SerialTrials(spec, config, &golden);
-  const std::string want_csv = want.csv();
-  EXPECT_EQ(serial.csv(), want_csv) << "serial";
+  EXPECT_TRUE(SameRecords(serial.records, want.records)) << "serial";
   ExpectSameDigests(serial, want);
   EXPECT_GT(TrialsRestored(), before) << "no trial restored";
   const std::map<Rank, std::size_t> filled =
@@ -560,7 +555,7 @@ void ExpectRestoredMatchesBooted(const std::string& cell,
     EXPECT_GT(filled.count(r), 0u) << "rank " << r << " captured nothing";
   }
   Campaign parallel(spec, config, 3);
-  EXPECT_EQ(RecordsCsv(parallel.Run().records), want_csv)
+  EXPECT_TRUE(SameRecords(parallel.Run().records, want.records))
       << "parallel, 3 workers";
   ExpectSlotsHoldTheirRanksPrefixes(parallel.golden());
 }
@@ -729,10 +724,11 @@ TEST(GoldenPrefix, SpoolsMatch) {
   const std::filesystem::path root = testutil::ScratchPath("spools");
   CampaignConfig config = CheckpointConfig();
   config.spool_dir = (root / "booted").string();
-  const std::string want = BootedTrials(spec, config).csv();
+  const std::vector<campaign::RunRecord> want =
+      BootedTrials(spec, config).records;
   config.spool_dir = (root / "restored").string();
   const std::uint64_t before = TrialsRestored();
-  EXPECT_EQ(RecordsCsv(Campaign(spec, config).Run().records), want);
+  EXPECT_TRUE(SameRecords(Campaign(spec, config).Run().records, want));
   EXPECT_GT(TrialsRestored(), before);
   const auto booted = Tree(root / "booted");
   EXPECT_GE(booted.size(), config.runs);  // at least a meta file per trial

@@ -26,8 +26,10 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "guest/builder.h"
+#include "net/frame.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "record_oracle.h"
 #include "scratch_path.h"
 #include "store/ctr.h"
 #include "store/query.h"
@@ -40,6 +42,8 @@ namespace fs = std::filesystem;
 using campaign::Outcome;
 using campaign::RunRecord;
 
+using testutil::SameRecord;
+using testutil::SameRecords;
 using testutil::ScratchPath;
 
 std::string ReadFileBytes(const std::string& path) {
@@ -108,35 +112,6 @@ std::vector<RunRecord> SampleRecords(std::size_t n) {
   return recs;
 }
 
-void ExpectRecordEq(const RunRecord& a, const RunRecord& b, std::size_t i) {
-  EXPECT_EQ(a.run_seed, b.run_seed) << "record " << i;
-  EXPECT_EQ(a.outcome, b.outcome) << "record " << i;
-  EXPECT_EQ(a.kind, b.kind) << "record " << i;
-  EXPECT_EQ(a.signal, b.signal) << "record " << i;
-  EXPECT_EQ(a.inject_rank, b.inject_rank) << "record " << i;
-  EXPECT_EQ(a.failure_rank, b.failure_rank) << "record " << i;
-  EXPECT_EQ(a.deadlock, b.deadlock) << "record " << i;
-  EXPECT_EQ(a.propagated_cross_rank, b.propagated_cross_rank) << "record " << i;
-  EXPECT_EQ(a.propagated_cross_node, b.propagated_cross_node) << "record " << i;
-  EXPECT_EQ(a.injections, b.injections) << "record " << i;
-  EXPECT_EQ(a.tainted_reads, b.tainted_reads) << "record " << i;
-  EXPECT_EQ(a.tainted_writes, b.tainted_writes) << "record " << i;
-  EXPECT_EQ(a.peak_tainted_bytes, b.peak_tainted_bytes) << "record " << i;
-  EXPECT_EQ(a.tainted_output_bytes, b.tainted_output_bytes) << "record " << i;
-  EXPECT_EQ(a.trigger_nth, b.trigger_nth) << "record " << i;
-  EXPECT_EQ(a.flip_bits, b.flip_bits) << "record " << i;
-  EXPECT_EQ(a.instructions, b.instructions) << "record " << i;
-  EXPECT_EQ(a.trace_dropped, b.trace_dropped) << "record " << i;
-  EXPECT_EQ(a.taint_lost, b.taint_lost) << "record " << i;
-  EXPECT_EQ(a.retries, b.retries) << "record " << i;
-  EXPECT_EQ(a.infra_error, b.infra_error) << "record " << i;
-  EXPECT_EQ(a.inject_pc, b.inject_pc) << "record " << i;
-  EXPECT_EQ(a.inject_class, b.inject_class) << "record " << i;
-  EXPECT_EQ(a.sample_weight, b.sample_weight) << "record " << i;
-  EXPECT_EQ(a.injector, b.injector) << "record " << i;
-  EXPECT_EQ(a.fault_class, b.fault_class) << "record " << i;
-}
-
 void WriteStore(const std::string& dir, const std::vector<RunRecord>& recs,
                 CtrWriterOptions options = {}) {
   CtrStoreWriter writer(dir, TestIdentity(), options);
@@ -196,9 +171,8 @@ TEST(CtrStore, RoundTripAllFieldsAcrossBlocks) {
       ScanAll(dir, kAllColumns, &truncated, &sealed);
   EXPECT_FALSE(truncated);
   EXPECT_TRUE(sealed);
-  ASSERT_EQ(back.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    ExpectRecordEq(recs[i], back[i], i);
+  EXPECT_TRUE(SameRecords(back, recs));
+  for (std::size_t i = 0; i < back.size(); ++i) {
     EXPECT_EQ(back[i].tb_chain_hits + back[i].tlb_hits + back[i].tlb_misses,
               0u)
         << "record " << i << ": a host counter was stored";
@@ -217,6 +191,208 @@ TEST(CtrStore, ByteStreamIsDeterministic) {
             ReadFileBytes(b + "/seg-000000.ctr"));
 }
 
+// ---- The format, pinned ------------------------------------------------------
+
+/// Three records in which every field holds values no other field holds, so
+/// a field stored in another's column, or in another encoding, changes the
+/// store's bytes. retries and infra_error are set as well (campaigns
+/// rarely set them), the three flags differ from row to row, and every
+/// string is new, so the dictionary hands out ids in column order. The
+/// host counters are set too: no column holds them.
+std::vector<RunRecord> DistinctFieldRecords() {
+  std::vector<RunRecord> recs(3);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    RunRecord& r = recs[i];
+    const auto k = static_cast<unsigned>(i);
+    r.run_seed = 0x1111111111111111ull * (k + 1);
+    r.outcome = k == 1 ? Outcome::kBenign : Outcome::kTerminated;
+    r.kind = k == 1 ? vm::TerminationKind::kAssertFailed
+                    : vm::TerminationKind::kSignaled;
+    r.signal = static_cast<vm::GuestSignal>(5 + k);  // abort, kill, crash
+    r.inject_class = static_cast<guest::InstrClass>(8 + k);  // fadd..fother
+    r.deadlock = k != 1;
+    r.propagated_cross_rank = k != 0;
+    r.propagated_cross_node = k != 2;
+    r.inject_rank = static_cast<Rank>(32 + k);
+    r.failure_rank = -static_cast<Rank>(35 + k);
+    r.injections = 17 + k;
+    r.flip_bits = 20 + k;
+    r.trace_dropped = 23 + k;
+    r.taint_lost = 26 + k;
+    r.retries = 29 + k;
+    r.tainted_reads = 1000 + k;
+    r.tainted_writes = 2000 + 2 * k;
+    r.peak_tainted_bytes = 3000 + 3 * k;
+    r.tainted_output_bytes = 4000 + 4 * k;
+    r.trigger_nth = 5000 + 5 * k;
+    r.instructions = 6'000'000 + 6 * k;
+    r.inject_pc = 0x7000 + 8 * k;
+    r.sample_weight = 0.5 / (k + 1);
+    r.injector = "injector-" + std::to_string(k);
+    r.fault_class = "fault-class-" + std::to_string(k);
+    r.infra_error = "infra-error-" + std::to_string(k);
+    r.tb_chain_hits = 9000 + k;
+    r.tlb_hits = 9100 + k;
+    r.tlb_misses = 9200 + k;
+  }
+  return recs;
+}
+
+std::string Hex(const std::string& bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    out += StrFormat("%02x", static_cast<unsigned>(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+// The store's bytes for DistinctFieldRecords in blocks of two: the header,
+// a full block, a partial one and the footer. Format v2 stores exactly
+// these; a change to any column's order, encoding or dictionary order is a
+// format change and fails here.
+TEST(CtrStore, FormatBytesArePinned) {
+  const std::string dir = ScratchPath("pinned");
+  CtrWriterOptions options;
+  options.block_records = 2;
+  WriteStore(dir, DistinctFieldRecords(), options);
+  EXPECT_EQ(Hex(ReadFileBytes(dir + "/seg-000000.ctr")),
+            "43485343545230310e01022a05616363756d0000010000694eeea1d701020206"
+            "0a696e6a6563746f722d300d6661756c742d636c6173732d300d696e6672612d"
+            "6572726f722d300a696e6a6563746f722d310d6661756c742d636c6173732d31"
+            "0d696e6672612d6572726f722d3103113e111111111111119188888888888888"
+            "08000201000002020300020506000240420002454700020506000211120203e8"
+            "07020203d00f040203b817060203a01f08020388270a000214150205809bee02"
+            "0c0002171800021a1b00021d1e020480e0011000020809030f36000000000000"
+            "100000000000000800020104000202050002030623ee91d38b010201030a696e"
+            "6a6563746f722d320d6661756c742d636c6173732d320d696e6672612d657272"
+            "6f722d320109b3e6cc99b3e6cc99330101010101020101070101440101490101"
+            "030101130102ea070102d40f0102be170102a81f0102922701011601048c9bee"
+            "0201011901011c01011f010390e00101010a0108d5aad5aad5aad51a01010701"
+            "0108010109af945b0f0c030302f50c629225823d990af7ab8174");
+}
+
+/// A one-record segment with column `column` holding `value` instead, behind
+/// a valid CRC. Each column of a one-record block is a const column: mode
+/// byte 1, payload length, the value as a varint.
+std::string WithColumnValue(const std::string& segment, Column column,
+                            std::uint64_t value) {
+  const auto varint = [](const std::string& s, std::size_t* pos) {
+    const std::optional<std::uint64_t> v = net::DecodeVarint(s, pos);
+    EXPECT_TRUE(v.has_value());
+    return static_cast<std::size_t>(v.value_or(0));
+  };
+  const std::size_t block_at = HeaderEnd(segment);
+  std::size_t pos = block_at;
+  const std::size_t len = varint(segment, &pos);
+  const std::string block = segment.substr(pos, len);
+  const std::string rest = segment.substr(pos + len + 4);
+  std::size_t at = 1;  // past the tag
+  EXPECT_EQ(varint(block, &at), 1u) << "not a one-record block";
+  for (std::size_t n = varint(block, &at); n > 0; --n) {
+    at += varint(block, &at);  // a new dictionary entry
+  }
+  for (unsigned c = 0; c < column; ++c) {
+    ++at;  // mode
+    at += varint(block, &at);
+  }
+  EXPECT_EQ(block.at(at), '\x01') << "not a const column";
+  std::size_t end = at + 1;
+  end += varint(block, &end);
+  std::string payload;
+  net::AppendVarint(&payload, value);
+  std::string patched = block.substr(0, at + 1);
+  net::AppendVarint(&patched, payload.size());
+  patched += payload + block.substr(end);
+  std::string out = segment.substr(0, block_at);
+  net::AppendFrame(&out, patched);
+  return out + rest;
+}
+
+// A stored value past its field's range is refused, with an error naming
+// the field, by each reader that decodes its column. Add stores an
+// out-of-range enum as given; a flags value or dictionary id past its
+// range is written into the bytes.
+TEST(CtrStore, OutOfRangeValuesAreRefusedByEveryReader) {
+  struct Case {
+    const char* what;
+    std::function<void(RunRecord*)> set;  // or, unset, patch the bytes:
+    Column column = kColRunSeed;
+    std::uint64_t value = 0;
+    std::optional<QueryOptions> query;  // one that reads the column
+  };
+  QueryOptions by_kind;
+  by_kind.filter.kind = vm::TerminationKind::kExited;
+  QueryOptions by_signal;
+  by_signal.filter.signal = vm::GuestSignal::kNone;
+  QueryOptions by_site;
+  by_site.top_k = 1;
+  QueryOptions by_injector;
+  by_injector.group_by = GroupBy::kInjector;
+  const std::vector<Case> cases = {
+      {"outcome",
+       [](RunRecord* r) { r->outcome = static_cast<Outcome>(kNumOutcomes); },
+       kColRunSeed, 0, QueryOptions{}},
+      {"termination kind",
+       [](RunRecord* r) {
+         r->kind = static_cast<vm::TerminationKind>(
+             static_cast<unsigned>(vm::TerminationKind::kMpiError) + 1);
+       },
+       kColRunSeed, 0, by_kind},
+      {"signal",
+       [](RunRecord* r) {
+         r->signal = static_cast<vm::GuestSignal>(
+             static_cast<unsigned>(vm::GuestSignal::kCrash) + 1);
+       },
+       kColRunSeed, 0, by_signal},
+      {"instruction class",
+       [](RunRecord* r) {
+         r->inject_class = static_cast<guest::InstrClass>(
+             static_cast<unsigned>(guest::InstrClass::kSys) + 1);
+       },
+       kColRunSeed, 0, by_site},
+      // No query reads the flags column.
+      {"flags", nullptr, kColFlags, 8, std::nullopt},
+      {"dictionary id", nullptr, kColInjector, 3, by_injector},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string dir = ScratchPath("out_of_range");
+    if (c.set) {
+      std::vector<RunRecord> recs = SampleRecords(3);
+      c.set(&recs[1]);
+      WriteStore(dir, recs);
+    } else {
+      // One record: its dictionary holds "", "stuckat" and "stuck-at".
+      WriteStore(dir, SampleRecords(1));
+      const std::string seg = dir + "/seg-000000.ctr";
+      const std::string bytes = ReadFileBytes(seg);
+      // The last value in range is served, so the patch is well-formed.
+      WriteFileBytes(seg, WithColumnValue(bytes, c.column, c.value - 1));
+      ASSERT_EQ(ScanAll(dir).size(), 1u);
+      WriteFileBytes(seg, WithColumnValue(bytes, c.column, c.value));
+    }
+    const std::string want = std::string("out-of-range ") + c.what;
+    const auto expect_refused = [&](const char* reader,
+                                    const std::function<void()>& read) {
+      SCOPED_TRACE(reader);
+      try {
+        read();
+        ADD_FAILURE() << "the record was served";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_refused("scanner", [&] { ScanAll(dir); });
+    if (c.query) expect_refused("query", [&] { RunQuery(dir, *c.query); });
+    expect_refused("export", [&] {
+      std::ostringstream out;
+      ExportCsv(dir, out);
+    });
+    fs::remove_all(dir);
+  }
+}
+
 TEST(CtrStore, SegmentRollOverPreservesOrderAndSeeds) {
   const std::string dir = ScratchPath("rollover");
   const std::vector<RunRecord> recs = SampleRecords(64);
@@ -229,11 +405,7 @@ TEST(CtrStore, SegmentRollOverPreservesOrderAndSeeds) {
     writer.Finish();
     EXPECT_GT(writer.segments(), 4u);
   }
-  const std::vector<RunRecord> back = ScanAll(dir);
-  ASSERT_EQ(back.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    ExpectRecordEq(recs[i], back[i], i);
-  }
+  EXPECT_TRUE(SameRecords(ScanAll(dir), recs));
 }
 
 TEST(CtrStore, ColumnMaskDecodesOnlySelectedColumns) {
@@ -402,7 +574,7 @@ TEST(CtrStore, TruncationAtEveryByteServesPrefixAndResumeConverges) {
     if (served.has_value()) {
       ASSERT_LE(served->size(), recs.size()) << "cut at byte " << len;
       for (std::size_t i = 0; i < served->size(); ++i) {
-        ExpectRecordEq(recs[i], (*served)[i], i);
+        EXPECT_TRUE(SameRecord((*served)[i], recs[i])) << "record " << i;
       }
       // Served records only grow with the intact prefix, and only the full
       // file is sealed and untruncated.
@@ -463,7 +635,7 @@ TEST(CtrStore, BitFlipFuzzNeverServesCorruptRecords) {
     ASSERT_NO_THROW(served = ScanAll(flipped)) << "flip in byte " << byte;
     ASSERT_LE(served.size(), recs.size());
     for (std::size_t i = 0; i < served.size(); ++i) {
-      ExpectRecordEq(recs[i], served[i], i);
+      EXPECT_TRUE(SameRecord(served[i], recs[i])) << "record " << i;
     }
     fs::remove_all(flipped);
   }
@@ -845,6 +1017,9 @@ TEST(CtrQuery, WhereParserRejectsUnknownKeysAndValues) {
   EXPECT_THROW(ParseTrialFilter("bogus=1"), ConfigError);
   EXPECT_THROW(ParseTrialFilter("outcome=nosuch"), ConfigError);
   EXPECT_THROW(ParseTrialFilter("rank=notanumber"), ConfigError);
+  // Past Rank's range: no wrap to rank 0 or to a negative rank.
+  EXPECT_THROW(ParseTrialFilter("rank=4294967296"), ConfigError);
+  EXPECT_THROW(ParseTrialFilter("rank=2147483648"), ConfigError);
   const TrialFilter f = ParseTrialFilter("outcome=sdc,inject_class=fadd");
   ASSERT_TRUE(f.outcome.has_value());
   EXPECT_EQ(*f.outcome, Outcome::kSdc);
